@@ -1,11 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pimflow/internal/load"
@@ -222,6 +223,9 @@ type machineState struct {
 	srv      *serve.Server
 	open     map[string]*fleetBatch
 	inFlight cycleHeap
+	queued   int             // unshed hops in open batches
+	order    []*fleetPending // openInOrder's buffer, reused per arrival
+	cands    []serve.ShedCandidate
 }
 
 func (ms *machineState) prune(now int64) {
@@ -230,24 +234,14 @@ func (ms *machineState) prune(now int64) {
 	}
 }
 
-func (ms *machineState) occupancy() int {
-	n := len(ms.inFlight)
-	//lint:ignore LT-MAP-ORDER pure count; the sum is order-insensitive
-	for _, vb := range ms.open {
-		for _, p := range vb.items {
-			if !p.shed {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (ms *machineState) occupancy() int { return len(ms.inFlight) + ms.queued }
 
 // openInOrder lists the machine's open unshed hops oldest first (the
 // candidate order serve.PickShedVictim expects), models visited sorted
-// and the sort stable — load.Replay's tie discipline.
+// and the sort stable — load.Replay's tie discipline. The returned slice
+// is reused by the next call.
 func (ms *machineState) openInOrder() []*fleetPending {
-	var ps []*fleetPending
+	ps := ms.order[:0]
 	for _, m := range sortedKeys(ms.open) {
 		for _, p := range ms.open[m].items {
 			if !p.shed {
@@ -255,7 +249,8 @@ func (ms *machineState) openInOrder() []*fleetPending {
 			}
 		}
 	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].cycle < ps[j].cycle })
+	slices.SortStableFunc(ps, func(a, b *fleetPending) int { return cmp.Compare(a.cycle, b.cycle) })
+	ms.order = ps
 	return ps
 }
 
@@ -543,17 +538,19 @@ func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, graphN
 			return nil
 		}
 		ps := ms.openInOrder()
-		cands := make([]serve.ShedCandidate, 0, len(ps)+1)
+		cands := ms.cands[:0]
 		for _, q := range ps {
 			cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
 		}
 		cands = append(cands, serve.ShedCandidate{Deadline: p.deadline, Service: p.service})
+		ms.cands = cands
 		v := serve.PickShedVictim(cands)
 		if v == len(ps) {
 			x.countFail(p, &x.rep.Shed)
 			return nil
 		}
 		ps[v].shed = true
+		ms.queued--
 		x.countFail(ps[v], &x.rep.Shed)
 	}
 	vb := ms.open[model]
@@ -565,6 +562,7 @@ func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, graphN
 		ms.open[model] = vb
 	}
 	vb.items = append(vb.items, p)
+	ms.queued++
 	full := 0
 	for _, q := range vb.items {
 		if !q.shed {
@@ -629,6 +627,7 @@ func (x *replayer) flush(ms *machineState, model string, vb *fleetBatch) error {
 		batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.cycle})
 		live = append(live, p)
 	}
+	ms.queued -= len(live)
 	if len(batch) == 0 {
 		return nil
 	}

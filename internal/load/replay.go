@@ -1,12 +1,14 @@
 package load
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +117,7 @@ func sortedModels[V any](m map[string]V) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	return keys
 }
 
@@ -243,7 +245,10 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	var (
 		open     = map[string]*virtualBatch{} // per-model open batch
 		inFlight endHeap                      // completion cycles of placed work
+		queued   int                          // unshed requests in open batches
 		stats    = NewCollector(sc, len(reqs))
+		order    []*pendingReq // openInOrder's buffer, reused per arrival
+		cands    []serve.ShedCandidate
 	)
 
 	flush := func(model string, vb *virtualBatch) error {
@@ -255,6 +260,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			}
 			batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.req.Cycle})
 		}
+		queued -= len(batch)
 		if len(batch) == 0 {
 			return nil
 		}
@@ -308,27 +314,15 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 		}
 	}
 
-	occupancy := func() int {
-		n := len(inFlight)
-		//lint:ignore LT-MAP-ORDER pure count; the sum is order-insensitive
-		for _, vb := range open {
-			for _, p := range vb.items {
-				if !p.shed {
-					n++
-				}
-			}
-		}
-		return n
-	}
-
 	// openInOrder lists the open (unflushed, unshed) requests oldest
 	// first — the candidate order PickShedVictim expects. Collection
 	// walks models in sorted order and the sort is stable, so requests
 	// arriving on the same cycle from different models keep one fixed
 	// order: an unstable sort over map-ordered candidates let equal-cycle
-	// ties land on a different shed victim run to run.
+	// ties land on a different shed victim run to run. The returned
+	// slice is reused by the next call.
 	openInOrder := func() []*pendingReq {
-		var ps []*pendingReq
+		ps := order[:0]
 		for _, m := range sortedModels(open) {
 			for _, p := range open[m].items {
 				if !p.shed {
@@ -336,7 +330,8 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 				}
 			}
 		}
-		sort.SliceStable(ps, func(i, j int) bool { return ps[i].req.Cycle < ps[j].req.Cycle })
+		slices.SortStableFunc(ps, func(a, b *pendingReq) int { return cmp.Compare(a.req.Cycle, b.req.Cycle) })
+		order = ps
 		return ps
 	}
 
@@ -357,7 +352,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			heap.Pop(&inFlight)
 		}
 		p := &pendingReq{req: r, service: mi.service, deadline: mi.deadline}
-		if occupancy() >= sc.QueueDepth {
+		if len(inFlight)+queued >= sc.QueueDepth {
 			if !shed {
 				rep.Rejected++
 				continue
@@ -365,7 +360,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			// Shed the same victim the live queue would pick: open requests
 			// oldest-first plus the incoming one.
 			ps := openInOrder()
-			cands := make([]serve.ShedCandidate, 0, len(ps)+1)
+			cands = cands[:0]
 			for _, q := range ps {
 				cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
 			}
@@ -376,6 +371,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 				continue // the arrival itself was the most hopeless
 			}
 			ps[v].shed = true
+			queued--
 		}
 		vb := open[r.Model]
 		if vb == nil {
@@ -386,6 +382,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			open[r.Model] = vb
 		}
 		vb.items = append(vb.items, p)
+		queued++
 		full := 0
 		for _, q := range vb.items {
 			if !q.shed {
@@ -473,7 +470,7 @@ func stageStats(recs []latRec) map[string]StageStats {
 	out := make(map[string]StageStats, len(cols))
 	for _, name := range sortedModels(cols) {
 		vals := cols[name]
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		slices.Sort(vals)
 		var sum int64
 		for _, v := range vals {
 			sum += v
@@ -503,11 +500,11 @@ func headCycle(vb *virtualBatch) int64 {
 func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batchSum, makespan int64) {
 	// Ties break on request ID (deterministic in single-threaded replay),
 	// then stably on append order.
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].lat != recs[j].lat {
-			return recs[i].lat < recs[j].lat
+	slices.SortStableFunc(recs, func(a, b latRec) int {
+		if c := cmp.Compare(a.lat, b.lat); c != 0 {
+			return c
 		}
-		return recs[i].id < recs[j].id
+		return strings.Compare(a.id, b.id)
 	})
 	lat := make([]int64, len(recs))
 	for i, r := range recs {
@@ -534,7 +531,7 @@ func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batch
 	rep.MakespanCycles = makespan
 	for _, cls := range sortedModels(classLat) {
 		ls := classLat[cls]
-		sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+		slices.Sort(ls)
 		cs := rep.Classes[cls]
 		cs.P50 = percentile(ls, 0.50)
 		cs.P99 = percentile(ls, 0.99)

@@ -76,3 +76,16 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.ReportMetric(float64(pct(50)), "p50_simcycles")
 	b.ReportMetric(float64(pct(99)), "p99_simcycles")
 }
+
+// BenchmarkSchedulerPlace measures one Release+Place step on a 64-deep
+// queue of future leases under bursty arrivals (eight per frontier
+// stamp, a mix of half- and full-machine demands) — the placement
+// pattern of an overloaded server.
+func BenchmarkSchedulerPlace(b *testing.B) {
+	q := newDeepQueue(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.step()
+	}
+}

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -43,11 +44,6 @@ type Demand struct {
 	PIM int `json:"pim"`
 }
 
-// Disjoint reports whether two demands can share the machine.
-func (d Demand) fitsWith(other Demand, m Machine) bool {
-	return d.GPU+other.GPU <= m.GPUChannels && d.PIM+other.PIM <= m.PIMChannels
-}
-
 // Lease is one granted reservation of channel groups over a virtual-time
 // window [Start, End).
 type Lease struct {
@@ -65,6 +61,15 @@ type Lease struct {
 type leaseRec struct {
 	Lease
 	released bool
+}
+
+// step is one breakpoint of the scheduler's capacity profile: the channel
+// usage of every profiled lease on [t, next.t). Usage after the last
+// breakpoint is zero.
+type step struct {
+	t   int64
+	gpu int
+	pim int
 }
 
 // Scheduler multiplexes requests over the machine's channel groups in
@@ -85,7 +90,17 @@ type Scheduler struct {
 	mu      sync.Mutex
 	machine Machine
 	active  []leaseRec // guarded by mu
-	nextID  uint64     // guarded by mu
+	// profile is the channel usage of the active leases as a step
+	// function, with breakpoints sorted by t at lease boundaries. Place
+	// adds a lease's demand over its window and Cancel subtracts it (its
+	// breakpoints stay, carrying the usage of the step before them);
+	// pruning drops the steps that end at or before the horizon. Usage is
+	// exact from the horizon on; earlier steps may still count pruned
+	// leases, but no placement looks there.
+	profile []step // guarded by mu
+	nextID  uint64 // guarded by mu
+	// live counts the unreleased leases in active.
+	live int // guarded by mu
 	// vfront is the completion frontier: the max end of released leases.
 	// It stamps the virtual arrival of subsequent requests.
 	vfront int64 // guarded by mu
@@ -136,17 +151,7 @@ func (s *Scheduler) Arrival() int64 {
 func (s *Scheduler) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inFlightLocked()
-}
-
-func (s *Scheduler) inFlightLocked() int {
-	n := 0
-	for i := range s.active {
-		if !s.active[i].released {
-			n++
-		}
-	}
-	return n
+	return s.live
 }
 
 // SchedulerStats is a read-only snapshot of the scheduler's bookkeeping.
@@ -168,10 +173,9 @@ type SchedulerStats struct {
 func (s *Scheduler) Stats() SchedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inFlight := s.inFlightLocked()
 	return SchedulerStats{
-		InFlight:        inFlight,
-		Retained:        len(s.active) - inFlight,
+		InFlight:        s.live,
+		Retained:        len(s.active) - s.live,
 		FrontierCycles:  s.vfront,
 		WatermarkCycles: s.watermark,
 		Placed:          s.placed,
@@ -197,9 +201,11 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 	start := s.earliestFitLocked(arrival, d, dur)
 	s.nextID++
 	s.placed++
+	s.live++
 	l := Lease{id: s.nextID, Start: start, End: start + dur, Demand: d}
 	s.active = append(s.active, leaseRec{Lease: l})
-	s.metrics.Set("serve.leases_active", float64(s.inFlightLocked()))
+	s.addUsageLocked(l.Start, l.End, d.GPU, d.PIM)
+	s.metrics.Set("serve.leases_active", float64(s.live))
 	return l, nil
 }
 
@@ -207,7 +213,9 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 // watermark and advances the horizon past their windows: a later
 // placement with an older arrival (batch windows flush out of arrival
 // order) can no longer be told how busy that history was, so
-// earliestFitLocked refuses to open a window before the horizon.
+// earliestFitLocked refuses to open a window before the horizon. The
+// pruned leases all end at or before the horizon, so the profile needs
+// no subtraction — only the steps wholly before the horizon are dropped.
 func (s *Scheduler) pruneLocked() {
 	kept := s.active[:0]
 	for _, r := range s.active {
@@ -219,64 +227,74 @@ func (s *Scheduler) pruneLocked() {
 		kept = append(kept, r)
 	}
 	s.active = kept
+	// Keep the step containing the horizon; copy down so the slice keeps
+	// its capacity and steady-state placement does not allocate.
+	if i := s.stepAtLocked(s.horizon); i > 0 {
+		s.profile = s.profile[:copy(s.profile, s.profile[i:])]
+	}
 }
 
-// earliestFitLocked scans candidate start times — the arrival stamp and
-// every later lease boundary — and returns the first whose whole window
-// keeps both channel groups within capacity. Arrivals that predate the
+// stepAtLocked returns the index of the step containing t: the last
+// breakpoint at or before t, or 0 when t precedes every breakpoint.
+func (s *Scheduler) stepAtLocked(t int64) int {
+	i := sort.Search(len(s.profile), func(k int) bool { return s.profile[k].t > t })
+	return max(i-1, 0)
+}
+
+// splitLocked makes t a breakpoint of the profile, carrying over the
+// usage of the step it splits, and returns its index.
+func (s *Scheduler) splitLocked(t int64) int {
+	i := s.stepAtLocked(t)
+	if i < len(s.profile) && s.profile[i].t == t {
+		return i
+	}
+	var st step
+	if i < len(s.profile) && s.profile[i].t < t {
+		st = s.profile[i]
+		i++
+	}
+	st.t = t
+	s.profile = slices.Insert(s.profile, i, st)
+	return i
+}
+
+// addUsageLocked adds (gpu, pim) channels to the profile over
+// [start, end). A Cancel may reach back before the horizon, where the
+// steps are already dropped or inexact; what it writes there is never
+// read and goes at the next prune.
+func (s *Scheduler) addUsageLocked(start, end int64, gpu, pim int) {
+	i := s.splitLocked(start)
+	j := s.splitLocked(end)
+	for k := i; k < j; k++ {
+		s.profile[k].gpu += gpu
+		s.profile[k].pim += pim
+	}
+}
+
+// earliestFitLocked sweeps the profile once from the arrival stamp: the
+// candidate start moves to the next breakpoint whenever a step inside
+// its window is over capacity, and the first candidate whose window
+// clears every step is returned. Any start before a violating step has
+// that step inside its window, so the result equals checking every
+// lease boundary after the arrival in order. Arrivals that predate the
 // pruned horizon are clamped to it: the busy history before the horizon
 // has been forgotten, so opening a window there could oversubscribe the
-// machine against leases this scheduler already granted.
+// machine against leases this scheduler already granted. The last step
+// has zero usage and Fits was checked, so the sweep always ends there
+// at the latest.
 func (s *Scheduler) earliestFitLocked(arrival int64, d Demand, dur int64) int64 {
-	arrival = num.Max64(arrival, s.horizon)
-	cands := []int64{arrival}
-	for i := range s.active {
-		l := &s.active[i]
-		if l.End > arrival {
-			cands = append(cands, l.End)
+	cand := num.Max64(arrival, s.horizon)
+	gpuCap, pimCap := s.machine.GPUChannels-d.GPU, s.machine.PIMChannels-d.PIM
+	for i := s.stepAtLocked(cand); i < len(s.profile); i++ {
+		st := &s.profile[i]
+		if st.t >= cand+dur {
+			break
 		}
-		if l.Start > arrival {
-			cands = append(cands, l.Start)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	for _, t := range cands {
-		if s.windowFitsLocked(t, t+dur, d) {
-			return t
+		if st.gpu > gpuCap || st.pim > pimCap {
+			cand = s.profile[i+1].t
 		}
 	}
-	// Unreachable: past the last lease end the machine is empty and Fits
-	// was checked, but fall back to serializing after everything.
-	var last int64 = arrival
-	for i := range s.active {
-		last = num.Max64(last, s.active[i].End)
-	}
-	return last
-}
-
-// windowFitsLocked checks capacity at every usage step inside [t0, t1):
-// usage only changes at lease starts, so evaluating t0 and each covered
-// lease start is exact.
-func (s *Scheduler) windowFitsLocked(t0, t1 int64, d Demand) bool {
-	points := []int64{t0}
-	for i := range s.active {
-		if l := &s.active[i]; l.Start > t0 && l.Start < t1 {
-			points = append(points, l.Start)
-		}
-	}
-	for _, p := range points {
-		gpu, pim := d.GPU, d.PIM
-		for i := range s.active {
-			if l := &s.active[i]; l.Start <= p && p < l.End {
-				gpu += l.Demand.GPU
-				pim += l.Demand.PIM
-			}
-		}
-		if gpu > s.machine.GPUChannels || pim > s.machine.PIMChannels {
-			return false
-		}
-	}
-	return true
+	return cand
 }
 
 // Release retires a lease, advancing the completion frontier to its end.
@@ -286,8 +304,11 @@ func (s *Scheduler) Release(l Lease) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.active {
-		if s.active[i].id == l.id {
-			s.active[i].released = true
+		if r := &s.active[i]; r.id == l.id {
+			if !r.released {
+				r.released = true
+				s.live--
+			}
 			break
 		}
 	}
@@ -296,7 +317,7 @@ func (s *Scheduler) Release(l Lease) {
 		s.onRelease(l.id, s.vfront)
 	}
 	s.pruneLocked()
-	s.metrics.Set("serve.leases_active", float64(s.inFlightLocked()))
+	s.metrics.Set("serve.leases_active", float64(s.live))
 	s.metrics.Set("serve.virtual_frontier_cycles", float64(s.vfront))
 }
 
@@ -307,10 +328,14 @@ func (s *Scheduler) Cancel(l Lease) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.active {
-		if s.active[i].id == l.id {
+		if r := s.active[i]; r.id == l.id {
+			if !r.released {
+				s.live--
+			}
 			s.active = append(s.active[:i], s.active[i+1:]...)
+			s.addUsageLocked(r.Start, r.End, -r.Demand.GPU, -r.Demand.PIM)
 			break
 		}
 	}
-	s.metrics.Set("serve.leases_active", float64(s.inFlightLocked()))
+	s.metrics.Set("serve.leases_active", float64(s.live))
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pimflow/internal/num"
@@ -229,5 +230,233 @@ func TestSchedulerRejectsOversizedDemand(t *testing.T) {
 	s := NewScheduler(Machine{GPUChannels: 4, PIMChannels: 4}, nil)
 	if _, err := s.Place(0, Demand{GPU: 5, PIM: 0}, 10); err == nil {
 		t.Fatal("demand beyond machine capacity must fail")
+	}
+}
+
+// refScheduler is the candidate-scan placement the capacity step profile
+// replaced, kept as the oracle for the differential test: the same lease
+// bookkeeping (retention, watermark pruning, horizon clamp), but every
+// placement sorts every lease boundary after the arrival and rescans
+// every lease for each candidate window — O(L³), and obviously right.
+type refScheduler struct {
+	machine   Machine
+	active    []leaseRec
+	nextID    uint64
+	watermark int64
+	horizon   int64
+	pruned    int64
+}
+
+func (s *refScheduler) place(arrival int64, d Demand, dur int64) Lease {
+	if dur < 1 {
+		dur = 1
+	}
+	s.watermark = num.Max64(s.watermark, arrival)
+	s.prune()
+	start := s.earliestFit(arrival, d, dur)
+	s.nextID++
+	l := Lease{id: s.nextID, Start: start, End: start + dur, Demand: d}
+	s.active = append(s.active, leaseRec{Lease: l})
+	return l
+}
+
+func (s *refScheduler) prune() {
+	kept := s.active[:0]
+	for _, r := range s.active {
+		if r.released && r.End <= s.watermark {
+			s.pruned++
+			s.horizon = num.Max64(s.horizon, r.End)
+			continue
+		}
+		kept = append(kept, r)
+	}
+	s.active = kept
+}
+
+func (s *refScheduler) release(l Lease) {
+	for i := range s.active {
+		if s.active[i].id == l.id {
+			s.active[i].released = true
+			break
+		}
+	}
+	s.prune()
+}
+
+func (s *refScheduler) cancel(l Lease) {
+	for i := range s.active {
+		if s.active[i].id == l.id {
+			s.active = append(s.active[:i], s.active[i+1:]...)
+			break
+		}
+	}
+}
+
+// earliestFit tries the arrival stamp (clamped to the horizon) and every
+// later lease boundary in order, returning the first whose whole window
+// keeps both channel groups within capacity.
+func (s *refScheduler) earliestFit(arrival int64, d Demand, dur int64) int64 {
+	arrival = num.Max64(arrival, s.horizon)
+	cands := []int64{arrival}
+	for i := range s.active {
+		l := &s.active[i]
+		if l.End > arrival {
+			cands = append(cands, l.End)
+		}
+		if l.Start > arrival {
+			cands = append(cands, l.Start)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	for _, t := range cands {
+		if s.windowFits(t, t+dur, d) {
+			return t
+		}
+	}
+	panic("refScheduler: no candidate fits past the last lease end")
+}
+
+// windowFits checks capacity at every usage step inside [t0, t1): usage
+// only rises at lease starts, so evaluating t0 and each covered lease
+// start is exact.
+func (s *refScheduler) windowFits(t0, t1 int64, d Demand) bool {
+	points := []int64{t0}
+	for i := range s.active {
+		if l := &s.active[i]; l.Start > t0 && l.Start < t1 {
+			points = append(points, l.Start)
+		}
+	}
+	for _, p := range points {
+		gpu, pim := d.GPU, d.PIM
+		for i := range s.active {
+			if l := &s.active[i]; l.Start <= p && p < l.End {
+				gpu += l.Demand.GPU
+				pim += l.Demand.PIM
+			}
+		}
+		if gpu > s.machine.GPUChannels || pim > s.machine.PIMChannels {
+			return false
+		}
+	}
+	return true
+}
+
+// Differential property: the step-profile sweep places every lease at
+// exactly the start the candidate scan picks, through seeded random
+// interleavings of Place, Release and Cancel — including stale arrivals
+// older than the watermark, so pruning and the horizon clamp both run —
+// and the two agree on the pruning and in-flight counts throughout.
+func TestSchedulerMatchesCandidateScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := Machine{GPUChannels: 4 + rng.Intn(13), PIMChannels: rng.Intn(17)}
+		s := NewScheduler(m, nil)
+		ref := &refScheduler{machine: m}
+		var live, retained []Lease
+		var arrival int64
+		pick := func(ls []Lease) (Lease, []Lease) {
+			i := rng.Intn(len(ls))
+			l := ls[i]
+			return l, append(ls[:i], ls[i+1:]...)
+		}
+		for op := 0; op < 1000; op++ {
+			switch r := rng.Intn(20); {
+			case r < 10 || len(live) == 0:
+				arrival += int64(rng.Intn(400))
+				at := arrival
+				if rng.Intn(4) == 0 {
+					at -= int64(rng.Intn(3000)) // a stale batch flushed late
+				}
+				d := Demand{GPU: rng.Intn(m.GPUChannels + 1), PIM: rng.Intn(m.PIMChannels + 1)}
+				dur := int64(rng.Intn(1500))
+				want := ref.place(at, d, dur)
+				got, err := s.Place(at, d, dur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("seed %d op %d: Place(%d, %+v, %d) = [%d,%d), candidate scan [%d,%d)",
+						seed, op, at, d, dur, got.Start, got.End, want.Start, want.End)
+				}
+				live = append(live, got)
+			case r < 17:
+				var l Lease
+				l, live = pick(live)
+				ref.release(l)
+				s.Release(l)
+				retained = append(retained, l)
+			case r < 19 || len(retained) == 0:
+				var l Lease
+				l, live = pick(live)
+				ref.cancel(l)
+				s.Cancel(l)
+			default:
+				// Cancel after Release: the retained window is dropped.
+				var l Lease
+				l, retained = pick(retained)
+				ref.cancel(l)
+				s.Cancel(l)
+			}
+			st := s.Stats()
+			if st.Pruned != ref.pruned || st.InFlight != len(live) || st.InFlight+st.Retained != len(ref.active) {
+				t.Fatalf("seed %d op %d: stats %+v, candidate scan pruned %d, %d live of %d active",
+					seed, op, st, ref.pruned, len(live), len(ref.active))
+			}
+		}
+	}
+}
+
+// deepQueue drives a scheduler the way an overloaded server does: depth
+// unreleased leases queue ahead of the completion frontier, each step
+// releases the oldest and places a new one, and arrivals come in bursts
+// of eight that share the frontier stamp.
+type deepQueue struct {
+	s       *Scheduler
+	ring    []Lease
+	next    int
+	n       int
+	arrival int64
+}
+
+func newDeepQueue(depth int) *deepQueue {
+	q := &deepQueue{s: NewScheduler(DefaultMachine(), nil), ring: make([]Lease, depth)}
+	for i := range q.ring {
+		q.ring[i] = q.place()
+	}
+	return q
+}
+
+func (q *deepQueue) place() Lease {
+	if q.n%8 == 0 {
+		q.arrival = q.s.Arrival()
+	}
+	d := Demand{GPU: 8, PIM: 8}
+	if q.n%5 == 0 {
+		d = Demand{GPU: 16, PIM: 16}
+	}
+	dur := int64(500 + q.n*7919%1000)
+	q.n++
+	l, _ := q.s.Place(q.arrival, d, dur)
+	return l
+}
+
+func (q *deepQueue) step() {
+	q.s.Release(q.ring[q.next])
+	q.ring[q.next] = q.place()
+	q.next = (q.next + 1) % len(q.ring)
+}
+
+// Steady-state placement on a deep queue allocates nothing: the profile
+// and the lease list are edited in place within their capacity.
+func TestSchedulerPlaceDoesNotAllocate(t *testing.T) {
+	q := newDeepQueue(64)
+	for i := 0; i < 1000; i++ {
+		q.step()
+	}
+	if st := q.s.Stats(); st.InFlight != 64 || st.Pruned == 0 {
+		t.Fatalf("stats %+v: want 64 leases in flight and some pruned", st)
+	}
+	if a := testing.AllocsPerRun(1000, q.step); a != 0 {
+		t.Fatalf("Place+Release allocates %.1f times per step, want 0", a)
 	}
 }
