@@ -14,9 +14,10 @@
 //
 // Commands are produced through the pim.Sink interface: Stream fuses
 // generation into whatever consumes the commands, so timing probes
-// (TimeWorkload) simulate the stream without ever materializing it, while
-// Generate materializes a pim.Trace for the consumers that genuinely need
-// one (dump listings, the verify linter, event recording).
+// (TimeWorkload) simulate the stream and the verify linter lints it
+// without it ever being materialized, while Generate materializes a
+// pim.Trace for the consumers that genuinely need one (dump listings,
+// event recording).
 package codegen
 
 import (
@@ -339,8 +340,8 @@ func emitUnit(sink pim.Sink, p *plan, u unit, gw bool) {
 }
 
 // Generate builds the per-channel command trace for the workload — the
-// materialized form of Stream, for consumers that inspect or lint the
-// trace itself.
+// materialized form of Stream, for consumers that inspect the trace
+// itself.
 func Generate(w Workload, cfg pim.Config, opts Opts) (*pim.Trace, error) {
 	var ts pim.TraceSink
 	if err := Stream(w, cfg, opts, &ts); err != nil {

@@ -13,9 +13,10 @@ import (
 	"pimflow/internal/verify"
 )
 
-// sweepWorkloads, sweepConfigs, and sweepOpts span the same 80
-// combinations as TestGeneratedTracesPassLinter, so the equivalence
-// sweep and the protocol lint exercise identical ground.
+// sweepConfigs and sweepOpts are TestGeneratedTracesPassLinter's tables,
+// and sweepWorkloads extends its shapes with three large ones (132
+// combinations), so the equivalence sweep covers the protocol lint's
+// ground.
 var sweepWorkloads = []codegen.Workload{
 	{M: 1, K: 16, N: 16, Segments: 1},
 	{M: 4, K: 64, N: 32, Segments: 1},
@@ -35,12 +36,15 @@ var sweepConfigs = map[string]pim.Config{
 	"newton":  pim.NewtonConfig(),
 }
 
+// "comp", "nostrided" (G_ACT) and "nostrided-readres" run every
+// granularity with strided GWRITE off: one GWRITE per input segment.
 var sweepOpts = map[string]codegen.Opts{
-	"default":   codegen.DefaultOpts(),
-	"comp":      {Granularity: codegen.GranComp, StridedGWrite: false},
-	"gact":      {Granularity: codegen.GranGAct, StridedGWrite: true},
-	"readres":   {Granularity: codegen.GranReadRes, StridedGWrite: true},
-	"nostrided": {Granularity: codegen.GranComp, StridedGWrite: true},
+	"default":           codegen.DefaultOpts(),
+	"comp":              {Granularity: codegen.GranComp, StridedGWrite: false},
+	"gact":              {Granularity: codegen.GranGAct, StridedGWrite: true},
+	"readres":           {Granularity: codegen.GranReadRes, StridedGWrite: true},
+	"nostrided":         {Granularity: codegen.GranGAct, StridedGWrite: false},
+	"nostrided-readres": {Granularity: codegen.GranReadRes, StridedGWrite: false},
 }
 
 // materializedStats is the reference path: build the full trace, then
@@ -63,7 +67,7 @@ func materializedStats(t *testing.T, w codegen.Workload, cfg pim.Config, opts co
 // TestStreamEquivalenceSweep locks in the tentpole invariant: the
 // streaming TimeWorkload returns Stats identical — every field, every
 // per-channel slice — to generating the trace and simulating it, across
-// the full 80-combination codegen sweep.
+// the full codegen sweep.
 func TestStreamEquivalenceSweep(t *testing.T) {
 	for cfgName, cfg := range sweepConfigs {
 		for optName, o := range sweepOpts {
@@ -140,11 +144,10 @@ func TestStreamEquivalencePaperModels(t *testing.T) {
 }
 
 // TestStreamMaterializesIdenticalTrace is the guard-rail regression for
-// the consumers that still need a real trace (verify.Trace lint, dump /
-// Chrome-trace export): driving Stream into a TraceSink must yield a
-// byte-identical dump and identical lint diagnostics to Generate, so the
-// VerifyTraces and event-recording paths keep seeing the exact command
-// stream the timing engine consumed.
+// the consumers that still need a real trace (dump / Chrome-trace
+// export): driving Stream into a TraceSink must yield a byte-identical
+// dump and identical lint diagnostics to Generate, so the event-recording
+// path keeps seeing the exact command stream the timing engine consumed.
 func TestStreamMaterializesIdenticalTrace(t *testing.T) {
 	for cfgName, cfg := range sweepConfigs {
 		for optName, o := range sweepOpts {

@@ -28,12 +28,15 @@ func TestGeneratedTracesPassLinter(t *testing.T) {
 		"default": pim.DefaultConfig(),
 		"newton":  pim.NewtonConfig(),
 	}
+	// "comp", "nostrided" (G_ACT) and "nostrided-readres" run every
+	// granularity with strided GWRITE off: one GWRITE per input segment.
 	opts := map[string]codegen.Opts{
-		"default":   codegen.DefaultOpts(),
-		"comp":      {Granularity: codegen.GranComp, StridedGWrite: false},
-		"gact":      {Granularity: codegen.GranGAct, StridedGWrite: true},
-		"readres":   {Granularity: codegen.GranReadRes, StridedGWrite: true},
-		"nostrided": {Granularity: codegen.GranComp, StridedGWrite: true},
+		"default":           codegen.DefaultOpts(),
+		"comp":              {Granularity: codegen.GranComp, StridedGWrite: false},
+		"gact":              {Granularity: codegen.GranGAct, StridedGWrite: true},
+		"readres":           {Granularity: codegen.GranReadRes, StridedGWrite: true},
+		"nostrided":         {Granularity: codegen.GranGAct, StridedGWrite: false},
+		"nostrided-readres": {Granularity: codegen.GranReadRes, StridedGWrite: false},
 	}
 	for cfgName, cfg := range configs {
 		for optName, o := range opts {

@@ -14,6 +14,18 @@
 // rules use it to cross-check compiled plans, and a property test
 // checks the solver itself against brute-force enumeration on random
 // instances.
+//
+// A dominance rule stops the DFS re-exploring prefixes: it returns from
+// a node position when it has already entered that position with a
+// prefix cost no dearer. This never changes the answer. Let O be the
+// first optimum in DFS order, which the search returns without the
+// rule, and suppose a prefix P of O is pruned at position i because an
+// earlier path Q entered i with cost(Q) <= cost(P). Then Q followed by
+// O's completion from i costs no more than O, so it is also optimal,
+// and it comes first in DFS order because Q does — contradicting that O
+// is the first optimum. Hence no prefix of O is pruned, and every
+// complete assignment found before O is dearer than O, so the bound
+// never prunes O either.
 package opt
 
 import (
@@ -107,10 +119,17 @@ func bestMode(n Node) int {
 // first-found optimum under that order — the same tie-breaking as the
 // search's DP (single node preferred, then lowest span index).
 //
-// The pruning bound is an admissible per-node relaxation: node j on
-// its own can never cost less than min(cheapest mode, min over
-// covering spans of Time/Len rounded down), so the suffix sums of
-// those floors bound any completion from below.
+// Two prunes keep the search small. The bound is an admissible per-node
+// relaxation: node j on its own can never cost less than min(cheapest
+// mode, min over covering spans of Time/Len rounded down), so the suffix
+// sums of those floors bound any completion from below. The dominance
+// rule records the cheapest prefix cost with which the search has
+// entered each node position, and returns when a later path arrives
+// there no cheaper: the completions of a position do not depend on how
+// it was reached, so such a path can never strictly improve on the
+// earlier one. Neither prune can discard the first-found optimum (see
+// the package comment), so the tie-breaking is exactly that of the
+// unpruned enumeration.
 func Solve(p *Problem) (Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return Assignment{}, err
@@ -147,12 +166,19 @@ func Solve(p *Problem) (Assignment, error) {
 	best := int64(math.MaxInt64)
 	var bestSpans []int
 	stack := make([]int, 0, n) // chosen span indices along the current path
+	// reached[i] is the cheapest prefix cost position i has been entered
+	// with.
+	reached := make([]int64, n+1)
+	for i := range reached {
+		reached[i] = math.MaxInt64
+	}
 
 	var dfs func(i int, acc int64)
 	dfs = func(i int, acc int64) {
-		if acc+suffix[i] >= best {
+		if acc >= reached[i] || acc+suffix[i] >= best {
 			return // cannot strictly improve; keeps the first-found optimum
 		}
+		reached[i] = acc
 		if i == n {
 			best = acc
 			bestSpans = append(bestSpans[:0], stack...)

@@ -1,9 +1,80 @@
 package opt
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
+
+// solveReference is Solve without the dominance rule: the same DFS
+// order, bound and strict-improvement tie-breaking, so its Assignment is
+// the first-found optimum the dominance rule must preserve.
+func solveReference(p *Problem) (Assignment, error) {
+	if err := p.Validate(); err != nil {
+		return Assignment{}, err
+	}
+	n := len(p.Nodes)
+	bestIdx := make([]int, n)
+	single := make([]int64, n)
+	for i, nd := range p.Nodes {
+		bestIdx[i] = bestMode(nd)
+		single[i] = nd.Modes[bestIdx[i]].Time
+	}
+	spansAt := make([][]int, n)
+	for si, s := range p.Spans {
+		spansAt[s.Start] = append(spansAt[s.Start], si)
+	}
+	suffix := make([]int64, n+1)
+	relax := make([]int64, n)
+	for i := range relax {
+		relax[i] = single[i]
+	}
+	for _, s := range p.Spans {
+		per := s.Time / int64(s.Len)
+		for j := s.Start; j < s.Start+s.Len; j++ {
+			if per < relax[j] {
+				relax[j] = per
+			}
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		suffix[i] = suffix[i+1] + relax[i]
+	}
+
+	best := int64(math.MaxInt64)
+	var bestSpans []int
+	stack := make([]int, 0, n)
+	var dfs func(i int, acc int64)
+	dfs = func(i int, acc int64) {
+		if acc+suffix[i] >= best {
+			return
+		}
+		if i == n {
+			best = acc
+			bestSpans = append(bestSpans[:0], stack...)
+			return
+		}
+		dfs(i+1, acc+single[i])
+		for _, si := range spansAt[i] {
+			s := &p.Spans[si]
+			stack = append(stack, si)
+			dfs(i+s.Len, acc+s.Time)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	dfs(0, 0)
+
+	out := Assignment{Total: best, ModeIdx: make([]int, n), SpanIdx: bestSpans}
+	copy(out.ModeIdx, bestIdx)
+	for _, si := range bestSpans {
+		s := p.Spans[si]
+		for j := s.Start; j < s.Start+s.Len; j++ {
+			out.ModeIdx[j] = -1
+		}
+	}
+	return out, nil
+}
 
 // bruteForce minimizes by enumerating every subset of pairwise-disjoint
 // spans — a different search organization from Solve's DFS, so the two
@@ -149,6 +220,43 @@ func TestSolveTieBreak(t *testing.T) {
 	}
 	if len(a.SpanIdx) != 1 || a.SpanIdx[0] != 0 {
 		t.Fatalf("equal spans must keep the first: got %v", a.SpanIdx)
+	}
+}
+
+// TestSolveMatchesReference is the dominance rule's differential test:
+// on seeded random instances with small integer times, where equal-cost
+// optima are common, Solve returns exactly the reference's Assignment —
+// the same total, mode indices, chosen spans and tie-breaks.
+func TestSolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + rng.Intn(16)
+		p := &Problem{}
+		for i := 0; i < n; i++ {
+			nd := Node{Name: "n"}
+			for m := 0; m <= rng.Intn(3); m++ {
+				nd.Modes = append(nd.Modes, Mode{Name: "m", Time: int64(rng.Intn(6))})
+			}
+			p.Nodes = append(p.Nodes, nd)
+		}
+		for s := 0; s < rng.Intn(3*n); s++ {
+			start := rng.Intn(n)
+			p.Spans = append(p.Spans, Span{
+				Name: "s", Start: start, Len: 1 + rng.Intn(min(4, n-start)),
+				Time: int64(rng.Intn(14)),
+			})
+		}
+		want, err := solveReference(p)
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		got, err := Solve(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Solve %+v, reference %+v (instance %+v)", trial, got, want, p)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ type Sink interface {
 }
 
 // TraceSink materializes the stream into a Trace — the adapter used
-// wherever a command trace is genuinely consumed (dump listings, the
-// verify.Trace linter, Chrome-trace event recording).
+// wherever a command trace is genuinely consumed (dump listings,
+// Chrome-trace event recording).
 type TraceSink struct {
 	Trace Trace
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // TestGuardRailsSeeMaterializedTrace is the regression for the streaming
-// switch: scheduling is streamed (no trace exists), but the guard rails —
-// the VerifyTraces lint and Chrome-trace event recording — must still see
-// a fully materialized trace, and turning them on must not change the
-// simulated timing by a single cycle.
+// switch: scheduling is streamed (no trace exists), Chrome-trace event
+// recording must still see a fully materialized trace, and turning it and
+// the VerifyTraces lint on must not change the simulated timing by a
+// single cycle.
 func TestGuardRailsSeeMaterializedTrace(t *testing.T) {
 	g := pointwiseGraph(t)
 	g.Nodes[0].Exec = graph.ExecHint{Mode: graph.ModeSerial, Device: graph.DevicePIM}

@@ -45,8 +45,9 @@ type Config struct {
 	// §4.1 protocol rules and the workload-coverage oracle before it is
 	// simulated, failing the execution with structured diagnostics instead
 	// of silently timing an illegal command stream. A debug aid, off by
-	// default; it re-generates each offloaded node's trace, so it costs
-	// one extra codegen pass per PIM node.
+	// default; it re-generates each offloaded node's command stream and
+	// lints it as it is generated, so it costs one extra codegen pass per
+	// PIM node and stores no trace.
 	VerifyTraces bool
 	// InterconnectBytesPerCycle is the memory-network bandwidth between
 	// channel groups used for PIM->GPU result movement.

@@ -1,0 +1,69 @@
+package verify_test
+
+import (
+	"testing"
+
+	"pimflow/internal/graph"
+	"pimflow/internal/models"
+	"pimflow/internal/runtime"
+	"pimflow/internal/search"
+	"pimflow/internal/verify"
+)
+
+// compiledZoo is one PIMFlow compile of each Light paper CNN: the graph
+// the verify gate checks, the plan certificate, and the runtime config.
+type compiledZoo struct {
+	graphs []*graph.Graph
+	certs  []*verify.PlanCertificate
+	rc     runtime.Config
+}
+
+func compileZoo(b *testing.B) compiledZoo {
+	b.Helper()
+	var z compiledZoo
+	for _, name := range models.EvaluatedCNNs() {
+		g, err := models.Build(name, models.Options{Light: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, plan, err := search.Compile(g, search.DefaultOptions(search.PolicyPIMFlow))
+		if err != nil {
+			b.Fatalf("%s: %v", name, err)
+		}
+		z.graphs = append(z.graphs, out)
+		z.certs = append(z.certs, plan.Certificate())
+		z.rc = plan.Options.RuntimeConfig()
+	}
+	return z
+}
+
+// BenchmarkVerifyCompiledZoo times the compile-time verify gate: graph
+// invariants plus every offloaded layer's command stream, linted as it is
+// generated, across the five paper CNNs (one op = all five).
+func BenchmarkVerifyCompiledZoo(b *testing.B) {
+	z := compileZoo(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range z.graphs {
+			if diags := verify.Compiled(g, z.rc.PIM, z.rc.Codegen); len(diags) != 0 {
+				b.Fatal(verify.AsError(diags))
+			}
+		}
+	}
+}
+
+// BenchmarkPlanSearchZoo times the OP-* plan-optimality check (the exact
+// solver's cross-check of the DP) across the five paper CNNs' plans.
+func BenchmarkPlanSearchZoo(b *testing.B) {
+	z := compileZoo(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range z.certs {
+			if diags := verify.PlanSearch(c); len(diags) != 0 {
+				b.Fatal(verify.AsError(diags))
+			}
+		}
+	}
+}

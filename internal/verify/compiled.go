@@ -11,13 +11,16 @@ import (
 // Compiled statically checks a transformed, ready-to-execute graph end to
 // end: the graph-IR invariants first, then every offloaded layer's PIM
 // command stream against the §4.1 protocol state machine and the
-// workload-coverage oracle. It returns all violations, empty when the
-// model is clean; nothing is simulated. The serving layer's model registry
-// and the public CompiledModel.Verify both gate on this sweep.
+// workload-coverage oracle, linted as it is generated. A node annotated
+// for PIM that cannot be lowered to a PIM workload (a depthwise conv, an
+// elementwise op) is a TR-COVER violation, since the runtime refuses it.
+// It returns all violations, empty when the model is clean; nothing is
+// simulated. The serving layer's model registry and the public
+// CompiledModel.Verify both gate on this sweep.
 func Compiled(g *graph.Graph, pcfg pim.Config, copts codegen.Opts) []Diagnostic {
 	diags := Graph(g)
 	for _, n := range g.Nodes {
-		if n.Exec.Device != graph.DevicePIM || !g.IsPIMCandidate(n) {
+		if n.Exec.Device != graph.DevicePIM {
 			continue
 		}
 		w, err := codegen.NodeWorkload(g, n)

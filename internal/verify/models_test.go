@@ -1,11 +1,13 @@
 package verify_test
 
 import (
+	"strings"
 	"testing"
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/graph"
 	"pimflow/internal/models"
+	"pimflow/internal/runtime"
 	"pimflow/internal/search"
 	"pimflow/internal/transform"
 	"pimflow/internal/verify"
@@ -68,5 +70,45 @@ func TestPaperModelsVerifyAcrossPasses(t *testing.T) {
 				t.Errorf("expected at least one offloaded layer in %s", name)
 			}
 		})
+	}
+}
+
+// TestCompiledFlagsNonOffloadablePIMNode holds the static gate to the
+// runtime's contract: a compiled graph with a depthwise conv annotated
+// for PIM is refused by runtime.Execute, so verify.Compiled must refuse
+// it too (TR-COVER: the node does not lower to a PIM workload).
+func TestCompiledFlagsNonOffloadablePIMNode(t *testing.T) {
+	g, err := models.Build("mobilenet-v2", models.Options{Light: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := search.DefaultOptions(search.PolicyPIMFlow)
+	out, plan, err := search.Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := plan.Options.RuntimeConfig()
+	if diags := verify.Compiled(out, rc.PIM, rc.Codegen); len(diags) != 0 {
+		t.Fatalf("clean compile: %v", verify.AsError(diags))
+	}
+	var dw *graph.Node
+	for _, n := range out.Nodes {
+		if n.Op == graph.OpConv && out.IsDepthwise(n) && n.Exec.Device != graph.DevicePIM {
+			dw = n
+			break
+		}
+	}
+	if dw == nil {
+		t.Fatal("no GPU depthwise conv in compiled mobilenet-v2")
+	}
+	dw.Exec.Device = graph.DevicePIM
+
+	if _, err := runtime.Execute(out, rc); err == nil || !strings.Contains(err.Error(), "not offloadable") {
+		t.Fatalf("runtime.Execute = %v, want the not-offloadable refusal", err)
+	}
+	diags := verify.Compiled(out, rc.PIM, rc.Codegen)
+	if len(diags) != 1 || diags[0].Rule != verify.RuleTraceCover || diags[0].Node != dw.Name ||
+		!strings.Contains(diags[0].Msg, "workload lowering failed") {
+		t.Fatalf("verify.Compiled = %v, want one TR-COVER lowering failure on %q", diags, dw.Name)
 	}
 }

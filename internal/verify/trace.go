@@ -7,8 +7,10 @@ import (
 	"pimflow/internal/pim"
 )
 
-// Trace lints a PIM command trace against the Newton/AiM protocol
-// (paper §4.1), walking each channel's stream as a state machine:
+// Trace lints a stored PIM command trace against the Newton/AiM protocol
+// (paper §4.1) by replaying it through the same streaming linter
+// Workload drives during generation, so the protocol rules have exactly
+// one implementation. Each channel's stream is walked as a state machine:
 //
 //   - a GWRITE variant must fill the global buffer before any COMP
 //     consumes it, and must fit the channel's buffer capacity;
@@ -21,97 +23,147 @@ import (
 //
 // Each violation carries the channel, command index, and command kind.
 func Trace(tr *pim.Trace, cfg pim.Config) []Diagnostic {
-	if tr == nil || len(tr.Channels) == 0 {
+	l := newLinter(cfg)
+	if tr != nil {
+		for _, ct := range tr.Channels {
+			l.BeginChannel(ct.Channel)
+			for _, cmd := range ct.Commands {
+				l.Emit(cmd)
+			}
+		}
+	}
+	return l.finish()
+}
+
+// linter is the TR-* protocol state machine as a pim.Sink. It keeps O(1)
+// state per channel, never stores a command, and allocates only when it
+// records a violation, so a stream is linted as it is generated. It also
+// tallies the command volumes TR-COVER checks.
+type linter struct {
+	cfg   pim.Config
+	diags []Diagnostic
+	got   pim.Counts   // only GWBursts, ColIOs, ReadRes and RRBursts
+	seen  map[int]bool // channel ids already begun
+
+	// The open channel's state.
+	ch             int
+	bufCapBursts   int  // one GWRITE may fill every buffer, in whole bursts
+	next           int  // index of the channel's next command
+	bufFilled      bool // some GWRITE variant has loaded the global buffer
+	rowOpen        bool // some G_ACT has activated a weight row
+	compsSinceGW   int  // COMP commands since the last buffer (re)fill
+	undrainedComps int  // COMP commands since the last READRES
+	lastUndrained  int  // index of the newest undrained COMP
+}
+
+func newLinter(cfg pim.Config) *linter {
+	// Sized for every configured channel, so a real stream never grows it.
+	return &linter{cfg: cfg, seen: make(map[int]bool, max(cfg.Channels, 0))}
+}
+
+// BeginChannel closes the channel in flight and opens channel ch.
+func (l *linter) BeginChannel(ch int) {
+	l.endChannel()
+	cfg := &l.cfg
+	if ch < 0 || ch >= cfg.Channels {
+		l.diags = append(l.diags, Diagnostic{Rule: RuleTraceChannel, Channel: ch, Index: -1,
+			Msg: fmt.Sprintf("channel id outside configured 0..%d", cfg.Channels-1)})
+	}
+	if l.seen[ch] {
+		l.diags = append(l.diags, Diagnostic{Rule: RuleTraceChannelDup, Channel: ch, Index: -1,
+			Msg: "channel appears more than once in the trace"})
+	}
+	l.seen[ch] = true
+	l.ch = ch
+	l.bufCapBursts = cfg.GlobalBufs * ceilDiv(cfg.GlobalBufBytes, cfg.BurstBytes)
+	l.next, l.bufFilled, l.rowOpen, l.compsSinceGW = 0, false, false, 0
+}
+
+// Emit advances the open channel's state machine by one command.
+func (l *linter) Emit(cmd pim.Command) {
+	i := l.next
+	l.next++
+	cfg := &l.cfg
+	// One switch on the kind, every GWRITE variant listed, as in
+	// pim.ChannelSim.Feed: this runs once per generated command.
+	switch cmd.Kind {
+	case pim.KindGWrite, pim.KindGWrite2, pim.KindGWrite4, pim.KindGWriteStrided:
+		if cmd.Kind == pim.KindGWrite2 && cfg.GlobalBufs < 2 {
+			l.bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_2 with %d configured buffer(s)", cfg.GlobalBufs))
+		}
+		if cmd.Kind == pim.KindGWrite4 && cfg.GlobalBufs < 4 {
+			l.bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_4 with %d configured buffer(s)", cfg.GlobalBufs))
+		}
+		if cmd.Bursts < 1 {
+			l.bad(RuleTraceBursts, i, cmd, fmt.Sprintf("GWRITE moves %d bursts, want >= 1", cmd.Bursts))
+		} else if cmd.Bursts > l.bufCapBursts {
+			l.bad(RuleTraceGWOverflow, i, cmd, fmt.Sprintf(
+				"GWRITE of %d bursts overflows %d buffer(s) of %d bytes (%d bursts)",
+				cmd.Bursts, cfg.GlobalBufs, cfg.GlobalBufBytes, l.bufCapBursts))
+		}
+		l.bufFilled = true
+		l.compsSinceGW = 0
+		l.got.GWBursts += int64(cmd.Bursts)
+	case pim.KindGAct:
+		l.rowOpen = true
+	case pim.KindComp:
+		if !l.bufFilled {
+			l.bad(RuleTraceCompNoBuf, i, cmd, "COMP before any GWRITE filled the global buffer")
+		}
+		if !l.rowOpen {
+			l.bad(RuleTraceCompNoAct, i, cmd, "COMP before any G_ACT opened a weight row")
+		}
+		if cmd.Cols < 1 || cmd.Cols > cfg.ColumnIOsPerRow {
+			l.bad(RuleTraceCompCols, i, cmd, fmt.Sprintf(
+				"COMP streams %d column I/Os, want 1..%d", cmd.Cols, cfg.ColumnIOsPerRow))
+		}
+		l.compsSinceGW++
+		l.undrainedComps++
+		l.lastUndrained = i
+		l.got.ColIOs += int64(cmd.Cols)
+	case pim.KindReadRes:
+		if l.compsSinceGW == 0 {
+			l.bad(RuleTraceRRNoComp, i, cmd, "READRES with no COMP accumulated since the last buffer fill")
+		}
+		if cmd.Bursts < 1 {
+			l.bad(RuleTraceBursts, i, cmd, fmt.Sprintf("READRES drains %d bursts, want >= 1", cmd.Bursts))
+		}
+		l.undrainedComps = 0
+		l.got.ReadRes++
+		l.got.RRBursts += int64(cmd.Bursts)
+	default:
+		l.bad(RuleTraceKind, i, cmd, fmt.Sprintf("unknown command kind %d", uint8(cmd.Kind)))
+	}
+}
+
+// bad records a violation by command i of the open channel.
+func (l *linter) bad(rule string, i int, cmd pim.Command, msg string) {
+	l.diags = append(l.diags, Diagnostic{
+		Rule: rule, Channel: l.ch, Index: i, Command: cmd.Kind.String(), Msg: msg,
+	})
+}
+
+// endChannel closes the channel in flight, flagging undrained COMPs, and
+// leaves no COMP undrained for the next channel.
+func (l *linter) endChannel() {
+	if l.undrainedComps == 0 {
+		return
+	}
+	l.diags = append(l.diags, Diagnostic{
+		Rule: RuleTraceDrain, Channel: l.ch, Index: l.lastUndrained, Command: pim.KindComp.String(),
+		Msg: fmt.Sprintf("channel ends with %d COMP command(s) never drained by a READRES", l.undrainedComps),
+	})
+	l.undrainedComps = 0
+}
+
+// finish closes the stream and returns every violation in stream order.
+func (l *linter) finish() []Diagnostic {
+	if len(l.seen) == 0 { // no channel stream was begun
 		return []Diagnostic{{Rule: RuleTraceEmpty, Channel: -1, Index: -1,
 			Msg: "trace has no channel streams"}}
 	}
-	var diags []Diagnostic
-	seen := map[int]bool{}
-	for _, ct := range tr.Channels {
-		if ct.Channel < 0 || ct.Channel >= cfg.Channels {
-			diags = append(diags, Diagnostic{Rule: RuleTraceChannel, Channel: ct.Channel, Index: -1,
-				Msg: fmt.Sprintf("channel id outside configured 0..%d", cfg.Channels-1)})
-		}
-		if seen[ct.Channel] {
-			diags = append(diags, Diagnostic{Rule: RuleTraceChannelDup, Channel: ct.Channel, Index: -1,
-				Msg: "channel appears more than once in the trace"})
-		}
-		seen[ct.Channel] = true
-		diags = append(diags, lintChannel(ct, cfg)...)
-	}
-	return diags
-}
-
-// lintChannel runs the per-channel protocol state machine.
-func lintChannel(ct pim.ChannelTrace, cfg pim.Config) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(rule string, i int, cmd pim.Command, msg string) {
-		diags = append(diags, Diagnostic{
-			Rule: rule, Channel: ct.Channel, Index: i, Command: cmd.Kind.String(), Msg: msg,
-		})
-	}
-	// One GWRITE may fill every configured buffer, each transfer rounded
-	// up to whole bursts.
-	bufCapBursts := cfg.GlobalBufs * ceilDiv(cfg.GlobalBufBytes, cfg.BurstBytes)
-
-	bufFilled := false  // some GWRITE variant has loaded the global buffer
-	rowOpen := false    // some G_ACT has activated a weight row
-	compsSinceGW := 0   // COMP commands since the last buffer (re)fill
-	undrainedComps := 0 // COMP commands since the last READRES
-	lastUndrained := -1 // index of the newest undrained COMP
-	for i, cmd := range ct.Commands {
-		switch {
-		case cmd.Kind.IsGWrite():
-			if cmd.Kind == pim.KindGWrite2 && cfg.GlobalBufs < 2 {
-				bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_2 with %d configured buffer(s)", cfg.GlobalBufs))
-			}
-			if cmd.Kind == pim.KindGWrite4 && cfg.GlobalBufs < 4 {
-				bad(RuleTraceGWBufs, i, cmd, fmt.Sprintf("GWRITE_4 with %d configured buffer(s)", cfg.GlobalBufs))
-			}
-			if cmd.Bursts < 1 {
-				bad(RuleTraceBursts, i, cmd, fmt.Sprintf("GWRITE moves %d bursts, want >= 1", cmd.Bursts))
-			} else if cmd.Bursts > bufCapBursts {
-				bad(RuleTraceGWOverflow, i, cmd, fmt.Sprintf(
-					"GWRITE of %d bursts overflows %d buffer(s) of %d bytes (%d bursts)",
-					cmd.Bursts, cfg.GlobalBufs, cfg.GlobalBufBytes, bufCapBursts))
-			}
-			bufFilled = true
-			compsSinceGW = 0
-		case cmd.Kind == pim.KindGAct:
-			rowOpen = true
-		case cmd.Kind == pim.KindComp:
-			if !bufFilled {
-				bad(RuleTraceCompNoBuf, i, cmd, "COMP before any GWRITE filled the global buffer")
-			}
-			if !rowOpen {
-				bad(RuleTraceCompNoAct, i, cmd, "COMP before any G_ACT opened a weight row")
-			}
-			if cmd.Cols < 1 || cmd.Cols > cfg.ColumnIOsPerRow {
-				bad(RuleTraceCompCols, i, cmd, fmt.Sprintf(
-					"COMP streams %d column I/Os, want 1..%d", cmd.Cols, cfg.ColumnIOsPerRow))
-			}
-			compsSinceGW++
-			undrainedComps++
-			lastUndrained = i
-		case cmd.Kind == pim.KindReadRes:
-			if compsSinceGW == 0 {
-				bad(RuleTraceRRNoComp, i, cmd, "READRES with no COMP accumulated since the last buffer fill")
-			}
-			if cmd.Bursts < 1 {
-				bad(RuleTraceBursts, i, cmd, fmt.Sprintf("READRES drains %d bursts, want >= 1", cmd.Bursts))
-			}
-			undrainedComps = 0
-		default:
-			bad(RuleTraceKind, i, cmd, fmt.Sprintf("unknown command kind %d", uint8(cmd.Kind)))
-		}
-	}
-	if undrainedComps > 0 {
-		diags = append(diags, Diagnostic{
-			Rule: RuleTraceDrain, Channel: ct.Channel, Index: lastUndrained, Command: pim.KindComp.String(),
-			Msg: fmt.Sprintf("channel ends with %d COMP command(s) never drained by a READRES", undrainedComps),
-		})
-	}
-	return diags
+	l.endChannel()
+	return l.diags
 }
 
 // totals is the workload-coverage oracle: the command volumes any correct
@@ -195,24 +247,24 @@ func expectedTotals(w codegen.Workload, cfg pim.Config, opts codegen.Opts) total
 	}
 }
 
-// Workload generates the command trace for one PIM workload and verifies
-// it end to end: the per-channel protocol rules (Trace) plus workload
-// coverage (TR-COVER) — the distributed command volumes must add up to
-// what the workload requires, computed by an independent oracle. Grouped
-// workloads verify one group's trace; the groups are identical.
+// Workload verifies one PIM workload's command stream end to end as
+// codegen.Stream generates it: the per-channel protocol rules (the linter
+// Trace replays stored traces through) plus workload coverage (TR-COVER) —
+// the distributed command volumes must add up to what the workload
+// requires, computed by an independent oracle. No trace is stored, so the
+// cost is one pass over the commands and the memory does not grow with
+// them. Grouped workloads verify one group's stream; the groups are
+// identical.
 func Workload(w codegen.Workload, cfg pim.Config, opts codegen.Opts) []Diagnostic {
 	w.Groups = 0
-	tr, err := codegen.Generate(w, cfg, opts)
-	if err != nil {
+	l := newLinter(cfg)
+	if err := codegen.Stream(w, cfg, opts, l); err != nil {
 		return []Diagnostic{{Rule: RuleTraceCover, Channel: -1, Index: -1,
 			Msg: fmt.Sprintf("trace generation failed: %v", err)}}
 	}
-	diags := Trace(tr, cfg)
+	diags := l.finish()
 
-	var got pim.Counts
-	for _, ct := range tr.Channels {
-		got.Add(pim.CountOf(ct))
-	}
+	got := l.got
 	want := expectedTotals(w, cfg, opts)
 	cover := func(msg string) {
 		diags = append(diags, Diagnostic{Rule: RuleTraceCover, Channel: -1, Index: -1, Msg: msg})

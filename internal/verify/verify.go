@@ -111,7 +111,7 @@ func Rules() []Rule {
 		{RuleTraceKind, "every command kind is known"},
 		{RuleTraceGWBufs, "GWRITE_2/GWRITE_4 require that many configured global buffers"},
 		{RuleTraceGWOverflow, "one GWRITE fits the channel's global-buffer capacity"},
-		{RuleTraceBursts, "GWRITE bursts are non-negative and READRES drains at least one burst"},
+		{RuleTraceBursts, "GWRITE moves at least one burst and READRES drains at least one burst"},
 		{RuleTraceCompNoBuf, "GWRITE fills the global buffer before any COMP consumes it"},
 		{RuleTraceCompNoAct, "G_ACT opens a weight row before any COMP streams column I/Os"},
 		{RuleTraceCompCols, "COMP streams between 1 and ColumnIOsPerRow column I/Os"},
