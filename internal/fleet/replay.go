@@ -127,9 +127,11 @@ type fleetPending struct {
 	after int // certificate index of the gating hop, -1 when ungated
 }
 
-// fleetBatch is one model's open batch on one machine.
+// fleetBatch is one model's batch on one machine. It is open while it
+// holds items (shed ones included); flush empties it, and the model's
+// next hop on the machine reuses it and its item buffer.
 type fleetBatch struct {
-	items      []*fleetPending
+	items      []fleetPending
 	flushCycle int64 // 0: flush immediately (no virtual window)
 }
 
@@ -219,13 +221,29 @@ func (h *eventHeap) Pop() any {
 // batches and the in-service completion frontier, exactly load.Replay's
 // state for that machine's server.
 type machineState struct {
-	idx      int
-	srv      *serve.Server
-	open     map[string]*fleetBatch
+	idx     int
+	srv     *serve.Server
+	batches map[string]*fleetBatch
+	// names lists the models of the open batches in sorted order, the
+	// order every scan over open batches visits them in.
+	names    []string
 	inFlight cycleHeap
 	queued   int             // unshed hops in open batches
 	order    []*fleetPending // openInOrder's buffer, reused per arrival
 	cands    []serve.ShedCandidate
+}
+
+// openBatch adds the model to the machine's open batches.
+func (ms *machineState) openBatch(model string) {
+	i, _ := slices.BinarySearch(ms.names, model)
+	ms.names = slices.Insert(ms.names, i, model)
+}
+
+// closeBatch removes the model from the machine's open batches.
+func (ms *machineState) closeBatch(model string) {
+	if i, ok := slices.BinarySearch(ms.names, model); ok {
+		ms.names = slices.Delete(ms.names, i, i+1)
+	}
 }
 
 func (ms *machineState) prune(now int64) {
@@ -239,12 +257,14 @@ func (ms *machineState) occupancy() int { return len(ms.inFlight) + ms.queued }
 // openInOrder lists the machine's open unshed hops oldest first (the
 // candidate order serve.PickShedVictim expects), models visited sorted
 // and the sort stable — load.Replay's tie discipline. The returned slice
-// is reused by the next call.
+// is reused by the next call, and its pointers are good until the next
+// append to a batch.
 func (ms *machineState) openInOrder() []*fleetPending {
 	ps := ms.order[:0]
-	for _, m := range sortedKeys(ms.open) {
-		for _, p := range ms.open[m].items {
-			if !p.shed {
+	for _, m := range ms.names {
+		items := ms.batches[m].items
+		for j := range items {
+			if p := &items[j]; !p.shed {
 				ps = append(ps, p)
 			}
 		}
@@ -274,6 +294,11 @@ type replayer struct {
 	info     map[string]*modelInfo
 	events   eventHeap
 	eventSeq int64
+	// Buffers reused per hop (resolve's replica set) and per flush (the
+	// batch handed to InferBatch and its members).
+	replicas []int
+	batch    []serve.InferRequest
+	live     []*fleetPending
 }
 
 // Replay drives the trace through the fleet deterministically on one
@@ -306,9 +331,9 @@ func Replay(f *Fleet, sc Scenario, reqs []load.Request) (*load.Report, error) {
 	}
 	for i := 0; i < f.Size(); i++ {
 		x.machines = append(x.machines, &machineState{
-			idx:  i,
-			srv:  f.Machine(i),
-			open: map[string]*fleetBatch{},
+			idx:     i,
+			srv:     f.Machine(i),
+			batches: map[string]*fleetBatch{},
 		})
 	}
 	started := time.Now()
@@ -486,7 +511,7 @@ func (x *replayer) resolve(route int64, model string, t int64) (*machineState, *
 		f.cfg.Metrics.Inc("fleet.on_demand_loads")
 	}
 	d.lastUsed = route
-	replicas := append([]int(nil), d.replicas...)
+	x.replicas = append(x.replicas[:0], d.replicas...)
 	f.mu.Unlock()
 
 	info := x.info[model]
@@ -506,7 +531,7 @@ func (x *replayer) resolve(route int64, model string, t int64) (*machineState, *
 
 	var best *machineState
 	bestLoad := 0
-	for _, mi := range replicas {
+	for _, mi := range x.replicas {
 		ms := x.machines[mi]
 		ms.prune(t)
 		if l := ms.occupancy(); best == nil || l < bestLoad {
@@ -530,11 +555,11 @@ func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, graphN
 		return err
 	}
 	ms.prune(t)
-	p := &fleetPending{cycle: t, service: info.service, deadline: info.deadline,
+	p := fleetPending{cycle: t, service: info.service, deadline: info.deadline,
 		exec: exec, ens: ens, graph: graphName, node: nodeName, model: model, after: after}
 	if ms.occupancy() >= x.sc.QueueDepth {
 		if !x.shed {
-			x.countFail(p, &x.rep.Rejected)
+			x.countFail(&p, &x.rep.Rejected)
 			return nil
 		}
 		ps := ms.openInOrder()
@@ -546,20 +571,24 @@ func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, graphN
 		ms.cands = cands
 		v := serve.PickShedVictim(cands)
 		if v == len(ps) {
-			x.countFail(p, &x.rep.Shed)
+			x.countFail(&p, &x.rep.Shed)
 			return nil
 		}
 		ps[v].shed = true
 		ms.queued--
 		x.countFail(ps[v], &x.rep.Shed)
 	}
-	vb := ms.open[model]
+	vb := ms.batches[model]
 	if vb == nil {
 		vb = &fleetBatch{}
+		ms.batches[model] = vb
+	}
+	if len(vb.items) == 0 {
+		vb.flushCycle = 0
 		if info.maxBatch > 1 && info.window > 0 {
 			vb.flushCycle = t + info.window
 		}
-		ms.open[model] = vb
+		ms.openBatch(model)
 	}
 	vb.items = append(vb.items, p)
 	ms.queued++
@@ -595,8 +624,8 @@ func (x *replayer) flushDue(ms *machineState, now int64) error {
 	for {
 		var dueModel string
 		var due *fleetBatch
-		for _, m := range sortedKeys(ms.open) {
-			vb := ms.open[m]
+		for _, m := range ms.names {
+			vb := ms.batches[m]
 			if vb.flushCycle > 0 && now > vb.flushCycle &&
 				(due == nil || vb.flushCycle < due.flushCycle) {
 				dueModel, due = m, vb
@@ -617,16 +646,20 @@ func (x *replayer) flushDue(ms *machineState, now int64) error {
 // on the event heap (never recursively — the heap's (cycle, seq) order
 // is the one source of interleaving).
 func (x *replayer) flush(ms *machineState, model string, vb *fleetBatch) error {
-	delete(ms.open, model)
-	var batch []serve.InferRequest
-	var live []*fleetPending
-	for _, p := range vb.items {
+	ms.closeBatch(model)
+	batch, live := x.batch[:0], x.live[:0]
+	for i := range vb.items {
+		p := &vb.items[i]
 		if p.shed {
 			continue
 		}
 		batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.cycle})
 		live = append(live, p)
 	}
+	x.batch, x.live = batch, live
+	// live points into the emptied item buffer, which nothing appends to
+	// before this flush returns.
+	vb.items = vb.items[:0]
 	ms.queued -= len(live)
 	if len(batch) == 0 {
 		return nil
@@ -755,8 +788,8 @@ func (x *replayer) drain() error {
 		var bestModel string
 		var best *fleetBatch
 		for _, ms := range x.machines {
-			for _, m := range sortedKeys(ms.open) {
-				vb := ms.open[m]
+			for _, m := range ms.names {
+				vb := ms.batches[m]
 				if best == nil || fleetHeadCycle(vb) < fleetHeadCycle(best) {
 					bestMS, bestModel, best = ms, m, vb
 				}

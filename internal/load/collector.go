@@ -39,7 +39,9 @@ func NewCollector(sc Scenario, requests int) *Collector {
 	if sc.StreamStats || requests >= AutoStreamRequests {
 		return &Collector{stream: newStreamStats(sc.SketchK)}
 	}
-	return &Collector{classLat: map[string][]int64{}}
+	// A replay serves at most one response per trace request, so the
+	// record log never regrows.
+	return &Collector{recs: make([]latRec, 0, requests), classLat: map[string][]int64{}}
 }
 
 // Streaming reports whether the collector holds a bounded-memory sketch

@@ -139,14 +139,7 @@ func percentile(sorted []int64, q float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[rankOf(len(sorted), q)]
 }
 
 // LoadModels loads every scenario model into the server's registry.
@@ -173,11 +166,24 @@ type pendingReq struct {
 	shed     bool
 }
 
-// virtualBatch is one model's open batch in the replay driver.
-type virtualBatch struct {
-	items      []*pendingReq
-	flushCycle int64 // 0: flush immediately (no virtual window)
+// replayModel is one scenario model in the replay driver: its shed and
+// batching policy and its open batch. The driver keeps them sorted by
+// name, the order every scan over open batches visits them in.
+type replayModel struct {
+	name     string
+	service  int64
+	deadline int64
+	maxBatch int
+	window   int64
+	// The open batch: items (shed ones included) in arrival order, reused
+	// from one batch to the next; flushCycle 0 flushes immediately (no
+	// virtual window).
+	open       bool
+	items      []pendingReq
+	flushCycle int64
 }
+
+func (m *replayModel) headCycle() int64 { return m.items[0].req.Cycle }
 
 // endHeap is a min-heap of in-service completion cycles: requests whose
 // batches are placed but whose completions are still in the future count
@@ -220,19 +226,22 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 		return nil, fmt.Errorf("load: replay admission %q (open-loop replay supports reject and shed-oldest)", sc.Admission)
 	}
 
-	type modelInfo struct {
-		service  int64
-		deadline int64
-		maxBatch int
-		window   int64
-	}
-	models := map[string]modelInfo{}
+	names := make([]string, 0, len(sc.Models))
 	for _, m := range sc.Models {
-		lm, err := srv.Registry().Get(m.Name)
+		names = append(names, m.Name)
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+	models := make([]replayModel, len(names))
+	index := make(map[string]int, len(names))
+	for i, name := range names {
+		lm, err := srv.Registry().Get(name)
 		if err != nil {
 			return nil, err
 		}
-		models[m.Name] = modelInfo{
+		index[name] = i
+		models[i] = replayModel{
+			name:     name,
 			service:  lm.Solo.DurationCycles(),
 			deadline: lm.SLOTarget,
 			maxBatch: lm.Batch.MaxBatch,
@@ -243,23 +252,23 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	rep := &Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]ClassStats{}}
 	started := time.Now()
 	var (
-		open     = map[string]*virtualBatch{} // per-model open batch
-		inFlight endHeap                      // completion cycles of placed work
-		queued   int                          // unshed requests in open batches
+		inFlight endHeap // completion cycles of placed work
+		queued   int     // unshed requests in open batches
 		stats    = NewCollector(sc, len(reqs))
 		order    []*pendingReq // openInOrder's buffer, reused per arrival
 		cands    []serve.ShedCandidate
+		batch    []serve.InferRequest // flush's buffer, reused per batch
 	)
 
-	flush := func(model string, vb *virtualBatch) error {
-		delete(open, model)
-		var batch []serve.InferRequest
-		for _, p := range vb.items {
-			if p.shed {
-				continue
+	flush := func(m *replayModel) error {
+		m.open = false
+		batch = batch[:0]
+		for _, p := range m.items {
+			if !p.shed {
+				batch = append(batch, serve.InferRequest{Model: m.name, ArrivalCycle: p.req.Cycle})
 			}
-			batch = append(batch, serve.InferRequest{Model: model, ArrivalCycle: p.req.Cycle})
 		}
+		m.items = m.items[:0]
 		queued -= len(batch)
 		if len(batch) == 0 {
 			return nil
@@ -293,22 +302,21 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	// flushDue flushes, in deterministic (flushCycle, model) order, every
 	// open batch whose virtual window the clock has passed. Models are
 	// visited in sorted order and the minimum is strict, so ties resolve
-	// by name without consulting map iteration order.
+	// by name.
 	flushDue := func(now int64) error {
 		for {
-			var dueModel string
-			var due *virtualBatch
-			for _, m := range sortedModels(open) {
-				vb := open[m]
-				if vb.flushCycle > 0 && now > vb.flushCycle &&
-					(due == nil || vb.flushCycle < due.flushCycle) {
-					dueModel, due = m, vb
+			var due *replayModel
+			for i := range models {
+				m := &models[i]
+				if m.open && m.flushCycle > 0 && now > m.flushCycle &&
+					(due == nil || m.flushCycle < due.flushCycle) {
+					due = m
 				}
 			}
 			if due == nil {
 				return nil
 			}
-			if err := flush(dueModel, due); err != nil {
+			if err := flush(due); err != nil {
 				return err
 			}
 		}
@@ -320,12 +328,17 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	// arriving on the same cycle from different models keep one fixed
 	// order: an unstable sort over map-ordered candidates let equal-cycle
 	// ties land on a different shed victim run to run. The returned
-	// slice is reused by the next call.
+	// slice is reused by the next call, and its pointers are good until
+	// the next append to a batch.
 	openInOrder := func() []*pendingReq {
 		ps := order[:0]
-		for _, m := range sortedModels(open) {
-			for _, p := range open[m].items {
-				if !p.shed {
+		for i := range models {
+			m := &models[i]
+			if !m.open {
+				continue
+			}
+			for j := range m.items {
+				if p := &m.items[j]; !p.shed {
 					ps = append(ps, p)
 				}
 			}
@@ -336,7 +349,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	}
 
 	for _, r := range reqs {
-		mi, ok := models[r.Model]
+		k, ok := index[r.Model]
 		if !ok {
 			return nil, fmt.Errorf("load: trace names unloaded model %q", r.Model)
 		}
@@ -351,7 +364,8 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			}
 			heap.Pop(&inFlight)
 		}
-		p := &pendingReq{req: r, service: mi.service, deadline: mi.deadline}
+		m := &models[k]
+		p := pendingReq{req: r, service: m.service, deadline: m.deadline}
 		if len(inFlight)+queued >= sc.QueueDepth {
 			if !shed {
 				rep.Rejected++
@@ -373,24 +387,23 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 			ps[v].shed = true
 			queued--
 		}
-		vb := open[r.Model]
-		if vb == nil {
-			vb = &virtualBatch{}
-			if mi.maxBatch > 1 && mi.window > 0 {
-				vb.flushCycle = r.Cycle + mi.window
+		if !m.open {
+			m.open = true
+			m.flushCycle = 0
+			if m.maxBatch > 1 && m.window > 0 {
+				m.flushCycle = r.Cycle + m.window
 			}
-			open[r.Model] = vb
 		}
-		vb.items = append(vb.items, p)
+		m.items = append(m.items, p)
 		queued++
 		full := 0
-		for _, q := range vb.items {
+		for _, q := range m.items {
 			if !q.shed {
 				full++
 			}
 		}
-		if full >= mi.maxBatch || vb.flushCycle == 0 {
-			if err := flush(r.Model, vb); err != nil {
+		if full >= m.maxBatch || m.flushCycle == 0 {
+			if err := flush(m); err != nil {
 				return nil, err
 			}
 		}
@@ -398,18 +411,16 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	// Trailing batches flush in deterministic (headCycle, model) order:
 	// sorted model visit plus strict minimum resolves ties by name.
 	for {
-		var m string
-		var vb *virtualBatch
-		for _, om := range sortedModels(open) {
-			ovb := open[om]
-			if vb == nil || headCycle(ovb) < headCycle(vb) {
-				m, vb = om, ovb
+		var next *replayModel
+		for i := range models {
+			if m := &models[i]; m.open && (next == nil || m.headCycle() < next.headCycle()) {
+				next = m
 			}
 		}
-		if vb == nil {
+		if next == nil {
 			break
 		}
-		if err := flush(m, vb); err != nil {
+		if err := flush(next); err != nil {
 			return nil, err
 		}
 	}
@@ -440,19 +451,30 @@ func certify(srv *serve.Server, rep *Report) error {
 	return nil
 }
 
+// rankOf is the nearest-rank index of the q-quantile among n sorted
+// values (n > 0).
+func rankOf(n int, q float64) int {
+	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
+}
+
 // attributedAt returns the stage split of the request at the q-quantile
-// rank of the sorted records (same nearest-rank convention as
-// percentile, so its LatencyCycles equals the reported percentile and
-// its stages sum to it exactly).
-func attributedAt(sorted []latRec, q float64) AttributedRequest {
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
+// rank (same nearest-rank convention as percentile, so its LatencyCycles
+// equals the reported percentile and its stages sum to it exactly).
+// Requests rank by (latency, request ID, arrival order): the rank's
+// latency comes from the sorted latencies, and only the requests tied
+// at that latency are ordered to pick the one the rank lands on.
+func attributedAt(recs []latRec, sorted []int64, q float64) AttributedRequest {
+	i := rankOf(len(sorted), q)
+	v := sorted[i]
+	first, _ := slices.BinarySearch(sorted, v)
+	var ties []int // positions in recs, in arrival order
+	for j := range recs {
+		if recs[j].lat == v {
+			ties = append(ties, j)
+		}
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	r := sorted[i]
+	slices.SortStableFunc(ties, func(a, b int) int { return strings.Compare(recs[a].id, recs[b].id) })
+	r := recs[ties[i-first]]
 	return AttributedRequest{RequestID: r.id, Model: r.model, LatencyCycles: r.lat, Stages: r.stages}
 }
 
@@ -460,16 +482,15 @@ func attributedAt(sorted []latRec, q float64) AttributedRequest {
 //
 //pimflow:deterministic
 func stageStats(recs []latRec) map[string]StageStats {
-	cols := map[string][]int64{}
-	for _, r := range recs {
-		cols["queue"] = append(cols["queue"], r.stages.Queue)
-		cols["batch_window"] = append(cols["batch_window"], r.stages.BatchWait)
-		cols["lease_wait"] = append(cols["lease_wait"], r.stages.LeaseWait)
-		cols["execute"] = append(cols["execute"], r.stages.Execute)
+	names := [...]string{"queue", "batch_window", "lease_wait", "execute"}
+	n := len(recs)
+	buf := make([]int64, len(names)*n)
+	for i, r := range recs {
+		buf[i], buf[n+i], buf[2*n+i], buf[3*n+i] = r.stages.Queue, r.stages.BatchWait, r.stages.LeaseWait, r.stages.Execute
 	}
-	out := make(map[string]StageStats, len(cols))
-	for _, name := range sortedModels(cols) {
-		vals := cols[name]
+	out := make(map[string]StageStats, len(names))
+	for c, name := range names {
+		vals := buf[c*n : (c+1)*n]
 		slices.Sort(vals)
 		var sum int64
 		for _, v := range vals {
@@ -479,53 +500,39 @@ func stageStats(recs []latRec) map[string]StageStats {
 			P50:  percentile(vals, 0.50),
 			P99:  percentile(vals, 0.99),
 			P999: percentile(vals, 0.999),
-			Max:  vals[len(vals)-1],
-			Mean: float64(sum) / float64(len(vals)),
+			Max:  vals[n-1],
+			Mean: float64(sum) / float64(n),
 		}
 	}
 	return out
 }
 
-func headCycle(vb *virtualBatch) int64 {
-	if len(vb.items) == 0 {
-		return -1
-	}
-	return vb.items[0].req.Cycle
-}
-
 // finishReport folds the collected latencies into percentiles, the
-// per-stage distributions, and the attributed percentile splits.
+// per-stage distributions, and the attributed percentile splits. It sorts
+// the latencies, not the records: only the three attributed ranks need a
+// record, and attributedAt finds each one among its latency's ties.
 //
 //pimflow:deterministic
 func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batchSum, makespan int64) {
-	// Ties break on request ID (deterministic in single-threaded replay),
-	// then stably on append order.
-	slices.SortStableFunc(recs, func(a, b latRec) int {
-		if c := cmp.Compare(a.lat, b.lat); c != 0 {
-			return c
-		}
-		return strings.Compare(a.id, b.id)
-	})
 	lat := make([]int64, len(recs))
-	for i, r := range recs {
-		lat[i] = r.lat
+	var sum int64
+	for i := range recs {
+		lat[i] = recs[i].lat
+		sum += lat[i]
 	}
+	slices.Sort(lat)
 	rep.P50 = percentile(lat, 0.50)
 	rep.P99 = percentile(lat, 0.99)
 	rep.P999 = percentile(lat, 0.999)
 	if n := len(recs); n > 0 {
 		rep.MaxLatency = lat[n-1]
-		var sum int64
-		for _, l := range lat {
-			sum += l
-		}
 		rep.MeanLatency = float64(sum) / float64(n)
 		rep.MeanBatch = float64(batchSum) / float64(n)
 		rep.Stages = stageStats(recs)
 		rep.Attributed = &Attributed{
-			P50:  attributedAt(recs, 0.50),
-			P99:  attributedAt(recs, 0.99),
-			P999: attributedAt(recs, 0.999),
+			P50:  attributedAt(recs, lat, 0.50),
+			P99:  attributedAt(recs, lat, 0.99),
+			P999: attributedAt(recs, lat, 0.999),
 		}
 	}
 	rep.MakespanCycles = makespan

@@ -11,6 +11,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 
 	"pimflow/internal/verify"
@@ -19,7 +20,9 @@ import (
 // certRecorder accumulates the schedule certificate. The frontier hook
 // fires under the scheduler's lock (release order), batch recording
 // under the recorder's own; the two never nest the other way, so the
-// sched.mu -> rec.mu order is acyclic.
+// sched.mu -> rec.mu order is acyclic. Its logs hold a row per lease,
+// request and release for the whole run, so they grow by doubling (see
+// grow) rather than by append's smaller steps for large slices.
 type certRecorder struct {
 	mu        sync.Mutex
 	leases    []verify.ScheduleLease           // guarded by mu
@@ -37,20 +40,22 @@ func newCertRecorder() *certRecorder {
 func (c *certRecorder) frontier(leaseID uint64, frontier int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.frontiers = append(c.frontiers, verify.ScheduleFrontier{LeaseID: leaseID, Frontier: frontier})
+	c.frontiers = append(grow(c.frontiers, 1), verify.ScheduleFrontier{LeaseID: leaseID, Frontier: frontier})
 }
 
 // batch records one served batch: the lease that held the machine and
 // every member's reported timeline. Called by process before the lease
 // is released, so the frontier record never precedes its lease record.
-func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []*InferResponse) {
+func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.leases = append(c.leases, verify.ScheduleLease{
+	c.leases = append(grow(c.leases, 1), verify.ScheduleLease{
 		ID: l.id, Model: lm.Spec.Name, Start: l.Start, End: l.End,
 		GPU: l.Demand.GPU, PIM: l.Demand.PIM, Batch: len(resps),
 	})
-	for _, r := range resps {
+	c.requests = grow(c.requests, len(resps))
+	for i := range resps {
+		r := &resps[i]
 		c.requests = append(c.requests, verify.ScheduleRequest{
 			ID:           r.RequestID,
 			Model:        r.Model,
@@ -69,6 +74,15 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []*InferResponse) {
 		MaxBatch:     lm.Batch.MaxBatch,
 		WindowCycles: lm.Batch.WindowCycles,
 	}
+}
+
+// grow makes room for n more elements, at least doubling the capacity
+// when it has to reallocate.
+func grow[E any](s []E, n int) []E {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
 }
 
 // snapshot copies the accumulated certificate.

@@ -64,9 +64,15 @@ type result struct {
 // item is one queued request plus its completion channel and the
 // admission-time stamps the shed policy and the batcher read.
 type item struct {
-	req      InferRequest
-	ctx      context.Context
-	reply    chan result
+	req InferRequest
+	ctx context.Context
+	// reply carries the outcome to a Submit caller waiting on another
+	// goroutine. InferBatch members have none: process runs on the
+	// caller's goroutine, so their outcome stays in out.
+	reply chan result
+	out   result
+	// enqueued is the submission wall stamp, taken only when lifecycle
+	// tracking is on (its one reader).
 	enqueued time.Time
 	// service is the estimated service time in cycles (warm solo latency
 	// of the model), stamped at admission for shed-victim selection.
@@ -92,15 +98,19 @@ type item struct {
 	lc      *Lifecycle
 }
 
-// finish completes the item. The reply channel has capacity one and is
-// written exactly once, so finish never blocks a worker even when the
-// submitter already gave up. When lifecycle tracking is on, completion
-// is also the single point where the request's span is recorded — every
-// terminal path (served, shed, expired, violated, drained) runs through
-// here.
+// finish completes the item: the outcome lands in out and, for a
+// submitted request, on the reply channel. The channel has capacity one
+// and is written exactly once, so finish never blocks a worker even when
+// the submitter already gave up. When lifecycle tracking is on,
+// completion is also the single point where the request's span is
+// recorded — every terminal path (served, shed, expired, violated,
+// drained) runs through here.
 func (it *item) finish(resp *InferResponse, err error) {
 	it.lc.complete(it, resp, err)
-	it.reply <- result{resp: resp, err: err}
+	it.out = result{resp: resp, err: err}
+	if it.reply != nil {
+		it.reply <- it.out
+	}
 }
 
 // candidate projects the item for shed-victim selection.

@@ -251,20 +251,8 @@ func (s *Server) Submit(ctx context.Context, req InferRequest) (*Pending, error)
 		return nil, err
 	}
 	end := s.cfg.Trace.Span("serve-req", req.Model, "serve.request", map[string]any{"model": req.Model})
-	it := &item{
-		req:      req,
-		ctx:      ctx,
-		reply:    make(chan result, 1),
-		enqueued: time.Now(),
-		service:  lm.Solo.DurationCycles(),
-		slo:      effectiveDeadline(req.DeadlineCycles, lm.SLOTarget),
-		arrival:  req.ArrivalCycle,
-	}
-	if s.lifecycle != nil {
-		it.id = s.lifecycle.nextID()
-		it.sloName = lm.SLO.Name
-		it.lc = s.lifecycle
-	}
+	it := &item{reply: make(chan result, 1)}
+	s.initItem(ctx, it, req, lm)
 	if err := s.queue.push(it); err != nil {
 		// Admission failures bypass the queue's completion paths; record
 		// the span here (the reply write is unread and harmless).
@@ -276,6 +264,23 @@ func (s *Server) Submit(ctx context.Context, req InferRequest) (*Pending, error)
 		return nil, err
 	}
 	return &Pending{s: s, it: it, end: end}, nil
+}
+
+// initItem stamps one request's item with the shed-policy inputs (service
+// estimate and effective deadline) and, when lifecycle tracking is on,
+// its ID, SLO class and submission wall stamp.
+func (s *Server) initItem(ctx context.Context, it *item, req InferRequest, lm *LoadedModel) {
+	it.req = req
+	it.ctx = ctx
+	it.service = lm.Solo.DurationCycles()
+	it.slo = effectiveDeadline(req.DeadlineCycles, lm.SLOTarget)
+	it.arrival = req.ArrivalCycle
+	if s.lifecycle != nil {
+		it.id = s.lifecycle.nextID()
+		it.sloName = lm.SLO.Name
+		it.lc = s.lifecycle
+		it.enqueued = time.Now()
+	}
 }
 
 // effectiveDeadline combines an explicit virtual deadline with the SLO
@@ -351,6 +356,8 @@ type InferOutcome struct {
 // the trace-replay harness forms batches deterministically in virtual
 // time and calls this for each one. Placement, virtual-deadline
 // enforcement, SLO accounting, and metrics are exactly the live path's.
+// The outcomes come back in request order; no channel is involved, as
+// process completes every member before it returns.
 func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts BatchOptions) ([]InferOutcome, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("serve: empty batch")
@@ -368,27 +375,18 @@ func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts Batch
 		return nil, err
 	}
 	s.cfg.Metrics.Add("serve.requests", int64(len(reqs)))
-	items := make([]*item, len(reqs))
+	items := make([]item, len(reqs))
+	batch := make([]*item, len(reqs))
 	for i, r := range reqs {
-		items[i] = &item{
-			req:      r,
-			ctx:      ctx,
-			reply:    make(chan result, 1),
-			enqueued: time.Now(),
-			service:  lm.Solo.DurationCycles(),
-			slo:      effectiveDeadline(r.DeadlineCycles, lm.SLOTarget),
-			arrival:  r.ArrivalCycle,
-		}
-		if s.lifecycle != nil {
-			items[i].id = s.lifecycle.nextID()
-			items[i].sloName = lm.SLO.Name
-			items[i].lc = s.lifecycle
-		}
+		s.initItem(ctx, &items[i], r, lm)
+		batch[i] = &items[i]
 	}
-	s.process(items, opts.Execute)
+	// process compacts batch in place as members drop out; items keeps
+	// request order for the read-back.
+	s.process(batch, opts.Execute)
 	out := make([]InferOutcome, len(items))
-	for i, it := range items {
-		res := <-it.reply
+	for i := range items {
+		res := items[i].out
 		out[i] = InferOutcome{Resp: res.resp, Err: res.err}
 		if res.err != nil {
 			s.countError(res.err)
@@ -559,11 +557,13 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 	}
 
-	var certed []*InferResponse // member responses for the schedule certificate
+	// One allocation holds the whole batch's responses.
+	resps := make([]InferResponse, len(batch))
 	for i, it := range batch {
 		arrival := arrivalOf(it)
 		endCycle := lease.Start + solo + lm.InitInterval*int64(i)
-		resp := &InferResponse{
+		resp := &resps[i]
+		*resp = InferResponse{
 			Model:         lm.Spec.Name,
 			ArrivalCycle:  arrival,
 			StartCycle:    lease.Start,
@@ -592,17 +592,18 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 		s.cfg.Metrics.Observe("serve.latency_cycles", float64(resp.LatencyCycles))
 		s.cfg.Metrics.Observe("serve.queue_cycles", float64(resp.QueueCycles))
-		if s.cert != nil {
-			certed = append(certed, resp)
-		}
-		it.finish(resp, nil)
 	}
 	if s.cert != nil {
 		// Record before Release so the lease's frontier stamp never
 		// precedes the lease itself in the certificate.
-		s.cert.batch(lease, lm, certed)
+		s.cert.batch(lease, lm, resps)
 	}
 	s.sched.Release(lease)
+	// Complete the members only after the release, so a caller holding
+	// its response also sees the frontier its lease advanced.
+	for i, it := range batch {
+		it.finish(&resps[i], nil)
+	}
 	if obs.Enabled(slog.LevelDebug) {
 		obs.L().Debug("serve: batch served",
 			"model", lm.Spec.Name, "batch", len(batch),

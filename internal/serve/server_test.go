@@ -447,3 +447,22 @@ func TestStatusOf(t *testing.T) {
 		}
 	}
 }
+
+// A response reaches its caller only after its lease is released, so
+// the completion frontier the caller reads next already covers it: work
+// the caller places after the response (a frontier-stamped arrival, a
+// blocker at the response's end) sees that lease as finished history.
+// Completing members before the release let the caller race the worker
+// to the frontier.
+func TestInferReturnsAfterRelease(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for i := 0; i < 5000; i++ {
+		resp, err := s.Infer(context.Background(), InferRequest{Model: "toy-a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := s.Scheduler().Arrival(); f < resp.EndCycle {
+			t.Fatalf("request %d: response ends at %d but the frontier is still %d", i, resp.EndCycle, f)
+		}
+	}
+}

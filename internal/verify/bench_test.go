@@ -67,3 +67,31 @@ func BenchmarkPlanSearchZoo(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerifySchedule times the SR-* check of a certified bursty
+// replay's schedule certificate (40 000 trace requests, about a third of
+// them served), built outside the timer.
+func BenchmarkVerifySchedule(b *testing.B) {
+	c := burstyCert(b, 40_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if diags := verify.Schedule(c); len(diags) != 0 {
+			b.Fatal(verify.AsError(diags))
+		}
+	}
+}
+
+// BenchmarkVerifyFleet times the FL-* and embedded SR-* checks of a
+// certified 20 000-request replay through a four-machine fleet with a
+// sequence graph, built outside the timer.
+func BenchmarkVerifyFleet(b *testing.B) {
+	c := graphFleetCert(b, 20_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if diags := verify.Fleet(c); len(diags) != 0 {
+			b.Fatal(verify.AsError(diags))
+		}
+	}
+}

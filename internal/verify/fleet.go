@@ -14,6 +14,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -345,61 +346,59 @@ func checkGraphCycles(g FleetGraph, nodes map[string]FleetGraphNode) []Diagnosti
 // (FL-MACHINE), rides a recorded placement of its model on that machine
 // and a defined graph node where it claims one, has a non-inverted
 // window, and — when gated — starts no earlier than the completion of
-// the hop it waited on, within the same route (FL-ROUTE).
+// the hop it waited on, within the same route (FL-ROUTE). The walk
+// formats a hop's label only when a rule fires.
 func checkHops(c FleetCertificate, machines map[string]FleetMachine, graphs map[string]FleetGraph) []Diagnostic {
-	placed := map[string]bool{} // model + "\x00" + machine, any log entry
+	type placement struct{ model, machine string }
+	placed := make(map[placement]bool, len(c.Placements)) // any log entry
 	for _, p := range c.Placements {
-		placed[p.Model+"\x00"+p.Machine] = true
+		placed[placement{p.Model, p.Machine}] = true
 	}
 	var diags []Diagnostic
-	for i, h := range c.Hops {
-		who := fmt.Sprintf("hop %d (route %d, model %q)", i, h.Route, h.Model)
+	for i := range c.Hops {
+		h := &c.Hops[i]
 		if _, ok := machines[h.Machine]; !ok {
 			diags = append(diags, fleetDiag(RuleFleetMachine, h.Machine,
-				fmt.Sprintf("%s ran on unknown machine %q", who, h.Machine)))
+				fmt.Sprintf("%s ran on unknown machine %q", hopLabel(i, h), h.Machine)))
 			continue
 		}
-		if !placed[h.Model+"\x00"+h.Machine] {
+		if !placed[placement{h.Model, h.Machine}] {
 			diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-				fmt.Sprintf("%s ran on %q where the model was never placed", who, h.Machine)))
+				fmt.Sprintf("%s ran on %q where the model was never placed", hopLabel(i, h), h.Machine)))
 		}
 		if h.Graph != "" {
 			g, ok := graphs[h.Graph]
 			if !ok {
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
-					fmt.Sprintf("%s claims unregistered graph %q", who, h.Graph)))
-			} else if h.Node != "" {
-				found := false
-				for _, n := range g.Nodes {
-					if n.Name == h.Node {
-						found = true
-						break
-					}
-				}
-				if !found {
-					diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
-						fmt.Sprintf("%s claims undefined node %q of graph %q", who, h.Node, h.Graph)))
-				}
+					fmt.Sprintf("%s claims unregistered graph %q", hopLabel(i, h), h.Graph)))
+			} else if h.Node != "" && !slices.ContainsFunc(g.Nodes, func(n FleetGraphNode) bool { return n.Name == h.Node }) {
+				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
+					fmt.Sprintf("%s claims undefined node %q of graph %q", hopLabel(i, h), h.Node, h.Graph)))
 			}
 		}
 		if h.End < h.Arrival {
 			diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-				fmt.Sprintf("%s window [%d, %d] is inverted", who, h.Arrival, h.End)))
+				fmt.Sprintf("%s window [%d, %d] is inverted", hopLabel(i, h), h.Arrival, h.End)))
 		}
 		if h.After >= 0 {
 			switch {
 			case h.After >= len(c.Hops):
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-					fmt.Sprintf("%s gated on out-of-range hop %d", who, h.After)))
+					fmt.Sprintf("%s gated on out-of-range hop %d", hopLabel(i, h), h.After)))
 			case c.Hops[h.After].Route != h.Route:
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-					fmt.Sprintf("%s gated on hop %d of a different route %d", who, h.After, c.Hops[h.After].Route)))
+					fmt.Sprintf("%s gated on hop %d of a different route %d", hopLabel(i, h), h.After, c.Hops[h.After].Route)))
 			case h.Arrival < c.Hops[h.After].End:
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
 					fmt.Sprintf("%s arrived at %d before its gating hop %d completed at %d",
-						who, h.Arrival, h.After, c.Hops[h.After].End)))
+						hopLabel(i, h), h.Arrival, h.After, c.Hops[h.After].End)))
 			}
 		}
 	}
 	return diags
+}
+
+// hopLabel names hop i in a diagnostic.
+func hopLabel(i int, h *FleetHop) string {
+	return fmt.Sprintf("hop %d (route %d, model %q)", i, h.Route, h.Model)
 }

@@ -15,8 +15,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Schedule-certificate rule IDs (Tier C).
@@ -95,16 +96,23 @@ func schedDiag(rule, model, msg string) Diagnostic {
 
 // Schedule checks a certificate against the SR-* rules and returns every
 // violation. An empty certificate is trivially valid.
+//
+// Every check is a linear walk over the certificate plus two tables
+// indexed by lease position: the sorted lease-ID index and the members'
+// count and arrival span per lease. A request or lease label is
+// formatted only when a rule fires, so a clean certificate costs a
+// constant number of allocations at any size.
 func Schedule(c ScheduleCertificate) []Diagnostic {
 	var diags []Diagnostic
-	leases := map[uint64]ScheduleLease{}
-	for _, l := range c.Leases {
-		if _, dup := leases[l.ID]; dup {
+	idx := indexLeases(c.Leases)
+	at := 0
+	for i := range c.Leases {
+		l := &c.Leases[i]
+		if idx.find(l.ID, &at) != i {
 			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
 				fmt.Sprintf("duplicate lease id %d", l.ID)))
 			continue
 		}
-		leases[l.ID] = l
 		if l.Start >= l.End {
 			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
 				fmt.Sprintf("lease %d window [%d, %d) is empty or inverted", l.ID, l.Start, l.End)))
@@ -119,11 +127,77 @@ func Schedule(c ScheduleCertificate) []Diagnostic {
 				fmt.Sprintf("lease %d served an empty batch", l.ID)))
 		}
 	}
+	members := make([]memberSpan, len(c.Leases))
 	diags = append(diags, checkOverlap(c)...)
-	diags = append(diags, checkFrontier(c, leases)...)
-	diags = append(diags, checkRequests(c, leases)...)
-	diags = append(diags, checkWindows(c, leases)...)
+	diags = append(diags, checkFrontier(c, idx)...)
+	diags = append(diags, checkRequests(c, idx, members)...)
+	diags = append(diags, checkWindows(c, idx, members)...)
 	return diags
+}
+
+// leaseIndex maps lease IDs to lease positions: one (ID, position) pair
+// per recorded lease, sorted by ID then position, so a binary search
+// lands on the first lease recorded with an ID. Scheduler IDs increase
+// in recording order, so the sort meets presorted input.
+type leaseIndex []leaseRef
+
+type leaseRef struct {
+	id  uint64
+	pos int
+}
+
+func indexLeases(ls []ScheduleLease) leaseIndex {
+	idx := make(leaseIndex, len(ls))
+	for i := range ls {
+		idx[i] = leaseRef{ls[i].ID, i}
+	}
+	slices.SortFunc(idx, func(a, b leaseRef) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return idx
+}
+
+// find returns the position of the first lease recorded with the ID
+// (later ones are SR-DEMAND duplicates), or -1 when none is. *at is the
+// index slot of the walk's previous find: a walk in recording order
+// looks up the same lease or the next one, so those two slots are tried
+// before a binary search. Every slot find stores is the first of its ID
+// (slot 0, a binary search's lower bound, or the slot after a different
+// ID), so a hit on either is the first lease with the ID too.
+func (x leaseIndex) find(id uint64, at *int) int {
+	i := *at
+	if i < len(x) && x[i].id != id {
+		i++
+	}
+	if i >= len(x) || x[i].id != id {
+		var ok bool
+		i, ok = slices.BinarySearchFunc(x, id, func(r leaseRef, id uint64) int { return cmp.Compare(r.id, id) })
+		if !ok {
+			return -1
+		}
+	}
+	*at = i
+	return x[i].pos
+}
+
+// memberSpan is what SR-WINDOW needs of one lease's member requests:
+// how many there are and the range of their arrival stamps.
+type memberSpan struct {
+	n      int
+	lo, hi int64
+}
+
+func (m *memberSpan) add(arrival int64) {
+	if m.n == 0 || arrival < m.lo {
+		m.lo = arrival
+	}
+	if m.n == 0 || arrival > m.hi {
+		m.hi = arrival
+	}
+	m.n++
 }
 
 // checkOverlap sweeps the lease windows and verifies both channel groups
@@ -143,11 +217,11 @@ func checkOverlap(c ScheduleCertificate) []Diagnostic {
 		events = append(events, event{l.Start, l.GPU, l.PIM}, event{l.End, -l.GPU, -l.PIM})
 	}
 	// Releases sort before grants at the same instant (half-open windows).
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	slices.SortFunc(events, func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return events[i].gpu+events[i].pim < events[j].gpu+events[j].pim
+		return cmp.Compare(a.gpu+a.pim, b.gpu+b.pim)
 	})
 	var diags []Diagnostic
 	gpu, pim := 0, 0
@@ -168,9 +242,10 @@ func checkOverlap(c ScheduleCertificate) []Diagnostic {
 // order, so they must be nondecreasing, each must name a recorded lease,
 // and each must cover the released lease's end (the frontier is the max
 // completion seen so far).
-func checkFrontier(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Diagnostic {
+func checkFrontier(c ScheduleCertificate, idx leaseIndex) []Diagnostic {
 	var diags []Diagnostic
 	var prev int64
+	at := 0
 	for i, f := range c.Frontiers {
 		if f.Frontier < prev {
 			diags = append(diags, schedDiag(RuleSchedFrontier, "",
@@ -178,13 +253,13 @@ func checkFrontier(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Dia
 					prev, f.Frontier, i, f.LeaseID)))
 		}
 		prev = f.Frontier
-		l, ok := leases[f.LeaseID]
-		if !ok {
+		p := idx.find(f.LeaseID, &at)
+		if p < 0 {
 			diags = append(diags, schedDiag(RuleSchedFrontier, "",
 				fmt.Sprintf("release %d stamps unknown lease %d", i, f.LeaseID)))
 			continue
 		}
-		if f.Frontier < l.End {
+		if l := &c.Leases[p]; f.Frontier < l.End {
 			diags = append(diags, schedDiag(RuleSchedFrontier, l.Model,
 				fmt.Sprintf("release %d of lease %d stamps frontier %d before the lease end %d",
 					i, f.LeaseID, f.Frontier, l.End)))
@@ -193,29 +268,42 @@ func checkFrontier(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Dia
 	return diags
 }
 
+// requestLabel names a request in a diagnostic: its ID, or its model and
+// arrival when it has none.
+func requestLabel(r *ScheduleRequest) string {
+	if r.ID != "" {
+		return r.ID
+	}
+	return fmt.Sprintf("request(model=%s, arrival=%d)", r.Model, r.Arrival)
+}
+
 // checkRequests verifies each request against its lease (SR-LEASE) and
-// its own stage arithmetic (SR-PARTITION).
-func checkRequests(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Diagnostic {
+// its own stage arithmetic (SR-PARTITION), and folds the request into its
+// lease's member span for checkWindows.
+func checkRequests(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
-	for _, r := range c.Requests {
-		who := r.ID
-		if who == "" {
-			who = fmt.Sprintf("request(model=%s, arrival=%d)", r.Model, r.Arrival)
+	at := 0
+	for i := range c.Requests {
+		r := &c.Requests[i]
+		p := idx.find(r.LeaseID, &at)
+		if p >= 0 {
+			members[p].add(r.Arrival)
 		}
-		l, ok := leases[r.LeaseID]
 		switch {
-		case !ok:
+		case p < 0:
 			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s bound to unknown lease %d", who, r.LeaseID)))
-		case r.Model != l.Model:
+				fmt.Sprintf("%s bound to unknown lease %d", requestLabel(r), r.LeaseID)))
+		case r.Model != c.Leases[p].Model:
+			l := &c.Leases[p]
 			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s rode lease %d of model %q", who, l.ID, l.Model)))
-		case r.Start != l.Start || r.End <= r.Start || r.End > l.End:
+				fmt.Sprintf("%s rode lease %d of model %q", requestLabel(r), l.ID, l.Model)))
+		case r.Start != c.Leases[p].Start || r.End <= r.Start || r.End > c.Leases[p].End:
+			l := &c.Leases[p]
 			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s window [%d, %d] outside its lease [%d, %d)", who, r.Start, r.End, l.Start, l.End)))
+				fmt.Sprintf("%s window [%d, %d] outside its lease [%d, %d)", requestLabel(r), r.Start, r.End, l.Start, l.End)))
 		case r.Arrival > r.Start:
 			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s placed at %d before its arrival %d", who, r.Start, r.Arrival)))
+				fmt.Sprintf("%s placed at %d before its arrival %d", requestLabel(r), r.Start, r.Arrival)))
 		}
 		// Stage identities: BatchWait spans arrival → batch formation,
 		// LeaseWait spans batch → lease start, Execute spans the lease, and
@@ -224,7 +312,7 @@ func checkRequests(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Dia
 		case r.BatchWait < 0 || r.LeaseWait < 0 || r.Execute < 0:
 			diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
 				fmt.Sprintf("%s has a negative stage (batchWait %d, leaseWait %d, execute %d)",
-					who, r.BatchWait, r.LeaseWait, r.Execute)))
+					requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute)))
 		case r.BatchWait != r.BatchArrival-r.Arrival,
 			r.LeaseWait != r.Start-r.BatchArrival,
 			r.Execute != r.End-r.Start,
@@ -232,7 +320,7 @@ func checkRequests(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Dia
 			r.BatchWait+r.LeaseWait+r.Execute != r.Latency:
 			diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
 				fmt.Sprintf("%s stages %d+%d+%d do not partition latency %d (arrival %d, batch %d, start %d, end %d)",
-					who, r.BatchWait, r.LeaseWait, r.Execute, r.Latency, r.Arrival, r.BatchArrival, r.Start, r.End)))
+					requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute, r.Latency, r.Arrival, r.BatchArrival, r.Start, r.End)))
 		}
 	}
 	return diags
@@ -244,20 +332,18 @@ func checkRequests(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Dia
 // arrival stamps span at most WindowCycles. The spread bound assumes a
 // uniform arrival mode per batch, which both served modes satisfy:
 // frontier-stamped live traffic shares one stamp (spread 0) and trace
-// replay pins every arrival under the window discipline.
-func checkWindows(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Diagnostic {
-	members := map[uint64][]ScheduleRequest{}
-	for _, r := range c.Requests {
-		if _, ok := leases[r.LeaseID]; ok {
-			members[r.LeaseID] = append(members[r.LeaseID], r)
-		}
-	}
+// replay pins every arrival under the window discipline. Requests name
+// a lease by ID, so a duplicate ID's leases share the first one's
+// members.
+func checkWindows(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
-	for _, l := range c.Leases {
-		ms := members[l.ID]
-		if len(ms) != l.Batch {
+	at := 0
+	for i := range c.Leases {
+		l := &c.Leases[i]
+		ms := members[idx.find(l.ID, &at)]
+		if ms.n != l.Batch {
 			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
-				fmt.Sprintf("lease %d records batch %d but %d member requests", l.ID, l.Batch, len(ms))))
+				fmt.Sprintf("lease %d records batch %d but %d member requests", l.ID, l.Batch, ms.n)))
 			continue
 		}
 		pol, ok := c.Policies[l.Model]
@@ -268,20 +354,9 @@ func checkWindows(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Diag
 			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
 				fmt.Sprintf("lease %d batched %d requests, policy allows %d", l.ID, l.Batch, pol.MaxBatch)))
 		}
-		if pol.WindowCycles > 0 && len(ms) > 1 {
-			lo, hi := ms[0].Arrival, ms[0].Arrival
-			for _, m := range ms[1:] {
-				if m.Arrival < lo {
-					lo = m.Arrival
-				}
-				if m.Arrival > hi {
-					hi = m.Arrival
-				}
-			}
-			if hi-lo > pol.WindowCycles {
-				diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
-					fmt.Sprintf("lease %d coalesced arrivals %d cycles apart, window is %d", l.ID, hi-lo, pol.WindowCycles)))
-			}
+		if pol.WindowCycles > 0 && ms.n > 1 && ms.hi-ms.lo > pol.WindowCycles {
+			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
+				fmt.Sprintf("lease %d coalesced arrivals %d cycles apart, window is %d", l.ID, ms.hi-ms.lo, pol.WindowCycles)))
 		}
 	}
 	return diags
