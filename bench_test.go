@@ -329,6 +329,43 @@ func BenchmarkSearchAllModelsCold(b *testing.B) {
 	b.ReportMetric(float64(sims), "sims/op")
 }
 
+// BenchmarkCompileZooWarm is the re-load path a server pays on every
+// deploy, replica install and lazy reload: search plus apply of the five
+// evaluated Light CNNs against a profile store that one earlier compile
+// of each already warmed. sims/op counts the profiles that still ran
+// (zero when every layer, split and pipeline candidate is recalled);
+// cached/op counts the lookups the store answered.
+func BenchmarkCompileZooWarm(b *testing.B) {
+	names := pimflow.EvaluatedCNNs()
+	graphs := make([]*pimflow.Graph, len(names))
+	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
+	cfg.Profiles = pimflow.NewProfileStore()
+	for i, name := range names {
+		g, err := pimflow.BuildModel(name, pimflow.ModelOptions{Light: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs[i] = g
+		if _, err := pimflow.Compile(g, cfg); err != nil { // warm the store
+			b.Fatal(err)
+		}
+	}
+	warmed := cfg.Profiles.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			if _, err := pimflow.Compile(g, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	delta := cfg.Profiles.Stats().Sub(warmed)
+	b.ReportMetric(float64(delta.Misses)/float64(b.N), "sims/op")
+	b.ReportMetric(float64(delta.Saved())/float64(b.N), "cached/op")
+}
+
 func BenchmarkRuntimeScheduleResNet50(b *testing.B) {
 	model, err := pimflow.BuildModel("resnet-50", pimflow.ModelOptions{Light: true})
 	if err != nil {

@@ -1,0 +1,197 @@
+package profcache
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pimflow/internal/codegen"
+	"pimflow/internal/gpu"
+	"pimflow/internal/pim"
+)
+
+// refPIMWorkloadKey is the fmt-based pim/ key builder PIMKeys replaced.
+// Saved logs hold its strings, so the fast builder must reproduce them
+// byte for byte.
+func refPIMWorkloadKey(w codegen.Workload, cfg pim.Config, opts codegen.Opts) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "pim/m=%d,k=%d,n=%d,seg=%d,grp=%d", w.M, w.K, w.N, w.Segments, w.Groups)
+	fmt.Fprintf(&b, "|gran=%d,strided=%t", opts.Granularity, opts.StridedGWrite)
+	fmt.Fprintf(&b, "|ch=%d,banks=%d,colio=%d,colios=%d,gbuf=%d,nbuf=%d,mults=%d,burst=%d,clk=%g",
+		cfg.Channels, cfg.BanksPerChannel, cfg.ColumnIOBytes, cfg.ColumnIOsPerRow,
+		cfg.GlobalBufBytes, cfg.GlobalBufs, cfg.MultsPerBank, cfg.BurstBytes, cfg.ClockGHz)
+	fmt.Fprintf(&b, ",hide=%t,refresh=%t,pingpong=%t",
+		cfg.GWriteLatencyHiding, cfg.ModelRefresh, cfg.BankPingPong)
+	t := cfg.Timing
+	fmt.Fprintf(&b, "|tccdl=%d,trcd=%d,trp=%d,tcl=%d,tbl=%d,tras=%d,trefi=%d,trfc=%d",
+		t.TCCDL, t.TRCD, t.TRP, t.TCL, t.TBL, t.TRAS, t.TREFI, t.TRFC)
+	return b.String()
+}
+
+// refGPUKernelKey is the fmt-based gpu/ key builder GPUKeys replaced.
+func refGPUKernelKey(k gpu.Kernel, cfg gpu.Config) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "gpu/flops=%d,bytes=%d,ceff=%g,meff=%g",
+		k.FLOPs, k.DRAMBytes, k.ComputeEff, k.MemEff)
+	fmt.Fprintf(&b, "|sms=%d,fmas=%d,clk=%g,ch=%d,bpc=%g,l2=%d,launch=%d,winograd=%t,wb=%t",
+		cfg.SMs, cfg.FMAsPerSMPerCycle, cfg.ClockGHz, cfg.MemChannels,
+		cfg.BytesPerCyclePerChannel, cfg.L2Bytes, cfg.LaunchOverheadCycles,
+		cfg.WinogradConvs, cfg.WriteBack)
+	return b.String()
+}
+
+// edgeFloats are values whose %g rendering switches notation, rounds,
+// or is not a number.
+var edgeFloats = []float64{
+	0, 1, 0.1, 1.0 / 3, 0.75, 1.25, 2.5e-5, 1e-07, 0.0001, 0.00001, 123456, 1e20,
+	1e+21, 1e21 + 1e6, 12345678901234567890, math.SmallestNonzeroFloat64,
+	math.MaxFloat64, -0.5, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+var edgeInts = []int{0, 1, -1, 7, 1 << 20, math.MaxInt32, math.MinInt32}
+
+// TestKeysMatchFmtReference pins the strconv builders to the fmt
+// reference over the default configurations, every field varied alone,
+// and float and integer edge values.
+func TestKeysMatchFmtReference(t *testing.T) {
+	workloads := []codegen.Workload{
+		{M: 64, K: 256, N: 32, Segments: 3},
+		{M: 1, K: 1, N: 1, Segments: 1, Groups: 32},
+		{M: -5, K: math.MaxInt32, N: 0, Segments: -1, Groups: -2},
+	}
+	pims := []pim.Config{pim.DefaultConfig(), pim.NewtonConfig()}
+	for _, v := range fieldVariants(t, pim.DefaultConfig(), nil) {
+		pims = append(pims, v.(pim.Config))
+	}
+	for _, f := range edgeFloats {
+		c := pim.DefaultConfig()
+		c.ClockGHz = f
+		pims = append(pims, c)
+	}
+	for _, n := range edgeInts {
+		c := pim.DefaultConfig()
+		c.Channels, c.Timing.TRFC = n, n
+		pims = append(pims, c)
+	}
+	optsList := []codegen.Opts{codegen.DefaultOpts(), {}, {Granularity: codegen.Granularity(9), StridedGWrite: true}}
+	for _, cfg := range pims {
+		for _, opts := range optsList {
+			keys := NewPIMKeys(cfg, opts)
+			for _, w := range workloads {
+				want := refPIMWorkloadKey(w, cfg, opts)
+				if got := keys.Key(w); got != want {
+					t.Fatalf("pim key\n got %s\nwant %s", got, want)
+				}
+			}
+		}
+	}
+
+	kernels := []gpu.Kernel{
+		{Name: "a", FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.75},
+		{FLOPs: math.MaxInt64, DRAMBytes: math.MinInt64},
+	}
+	for _, f := range edgeFloats {
+		kernels = append(kernels, gpu.Kernel{FLOPs: 3, DRAMBytes: 4, ComputeEff: f, MemEff: -f})
+	}
+	gpus := []gpu.Config{gpu.DefaultConfig(), gpu.DefaultConfig().WithChannels(16)}
+	for _, v := range fieldVariants(t, gpu.DefaultConfig(), nil) {
+		gpus = append(gpus, v.(gpu.Config))
+	}
+	for _, f := range edgeFloats {
+		c := gpu.DefaultConfig()
+		c.ClockGHz, c.BytesPerCyclePerChannel = f, 1/f
+		gpus = append(gpus, c)
+	}
+	for _, cfg := range gpus {
+		keys := NewGPUKeys(cfg)
+		for _, k := range kernels {
+			want := refGPUKernelKey(k, cfg)
+			if got := keys.Key(k); got != want {
+				t.Fatalf("gpu key\n got %s\nwant %s", got, want)
+			}
+		}
+	}
+}
+
+// TestEveryConfigFieldChangesKey varies every field of pim.Config
+// (Timing included), codegen.Opts and gpu.Config one at a time: each
+// change must give a different key. A field added later fails here until
+// the key covers it, so it cannot silently fall outside a precomputed
+// device suffix.
+func TestEveryConfigFieldChangesKey(t *testing.T) {
+	w := codegen.Workload{M: 64, K: 256, N: 32, Segments: 3}
+	pcfg, opts := pim.DefaultConfig(), codegen.DefaultOpts()
+	base := NewPIMKeys(pcfg, opts).Key(w)
+	for path, v := range fieldVariants(t, pcfg, nil) {
+		if NewPIMKeys(v.(pim.Config), opts).Key(w) == base {
+			t.Errorf("pim.Config.%s does not change the pim/ key", path)
+		}
+	}
+	for path, v := range fieldVariants(t, opts, nil) {
+		if NewPIMKeys(pcfg, v.(codegen.Opts)).Key(w) == base {
+			t.Errorf("codegen.Opts.%s does not change the pim/ key", path)
+		}
+	}
+	for path, v := range fieldVariants(t, w, nil) {
+		if NewPIMKeys(pcfg, opts).Key(v.(codegen.Workload)) == base {
+			t.Errorf("codegen.Workload.%s does not change the pim/ key", path)
+		}
+	}
+
+	k := gpu.Kernel{Name: "a", FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.5}
+	gcfg := gpu.DefaultConfig()
+	gbase := NewGPUKeys(gcfg).Key(k)
+	for path, v := range fieldVariants(t, gcfg, nil) {
+		if NewGPUKeys(v.(gpu.Config)).Key(k) == gbase {
+			t.Errorf("gpu.Config.%s does not change the gpu/ key", path)
+		}
+	}
+	for path, v := range fieldVariants(t, k, map[string]bool{"Name": true}) {
+		if NewGPUKeys(gcfg).Key(v.(gpu.Kernel)) == gbase {
+			t.Errorf("gpu.Kernel.%s does not change the gpu/ key", path)
+		}
+	}
+}
+
+// fieldVariants returns, per leaf field path of the struct v (nested
+// structs are walked), a copy of v that differs in that field only.
+// Fields named in skip are left out. A field of a kind it cannot vary
+// fails the test, so no new field is skipped by accident.
+func fieldVariants(t *testing.T, v any, skip map[string]bool) map[string]any {
+	t.Helper()
+	out := map[string]any{}
+	root := reflect.ValueOf(v)
+	var walk func(prefix string, index []int, typ reflect.Type)
+	walk = func(prefix string, index []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := prefix + f.Name
+			idx := append(append([]int(nil), index...), i)
+			if skip[path] {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(path+".", idx, f.Type)
+				continue
+			}
+			c := reflect.New(root.Type()).Elem()
+			c.Set(root)
+			fv := c.FieldByIndex(idx)
+			switch fv.Kind() {
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				fv.SetInt(fv.Int() + 1)
+			case reflect.Float32, reflect.Float64:
+				fv.SetFloat(fv.Float()*1.5 + 0.25)
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+			default:
+				t.Fatalf("%s: cannot vary a %s field", path, fv.Kind())
+			}
+			out[path] = c.Interface()
+		}
+	}
+	walk("", nil, root.Type())
+	return out
+}

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"pimflow/internal/pim"
@@ -37,6 +36,12 @@ import (
 // the observability layer's per-channel utilization metrics require, so
 // version-1 files (which would load with the field silently zero) are
 // discarded rather than merged.
+//
+// Keys fingerprint configurations, not code, so a change to what a key
+// measures must bump the version too: the PIM simulator or codegen for
+// pim/ entries, the roofline for gpu/ entries, and, because a pipe/ entry
+// caches a whole schedule, any change to runtime.Execute's cost model.
+// Adding a namespace needs no bump: older code never queries it.
 const FormatVersion = 2
 
 // Profile is one cached measurement: the simulated cycle count in the
@@ -235,7 +240,9 @@ func (s *Store) Save(path string) error {
 		out.Entries[k] = v
 	}
 	s.mu.Unlock()
-	data, err := marshalSorted(out)
+	// encoding/json writes map keys in sorted order, so identical stores
+	// produce identical files.
+	data, err := json.MarshalIndent(out, "", " ")
 	if err != nil {
 		return fmt.Errorf("profcache: encode: %w", err)
 	}
@@ -253,18 +260,6 @@ func (s *Store) Save(path string) error {
 		return fmt.Errorf("profcache: %w", err)
 	}
 	return nil
-}
-
-// marshalSorted renders the file with entries in sorted key order.
-// encoding/json already sorts map keys, but we keep the contract explicit
-// with a test rather than relying on it silently.
-func marshalSorted(f file) ([]byte, error) {
-	keys := make([]string, 0, len(f.Entries))
-	for k := range f.Entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return json.MarshalIndent(f, "", " ")
 }
 
 // Load merges entries from a file written by Save into the store,

@@ -206,37 +206,37 @@ func TestKeyFingerprints(t *testing.T) {
 	w := codegen.Workload{M: 64, K: 256, N: 32, Segments: 3}
 	cfg := pim.DefaultConfig()
 	opts := codegen.DefaultOpts()
-	base := PIMWorkloadKey(w, cfg, opts)
+	base := NewPIMKeys(cfg, opts).Key(w)
 
 	altCfg := cfg
 	altCfg.Timing.TCCDL++
-	if PIMWorkloadKey(w, altCfg, opts) == base {
+	if NewPIMKeys(altCfg, opts).Key(w) == base {
 		t.Error("timing change did not change the PIM key")
 	}
 	altOpts := opts
 	altOpts.StridedGWrite = !altOpts.StridedGWrite
-	if PIMWorkloadKey(w, cfg, altOpts) == base {
+	if NewPIMKeys(cfg, altOpts).Key(w) == base {
 		t.Error("codegen option change did not change the PIM key")
 	}
 	gw := w
 	gw.Groups = 4
-	if PIMWorkloadKey(gw, cfg, opts) == base {
+	if NewPIMKeys(cfg, opts).Key(gw) == base {
 		t.Error("group count did not change the PIM key")
 	}
 
 	g := gpu.DefaultConfig()
 	k := gpu.Kernel{Name: "a", FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.5}
-	gbase := GPUKernelKey(k, g)
+	gbase := NewGPUKeys(g).Key(k)
 	renamed := k
 	renamed.Name = "b"
-	if GPUKernelKey(renamed, g) != gbase {
+	if NewGPUKeys(g).Key(renamed) != gbase {
 		t.Error("kernel name leaked into the GPU key")
 	}
 	altG := g.WithChannels(24)
-	if GPUKernelKey(k, altG) == gbase {
+	if NewGPUKeys(altG).Key(k) == gbase {
 		t.Error("channel change did not change the GPU key")
 	}
-	if GPUKernelKey(k, g) == PIMWorkloadKey(w, cfg, opts) {
+	if NewGPUKeys(g).Key(k) == NewPIMKeys(cfg, opts).Key(w) {
 		t.Error("GPU and PIM key namespaces collide")
 	}
 }

@@ -243,6 +243,14 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		}
 	}
 
+	// Profile-store keys share one device suffix per configuration;
+	// format it once for the whole schedule.
+	var pimKeys profcache.PIMKeys
+	var gpuKeys profcache.GPUKeys
+	if cfg.Profiles != nil {
+		pimKeys, gpuKeys = profcache.NewPIMKeys(cfg.PIM, cfg.Codegen), profcache.NewGPUKeys(cfg.GPU)
+	}
+
 	producerOf := map[string]*graph.Node{}
 	for _, n := range g.Nodes {
 		for _, out := range n.Outputs {
@@ -335,7 +343,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 					return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, verify.AsError(diags))
 				}
 			}
-			prof, err := timePIM(w, cfg)
+			prof, err := timePIM(w, cfg, pimKeys)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
 			}
@@ -354,7 +362,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 				}
 			}
 		} else {
-			cycles, k, err := timeGPU(g, n, cfg)
+			cycles, k, err := timeGPU(g, n, cfg, gpuKeys)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: GPU node %q: %w", n.Name, err)
 			}
@@ -499,10 +507,10 @@ func mergesDevices(n *graph.Node, producerOf map[string]*graph.Node, deviceOf ma
 	return distinct > 1
 }
 
-// timePIM simulates — or recalls from the profile store — one PIM
-// workload, returning cycles in the PIM clock domain plus the command
-// counts the energy model consumes.
-func timePIM(w codegen.Workload, cfg Config) (profcache.Profile, error) {
+// timePIM simulates — or recalls from the profile store under keys —
+// one PIM workload, returning cycles in the PIM clock domain plus the
+// command counts the energy model consumes.
+func timePIM(w codegen.Workload, cfg Config, keys profcache.PIMKeys) (profcache.Profile, error) {
 	compute := func() (profcache.Profile, error) {
 		st, err := codegen.TimeWorkload(w, cfg.PIM, cfg.Codegen)
 		if err != nil {
@@ -513,13 +521,13 @@ func timePIM(w codegen.Workload, cfg Config) (profcache.Profile, error) {
 	if cfg.Profiles == nil {
 		return compute()
 	}
-	return cfg.Profiles.Do(profcache.PIMWorkloadKey(w, cfg.PIM, cfg.Codegen), compute)
+	return cfg.Profiles.Do(keys.Key(w), compute)
 }
 
-// timeGPU evaluates — or recalls from the profile store — the GPU
-// roofline for one node, returning cycles plus the kernel description
+// timeGPU evaluates — or recalls from the profile store under keys — the
+// GPU roofline for one node, returning cycles plus the kernel description
 // (whose work terms feed the report regardless of a cache hit).
-func timeGPU(g *graph.Graph, n *graph.Node, cfg Config) (int64, gpu.Kernel, error) {
+func timeGPU(g *graph.Graph, n *graph.Node, cfg Config, keys profcache.GPUKeys) (int64, gpu.Kernel, error) {
 	k, err := gpu.NodeKernel(g, n, cfg.GPU)
 	if err != nil {
 		return 0, k, err
@@ -528,7 +536,7 @@ func timeGPU(g *graph.Graph, n *graph.Node, cfg Config) (int64, gpu.Kernel, erro
 		res, err := cfg.GPU.Time(k)
 		return res.Cycles, k, err
 	}
-	p, err := cfg.Profiles.Do(profcache.GPUKernelKey(k, cfg.GPU), func() (profcache.Profile, error) {
+	p, err := cfg.Profiles.Do(keys.Key(k), func() (profcache.Profile, error) {
 		res, err := cfg.GPU.Time(k)
 		if err != nil {
 			return profcache.Profile{}, err

@@ -1,0 +1,156 @@
+package search
+
+import (
+	"slices"
+	"strconv"
+
+	"pimflow/internal/graph"
+	"pimflow/internal/profcache"
+	"pimflow/internal/runtime"
+)
+
+// pipeKeys builds the pipe/ profile-store keys of one runtime
+// configuration: the cycles runtime.Execute schedules for one pipelining
+// candidate, extracted from its graph and rewritten at a stage count.
+//
+// The key describes the probe, not the graph it came from. It holds the
+// stage count, then for each chain node its op, its attributes in sorted
+// order, its exec hint and its input shapes, with the wiring written as
+// chain-local references: the chain input, an earlier chain node's
+// output, or a weight. Node and tensor names are left out, so identical
+// blocks at different depths of a model (or in different models) share
+// one entry. The device suffix, formatted once, fingerprints every
+// runtime.Config field the schedule depends on.
+type pipeKeys struct{ suffix string }
+
+func newPipeKeys(rt runtime.Config) pipeKeys {
+	b := make([]byte, 0, 512)
+	b = append(b, "|ibpc="...)
+	b = strconv.AppendFloat(b, rt.InterconnectBytesPerCycle, 'g', -1, 64)
+	b = append(b, ",sync="...)
+	b = strconv.AppendInt(b, rt.SyncOverheadCycles, 10)
+	b = append(b, ",verify="...)
+	b = strconv.AppendBool(b, rt.VerifyTraces)
+	b = append(b, profcache.NewPIMKeys(rt.PIM, rt.Codegen).Suffix()...)
+	b = append(b, profcache.NewGPUKeys(rt.GPU).Suffix()...)
+	return pipeKeys{suffix: string(b)}
+}
+
+// key returns the pipe/ key of the chain (nodes of g, in chain order) at
+// the given stage count.
+func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) string {
+	b := make([]byte, 0, 512+len(k.suffix))
+	b = append(b, profcache.PipePrefix...)
+	b = append(b, "stages="...)
+	b = strconv.AppendInt(b, int64(stages), 10)
+	chainIn := chain[0].Inputs[0]
+	var names [8]string // attribute names of one node, sorted
+	for _, n := range chain {
+		b = append(b, '|')
+		b = append(b, n.Op...)
+		b = appendAttrs(b, n.Attrs, names[:0])
+		e := n.Exec
+		b = append(b, "e="...)
+		b = strconv.AppendInt(b, int64(e.Mode), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.Device), 10)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, e.GPURatio, 'g', -1, 64)
+		for _, v := range [...]int{e.Pipeline.GroupID, e.Pipeline.Stage, e.Pipeline.Part, e.Pipeline.Parts} {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ";in="...)
+		for pos, in := range n.Inputs {
+			b = appendRef(b, g, chain, chainIn, pos, in)
+		}
+		b = append(b, ";out="...)
+		b = strconv.AppendInt(b, int64(len(n.Outputs)), 10)
+	}
+	return string(append(b, k.suffix...))
+}
+
+// appendAttrs writes every attribute of a, each kind in sorted name
+// order. Names and string values are quoted, so no value can imitate a
+// separator.
+func appendAttrs(b []byte, a graph.Attrs, names []string) []byte {
+	names = sortedKeys(a.Ints, names)
+	b = append(b, "{i"...)
+	for _, name := range names {
+		b = strconv.AppendQuote(b, name)
+		for i, v := range a.Ints[name] {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+		b = append(b, ';')
+	}
+	names = sortedKeys(a.Floats, names[:0])
+	b = append(b, "}{f"...)
+	for _, name := range names {
+		b = strconv.AppendQuote(b, name)
+		b = strconv.AppendFloat(b, a.Floats[name], 'g', -1, 64)
+		b = append(b, ';')
+	}
+	names = sortedKeys(a.Strs, names[:0])
+	b = append(b, "}{s"...)
+	for _, name := range names {
+		b = strconv.AppendQuote(b, name)
+		b = strconv.AppendQuote(b, a.Strs[name])
+	}
+	return append(b, '}')
+}
+
+func sortedKeys[V any](m map[string]V, dst []string) []string {
+	for k := range m {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// appendRef writes one chain-node input as a chain-local reference plus
+// its shape: "n" j "." k for output k of chain node j, "i" for the chain
+// input, "w" for a weight, and "x" for anything else (a tensor the
+// extracted chain cannot see, so its probe fails; errors are not cached).
+// The references mirror what extractChain builds: the chain input is the
+// first node's activation, and only inputs after an activation carry
+// weights over.
+func appendRef(b []byte, g *graph.Graph, chain []*graph.Node, chainIn string, pos int, name string) []byte {
+	ti := g.Tensors[name]
+	if j, k, ok := chainOutput(chain, name); ok {
+		b = append(b, 'n')
+		b = strconv.AppendInt(b, int64(j), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(k), 10)
+	} else if name == chainIn {
+		b = append(b, 'i')
+	} else if pos > 0 && ti != nil && ti.IsWeight() {
+		b = append(b, 'w')
+	} else {
+		b = append(b, 'x')
+	}
+	b = append(b, '(')
+	if ti != nil {
+		for i, d := range ti.Shape {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(d), 10)
+		}
+	}
+	return append(b, ')')
+}
+
+// chainOutput locates the tensor as output k of chain node j.
+func chainOutput(chain []*graph.Node, name string) (j, k int, ok bool) {
+	for j, c := range chain {
+		for k, out := range c.Outputs {
+			if out == name {
+				return j, k, true
+			}
+		}
+	}
+	return 0, 0, false
+}

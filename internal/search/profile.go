@@ -31,6 +31,11 @@ type profiler struct {
 	rt    runtime.Config
 	store *profcache.Store
 
+	// Key builders for rt, each with its device suffix formatted once.
+	pimKeys  profcache.PIMKeys
+	gpuKeys  profcache.GPUKeys
+	pipeKeys pipeKeys
+
 	// trace/metrics mirror Options.Trace/Metrics for probe
 	// instrumentation. They are deliberately NOT left on rt: probe
 	// Executes (pipeline profiling) must not draw on the simulated
@@ -56,9 +61,13 @@ func newProfiler(opts Options) *profiler {
 		store = profcache.New()
 		rt.Profiles = store
 	}
-	p := &profiler{opts: opts, rt: rt, store: store, trace: opts.Trace, metrics: opts.Metrics}
 	rt.Trace, rt.Metrics = nil, nil
-	p.rt = rt
+	p := &profiler{
+		opts: opts, rt: rt, store: store, trace: opts.Trace, metrics: opts.Metrics,
+		pimKeys:  profcache.NewPIMKeys(rt.PIM, rt.Codegen),
+		gpuKeys:  profcache.NewGPUKeys(rt.GPU),
+		pipeKeys: newPipeKeys(rt),
+	}
 	if p.metrics != nil {
 		p.probes = map[string]int64{}
 	}
@@ -142,7 +151,7 @@ func (p *profiler) scalePIM(cycles int64) int64 {
 // GPU-domain cycles. layer/kind/ratio label the probe for observability.
 func (p *profiler) pimWorkload(w codegen.Workload, layer, kind string, ratio float64) (int64, error) {
 	done := p.beginProbe(layer, kind, ratio)
-	prof, out, err := p.store.DoObserved(profcache.PIMWorkloadKey(w, p.rt.PIM, p.rt.Codegen), func() (profcache.Profile, error) {
+	prof, out, err := p.store.DoObserved(p.pimKeys.Key(w), func() (profcache.Profile, error) {
 		st, err := codegen.TimeWorkload(w, p.rt.PIM, p.rt.Codegen)
 		if err != nil {
 			return profcache.Profile{}, err
@@ -161,7 +170,7 @@ func (p *profiler) pimWorkload(w codegen.Workload, layer, kind string, ratio flo
 // gpuKernel times one roofline kernel through the store.
 func (p *profiler) gpuKernel(k gpu.Kernel, layer, kind string, ratio float64) (int64, error) {
 	done := p.beginProbe(layer, kind, ratio)
-	prof, out, err := p.store.DoObserved(profcache.GPUKernelKey(k, p.rt.GPU), func() (profcache.Profile, error) {
+	prof, out, err := p.store.DoObserved(p.gpuKeys.Key(k), func() (profcache.Profile, error) {
 		res, err := p.rt.GPU.Time(k)
 		if err != nil {
 			return profcache.Profile{}, err
@@ -361,27 +370,51 @@ func extractChain(g *graph.Graph, names []string) (*graph.Graph, error) {
 	return sub, nil
 }
 
-// pipeline profiles a pipelining candidate: the chain is extracted,
-// transformed at the configured stage count, memory-optimized, and
-// scheduled by the runtime. The probe Execute runs with tracing and
-// metrics detached (see newProfiler); only the store is shared.
-func (p *profiler) pipeline(g *graph.Graph, cand transform.Candidate, stages int) (int64, error) {
-	done := p.beginProbe(strings.Join(cand.Nodes, "+"), "pipeline", -1)
-	sub, err := extractChain(g, cand.Nodes)
-	if err != nil {
+// pipeline profiles a pipelining candidate: the cycles the runtime
+// schedules for the chain (nodes of g, in chain order) pipelined at the
+// given stage count. A chain the pipelining pass rejects returns an error
+// wrapping transform.ErrNotPipelineable, before the store is consulted.
+// Otherwise the store answers under the candidate's name-free pipe/ key,
+// and only a miss extracts, rewrites and schedules it (simulatePipeline).
+// The compute waits on pim/ and gpu/ keys at most, and no leaf compute
+// ever waits on a pipe/ key, so the singleflight cannot deadlock.
+func (p *profiler) pipeline(g *graph.Graph, chain []*graph.Node, cand transform.Candidate, stages int) (int64, error) {
+	done := noopProbeDone
+	if p.trace != nil || p.metrics != nil {
+		done = p.beginProbe(strings.Join(cand.Nodes, "+"), "pipeline", -1)
+	}
+	if err := transform.CheckPipeline(g, cand.Nodes, stages); err != nil {
 		done("", 0, err)
 		return 0, err
 	}
-	if err := transform.PipelineChain(sub, cand.Nodes, stages, 0); err != nil {
-		done("", 0, err)
+	prof, out, err := p.store.DoObserved(p.pipeKeys.key(g, chain, stages), func() (profcache.Profile, error) {
+		cycles, err := p.simulatePipeline(g, cand.Nodes, stages)
+		return profcache.Profile{Cycles: cycles}, err
+	})
+	if err != nil {
+		done(out.String(), 0, err)
+		return 0, err
+	}
+	done(out.String(), prof.Cycles, nil)
+	return prof.Cycles, nil
+}
+
+// simulatePipeline is the uncached pipeline probe: the chain is
+// extracted, transformed at the stage count, memory-optimized, and
+// scheduled by the runtime. The probe Execute runs with tracing and
+// metrics detached (see newProfiler); only the store is shared.
+func (p *profiler) simulatePipeline(g *graph.Graph, names []string, stages int) (int64, error) {
+	sub, err := extractChain(g, names)
+	if err != nil {
+		return 0, err
+	}
+	if err := transform.PipelineChain(sub, names, stages, 0); err != nil {
 		return 0, err
 	}
 	transform.ElideDataMovement(sub)
 	rep, err := runtime.Execute(sub, p.rt)
 	if err != nil {
-		done("", 0, err)
 		return 0, err
 	}
-	done("", rep.TotalCycles, nil)
 	return rep.TotalCycles, nil
 }

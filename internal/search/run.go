@@ -1,6 +1,7 @@
 package search
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -217,9 +218,12 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 			if !ok {
 				return nil // not consecutive in topological order
 			}
-			t, err := prof.pipeline(g, cand, opts.PipelineStages)
-			if err != nil {
+			t, err := prof.pipeline(g, order[start:start+length], cand, opts.PipelineStages)
+			if errors.Is(err, transform.ErrNotPipelineable) {
 				return nil // rejected candidate (e.g. too few rows)
+			}
+			if err != nil {
+				return fmt.Errorf("search: pipeline profile %v: %w", cand.Nodes, err)
 			}
 			var serial int64
 			for i := start; i < start+length; i++ {

@@ -1,10 +1,24 @@
 package transform
 
 import (
+	"errors"
 	"fmt"
 
 	"pimflow/internal/graph"
 )
+
+// ErrNotPipelineable is wrapped by every structural rejection of a chain:
+// it is not a two-or-more-node chain of convolutions and activations,
+// each feeding only the next, or it has too few output rows to cut into
+// the requested stages. Callers classify with errors.Is; any other error
+// from the pipelining pass is a real failure.
+var ErrNotPipelineable = errors.New("not pipelineable")
+
+// notPipelineable formats a structural rejection wrapping
+// ErrNotPipelineable.
+func notPipelineable(format string, args ...any) error {
+	return fmt.Errorf("transform: "+format+": %w", append(args, ErrNotPipelineable)...)
+}
 
 // elementwiseOps are single-input ops that pipeline chunks pass through
 // unchanged (activation functions between the convolutions of a pattern).
@@ -34,47 +48,78 @@ func PipelineChain(g *graph.Graph, names []string, stages, groupID int) error {
 // whole-graph shape inference, for callers that batch several rewrites
 // and infer once (see SplitMDDPDeferred).
 func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) error {
-	if len(names) < 2 {
-		return fmt.Errorf("transform: pipeline needs >= 2 nodes")
+	chain, err := chainNodes(g, names)
+	if err != nil {
+		return err
 	}
-	if stages < 2 {
-		return fmt.Errorf("transform: pipeline needs >= 2 stages")
+	bounds, err := chunkBounds(g, chain, stages)
+	if err != nil {
+		return err
+	}
+	return rewriteChain(g, chain, bounds, stages, groupID)
+}
+
+// CheckPipeline reports whether PipelineChain would accept the chain at
+// the given stage count, without rewriting anything: nil, an error
+// wrapping ErrNotPipelineable, or a real failure (an unknown node, bad
+// convolution attributes).
+func CheckPipeline(g *graph.Graph, names []string, stages int) error {
+	chain, err := chainNodes(g, names)
+	if err != nil {
+		return err
+	}
+	_, err = chunkBounds(g, chain, stages)
+	return err
+}
+
+// chainNodes resolves the chain's node names.
+func chainNodes(g *graph.Graph, names []string) ([]*graph.Node, error) {
+	if len(names) < 2 {
+		return nil, notPipelineable("pipeline needs >= 2 nodes")
 	}
 	chain := make([]*graph.Node, len(names))
 	for i, name := range names {
 		n := g.Node(name)
 		if n == nil {
-			return fmt.Errorf("transform: node %q not found", name)
+			return nil, fmt.Errorf("transform: node %q not found", name)
 		}
 		chain[i] = n
 	}
-	// Validate chain structure: consecutive, single-consumer interior.
+	return chain, nil
+}
+
+// chunkBounds validates the chain's structure (consecutive,
+// single-consumer interior) and computes the cumulative chunk boundaries
+// per node: bounds[i][j] is the number of output rows of chain node i
+// finished after chunk j.
+func chunkBounds(g *graph.Graph, chain []*graph.Node, stages int) ([][]int, error) {
+	if stages < 2 {
+		return nil, notPipelineable("pipeline needs >= 2 stages")
+	}
 	for i, n := range chain {
 		if n.Op != graph.OpConv && !elementwiseOps[n.Op] {
-			return fmt.Errorf("transform: node %q (%s) cannot pipeline", n.Name, n.Op)
+			return nil, notPipelineable("node %q (%s) cannot pipeline", n.Name, n.Op)
 		}
 		out := g.Tensors[n.Outputs[0]]
 		if out == nil || !out.Shape.Valid() || len(out.Shape) != 4 {
-			return fmt.Errorf("transform: node %q output not NHWC with known shape", n.Name)
+			return nil, notPipelineable("node %q output not NHWC with known shape", n.Name)
 		}
 		if i == len(chain)-1 {
 			continue
 		}
 		if chain[i+1].Inputs[0] != n.Outputs[0] {
-			return fmt.Errorf("transform: %q does not feed %q", n.Name, chain[i+1].Name)
+			return nil, notPipelineable("%q does not feed %q", n.Name, chain[i+1].Name)
 		}
 		cs := g.Consumers(n.Outputs[0])
 		if len(cs) != 1 {
-			return fmt.Errorf("transform: interior node %q has %d consumers", n.Name, len(cs))
+			return nil, notPipelineable("interior node %q has %d consumers", n.Name, len(cs))
 		}
 	}
 
-	// Compute cumulative chunk boundaries per node: bounds[i][j] is the
-	// number of output rows of chain node i finished after chunk j.
 	bounds := make([][]int, len(chain))
 	oh0 := g.Tensors[chain[0].Outputs[0]].Shape[1]
 	if oh0 < stages {
-		return fmt.Errorf("transform: first node has %d output rows < %d stages", oh0, stages)
+		return nil, notPipelineable("first node has %d output rows < %d stages", oh0, stages)
 	}
 	bounds[0] = make([]int, stages)
 	for j := 0; j < stages; j++ {
@@ -88,7 +133,7 @@ func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) 
 			if n.Op == graph.OpConv {
 				p, err := graph.ConvParamsOf(n)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				bounds[i][j] = outputRowsFromPrefix(bounds[i-1][j], p.StrideH, p.KernelH, p.PadT, oh)
 			} else {
@@ -99,14 +144,18 @@ func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) 
 		prev := 0
 		for j := 0; j < stages; j++ {
 			if bounds[i][j] <= prev {
-				return fmt.Errorf("transform: node %q chunk %d empty (bounds %v); pattern not pipelineable at %d stages",
+				return nil, notPipelineable("node %q chunk %d empty (bounds %v) at %d stages",
 					n.Name, j, bounds[i], stages)
 			}
 			prev = bounds[i][j]
 		}
 	}
+	return bounds, nil
+}
 
-	// Build replacement nodes chunk-major so dependencies appear in order.
+// rewriteChain replaces the validated chain with its pipeline stage
+// nodes, chunk-major so dependencies appear in order.
+func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, groupID int) error {
 	var repl []*graph.Node
 	// chunkOut[i][j] is the tensor holding chunk j of chain node i.
 	chunkOut := make([][]string, len(chain))
@@ -117,7 +166,6 @@ func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) 
 		chunkOut[i] = make([]string, stages)
 		prefixOut[i] = make([]string, stages)
 	}
-	attrsOf := func(base graph.Attrs) graph.Attrs { return base.Clone() }
 
 	for j := 0; j < stages; j++ {
 		for i, n := range chain {
@@ -157,8 +205,7 @@ func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) 
 				slice.Attrs.SetInts("end", in1)
 				repl = append(repl, slice)
 				inputTensor = slice.Outputs[0]
-				part = n.Clone()
-				part.Attrs = attrsOf(n.Attrs)
+				part = n.Clone() // deep-copies the attributes it edits
 				part.Attrs.SetInts("pads", pt, p.PadL, pb, p.PadR)
 				part.Inputs = append([]string(nil), n.Inputs...)
 				part.Inputs[0] = inputTensor
@@ -166,7 +213,6 @@ func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) 
 				// Elementwise: boundaries align with the producer chunk.
 				inputTensor = chunkOut[i-1][j]
 				part = n.Clone()
-				part.Attrs = attrsOf(n.Attrs)
 				part.Inputs = []string{inputTensor}
 			}
 			part.Name = partName

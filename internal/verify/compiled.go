@@ -17,8 +17,15 @@ import (
 // It returns all violations, empty when the model is clean; nothing is
 // simulated. The serving layer's model registry and the public
 // CompiledModel.Verify both gate on this sweep.
+//
+// A stream depends only on its workload and the configuration, and a
+// model's layers repeat shapes (the five paper CNNs' 193 offloaded nodes
+// lower to 95 workloads), so each distinct workload is linted once per
+// call and its diagnostics are copied onto every node that lowers to it,
+// in node order.
 func Compiled(g *graph.Graph, pcfg pim.Config, copts codegen.Opts) []Diagnostic {
 	diags := Graph(g)
+	linted := map[codegen.Workload][]Diagnostic{}
 	for _, n := range g.Nodes {
 		if n.Exec.Device != graph.DevicePIM {
 			continue
@@ -31,7 +38,12 @@ func Compiled(g *graph.Graph, pcfg pim.Config, copts codegen.Opts) []Diagnostic 
 			})
 			continue
 		}
-		for _, d := range Workload(w, pcfg, copts) {
+		wd, ok := linted[w]
+		if !ok {
+			wd = Workload(w, pcfg, copts)
+			linted[w] = wd
+		}
+		for _, d := range wd {
 			d.Node = n.Name
 			diags = append(diags, d)
 		}
