@@ -366,6 +366,40 @@ func BenchmarkCompileZooWarm(b *testing.B) {
 	b.ReportMetric(float64(delta.Saved())/float64(b.N), "cached/op")
 }
 
+// BenchmarkExecuteZoo schedules the five evaluated Light CNNs, compiled
+// under PIMFlow, once each per op over the profile store their compile
+// warmed — the simulated inference perfbench's compile-zoo workload
+// times as replay_req_per_s. Every PIM and GPU timing is recalled, so the
+// op is the runtime's own graph walk plus store lookups.
+func BenchmarkExecuteZoo(b *testing.B) {
+	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
+	cfg.Profiles = pimflow.NewProfileStore()
+	var compiled []*pimflow.CompiledModel
+	for _, name := range pimflow.EvaluatedCNNs() {
+		g, err := pimflow.BuildModel(name, pimflow.ModelOptions{Light: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := pimflow.Compile(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.Run(); err != nil { // warm the runtime's own lookups
+			b.Fatal(err)
+		}
+		compiled = append(compiled, c)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range compiled {
+			if _, err := c.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkRuntimeScheduleResNet50(b *testing.B) {
 	model, err := pimflow.BuildModel("resnet-50", pimflow.ModelOptions{Light: true})
 	if err != nil {

@@ -30,16 +30,14 @@ type LayerInfo struct {
 // AnalyzeLayers returns a LayerInfo for every Conv and Gemm node of the
 // graph, in topological order. Shapes must be inferred.
 func AnalyzeLayers(g *graph.Graph) ([]LayerInfo, error) {
-	if err := g.InferShapes(); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoSort()
+	x := g.Index()
+	order, err := x.InferShapes()
 	if err != nil {
 		return nil, err
 	}
 	var out []LayerInfo
-	for _, n := range order {
-		switch n.Op {
+	for _, i := range order {
+		switch n := x.At(i); n.Op {
 		case graph.OpConv:
 			p, err := graph.ConvParamsOf(n)
 			if err != nil {

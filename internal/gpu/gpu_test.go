@@ -178,7 +178,7 @@ func TestNodeKernelCoverage(t *testing.T) {
 func TestNodeKernelElided(t *testing.T) {
 	g := graph.New("el")
 	g.AddInput("in", 1, 4, 4, 2)
-	n := &graph.Node{Name: "s", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"out"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "s", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"out"}}
 	n.Attrs.SetInts("axis", 1)
 	n.Attrs.SetInts("start", 0)
 	n.Attrs.SetInts("end", 2)

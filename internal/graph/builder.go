@@ -99,7 +99,7 @@ func (b *Builder) Conv(f, kh, kw, sh, sw int, pads [4]int, group int) *Builder {
 	}
 	w := b.weight(name+"_w", kh, kw, cin/group, f)
 	bias := b.weight(name+"_b", f)
-	n := &Node{Name: name, Op: OpConv, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"}, Attrs: NewAttrs()}
+	n := &Node{Name: name, Op: OpConv, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"}}
 	n.Attrs.SetInts("kernel_shape", kh, kw)
 	n.Attrs.SetInts("strides", sh, sw)
 	n.Attrs.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
@@ -129,16 +129,16 @@ func (b *Builder) Gemm(nOut int) *Builder {
 	k := in.Shape[1]
 	w := b.weight(name+"_w", k, nOut)
 	bias := b.weight(name+"_b", nOut)
-	n := &Node{Name: name, Op: OpGemm, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"}, Attrs: NewAttrs()}
+	n := &Node{Name: name, Op: OpGemm, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"}}
 	b.add(n)
 	return b
 }
 
-func (b *Builder) unary(op OpType, prefix string, attrs func(Attrs)) *Builder {
+func (b *Builder) unary(op OpType, prefix string, attrs func(*Attrs)) *Builder {
 	name := b.nextName(prefix)
-	n := &Node{Name: name, Op: op, Inputs: []string{b.cur}, Outputs: []string{name + "_out"}, Attrs: NewAttrs()}
+	n := &Node{Name: name, Op: op, Inputs: []string{b.cur}, Outputs: []string{name + "_out"}}
 	if attrs != nil {
-		attrs(n.Attrs)
+		attrs(&n.Attrs)
 	}
 	b.add(n)
 	return b
@@ -149,7 +149,7 @@ func (b *Builder) Relu() *Builder { return b.unary(OpRelu, "relu", nil) }
 
 // Relu6 appends a Clip(0, 6).
 func (b *Builder) Relu6() *Builder {
-	return b.unary(OpClip, "relu6", func(a Attrs) {
+	return b.unary(OpClip, "relu6", func(a *Attrs) {
 		a.SetFloat("min", 0)
 		a.SetFloat("max", 6)
 	})
@@ -178,7 +178,7 @@ func (b *Builder) GlobalAvgPool() *Builder { return b.unary(OpGlobalAvgPool, "ga
 
 // MaxPool appends spatial max pooling.
 func (b *Builder) MaxPool(k, s int, pads [4]int) *Builder {
-	return b.unary(OpMaxPool, "maxpool", func(a Attrs) {
+	return b.unary(OpMaxPool, "maxpool", func(a *Attrs) {
 		a.SetInts("kernel_shape", k, k)
 		a.SetInts("strides", s, s)
 		a.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
@@ -187,7 +187,7 @@ func (b *Builder) MaxPool(k, s int, pads [4]int) *Builder {
 
 // AvgPool appends spatial average pooling.
 func (b *Builder) AvgPool(k, s int, pads [4]int) *Builder {
-	return b.unary(OpAvgPool, "avgpool", func(a Attrs) {
+	return b.unary(OpAvgPool, "avgpool", func(a *Attrs) {
 		a.SetInts("kernel_shape", k, k)
 		a.SetInts("strides", s, s)
 		a.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
@@ -198,7 +198,7 @@ func (b *Builder) AvgPool(k, s int, pads [4]int) *Builder {
 // the given axis (1 = height, 3 = channels for NHWC).
 func (b *Builder) Concat(axis int, others ...string) *Builder {
 	name := b.nextName("concat")
-	n := &Node{Name: name, Op: OpConcat, Inputs: append([]string{b.cur}, others...), Outputs: []string{name + "_out"}, Attrs: NewAttrs()}
+	n := &Node{Name: name, Op: OpConcat, Inputs: append([]string{b.cur}, others...), Outputs: []string{name + "_out"}}
 	n.Attrs.SetInts("axis", axis)
 	b.add(n)
 	return b
@@ -207,7 +207,7 @@ func (b *Builder) Concat(axis int, others ...string) *Builder {
 // Add appends an elementwise add of the current tensor with other.
 func (b *Builder) Add(other string) *Builder {
 	name := b.nextName("add")
-	b.add(&Node{Name: name, Op: OpAdd, Inputs: []string{b.cur, other}, Outputs: []string{name + "_out"}, Attrs: NewAttrs()})
+	b.add(&Node{Name: name, Op: OpAdd, Inputs: []string{b.cur, other}, Outputs: []string{name + "_out"}})
 	return b
 }
 
@@ -215,7 +215,7 @@ func (b *Builder) Add(other string) *Builder {
 // other.
 func (b *Builder) Mul(other string) *Builder {
 	name := b.nextName("mul")
-	b.add(&Node{Name: name, Op: OpMul, Inputs: []string{b.cur, other}, Outputs: []string{name + "_out"}, Attrs: NewAttrs()})
+	b.add(&Node{Name: name, Op: OpMul, Inputs: []string{b.cur, other}, Outputs: []string{name + "_out"}})
 	return b
 }
 

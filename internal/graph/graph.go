@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -176,44 +177,67 @@ func (g *Graph) Node(name string) *Node {
 	return nil
 }
 
-// Producer returns the node producing tensor name, or nil for graph inputs
-// and weights.
-func (g *Graph) Producer(name string) *Node {
-	for _, n := range g.Nodes {
-		for _, out := range n.Outputs {
-			if out == name {
-				return n
-			}
-		}
-	}
-	return nil
-}
-
-// Consumers returns the nodes that read tensor name.
-func (g *Graph) Consumers(name string) []*Node {
-	var out []*Node
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			if in == name {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the graph. Weight initializer data is shared (weights
-// are immutable), but TensorInfo records and nodes are copied.
+// are immutable), but TensorInfo records and nodes are copied. Records,
+// shapes, nodes and tensor-name lists are each allocated in one block.
 func (g *Graph) Clone() *Graph {
-	c := New(g.Name)
-	c.Inputs = append([]string(nil), g.Inputs...)
-	c.Outputs = append([]string(nil), g.Outputs...)
-	for name, ti := range g.Tensors {
-		c.Tensors[name] = &TensorInfo{Name: ti.Name, Shape: ti.Shape.Clone(), Init: ti.Init, Param: ti.Param}
+	c := &Graph{
+		Name:    g.Name,
+		Inputs:  append([]string(nil), g.Inputs...),
+		Outputs: append([]string(nil), g.Outputs...),
+		Tensors: make(map[string]*TensorInfo, len(g.Tensors)),
 	}
+	dims := 0
+	for _, ti := range g.Tensors {
+		dims += len(ti.Shape)
+	}
+	recs := make([]TensorInfo, 0, len(g.Tensors))
+	shapes := make(tensor.Shape, 0, dims)
+	for name, ti := range g.Tensors {
+		k := len(shapes)
+		shapes = append(shapes, ti.Shape...)
+		recs = append(recs, TensorInfo{Name: ti.Name, Shape: shapes[k:len(shapes):len(shapes)], Init: ti.Init, Param: ti.Param})
+		c.Tensors[name] = &recs[len(recs)-1]
+	}
+	names := 0
 	for _, n := range g.Nodes {
-		c.Nodes = append(c.Nodes, n.Clone())
+		names += len(n.Inputs) + len(n.Outputs)
+	}
+	nodes := make([]Node, len(g.Nodes))
+	strs := make([]string, 0, names)
+	list := func(ss []string) []string {
+		if len(ss) == 0 {
+			return nil
+		}
+		k := len(strs)
+		strs = append(strs, ss...)
+		return strs[k:len(strs):len(strs)]
+	}
+	c.Nodes = make([]*Node, len(g.Nodes))
+	for i, n := range g.Nodes {
+		nodes[i] = Node{Name: n.Name, Op: n.Op, Inputs: list(n.Inputs), Outputs: list(n.Outputs),
+			Attrs: n.Attrs.Clone(), Exec: n.Exec}
+		c.Nodes[i] = &nodes[i]
+	}
+	return c
+}
+
+// CloneTensors returns a graph that shares g's nodes, input and output
+// lists, shape slices and weight data, but owns a copy of every tensor
+// record. Shape inference over it leaves g untouched (it replaces shape
+// slices rather than writing through them), which is all the verifier
+// and Validate need from a scratch graph; its nodes must stay read-only.
+func (g *Graph) CloneTensors() *Graph {
+	c := &Graph{Name: g.Name, Inputs: g.Inputs, Outputs: g.Outputs, Nodes: g.Nodes,
+		Tensors: make(map[string]*TensorInfo, len(g.Tensors))}
+	recs := make([]TensorInfo, 0, len(g.Tensors))
+	for name, ti := range g.Tensors {
+		if ti == nil {
+			c.Tensors[name] = nil
+			continue
+		}
+		recs = append(recs, *ti)
+		c.Tensors[name] = &recs[len(recs)-1]
 	}
 	return c
 }
@@ -242,9 +266,7 @@ func (g *Graph) ReplaceNode(old string, repl ...*Node) error {
 					}
 				}
 			}
-			rest := append([]*Node(nil), g.Nodes[i+1:]...)
-			g.Nodes = append(g.Nodes[:i], repl...)
-			g.Nodes = append(g.Nodes, rest...)
+			g.Nodes = slices.Replace(g.Nodes, i, i+1, repl...)
 			return nil
 		}
 	}

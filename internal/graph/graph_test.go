@@ -44,7 +44,7 @@ func TestConvParamsOf(t *testing.T) {
 }
 
 func TestConvParamsDefaults(t *testing.T) {
-	n := &Node{Name: "c", Op: OpConv, Attrs: NewAttrs()}
+	n := &Node{Name: "c", Op: OpConv}
 	n.Attrs.SetInts("kernel_shape", 5, 5)
 	p, err := ConvParamsOf(n)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestConvParamsDefaults(t *testing.T) {
 }
 
 func TestAttrsCloneIndependent(t *testing.T) {
-	a := NewAttrs()
+	var a Attrs
 	a.SetInts("k", 1, 2)
 	a.SetFloat("f", 3.5)
 	a.SetStr("s", "x")
@@ -86,8 +86,8 @@ func TestTopoSortOutOfOrder(t *testing.T) {
 	g := New("x")
 	g.AddInput("in", 1, 4, 4, 2)
 	// Insert consumer before producer.
-	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"mid"}, Outputs: []string{"out"}, Attrs: NewAttrs()})
-	g.AddNode(&Node{Name: "a", Op: OpSigmoid, Inputs: []string{"in"}, Outputs: []string{"mid"}, Attrs: NewAttrs()})
+	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"mid"}, Outputs: []string{"out"}})
+	g.AddNode(&Node{Name: "a", Op: OpSigmoid, Inputs: []string{"in"}, Outputs: []string{"mid"}})
 	order, err := g.TopoSort()
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func TestTopoSortOutOfOrder(t *testing.T) {
 
 func TestTopoSortCycle(t *testing.T) {
 	g := New("cyc")
-	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"t2"}, Outputs: []string{"t1"}, Attrs: NewAttrs()})
-	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"t1"}, Outputs: []string{"t2"}, Attrs: NewAttrs()})
+	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"t2"}, Outputs: []string{"t1"}})
+	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"t1"}, Outputs: []string{"t2"}})
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -109,8 +109,8 @@ func TestTopoSortCycle(t *testing.T) {
 func TestTopoSortDuplicateProducer(t *testing.T) {
 	g := New("dup")
 	g.AddInput("in", 1, 2, 2, 1)
-	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"t"}, Attrs: NewAttrs()})
-	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"t"}, Attrs: NewAttrs()})
+	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"t"}})
+	g.AddNode(&Node{Name: "b", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"t"}})
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("duplicate producer not detected")
 	}
@@ -118,7 +118,7 @@ func TestTopoSortDuplicateProducer(t *testing.T) {
 
 func TestTopoSortUndeclaredInput(t *testing.T) {
 	g := New("und")
-	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"ghost"}, Outputs: []string{"t"}, Attrs: NewAttrs()})
+	g.AddNode(&Node{Name: "a", Op: OpRelu, Inputs: []string{"ghost"}, Outputs: []string{"t"}})
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("undeclared input not detected")
 	}
@@ -154,20 +154,20 @@ func TestInferPoolAndGAP(t *testing.T) {
 func TestInferConcatSlicePad(t *testing.T) {
 	g := New("csp")
 	g.AddInput("in", 1, 6, 4, 2)
-	n1 := &Node{Name: "s1", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}, Attrs: NewAttrs()}
+	n1 := &Node{Name: "s1", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}}
 	n1.Attrs.SetInts("axis", 1)
 	n1.Attrs.SetInts("start", 0)
 	n1.Attrs.SetInts("end", 2)
 	g.AddNode(n1)
-	n2 := &Node{Name: "s2", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}, Attrs: NewAttrs()}
+	n2 := &Node{Name: "s2", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}}
 	n2.Attrs.SetInts("axis", 1)
 	n2.Attrs.SetInts("start", 2)
 	n2.Attrs.SetInts("end", 6)
 	g.AddNode(n2)
-	n3 := &Node{Name: "c", Op: OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"cat"}, Attrs: NewAttrs()}
+	n3 := &Node{Name: "c", Op: OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"cat"}}
 	n3.Attrs.SetInts("axis", 1)
 	g.AddNode(n3)
-	n4 := &Node{Name: "p", Op: OpPad, Inputs: []string{"cat"}, Outputs: []string{"out"}, Attrs: NewAttrs()}
+	n4 := &Node{Name: "p", Op: OpPad, Inputs: []string{"cat"}, Outputs: []string{"out"}}
 	n4.Attrs.SetInts("pads", 1, 2, 1, 2)
 	g.AddNode(n4)
 	g.MarkOutput("out")
@@ -186,7 +186,7 @@ func TestInferBroadcastSE(t *testing.T) {
 	g := New("se")
 	g.AddInput("x", 1, 7, 7, 32)
 	g.AddInput("scale", 1, 1, 1, 32)
-	g.AddNode(&Node{Name: "m", Op: OpMul, Inputs: []string{"x", "scale"}, Outputs: []string{"y"}, Attrs: NewAttrs()})
+	g.AddNode(&Node{Name: "m", Op: OpMul, Inputs: []string{"x", "scale"}, Outputs: []string{"y"}})
 	g.MarkOutput("y")
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestInferBroadcastSE(t *testing.T) {
 	g2 := New("bad")
 	g2.AddInput("a", 1, 7, 7, 32)
 	g2.AddInput("b", 1, 7, 7, 16)
-	g2.AddNode(&Node{Name: "m", Op: OpMul, Inputs: []string{"a", "b"}, Outputs: []string{"y"}, Attrs: NewAttrs()})
+	g2.AddNode(&Node{Name: "m", Op: OpMul, Inputs: []string{"a", "b"}, Outputs: []string{"y"}})
 	if err := g2.InferShapes(); err == nil {
 		t.Fatal("incompatible broadcast accepted")
 	}
@@ -209,7 +209,7 @@ func TestInferConvErrors(t *testing.T) {
 	g.AddInput("in", 1, 8, 8, 3)
 	w := tensor.New(3, 3, 4, 16) // wrong Cin
 	g.AddWeight("w", w)
-	n := &Node{Name: "c", Op: OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"out"}, Attrs: NewAttrs()}
+	n := &Node{Name: "c", Op: OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"out"}}
 	n.Attrs.SetInts("kernel_shape", 3, 3)
 	g.AddNode(n)
 	if err := g.InferShapes(); err == nil {
@@ -265,8 +265,8 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestReplaceNodePreservesOrder(t *testing.T) {
 	g := simpleConvGraph(t)
-	r1 := &Node{Name: "x1", Op: OpIdentity, Inputs: []string{"input"}, Outputs: []string{"t1"}, Attrs: NewAttrs()}
-	r2 := &Node{Name: "x2", Op: OpIdentity, Inputs: []string{"t1"}, Outputs: []string{g.Nodes[0].Outputs[0]}, Attrs: NewAttrs()}
+	r1 := &Node{Name: "x1", Op: OpIdentity, Inputs: []string{"input"}, Outputs: []string{"t1"}}
+	r2 := &Node{Name: "x2", Op: OpIdentity, Inputs: []string{"t1"}, Outputs: []string{g.Nodes[0].Outputs[0]}}
 	convName := g.Nodes[0].Name
 	if err := g.ReplaceNode(convName, r1, r2); err != nil {
 		t.Fatal(err)
@@ -281,14 +281,15 @@ func TestReplaceNodePreservesOrder(t *testing.T) {
 
 func TestProducerConsumers(t *testing.T) {
 	g := simpleConvGraph(t)
+	x := g.Index()
 	convOut := g.Nodes[0].Outputs[0]
-	if p := g.Producer(convOut); p == nil || p.Name != g.Nodes[0].Name {
+	if p := x.Producer(convOut); p == nil || p.Name != g.Nodes[0].Name {
 		t.Fatal("wrong producer")
 	}
-	if p := g.Producer("input"); p != nil {
+	if p := x.Producer("input"); p != nil || x.ProducerPos("input") != -1 {
 		t.Fatal("graph input has a producer")
 	}
-	cs := g.Consumers(convOut)
+	cs := x.Consumers(convOut)
 	if len(cs) != 1 || cs[0].Op != OpRelu {
 		t.Fatal("wrong consumers")
 	}
@@ -322,9 +323,9 @@ func TestIndependentNodeFraction(t *testing.T) {
 	// Diamond: two middle branches are independent.
 	g2 := New("diamond")
 	g2.AddInput("in", 1, 4, 4, 2)
-	g2.AddNode(&Node{Name: "l", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"a"}, Attrs: NewAttrs()})
-	g2.AddNode(&Node{Name: "r", Op: OpSigmoid, Inputs: []string{"in"}, Outputs: []string{"b"}, Attrs: NewAttrs()})
-	g2.AddNode(&Node{Name: "j", Op: OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"c"}, Attrs: NewAttrs()})
+	g2.AddNode(&Node{Name: "l", Op: OpRelu, Inputs: []string{"in"}, Outputs: []string{"a"}})
+	g2.AddNode(&Node{Name: "r", Op: OpSigmoid, Inputs: []string{"in"}, Outputs: []string{"b"}})
+	g2.AddNode(&Node{Name: "j", Op: OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"c"}})
 	g2.MarkOutput("c")
 	f2, err := g2.IndependentNodeFraction()
 	if err != nil {

@@ -8,18 +8,12 @@ import (
 
 // InferShapes computes the shape of every tensor in the graph from the
 // graph inputs and weight initializers, walking nodes in topological
-// order. It returns an error if any node's inputs are inconsistent.
+// order. It returns an error if any node's inputs are inconsistent. A
+// tensor record is written only when its shape changes, so re-inferring
+// an already-shaped graph is read-only.
 func (g *Graph) InferShapes() error {
-	order, err := g.TopoSort()
-	if err != nil {
-		return err
-	}
-	for _, n := range order {
-		if err := g.inferNode(n); err != nil {
-			return fmt.Errorf("graph: %s %q: %w", n.Op, n.Name, err)
-		}
-	}
-	return nil
+	_, err := g.Index().InferShapes()
+	return err
 }
 
 func (g *Graph) shapeOf(name string) (tensor.Shape, error) {
@@ -33,13 +27,18 @@ func (g *Graph) shapeOf(name string) (tensor.Shape, error) {
 	return ti.Shape, nil
 }
 
+// setShape records s as the tensor's shape unless it already is. The
+// recorded slice is replaced, never written through, so graphs that share
+// shape slices (CloneTensors) stay independent.
 func (g *Graph) setShape(name string, s tensor.Shape) {
 	ti, ok := g.Tensors[name]
 	if !ok {
 		ti = &TensorInfo{Name: name}
 		g.Tensors[name] = ti
 	}
-	ti.Shape = s.Clone()
+	if !ti.Shape.Equal(s) {
+		ti.Shape = s.Clone()
+	}
 }
 
 func (g *Graph) inferNode(n *Node) error {
@@ -270,6 +269,12 @@ func (g *Graph) inferPool(n *Node) error {
 	}
 	s := n.Attrs.IntList("strides", []int{k[0], k[1]})
 	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
+	if len(s) != 2 || len(p) != 4 {
+		return fmt.Errorf("malformed strides/pads (%d and %d values, want 2 and 4)", len(s), len(p))
+	}
+	if s[0] < 1 || s[1] < 1 {
+		return fmt.Errorf("non-positive strides %dx%d", s[0], s[1])
+	}
 	oh := (in[1]+p[0]+p[2]-k[0])/s[0] + 1
 	ow := (in[2]+p[1]+p[3]-k[1])/s[1] + 1
 	if oh <= 0 || ow <= 0 {
@@ -281,6 +286,9 @@ func (g *Graph) inferPool(n *Node) error {
 
 func (g *Graph) inferConcat(n *Node) error {
 	axis := n.Attrs.Int("axis", 1)
+	// The output shape is built in a stack buffer; error messages print
+	// copies of it so it never escapes.
+	var buf [4]int
 	var out tensor.Shape
 	for i, in := range n.Inputs {
 		s, err := g.shapeOf(in)
@@ -288,21 +296,21 @@ func (g *Graph) inferConcat(n *Node) error {
 			return err
 		}
 		if i == 0 {
-			out = s.Clone()
-			if axis < 0 || axis >= len(out) {
-				return fmt.Errorf("axis %d out of range for %v", axis, out)
+			if axis < 0 || axis >= len(s) {
+				return fmt.Errorf("axis %d out of range for %v", axis, s)
 			}
+			out = append(buf[:0], s...)
 			continue
 		}
 		if len(s) != len(out) {
-			return fmt.Errorf("rank mismatch %v vs %v", s, out)
+			return fmt.Errorf("rank mismatch %v vs %v", s, out.Clone())
 		}
 		for d := range s {
 			if d == axis {
 				continue
 			}
 			if s[d] != out[d] {
-				return fmt.Errorf("dim %d mismatch %v vs %v", d, s, out)
+				return fmt.Errorf("dim %d mismatch %v vs %v", d, s, out.Clone())
 			}
 		}
 		out[axis] += s[axis]
@@ -334,7 +342,8 @@ func (g *Graph) inferSlice(n *Node) error {
 	if start < 0 || start >= end {
 		return fmt.Errorf("slice [%d,%d) invalid for dim %d", start, end, in[axis])
 	}
-	out := in.Clone()
+	var buf [4]int
+	out := append(tensor.Shape(buf[:0]), in...)
 	out[axis] = end - start
 	g.setShape(n.Outputs[0], out)
 	return nil
@@ -368,9 +377,9 @@ func (g *Graph) inferPad(n *Node) error {
 // Validate performs structural checks: unique node names, known operators
 // with their minimum arity, non-empty tensor references, declared graph
 // inputs and outputs, positive declared shape dimensions, resolvable
-// topology, and successful shape inference on a clone. The verify package
-// mirrors these checks with structured per-rule diagnostics; Validate is
-// the fail-fast form loaders and builders use.
+// topology, and successful shape inference on a copy of the tensor table.
+// The verify package mirrors these checks with structured per-rule
+// diagnostics; Validate is the fail-fast form loaders and builders use.
 func (g *Graph) Validate() error {
 	seen := map[string]bool{}
 	for _, n := range g.Nodes {
@@ -423,8 +432,6 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
-	}
-	return g.Clone().InferShapes()
+	_, err := g.CloneTensors().Index().InferShapes()
+	return err
 }

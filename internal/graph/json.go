@@ -96,16 +96,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		n := &Node{
 			Name: jn.Name, Op: OpType(jn.Op),
 			Inputs: jn.Inputs, Outputs: jn.Outputs,
-			Attrs: NewAttrs(),
-		}
-		if jn.Ints != nil {
-			n.Attrs.Ints = jn.Ints
-		}
-		if jn.Floats != nil {
-			n.Attrs.Floats = jn.Floats
-		}
-		if jn.Strs != nil {
-			n.Attrs.Strs = jn.Strs
+			Attrs: Attrs{Ints: jn.Ints, Floats: jn.Floats, Strs: jn.Strs},
 		}
 		// Mirror AddNode: declare output tensors the document omitted.
 		for _, out := range n.Outputs {

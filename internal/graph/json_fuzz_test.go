@@ -54,6 +54,25 @@ func FuzzReadJSON(f *testing.F) {
 		  "tensors":[{"name":"x","shape":[1,4,4,2]}],
 		  "nodes":[{"name":"a","op":"Relu","inputs":["y"],"outputs":["y2"]},
 		           {"name":"b","op":"Relu","inputs":["y2"],"outputs":["y"]}]}`,
+		// Malformed conv and pooling attributes that once panicked inside
+		// shape inference (a zero stride divides by zero; short strides or
+		// pads index out of range) instead of failing the load.
+		`{"name":"g","inputs":["x"],"outputs":["y"],
+		  "tensors":[{"name":"x","shape":[1,4,4,2]},{"name":"w","shape":[1,1,2,2],"param":true}],
+		  "nodes":[{"name":"c","op":"Conv","inputs":["x","w"],"outputs":["y"],
+		            "ints":{"kernel_shape":[1,1],"strides":[0,1]}}]}`,
+		`{"name":"g","inputs":["x"],"outputs":["y"],
+		  "tensors":[{"name":"x","shape":[1,4,4,2]}],
+		  "nodes":[{"name":"p","op":"MaxPool","inputs":["x"],"outputs":["y"],
+		            "ints":{"kernel_shape":[2,2],"strides":[0,0]}}]}`,
+		`{"name":"g","inputs":["x"],"outputs":["y"],
+		  "tensors":[{"name":"x","shape":[1,4,4,2]}],
+		  "nodes":[{"name":"p","op":"MaxPool","inputs":["x"],"outputs":["y"],
+		            "ints":{"kernel_shape":[2,2],"strides":[1]}}]}`,
+		`{"name":"g","inputs":["x"],"outputs":["y"],
+		  "tensors":[{"name":"x","shape":[1,4,4,2]}],
+		  "nodes":[{"name":"p","op":"MaxPool","inputs":["x"],"outputs":["y"],
+		            "ints":{"kernel_shape":[2,2],"pads":[1]}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

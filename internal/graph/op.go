@@ -6,7 +6,10 @@
 // suite (CNN backbones plus a BERT-style encoder).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // OpType identifies a node's operator.
 type OpType string
@@ -39,35 +42,37 @@ const (
 )
 
 // Attrs is the node attribute bag. Values are int slices, floats, or
-// strings, matching the subset of ONNX attribute kinds the IR needs.
+// strings, matching the subset of ONNX attribute kinds the IR needs. The
+// zero value is an empty bag, and each kind's map stays nil until its
+// first Set, so nodes pay only for the kinds they hold.
 type Attrs struct {
 	Ints   map[string][]int
 	Floats map[string]float64
 	Strs   map[string]string
 }
 
-// NewAttrs returns an empty attribute bag.
-func NewAttrs() Attrs {
-	return Attrs{
-		Ints:   map[string][]int{},
-		Floats: map[string]float64{},
-		Strs:   map[string]string{},
-	}
-}
-
-// Clone deep-copies the attribute bag.
+// Clone deep-copies the attribute bag, presizing each map it allocates
+// and packing the integer lists into one block.
 func (a Attrs) Clone() Attrs {
-	c := NewAttrs()
-	for k, v := range a.Ints {
-		vv := make([]int, len(v))
-		copy(vv, v)
-		c.Ints[k] = vv
+	var c Attrs
+	if len(a.Ints) > 0 {
+		total := 0
+		for _, v := range a.Ints {
+			total += len(v)
+		}
+		vals := make([]int, 0, total)
+		c.Ints = make(map[string][]int, len(a.Ints))
+		for k, v := range a.Ints {
+			n := len(vals)
+			vals = append(vals, v...)
+			c.Ints[k] = vals[n:len(vals):len(vals)]
+		}
 	}
-	for k, v := range a.Floats {
-		c.Floats[k] = v
+	if len(a.Floats) > 0 {
+		c.Floats = maps.Clone(a.Floats)
 	}
-	for k, v := range a.Strs {
-		c.Strs[k] = v
+	if len(a.Strs) > 0 {
+		c.Strs = maps.Clone(a.Strs)
 	}
 	return c
 }
@@ -105,13 +110,28 @@ func (a Attrs) Str(k, def string) string {
 }
 
 // SetInts stores an integer-list attribute.
-func (a Attrs) SetInts(k string, v ...int) { a.Ints[k] = v }
+func (a *Attrs) SetInts(k string, v ...int) {
+	if a.Ints == nil {
+		a.Ints = map[string][]int{}
+	}
+	a.Ints[k] = v
+}
 
 // SetFloat stores a float attribute.
-func (a Attrs) SetFloat(k string, v float64) { a.Floats[k] = v }
+func (a *Attrs) SetFloat(k string, v float64) {
+	if a.Floats == nil {
+		a.Floats = map[string]float64{}
+	}
+	a.Floats[k] = v
+}
 
 // SetStr stores a string attribute.
-func (a Attrs) SetStr(k, v string) { a.Strs[k] = v }
+func (a *Attrs) SetStr(k, v string) {
+	if a.Strs == nil {
+		a.Strs = map[string]string{}
+	}
+	a.Strs[k] = v
+}
 
 // MinInputs returns the minimum input count of an operator and whether
 // the operator is known. Shape inference (and the interpreter) index
@@ -154,6 +174,9 @@ func ConvParamsOf(n *Node) (ConvParams, error) {
 	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
 	if len(s) != 2 || len(p) != 4 {
 		return ConvParams{}, fmt.Errorf("graph: Conv %q malformed strides/pads", n.Name)
+	}
+	if s[0] < 1 || s[1] < 1 {
+		return ConvParams{}, fmt.Errorf("graph: Conv %q non-positive strides %dx%d", n.Name, s[0], s[1])
 	}
 	g := n.Attrs.Int("group", 1)
 	if g < 1 {

@@ -1,72 +1,18 @@
 package graph
 
-import "fmt"
-
 // TopoSort returns the nodes in a dependency-respecting order: a node
 // appears after every producer of its inputs. Insertion order is used as
 // the tiebreak, so already-sorted graphs come back unchanged. An error is
 // returned for cyclic graphs or inputs with no producer and no tensor
-// declaration.
-func (g *Graph) TopoSort() ([]*Node, error) {
-	producerOf := map[string]*Node{}
-	for _, n := range g.Nodes {
-		for _, out := range n.Outputs {
-			if p, dup := producerOf[out]; dup {
-				return nil, fmt.Errorf("graph: tensor %q produced by both %q and %q", out, p.Name, n.Name)
-			}
-			producerOf[out] = n
-		}
-	}
+// declaration. See Index.Order.
+func (g *Graph) TopoSort() ([]*Node, error) { return g.Index().TopoSort() }
 
-	indeg := map[*Node]int{}
-	consumers := map[*Node][]*Node{}
-	for _, n := range g.Nodes {
-		indeg[n] = 0
-	}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			p, ok := producerOf[in]
-			if !ok {
-				if _, declared := g.Tensors[in]; !declared {
-					return nil, fmt.Errorf("graph: node %q reads undeclared tensor %q", n.Name, in)
-				}
-				continue // graph input or weight
-			}
-			indeg[n]++
-			consumers[p] = append(consumers[p], n)
-		}
-	}
-
-	// Kahn's algorithm with insertion-order priority: scan the node list
-	// repeatedly picking ready nodes in order. O(V^2) worst case but graphs
-	// are small (hundreds of nodes).
-	out := make([]*Node, 0, len(g.Nodes))
-	done := map[*Node]bool{}
-	for len(out) < len(g.Nodes) {
-		advanced := false
-		for _, n := range g.Nodes {
-			if done[n] || indeg[n] != 0 {
-				continue
-			}
-			done[n] = true
-			out = append(out, n)
-			for _, c := range consumers[n] {
-				indeg[c]--
-			}
-			advanced = true
-		}
-		if !advanced {
-			return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes sorted)", len(out), len(g.Nodes))
-		}
-	}
-	return out, nil
-}
-
-// IndependentPairs counts nodes that have at least one other node with no
-// data-flow dependency path between them, used by the preliminary analysis
-// (paper §3, observation 1). It returns the fraction of such nodes.
+// IndependentNodeFraction returns the fraction of nodes that have at least
+// one other node with no data-flow dependency path between them, used by
+// the preliminary analysis (paper §3, observation 1).
 func (g *Graph) IndependentNodeFraction() (float64, error) {
-	order, err := g.TopoSort()
+	x := g.Index()
+	order, err := x.Order()
 	if err != nil {
 		return 0, err
 	}
@@ -74,29 +20,20 @@ func (g *Graph) IndependentNodeFraction() (float64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	idx := map[*Node]int{}
-	for i, nd := range order {
-		idx[nd] = i
+	rank := make([]int, n)
+	for i, p := range order {
+		rank[p] = i
 	}
-	// reach[i][j] = true if order[i] is an ancestor of order[j].
-	reach := make([][]bool, n)
-	for i := range reach {
-		reach[i] = make([]bool, n)
-	}
-	producerOf := map[string]*Node{}
-	for _, nd := range g.Nodes {
-		for _, out := range nd.Outputs {
-			producerOf[out] = nd
-		}
-	}
-	for j, nd := range order {
-		for _, in := range nd.Inputs {
-			if p, ok := producerOf[in]; ok {
-				i := idx[p]
-				reach[i][j] = true
+	// reach[i*n+j] = true if order[i] is an ancestor of order[j].
+	reach := make([]bool, n*n)
+	for j, p := range order {
+		for _, in := range x.At(p).Inputs {
+			if q := x.ProducerPos(in); q >= 0 {
+				i := rank[q]
+				reach[i*n+j] = true
 				for k := 0; k < n; k++ {
-					if reach[k][i] {
-						reach[k][j] = true
+					if reach[k*n+i] {
+						reach[k*n+j] = true
 					}
 				}
 			}
@@ -105,7 +42,7 @@ func (g *Graph) IndependentNodeFraction() (float64, error) {
 	independent := 0
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && !reach[i][j] && !reach[j][i] {
+			if i != j && !reach[i*n+j] && !reach[j*n+i] {
 				independent++
 				break
 			}

@@ -20,7 +20,7 @@ func buildOne(t *testing.T, n *graph.Node, inputs map[string]tensor.Shape) *grap
 }
 
 func TestEvalNodeMissingInput(t *testing.T) {
-	n := &graph.Node{Name: "r", Op: graph.OpRelu, Inputs: []string{"ghost"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "r", Op: graph.OpRelu, Inputs: []string{"ghost"}, Outputs: []string{"o"}}
 	g := graph.New("g")
 	g.AddTensor("ghost", tensor.Shape{1, 1, 1, 1})
 	g.AddNode(n)
@@ -31,7 +31,7 @@ func TestEvalNodeMissingInput(t *testing.T) {
 }
 
 func TestUnsupportedOp(t *testing.T) {
-	n := &graph.Node{Name: "x", Op: graph.OpType("Quantum"), Inputs: []string{"in"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "x", Op: graph.OpType("Quantum"), Inputs: []string{"in"}, Outputs: []string{"o"}}
 	g := buildOne(t, n, map[string]tensor.Shape{"in": {1, 1, 1, 1}})
 	in := tensor.New(1, 1, 1, 1)
 	if _, err := Run(g, map[string]*tensor.Tensor{"in": in}); err == nil {
@@ -43,7 +43,7 @@ func TestRunMultiInputGraph(t *testing.T) {
 	g := graph.New("mi")
 	g.AddInput("a", 1, 2, 2, 1)
 	g.AddInput("b", 1, 2, 2, 1)
-	g.AddNode(&graph.Node{Name: "add", Op: graph.OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()})
+	g.AddNode(&graph.Node{Name: "add", Op: graph.OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"o"}})
 	g.MarkOutput("o")
 	a := tensor.New(1, 2, 2, 1)
 	a.Fill(2)
@@ -62,7 +62,7 @@ func TestRunSingleRejectsMultiInput(t *testing.T) {
 	g := graph.New("mi")
 	g.AddInput("a", 1)
 	g.AddInput("b", 1)
-	g.AddNode(&graph.Node{Name: "add", Op: graph.OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()})
+	g.AddNode(&graph.Node{Name: "add", Op: graph.OpAdd, Inputs: []string{"a", "b"}, Outputs: []string{"o"}})
 	g.MarkOutput("o")
 	if _, err := RunSingle(g, tensor.New(1)); err == nil {
 		t.Fatal("multi-input graph accepted by RunSingle")
@@ -72,17 +72,17 @@ func TestRunSingleRejectsMultiInput(t *testing.T) {
 func TestSlice2DAndConcat2D(t *testing.T) {
 	g := graph.New("s2")
 	g.AddInput("in", 1, 6)
-	s1 := &graph.Node{Name: "s1", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}, Attrs: graph.NewAttrs()}
+	s1 := &graph.Node{Name: "s1", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}}
 	s1.Attrs.SetInts("axis", 1)
 	s1.Attrs.SetInts("start", 0)
 	s1.Attrs.SetInts("end", 2)
 	g.AddNode(s1)
-	s2 := &graph.Node{Name: "s2", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}, Attrs: graph.NewAttrs()}
+	s2 := &graph.Node{Name: "s2", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}}
 	s2.Attrs.SetInts("axis", 1)
 	s2.Attrs.SetInts("start", 2)
 	s2.Attrs.SetInts("end", 6)
 	g.AddNode(s2)
-	c := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	c := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"o"}}
 	c.Attrs.SetInts("axis", 1)
 	g.AddNode(c)
 	g.MarkOutput("o")
@@ -105,7 +105,7 @@ func TestBatchNormErrors(t *testing.T) {
 	for _, p := range []string{"s", "b", "m", "v"} {
 		g.AddWeight(p, tensor.New(2)) // C mismatch: 2 vs 3
 	}
-	n := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"x", "s", "b", "m", "v"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"x", "s", "b", "m", "v"}, Outputs: []string{"o"}}
 	g.AddNode(n)
 	g.MarkOutput("o")
 	x := tensor.New(1, 2, 2, 3)
@@ -115,7 +115,7 @@ func TestBatchNormErrors(t *testing.T) {
 }
 
 func TestGapRejectsNonNHWC(t *testing.T) {
-	n := &graph.Node{Name: "g", Op: graph.OpGlobalAvgPool, Inputs: []string{"in"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "g", Op: graph.OpGlobalAvgPool, Inputs: []string{"in"}, Outputs: []string{"o"}}
 	g := buildOne(t, n, map[string]tensor.Shape{"in": {2, 3}})
 	if _, err := Run(g, map[string]*tensor.Tensor{"in": tensor.New(2, 3)}); err == nil {
 		t.Fatal("rank-2 GAP accepted")
@@ -123,7 +123,7 @@ func TestGapRejectsNonNHWC(t *testing.T) {
 }
 
 func TestTransposeRejectsRank3(t *testing.T) {
-	n := &graph.Node{Name: "t", Op: graph.OpTranspose, Inputs: []string{"in"}, Outputs: []string{"o"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "t", Op: graph.OpTranspose, Inputs: []string{"in"}, Outputs: []string{"o"}}
 	g := buildOne(t, n, map[string]tensor.Shape{"in": {2, 3, 4}})
 	if _, err := Run(g, map[string]*tensor.Tensor{"in": tensor.New(2, 3, 4)}); err == nil {
 		t.Fatal("rank-3 transpose accepted")

@@ -290,8 +290,8 @@ func TestResidualAddAndSEMul(t *testing.T) {
 	g := graph.New("res")
 	g.AddInput("x", 1, 2, 2, 2)
 	g.AddInput("scale", 1, 1, 1, 2)
-	g.AddNode(&graph.Node{Name: "m", Op: graph.OpMul, Inputs: []string{"x", "scale"}, Outputs: []string{"y"}, Attrs: graph.NewAttrs()})
-	g.AddNode(&graph.Node{Name: "a", Op: graph.OpAdd, Inputs: []string{"y", "x"}, Outputs: []string{"z"}, Attrs: graph.NewAttrs()})
+	g.AddNode(&graph.Node{Name: "m", Op: graph.OpMul, Inputs: []string{"x", "scale"}, Outputs: []string{"y"}})
+	g.AddNode(&graph.Node{Name: "a", Op: graph.OpAdd, Inputs: []string{"y", "x"}, Outputs: []string{"z"}})
 	g.MarkOutput("z")
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)

@@ -51,19 +51,19 @@ func BERT(o Options) *graph.Graph {
 		w := addParam(name+"_w", k, n)
 		bias := addParam(name+"_b", n)
 		out := name + "_out"
-		g.AddNode(&graph.Node{Name: name, Op: graph.OpGemm, Inputs: []string{in, w, bias}, Outputs: []string{out}, Attrs: graph.NewAttrs()})
+		g.AddNode(&graph.Node{Name: name, Op: graph.OpGemm, Inputs: []string{in, w, bias}, Outputs: []string{out}})
 		return out
 	}
 	unary := func(layer int, tag string, op graph.OpType, in string) string {
 		name := fmt.Sprintf("l%d_%s", layer, tag)
 		out := name + "_out"
-		g.AddNode(&graph.Node{Name: name, Op: op, Inputs: []string{in}, Outputs: []string{out}, Attrs: graph.NewAttrs()})
+		g.AddNode(&graph.Node{Name: name, Op: op, Inputs: []string{in}, Outputs: []string{out}})
 		return out
 	}
 	add := func(layer int, tag, a, bIn string) string {
 		name := fmt.Sprintf("l%d_%s", layer, tag)
 		out := name + "_out"
-		g.AddNode(&graph.Node{Name: name, Op: graph.OpAdd, Inputs: []string{a, bIn}, Outputs: []string{out}, Attrs: graph.NewAttrs()})
+		g.AddNode(&graph.Node{Name: name, Op: graph.OpAdd, Inputs: []string{a, bIn}, Outputs: []string{out}})
 		return out
 	}
 
@@ -79,11 +79,11 @@ func BERT(o Options) *graph.Graph {
 		// scores = Q x K^T, modeled head-merged as [S,768] x [768,S].
 		kt := unary(l, "kT", graph.OpTranspose, k)
 		scoreName := fmt.Sprintf("l%d_scores", l)
-		g.AddNode(&graph.Node{Name: scoreName, Op: graph.OpMatMul, Inputs: []string{q, kt}, Outputs: []string{scoreName + "_out"}, Attrs: graph.NewAttrs()})
+		g.AddNode(&graph.Node{Name: scoreName, Op: graph.OpMatMul, Inputs: []string{q, kt}, Outputs: []string{scoreName + "_out"}})
 		scores := scoreName + "_out"
 		probs := unary(l, "probs", graph.OpSoftmax, scores)
 		ctxName := fmt.Sprintf("l%d_ctx", l)
-		g.AddNode(&graph.Node{Name: ctxName, Op: graph.OpMatMul, Inputs: []string{probs, v}, Outputs: []string{ctxName + "_out"}, Attrs: graph.NewAttrs()})
+		g.AddNode(&graph.Node{Name: ctxName, Op: graph.OpMatMul, Inputs: []string{probs, v}, Outputs: []string{ctxName + "_out"}})
 		ctx := ctxName + "_out"
 		proj := gemm(l, "attn_out", ctx, hidden, hidden)
 		res1 := add(l, "res1", proj, cur)

@@ -221,22 +221,22 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	if startCycle < 0 {
 		return nil, fmt.Errorf("runtime: negative start cycle %d", startCycle)
 	}
-	order, err := g.TopoSort()
+	x := g.Index()
+	order, err := x.Order()
 	if err != nil {
 		return nil, err
 	}
 	// Ensure shapes are available. Inference annotates tensor records, so
 	// it runs on a private clone: callers (the serving layer in
 	// particular) may execute the same graph from many goroutines, and a
-	// shared graph must stay read-only here.
-	for _, n := range order {
-		ti := g.Tensors[n.Outputs[0]]
+	// shared graph must stay read-only here. The clone keeps the node
+	// order, so order stays valid for its index.
+	for _, i := range order {
+		ti := g.Tensors[x.At(i).Outputs[0]]
 		if ti == nil || !ti.Shape.Valid() {
 			g = g.Clone()
-			if err := g.InferShapes(); err != nil {
-				return nil, err
-			}
-			if order, err = g.TopoSort(); err != nil {
+			x = g.Index()
+			if _, err := x.InferShapes(); err != nil {
 				return nil, err
 			}
 			break
@@ -251,23 +251,18 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		pimKeys, gpuKeys = profcache.NewPIMKeys(cfg.PIM, cfg.Codegen), profcache.NewGPUKeys(cfg.GPU)
 	}
 
-	producerOf := map[string]*graph.Node{}
-	for _, n := range g.Nodes {
-		for _, out := range n.Outputs {
-			producerOf[out] = n
-		}
-	}
-	finish := map[*graph.Node]int64{}
-	deviceOf := map[*graph.Node]graph.Device{}
+	done := make([]scheduled, x.Len()) // by node position
 	gpuFree, pimFree := startCycle, startCycle
-	rep := &Report{StartCycle: startCycle, TotalCycles: startCycle}
+	rep := &Report{StartCycle: startCycle, TotalCycles: startCycle, Nodes: make([]NodeReport, 0, len(order))}
 	if cfg.Trace.Enabled() {
 		cfg.Trace.SetProcessName(obs.PIDTimeline, "simulated timeline (1 cycle = 1 ns)")
 		cfg.Trace.SetThreadName(obs.PIDTimeline, obs.TIDGPU, "GPU stream")
 		cfg.Trace.SetThreadName(obs.PIDTimeline, obs.TIDPIM, "PIM command processor")
 	}
 
-	for _, n := range order {
+	for _, i := range order {
+		n := x.At(i)
+		zero := zeroCost(n)
 		dev := n.Exec.Device
 		if dev == graph.DevicePIM && !g.IsPIMCandidate(n) {
 			return nil, fmt.Errorf("runtime: node %q (%s) annotated for PIM but not offloadable", n.Name, n.Op)
@@ -275,16 +270,16 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		// Ready time: producers plus cross-device movement.
 		ready, moveCycles := startCycle, int64(0)
 		for _, in := range n.Inputs {
-			p, ok := producerOf[in]
-			if !ok {
+			p := x.ProducerPos(in)
+			if p < 0 {
 				continue // graph input or weight
 			}
-			t := finish[p]
+			t := done[p].end
 			// Elided producers/consumers never moved data, so the edge is
 			// not a real cross-device transfer.
-			if deviceOf[p] != dev && !zeroCost(n) && !zeroCost(p) {
+			if done[p].dev != dev && !zero && !done[p].zero {
 				move := cfg.SyncOverheadCycles
-				if deviceOf[p] == graph.DevicePIM && dev == graph.DeviceGPU {
+				if done[p].dev == graph.DevicePIM && dev == graph.DeviceGPU {
 					// PIM results travel the memory network to GPU
 					// channels (Fig 4, step 4).
 					bytes := int64(g.Tensors[in].Shape.Elems()) * 2
@@ -305,19 +300,19 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		// layers keep their activation fused.
 		fused := false
 		if fusableActivation(n.Op) && len(n.Inputs) == 1 {
-			p := producerOf[n.Inputs[0]]
-			for p != nil && zeroCost(p) && len(p.Inputs) > 0 {
-				p = producerOf[p.Inputs[0]]
+			p := x.ProducerPos(n.Inputs[0])
+			for p >= 0 && done[p].zero && len(x.At(p).Inputs) > 0 {
+				p = x.ProducerPos(x.At(p).Inputs[0])
 			}
-			if p != nil && (p.Op == graph.OpConv || p.Op == graph.OpGemm) &&
-				len(g.Consumers(n.Inputs[0])) == 1 {
+			if p >= 0 && (x.At(p).Op == graph.OpConv || x.At(p).Op == graph.OpGemm) &&
+				len(x.Consumers(n.Inputs[0])) == 1 {
 				fused = true
 			}
 		}
 
 		var start, end int64
 		nr := NodeReport{Name: n.Name, Op: n.Op, Device: dev, Mode: n.Exec.Mode, MoveCycles: moveCycles}
-		if zeroCost(n) || fused {
+		if zero || fused {
 			start, end = ready, ready
 			nr.Elided = true
 			// A zero-cost junction that merges results produced on both
@@ -325,7 +320,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 			// them once. This is the same single SyncOverheadCycles charge
 			// the search's profiler models for a split layer, keeping the
 			// two cost models aligned.
-			if zeroCost(n) && mergesDevices(n, producerOf, deviceOf) {
+			if zero && mergesDevices(n, x, done) {
 				end = ready + cfg.SyncOverheadCycles
 				nr.MoveCycles += cfg.SyncOverheadCycles
 				moveCycles += cfg.SyncOverheadCycles
@@ -374,8 +369,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 			nr.DRAMBytes = k.DRAMBytes
 		}
 		nr.Start, nr.End = start, end
-		finish[n] = end
-		deviceOf[n] = dev
+		done[i] = scheduled{end: end, dev: dev, zero: zero}
 		rep.MoveCycles += moveCycles
 		rep.Nodes = append(rep.Nodes, nr)
 		if end > rep.TotalCycles {
@@ -485,18 +479,27 @@ func traceChannelActivity(cfg Config, w codegen.Workload, node string, startGPU 
 	return nil
 }
 
+// scheduled is what the schedule keeps of a placed node for its
+// consumers: its finish cycle, its device, and whether it is zero-cost.
+type scheduled struct {
+	end  int64
+	dev  graph.Device
+	zero bool
+}
+
 // mergesDevices reports whether a node's direct producers span more than
-// one device — the signature of an MD-DP or pipeline merge point.
-func mergesDevices(n *graph.Node, producerOf map[string]*graph.Node, deviceOf map[*graph.Node]graph.Device) bool {
+// one device — the signature of an MD-DP or pipeline merge point. done is
+// indexed by the node positions of x.
+func mergesDevices(n *graph.Node, x *graph.Index, done []scheduled) bool {
 	var seen [2]bool
 	distinct := 0
 	for _, in := range n.Inputs {
-		p, ok := producerOf[in]
-		if !ok {
+		p := x.ProducerPos(in)
+		if p < 0 {
 			continue
 		}
 		d := 0
-		if deviceOf[p] == graph.DevicePIM {
+		if done[p].dev == graph.DevicePIM {
 			d = 1
 		}
 		if !seen[d] {

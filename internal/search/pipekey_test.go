@@ -21,6 +21,7 @@ import (
 // topological order.
 type pipeCase struct {
 	g     *graph.Graph
+	x     *graph.Index
 	cand  transform.Candidate
 	chain []*graph.Node
 }
@@ -42,21 +43,20 @@ func zooPipeCases(t *testing.T) []pipeCase {
 
 func pipeCases(t *testing.T, g *graph.Graph) []pipeCase {
 	t.Helper()
-	if err := g.InferShapes(); err != nil {
-		t.Fatal(err)
-	}
-	order, err := g.TopoSort()
+	x := g.Index()
+	ord, err := x.InferShapes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxOf := map[string]int{}
-	for i, n := range order {
-		idxOf[n.Name] = i
+	order := make([]*graph.Node, len(ord))
+	rank := make([]int, len(ord))
+	for i, p := range ord {
+		order[i], rank[p] = x.At(p), i
 	}
 	var out []pipeCase
-	for _, cand := range transform.FindPipelineCandidates(g) {
-		if start, length, ok := chainSpan(cand.Nodes, idxOf); ok {
-			out = append(out, pipeCase{g: g, cand: cand, chain: order[start : start+length]})
+	for _, cand := range transform.FindPipelineCandidates(x) {
+		if start, length, ok := chainSpan(cand.Nodes, x, rank); ok {
+			out = append(out, pipeCase{g: g, x: x, cand: cand, chain: order[start : start+length]})
 		}
 	}
 	return out
@@ -75,9 +75,9 @@ func TestPipeEntriesMatchFreshProbes(t *testing.T) {
 	probes, repeats := 0, 0
 	for _, c := range zooPipeCases(t) {
 		for _, stages := range []int{2, 3, 4} {
-			err := transform.CheckPipeline(c.g, c.cand.Nodes, stages)
+			err := transform.CheckPipeline(c.x, c.cand.Nodes, stages)
 			if errors.Is(err, transform.ErrNotPipelineable) {
-				if _, perr := cached.pipeline(c.g, c.chain, c.cand, stages); !errors.Is(perr, transform.ErrNotPipelineable) {
+				if _, perr := cached.pipeline(c.x, c.chain, c.cand, stages); !errors.Is(perr, transform.ErrNotPipelineable) {
 					t.Errorf("%v at %d stages: probe = %v, want the rejection", c.cand.Nodes, stages, perr)
 				}
 				continue
@@ -85,11 +85,11 @@ func TestPipeEntriesMatchFreshProbes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.simulatePipeline(c.g, c.cand.Nodes, stages)
+			want, err := fresh.simulatePipeline(c.g, c.chain, c.cand.Nodes, stages)
 			if err != nil {
 				t.Fatalf("%v at %d stages: %v", c.cand.Nodes, stages, err)
 			}
-			got, err := cached.pipeline(c.g, c.chain, c.cand, stages)
+			got, err := cached.pipeline(c.x, c.chain, c.cand, stages)
 			if err != nil {
 				t.Fatalf("%v at %d stages: %v", c.cand.Nodes, stages, err)
 			}
@@ -141,7 +141,7 @@ func TestConcurrentRunsShareStore(t *testing.T) {
 			defer wg.Done()
 			for i := range graphs {
 				i := (i + w) % len(graphs)
-				plan, err := Run(graphs[i].Clone(), opts)
+				plan, err := Run(graphs[i], opts)
 				if err != nil {
 					t.Error(err)
 					return
@@ -153,6 +153,42 @@ func TestConcurrentRunsShareStore(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentCompilesShareGraph compiles one built graph from two
+// goroutines at once, under PIMFlow and Baseline, with no clone: a search
+// only reads the caller's graph, so under -race any write to it is a
+// reported data race. Both compiled graphs must match sequential ones.
+func TestConcurrentCompilesShareGraph(t *testing.T) {
+	g, err := models.Build("mobilenet-v2", models.Options{Light: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []Policy{PolicyPIMFlow, PolicyBaseline}
+	got := make([]*graph.Graph, len(policies))
+	var wg sync.WaitGroup
+	for i, pol := range policies {
+		wg.Add(1)
+		go func(i int, pol Policy) {
+			defer wg.Done()
+			out, _, err := Compile(g, DefaultOptions(pol))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = out
+		}(i, pol)
+	}
+	wg.Wait()
+	for i, pol := range policies {
+		want, _, err := Compile(g, DefaultOptions(pol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == nil || !reflect.DeepEqual(got[i].Nodes, want.Nodes) {
+			t.Errorf("%v: the concurrent compile differs from a sequential one", pol)
+		}
+	}
 }
 
 // renamed returns a copy of g with every node and tensor renamed, the new
@@ -215,8 +251,8 @@ func TestPipeKeyIgnoresNames(t *testing.T) {
 			if k, rk := p.pipeKeys.key(c.g, c.chain, 2), p.pipeKeys.key(r.g, r.chain, 2); k != rk {
 				t.Errorf("%s %v: renaming changed the key\n%s\n%s", name, c.cand.Nodes, k, rk)
 			}
-			want, werr := p.simulatePipeline(c.g, c.cand.Nodes, 2)
-			got, gerr := p.simulatePipeline(r.g, r.cand.Nodes, 2)
+			want, werr := p.simulatePipeline(c.g, c.chain, c.cand.Nodes, 2)
+			got, gerr := p.simulatePipeline(r.g, r.chain, r.cand.Nodes, 2)
 			if got != want || (werr == nil) != (gerr == nil) {
 				t.Errorf("%s %v: renamed copy = %d, %v; original = %d, %v", name, c.cand.Nodes, got, gerr, want, werr)
 			}

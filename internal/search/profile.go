@@ -335,22 +335,15 @@ func (p *profiler) prunedProbe() {
 // extractChain builds a standalone graph containing the chain nodes (the
 // first node's activation input becomes the graph input; weights carry
 // over), used to profile pipelining candidates in isolation.
-func extractChain(g *graph.Graph, names []string) (*graph.Graph, error) {
+func extractChain(g *graph.Graph, chain []*graph.Node) (*graph.Graph, error) {
 	sub := graph.New("chain")
-	first := g.Node(names[0])
-	if first == nil {
-		return nil, fmt.Errorf("search: node %q not found", names[0])
-	}
+	first := chain[0]
 	inTI := g.Tensors[first.Inputs[0]]
 	if inTI == nil || !inTI.Shape.Valid() {
 		return nil, fmt.Errorf("search: chain input shape unknown")
 	}
 	sub.AddInput(first.Inputs[0], inTI.Shape...)
-	for _, name := range names {
-		n := g.Node(name)
-		if n == nil {
-			return nil, fmt.Errorf("search: node %q not found", name)
-		}
+	for _, n := range chain {
 		for _, in := range n.Inputs[1:] {
 			ti := g.Tensors[in]
 			if ti == nil {
@@ -362,8 +355,7 @@ func extractChain(g *graph.Graph, names []string) (*graph.Graph, error) {
 		}
 		sub.AddNode(n.Clone())
 	}
-	last := g.Node(names[len(names)-1])
-	sub.MarkOutput(last.Outputs[0])
+	sub.MarkOutput(chain[len(chain)-1].Outputs[0])
 	if err := sub.InferShapes(); err != nil {
 		return nil, err
 	}
@@ -371,24 +363,25 @@ func extractChain(g *graph.Graph, names []string) (*graph.Graph, error) {
 }
 
 // pipeline profiles a pipelining candidate: the cycles the runtime
-// schedules for the chain (nodes of g, in chain order) pipelined at the
-// given stage count. A chain the pipelining pass rejects returns an error
-// wrapping transform.ErrNotPipelineable, before the store is consulted.
-// Otherwise the store answers under the candidate's name-free pipe/ key,
-// and only a miss extracts, rewrites and schedules it (simulatePipeline).
-// The compute waits on pim/ and gpu/ keys at most, and no leaf compute
-// ever waits on a pipe/ key, so the singleflight cannot deadlock.
-func (p *profiler) pipeline(g *graph.Graph, chain []*graph.Node, cand transform.Candidate, stages int) (int64, error) {
+// schedules for the chain (nodes of the graph x indexes, in chain order)
+// pipelined at the given stage count. A chain the pipelining pass rejects
+// returns an error wrapping transform.ErrNotPipelineable, before the
+// store is consulted. Otherwise the store answers under the candidate's
+// name-free pipe/ key, and only a miss extracts, rewrites and schedules
+// it (simulatePipeline). The compute waits on pim/ and gpu/ keys at most,
+// and no leaf compute ever waits on a pipe/ key, so the singleflight
+// cannot deadlock.
+func (p *profiler) pipeline(x *graph.Index, chain []*graph.Node, cand transform.Candidate, stages int) (int64, error) {
 	done := noopProbeDone
 	if p.trace != nil || p.metrics != nil {
 		done = p.beginProbe(strings.Join(cand.Nodes, "+"), "pipeline", -1)
 	}
-	if err := transform.CheckPipeline(g, cand.Nodes, stages); err != nil {
+	if err := transform.CheckPipeline(x, cand.Nodes, stages); err != nil {
 		done("", 0, err)
 		return 0, err
 	}
-	prof, out, err := p.store.DoObserved(p.pipeKeys.key(g, chain, stages), func() (profcache.Profile, error) {
-		cycles, err := p.simulatePipeline(g, cand.Nodes, stages)
+	prof, out, err := p.store.DoObserved(p.pipeKeys.key(x.Graph(), chain, stages), func() (profcache.Profile, error) {
+		cycles, err := p.simulatePipeline(x.Graph(), chain, cand.Nodes, stages)
 		return profcache.Profile{Cycles: cycles}, err
 	})
 	if err != nil {
@@ -399,12 +392,12 @@ func (p *profiler) pipeline(g *graph.Graph, chain []*graph.Node, cand transform.
 	return prof.Cycles, nil
 }
 
-// simulatePipeline is the uncached pipeline probe: the chain is
-// extracted, transformed at the stage count, memory-optimized, and
-// scheduled by the runtime. The probe Execute runs with tracing and
+// simulatePipeline is the uncached pipeline probe: the chain (named
+// names) is extracted, transformed at the stage count, memory-optimized,
+// and scheduled by the runtime. The probe Execute runs with tracing and
 // metrics detached (see newProfiler); only the store is shared.
-func (p *profiler) simulatePipeline(g *graph.Graph, names []string, stages int) (int64, error) {
-	sub, err := extractChain(g, names)
+func (p *profiler) simulatePipeline(g *graph.Graph, chain []*graph.Node, names []string, stages int) (int64, error) {
+	sub, err := extractChain(g, chain)
 	if err != nil {
 		return 0, err
 	}

@@ -196,7 +196,7 @@ func TestProfilerRuntimeMDDPConsistency(t *testing.T) {
 				continue
 			}
 			// Isolate the layer and execute its transformed form.
-			sub, err := extractChain(g, []string{n.Name})
+			sub, err := extractChain(g, []*graph.Node{n})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,12 +27,18 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 			return nil, fmt.Errorf("search: PIMChannels %d invalid for %d total", opts.PIMChannels, opts.TotalChannels)
 		}
 	}
-	if err := g.InferShapes(); err != nil {
-		return nil, err
-	}
-	order, err := g.TopoSort()
+	// One adjacency index serves the whole search. Inference leaves an
+	// already-shaped graph (every models.Build output) unwritten, so
+	// concurrent searches may share the caller's graph.
+	x := g.Index()
+	ord, err := x.InferShapes()
 	if err != nil {
 		return nil, err
+	}
+	order := make([]*graph.Node, len(ord))
+	rank := make([]int, len(ord)) // node position -> topological index
+	for i, p := range ord {
+		order[i], rank[p] = x.At(p), i
 	}
 	prof := newProfiler(opts)
 	cacheBefore := prof.store.Stats()
@@ -48,19 +54,16 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 	// cuDNN mapping) and the PIM device applies activation functions on
 	// readout (as the AiM hardware supports). The runtime applies the same
 	// rule, keeping the DP cost model consistent with execution.
-	fusedBy := map[*graph.Node]*graph.Node{}
-	for _, n := range order {
+	fused := make([]bool, len(order))
+	for i, n := range order {
 		if !isFusableActivation(n.Op) || len(n.Inputs) != 1 {
 			continue
 		}
-		p := g.Producer(n.Inputs[0])
+		p := x.Producer(n.Inputs[0])
 		if p == nil || (p.Op != graph.OpConv && p.Op != graph.OpGemm) {
 			continue
 		}
-		if len(g.Consumers(p.Outputs[0])) != 1 {
-			continue
-		}
-		fusedBy[n] = p
+		fused[i] = len(x.Consumers(p.Outputs[0])) == 1
 	}
 
 	// Phase 1: per-node execution mode and task size (optimal_split). The
@@ -80,10 +83,6 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 	// first-achiever tie is decided among unpruned points only).
 	// KeepSamples (or NoPrune) disables pruning so recorded sample lists
 	// stay complete.
-	idxOf := map[string]int{}
-	for i, n := range order {
-		idxOf[n.Name] = i
-	}
 	cost := make([]int64, len(order))
 	plan.Decisions = make([]LayerDecision, len(order))
 	endPhase1 := opts.Trace.Span("search", "profile-layers", "search.phase",
@@ -104,7 +103,7 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 		st.d = LayerDecision{Node: n.Name, Op: n.Op, GPURatio: 1}
 		d := &st.d
 		var tGPU int64
-		if _, fused := fusedBy[n]; !fused {
+		if !fused[i] {
 			t, err := prof.gpuNode(g, n)
 			if err != nil {
 				return fmt.Errorf("search: GPU profile %q: %w", n.Name, err)
@@ -208,17 +207,17 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 	// Phase 2: pipelining candidates (also independent; profiled
 	// concurrently, order preserved).
 	if opts.allowPipeline() {
-		cands := transform.FindPipelineCandidates(g)
+		cands := transform.FindPipelineCandidates(x)
 		results := make([]*PipelineDecision, len(cands))
 		endPhase2 := opts.Trace.Span("search", "profile-pipelines", "search.phase",
 			map[string]any{"model": g.Name, "candidates": len(cands)})
 		if err := forEachParallel(len(cands), func(ci int) error {
 			cand := cands[ci]
-			start, length, ok := chainSpan(cand.Nodes, idxOf)
+			start, length, ok := chainSpan(cand.Nodes, x, rank)
 			if !ok {
 				return nil // not consecutive in topological order
 			}
-			t, err := prof.pipeline(g, order[start:start+length], cand, opts.PipelineStages)
+			t, err := prof.pipeline(x, order[start:start+length], cand, opts.PipelineStages)
 			if errors.Is(err, transform.ErrNotPipelineable) {
 				return nil // rejected candidate (e.g. too few rows)
 			}
@@ -380,15 +379,17 @@ func isFusableActivation(op graph.OpType) bool {
 	return false
 }
 
-// chainSpan locates a chain in the topological order, requiring its nodes
-// to be consecutive.
-func chainSpan(names []string, idxOf map[string]int) (start, length int, ok bool) {
+// chainSpan locates a chain in the topological order (rank maps a node
+// position of x to its topological index), requiring its nodes to be
+// consecutive.
+func chainSpan(names []string, x *graph.Index, rank []int) (start, length int, ok bool) {
 	start = -1
 	for i, name := range names {
-		idx, found := idxOf[name]
-		if !found {
+		pos := x.Pos(name)
+		if pos < 0 {
 			return 0, 0, false
 		}
+		idx := rank[pos]
 		if i == 0 {
 			start = idx
 		} else if idx != start+i {
@@ -406,14 +407,14 @@ func chainSpan(names []string, idxOf map[string]int) (start, length int, ok bool
 // every pass and aborts on the first violation, naming the pass that
 // introduced it.
 func Apply(g *graph.Graph, plan *Plan) (*graph.Graph, error) {
-	verifyStep := func(out *graph.Graph, step string) error {
+	verifyStep := func(out *graph.Graph, step string, args ...any) error {
 		if !plan.Options.Verify {
 			return nil
 		}
 		diags := verify.Graph(out)
 		verify.Record(plan.Options.Metrics, diags)
 		if err := verify.AsError(diags); err != nil {
-			return fmt.Errorf("search: graph invariants violated %s: %w", step, err)
+			return fmt.Errorf("search: graph invariants violated %s: %w", fmt.Sprintf(step, args...), err)
 		}
 		return nil
 	}
@@ -425,47 +426,57 @@ func Apply(g *graph.Graph, plan *Plan) (*graph.Graph, error) {
 	// the end (per-pass inference re-walks the whole graph, quadratic in
 	// model size) — except under Verify, where the per-pass invariant
 	// check wants every intermediate graph fully shaped.
-	applyPipeline, applySplit := transform.PipelineChainDeferred, transform.SplitMDDPDeferred
-	if plan.Options.Verify {
-		applyPipeline, applySplit = transform.PipelineChain, transform.SplitMDDP
-	}
+	//
+	// Chains and decision nodes are resolved through one index of the
+	// clone. Chosen pipelines are disjoint, a pipeline rewrite replaces
+	// only its chain, and an MD-DP split only the node it splits, so every
+	// later lookup still finds the node and adjacency the index recorded.
+	x := out.Index()
 	pipelined := map[string]bool{}
 	groupID := 0
 	for _, pd := range plan.Pipelines {
 		if !pd.Chosen {
 			continue
 		}
-		if err := applyPipeline(out, pd.Candidate.Nodes, pd.Stages, groupID); err != nil {
+		for _, n := range pd.Candidate.Nodes {
+			if pipelined[n] {
+				return nil, fmt.Errorf("search: apply pipeline %v: node %q is in an earlier pipeline", pd.Candidate.Nodes, n)
+			}
+			pipelined[n] = true
+		}
+		err := transform.PipelineChainIn(x, pd.Candidate.Nodes, pd.Stages, groupID)
+		if err == nil && plan.Options.Verify {
+			err = out.InferShapes()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("search: apply pipeline %v: %w", pd.Candidate.Nodes, err)
 		}
-		if err := verifyStep(out, fmt.Sprintf("after pipelining %v", pd.Candidate.Nodes)); err != nil {
+		if err := verifyStep(out, "after pipelining %v", pd.Candidate.Nodes); err != nil {
 			return nil, err
 		}
 		groupID++
-		for _, n := range pd.Candidate.Nodes {
-			pipelined[n] = true
-		}
 	}
 	for _, d := range plan.Decisions {
-		if !d.PIMCandidate || pipelined[d.Node] {
+		if !d.PIMCandidate || pipelined[d.Node] || d.GPURatio >= 1 {
+			continue // full GPU keeps the default annotation
+		}
+		n := x.Node(d.Node)
+		if n == nil {
+			return nil, fmt.Errorf("search: node %q vanished", d.Node)
+		}
+		if d.GPURatio <= 0 {
+			n.Exec = graph.ExecHint{Mode: graph.ModeSerial, Device: graph.DevicePIM}
 			continue
 		}
-		switch {
-		case d.GPURatio <= 0:
-			n := out.Node(d.Node)
-			if n == nil {
-				return nil, fmt.Errorf("search: node %q vanished", d.Node)
-			}
-			n.Exec = graph.ExecHint{Mode: graph.ModeSerial, Device: graph.DevicePIM}
-		case d.GPURatio >= 1:
-			// Full GPU: default annotation.
-		default:
-			if err := applySplit(out, d.Node, d.GPURatio); err != nil {
-				return nil, fmt.Errorf("search: apply split %q: %w", d.Node, err)
-			}
-			if err := verifyStep(out, fmt.Sprintf("after MD-DP split of %q", d.Node)); err != nil {
-				return nil, err
-			}
+		err := transform.SplitMDDPNode(out, n, d.GPURatio)
+		if err == nil && plan.Options.Verify {
+			err = out.InferShapes()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("search: apply split %q: %w", d.Node, err)
+		}
+		if err := verifyStep(out, "after MD-DP split of %q", d.Node); err != nil {
+			return nil, err
 		}
 	}
 	// Shapes must be fresh before elision: the memory optimizer elides

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"strings"
 	"testing"
 
 	"pimflow/internal/graph"
@@ -382,15 +383,49 @@ func TestCompileMobileNetPreservesSemantics(t *testing.T) {
 }
 
 func TestChainSpan(t *testing.T) {
-	idx := map[string]int{"a": 0, "b": 1, "c": 2, "x": 5}
-	if s, l, ok := chainSpan([]string{"a", "b", "c"}, idx); !ok || s != 0 || l != 3 {
+	g := graph.New("span")
+	for _, name := range []string{"a", "b", "c", "x"} {
+		g.AddNode(&graph.Node{Name: name, Op: graph.OpIdentity, Outputs: []string{name + "_out"}})
+	}
+	x, rank := g.Index(), []int{0, 1, 2, 5}
+	if s, l, ok := chainSpan([]string{"a", "b", "c"}, x, rank); !ok || s != 0 || l != 3 {
 		t.Errorf("consecutive chain: %d %d %v", s, l, ok)
 	}
-	if _, _, ok := chainSpan([]string{"a", "x"}, idx); ok {
+	if _, _, ok := chainSpan([]string{"a", "x"}, x, rank); ok {
 		t.Error("non-consecutive accepted")
 	}
-	if _, _, ok := chainSpan([]string{"a", "ghost"}, idx); ok {
+	if _, _, ok := chainSpan([]string{"a", "ghost"}, x, rank); ok {
 		t.Error("unknown node accepted")
+	}
+}
+
+// TestApplyRejectsOverlappingPipelines forges a plan that chooses two
+// pipelining candidates sharing a node. Apply resolves every chain
+// through one index of the graph, which stays valid only across disjoint
+// rewrites, so it must refuse the plan instead of rewriting a node twice.
+func TestApplyRejectsOverlappingPipelines(t *testing.T) {
+	g, err := models.Build("mobilenet-v2", models.Options{Light: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Run(g, DefaultOptions(PolicyPIMFlow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchored := map[string]int{} // anchor node -> candidates chosen there
+	overlap := false
+	for i := range plan.Pipelines {
+		pd := &plan.Pipelines[i]
+		anchor := pd.Candidate.Nodes[0]
+		pd.Chosen = !overlap && anchored[anchor] < 2
+		anchored[anchor]++
+		overlap = overlap || anchored[anchor] == 2
+	}
+	if !overlap {
+		t.Fatal("no two candidates share an anchor node")
+	}
+	if _, err := Apply(g, plan); err == nil || !strings.Contains(err.Error(), "earlier pipeline") {
+		t.Fatalf("Apply = %v, want the overlap rejected", err)
 	}
 }
 

@@ -27,15 +27,16 @@ func FoldBatchNorm(g *graph.Graph) (int, error) {
 	for {
 		var bn *graph.Node
 		var conv *graph.Node
+		x := g.Index()
 		for _, n := range g.Nodes {
 			if n.Op != graph.OpBatchNorm {
 				continue
 			}
-			p := g.Producer(n.Inputs[0])
+			p := x.Producer(n.Inputs[0])
 			if p == nil || p.Op != graph.OpConv {
 				continue
 			}
-			if len(g.Consumers(p.Outputs[0])) != 1 {
+			if len(x.Consumers(p.Outputs[0])) != 1 {
 				continue
 			}
 			bn, conv = n, p

@@ -25,7 +25,7 @@ func bnGraph(t *testing.T, withConvBias bool) *graph.Graph {
 		g.AddWeight("cb", b)
 		convInputs = append(convInputs, "cb")
 	}
-	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: convInputs, Outputs: []string{"c"}, Attrs: graph.NewAttrs()}
+	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: convInputs, Outputs: []string{"c"}}
 	conv.Attrs.SetInts("kernel_shape", 3, 3)
 	conv.Attrs.SetInts("strides", 1, 1)
 	conv.Attrs.SetInts("pads", 1, 1, 1, 1)
@@ -44,10 +44,10 @@ func bnGraph(t *testing.T, withConvBias bool) *graph.Graph {
 	mk("bias", 4, 0)  // ~0
 	mk("mean", 5, 0)  // ~0
 	mk("var", 6, 1.5) // positive
-	bn := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "scale", "bias", "mean", "var"}, Outputs: []string{"n"}, Attrs: graph.NewAttrs()}
+	bn := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "scale", "bias", "mean", "var"}, Outputs: []string{"n"}}
 	bn.Attrs.SetFloat("epsilon", 1e-5)
 	g.AddNode(bn)
-	g.AddNode(&graph.Node{Name: "relu", Op: graph.OpRelu, Inputs: []string{"n"}, Outputs: []string{"out"}, Attrs: graph.NewAttrs()})
+	g.AddNode(&graph.Node{Name: "relu", Op: graph.OpRelu, Inputs: []string{"n"}, Outputs: []string{"out"}})
 	g.MarkOutput("out")
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestFoldBatchNormEquivalent(t *testing.T) {
 func TestFoldBatchNormSkipsMultiConsumer(t *testing.T) {
 	g := bnGraph(t, false)
 	// Add a second consumer of the conv output.
-	g.AddNode(&graph.Node{Name: "extra", Op: graph.OpRelu, Inputs: []string{"c"}, Outputs: []string{"e"}, Attrs: graph.NewAttrs()})
+	g.AddNode(&graph.Node{Name: "extra", Op: graph.OpRelu, Inputs: []string{"c"}, Outputs: []string{"e"}})
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestFoldBatchNormLightGraph(t *testing.T) {
 	g := graph.New("light")
 	g.AddInput("in", 1, 4, 4, 2)
 	g.AddParam("w", 1, 1, 2, 4)
-	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"c"}, Attrs: graph.NewAttrs()}
+	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"c"}}
 	conv.Attrs.SetInts("kernel_shape", 1, 1)
 	g.AddNode(conv)
 	for _, p := range []string{"s", "b", "m", "v"} {
 		g.AddParam(p, 4)
 	}
-	bn := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "s", "b", "m", "v"}, Outputs: []string{"out"}, Attrs: graph.NewAttrs()}
+	bn := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "s", "b", "m", "v"}, Outputs: []string{"out"}}
 	g.AddNode(bn)
 	g.MarkOutput("out")
 	if err := g.InferShapes(); err != nil {
@@ -146,7 +146,7 @@ func TestFoldBatchNormChain(t *testing.T) {
 		w.FillRandom(int64(idx))
 		wName := namef("w%d", idx)
 		g.AddWeight(wName, w)
-		conv := &graph.Node{Name: namef("conv%d", idx), Op: graph.OpConv, Inputs: []string{input, wName}, Outputs: []string{namef("c%d", idx)}, Attrs: graph.NewAttrs()}
+		conv := &graph.Node{Name: namef("conv%d", idx), Op: graph.OpConv, Inputs: []string{input, wName}, Outputs: []string{namef("c%d", idx)}}
 		conv.Attrs.SetInts("kernel_shape", 1, 1)
 		g.AddNode(conv)
 		for _, p := range []string{"s", "b", "m", "v"} {
@@ -157,7 +157,7 @@ func TestFoldBatchNormChain(t *testing.T) {
 		bn := &graph.Node{
 			Name: namef("bn%d", idx), Op: graph.OpBatchNorm,
 			Inputs:  []string{namef("c%d", idx), namef("s%d", idx), namef("b%d", idx), namef("m%d", idx), namef("v%d", idx)},
-			Outputs: []string{namef("n%d", idx)}, Attrs: graph.NewAttrs(),
+			Outputs: []string{namef("n%d", idx)},
 		}
 		g.AddNode(bn)
 		return namef("n%d", idx)

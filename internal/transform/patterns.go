@@ -64,10 +64,10 @@ func kindOf(g *graph.Graph, n *graph.Node) convKind {
 // nextInChain follows the single-consumer chain from node n's output
 // through elementwise ops, returning the chain of activation names plus
 // the next conv node (or nil).
-func nextInChain(g *graph.Graph, n *graph.Node) (acts []string, next *graph.Node) {
+func nextInChain(x *graph.Index, n *graph.Node) (acts []string, next *graph.Node) {
 	cur := n
 	for {
-		cs := g.Consumers(cur.Outputs[0])
+		cs := x.Consumers(cur.Outputs[0])
 		if len(cs) != 1 {
 			return nil, nil
 		}
@@ -88,15 +88,17 @@ func nextInChain(g *graph.Graph, n *graph.Node) (acts []string, next *graph.Node
 // through single-consumer activation chains. Longer patterns are preferred
 // at each anchor; overlapping candidates anchored at different nodes are
 // all returned (the search evaluates them and the DP picks a disjoint
-// subset).
-func FindPipelineCandidates(g *graph.Graph) []Candidate {
+// subset). x indexes the graph to scan.
+func FindPipelineCandidates(x *graph.Index) []Candidate {
+	g := x.Graph()
 	var out []Candidate
-	for _, n := range g.Nodes {
+	for i := 0; i < x.Len(); i++ {
+		n := x.At(i)
 		k1 := kindOf(g, n)
 		if k1 != kindPointwise && k1 != kindDepthwise {
 			continue
 		}
-		acts1, n2 := nextInChain(g, n)
+		acts1, n2 := nextInChain(x, n)
 		if n2 == nil {
 			continue
 		}
@@ -105,7 +107,7 @@ func FindPipelineCandidates(g *graph.Graph) []Candidate {
 		case k1 == kindPointwise && k2 == kindDepthwise:
 			chain := append(append([]string{n.Name}, acts1...), n2.Name)
 			// Try to extend to 1x1-DW-1x1.
-			acts2, n3 := nextInChain(g, n2)
+			acts2, n3 := nextInChain(x, n2)
 			if n3 != nil && kindOf(g, n3) == kindPointwise {
 				full := append(append(append([]string(nil), chain...), acts2...), n3.Name)
 				out = append(out, Candidate{Pattern: Pattern1x1DW1x1, Nodes: full})

@@ -38,48 +38,52 @@ var elementwiseOps = map[graph.OpType]bool{
 // groupID tags the created nodes' Exec.Pipeline hints so the runtime and
 // reports can identify the subgraph.
 func PipelineChain(g *graph.Graph, names []string, stages, groupID int) error {
-	if err := PipelineChainDeferred(g, names, stages, groupID); err != nil {
+	if err := PipelineChainIn(g.Index(), names, stages, groupID); err != nil {
 		return err
 	}
 	return g.InferShapes()
 }
 
-// PipelineChainDeferred is PipelineChain without the trailing
-// whole-graph shape inference, for callers that batch several rewrites
-// and infer once (see SplitMDDPDeferred).
-func PipelineChainDeferred(g *graph.Graph, names []string, stages, groupID int) error {
-	chain, err := chainNodes(g, names)
+// PipelineChainIn is PipelineChain of the graph x indexes, without the
+// trailing whole-graph shape inference, for callers that batch several
+// rewrites and infer once (see SplitMDDPNode). A rewrite replaces only
+// its chain's nodes, and the nodes it adds read only the chain's input,
+// its weights and each other, so the adjacency of nodes outside the chain
+// is unchanged: one index serves a sequence of rewrites of disjoint
+// chains.
+func PipelineChainIn(x *graph.Index, names []string, stages, groupID int) error {
+	chain, err := chainNodes(x, names)
 	if err != nil {
 		return err
 	}
-	bounds, err := chunkBounds(g, chain, stages)
+	bounds, err := chunkBounds(x, chain, stages)
 	if err != nil {
 		return err
 	}
-	return rewriteChain(g, chain, bounds, stages, groupID)
+	return rewriteChain(x.Graph(), chain, bounds, stages, groupID)
 }
 
 // CheckPipeline reports whether PipelineChain would accept the chain at
 // the given stage count, without rewriting anything: nil, an error
 // wrapping ErrNotPipelineable, or a real failure (an unknown node, bad
-// convolution attributes).
-func CheckPipeline(g *graph.Graph, names []string, stages int) error {
-	chain, err := chainNodes(g, names)
+// convolution attributes). x indexes the graph holding the chain.
+func CheckPipeline(x *graph.Index, names []string, stages int) error {
+	chain, err := chainNodes(x, names)
 	if err != nil {
 		return err
 	}
-	_, err = chunkBounds(g, chain, stages)
+	_, err = chunkBounds(x, chain, stages)
 	return err
 }
 
 // chainNodes resolves the chain's node names.
-func chainNodes(g *graph.Graph, names []string) ([]*graph.Node, error) {
+func chainNodes(x *graph.Index, names []string) ([]*graph.Node, error) {
 	if len(names) < 2 {
 		return nil, notPipelineable("pipeline needs >= 2 nodes")
 	}
 	chain := make([]*graph.Node, len(names))
 	for i, name := range names {
-		n := g.Node(name)
+		n := x.Node(name)
 		if n == nil {
 			return nil, fmt.Errorf("transform: node %q not found", name)
 		}
@@ -92,7 +96,8 @@ func chainNodes(g *graph.Graph, names []string) ([]*graph.Node, error) {
 // single-consumer interior) and computes the cumulative chunk boundaries
 // per node: bounds[i][j] is the number of output rows of chain node i
 // finished after chunk j.
-func chunkBounds(g *graph.Graph, chain []*graph.Node, stages int) ([][]int, error) {
+func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, error) {
+	g := x.Graph()
 	if stages < 2 {
 		return nil, notPipelineable("pipeline needs >= 2 stages")
 	}
@@ -110,7 +115,7 @@ func chunkBounds(g *graph.Graph, chain []*graph.Node, stages int) ([][]int, erro
 		if chain[i+1].Inputs[0] != n.Outputs[0] {
 			return nil, notPipelineable("%q does not feed %q", n.Name, chain[i+1].Name)
 		}
-		cs := g.Consumers(n.Outputs[0])
+		cs := x.Consumers(n.Outputs[0])
 		if len(cs) != 1 {
 			return nil, notPipelineable("interior node %q has %d consumers", n.Name, len(cs))
 		}
@@ -175,7 +180,6 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 			}
 			o1 := bounds[i][j]
 			partName := fmt.Sprintf("%s_p%d", n.Name, j)
-			var inputTensor string
 			var part *graph.Node
 			if n.Op == graph.OpConv {
 				p, err := graph.ConvParamsOf(n)
@@ -193,30 +197,14 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 					srcH = bounds[i-1][j]
 				}
 				in0, in1, pt, pb := rowRange(o0, o1, p.StrideH, p.KernelH, p.PadT, srcH)
-				sliceName := partName + "_slice"
-				slice := &graph.Node{
-					Name: sliceName, Op: graph.OpSlice,
-					Inputs:  []string{src},
-					Outputs: []string{sliceName + "_out"},
-					Attrs:   graph.NewAttrs(),
-				}
-				slice.Attrs.SetInts("axis", 1)
-				slice.Attrs.SetInts("start", in0)
-				slice.Attrs.SetInts("end", in1)
+				slice := heightSlice(partName+"_slice", src, in0, in1)
 				repl = append(repl, slice)
-				inputTensor = slice.Outputs[0]
-				part = n.Clone() // deep-copies the attributes it edits
+				part = derive(n, partName, append([]string{slice.Outputs[0]}, n.Inputs[1:]...))
 				part.Attrs.SetInts("pads", pt, p.PadL, pb, p.PadR)
-				part.Inputs = append([]string(nil), n.Inputs...)
-				part.Inputs[0] = inputTensor
 			} else {
 				// Elementwise: boundaries align with the producer chunk.
-				inputTensor = chunkOut[i-1][j]
-				part = n.Clone()
-				part.Inputs = []string{inputTensor}
+				part = derive(n, partName, []string{chunkOut[i-1][j]})
 			}
-			part.Name = partName
-			part.Outputs = []string{partName + "_out"}
 			dev := graph.DeviceGPU
 			if g.IsPIMCandidate(n) {
 				dev = graph.DevicePIM
@@ -235,14 +223,7 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 	}
 	// Reassemble the chain's final output under its original name.
 	last := len(chain) - 1
-	finalConcat := &graph.Node{
-		Name: chain[last].Name + "_concat", Op: graph.OpConcat,
-		Inputs:  append([]string(nil), chunkOut[last]...),
-		Outputs: []string{chain[last].Outputs[0]},
-		Attrs:   graph.NewAttrs(),
-	}
-	finalConcat.Attrs.SetInts("axis", 1)
-	repl = append(repl, finalConcat)
+	repl = append(repl, axis1Concat(chain[last].Name+"_concat", chunkOut[last], chain[last].Outputs[0]))
 
 	if err := g.ReplaceNode(chain[0].Name, repl...); err != nil {
 		return err
@@ -266,13 +247,7 @@ func prefixFor(g *graph.Graph, n *graph.Node, chunks, prefixes []string, j int, 
 	}
 	prev := prefixFor(g, n, chunks, prefixes, j-1, repl)
 	name := fmt.Sprintf("%s_prefix%d", n.Name, j)
-	c := &graph.Node{
-		Name: name, Op: graph.OpConcat,
-		Inputs:  []string{prev, chunks[j]},
-		Outputs: []string{name + "_out"},
-		Attrs:   graph.NewAttrs(),
-	}
-	c.Attrs.SetInts("axis", 1)
+	c := axis1Concat(name, []string{prev, chunks[j]}, name+"_out")
 	*repl = append(*repl, c)
 	prefixes[j] = c.Outputs[0]
 	return prefixes[j]

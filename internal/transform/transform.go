@@ -57,6 +57,29 @@ func outputRowsFromPrefix(r, s, k, padT, oh int) int {
 	return n
 }
 
+// derive returns a copy of n, with deep-copied attributes, named name,
+// reading inputs and writing the one output name+"_out": a part of n
+// that a rewrite splices in.
+func derive(n *graph.Node, name string, inputs []string) *graph.Node {
+	return &graph.Node{Name: name, Op: n.Op, Inputs: inputs, Outputs: []string{name + "_out"},
+		Attrs: n.Attrs.Clone(), Exec: n.Exec}
+}
+
+// heightSlice returns a Slice node named name that takes rows
+// [start, end) of src (axis 1) into name+"_out".
+func heightSlice(name, src string, start, end int) *graph.Node {
+	v := []int{1, start, end} // one block for the three attributes
+	return &graph.Node{Name: name, Op: graph.OpSlice, Inputs: []string{src}, Outputs: []string{name + "_out"},
+		Attrs: graph.Attrs{Ints: map[string][]int{"axis": v[0:1:1], "start": v[1:2:2], "end": v[2:3:3]}}}
+}
+
+// axis1Concat returns a Concat node named name that joins inputs along
+// axis 1 (rows of NHWC tensors, features of [N, F] ones) into out.
+func axis1Concat(name string, inputs []string, out string) *graph.Node {
+	return &graph.Node{Name: name, Op: graph.OpConcat, Inputs: inputs, Outputs: []string{out},
+		Attrs: graph.Attrs{Ints: map[string][]int{"axis": {1}}}}
+}
+
 // SplitMDDP rewrites the named PIM-candidate node into GPU and PIM halves
 // for multi-device data-parallel execution. gpuRatio in (0,1) is the
 // fraction of work assigned to the GPU (rounded to whole output rows for
@@ -64,25 +87,26 @@ func outputRowsFromPrefix(r, s, k, padT, oh int) int {
 // both halves execute in parallel, and a Concat reassembles the output
 // under the original tensor name.
 func SplitMDDP(g *graph.Graph, nodeName string, gpuRatio float64) error {
-	if err := SplitMDDPDeferred(g, nodeName, gpuRatio); err != nil {
+	n := g.Node(nodeName)
+	if n == nil {
+		return fmt.Errorf("transform: node %q not found", nodeName)
+	}
+	if err := SplitMDDPNode(g, n, gpuRatio); err != nil {
 		return err
 	}
 	return g.InferShapes()
 }
 
-// SplitMDDPDeferred is SplitMDDP without the trailing whole-graph shape
-// inference. Inference walks and re-sorts the entire graph, so a caller
-// applying many rewrites (search.Apply splits every MD-DP layer of a
-// model) pays a quadratic cost if each split infers; batching the
-// rewrites and inferring once is linear. Until the caller runs
-// g.InferShapes, the nodes introduced here have unshaped outputs.
-func SplitMDDPDeferred(g *graph.Graph, nodeName string, gpuRatio float64) error {
-	n := g.Node(nodeName)
-	if n == nil {
-		return fmt.Errorf("transform: node %q not found", nodeName)
-	}
+// SplitMDDPNode is SplitMDDP of a node the caller already resolved (with
+// a graph.Index), without the trailing whole-graph shape inference.
+// Inference walks the entire graph, so a caller applying many rewrites
+// (search.Apply splits every MD-DP layer of a model) pays a quadratic
+// cost if each split infers; batching the rewrites and inferring once is
+// linear. Until the caller runs g.InferShapes, the nodes introduced here
+// have unshaped outputs.
+func SplitMDDPNode(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 	if !g.IsPIMCandidate(n) {
-		return fmt.Errorf("transform: node %q (%s) is not a PIM candidate", nodeName, n.Op)
+		return fmt.Errorf("transform: node %q (%s) is not a PIM candidate", n.Name, n.Op)
 	}
 	if gpuRatio <= 0 || gpuRatio >= 1 {
 		return fmt.Errorf("transform: gpuRatio %v outside (0,1)", gpuRatio)
@@ -112,21 +136,8 @@ func splitConv(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 
 	mk := func(tag string, o0, o1 int, dev graph.Device) []*graph.Node {
 		in0, in1, pt, pb := rowRange(o0, o1, p.StrideH, p.KernelH, p.PadT, h)
-		sliceName := n.Name + "_slice_" + tag
-		slice := &graph.Node{
-			Name: sliceName, Op: graph.OpSlice,
-			Inputs:  []string{n.Inputs[0]},
-			Outputs: []string{sliceName + "_out"},
-			Attrs:   graph.NewAttrs(),
-		}
-		slice.Attrs.SetInts("axis", 1)
-		slice.Attrs.SetInts("start", in0)
-		slice.Attrs.SetInts("end", in1)
-		part := n.Clone()
-		part.Name = n.Name + "_" + tag
-		part.Inputs = append([]string(nil), n.Inputs...)
-		part.Inputs[0] = slice.Outputs[0]
-		part.Outputs = []string{part.Name + "_out"}
+		slice := heightSlice(n.Name+"_slice_"+tag, n.Inputs[0], in0, in1)
+		part := derive(n, n.Name+"_"+tag, append([]string{slice.Outputs[0]}, n.Inputs[1:]...))
 		part.Attrs.SetInts("pads", pt, p.PadL, pb, p.PadR)
 		part.Attrs.SetInts("mddp", 1)
 		part.Exec = graph.ExecHint{Mode: graph.ModeMDDP, Device: dev, GPURatio: gpuRatio}
@@ -134,13 +145,7 @@ func splitConv(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 	}
 	a := mk("gpu", 0, oCut, graph.DeviceGPU)
 	b := mk("pim", oCut, oh, graph.DevicePIM)
-	concat := &graph.Node{
-		Name: n.Name + "_concat", Op: graph.OpConcat,
-		Inputs:  []string{a[1].Outputs[0], b[1].Outputs[0]},
-		Outputs: []string{n.Outputs[0]},
-		Attrs:   graph.NewAttrs(),
-	}
-	concat.Attrs.SetInts("axis", 1)
+	concat := axis1Concat(n.Name+"_concat", []string{a[1].Outputs[0], b[1].Outputs[0]}, n.Outputs[0])
 	repl := append(append(a, b...), concat)
 	return g.ReplaceNode(n.Name, repl...)
 }
@@ -170,9 +175,7 @@ func splitGemm(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 		} else {
 			g.AddParam(wName, k, c1-c0)
 		}
-		part := n.Clone()
-		part.Name = n.Name + "_" + tag
-		part.Inputs = []string{n.Inputs[0], wName}
+		part := derive(n, n.Name+"_"+tag, []string{n.Inputs[0], wName})
 		if bias != nil {
 			bName := fmt.Sprintf("%s_b_%s", n.Name, tag)
 			if bias.Init != nil {
@@ -184,19 +187,12 @@ func splitGemm(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 			}
 			part.Inputs = append(part.Inputs, bName)
 		}
-		part.Outputs = []string{part.Name + "_out"}
 		part.Attrs.SetInts("mddp", 1)
 		part.Exec = graph.ExecHint{Mode: graph.ModeMDDP, Device: dev, GPURatio: gpuRatio}
 		return part
 	}
 	a := mk("gpu", 0, cut, graph.DeviceGPU)
 	b := mk("pim", cut, nOut, graph.DevicePIM)
-	concat := &graph.Node{
-		Name: n.Name + "_concat", Op: graph.OpConcat,
-		Inputs:  []string{a.Outputs[0], b.Outputs[0]},
-		Outputs: []string{n.Outputs[0]},
-		Attrs:   graph.NewAttrs(),
-	}
-	concat.Attrs.SetInts("axis", 1)
+	concat := axis1Concat(n.Name+"_concat", []string{a.Outputs[0], b.Outputs[0]}, n.Outputs[0])
 	return g.ReplaceNode(n.Name, a, b, concat)
 }

@@ -322,7 +322,7 @@ func TestFindPipelineCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := FindPipelineCandidates(g)
+	cands := FindPipelineCandidates(g.Index())
 	if len(cands) == 0 {
 		t.Fatal("no candidates in MobileNetV2")
 	}
@@ -348,7 +348,7 @@ func TestFindPipelineCandidatesApplicable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := FindPipelineCandidates(g)
+	cands := FindPipelineCandidates(g.Index())
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -414,7 +414,7 @@ func TestElideDoesNotTouchChannelConcat(t *testing.T) {
 	g := graph.New("cc")
 	g.AddInput("a", 1, 4, 4, 2)
 	g.AddInput("b", 1, 4, 4, 3)
-	n := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"a", "b"}, Outputs: []string{"out"}, Attrs: graph.NewAttrs()}
+	n := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"a", "b"}, Outputs: []string{"out"}}
 	n.Attrs.SetInts("axis", 3)
 	g.AddNode(n)
 	g.MarkOutput("out")

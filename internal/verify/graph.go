@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pimflow/internal/graph"
 )
@@ -25,17 +27,22 @@ func Graph(g *graph.Graph) []Diagnostic { return GraphWith(g, Checks{}) }
 func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 	var diags []Diagnostic
 
+	// Every check takes its adjacency from one index. It indexes a scratch
+	// graph that shares g's nodes and owns a copy of the tensor table, so
+	// phase 2 can re-infer shapes without touching g.
+	x := g.CloneTensors().Index()
+
 	// Phase 1: structural rules that everything later depends on. A graph
 	// failing these can make inference index out of range, so stop here.
 	diags = append(diags, checkStructure(g)...)
-	diags = append(diags, checkTopology(g)...)
+	diags = append(diags, checkTopology(x)...)
 	if len(diags) > 0 {
 		return diags
 	}
 
-	// Phase 2: re-infer shapes on a clone and compare. An inference error
-	// poisons every downstream shape, so stop on it too.
-	shapeDiags, inferOK := checkShapes(g)
+	// Phase 2: re-infer shapes on the scratch table and compare. An
+	// inference error poisons every downstream shape, so stop on it too.
+	shapeDiags, inferOK := checkShapes(g, x)
 	diags = append(diags, shapeDiags...)
 	if !inferOK {
 		return diags
@@ -44,11 +51,11 @@ func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 	// Phase 3: transform soundness, gated on execution annotations so
 	// untransformed graphs (including everything ReadJSON can produce —
 	// annotations are never serialized) are exempt by construction.
-	diags = append(diags, checkMDDP(g)...)
-	diags = append(diags, checkPipeline(g)...)
+	diags = append(diags, checkMDDP(g, x)...)
+	diags = append(diags, checkPipeline(x)...)
 
 	if c.RequireLive {
-		diags = append(diags, checkLiveness(g)...)
+		diags = append(diags, checkLiveness(g, x)...)
 	}
 	return diags
 }
@@ -94,105 +101,64 @@ func checkStructure(g *graph.Graph) []Diagnostic {
 			diags = append(diags, graphDiag(RuleGraphOutputUndecl, "", out, "graph output has no tensor record"))
 		}
 	}
-	for _, name := range g.TensorNames() {
-		ti := g.Tensors[name]
-		if ti == nil || ti.Shape == nil {
-			continue
+	var bad []string
+	for name, ti := range g.Tensors {
+		if ti != nil && slices.ContainsFunc(ti.Shape, func(d int) bool { return d <= 0 }) {
+			bad = append(bad, name)
 		}
-		for _, d := range ti.Shape {
-			if d <= 0 {
-				diags = append(diags, graphDiag(RuleGraphShapeDim, "", name,
-					fmt.Sprintf("declared shape %v has a non-positive dim", ti.Shape)))
-				break
-			}
-		}
+	}
+	slices.Sort(bad)
+	for _, name := range bad {
+		diags = append(diags, graphDiag(RuleGraphShapeDim, "", name,
+			fmt.Sprintf("declared shape %v has a non-positive dim", g.Tensors[name].Shape)))
 	}
 	return diags
 }
 
-// checkTopology verifies unique producers, resolvable inputs, and
-// acyclicity — the same walk as graph.TopoSort, but collecting every
-// violation as a structured diagnostic instead of failing on the first.
-func checkTopology(g *graph.Graph) []Diagnostic {
+// checkTopology reports the index's duplicate producers, undeclared
+// inputs, and the nodes its topological walk cannot place — the defects
+// graph.TopoSort fails on, each collected as a structured diagnostic
+// instead of failing on the first.
+func checkTopology(x *graph.Index) []Diagnostic {
 	var diags []Diagnostic
-	producerOf := map[string]*graph.Node{}
-	for _, n := range g.Nodes {
-		for _, out := range n.Outputs {
-			if p, dup := producerOf[out]; dup {
-				diags = append(diags, graphDiag(RuleGraphProducerDup, n.Name, out,
-					fmt.Sprintf("also produced by %q", p.Name)))
-				continue
-			}
-			producerOf[out] = n
-		}
+	for _, d := range x.DupProducers() {
+		diags = append(diags, graphDiag(RuleGraphProducerDup, d.Node.Name, d.Tensor,
+			fmt.Sprintf("also produced by %q", d.First.Name)))
 	}
-	indeg := map[*graph.Node]int{}
-	consumers := map[*graph.Node][]*graph.Node{}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			p, ok := producerOf[in]
-			if !ok {
-				if _, declared := g.Tensors[in]; !declared {
-					diags = append(diags, graphDiag(RuleGraphTensorUndecl, n.Name, in,
-						"input tensor has no producer and no declaration"))
-				}
-				continue
-			}
-			indeg[n]++
-			consumers[p] = append(consumers[p], n)
-		}
+	for _, u := range x.UndeclaredInputs() {
+		diags = append(diags, graphDiag(RuleGraphTensorUndecl, u.Node.Name, u.Tensor,
+			"input tensor has no producer and no declaration"))
 	}
-	// Kahn's algorithm; whatever cannot be scheduled sits on a cycle.
-	done := 0
-	queued := map[*graph.Node]bool{}
-	var ready []*graph.Node
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
-			queued[n] = true
-		}
-	}
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		done++
-		for _, c := range consumers[n] {
-			indeg[c]--
-			if indeg[c] == 0 && !queued[c] {
-				ready = append(ready, c)
-				queued[c] = true
-			}
-		}
-	}
-	if done < len(g.Nodes) {
-		for _, n := range g.Nodes {
-			if !queued[n] {
-				diags = append(diags, graphDiag(RuleGraphCycle, n.Name, "", "node participates in a dependency cycle"))
-			}
-		}
+	for _, n := range x.Unsorted() {
+		diags = append(diags, graphDiag(RuleGraphCycle, n.Name, "", "node participates in a dependency cycle"))
 	}
 	return diags
 }
 
-// checkShapes re-runs shape inference on a clone and reports declared
-// shapes that disagree with the inferred ones. The bool result reports
-// whether inference itself succeeded.
-func checkShapes(g *graph.Graph) ([]Diagnostic, bool) {
-	clone := g.Clone()
-	if err := clone.InferShapes(); err != nil {
+// checkShapes re-runs shape inference over the index's scratch tensor
+// table and reports declared shapes of g that disagree with the inferred
+// ones, in tensor-name order. The bool result reports whether inference
+// itself succeeded.
+func checkShapes(g *graph.Graph, x *graph.Index) ([]Diagnostic, bool) {
+	if _, err := x.InferShapes(); err != nil {
 		return []Diagnostic{graphDiag(RuleGraphInfer, "", "", err.Error())}, false
 	}
-	var diags []Diagnostic
-	for _, name := range g.TensorNames() {
-		want := g.Tensors[name]
-		got := clone.Tensors[name]
+	inferred := x.Graph().Tensors
+	var bad []string
+	for name, want := range g.Tensors {
+		got := inferred[name]
 		if want == nil || got == nil || !want.Shape.Valid() || !got.Shape.Valid() {
 			continue
 		}
 		if !want.Shape.Equal(got.Shape) {
-			diags = append(diags, graphDiag(RuleGraphShapeMismatch, "", name,
-				fmt.Sprintf("declared shape %v, inference gives %v", want.Shape, got.Shape)))
+			bad = append(bad, name)
 		}
+	}
+	slices.Sort(bad)
+	var diags []Diagnostic
+	for _, name := range bad {
+		diags = append(diags, graphDiag(RuleGraphShapeMismatch, "", name,
+			fmt.Sprintf("declared shape %v, inference gives %v", g.Tensors[name].Shape, inferred[name].Shape)))
 	}
 	return diags, true
 }
@@ -202,7 +168,7 @@ func checkShapes(g *graph.Graph) ([]Diagnostic, bool) {
 // reconstructs exactly the original output height (GR-MDDP-COVER) — the
 // rule that catches overlapping or gapped slice ranges, which a plain
 // shape check cannot (halo rows legitimately overlap).
-func checkMDDP(g *graph.Graph) []Diagnostic {
+func checkMDDP(g *graph.Graph, x *graph.Index) []Diagnostic {
 	var diags []Diagnostic
 	pair := func(rule, node, msg string) {
 		diags = append(diags, graphDiag(rule, node, "", msg))
@@ -212,7 +178,7 @@ func checkMDDP(g *graph.Graph) []Diagnostic {
 		if n.Exec.Mode != graph.ModeMDDP {
 			continue
 		}
-		cs := g.Consumers(n.Outputs[0])
+		cs := x.Consumers(n.Outputs[0])
 		if len(cs) != 1 || cs[0].Op != graph.OpConcat {
 			pair(RuleGraphMDDPPair, n.Name, "MD-DP half must feed exactly one Concat")
 			continue
@@ -233,7 +199,7 @@ func checkMDDP(g *graph.Graph) []Diagnostic {
 		var gpu, pim *graph.Node
 		ok := true
 		for _, in := range c.Inputs {
-			p := g.Producer(in)
+			p := x.Producer(in)
 			if p == nil || p.Exec.Mode != graph.ModeMDDP {
 				pair(RuleGraphMDDPPair, c.Name, fmt.Sprintf("Concat input %q is not an MD-DP half", in))
 				ok = false
@@ -263,7 +229,7 @@ func checkMDDP(g *graph.Graph) []Diagnostic {
 			continue
 		}
 		if gpu.Op == graph.OpConv {
-			diags = append(diags, checkMDDPConvCover(g, c, gpu, pim)...)
+			diags = append(diags, checkMDDPConvCover(g, x, c, gpu, pim)...)
 		}
 	}
 	return diags
@@ -278,7 +244,7 @@ func checkMDDP(g *graph.Graph) []Diagnostic {
 //
 // must equal the sum of the halves' output heights. Overlapping slice
 // ranges inflate the sum; gapped ranges shrink it; both trip the rule.
-func checkMDDPConvCover(g *graph.Graph, c, gpu, pim *graph.Node) []Diagnostic {
+func checkMDDPConvCover(g *graph.Graph, x *graph.Index, c, gpu, pim *graph.Node) []Diagnostic {
 	cover := func(node, msg string) []Diagnostic {
 		return []Diagnostic{graphDiag(RuleGraphMDDPCover, node, "", msg)}
 	}
@@ -294,8 +260,8 @@ func checkMDDPConvCover(g *graph.Graph, c, gpu, pim *graph.Node) []Diagnostic {
 		return cover(c.Name, fmt.Sprintf("halves disagree on kernel/stride: %dx%d vs %dx%d",
 			gp.KernelH, gp.StrideH, pp.KernelH, pp.StrideH))
 	}
-	gSlice := g.Producer(gpu.Inputs[0])
-	pSlice := g.Producer(pim.Inputs[0])
+	gSlice := x.Producer(gpu.Inputs[0])
+	pSlice := x.Producer(pim.Inputs[0])
 	if gSlice == nil || gSlice.Op != graph.OpSlice || pSlice == nil || pSlice.Op != graph.OpSlice {
 		return cover(c.Name, "MD-DP conv halves must read height Slices of the source")
 	}
@@ -328,14 +294,17 @@ func checkMDDPConvCover(g *graph.Graph, c, gpu, pim *graph.Node) []Diagnostic {
 // may only consume chunks (s' < s, p' <= p) of the same group — the
 // property that lets the runtime overlap chunk B of stage i with chunk A
 // of stage i+1 (GR-PIPE-ORDER). Chunk provenance is propagated through
-// the unannotated Slice/Concat glue nodes between stages.
-func checkPipeline(g *graph.Graph) []Diagnostic {
+// the unannotated Slice/Concat glue nodes between stages. Diagnostics
+// come out in a fixed order: hints in node order, missing chunks by
+// (group, stage, part), order violations in topological order and, per
+// node, by the consumed chunk's (stage, part).
+func checkPipeline(x *graph.Index) []Diagnostic {
 	var diags []Diagnostic
 
-	type chunk struct{ group, stage, part int }
-	groups := map[int][]*graph.Node{}
+	var members []chunk // every validly annotated node's chunk
 	groupParts := map[int]int{}
-	for _, n := range g.Nodes {
+	for i := 0; i < x.Len(); i++ {
+		n := x.At(i)
 		if n.Exec.Mode != graph.ModePipeline {
 			continue
 		}
@@ -351,52 +320,50 @@ func checkPipeline(g *graph.Graph) []Diagnostic {
 			continue
 		}
 		groupParts[h.GroupID] = h.Parts
-		groups[h.GroupID] = append(groups[h.GroupID], n)
+		members = append(members, chunk{h.GroupID, h.Stage, h.Part})
 	}
-
-	// Stage completeness per group.
-	for gid, nodes := range groups {
-		parts := groupParts[gid]
-		stageSeen := map[int]map[int]bool{}
-		for _, n := range nodes {
-			h := n.Exec.Pipeline
-			if stageSeen[h.Stage] == nil {
-				stageSeen[h.Stage] = map[int]bool{}
-			}
-			stageSeen[h.Stage][h.Part] = true
-		}
-		for stage, seen := range stageSeen {
-			for p := 0; p < parts; p++ {
-				if !seen[p] {
-					diags = append(diags, graphDiag(RuleGraphPipeParts, "", "",
-						fmt.Sprintf("group %d stage %d is missing chunk %d of %d", gid, stage, p, parts)))
-				}
-			}
-		}
-	}
-	if len(groups) == 0 {
+	if len(members) == 0 {
 		return diags
 	}
 
-	// Chunk-order dataflow: propagate per-tensor origin chunks in topo
-	// order. Pipeline nodes stamp their own chunk; glue nodes forward the
-	// union of their inputs' origins.
-	order, err := g.TopoSort()
+	// Stage completeness: walk each (group, stage) run of the sorted
+	// chunks and report the parts it lacks.
+	slices.SortFunc(members, chunk.cmp)
+	members = slices.Compact(members)
+	for i := 0; i < len(members); {
+		gid, stage, parts := members[i].group, members[i].stage, groupParts[members[i].group]
+		next := 0
+		for ; i < len(members) && members[i].group == gid && members[i].stage == stage; i++ {
+			for ; next < members[i].part; next++ {
+				diags = append(diags, missingChunk(gid, stage, next, parts))
+			}
+			next = members[i].part + 1
+		}
+		for ; next < parts; next++ {
+			diags = append(diags, missingChunk(gid, stage, next, parts))
+		}
+	}
+
+	// Chunk-order dataflow: propagate each node's origin chunks (a sorted
+	// set) in topological order. Pipeline nodes stamp their own chunk;
+	// glue nodes forward the union of their inputs' origins.
+	order, err := x.Order()
 	if err != nil {
 		return diags // already reported as GR-CYCLE
 	}
-	origins := map[string]map[chunk]bool{}
-	for _, n := range order {
-		inOrigins := map[chunk]bool{}
-		for _, in := range n.Inputs {
-			for ch := range origins[in] {
-				inOrigins[ch] = true
+	origins := make([][]chunk, x.Len())
+	for _, i := range order {
+		n := x.At(i)
+		var in []chunk
+		for _, t := range n.Inputs {
+			if p := x.ProducerPos(t); p >= 0 {
+				in = unionChunks(in, origins[p])
 			}
 		}
 		if n.Exec.Mode == graph.ModePipeline {
 			h := n.Exec.Pipeline
 			if h.Parts >= 2 && h.Part >= 0 && h.Part < h.Parts && h.Stage >= 0 {
-				for ch := range inOrigins {
+				for _, ch := range in {
 					if ch.group != h.GroupID {
 						continue
 					}
@@ -407,34 +374,73 @@ func checkPipeline(g *graph.Graph) []Diagnostic {
 					}
 				}
 				// Downstream consumers see this node as its own chunk.
-				inOrigins = map[chunk]bool{{h.GroupID, h.Stage, h.Part}: true}
+				in = []chunk{{h.GroupID, h.Stage, h.Part}}
 			}
 		}
-		for _, out := range n.Outputs {
-			origins[out] = inOrigins
-		}
+		origins[i] = in
 	}
 	return diags
 }
 
+// chunk names one pipeline chunk: its group, stage and part.
+type chunk struct{ group, stage, part int }
+
+func (a chunk) cmp(b chunk) int {
+	if c := cmp.Compare(a.group, b.group); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.stage, b.stage); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.part, b.part)
+}
+
+// unionChunks merges two sorted chunk sets. Neither input is modified; a
+// side that adds nothing is returned as is.
+func unionChunks(a, b []chunk) []chunk {
+	switch {
+	case len(b) == 0:
+		return a
+	case len(a) == 0:
+		return b
+	}
+	out := make([]chunk, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].cmp(b[j]); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+func missingChunk(group, stage, part, parts int) Diagnostic {
+	return graphDiag(RuleGraphPipeParts, "", "",
+		fmt.Sprintf("group %d stage %d is missing chunk %d of %d", group, stage, part, parts))
+}
+
 // checkLiveness reports nodes DCE should have removed: no output is a
 // graph output or consumed by another node.
-func checkLiveness(g *graph.Graph) []Diagnostic {
+func checkLiveness(g *graph.Graph, x *graph.Index) []Diagnostic {
 	outputs := map[string]bool{}
 	for _, o := range g.Outputs {
 		outputs[o] = true
-	}
-	consumed := map[string]bool{}
-	for _, n := range g.Nodes {
-		for _, in := range n.Inputs {
-			consumed[in] = true
-		}
 	}
 	var diags []Diagnostic
 	for _, n := range g.Nodes {
 		live := false
 		for _, out := range n.Outputs {
-			if outputs[out] || consumed[out] {
+			if outputs[out] || len(x.Consumers(out)) > 0 {
 				live = true
 				break
 			}

@@ -25,7 +25,7 @@ func reluGraph() *graph.Graph {
 	g := graph.New("g")
 	g.AddInput("x", 1, 4, 4, 2)
 	g.AddNode(&graph.Node{Name: "r", Op: graph.OpRelu,
-		Inputs: []string{"x"}, Outputs: []string{"y"}, Attrs: graph.NewAttrs()})
+		Inputs: []string{"x"}, Outputs: []string{"y"}})
 	g.MarkOutput("y")
 	return g
 }
@@ -58,7 +58,7 @@ func mddpConvGraph(t *testing.T) *graph.Graph {
 // pipelineNode is a shorthand for a Relu chunk with a pipeline hint.
 func pipelineNode(name, in, out string, stage, part, parts int) *graph.Node {
 	return &graph.Node{Name: name, Op: graph.OpRelu,
-		Inputs: []string{in}, Outputs: []string{out}, Attrs: graph.NewAttrs(),
+		Inputs: []string{in}, Outputs: []string{out},
 		Exec: graph.ExecHint{Mode: graph.ModePipeline,
 			Pipeline: graph.PipelineHint{GroupID: 0, Stage: stage, Part: part, Parts: parts}}}
 }
@@ -87,7 +87,7 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 	verify.RuleGraphNameDup: func(t *testing.T) []verify.Diagnostic {
 		g := reluGraph()
 		g.AddNode(&graph.Node{Name: "r", Op: graph.OpRelu,
-			Inputs: []string{"y"}, Outputs: []string{"z"}, Attrs: graph.NewAttrs()})
+			Inputs: []string{"y"}, Outputs: []string{"z"}})
 		return verify.Graph(g)
 	},
 	verify.RuleGraphOp: func(t *testing.T) []verify.Diagnostic {
@@ -120,16 +120,16 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 	verify.RuleGraphProducerDup: func(t *testing.T) []verify.Diagnostic {
 		g := reluGraph()
 		g.AddNode(&graph.Node{Name: "r2", Op: graph.OpRelu,
-			Inputs: []string{"x"}, Outputs: []string{"y"}, Attrs: graph.NewAttrs()})
+			Inputs: []string{"x"}, Outputs: []string{"y"}})
 		return verify.Graph(g)
 	},
 	verify.RuleGraphCycle: func(t *testing.T) []verify.Diagnostic {
 		g := graph.New("cycle")
 		g.AddInput("x", 1, 4, 4, 2)
 		g.AddNode(&graph.Node{Name: "a", Op: graph.OpRelu,
-			Inputs: []string{"b_out"}, Outputs: []string{"a_out"}, Attrs: graph.NewAttrs()})
+			Inputs: []string{"b_out"}, Outputs: []string{"a_out"}})
 		g.AddNode(&graph.Node{Name: "b", Op: graph.OpRelu,
-			Inputs: []string{"a_out"}, Outputs: []string{"b_out"}, Attrs: graph.NewAttrs()})
+			Inputs: []string{"a_out"}, Outputs: []string{"b_out"}})
 		g.MarkOutput("b_out")
 		return verify.Graph(g)
 	},
@@ -153,7 +153,7 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		g := graph.New("badconcat")
 		g.AddInput("x", 1, 4, 4, 2)
 		n := &graph.Node{Name: "c", Op: graph.OpConcat,
-			Inputs: []string{"x", "x"}, Outputs: []string{"y"}, Attrs: graph.NewAttrs()}
+			Inputs: []string{"x", "x"}, Outputs: []string{"y"}}
 		n.Attrs.SetInts("axis", 9)
 		g.AddNode(n)
 		g.MarkOutput("y")
@@ -176,9 +176,10 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		// produce one extra output row.
 		g := mddpConvGraph(t)
 		var slice *graph.Node
+		x := g.Index()
 		for _, n := range g.Nodes {
 			if n.Op == graph.OpSlice && n.Exec.Mode != graph.ModeMDDP {
-				if p := g.Consumers(n.Outputs[0]); len(p) == 1 && p[0].Exec.Device == graph.DevicePIM {
+				if p := x.Consumers(n.Outputs[0]); len(p) == 1 && p[0].Exec.Device == graph.DevicePIM {
 					slice = n
 				}
 			}
@@ -222,7 +223,7 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 	verify.RuleGraphDead: func(t *testing.T) []verify.Diagnostic {
 		g := reluGraph()
 		g.AddNode(&graph.Node{Name: "dead", Op: graph.OpRelu,
-			Inputs: []string{"x"}, Outputs: []string{"unused"}, Attrs: graph.NewAttrs()})
+			Inputs: []string{"x"}, Outputs: []string{"unused"}})
 		return verify.GraphWith(g, verify.Checks{RequireLive: true})
 	},
 
