@@ -498,6 +498,59 @@ func TestLiveInferConcurrent(t *testing.T) {
 	}
 }
 
+// Live graph hops carry the node that issued them, in the routed
+// response and in the fleet certificate (where FL-ROUTE checks the node
+// belongs to the hop's graph), as replayed hops do.
+func TestLiveHopsCarryNode(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 2, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	for _, name := range []string{"toy-a", "toy-b"} {
+		spec := serve.ModelSpec{Name: name, Model: "toy", Policy: "PIMFlow", TotalChannels: 16, PIMChannels: 8}
+		if err := f.Deploy(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []fleet.Graph{
+		{Name: "chain", Root: "steps", Nodes: []fleet.GraphNode{
+			{Name: "steps", Type: "sequence", Steps: []fleet.GraphStep{{Model: "toy-a"}, {Model: "toy-b"}}},
+		}},
+		{Name: "pick", Root: "route", Nodes: []fleet.GraphNode{
+			{Name: "route", Type: "switch", Steps: []fleet.GraphStep{{Model: "toy-a", Condition: "fast"}, {Model: "toy-b"}}},
+		}},
+	} {
+		if err := f.RegisterGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := map[string]string{"chain": "steps", "pick": "route"}
+	for _, req := range []fleet.Request{{Graph: "chain"}, {Graph: "pick", Cond: "fast"}} {
+		resp, err := f.Infer(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range resp.Hops {
+			if h.Node != node[req.Graph] {
+				t.Errorf("%s: response hop %d node %q, want %q", req.Graph, i, h.Node, node[req.Graph])
+			}
+		}
+	}
+	cert := f.Certificate()
+	if len(cert.Hops) != 3 {
+		t.Fatalf("certificate holds %d hops, want 3", len(cert.Hops))
+	}
+	for i, h := range cert.Hops {
+		if h.Node != node[h.Graph] {
+			t.Errorf("certificate hop %d (%s) node %q, want %q", i, h.Graph, h.Node, node[h.Graph])
+		}
+	}
+	if diags := verify.Fleet(cert); len(diags) != 0 {
+		t.Fatalf("live certificate dirty: %v", diags)
+	}
+}
+
 // Registration guardrails: bad graphs and bad deployments fail loudly.
 func TestRegistrationValidation(t *testing.T) {
 	f, err := fleet.New(fleet.Config{Machines: 2})

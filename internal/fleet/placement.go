@@ -162,6 +162,24 @@ func (f *Fleet) ensureLocked(d *deployment, evict bool) error {
 	return nil
 }
 
+// placedLocked returns a hop's deployment with its replicas placed — an
+// on-demand load when it has none — and stamps its LRU clock with the
+// hop's route. Callers hold f.mu.
+func (f *Fleet) placedLocked(route int64, model string) (*deployment, error) {
+	d, ok := f.deployments[model]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
+	}
+	if len(d.replicas) == 0 {
+		if err := f.ensureLocked(d, true); err != nil {
+			return nil, err
+		}
+		f.cfg.Metrics.Inc("fleet.on_demand_loads")
+	}
+	d.lastUsed = route
+	return d, nil
+}
+
 // placeLocked places one more replica of a loaded deployment: best-fit
 // bin-packing over the machines' remaining static capacity, excluding
 // machines already holding the model. When nothing fits, evict

@@ -64,17 +64,10 @@ func (f *Fleet) nextRoute() int64 {
 func (f *Fleet) resolveHop(route int64, model string) (*deployment, int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	d, ok := f.deployments[model]
-	if !ok {
-		return nil, -1, fmt.Errorf("%w: %q", ErrUnknownModel, model)
+	d, err := f.placedLocked(route, model)
+	if err != nil {
+		return nil, -1, err
 	}
-	if len(d.replicas) == 0 {
-		if err := f.ensureLocked(d, true); err != nil {
-			return nil, -1, err
-		}
-		f.cfg.Metrics.Inc("fleet.on_demand_loads")
-	}
-	d.lastUsed = route
 	best, bestLoad := -1, 0
 	for _, mi := range d.replicas {
 		load := f.machines[mi].srv.Scheduler().InFlight()
@@ -129,9 +122,9 @@ func (f *Fleet) hopLive(ctx context.Context, route int64, graphName, nodeName, m
 	return r, nil
 }
 
-// evalStepLive runs one graph step: a nested node or a model hop,
-// returning the step's virtual latency.
-func (f *Fleet) evalStepLive(ctx context.Context, route int64, g Graph, s GraphStep, cond string, deadline int64, resp *Response) (int64, error) {
+// evalStepLive runs one step of the graph node named node: a nested node
+// or a model hop that node issues, returning the step's virtual latency.
+func (f *Fleet) evalStepLive(ctx context.Context, route int64, g Graph, node string, s GraphStep, cond string, deadline int64, resp *Response) (int64, error) {
 	if s.Node != "" {
 		n, err := graphNode(g, s.Node)
 		if err != nil {
@@ -139,7 +132,7 @@ func (f *Fleet) evalStepLive(ctx context.Context, route int64, g Graph, s GraphS
 		}
 		return f.evalNodeLive(ctx, route, g, n, cond, deadline, resp)
 	}
-	r, err := f.hopLive(ctx, route, g.Name, "", s.Model, deadline, resp)
+	r, err := f.hopLive(ctx, route, g.Name, node, s.Model, deadline, resp)
 	if err != nil {
 		return 0, err
 	}
@@ -155,7 +148,7 @@ func (f *Fleet) evalNodeLive(ctx context.Context, route int64, g Graph, n GraphN
 	case "sequence":
 		var total int64
 		for _, s := range n.Steps {
-			lat, err := f.evalStepLive(ctx, route, g, s, cond, deadline, resp)
+			lat, err := f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
 			if err != nil {
 				return 0, err
 			}
@@ -165,7 +158,7 @@ func (f *Fleet) evalNodeLive(ctx context.Context, route int64, g Graph, n GraphN
 	case "ensemble":
 		var join int64
 		for _, s := range n.Steps {
-			lat, err := f.evalStepLive(ctx, route, g, s, cond, deadline, resp)
+			lat, err := f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
 			if err != nil {
 				return 0, err
 			}
@@ -175,13 +168,13 @@ func (f *Fleet) evalNodeLive(ctx context.Context, route int64, g Graph, n GraphN
 		}
 		return join, nil
 	case "splitter":
-		return f.evalStepLive(ctx, route, g, pickSplit(f.cfg.Seed, route, n.Steps), cond, deadline, resp)
+		return f.evalStepLive(ctx, route, g, n.Name, pickSplit(f.cfg.Seed, route, n.Steps), cond, deadline, resp)
 	case "switch":
 		s, err := pickSwitch(cond, n.Steps)
 		if err != nil {
 			return 0, err
 		}
-		return f.evalStepLive(ctx, route, g, s, cond, deadline, resp)
+		return f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
 	}
 	return 0, fmt.Errorf("fleet: graph %q node %q has unknown type %q", g.Name, n.Name, n.Type)
 }

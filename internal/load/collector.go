@@ -17,13 +17,12 @@ const AutoStreamRequests = 200_000
 // folds them into a Report. It has two modes with one interface: the
 // exact mode keeps every latency record (percentiles are exact and the
 // per-request sections are available), the streaming mode keeps a
-// fixed-size deterministic sketch (see QuantileSketch). The replay
-// drivers — load.Replay, load.ReplayLive, and the fleet replay — all
-// feed one of these, so the auto-switch policy lives in exactly one
-// place.
+// fixed-size deterministic sketch (see QuantileSketch). Both replay
+// drivers — load.Replay and the fleet replay — feed one of these through
+// Report.Record, so the auto-switch policy lives in exactly one place.
 //
-// A Collector is not safe for concurrent use; concurrent drivers
-// (ReplayLive) serialize Observe calls under their own lock.
+// A Collector is not safe for concurrent use; a caller observing from
+// several goroutines serializes its calls under its own lock.
 type Collector struct {
 	stream   *streamStats
 	recs     []latRec

@@ -1,8 +1,7 @@
 // Package load is the trace-driven workload harness for the serving
 // stack: open-loop arrival generators (Poisson, diurnal, bursty) over a
-// Zipf model-popularity distribution, a deterministic virtual-time
-// replay driver, and a live replay driver that pushes the same trace
-// through the concurrent request path.
+// Zipf model-popularity distribution, and a deterministic virtual-time
+// replay driver over serve.VirtualQueue.
 //
 // Everything is seeded: the same Scenario produces a byte-identical
 // trace, and the deterministic replay of that trace reports identical

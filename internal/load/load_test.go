@@ -6,6 +6,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pimflow/internal/obs"
@@ -313,25 +315,60 @@ func TestSLOTighterClassNeverHurtsLooser(t *testing.T) {
 	}
 }
 
-// ReplayLive drives the concurrent request path (admission queue,
-// dispatcher, worker pool) with the same trace; run under -race this is
-// the soak test of the whole serving stack.
+// The soak test of the concurrent serving stack, run under -race in CI:
+// eight submitters push a seeded trace through Server.Submit/Wait (the
+// admission queue, the dispatcher's continuous batcher and the worker
+// pool), FlushBatches closes the batches still held open, and every
+// request must end in exactly one outcome.
 func TestReplayLiveSoak(t *testing.T) {
 	sc := toyScenario(5, 400, "poisson")
-	sc.Execute = true
 	srv := newScenarioServer(t, sc)
 	reqs, err := Generate(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReplayLive(srv, sc, reqs, 8)
-	if err != nil {
-		t.Fatal(err)
+	rep := &Report{Requests: len(reqs), Classes: map[string]ClassStats{}}
+	stats := NewCollector(sc, len(reqs))
+	var (
+		mu                  sync.Mutex
+		next                atomic.Int64
+		submitters, pending sync.WaitGroup
+	)
+	record := func(resp *serve.InferResponse, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		rep.Record(stats, resp, err)
 	}
+	for c := 0; c < 8; c++ {
+		submitters.Add(1)
+		go func() {
+			defer submitters.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(reqs) {
+					return
+				}
+				p, err := srv.Submit(context.Background(), serve.InferRequest{Model: reqs[i].Model, ArrivalCycle: reqs[i].Cycle})
+				if err != nil {
+					record(nil, err)
+					continue
+				}
+				pending.Add(1)
+				go func() {
+					defer pending.Done()
+					record(p.Wait(context.Background()))
+				}()
+			}
+		}()
+	}
+	submitters.Wait()
+	srv.FlushBatches()
+	pending.Wait()
+	stats.Finish(rep)
 	if rep.Served+rep.Shed+rep.Rejected+rep.Violated+rep.Errors != rep.Requests {
 		t.Fatalf("accounting: %+v", rep)
 	}
-	if rep.Served == 0 {
+	if rep.Served == 0 || rep.P50 == 0 {
 		t.Fatalf("nothing served: %+v", rep)
 	}
 	if rep.Errors != 0 {

@@ -1,16 +1,12 @@
 package load
 
 import (
-	"cmp"
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pimflow/internal/obs"
@@ -157,270 +153,72 @@ func LoadModels(srv *serve.Server, sc Scenario) error {
 	return nil
 }
 
-// pendingReq is one admitted, not-yet-flushed request in the replay
-// driver's virtual queue.
-type pendingReq struct {
-	req      Request
-	service  int64 // warm solo estimate, for shed prediction
-	deadline int64 // SLO target, 0 best-effort
-	shed     bool
-}
-
-// replayModel is one scenario model in the replay driver: its shed and
-// batching policy and its open batch. The driver keeps them sorted by
-// name, the order every scan over open batches visits them in.
-type replayModel struct {
-	name     string
-	service  int64
-	deadline int64
-	maxBatch int
-	window   int64
-	// The open batch: items (shed ones included) in arrival order, reused
-	// from one batch to the next; flushCycle 0 flushes immediately (no
-	// virtual window).
-	open       bool
-	items      []pendingReq
-	flushCycle int64
-}
-
-func (m *replayModel) headCycle() int64 { return m.items[0].req.Cycle }
-
-// endHeap is a min-heap of in-service completion cycles: requests whose
-// batches are placed but whose completions are still in the future count
-// against the virtual queue depth.
-type endHeap []int64
-
-func (h endHeap) Len() int           { return len(h) }
-func (h endHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h endHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-
-func (h *endHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func (h endHeap) peek() (int64, bool) {
-	if len(h) == 0 {
-		return 0, false
+// Record folds one request's outcome into the report: a response (err
+// nil) counts as served and feeds c and its SLO class; an error counts
+// as shed (serve.ErrShed), rejected (serve.ErrQueueFull), violated
+// (serve.ErrDeadlineViolation) or otherwise as an error.
+func (r *Report) Record(c *Collector, resp *serve.InferResponse, err error) {
+	switch {
+	case err == nil:
+		r.Served++
+		c.Observe(resp)
+		cs := r.Classes[resp.SLOClass]
+		cs.Served++
+		if resp.SLOMiss {
+			cs.SLOMiss++
+			r.SLOMiss++
+		}
+		r.Classes[resp.SLOClass] = cs
+	case errors.Is(err, serve.ErrShed):
+		r.Shed++
+	case errors.Is(err, serve.ErrQueueFull):
+		r.Rejected++
+	case errors.Is(err, serve.ErrDeadlineViolation):
+		r.Violated++
+	default:
+		r.Errors++
 	}
-	return h[0], true
 }
 
-// Replay drives the trace through the server deterministically: the
-// driver itself performs admission and continuous batching in virtual
-// time on a single goroutine — occupancy is open (unflushed) requests
-// plus placed requests whose completions are still in the simulated
-// future — and hands each formed batch to Server.InferBatch, which runs
-// the live path's placement, deadline, and SLO machinery synchronously.
-// Identical scenario, identical report (modulo wall-clock fields).
+// Replay drives the trace through the server deterministically on one
+// goroutine: a serve.VirtualQueue performs admission and continuous
+// batching in virtual time and hands each formed batch to
+// Server.InferBatch, which runs the live path's placement, deadline, and
+// SLO machinery synchronously. Identical scenario, identical report
+// (modulo wall-clock fields).
 //
 //pimflow:deterministic
 func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	sc = sc.withDefaults()
-	shed := sc.Admission == "shed-oldest" || sc.Admission == "shed"
-	if !shed && sc.Admission != "reject" {
-		return nil, fmt.Errorf("load: replay admission %q (open-loop replay supports reject and shed-oldest)", sc.Admission)
+	adm, err := serve.ParseAdmissionPolicy(sc.Admission)
+	if err != nil {
+		return nil, err
 	}
-
-	names := make([]string, 0, len(sc.Models))
+	known := make(map[string]bool, len(sc.Models))
 	for _, m := range sc.Models {
-		names = append(names, m.Name)
-	}
-	slices.Sort(names)
-	names = slices.Compact(names)
-	models := make([]replayModel, len(names))
-	index := make(map[string]int, len(names))
-	for i, name := range names {
-		lm, err := srv.Registry().Get(name)
-		if err != nil {
+		if _, err := srv.Registry().Get(m.Name); err != nil {
 			return nil, err
 		}
-		index[name] = i
-		models[i] = replayModel{
-			name:     name,
-			service:  lm.Solo.DurationCycles(),
-			deadline: lm.SLOTarget,
-			maxBatch: lm.Batch.MaxBatch,
-			window:   lm.Batch.WindowCycles,
-		}
+		known[m.Name] = true
 	}
-
 	rep := &Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]ClassStats{}}
+	stats := NewCollector(sc, len(reqs))
+	q, err := serve.NewVirtualQueue(srv, sc.QueueDepth, adm, serve.BatchOptions{Execute: sc.Execute},
+		func(_ struct{}, resp *serve.InferResponse, err error) { rep.Record(stats, resp, err) })
+	if err != nil {
+		return nil, err
+	}
 	started := time.Now()
-	var (
-		inFlight endHeap // completion cycles of placed work
-		queued   int     // unshed requests in open batches
-		stats    = NewCollector(sc, len(reqs))
-		order    []*pendingReq // openInOrder's buffer, reused per arrival
-		cands    []serve.ShedCandidate
-		batch    []serve.InferRequest // flush's buffer, reused per batch
-	)
-
-	flush := func(m *replayModel) error {
-		m.open = false
-		batch = batch[:0]
-		for _, p := range m.items {
-			if !p.shed {
-				batch = append(batch, serve.InferRequest{Model: m.name, ArrivalCycle: p.req.Cycle})
-			}
-		}
-		m.items = m.items[:0]
-		queued -= len(batch)
-		if len(batch) == 0 {
-			return nil
-		}
-		outs, err := srv.InferBatch(context.Background(), batch, serve.BatchOptions{Execute: sc.Execute})
-		if err != nil {
-			return err
-		}
-		for _, o := range outs {
-			switch {
-			case o.Err == nil:
-				rep.Served++
-				stats.Observe(o.Resp)
-				cs := rep.Classes[o.Resp.SLOClass]
-				cs.Served++
-				if o.Resp.SLOMiss {
-					cs.SLOMiss++
-					rep.SLOMiss++
-				}
-				rep.Classes[o.Resp.SLOClass] = cs
-				heap.Push(&inFlight, o.Resp.EndCycle)
-			case errors.Is(o.Err, serve.ErrDeadlineViolation):
-				rep.Violated++
-			default:
-				rep.Errors++
-			}
-		}
-		return nil
-	}
-
-	// flushDue flushes, in deterministic (flushCycle, model) order, every
-	// open batch whose virtual window the clock has passed. Models are
-	// visited in sorted order and the minimum is strict, so ties resolve
-	// by name.
-	flushDue := func(now int64) error {
-		for {
-			var due *replayModel
-			for i := range models {
-				m := &models[i]
-				if m.open && m.flushCycle > 0 && now > m.flushCycle &&
-					(due == nil || m.flushCycle < due.flushCycle) {
-					due = m
-				}
-			}
-			if due == nil {
-				return nil
-			}
-			if err := flush(due); err != nil {
-				return err
-			}
-		}
-	}
-
-	// openInOrder lists the open (unflushed, unshed) requests oldest
-	// first — the candidate order PickShedVictim expects. Collection
-	// walks models in sorted order and the sort is stable, so requests
-	// arriving on the same cycle from different models keep one fixed
-	// order: an unstable sort over map-ordered candidates let equal-cycle
-	// ties land on a different shed victim run to run. The returned
-	// slice is reused by the next call, and its pointers are good until
-	// the next append to a batch.
-	openInOrder := func() []*pendingReq {
-		ps := order[:0]
-		for i := range models {
-			m := &models[i]
-			if !m.open {
-				continue
-			}
-			for j := range m.items {
-				if p := &m.items[j]; !p.shed {
-					ps = append(ps, p)
-				}
-			}
-		}
-		slices.SortStableFunc(ps, func(a, b *pendingReq) int { return cmp.Compare(a.req.Cycle, b.req.Cycle) })
-		order = ps
-		return ps
-	}
-
 	for _, r := range reqs {
-		k, ok := index[r.Model]
-		if !ok {
+		if !known[r.Model] {
 			return nil, fmt.Errorf("load: trace names unloaded model %q", r.Model)
 		}
-		if err := flushDue(r.Cycle); err != nil {
+		if err := q.Admit(r.Cycle, r.Model, struct{}{}); err != nil {
 			return nil, err
 		}
-		// Completions at or before this arrival free queue slots.
-		for {
-			end, ok := inFlight.peek()
-			if !ok || end > r.Cycle {
-				break
-			}
-			heap.Pop(&inFlight)
-		}
-		m := &models[k]
-		p := pendingReq{req: r, service: m.service, deadline: m.deadline}
-		if len(inFlight)+queued >= sc.QueueDepth {
-			if !shed {
-				rep.Rejected++
-				continue
-			}
-			// Shed the same victim the live queue would pick: open requests
-			// oldest-first plus the incoming one.
-			ps := openInOrder()
-			cands = cands[:0]
-			for _, q := range ps {
-				cands = append(cands, serve.ShedCandidate{Deadline: q.deadline, Service: q.service})
-			}
-			cands = append(cands, serve.ShedCandidate{Deadline: p.deadline, Service: p.service})
-			v := serve.PickShedVictim(cands)
-			rep.Shed++
-			if v == len(ps) {
-				continue // the arrival itself was the most hopeless
-			}
-			ps[v].shed = true
-			queued--
-		}
-		if !m.open {
-			m.open = true
-			m.flushCycle = 0
-			if m.maxBatch > 1 && m.window > 0 {
-				m.flushCycle = r.Cycle + m.window
-			}
-		}
-		m.items = append(m.items, p)
-		queued++
-		full := 0
-		for _, q := range m.items {
-			if !q.shed {
-				full++
-			}
-		}
-		if full >= m.maxBatch || m.flushCycle == 0 {
-			if err := flush(m); err != nil {
-				return nil, err
-			}
-		}
 	}
-	// Trailing batches flush in deterministic (headCycle, model) order:
-	// sorted model visit plus strict minimum resolves ties by name.
-	for {
-		var next *replayModel
-		for i := range models {
-			if m := &models[i]; m.open && (next == nil || m.headCycle() < next.headCycle()) {
-				next = m
-			}
-		}
-		if next == nil {
-			break
-		}
-		if err := flush(next); err != nil {
+	for _, open := q.Head(); open; _, open = q.Head() {
+		if err := q.FlushHead(); err != nil {
 			return nil, err
 		}
 	}
@@ -548,89 +346,6 @@ func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batch
 	}
 	if rep.WallSeconds > 0 {
 		rep.ReqPerSec = float64(rep.Served) / rep.WallSeconds
-	}
-}
-
-// ReplayLive pushes the trace through the concurrent request path —
-// Server.Submit/Wait from `clients` goroutines, the admission queue, the
-// continuous batcher, and the worker pool — and reports the same virtual-
-// time statistics. Batch composition depends on goroutine interleaving,
-// so the report is NOT run-to-run deterministic; it exists for soak and
-// race coverage and for wall-clock throughput measurement.
-func ReplayLive(srv *serve.Server, sc Scenario, reqs []Request, clients int) (*Report, error) {
-	sc = sc.withDefaults()
-	if clients <= 0 {
-		clients = 8
-	}
-	rep := &Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]ClassStats{}}
-	var (
-		mu      sync.Mutex
-		stats   = NewCollector(sc, len(reqs))
-		next    atomic.Int64
-		pending sync.WaitGroup
-	)
-	started := time.Now()
-	var submitters sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		submitters.Add(1)
-		go func() {
-			defer submitters.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				r := reqs[i]
-				p, err := srv.Submit(context.Background(), serve.InferRequest{Model: r.Model, ArrivalCycle: r.Cycle})
-				if err != nil {
-					mu.Lock()
-					countLiveError(rep, err)
-					mu.Unlock()
-					continue
-				}
-				pending.Add(1)
-				go func() {
-					defer pending.Done()
-					resp, err := p.Wait(context.Background())
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						countLiveError(rep, err)
-						return
-					}
-					rep.Served++
-					stats.Observe(resp)
-					cs := rep.Classes[resp.SLOClass]
-					cs.Served++
-					if resp.SLOMiss {
-						cs.SLOMiss++
-						rep.SLOMiss++
-					}
-					rep.Classes[resp.SLOClass] = cs
-				}()
-			}
-		}()
-	}
-	submitters.Wait()
-	// Every request is now queued or batched; close out held batches so
-	// waiters finish without a shutdown.
-	srv.FlushBatches()
-	pending.Wait()
-	rep.WallSeconds = time.Since(started).Seconds()
-	stats.Finish(rep)
-	return rep, nil
-}
-
-func countLiveError(rep *Report, err error) {
-	switch {
-	case errors.Is(err, serve.ErrShed):
-		rep.Shed++
-	case errors.Is(err, serve.ErrQueueFull):
-		rep.Rejected++
-	case errors.Is(err, serve.ErrDeadlineViolation):
-		rep.Violated++
-	default:
-		rep.Errors++
 	}
 }
 

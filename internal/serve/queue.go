@@ -22,7 +22,7 @@ const (
 	// ends.
 	AdmitBlock
 	// AdmitShedOldest makes room for a new arrival by shedding the queued
-	// request chosen by PickShedVictim: a canceled request first, then the
+	// request the shed-victim rule picks: a canceled request first, then the
 	// SLO-bearing request most likely to miss its virtual deadline, then
 	// the oldest best-effort request, then the oldest outright. When the
 	// new arrival itself is the most hopeless candidate, admission fails
@@ -114,8 +114,8 @@ func (it *item) finish(resp *InferResponse, err error) {
 }
 
 // candidate projects the item for shed-victim selection.
-func (it *item) candidate() ShedCandidate {
-	return ShedCandidate{
+func (it *item) candidate() shedCandidate {
+	return shedCandidate{
 		Canceled: it.ctx.Err() != nil,
 		Deadline: it.slo,
 		Service:  it.service,
@@ -188,12 +188,12 @@ func (q *queue) push(it *item) error {
 		}
 		switch q.policy {
 		case AdmitShedOldest:
-			cands := make([]ShedCandidate, 0, len(q.items)+1)
+			cands := make([]shedCandidate, 0, len(q.items)+1)
 			for _, qi := range q.items {
 				cands = append(cands, qi.candidate())
 			}
 			cands = append(cands, it.candidate())
-			v := PickShedVictim(cands)
+			v := pickShedVictim(cands)
 			if v == len(q.items) {
 				// The arrival itself is the most hopeless candidate:
 				// refuse it rather than displace queued work.

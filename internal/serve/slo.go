@@ -14,7 +14,7 @@ import (
 // load time; the class's virtual-cycle completion target (relative to the
 // request's virtual arrival) drives two things: the admission queue's
 // shed choice under AdmitShedOldest (the request most likely to miss its
-// deadline is shed first, see PickShedVictim), and per-class SLO-miss
+// deadline is shed first, see pickShedVictim), and per-class SLO-miss
 // accounting in the metrics registry. The target is soft — a miss is
 // counted, not failed; hard failures stay on InferRequest.DeadlineCycles.
 type SLOClass struct {
@@ -81,9 +81,9 @@ type BatchPolicy struct {
 	WindowCycles int64 `json:"windowCycles"`
 }
 
-// ShedCandidate describes one queued request for shed-victim selection,
+// shedCandidate describes one queued request for shed-victim selection,
 // in queue (oldest-first) order.
-type ShedCandidate struct {
+type shedCandidate struct {
 	// Canceled marks a request whose context already ended; it is dead
 	// weight and always the preferred victim.
 	Canceled bool
@@ -96,7 +96,7 @@ type ShedCandidate struct {
 	Service int64
 }
 
-// PickShedVictim chooses which of the candidates a full queue should shed,
+// pickShedVictim chooses which of the candidates a full queue should shed,
 // given oldest-first order. Selection order:
 //
 //  1. A canceled request (dead weight in the queue).
@@ -111,7 +111,7 @@ type ShedCandidate struct {
 // The caller may append the incoming request as the final candidate; if
 // it is selected, admission itself should fail instead of displacing
 // queued work.
-func PickShedVictim(cands []ShedCandidate) int {
+func pickShedVictim(cands []shedCandidate) int {
 	for i := range cands {
 		if cands[i].Canceled {
 			return i
