@@ -114,11 +114,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// machine is one serving stack plus its identity.
+// machine is one serving stack plus its identity and its router-tier
+// hop counter, fleet.hops{machine=name}.
 type machine struct {
 	name    string
 	srv     *serve.Server
 	metrics *obs.Metrics
+	hops    *obs.Counter
 }
 
 // deployment is one model's fleet-level state: the desired spec and
@@ -146,12 +148,17 @@ type Fleet struct {
 	// Install, sharing one profile store and one LoadedModel.
 	compiler *serve.Registry
 
+	// Router-tier series every hop or route updates, resolved once:
+	// fleet.hops and fleet.route_latency_cycles.
+	hops         *obs.Counter
+	routeLatency *obs.Histogram
+
 	mu          sync.Mutex
-	deployments map[string]*deployment  // guarded by mu
-	graphs      map[string]Graph        // guarded by mu
-	placements  []verify.FleetPlacement // guarded by mu; append-only log
-	hops        []verify.FleetHop       // guarded by mu; Certify only
-	routeSeq    int64                   // guarded by mu
+	deployments map[string]*deployment         // guarded by mu
+	graphs      map[string]Graph               // guarded by mu
+	placements  []verify.FleetPlacement        // guarded by mu; append-only log
+	hopLog      serve.CertLog[verify.FleetHop] // guarded by mu; Certify only
+	routeSeq    int64                          // guarded by mu
 	started     time.Time
 }
 
@@ -164,11 +171,13 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:         cfg,
-		profiles:    profcache.New(),
-		deployments: map[string]*deployment{},
-		graphs:      map[string]Graph{},
-		started:     time.Now(),
+		cfg:          cfg,
+		profiles:     profcache.New(),
+		hops:         cfg.Metrics.CounterOf("fleet.hops"),
+		routeLatency: cfg.Metrics.HistogramOf("fleet.route_latency_cycles"),
+		deployments:  map[string]*deployment{},
+		graphs:       map[string]Graph{},
+		started:      time.Now(),
 	}
 	f.compiler = serve.NewRegistry(cfg.Machine, f.profiles, cfg.Metrics, cfg.Trace, serve.ServingDefaults{
 		MaxBatch:          cfg.MaxBatch,
@@ -198,10 +207,12 @@ func New(cfg Config) (*Fleet, error) {
 			}
 			return nil, err
 		}
+		name := fmt.Sprintf("m%d", i)
 		f.machines = append(f.machines, &machine{
-			name:    fmt.Sprintf("m%d", i),
+			name:    name,
 			srv:     srv,
 			metrics: metrics,
+			hops:    cfg.Metrics.CounterOf(obs.LabeledKey("fleet.hops", "machine", name)),
 		})
 	}
 	cfg.Metrics.Set("fleet.machines", float64(len(f.machines)))
@@ -263,7 +274,7 @@ func (f *Fleet) Certificate() verify.FleetCertificate {
 	defer f.mu.Unlock()
 	c := verify.FleetCertificate{
 		Placements: append([]verify.FleetPlacement(nil), f.placements...),
-		Hops:       append([]verify.FleetHop(nil), f.hops...),
+		Hops:       f.hopLog.Rows(),
 	}
 	for _, m := range f.machines {
 		c.Machines = append(c.Machines, verify.FleetMachine{

@@ -462,8 +462,8 @@ func (x *replayer) settle(mi int, h hop, resp *serve.InferResponse, err error) {
 	exec.stages.BatchWait += resp.BatchWaitCycles
 	exec.stages.LeaseWait += resp.LeaseWaitCycles
 	exec.stages.Execute += resp.ExecuteCycles
-	x.f.cfg.Metrics.Inc("fleet.hops")
-	x.f.cfg.Metrics.Inc(obs.LabeledKey("fleet.hops", "machine", m.name))
+	x.f.hops.Inc()
+	m.hops.Inc()
 	if fr := h.ens; fr != nil {
 		fr.remaining--
 		if resp.EndCycle > fr.maxEnd {
@@ -520,5 +520,5 @@ func (x *replayer) finishExec(exec *routeExec, t int64) {
 		LeaseWaitCycles: exec.stages.LeaseWait,
 		ExecuteCycles:   exec.stages.Execute,
 	}, nil)
-	x.f.cfg.Metrics.Observe("fleet.route_latency_cycles", float64(t-exec.arrival))
+	x.f.routeLatency.Observe(float64(t - exec.arrival))
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
 )
@@ -87,8 +86,8 @@ func (f *Fleet) recordHop(h verify.FleetHop) int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.hops = append(f.hops, h)
-	return len(f.hops) - 1
+	f.hopLog.Append(h)
+	return f.hopLog.Len() - 1
 }
 
 // hopLive runs one live-path hop: resolve the replica, invoke the
@@ -111,8 +110,8 @@ func (f *Fleet) hopLive(ctx context.Context, route int64, graphName, nodeName, m
 		return nil, err
 	}
 	endSpan(map[string]any{"latencyCycles": r.LatencyCycles, "batch": r.BatchSize})
-	f.cfg.Metrics.Inc("fleet.hops")
-	f.cfg.Metrics.Inc(obs.LabeledKey("fleet.hops", "machine", m.name))
+	f.hops.Inc()
+	m.hops.Inc()
 	f.cfg.Metrics.Observe("fleet.hop_latency_cycles", float64(r.LatencyCycles))
 	f.recordHop(verify.FleetHop{
 		Route: route, Index: len(resp.Hops), Graph: graphName, Node: nodeName,
@@ -221,7 +220,7 @@ func (f *Fleet) Infer(ctx context.Context, req Request) (*Response, error) {
 		endSpan(map[string]any{"error": err.Error()})
 		return nil, err
 	}
-	f.cfg.Metrics.Observe("fleet.route_latency_cycles", float64(resp.LatencyCycles))
+	f.routeLatency.Observe(float64(resp.LatencyCycles))
 	endSpan(map[string]any{"latencyCycles": resp.LatencyCycles, "hops": len(resp.Hops)})
 	return resp, nil
 }

@@ -6,11 +6,13 @@ import (
 )
 
 // metricSinks are the obs.Metrics methods whose first argument names a
-// time series. Counter/Gauge reads are exempt — reads can't create
-// series.
+// time series: the name-keyed updates and the handle constructors, whose
+// handles create the series on their first update. Counter/Gauge reads
+// are exempt — reads can't create series.
 var metricSinks = map[string]bool{
 	"Inc": true, "Add": true, "Set": true,
 	"Observe": true, "ObserveExemplar": true,
+	"CounterOf": true, "GaugeOf": true, "HistogramOf": true,
 }
 
 // analyzerMetricKey implements LT-METRIC-KEY. The /metrics endpoint's
@@ -19,7 +21,8 @@ var metricSinks = map[string]bool{
 // ("serve.slo_miss." + class) creates one series per runtime value,
 // defeating dashboards and the Prometheus text renderer's name
 // sanitizer alike. Keys passed to obs.Metrics Inc/Add/Set/Observe/
-// ObserveExemplar must therefore be compile-time constants, or an
+// ObserveExemplar, and to the handle constructors CounterOf/GaugeOf/
+// HistogramOf, must therefore be compile-time constants, or an
 // obs.LabeledKey(name, k1, v1, ...) call whose name and label *names*
 // (odd argument positions) are constants — label values may vary, that
 // is what labels are for. internal/obs itself is exempt.

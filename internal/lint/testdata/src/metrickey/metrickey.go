@@ -28,6 +28,19 @@ func labeledDynamicValue(m *obs.Metrics, class string) {
 	m.ObserveExemplar(obs.LabeledKey("fixture.stage", "stage", "execute", "class", class), 2.0, "r000001")
 }
 
+func dynamicHandleKeys(m *obs.Metrics, name string) {
+	m.CounterOf("fixture.hops." + name).Inc()               // want LT-METRIC-KEY
+	m.GaugeOf(name).Set(1)                                  // want LT-METRIC-KEY
+	m.HistogramOf("fixture.lat" + name).Observe(2)          // want LT-METRIC-KEY
+	m.CounterOf(obs.LabeledKey("fixture.hops", name, "m0")) // want LT-METRIC-KEY
+}
+
+func constHandleKeys(m *obs.Metrics, name string) {
+	m.CounterOf(obs.LabeledKey("fleet.hops", "machine", name)).Inc()
+	m.GaugeOf(keyConst).Set(1)
+	m.HistogramOf("fixture.latency_cycles").Observe(3)
+}
+
 func readsAreExempt(m *obs.Metrics, name string) int64 {
 	return m.Counter(name)
 }

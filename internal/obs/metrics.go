@@ -6,8 +6,10 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Metrics is a thread-safe, nil-safe registry of named counters, gauges,
@@ -15,20 +17,56 @@ import (
 // instrumented code threads a possibly-nil *Metrics without conditionals;
 // the nil path costs one pointer compare (benchmark-pinned in this
 // package).
+//
+// Each series is one cell: an atomic counter, an atomic gauge, or a
+// histogram with its own lock. The name-keyed methods find the cell
+// under the registry lock; hot paths resolve a handle once (CounterOf,
+// GaugeOf, HistogramOf) and update the same cell without hashing the
+// name. A series appears with its first update, whichever way it comes.
 type Metrics struct {
 	mu       sync.Mutex
-	counters map[string]int64
-	gauges   map[string]float64
-	hists    map[string]*histData
+	counters map[string]*atomic.Int64  // guarded by mu
+	gauges   map[string]*atomic.Uint64 // guarded by mu; float64 bits
+	hists    map[string]*histData      // guarded by mu
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters: map[string]int64{},
-		gauges:   map[string]float64{},
+		counters: map[string]*atomic.Int64{},
+		gauges:   map[string]*atomic.Uint64{},
 		hists:    map[string]*histData{},
 	}
+}
+
+// counterLocked returns the named counter's cell, creating it.
+func (m *Metrics) counterLocked(name string) *atomic.Int64 {
+	c := m.counters[name]
+	if c == nil {
+		c = new(atomic.Int64)
+		m.counters[name] = c
+	}
+	return c
+}
+
+// gaugeLocked returns the named gauge's cell, creating it.
+func (m *Metrics) gaugeLocked(name string) *atomic.Uint64 {
+	g := m.gauges[name]
+	if g == nil {
+		g = new(atomic.Uint64)
+		m.gauges[name] = g
+	}
+	return g
+}
+
+// histLocked returns the named histogram, creating it.
+func (m *Metrics) histLocked(name string) *histData {
+	h := m.hists[name]
+	if h == nil {
+		h = &histData{min: math.Inf(1), max: math.Inf(-1), buckets: map[int]int64{}}
+		m.hists[name] = h
+	}
+	return h
 }
 
 // Add increments the named counter by delta.
@@ -37,7 +75,7 @@ func (m *Metrics) Add(name string, delta int64) {
 		return
 	}
 	m.mu.Lock()
-	m.counters[name] += delta
+	m.counterLocked(name).Add(delta)
 	m.mu.Unlock()
 }
 
@@ -51,7 +89,10 @@ func (m *Metrics) Counter(name string) int64 {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.counters[name]
+	if c := m.counters[name]; c != nil {
+		return c.Load()
+	}
+	return 0
 }
 
 // Set records the named gauge's current value (last write wins).
@@ -60,7 +101,7 @@ func (m *Metrics) Set(name string, v float64) {
 		return
 	}
 	m.mu.Lock()
-	m.gauges[name] = v
+	m.gaugeLocked(name).Store(math.Float64bits(v))
 	m.mu.Unlock()
 }
 
@@ -71,20 +112,10 @@ func (m *Metrics) Gauge(name string) float64 {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gauges[name]
-}
-
-// histData accumulates a histogram: summary statistics plus exponential
-// (power-of-two) buckets, which are cheap, deterministic, and enough to
-// see a distribution's shape in a JSON dump.
-type histData struct {
-	count    int64
-	sum      float64
-	min, max float64
-	buckets  map[int]int64 // key: ceil(log2(v)); -1 holds v <= 0
-	// exemplars ties buckets back to concrete origins (request IDs): the
-	// most recent exemplar per bucket. nil until the first ObserveExemplar.
-	exemplars map[int]string
+	if g := m.gauges[name]; g != nil {
+		return math.Float64frombits(g.Load())
+	}
+	return 0
 }
 
 // Observe records one sample into the named histogram.
@@ -100,11 +131,135 @@ func (m *Metrics) ObserveExemplar(name string, v float64, exemplar string) {
 		return
 	}
 	m.mu.Lock()
-	h, ok := m.hists[name]
-	if !ok {
-		h = &histData{min: math.Inf(1), max: math.Inf(-1), buckets: map[int]int64{}}
-		m.hists[name] = h
+	m.histLocked(name).observe(v, exemplar)
+	m.mu.Unlock()
+}
+
+// Counter is a handle on one counter series (Metrics.CounterOf).
+type Counter struct {
+	m    *Metrics
+	name string
+	cell atomic.Pointer[atomic.Int64]
+}
+
+// CounterOf returns a handle on the named counter, for a site that
+// updates it often. The handle binds the series on its first update, so
+// one that is never updated adds nothing to the registry. A nil registry
+// gives a nil handle, whose methods are no-ops.
+func (m *Metrics) CounterOf(name string) *Counter {
+	if m == nil {
+		return nil
 	}
+	return &Counter{m: m, name: name}
+}
+
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) {
+	if c == nil {
+		return
+	}
+	if v := c.cell.Load(); v != nil {
+		v.Add(delta)
+		return
+	}
+	// First update: bind under the registry lock, so a snapshot never
+	// sees the series before its first delta.
+	c.m.mu.Lock()
+	v := c.m.counterLocked(c.name)
+	v.Add(delta)
+	c.cell.Store(v)
+	c.m.mu.Unlock()
+}
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Add(1) }
+
+// Gauge is a handle on one gauge series (Metrics.GaugeOf).
+type Gauge struct {
+	m    *Metrics
+	name string
+	cell atomic.Pointer[atomic.Uint64]
+}
+
+// GaugeOf returns a handle on the named gauge; binding and nil-safety
+// are CounterOf's.
+func (m *Metrics) GaugeOf(name string) *Gauge {
+	if m == nil {
+		return nil
+	}
+	return &Gauge{m: m, name: name}
+}
+
+// Set records the gauge's current value (last write wins).
+func (g *Gauge) Set(v float64) {
+	if g == nil {
+		return
+	}
+	bits := math.Float64bits(v)
+	if c := g.cell.Load(); c != nil {
+		c.Store(bits)
+		return
+	}
+	g.m.mu.Lock()
+	c := g.m.gaugeLocked(g.name)
+	c.Store(bits)
+	g.cell.Store(c)
+	g.m.mu.Unlock()
+}
+
+// Histogram is a handle on one histogram series (Metrics.HistogramOf).
+type Histogram struct {
+	m    *Metrics
+	name string
+	cell atomic.Pointer[histData]
+}
+
+// HistogramOf returns a handle on the named histogram; binding and
+// nil-safety are CounterOf's. Binding on the first sample matters most
+// here: an empty histogram's min and max are ±Inf, which no JSON
+// document can carry.
+func (m *Metrics) HistogramOf(name string) *Histogram {
+	if m == nil {
+		return nil
+	}
+	return &Histogram{m: m, name: name}
+}
+
+// Observe records one sample.
+func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
+	if d := h.cell.Load(); d != nil {
+		d.observe(v, "")
+		return
+	}
+	h.m.mu.Lock()
+	d := h.m.histLocked(h.name)
+	d.observe(v, "")
+	h.cell.Store(d)
+	h.m.mu.Unlock()
+}
+
+// histData accumulates a histogram: summary statistics plus exponential
+// (power-of-two) buckets, which are cheap, deterministic, and enough to
+// see a distribution's shape in a JSON dump.
+type histData struct {
+	mu       sync.Mutex
+	count    int64   // guarded by mu
+	sum      float64 // guarded by mu
+	min, max float64 // guarded by mu
+	// buckets counts samples by bucketOf key.
+	buckets map[int]int64 // guarded by mu
+	// exemplars ties buckets back to concrete origins (request IDs): the
+	// most recent exemplar per bucket. nil until the first ObserveExemplar.
+	exemplars map[int]string // guarded by mu
+}
+
+// observe records one sample.
+func (h *histData) observe(v float64, exemplar string) {
+	b := bucketOf(v)
+	h.mu.Lock()
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -113,7 +268,6 @@ func (m *Metrics) ObserveExemplar(name string, v float64, exemplar string) {
 	if v > h.max {
 		h.max = v
 	}
-	b := bucketOf(v)
 	h.buckets[b]++
 	if exemplar != "" {
 		if h.exemplars == nil {
@@ -121,33 +275,38 @@ func (m *Metrics) ObserveExemplar(name string, v float64, exemplar string) {
 		}
 		h.exemplars[b] = exemplar
 	}
-	m.mu.Unlock()
+	h.mu.Unlock()
 }
 
-// bucketOf returns the exponential bucket index for a sample: the
-// smallest k with v <= 2^k, or -1 for non-positive samples.
+// nonPositive is the bucket key of samples <= 0 (and NaN): below every
+// key a positive sample can take, the smallest being -1074.
+const nonPositive = math.MinInt
+
+// bucketOf returns the exponential bucket key for a sample: the
+// smallest k with v <= 2^k for a positive sample, so (2^(k-1), 2^k] is
+// its bucket and a fraction's key is negative; nonPositive otherwise.
 func bucketOf(v float64) int {
-	if v <= 0 {
-		return -1
+	if !(v > 0) {
+		return nonPositive
 	}
 	return int(math.Ceil(math.Log2(v)))
 }
 
-// bucketLabel renders a bucket index as its exported upper-bound label.
+// bucketLabel renders a bucket key as its exported upper-bound label.
 func bucketLabel(b int) string {
-	if b < 0 {
+	if b == nonPositive {
 		return "<=0"
 	}
-	return fmt.Sprintf("<=2^%d", b)
+	return "<=2^" + strconv.Itoa(b)
 }
 
-// quantile estimates the q-quantile from the exponential buckets:
+// quantileLocked estimates the q-quantile from the exponential buckets:
 // nearest-rank bucket selection, then linear interpolation by rank
 // fraction inside the winning bucket (2^(k-1), 2^k], clamped to the
 // observed min/max. Power-of-two buckets bound the estimation error to
 // one octave, which is enough to rank tail buckets and pick exemplars;
 // exact percentiles come from the replay harness, which keeps samples.
-func (h *histData) quantile(q float64) float64 {
+func (h *histData) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -167,7 +326,7 @@ func (h *histData) quantile(q float64) float64 {
 			cum += n
 			continue
 		}
-		if k < 0 {
+		if k == nonPositive {
 			// Non-positive samples share one unbounded-below bucket; the
 			// observed min is the only honest point estimate.
 			return h.min
@@ -185,6 +344,32 @@ func (h *histData) quantile(q float64) float64 {
 	return h.max
 }
 
+// snapshot copies the histogram's state.
+func (h *histData) snapshot() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hs := HistogramSnapshot{
+		Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+		Buckets: make(map[string]int64, len(h.buckets)),
+	}
+	if h.count > 0 {
+		hs.Mean = h.sum / float64(h.count)
+		hs.P50 = h.quantileLocked(0.50)
+		hs.P99 = h.quantileLocked(0.99)
+		hs.P999 = h.quantileLocked(0.999)
+	}
+	for b, n := range h.buckets {
+		hs.Buckets[bucketLabel(b)] = n
+	}
+	if len(h.exemplars) > 0 {
+		hs.Exemplars = make(map[string]string, len(h.exemplars))
+		for b, ex := range h.exemplars {
+			hs.Exemplars[bucketLabel(b)] = ex
+		}
+	}
+	return hs
+}
+
 // HistogramSnapshot is an exported histogram state.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
@@ -197,7 +382,8 @@ type HistogramSnapshot struct {
 	P50  float64 `json:"p50,omitempty"`
 	P99  float64 `json:"p99,omitempty"`
 	P999 float64 `json:"p999,omitempty"`
-	// Buckets maps upper bounds ("<=2^k", or "<=0") to sample counts.
+	// Buckets maps upper bounds ("<=2^k", with k negative below 1, or
+	// "<=0") to sample counts.
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 	// Exemplars maps bucket upper bounds to the most recent exemplar
 	// recorded into that bucket (ObserveExemplar).
@@ -223,33 +409,14 @@ func (m *Metrics) Snapshot() Snapshot {
 		Gauges:     make(map[string]float64, len(m.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(m.hists)),
 	}
-	for k, v := range m.counters {
-		s.Counters[k] = v
+	for k, c := range m.counters {
+		s.Counters[k] = c.Load()
 	}
-	for k, v := range m.gauges {
-		s.Gauges[k] = v
+	for k, g := range m.gauges {
+		s.Gauges[k] = math.Float64frombits(g.Load())
 	}
 	for k, h := range m.hists {
-		hs := HistogramSnapshot{
-			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-			Buckets: make(map[string]int64, len(h.buckets)),
-		}
-		if h.count > 0 {
-			hs.Mean = h.sum / float64(h.count)
-			hs.P50 = h.quantile(0.50)
-			hs.P99 = h.quantile(0.99)
-			hs.P999 = h.quantile(0.999)
-		}
-		for b, n := range h.buckets {
-			hs.Buckets[bucketLabel(b)] = n
-		}
-		if len(h.exemplars) > 0 {
-			hs.Exemplars = make(map[string]string, len(h.exemplars))
-			for b, ex := range h.exemplars {
-				hs.Exemplars[bucketLabel(b)] = ex
-			}
-		}
-		s.Histograms[k] = hs
+		s.Histograms[k] = h.snapshot()
 	}
 	return s
 }

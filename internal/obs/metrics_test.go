@@ -3,8 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,7 +61,10 @@ func TestBucketOf(t *testing.T) {
 		v    float64
 		want int
 	}{
-		{0, -1}, {-3, -1}, {0.5, -1}, {1, 0}, {2, 1}, {3, 2}, {1024, 10}, {1025, 11},
+		{0, nonPositive}, {-3, nonPositive}, {math.NaN(), nonPositive},
+		{math.SmallestNonzeroFloat64, -1074}, {0.02, -5}, {0.3, -1}, {0.5, -1}, {0.7, 0},
+		{1, 0}, {2, 1}, {3, 2}, {1024, 10}, {1025, 11},
+		{math.MaxFloat64, 1024},
 	}
 	for _, c := range cases {
 		if got := bucketOf(c.v); got != c.want {
@@ -261,4 +267,253 @@ func TestObserveExemplar(t *testing.T) {
 	// Nil-safety.
 	var nilM *Metrics
 	nilM.ObserveExemplar("x", 1, "r0")
+}
+
+// Positive samples below 1 get buckets of their own: each octave
+// (2^(k-1), 2^k] with k < 0 is its own "<=2^k" label, and only samples
+// <= 0 land in "<=0". Sharing that label would merge buckets in map
+// order, so counts would not sum to Count, snapshots of one registry
+// would differ, and quantiles there would answer the minimum.
+func TestSubUnitHistogramBuckets(t *testing.T) {
+	build := func() (HistogramSnapshot, []byte) {
+		m := NewMetrics()
+		for _, v := range []float64{0, 0.02, 0.3, 0.7} {
+			m.Observe("frac", v)
+		}
+		var b bytes.Buffer
+		if err := m.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return m.Snapshot().Histograms["frac"], b.Bytes()
+	}
+	h, first := build()
+	want := map[string]int64{"<=0": 1, "<=2^-5": 1, "<=2^-1": 1, "<=2^0": 1}
+	if len(h.Buckets) != len(want) {
+		t.Fatalf("buckets %v, want the four labels of %v", h.Buckets, want)
+	}
+	var sum int64
+	for label, n := range h.Buckets {
+		if want[label] != n {
+			t.Errorf("bucket %q = %d, want %d", label, n, want[label])
+		}
+		sum += n
+	}
+	if sum != h.Count {
+		t.Errorf("bucket counts sum to %d, Count is %d", sum, h.Count)
+	}
+	// p50 is the second of four samples, 0.02 in (2^-6, 2^-5]; p99 is
+	// the fourth, 0.7 in (2^-1, 2^0].
+	if h.P50 <= 1.0/64 || h.P50 > 1.0/32 {
+		t.Errorf("p50 estimate %v outside (2^-6, 2^-5]", h.P50)
+	}
+	if h.P99 <= 0.5 || h.P99 > 1 {
+		t.Errorf("p99 estimate %v outside (2^-1, 2^0]", h.P99)
+	}
+	for i := 0; i < 20; i++ {
+		if _, again := build(); !bytes.Equal(first, again) {
+			t.Fatalf("identical registries serialized differently:\n%s\n%s", first, again)
+		}
+	}
+}
+
+// A handle that is never updated adds no series; a nil registry's
+// handles are nil and their updates no-ops.
+func TestHandlesBindOnFirstUpdate(t *testing.T) {
+	m := NewMetrics()
+	c, g, h := m.CounterOf("c"), m.GaugeOf("g"), m.HistogramOf("h")
+	if s := m.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatalf("unused handles added series: %+v", s)
+	}
+	var b bytes.Buffer
+	if err := m.WriteJSON(&b); err != nil {
+		t.Fatalf("registry with unused handles does not serialize: %v", err)
+	}
+	c.Inc()
+	g.Set(2)
+	h.Observe(3)
+	if m.Counter("c") != 1 || m.Gauge("g") != 2 || m.Snapshot().Histograms["h"].Count != 1 {
+		t.Fatalf("handle updates missing: %+v", m.Snapshot())
+	}
+
+	var nilM *Metrics
+	if nilM.CounterOf("c") != nil || nilM.GaugeOf("g") != nil || nilM.HistogramOf("h") != nil {
+		t.Fatal("a nil registry returned a non-nil handle")
+	}
+	nilM.CounterOf("c").Add(2)
+	nilM.CounterOf("c").Inc()
+	nilM.GaugeOf("g").Set(1)
+	nilM.HistogramOf("h").Observe(1)
+}
+
+// The same seeded operation sequence applied by name to one registry,
+// through handles to a second, and through a random mix of both to a
+// third yields byte-identical snapshots and documents: handles and
+// names reach the same cells.
+func TestHandlesMatchNames(t *testing.T) {
+	counters := []string{"serve.requests", LabeledKey("fleet.hops", "machine", "m0"), LabeledKey("fleet.hops", "machine", "m1")}
+	gauges := []string{"serve.leases_active", "serve.virtual_frontier_cycles"}
+	hists := []string{"serve.latency_cycles", "pim.channel_utilization", LabeledKey("serve.stage_cycles", "stage", "execute")}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		byName, byHandle, mixed := NewMetrics(), NewMetrics(), NewMetrics()
+		type handles struct {
+			c []*Counter
+			g []*Gauge
+			h []*Histogram
+		}
+		bind := func(m *Metrics) handles {
+			var hs handles
+			for _, n := range counters {
+				hs.c = append(hs.c, m.CounterOf(n))
+			}
+			for _, n := range gauges {
+				hs.g = append(hs.g, m.GaugeOf(n))
+			}
+			for _, n := range hists {
+				hs.h = append(hs.h, m.HistogramOf(n))
+			}
+			return hs
+		}
+		hb, hm := bind(byHandle), bind(mixed)
+		sample := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 0
+			case 1:
+				return -rng.Float64()
+			case 2:
+				return rng.Float64() // below 1: the sub-1 buckets
+			}
+			return float64(rng.Int63n(1 << 30))
+		}
+		// The last series of each kind is never touched: its handles
+		// must add nothing.
+		for op := 0; op < 500; op++ {
+			useName := rng.Intn(2) == 0
+			switch rng.Intn(4) {
+			case 0:
+				i, d := rng.Intn(len(counters)-1), rng.Int63n(5)
+				byName.Add(counters[i], d)
+				hb.c[i].Add(d)
+				if useName {
+					mixed.Add(counters[i], d)
+				} else {
+					hm.c[i].Add(d)
+				}
+			case 1:
+				i, v := rng.Intn(len(gauges)-1), sample()
+				byName.Set(gauges[i], v)
+				hb.g[i].Set(v)
+				if useName {
+					mixed.Set(gauges[i], v)
+				} else {
+					hm.g[i].Set(v)
+				}
+			case 2:
+				i, v := rng.Intn(len(hists)-1), sample()
+				byName.Observe(hists[i], v)
+				hb.h[i].Observe(v)
+				if useName {
+					mixed.Observe(hists[i], v)
+				} else {
+					hm.h[i].Observe(v)
+				}
+			case 3:
+				// Exemplars come by name only; they must land in the
+				// cells the handles bound.
+				i, v, ex := rng.Intn(len(hists)-1), sample(), fmt.Sprintf("r%06d", op)
+				for _, m := range []*Metrics{byName, byHandle, mixed} {
+					m.ObserveExemplar(hists[i], v, ex)
+				}
+			}
+		}
+		want := byName.Snapshot()
+		got := byHandle.Snapshot()
+		_, c := got.Counters[counters[len(counters)-1]]
+		_, g := got.Gauges[gauges[len(gauges)-1]]
+		_, h := got.Histograms[hists[len(hists)-1]]
+		if c || g || h {
+			t.Fatalf("seed %d: a handle that was never updated added its series", seed)
+		}
+		docs := func(m *Metrics) (string, string) {
+			var text, js bytes.Buffer
+			if err := m.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			return text.String(), js.String()
+		}
+		wantText, wantJSON := docs(byName)
+		for name, m := range map[string]*Metrics{"handles": byHandle, "mixed": mixed} {
+			if got := m.Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: %s snapshot differs from by-name:\n%+v\n%+v", seed, name, got, want)
+			}
+			text, js := docs(m)
+			if text != wantText || js != wantJSON {
+				t.Fatalf("seed %d: %s documents differ from by-name", seed, name)
+			}
+		}
+	}
+}
+
+// Handles shared by several goroutines, plus fresh handles and names on
+// the same series, update concurrently with snapshots and both
+// document writers; every snapshot serializes, and the final counts
+// are exact. Run under -race.
+func TestHandlesConcurrentWithSnapshot(t *testing.T) {
+	m := NewMetrics()
+	shared := struct {
+		c *Counter
+		g *Gauge
+		h *Histogram
+	}{m.CounterOf("n"), m.GaugeOf("g"), m.HistogramOf("h")}
+	const workers, per = 4, 2000
+	stop := make(chan struct{})
+	snapped := make(chan error, 1)
+	go func() {
+		var err error
+		for done := false; !done && err == nil; {
+			select {
+			case <-stop:
+				done = true
+			default:
+			}
+			_ = m.Snapshot()
+			if err = m.WriteJSON(io.Discard); err == nil {
+				err = m.WriteText(io.Discard)
+			}
+		}
+		snapped <- err
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			own := m.HistogramOf("h")
+			for i := 0; i < per; i++ {
+				shared.c.Inc()
+				shared.g.Set(float64(i))
+				if i%2 == 0 {
+					shared.h.Observe(float64(i) / per)
+				} else {
+					own.Observe(float64(i))
+				}
+				m.Inc("n")
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-snapped; err != nil {
+		t.Fatalf("a concurrent snapshot failed to serialize: %v", err)
+	}
+	if got := m.Counter("n"); got != 2*workers*per {
+		t.Errorf("counter = %d, want %d", got, 2*workers*per)
+	}
+	if h := m.Snapshot().Histograms["h"]; h.Count != workers*per {
+		t.Errorf("histogram count = %d, want %d", h.Count, workers*per)
+	}
 }

@@ -75,7 +75,11 @@ func TestProcessSkipsCanceledItems(t *testing.T) {
 	// process compacts the batch slice in place, so keep direct
 	// references to the members rather than reading back through it.
 	live1, dead, live2 := mk(context.Background()), mk(canceled), mk(context.Background())
-	s.process([]*item{live1, dead, live2}, false)
+	lm, err := s.registry.Get("toy-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.process([]*item{live1, dead, live2}, lm, false, nil)
 	for i, it := range []*item{live1, dead, live2} {
 		res := <-it.reply
 		if i == 1 {

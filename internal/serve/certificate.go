@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"slices"
 	"sync"
 
 	"pimflow/internal/verify"
@@ -21,13 +20,13 @@ import (
 // fires under the scheduler's lock (release order), batch recording
 // under the recorder's own; the two never nest the other way, so the
 // sched.mu -> rec.mu order is acyclic. Its logs hold a row per lease,
-// request and release for the whole run, so they grow by doubling (see
-// grow) rather than by append's smaller steps for large slices.
+// request and release for the whole run in fixed-size pages (CertLog),
+// so recording never moves a row; a snapshot copies each log once.
 type certRecorder struct {
 	mu        sync.Mutex
-	leases    []verify.ScheduleLease           // guarded by mu
-	requests  []verify.ScheduleRequest         // guarded by mu
-	frontiers []verify.ScheduleFrontier        // guarded by mu
+	leases    CertLog[verify.ScheduleLease]    // guarded by mu
+	requests  CertLog[verify.ScheduleRequest]  // guarded by mu
+	frontiers CertLog[verify.ScheduleFrontier] // guarded by mu
 	policies  map[string]verify.SchedulePolicy // guarded by mu
 }
 
@@ -40,7 +39,7 @@ func newCertRecorder() *certRecorder {
 func (c *certRecorder) frontier(leaseID uint64, frontier int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.frontiers = append(grow(c.frontiers, 1), verify.ScheduleFrontier{LeaseID: leaseID, Frontier: frontier})
+	c.frontiers.Append(verify.ScheduleFrontier{LeaseID: leaseID, Frontier: frontier})
 }
 
 // batch records one served batch: the lease that held the machine and
@@ -49,14 +48,13 @@ func (c *certRecorder) frontier(leaseID uint64, frontier int64) {
 func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.leases = append(grow(c.leases, 1), verify.ScheduleLease{
+	c.leases.Append(verify.ScheduleLease{
 		ID: l.id, Model: lm.Spec.Name, Start: l.Start, End: l.End,
 		GPU: l.Demand.GPU, PIM: l.Demand.PIM, Batch: len(resps),
 	})
-	c.requests = grow(c.requests, len(resps))
 	for i := range resps {
 		r := &resps[i]
-		c.requests = append(c.requests, verify.ScheduleRequest{
+		c.requests.Append(verify.ScheduleRequest{
 			ID:           r.RequestID,
 			Model:        r.Model,
 			LeaseID:      l.id,
@@ -76,15 +74,6 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 	}
 }
 
-// grow makes room for n more elements, at least doubling the capacity
-// when it has to reallocate.
-func grow[E any](s []E, n int) []E {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	return slices.Grow(s, max(n, len(s)))
-}
-
 // snapshot copies the accumulated certificate.
 func (c *certRecorder) snapshot(m Machine) verify.ScheduleCertificate {
 	c.mu.Lock()
@@ -92,9 +81,9 @@ func (c *certRecorder) snapshot(m Machine) verify.ScheduleCertificate {
 	cert := verify.ScheduleCertificate{
 		GPUChannels: m.GPUChannels,
 		PIMChannels: m.PIMChannels,
-		Leases:      append([]verify.ScheduleLease(nil), c.leases...),
-		Requests:    append([]verify.ScheduleRequest(nil), c.requests...),
-		Frontiers:   append([]verify.ScheduleFrontier(nil), c.frontiers...),
+		Leases:      c.leases.Rows(),
+		Requests:    c.requests.Rows(),
+		Frontiers:   c.frontiers.Rows(),
 		Policies:    make(map[string]verify.SchedulePolicy, len(c.policies)),
 	}
 	for name, p := range c.policies {

@@ -115,7 +115,8 @@ type Scheduler struct {
 	horizon int64 // guarded by mu
 	placed  int64 // guarded by mu
 	pruned  int64 // guarded by mu
-	metrics *obs.Metrics
+	// Gauges of live leases and of the frontier, set under mu.
+	leasesActive, frontier *obs.Gauge
 	// onRelease, when set, observes every Release (lease id + the frontier
 	// it advanced to). It is invoked under mu, so observations arrive in
 	// release order with monotone frontier stamps — the SR-FRONTIER
@@ -126,7 +127,11 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler over the machine.
 func NewScheduler(m Machine, metrics *obs.Metrics) *Scheduler {
-	return &Scheduler{machine: m, metrics: metrics}
+	return &Scheduler{
+		machine:      m,
+		leasesActive: metrics.GaugeOf("serve.leases_active"),
+		frontier:     metrics.GaugeOf("serve.virtual_frontier_cycles"),
+	}
 }
 
 // Machine returns the scheduled machine description.
@@ -205,7 +210,7 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 	l := Lease{id: s.nextID, Start: start, End: start + dur, Demand: d}
 	s.active = append(s.active, leaseRec{Lease: l})
 	s.addUsageLocked(l.Start, l.End, d.GPU, d.PIM)
-	s.metrics.Set("serve.leases_active", float64(s.live))
+	s.leasesActive.Set(float64(s.live))
 	return l, nil
 }
 
@@ -317,8 +322,8 @@ func (s *Scheduler) Release(l Lease) {
 		s.onRelease(l.id, s.vfront)
 	}
 	s.pruneLocked()
-	s.metrics.Set("serve.leases_active", float64(s.live))
-	s.metrics.Set("serve.virtual_frontier_cycles", float64(s.vfront))
+	s.leasesActive.Set(float64(s.live))
+	s.frontier.Set(float64(s.vfront))
 }
 
 // Cancel retires a lease without advancing the frontier or retaining its
@@ -337,5 +342,5 @@ func (s *Scheduler) Cancel(l Lease) {
 			break
 		}
 	}
-	s.metrics.Set("serve.leases_active", float64(s.live))
+	s.leasesActive.Set(float64(s.live))
 }

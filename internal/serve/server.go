@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pimflow/internal/obs"
@@ -167,9 +168,13 @@ type Server struct {
 	batches   chan []*item
 	lifecycle *Lifecycle    // nil when Config.RequestLog is zero
 	cert      *certRecorder // nil unless Config.Certify
+	draining  atomic.Bool
 
-	mu       sync.Mutex
-	draining bool // guarded by mu
+	// The request path's metric series, resolved once, with
+	// serve.slo_miss{class=…} for each configured SLO class.
+	requests, responses, sloMiss *obs.Counter
+	batchSize, latency, queueing *obs.Histogram
+	sloMissByClass               map[string]*obs.Counter
 
 	wg      sync.WaitGroup
 	started time.Time
@@ -192,7 +197,17 @@ func NewServer(cfg Config) (*Server, error) {
 		sched:     NewScheduler(cfg.Machine, cfg.Metrics),
 		batches:   make(chan []*item, 2*cfg.Workers),
 		lifecycle: newLifecycle(cfg.RequestLog, cfg.Metrics, cfg.Trace),
+		requests:  cfg.Metrics.CounterOf("serve.requests"),
+		responses: cfg.Metrics.CounterOf("serve.responses"),
+		sloMiss:   cfg.Metrics.CounterOf("serve.slo_miss"),
+		batchSize: cfg.Metrics.HistogramOf("serve.batch_size"),
+		latency:   cfg.Metrics.HistogramOf("serve.latency_cycles"),
+		queueing:  cfg.Metrics.HistogramOf("serve.queue_cycles"),
 		started:   time.Now(),
+	}
+	s.sloMissByClass = make(map[string]*obs.Counter, len(cfg.SLOClasses))
+	for _, c := range cfg.SLOClasses {
+		s.sloMissByClass[c.Name] = cfg.Metrics.CounterOf(obs.LabeledKey("serve.slo_miss", "class", c.Name))
 	}
 	if cfg.Certify {
 		s.cert = newCertRecorder()
@@ -221,11 +236,7 @@ func (s *Server) Metrics() *obs.Metrics { return s.cfg.Metrics }
 func (s *Server) Machine() Machine { return s.cfg.Machine }
 
 // Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Pending is one submitted, not-yet-completed request.
 type Pending struct {
@@ -238,7 +249,7 @@ type Pending struct {
 // handle to wait on. Admission errors (unknown model, full queue, shed,
 // draining) are returned immediately.
 func (s *Server) Submit(ctx context.Context, req InferRequest) (*Pending, error) {
-	s.cfg.Metrics.Inc("serve.requests")
+	s.requests.Inc()
 	if s.Draining() {
 		s.cfg.Metrics.Inc("serve.errors.draining")
 		return nil, ErrDraining
@@ -313,7 +324,7 @@ func (p *Pending) Wait(ctx context.Context) (*InferResponse, error) {
 			"queueCycles":   res.resp.QueueCycles,
 			"batchSize":     res.resp.BatchSize,
 		})
-		p.s.cfg.Metrics.Inc("serve.responses")
+		p.s.responses.Inc()
 		return res.resp, nil
 	case <-ctx.Done():
 		// The worker may still pick the item up; its reply lands in the
@@ -343,6 +354,10 @@ type BatchOptions struct {
 	// numbers are identical either way — they are lease arithmetic — and
 	// replaying millions of requests turns execution off.
 	Execute bool
+	// buffers is per-call storage a VirtualQueue reuses from batch to
+	// batch; nil (every caller outside this package) gives the call its
+	// own.
+	buffers *batchBuffers
 }
 
 // InferOutcome is one request's result from InferBatch.
@@ -357,7 +372,9 @@ type InferOutcome struct {
 // time and calls this for each one. Placement, virtual-deadline
 // enforcement, SLO accounting, and metrics are exactly the live path's.
 // The outcomes come back in request order; no channel is involved, as
-// process completes every member before it returns.
+// process completes every member before it returns. Each call from
+// outside this package gets its own storage, so the outcomes and their
+// responses are the caller's to keep.
 func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts BatchOptions) ([]InferOutcome, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("serve: empty batch")
@@ -374,27 +391,53 @@ func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts Batch
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.Metrics.Add("serve.requests", int64(len(reqs)))
-	items := make([]item, len(reqs))
-	batch := make([]*item, len(reqs))
+	n := len(reqs)
+	s.requests.Add(int64(n))
+	buf := opts.buffers
+	if buf == nil {
+		buf = new(batchBuffers)
+	}
+	items, batch := resize(buf.items, n), resize(buf.ptrs, n)
+	clear(items)
 	for i, r := range reqs {
 		s.initItem(ctx, &items[i], r, lm)
 		batch[i] = &items[i]
 	}
 	// process compacts batch in place as members drop out; items keeps
 	// request order for the read-back.
-	s.process(batch, opts.Execute)
-	out := make([]InferOutcome, len(items))
+	buf.resps = s.process(batch, lm, opts.Execute, buf.resps)
+	out := resize(buf.outs, n)
 	for i := range items {
 		res := items[i].out
 		out[i] = InferOutcome{Resp: res.resp, Err: res.err}
 		if res.err != nil {
 			s.countError(res.err)
 		} else {
-			s.cfg.Metrics.Inc("serve.responses")
+			s.responses.Inc()
 		}
 	}
+	buf.items, buf.ptrs, buf.outs = items, batch, out
 	return out, nil
+}
+
+// batchBuffers is InferBatch's per-call storage: the members' items, the
+// pointers process compacts, the outcomes, and the responses. A
+// VirtualQueue keeps one set for every batch it flushes, so what its
+// driver callback receives is overwritten by the next flush.
+type batchBuffers struct {
+	items []item
+	ptrs  []*item
+	outs  []InferOutcome
+	resps []InferResponse
+}
+
+// resize returns s with length n, over its own array when that holds n
+// elements (the contents are stale) and a new zeroed one otherwise.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // countError folds an error into the metrics registry by kind.
@@ -418,11 +461,7 @@ func (s *Server) countError(err error) {
 // immediately — the window never extends the drain), workers exit. It
 // returns the context's error if draining outlives it.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
-	if !already {
+	if !s.draining.Swap(true) {
 		s.queue.close()
 		if obs.Enabled(slog.LevelInfo) {
 			obs.L().Info("serve: draining", "queued", s.queue.depth(), "inFlight", s.sched.InFlight())
@@ -442,19 +481,25 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // worker executes flushed batches until the dispatcher closes the stream.
+// Each batch's responses go to submitters that keep them, so every batch
+// gets fresh response storage.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for batch := range s.batches {
-		s.process(batch, true)
+		lm, err := s.registry.Get(batch[0].req.Model)
+		if err != nil {
+			for _, it := range dropCanceled(batch) {
+				it.finish(nil, err)
+			}
+			continue
+		}
+		s.process(batch, lm, true, nil)
 	}
 }
 
-// process serves one same-model batch: place a lease on the virtual
-// timeline, execute the compiled plan at the placed offset, and complete
-// every batch member. Each member carries its own virtual arrival stamp
-// (pinned by trace replay, or the completion frontier for live traffic);
-// the lease starts no earlier than the latest member's arrival.
-func (s *Server) process(batch []*item, execute bool) {
+// dropCanceled finishes the members whose context has ended and
+// compacts the rest to the front of batch, in order.
+func dropCanceled(batch []*item) []*item {
 	live := batch[:0]
 	for _, it := range batch {
 		if err := it.ctx.Err(); err != nil {
@@ -463,18 +508,23 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 		live = append(live, it)
 	}
-	batch = live
+	return live
+}
+
+// process serves one same-model batch of lm, the model its caller
+// resolved: place a lease on the virtual timeline, execute the compiled
+// plan at the placed offset, and complete every batch member. Each
+// member carries its own virtual arrival stamp (pinned by trace replay,
+// or the completion frontier for live traffic); the lease starts no
+// earlier than the latest member's arrival. The members' responses are
+// written into resps, grown to the batch, and process returns that
+// storage for the caller to reuse (nil: fresh storage).
+func (s *Server) process(batch []*item, lm *LoadedModel, execute bool, resps []InferResponse) []InferResponse {
+	batch = dropCanceled(batch)
 	if len(batch) == 0 {
-		return
+		return resps
 	}
-	lm, err := s.registry.Get(batch[0].req.Model)
-	if err != nil {
-		for _, it := range batch {
-			it.finish(nil, err)
-		}
-		return
-	}
-	s.cfg.Metrics.Observe("serve.batch_size", float64(len(batch)))
+	s.batchSize.Observe(float64(len(batch)))
 
 	frontier := s.sched.Arrival()
 	arrivalOf := func(it *item) int64 {
@@ -492,18 +542,11 @@ func (s *Server) process(batch []*item, execute bool) {
 	// survives the loop for stage attribution.
 	var lease Lease
 	var batchArrival int64
+	var err error
 	for {
-		live := batch[:0]
-		for _, it := range batch {
-			if err := it.ctx.Err(); err != nil {
-				it.finish(nil, err)
-				continue
-			}
-			live = append(live, it)
-		}
-		batch = live
+		batch = dropCanceled(batch)
 		if len(batch) == 0 {
-			return
+			return resps
 		}
 		arrival := arrivalOf(batch[0])
 		for _, it := range batch[1:] {
@@ -518,7 +561,7 @@ func (s *Server) process(batch []*item, execute bool) {
 			for _, it := range batch {
 				it.finish(nil, err)
 			}
-			return
+			return resps
 		}
 		kept := batch[:0]
 		for i, it := range batch {
@@ -536,7 +579,7 @@ func (s *Server) process(batch []*item, execute bool) {
 		batch = kept
 		s.sched.Cancel(lease)
 		if len(batch) == 0 {
-			return
+			return resps
 		}
 	}
 
@@ -553,12 +596,13 @@ func (s *Server) process(batch []*item, execute bool) {
 			for _, it := range batch {
 				it.finish(nil, fmt.Errorf("serve: execute %q: %w", lm.Spec.Name, err))
 			}
-			return
+			return resps
 		}
 	}
 
-	// One allocation holds the whole batch's responses.
-	resps := make([]InferResponse, len(batch))
+	// One slice holds the whole batch's responses.
+	resps = resize(resps, len(batch))
+	var classMiss *obs.Counter
 	for i, it := range batch {
 		arrival := arrivalOf(it)
 		endCycle := lease.Start + solo + lm.InitInterval*int64(i)
@@ -587,11 +631,14 @@ func (s *Server) process(batch []*item, execute bool) {
 		}
 		if lm.SLOTarget > 0 && resp.LatencyCycles > lm.SLOTarget {
 			resp.SLOMiss = true
-			s.cfg.Metrics.Inc("serve.slo_miss")
-			s.cfg.Metrics.Inc(obs.LabeledKey("serve.slo_miss", "class", lm.SLO.Name))
+			if classMiss == nil {
+				classMiss = s.sloMissOf(lm.SLO.Name)
+			}
+			s.sloMiss.Inc()
+			classMiss.Inc()
 		}
-		s.cfg.Metrics.Observe("serve.latency_cycles", float64(resp.LatencyCycles))
-		s.cfg.Metrics.Observe("serve.queue_cycles", float64(resp.QueueCycles))
+		s.latency.Observe(float64(resp.LatencyCycles))
+		s.queueing.Observe(float64(resp.QueueCycles))
 	}
 	if s.cert != nil {
 		// Record before Release so the lease's frontier stamp never
@@ -609,6 +656,17 @@ func (s *Server) process(batch []*item, execute bool) {
 			"model", lm.Spec.Name, "batch", len(batch),
 			"start", lease.Start, "end", lease.End)
 	}
+	return resps
+}
+
+// sloMissOf returns the serve.slo_miss{class=…} handle for an SLO class:
+// the one resolved at construction for a configured class, else (a model
+// installed from a registry with another ladder) a fresh one.
+func (s *Server) sloMissOf(class string) *obs.Counter {
+	if c, ok := s.sloMissByClass[class]; ok {
+		return c
+	}
+	return s.cfg.Metrics.CounterOf(obs.LabeledKey("serve.slo_miss", "class", class))
 }
 
 // runtimeConfig derives the execution configuration for one request:

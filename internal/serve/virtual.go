@@ -31,7 +31,9 @@ import (
 // Every admitted payload's outcome reaches done exactly once: the
 // member's response, ErrQueueFull, ErrShed, or the error InferBatch gave
 // the member. done runs inside Admit or FlushHead and must not call back
-// into the queue.
+// into the queue. The response lives in storage the queue reuses for its
+// next batch, so it is valid only until done returns: a driver copies
+// the fields it keeps.
 type VirtualQueue[P any] struct {
 	srv   *Server
 	depth int
@@ -46,7 +48,8 @@ type VirtualQueue[P any] struct {
 	ends   completions // completion cycles of served members
 	queued int         // open, unshed members
 
-	// Buffers reused from one shed or flush to the next.
+	// Buffers reused from one shed or flush to the next; opts carries
+	// InferBatch's.
 	order []*virtualItem[P]
 	cands []shedCandidate
 	batch []InferRequest
@@ -85,6 +88,7 @@ func NewVirtualQueue[P any](srv *Server, depth int, policy AdmissionPolicy, opts
 	if policy != AdmitReject && policy != AdmitShedOldest {
 		return nil, fmt.Errorf("serve: virtual queue admission %q (open-loop replay supports reject and shed-oldest)", policy)
 	}
+	opts.buffers = new(batchBuffers)
 	return &VirtualQueue[P]{
 		srv:    srv,
 		depth:  depth,

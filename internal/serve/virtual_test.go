@@ -170,3 +170,57 @@ func TestVirtualQueueAdmitAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// A batch that fills and flushes allocates nothing once the queue's
+// buffers have grown, with certificates recorded or not: InferBatch's
+// items, member pointers, outcomes and responses are queue-owned storage
+// reused from batch to batch (fresh slices cost four objects per batch),
+// the certificate's paged logs never move a row, and the gold members
+// that miss their SLO count through the class's handle, not through a
+// labeled key built per miss.
+func TestVirtualQueueFlushAllocFree(t *testing.T) {
+	for _, certify := range []bool{false, true} {
+		s, err := NewServer(Config{Certify: certify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Shutdown(context.Background()) })
+		if _, err := s.Registry().Load(virtualSpec("v-eight", "gold", 8, 1<<40)); err != nil {
+			t.Fatal(err)
+		}
+		var served, members int
+		q, err := NewVirtualQueue(s, 64, AdmitReject, BatchOptions{}, func(_ vprobe, resp *InferResponse, err error) {
+			if err == nil && resp.BatchSize == 8 {
+				served++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := new(int)
+		now := int64(0)
+		batch := func() {
+			// Batches sit far apart, so the previous one has completed
+			// and the eighth arrival flushes a full batch.
+			now += 1 << 30
+			for i := int64(0); i < 8; i++ {
+				members++
+				if err := q.Admit(now+i, "v-eight", vprobe{exec: exec, node: "root", at: now + i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 50; i++ {
+			batch()
+		}
+		if a := testing.AllocsPerRun(100, batch); a != 0 {
+			t.Errorf("certify=%v: a flushed batch of 8 allocates %v objects", certify, a)
+		}
+		if served != members {
+			t.Fatalf("certify=%v: %d of %d members served in full batches", certify, served, members)
+		}
+		if cert := s.Certificate(); certify && len(cert.Requests) != members {
+			t.Fatalf("certificate holds %d of %d requests", len(cert.Requests), members)
+		}
+	}
+}
