@@ -372,23 +372,7 @@ func BenchmarkCompileZooWarm(b *testing.B) {
 // times as replay_req_per_s. Every PIM and GPU timing is recalled, so the
 // op is the runtime's own graph walk plus store lookups.
 func BenchmarkExecuteZoo(b *testing.B) {
-	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
-	cfg.Profiles = pimflow.NewProfileStore()
-	var compiled []*pimflow.CompiledModel
-	for _, name := range pimflow.EvaluatedCNNs() {
-		g, err := pimflow.BuildModel(name, pimflow.ModelOptions{Light: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := pimflow.Compile(g, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Run(); err != nil { // warm the runtime's own lookups
-			b.Fatal(err)
-		}
-		compiled = append(compiled, c)
-	}
+	compiled := compiledZoo(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -398,6 +382,48 @@ func BenchmarkExecuteZoo(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestExecuteZooAllocs bounds BenchmarkExecuteZoo's allocations per op:
+// an execution allocates its report, its schedule and the graph's index,
+// not a key or a name per node.
+func TestExecuteZooAllocs(t *testing.T) {
+	compiled := compiledZoo(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, c := range compiled {
+			if _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 400 {
+		t.Errorf("%.0f allocations per execution of the five CNNs, want at most 400", allocs)
+	}
+}
+
+// compiledZoo compiles the five evaluated Light CNNs under PIMFlow over
+// one profile store and runs each once, so every timing their
+// executions look up is in the store.
+func compiledZoo(tb testing.TB) []*pimflow.CompiledModel {
+	tb.Helper()
+	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
+	cfg.Profiles = pimflow.NewProfileStore()
+	var compiled []*pimflow.CompiledModel
+	for _, name := range pimflow.EvaluatedCNNs() {
+		g, err := pimflow.BuildModel(name, pimflow.ModelOptions{Light: true})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c, err := pimflow.Compile(g, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := c.Run(); err != nil { // warm the runtime's own lookups
+			tb.Fatal(err)
+		}
+		compiled = append(compiled, c)
+	}
+	return compiled
 }
 
 func BenchmarkRuntimeScheduleResNet50(b *testing.B) {

@@ -8,7 +8,8 @@ import (
 
 // Index is an adjacency snapshot of a graph's nodes: their positions,
 // each tensor's producer, every produced tensor's consumers in
-// compressed sparse row (CSR) form, and each node's in-degree. Graph.Index
+// compressed sparse row (CSR) form, each node's in-degree, and the
+// producer of each node's every input. Graph.Index
 // builds it in O(V+E), and the graph passes (sorting, shape inference,
 // the search, the pipelining pass, the runtime and the verifier) take
 // their adjacency from it instead of rescanning the node list per lookup.
@@ -36,6 +37,10 @@ type Index struct {
 	consPos   []int32
 	// indeg[i] counts the distinct produced tensors node i reads.
 	indeg []int32
+	// Node i's input k is read from the node at position
+	// inProd[inStart[i]+k], or from no node (-1).
+	inStart []int32
+	inProd  []int32
 
 	dups       []DupProducer
 	undeclared []UndeclaredInput
@@ -73,13 +78,13 @@ func (g *Graph) Index() *Index {
 		slotName: make([]string, 0, nOut),
 		prod:     newTable(nOut),
 	}
-	arena := make([]int32, 2*n+3*nOut+2*nIn+2)
+	arena := make([]int32, 3*n+3*nOut+3*nIn+3)
 	take := func(k int) []int32 {
 		s := arena[:k:k]
 		arena = arena[k:]
 		return s
 	}
-	x.outStart, x.indeg = take(n+1), take(n)
+	x.outStart, x.indeg, x.inStart, x.inProd = take(n+1), take(n), take(n+1), take(nIn)
 	x.slotNode = take(nOut)[:0]
 	for i, nd := range x.nodes {
 		for _, t := range nd.Outputs {
@@ -96,14 +101,15 @@ func (g *Graph) Index() *Index {
 	}
 
 	// Count each slot's distinct consumers, remembering every input
-	// edge's slot (-1: a graph input, a weight, or a duplicate read).
+	// edge's producer and slot (-1: a graph input, a weight, or, for the
+	// slot only, a duplicate read).
 	slots := len(x.slotNode)
 	x.consStart = take(slots + 1)
 	last, edge := take(slots), take(nIn)
 	e := 0
 	for c, nd := range x.nodes {
 		for _, t := range nd.Inputs {
-			edge[e] = -1
+			edge[e], x.inProd[e] = -1, -1
 			s, _, ok := x.prod.get(t, x.slotName)
 			switch {
 			case !ok:
@@ -116,8 +122,12 @@ func (g *Graph) Index() *Index {
 				x.indeg[c]++
 				edge[e] = s
 			}
+			if ok {
+				x.inProd[e] = x.slotNode[s]
+			}
 			e++
 		}
+		x.inStart[c+1] = int32(e)
 	}
 	for s := 0; s < slots; s++ {
 		x.consStart[s+1] += x.consStart[s]
@@ -176,6 +186,15 @@ func (x *Index) ProducerPos(tensor string) int {
 		return int(x.slotNode[s])
 	}
 	return -1
+}
+
+// InputProducers returns, for each input of the node at position i in
+// order, the position of the node producing it, or -1 where ProducerPos
+// gives -1. The positions were resolved while the index was built, so
+// reading them hashes no name. The slice is shared with the index and
+// must not be modified.
+func (x *Index) InputProducers(i int) []int32 {
+	return x.inProd[x.inStart[i]:x.inStart[i+1]:x.inStart[i+1]]
 }
 
 // Producer returns the node producing tensor, or nil.

@@ -38,11 +38,21 @@ func sameSort(t *testing.T, what string, g *graph.Graph) error {
 }
 
 // sameAdjacency compares the index's producer and consumer lists with the
-// node-list scans they replace, for every produced tensor.
+// node-list scans they replace, for every produced tensor, and each
+// node's recorded input producers with ProducerPos.
 func sameAdjacency(t *testing.T, what string, g *graph.Graph) {
 	t.Helper()
 	x := g.Index()
-	for _, n := range g.Nodes {
+	for i, n := range g.Nodes {
+		prods := x.InputProducers(i)
+		if len(prods) != len(n.Inputs) {
+			t.Fatalf("%s: %q has %d input producers for %d inputs", what, n.Name, len(prods), len(n.Inputs))
+		}
+		for k, in := range n.Inputs {
+			if int(prods[k]) != x.ProducerPos(in) {
+				t.Fatalf("%s: input %d (%q) of %q: producer %d, ProducerPos %d", what, k, in, n.Name, prods[k], x.ProducerPos(in))
+			}
+		}
 		for _, out := range n.Outputs {
 			if p := x.Producer(out); p != graph.ReferenceProducer(g, out) {
 				t.Fatalf("%s: producer of %q differs from the scan", what, out)

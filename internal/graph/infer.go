@@ -42,6 +42,9 @@ func (g *Graph) setShape(name string, s tensor.Shape) {
 }
 
 func (g *Graph) inferNode(n *Node) error {
+	if len(n.Outputs) == 0 {
+		return fmt.Errorf("node has no outputs")
+	}
 	switch n.Op {
 	case OpConv:
 		return g.inferConv(n)

@@ -28,6 +28,8 @@ type Metrics struct {
 	counters map[string]*atomic.Int64  // guarded by mu
 	gauges   map[string]*atomic.Uint64 // guarded by mu; float64 bits
 	hists    map[string]*histData      // guarded by mu
+	// bound holds the handle sets packages resolved through Bound.
+	bound sync.Map
 }
 
 // NewMetrics returns an empty registry.
@@ -173,6 +175,24 @@ func (c *Counter) Add(delta int64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
+
+// Bound returns the value build made of this registry under key, calling
+// build on its first use; nil on a nil registry. A package whose hot path
+// updates a fixed family of series resolves their handles once per
+// registry through it, keyed by a value of a type private to the package
+// so no two families collide. Concurrent first uses may each build, but
+// all of them get the one value that was kept; an unused set is garbage,
+// since handles create no series before their first update.
+func Bound[T any](m *Metrics, key any, build func(*Metrics) *T) *T {
+	if m == nil {
+		return nil
+	}
+	if v, ok := m.bound.Load(key); ok {
+		return v.(*T)
+	}
+	v, _ := m.bound.LoadOrStore(key, build(m))
+	return v.(*T)
+}
 
 // Gauge is a handle on one gauge series (Metrics.GaugeOf).
 type Gauge struct {

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -515,5 +516,53 @@ func TestHandlesConcurrentWithSnapshot(t *testing.T) {
 	}
 	if h := m.Snapshot().Histograms["h"]; h.Count != workers*per {
 		t.Errorf("histogram count = %d, want %d", h.Count, workers*per)
+	}
+}
+
+type boundKeyA struct{}
+type boundKeyB struct{}
+
+type boundSet struct{ hits *Counter }
+
+// TestBound: one value per (registry, key), shared by concurrent first
+// uses; nil on a nil registry.
+func TestBound(t *testing.T) {
+	var builds atomic.Int64
+	build := func(m *Metrics) *boundSet {
+		builds.Add(1)
+		return &boundSet{hits: m.CounterOf("bound.hits")}
+	}
+	if Bound(nil, boundKeyA{}, build) != nil || builds.Load() != 0 {
+		t.Fatal("Bound on a nil registry built a value")
+	}
+	m := NewMetrics()
+	var wg sync.WaitGroup
+	got := make([]*boundSet, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = Bound(m, boundKeyA{}, build)
+			got[i].hits.Inc()
+		}(i)
+	}
+	wg.Wait()
+	for _, b := range got[1:] {
+		if b != got[0] {
+			t.Fatal("concurrent first uses got different values")
+		}
+	}
+	if m.Counter("bound.hits") != 8 {
+		t.Errorf("bound.hits = %d, want 8", m.Counter("bound.hits"))
+	}
+	n := builds.Load()
+	if Bound(m, boundKeyA{}, build) != got[0] || builds.Load() != n {
+		t.Error("a later use built again")
+	}
+	if Bound(m, boundKeyB{}, build) == got[0] {
+		t.Error("another key shares the value")
+	}
+	if Bound(NewMetrics(), boundKeyA{}, build) == got[0] {
+		t.Error("another registry shares the value")
 	}
 }

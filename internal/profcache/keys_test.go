@@ -1,8 +1,14 @@
 package profcache
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,8 +87,11 @@ func TestKeysMatchFmtReference(t *testing.T) {
 			keys := NewPIMKeys(cfg, opts)
 			for _, w := range workloads {
 				want := refPIMWorkloadKey(w, cfg, opts)
-				if got := keys.Key(w); got != want {
+				if got := keys.Key(w).String(); got != want {
 					t.Fatalf("pim key\n got %s\nwant %s", got, want)
+				}
+				if parseKey(want) != keys.Key(w) {
+					t.Fatalf("pim key %s does not parse back", want)
 				}
 			}
 		}
@@ -108,8 +117,11 @@ func TestKeysMatchFmtReference(t *testing.T) {
 		keys := NewGPUKeys(cfg)
 		for _, k := range kernels {
 			want := refGPUKernelKey(k, cfg)
-			if got := keys.Key(k); got != want {
+			if got := keys.Key(k).String(); got != want {
 				t.Fatalf("gpu key\n got %s\nwant %s", got, want)
+			}
+			if parseKey(want) != keys.Key(k) {
+				t.Fatalf("gpu key %s does not parse back", want)
 			}
 		}
 	}
@@ -194,4 +206,167 @@ func fieldVariants(t *testing.T, v any, skip map[string]bool) map[string]any {
 	}
 	walk("", nil, root.Type())
 	return out
+}
+
+// keyFloats are efficiencies whose texts are easy to confuse: signed
+// zeros, subnormals, notation switches, and NaNs with different payloads,
+// which print alike.
+var keyFloats = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 2 * math.SmallestNonzeroFloat64,
+	2.2250738585072009e-308, 1e-07, 1.0000000000000002e-07, 1e+21, 1e21 + 1e6, 0.5,
+	math.Nextafter(0.5, 1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000002),
+}
+
+// propertyKeys returns keys of every namespace over suffixes that differ
+// in one configuration field: pim/ and gpu/ workloads, pipe/ chain
+// descriptions differing in one byte, and texts no namespace parses.
+func propertyKeys(t *testing.T) []Key {
+	pimCfgs := []PIMKeys{NewPIMKeys(pim.DefaultConfig(), codegen.DefaultOpts())}
+	for _, v := range fieldVariants(t, pim.DefaultConfig(), nil) {
+		pimCfgs = append(pimCfgs, NewPIMKeys(v.(pim.Config), codegen.DefaultOpts()))
+	}
+	gpuCfgs := []GPUKeys{NewGPUKeys(gpu.DefaultConfig())}
+	for _, v := range fieldVariants(t, gpu.DefaultConfig(), nil) {
+		gpuCfgs = append(gpuCfgs, NewGPUKeys(v.(gpu.Config)))
+	}
+	pipeCfgs := []PipeKeys{
+		NewPipeKeys(256, 200, false, pimCfgs[0], gpuCfgs[0]),
+		NewPipeKeys(256, 201, false, pimCfgs[0], gpuCfgs[0]),
+		NewPipeKeys(256, 200, true, pimCfgs[0], gpuCfgs[0]),
+		NewPipeKeys(math.Copysign(0, -1), 200, false, pimCfgs[0], gpuCfgs[0]),
+		NewPipeKeys(256, 200, false, pimCfgs[1], gpuCfgs[0]),
+		NewPipeKeys(256, 200, false, pimCfgs[0], gpuCfgs[1]),
+	}
+	var keys []Key
+	for _, pk := range pimCfgs {
+		for _, w := range []codegen.Workload{{M: 1, K: 2, N: 3, Segments: 1}, {M: 1, K: 2, N: 3, Segments: 1, Groups: 1}, {M: 12, K: 3, N: 1, Segments: 1}, {M: -1}} {
+			keys = append(keys, pk.Key(w))
+		}
+	}
+	for _, gk := range gpuCfgs {
+		for _, f := range keyFloats {
+			keys = append(keys, gk.Key(gpu.Kernel{FLOPs: 10, DRAMBytes: 20, ComputeEff: f, MemEff: 0.5}),
+				gk.Key(gpu.Kernel{FLOPs: 10, DRAMBytes: 20, ComputeEff: 0.5, MemEff: f}))
+		}
+		keys = append(keys, gk.Key(gpu.Kernel{FLOPs: 1, DRAMBytes: 2, ComputeEff: 1, MemEff: 1}),
+			gk.Key(gpu.Kernel{FLOPs: 12, DRAMBytes: 0, ComputeEff: 1, MemEff: 1}))
+	}
+	for _, qk := range pipeCfgs {
+		for _, desc := range []string{"stages=2|Conv{i}", "stages=3|Conv{i}", "stages=2|Conv{s\"a\"\"|ibpc=1\"}", ""} {
+			keys = append(keys, qk.Key([]byte(desc)))
+		}
+	}
+	for _, text := range []string{"", "k", "pim/", "pim/m=01,k=2,n=3,seg=1,grp=0|x", "gpu/flops=1,bytes=2,ceff=0.50,meff=1|x", "pipe/no mark"} {
+		keys = append(keys, parseKey(text))
+	}
+	return keys
+}
+
+// TestKeyEqualityMatchesText: two keys are equal exactly when their
+// texts are, for every pair of the property keys and for seeded random
+// pairs of keys rebuilt from random fields, and every key parses back
+// from its text.
+func TestKeyEqualityMatchesText(t *testing.T) {
+	keys := propertyKeys(t)
+	texts := make([]string, len(keys))
+	for i, k := range keys {
+		texts[i] = k.String()
+		if parseKey(texts[i]) != k {
+			t.Errorf("%q does not parse back to its key", texts[i])
+		}
+	}
+	for i := range keys {
+		for j := range keys {
+			if (keys[i] == keys[j]) != (texts[i] == texts[j]) {
+				t.Errorf("keys %q and %q: equal %v, texts equal %v", texts[i], texts[j], keys[i] == keys[j], texts[i] == texts[j])
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	gk := NewGPUKeys(gpu.DefaultConfig())
+	pk := NewPIMKeys(pim.DefaultConfig(), codegen.DefaultOpts())
+	small := func() int { return rng.Intn(3) - 1 }
+	for i := 0; i < 20000; i++ {
+		var a, b Key
+		if rng.Intn(2) == 0 {
+			a = pk.Key(codegen.Workload{M: small(), K: small(), N: small(), Segments: small(), Groups: small()})
+			b = pk.Key(codegen.Workload{M: small(), K: small(), N: small(), Segments: small(), Groups: small()})
+		} else {
+			f := func() float64 { return keyFloats[rng.Intn(len(keyFloats))] }
+			a = gk.Key(gpu.Kernel{FLOPs: int64(small()), ComputeEff: f(), MemEff: f()})
+			b = gk.Key(gpu.Kernel{FLOPs: int64(small()), ComputeEff: f(), MemEff: f()})
+		}
+		if (a == b) != (a.String() == b.String()) {
+			t.Fatalf("keys %q and %q: equal %v", a, b, a == b)
+		}
+	}
+}
+
+// TestLoadKeepsUnparsedTextsVerbatim loads texts that a key would render
+// differently (a leading zero, a padded float, a missing suffix) beside
+// canonical ones: each stays its own entry, only the canonical ones are
+// hit, and the file saves back byte for byte.
+func TestLoadKeepsUnparsedTextsVerbatim(t *testing.T) {
+	pk := NewPIMKeys(pim.DefaultConfig(), codegen.DefaultOpts())
+	gk := NewGPUKeys(gpu.DefaultConfig())
+	pimKey := pk.Key(codegen.Workload{M: 1, K: 2, N: 3, Segments: 1})
+	gpuKey := gk.Key(gpu.Kernel{FLOPs: 1, DRAMBytes: 2, ComputeEff: 0.5, MemEff: 1})
+	pimText, gpuText := pimKey.String(), gpuKey.String()
+	entries := map[string]Profile{
+		pimText: {Cycles: 1},
+		gpuText: {Cycles: 2},
+		strings.Replace(pimText, "m=1", "m=01", 1):           {Cycles: 3},
+		strings.Replace(gpuText, "ceff=0.5", "ceff=0.50", 1): {Cycles: 4},
+		strings.Replace(pimText, "|", "", 1):                 {Cycles: 5},
+		"pipe/no mark":                                       {Cycles: 6},
+		"legacy":                                             {Cycles: 7},
+	}
+	data, err := json.MarshalIndent(file{Version: FormatVersion, Entries: entries}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	if n, err := s.Load(in); err != nil || n != len(entries) {
+		t.Fatalf("Load = %d, %v; want %d", n, err, len(entries))
+	}
+	for key, want := range map[Key]int64{pimKey: 1, gpuKey: 2} {
+		if p, ok := get(s, key); !ok || p.Cycles != want {
+			t.Errorf("%s = %+v, %v; want %d cycles", key, p, ok, want)
+		}
+	}
+	if err := s.Save(out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Errorf("saved\n%s\nwant\n%s", got, data)
+	}
+}
+
+// TestKeysDoNotAllocate: building a pim/ or gpu/ key formats nothing.
+func TestKeysDoNotAllocate(t *testing.T) {
+	pk := NewPIMKeys(pim.DefaultConfig(), codegen.DefaultOpts())
+	gk := NewGPUKeys(gpu.DefaultConfig())
+	s := New()
+	w := codegen.Workload{M: 64, K: 256, N: 32, Segments: 3}
+	k := gpu.Kernel{FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.75}
+	put(t, s, pk.Key(w), Profile{Cycles: 1})
+	put(t, s, gk.Key(k), Profile{Cycles: 2})
+	compute := func() (Profile, error) { return Profile{}, errors.New("miss") }
+	if a := testing.AllocsPerRun(100, func() {
+		s.Do(pk.Key(w), compute)
+		s.Do(gk.Key(k), compute)
+	}); a != 0 {
+		t.Errorf("%v allocations per pair of lookups, want 0", a)
+	}
 }

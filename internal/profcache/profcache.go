@@ -7,6 +7,9 @@
 // configurations and a stale file can never corrupt a run: mismatched
 // entries simply never hit.
 //
+// Keys are typed values (Key) in memory, so a recall is one map lookup
+// with nothing formatted; they become text only in files.
+//
 // The store is safe for concurrent use and deduplicates in-flight work
 // with singleflight semantics: when several goroutines request the same
 // missing key, one runs the simulation and the others wait for its result
@@ -55,7 +58,7 @@ type Profile struct {
 	PerChannelBusy []int64    `json:"perChannelBusy,omitempty"`
 }
 
-// Outcome classifies how a Do/DoObserved lookup was answered.
+// Outcome classifies how a DoObserved lookup was answered.
 type Outcome int
 
 const (
@@ -135,8 +138,8 @@ type flight struct {
 // singleflight deduplication.
 type Store struct {
 	mu       sync.Mutex
-	entries  map[string]Profile
-	inflight map[string]*flight
+	entries  map[Key]Profile
+	inflight map[Key]*flight
 	hits     int64
 	misses   int64
 	shared   int64
@@ -145,8 +148,8 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		entries:  map[string]Profile{},
-		inflight: map[string]*flight{},
+		entries:  map[Key]Profile{},
+		inflight: map[Key]*flight{},
 	}
 }
 
@@ -154,7 +157,7 @@ func New() *Store {
 // entry is returned immediately; a key being computed by another caller is
 // waited on; otherwise compute runs and its result is stored. Errors
 // propagate to every waiter of the attempt and are not cached.
-func (s *Store) Do(key string, compute func() (Profile, error)) (Profile, error) {
+func (s *Store) Do(key Key, compute func() (Profile, error)) (Profile, error) {
 	p, _, err := s.DoObserved(key, compute)
 	return p, err
 }
@@ -162,7 +165,7 @@ func (s *Store) Do(key string, compute func() (Profile, error)) (Profile, error)
 // DoObserved is Do plus the lookup's outcome (hit, miss, or shared), so
 // instrumentation can annotate individual probes without diffing counter
 // snapshots around concurrent calls.
-func (s *Store) DoObserved(key string, compute func() (Profile, error)) (Profile, Outcome, error) {
+func (s *Store) DoObserved(key Key, compute func() (Profile, error)) (Profile, Outcome, error) {
 	s.mu.Lock()
 	if p, ok := s.entries[key]; ok {
 		s.hits++
@@ -192,24 +195,6 @@ func (s *Store) DoObserved(key string, compute func() (Profile, error)) (Profile
 	return f.val, OutcomeMiss, f.err
 }
 
-// Get returns the cached profile for key, if present.
-func (s *Store) Get(key string) (Profile, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.entries[key]
-	if ok {
-		s.hits++
-	}
-	return p, ok
-}
-
-// Put stores a profile unconditionally.
-func (s *Store) Put(key string, p Profile) {
-	s.mu.Lock()
-	s.entries[key] = p
-	s.mu.Unlock()
-}
-
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -231,13 +216,14 @@ type file struct {
 }
 
 // Save writes the store's entries to path as JSON, atomically (temp file +
-// rename). Entries are emitted in sorted key order so identical stores
-// produce identical files.
+// rename). Each key is written as its text (Key.String), and entries are
+// emitted in sorted text order so identical stores produce identical
+// files. Distinct keys have distinct texts, so no entry is lost.
 func (s *Store) Save(path string) error {
 	s.mu.Lock()
 	out := file{Version: FormatVersion, Entries: make(map[string]Profile, len(s.entries))}
 	for k, v := range s.entries {
-		out.Entries[k] = v
+		out.Entries[k.String()] = v
 	}
 	s.mu.Unlock()
 	// encoding/json writes map keys in sorted order, so identical stores
@@ -264,7 +250,10 @@ func (s *Store) Save(path string) error {
 
 // Load merges entries from a file written by Save into the store,
 // returning how many entries were added. A missing file is not an error
-// (zero entries load); a file with a different format version is.
+// (zero entries load); a file with a different format version is. Each
+// text key is parsed back into the Key that renders it; one that does not
+// parse, or would render differently, is kept verbatim, never hits, and
+// saves back unchanged.
 func (s *Store) Load(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -283,7 +272,8 @@ func (s *Store) Load(path string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	added := 0
-	for k, v := range f.Entries {
+	for text, v := range f.Entries {
+		k := parseKey(text)
 		if _, ok := s.entries[k]; !ok {
 			s.entries[k] = v
 			added++

@@ -14,6 +14,25 @@ import (
 	"pimflow/internal/pim"
 )
 
+// textKey is the key whose text is s; the store tests use keys no
+// namespace parses, which the store keeps as their text.
+func textKey(s string) Key { return parseKey(s) }
+
+// put stores p under key through a miss.
+func put(t *testing.T, s *Store, key Key, p Profile) {
+	t.Helper()
+	if _, out, err := s.DoObserved(key, func() (Profile, error) { return p, nil }); err != nil || out != OutcomeMiss {
+		t.Fatalf("put %s: %v, %v", key, out, err)
+	}
+}
+
+// get returns the profile stored under key, computing nothing.
+func get(s *Store, key Key) (Profile, bool) {
+	errAbsent := errors.New("absent")
+	p, err := s.Do(key, func() (Profile, error) { return Profile{}, errAbsent })
+	return p, err == nil
+}
+
 func TestDoCachesAndCounts(t *testing.T) {
 	s := New()
 	calls := 0
@@ -22,7 +41,7 @@ func TestDoCachesAndCounts(t *testing.T) {
 		return Profile{Cycles: 42}, nil
 	}
 	for i := 0; i < 3; i++ {
-		p, err := s.Do("k", compute)
+		p, err := s.Do(textKey("k"), compute)
 		if err != nil || p.Cycles != 42 {
 			t.Fatalf("Do #%d = %+v, %v", i, p, err)
 		}
@@ -43,10 +62,10 @@ func TestDoDoesNotCacheErrors(t *testing.T) {
 	s := New()
 	boom := errors.New("boom")
 	calls := 0
-	if _, err := s.Do("k", func() (Profile, error) { calls++; return Profile{}, boom }); !errors.Is(err, boom) {
+	if _, err := s.Do(textKey("k"), func() (Profile, error) { calls++; return Profile{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	p, err := s.Do("k", func() (Profile, error) { calls++; return Profile{Cycles: 7}, nil })
+	p, err := s.Do(textKey("k"), func() (Profile, error) { calls++; return Profile{Cycles: 7}, nil })
 	if err != nil || p.Cycles != 7 {
 		t.Fatalf("retry = %+v, %v", p, err)
 	}
@@ -72,7 +91,7 @@ func TestSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			p, err := s.Do("k", func() (Profile, error) {
+			p, err := s.Do(textKey("k"), func() (Profile, error) {
 				calls.Add(1)
 				<-gate // hold the flight open until all callers queued
 				return Profile{Cycles: 99}, nil
@@ -108,7 +127,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%17)
+				key := textKey(fmt.Sprintf("k%d", i%17))
 				p, err := s.Do(key, func() (Profile, error) {
 					return Profile{Cycles: int64(i % 17)}, nil
 				})
@@ -129,8 +148,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "cache.json")
 	s := New()
-	s.Put("a", Profile{Cycles: 1, Counts: pim.Counts{Comps: 3, MACs: 12}})
-	s.Put("b", Profile{Cycles: 2})
+	put(t, s, textKey("a"), Profile{Cycles: 1, Counts: pim.Counts{Comps: 3, MACs: 12}})
+	put(t, s, textKey("b"), Profile{Cycles: 2})
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +158,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil || added != 2 {
 		t.Fatalf("Load = %d, %v; want 2, nil", added, err)
 	}
-	p, ok := s2.Get("a")
+	p, ok := get(s2, textKey("a"))
 	if !ok || p.Cycles != 1 || p.Counts.Comps != 3 || p.Counts.MACs != 12 {
 		t.Errorf("entry a = %+v, %v", p, ok)
 	}

@@ -20,6 +20,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/gpu"
@@ -180,13 +183,14 @@ func (r *Report) NodeByName(name string) *NodeReport {
 }
 
 // zeroCostOps complete instantly: reshapes and pass-throughs that real
-// frameworks fold away.
+// frameworks fold away, and nodes marked elided=1. Most nodes carry no
+// integer attribute at all, so the lookup is skipped for them.
 func zeroCost(n *graph.Node) bool {
 	switch n.Op {
 	case graph.OpFlatten, graph.OpIdentity:
 		return true
 	}
-	return n.Attrs.Int("elided", 0) == 1
+	return len(n.Attrs.Ints) > 0 && n.Attrs.Int("elided", 0) == 1
 }
 
 // fusableActivation reports whether the op is a unary activation that the
@@ -232,7 +236,11 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	// shared graph must stay read-only here. The clone keeps the node
 	// order, so order stays valid for its index.
 	for _, i := range order {
-		ti := g.Tensors[x.At(i).Outputs[0]]
+		n := x.At(i)
+		if len(n.Outputs) == 0 {
+			return nil, fmt.Errorf("runtime: node %q (%s) has no outputs", n.Name, n.Op)
+		}
+		ti := g.Tensors[n.Outputs[0]]
 		if ti == nil || !ti.Shape.Valid() {
 			g = g.Clone()
 			x = g.Index()
@@ -249,6 +257,11 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	var gpuKeys profcache.GPUKeys
 	if cfg.Profiles != nil {
 		pimKeys, gpuKeys = profcache.NewPIMKeys(cfg.PIM, cfg.Codegen), profcache.NewGPUKeys(cfg.GPU)
+	}
+
+	var met *execMetrics
+	if cfg.Metrics != nil {
+		met = obs.Bound(cfg.Metrics, execMetricsKey{}, newExecMetrics)
 	}
 
 	done := make([]scheduled, x.Len()) // by node position
@@ -269,8 +282,8 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		}
 		// Ready time: producers plus cross-device movement.
 		ready, moveCycles := startCycle, int64(0)
-		for _, in := range n.Inputs {
-			p := x.ProducerPos(in)
+		prods := x.InputProducers(i)
+		for k, p := range prods {
 			if p < 0 {
 				continue // graph input or weight
 			}
@@ -282,7 +295,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 				if done[p].dev == graph.DevicePIM && dev == graph.DeviceGPU {
 					// PIM results travel the memory network to GPU
 					// channels (Fig 4, step 4).
-					bytes := int64(g.Tensors[in].Shape.Elems()) * 2
+					bytes := int64(g.Tensors[n.Inputs[k]].Shape.Elems()) * 2
 					move += int64(float64(bytes) / cfg.InterconnectBytesPerCycle)
 				}
 				t += move
@@ -300,9 +313,9 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		// layers keep their activation fused.
 		fused := false
 		if fusableActivation(n.Op) && len(n.Inputs) == 1 {
-			p := x.ProducerPos(n.Inputs[0])
+			p := int(prods[0])
 			for p >= 0 && done[p].zero && len(x.At(p).Inputs) > 0 {
-				p = x.ProducerPos(x.At(p).Inputs[0])
+				p = int(x.InputProducers(p)[0])
 			}
 			if p >= 0 && (x.At(p).Op == graph.OpConv || x.At(p).Op == graph.OpGemm) &&
 				len(x.Consumers(n.Inputs[0])) == 1 {
@@ -320,12 +333,14 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 			// them once. This is the same single SyncOverheadCycles charge
 			// the search's profiler models for a split layer, keeping the
 			// two cost models aligned.
-			if zero && mergesDevices(n, x, done) {
+			if zero && mergesDevices(prods, done) {
 				end = ready + cfg.SyncOverheadCycles
 				nr.MoveCycles += cfg.SyncOverheadCycles
 				moveCycles += cfg.SyncOverheadCycles
-				cfg.Trace.InstantCycles(obs.TIDGPU, n.Name, "merge-sync", end,
-					map[string]any{"syncCycles": cfg.SyncOverheadCycles})
+				if cfg.Trace.Enabled() {
+					cfg.Trace.InstantCycles(obs.TIDGPU, n.Name, "merge-sync", end,
+						map[string]any{"syncCycles": cfg.SyncOverheadCycles})
+				}
 			}
 		} else if dev == graph.DevicePIM {
 			w, err := codegen.NodeWorkload(g, n)
@@ -338,7 +353,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 					return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, verify.AsError(diags))
 				}
 			}
-			prof, err := timePIM(w, cfg, pimKeys)
+			prof, err := timePIM(w, &cfg, pimKeys)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
 			}
@@ -348,8 +363,8 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 			pimFree = end
 			rep.PIMBusy += cycles
 			nr.PIMCounts = prof.Counts
-			if cfg.Metrics != nil {
-				recordPIMNodeMetrics(cfg.Metrics, prof)
+			if met != nil {
+				met.recordPIMNode(prof)
 			}
 			if cfg.Trace.Enabled() && !cfg.TraceNodesOnly {
 				if err := traceChannelActivity(cfg, w, n.Name, start); err != nil {
@@ -357,7 +372,7 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 				}
 			}
 		} else {
-			cycles, k, err := timeGPU(g, n, cfg, gpuKeys)
+			cycles, k, err := timeGPU(g, n, &cfg, gpuKeys)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: GPU node %q: %w", n.Name, err)
 			}
@@ -389,8 +404,8 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	// The timeline is in GPU-clock cycles throughout (PIM durations were
 	// scaled by PIMCycleScale), so the GPU clock alone converts to time.
 	rep.Seconds = float64(rep.DurationCycles()) / (cfg.GPU.ClockGHz * 1e9)
-	if cfg.Metrics != nil {
-		recordReportMetrics(cfg.Metrics, rep)
+	if met != nil {
+		met.recordReport(rep)
 	}
 	if cfg.Trace.Enabled() {
 		cfg.Trace.SetMeta("totalCycles", rep.TotalCycles)
@@ -406,39 +421,102 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	return rep, nil
 }
 
-// recordPIMNodeMetrics folds one offloaded node's profile into the
-// registry: the command-kind mix and each participating channel's
-// MAC-pipeline utilization over the kernel makespan.
-func recordPIMNodeMetrics(m *obs.Metrics, prof profcache.Profile) {
-	m.Inc("runtime.pim_nodes")
+// execMetricsKey keys the runtime's handle set in a registry.
+type execMetricsKey struct{}
+
+// execMetrics holds one registry's handles on every series an execution
+// updates. ExecuteAt resolves it once per registry (obs.Bound), so a live
+// execution hashes no metric name and takes no registry lock.
+type execMetrics struct {
+	m *obs.Metrics
+
+	executions, nodes, pimNodes                              *obs.Counter
+	gwrite, gact, comp, readres, colIOs, gwBursts, rrBursts  *obs.Counter
+	utilization                                              *obs.Histogram
+	total, seconds, gpuBusy, pimBusy, move, gpuFrac, pimFrac *obs.Gauge
+
+	// channels holds the pim.channel_busy_cycles handles of channels
+	// 0..len-1; a wider PIM config appends under mu.
+	mu       sync.Mutex
+	channels atomic.Pointer[[]*obs.Counter]
+}
+
+func newExecMetrics(m *obs.Metrics) *execMetrics {
+	return &execMetrics{
+		m:           m,
+		executions:  m.CounterOf("runtime.executions"),
+		nodes:       m.CounterOf("runtime.nodes"),
+		pimNodes:    m.CounterOf("runtime.pim_nodes"),
+		gwrite:      m.CounterOf("pim.commands.gwrite"),
+		gact:        m.CounterOf("pim.commands.g_act"),
+		comp:        m.CounterOf("pim.commands.comp"),
+		readres:     m.CounterOf("pim.commands.readres"),
+		colIOs:      m.CounterOf("pim.col_ios"),
+		gwBursts:    m.CounterOf("pim.gwrite_bursts"),
+		rrBursts:    m.CounterOf("pim.readres_bursts"),
+		utilization: m.HistogramOf("pim.channel_utilization"),
+		total:       m.GaugeOf("runtime.total_cycles"),
+		seconds:     m.GaugeOf("runtime.seconds"),
+		gpuBusy:     m.GaugeOf("runtime.gpu_busy_cycles"),
+		pimBusy:     m.GaugeOf("runtime.pim_busy_cycles"),
+		move:        m.GaugeOf("runtime.move_cycles"),
+		gpuFrac:     m.GaugeOf("runtime.gpu_busy_fraction"),
+		pimFrac:     m.GaugeOf("runtime.pim_busy_fraction"),
+	}
+}
+
+// channelCounters returns the busy-cycle handles of at least n channels.
+func (e *execMetrics) channelCounters(n int) []*obs.Counter {
+	if cs := e.channels.Load(); cs != nil && len(*cs) >= n {
+		return *cs
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var cs []*obs.Counter
+	if p := e.channels.Load(); p != nil {
+		cs = slices.Clip(*p) // readers keep the published slice
+	}
+	for ch := len(cs); ch < n; ch++ {
+		cs = append(cs, e.m.CounterOf(obs.LabeledKey("pim.channel_busy_cycles", "channel", fmt.Sprintf("%02d", ch))))
+	}
+	e.channels.Store(&cs)
+	return cs
+}
+
+// recordPIMNode folds one offloaded node's profile into the registry:
+// the command-kind mix and each participating channel's MAC-pipeline
+// utilization over the kernel makespan.
+func (e *execMetrics) recordPIMNode(prof profcache.Profile) {
+	e.pimNodes.Inc()
 	c := prof.Counts
-	m.Add("pim.commands.gwrite", c.GWrites)
-	m.Add("pim.commands.g_act", c.GActs)
-	m.Add("pim.commands.comp", c.Comps)
-	m.Add("pim.commands.readres", c.ReadRes)
-	m.Add("pim.col_ios", c.ColIOs)
-	m.Add("pim.gwrite_bursts", c.GWBursts)
-	m.Add("pim.readres_bursts", c.RRBursts)
+	e.gwrite.Add(c.GWrites)
+	e.gact.Add(c.GActs)
+	e.comp.Add(c.Comps)
+	e.readres.Add(c.ReadRes)
+	e.colIOs.Add(c.ColIOs)
+	e.gwBursts.Add(c.GWBursts)
+	e.rrBursts.Add(c.RRBursts)
+	chans := e.channelCounters(len(prof.PerChannelBusy))
 	for ch, busy := range prof.PerChannelBusy {
-		m.Add(obs.LabeledKey("pim.channel_busy_cycles", "channel", fmt.Sprintf("%02d", ch)), busy)
+		chans[ch].Add(busy)
 		if prof.Cycles > 0 {
-			m.Observe("pim.channel_utilization", float64(busy)/float64(prof.Cycles))
+			e.utilization.Observe(float64(busy) / float64(prof.Cycles))
 		}
 	}
 }
 
-// recordReportMetrics publishes the finished schedule's headline numbers.
-func recordReportMetrics(m *obs.Metrics, rep *Report) {
-	m.Inc("runtime.executions")
-	m.Add("runtime.nodes", int64(len(rep.Nodes)))
-	m.Set("runtime.total_cycles", float64(rep.TotalCycles))
-	m.Set("runtime.seconds", rep.Seconds)
-	m.Set("runtime.gpu_busy_cycles", float64(rep.GPUBusy))
-	m.Set("runtime.pim_busy_cycles", float64(rep.PIMBusy))
-	m.Set("runtime.move_cycles", float64(rep.MoveCycles))
+// recordReport publishes the finished schedule's headline numbers.
+func (e *execMetrics) recordReport(rep *Report) {
+	e.executions.Inc()
+	e.nodes.Add(int64(len(rep.Nodes)))
+	e.total.Set(float64(rep.TotalCycles))
+	e.seconds.Set(rep.Seconds)
+	e.gpuBusy.Set(float64(rep.GPUBusy))
+	e.pimBusy.Set(float64(rep.PIMBusy))
+	e.move.Set(float64(rep.MoveCycles))
 	if d := rep.DurationCycles(); d > 0 {
-		m.Set("runtime.gpu_busy_fraction", float64(rep.GPUBusy)/float64(d))
-		m.Set("runtime.pim_busy_fraction", float64(rep.PIMBusy)/float64(d))
+		e.gpuFrac.Set(float64(rep.GPUBusy) / float64(d))
+		e.pimFrac.Set(float64(rep.PIMBusy) / float64(d))
 	}
 }
 
@@ -487,14 +565,14 @@ type scheduled struct {
 	zero bool
 }
 
-// mergesDevices reports whether a node's direct producers span more than
-// one device — the signature of an MD-DP or pipeline merge point. done is
-// indexed by the node positions of x.
-func mergesDevices(n *graph.Node, x *graph.Index, done []scheduled) bool {
+// mergesDevices reports whether a node's direct producers (prods, its
+// inputs' positions from Index.InputProducers) span more than one device
+// — the signature of an MD-DP or pipeline merge point. done is indexed
+// by node position.
+func mergesDevices(prods []int32, done []scheduled) bool {
 	var seen [2]bool
 	distinct := 0
-	for _, in := range n.Inputs {
-		p := x.ProducerPos(in)
+	for _, p := range prods {
 		if p < 0 {
 			continue
 		}
@@ -513,7 +591,7 @@ func mergesDevices(n *graph.Node, x *graph.Index, done []scheduled) bool {
 // timePIM simulates — or recalls from the profile store under keys —
 // one PIM workload, returning cycles in the PIM clock domain plus the
 // command counts the energy model consumes.
-func timePIM(w codegen.Workload, cfg Config, keys profcache.PIMKeys) (profcache.Profile, error) {
+func timePIM(w codegen.Workload, cfg *Config, keys profcache.PIMKeys) (profcache.Profile, error) {
 	compute := func() (profcache.Profile, error) {
 		st, err := codegen.TimeWorkload(w, cfg.PIM, cfg.Codegen)
 		if err != nil {
@@ -530,7 +608,7 @@ func timePIM(w codegen.Workload, cfg Config, keys profcache.PIMKeys) (profcache.
 // timeGPU evaluates — or recalls from the profile store under keys — the
 // GPU roofline for one node, returning cycles plus the kernel description
 // (whose work terms feed the report regardless of a cache hit).
-func timeGPU(g *graph.Graph, n *graph.Node, cfg Config, keys profcache.GPUKeys) (int64, gpu.Kernel, error) {
+func timeGPU(g *graph.Graph, n *graph.Node, cfg *Config, keys profcache.GPUKeys) (int64, gpu.Kernel, error) {
 	k, err := gpu.NodeKernel(g, n, cfg.GPU)
 	if err != nil {
 		return 0, k, err

@@ -3,10 +3,13 @@ package search
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"pimflow/internal/models"
+	"pimflow/internal/profcache"
+	"pimflow/internal/runtime"
 )
 
 // compiledDigests pins every compiled paper CNN: the SHA-256 of its
@@ -47,6 +50,57 @@ func TestCompiledGraphsGolden(t *testing.T) {
 			key := name + "/" + pol.String()
 			if got := hex.EncodeToString(h.Sum(nil)); got != compiledDigests[key] {
 				t.Errorf("%s: compiled graph digest %s, want %s", key, got, compiledDigests[key])
+			}
+		}
+	}
+}
+
+// reportDigests pins runtime.Execute's report (the SHA-256 of its JSON)
+// for every compiled paper CNN, computed before the profile store took
+// typed keys. The store only memoizes timings, so executing without one,
+// over a cold one and over a warm one must all give the pinned report.
+var reportDigests = map[string]string{
+	"efficientnet-v1-b0/PIMFlow":  "b2a93e0ece2434fc59cc241f4cb9b8078f8f710816ea76da0bbef8531ee9f59c",
+	"efficientnet-v1-b0/Baseline": "7d6a12df1c7115fad93c0ff169e1548dff46cd6d8f5ae8437a38263489a68510",
+	"mnasnet-1.0/PIMFlow":         "a57fa3253e220bccf6bfd8963adaf86749b9ffccd97c7a31f26ccf3309302356",
+	"mnasnet-1.0/Baseline":        "b7c4dd97f9cfeedaf806c3d0e7695a3c6bdb3de9c66c1a8b823aa61f44788fbd",
+	"mobilenet-v2/PIMFlow":        "2885cc9a00294ceaf1279e4d0ba0599875f9927cf02dcf872e481f08708e85a5",
+	"mobilenet-v2/Baseline":       "1a9c9e06240af36484b5be54df3e175cd48c76567b367391ccf2b8ba5596bf74",
+	"resnet-50/PIMFlow":           "9a4d15351e386be3463f9d72bc8c17895176419a98637515d24bb31e25793347",
+	"resnet-50/Baseline":          "cbacef47368ba1354462dae02d898572ec581f2505b9e5cb3aad506682cec04d",
+	"vgg-16/PIMFlow":              "30abc970fc87c866219db1c30b678320a96cacb9b42407c67f41b7734ffa7dff",
+	"vgg-16/Baseline":             "c7c5e2588dec45f813df1a95388804fc151d7faa793fa0a8529ba8c00c2cc98a",
+}
+
+func TestRuntimeReportsGolden(t *testing.T) {
+	for _, name := range models.EvaluatedCNNs() {
+		g, err := models.Build(name, models.Options{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []Policy{PolicyPIMFlow, PolicyBaseline} {
+			key := name + "/" + pol.String()
+			opts := DefaultOptions(pol)
+			out, _, err := Compile(g, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			rt := opts.RuntimeConfig()
+			store := profcache.New()
+			for run, s := range []*profcache.Store{nil, store, store} {
+				rt.Profiles = s
+				rep, err := runtime.Execute(out, rt)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				data, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(data)
+				if got := hex.EncodeToString(sum[:]); got != reportDigests[key] {
+					t.Errorf("%s run %d (store %v): report digest %s, want %s", key, run, s != nil, got, reportDigests[key])
+				}
 			}
 		}
 	}

@@ -19,29 +19,20 @@ import (
 // chain-local references: the chain input, an earlier chain node's
 // output, or a weight. Node and tensor names are left out, so identical
 // blocks at different depths of a model (or in different models) share
-// one entry. The device suffix, formatted once, fingerprints every
+// one entry. The device suffix, interned once, fingerprints every
 // runtime.Config field the schedule depends on.
-type pipeKeys struct{ suffix string }
+type pipeKeys struct{ keys profcache.PipeKeys }
 
 func newPipeKeys(rt runtime.Config) pipeKeys {
-	b := make([]byte, 0, 512)
-	b = append(b, "|ibpc="...)
-	b = strconv.AppendFloat(b, rt.InterconnectBytesPerCycle, 'g', -1, 64)
-	b = append(b, ",sync="...)
-	b = strconv.AppendInt(b, rt.SyncOverheadCycles, 10)
-	b = append(b, ",verify="...)
-	b = strconv.AppendBool(b, rt.VerifyTraces)
-	b = append(b, profcache.NewPIMKeys(rt.PIM, rt.Codegen).Suffix()...)
-	b = append(b, profcache.NewGPUKeys(rt.GPU).Suffix()...)
-	return pipeKeys{suffix: string(b)}
+	return pipeKeys{profcache.NewPipeKeys(rt.InterconnectBytesPerCycle, rt.SyncOverheadCycles, rt.VerifyTraces,
+		profcache.NewPIMKeys(rt.PIM, rt.Codegen), profcache.NewGPUKeys(rt.GPU))}
 }
 
 // key returns the pipe/ key of the chain (nodes of g, in chain order) at
 // the given stage count.
-func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) string {
-	b := make([]byte, 0, 512+len(k.suffix))
-	b = append(b, profcache.PipePrefix...)
-	b = append(b, "stages="...)
+func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) profcache.Key {
+	var buf [512]byte
+	b := append(buf[:0], "stages="...)
 	b = strconv.AppendInt(b, int64(stages), 10)
 	chainIn := chain[0].Inputs[0]
 	var names [8]string // attribute names of one node, sorted
@@ -67,7 +58,7 @@ func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) string {
 		b = append(b, ";out="...)
 		b = strconv.AppendInt(b, int64(len(n.Outputs)), 10)
 	}
-	return string(append(b, k.suffix...))
+	return k.keys.Key(b)
 }
 
 // appendAttrs writes every attribute of a, each kind in sorted name

@@ -1,7 +1,10 @@
 package search
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"strconv"
@@ -71,7 +74,7 @@ func TestPipeEntriesMatchFreshProbes(t *testing.T) {
 	opts.Profiles = profcache.New()
 	cached := newProfiler(opts)
 	fresh := newProfiler(DefaultOptions(PolicyPIMFlow))
-	freshByKey := map[string]int64{}
+	freshByKey := map[profcache.Key]int64{}
 	probes, repeats := 0, 0
 	for _, c := range zooPipeCases(t) {
 		for _, stages := range []int{2, 3, 4} {
@@ -110,6 +113,26 @@ func TestPipeEntriesMatchFreshProbes(t *testing.T) {
 	t.Logf("%d probes, %d signatures, %d repeats", probes, len(freshByKey), repeats)
 	if repeats == 0 {
 		t.Error("no signature repeated: nothing exercised a shared entry")
+	}
+}
+
+// pipeKeysDigest pins the text of every pipelining candidate key of the
+// five CNNs at 2, 3 and 4 stages (339 keys, one per line), computed
+// before the profile store took typed keys: saved logs hold these texts.
+const pipeKeysDigest = "b88627f095546b73fa78d876c191b0b06dc5e9881dcebccd8c1a8163077cfed3"
+
+func TestPipeKeysGolden(t *testing.T) {
+	p := newProfiler(DefaultOptions(PolicyPIMFlow))
+	h := sha256.New()
+	n := 0
+	for _, c := range zooPipeCases(t) {
+		for _, stages := range []int{2, 3, 4} {
+			fmt.Fprintln(h, p.pipeKeys.key(c.g, c.chain, stages))
+			n++
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); n != 339 || got != pipeKeysDigest {
+		t.Errorf("%d pipe keys with digest %s, want 339 with %s", n, got, pipeKeysDigest)
 	}
 }
 
@@ -276,12 +299,12 @@ func TestPipeKeySeparates(t *testing.T) {
 	rt := DefaultOptions(PolicyPIMFlow).RuntimeConfig()
 	keys := newPipeKeys(rt)
 	base := keys.key(c.g, c.chain, 2)
-	if !strings.HasPrefix(base, profcache.PipePrefix) {
+	if !strings.HasPrefix(base.String(), profcache.PipePrefix) {
 		t.Fatalf("key %q outside the %s namespace", base, profcache.PipePrefix)
 	}
 
 	// mutated re-keys the candidate on a copy of its graph after edit.
-	mutated := func(edit func(g *graph.Graph, chain []*graph.Node)) string {
+	mutated := func(edit func(g *graph.Graph, chain []*graph.Node)) profcache.Key {
 		cg := c.g.Clone()
 		chain := make([]*graph.Node, len(c.chain))
 		for i, n := range c.chain {
