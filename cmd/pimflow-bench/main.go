@@ -124,8 +124,8 @@ func saveSnapshot(out string, results map[string]map[string]Result) error {
 // wall-clock replay time, everything else lands in Extra — including the
 // attributed stage split of the p50/p99/p999 requests, whose
 // <q>_*_cycles extras sum to <q>_simcycles exactly. With tracePath the
-// replays share one Chrome trace (request lanes + GPU/PIM timeline,
-// execution forced on) written at the end.
+// replays share one Chrome trace (request lanes + each batch's GPU/PIM
+// timeline) written at the end.
 func runScenarios(label, out, names, tracePath string, certify bool) error {
 	if names == "all" {
 		names = "poisson,diurnal,bursty"
@@ -142,7 +142,6 @@ func runScenarios(label, out, names, tracePath string, certify bool) error {
 	opts := load.RunOptions{RequestLog: 512, Certify: certify}
 	if tracePath != "" {
 		opts.Trace = obs.NewTrace()
-		opts.Execute = true
 	}
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)

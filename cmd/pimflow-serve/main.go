@@ -41,8 +41,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -130,7 +128,8 @@ func run(addr, load, policy string, channels, pimCh, machineGPU, machinePIM,
 		return err
 	}
 
-	specs, err := parseLoads(load, policy, channels, pimCh, sloClass)
+	base := serve.ModelSpec{Policy: policy, TotalChannels: channels, PIMChannels: pimCh, SLO: sloClass}
+	specs, err := serve.ParseLoads(load, base, nil)
 	if err != nil {
 		return err
 	}
@@ -206,64 +205,4 @@ func run(addr, load, policy string, channels, pimCh, machineGPU, machinePIM,
 	}
 	fmt.Println("drained cleanly")
 	return nil
-}
-
-// parseLoads expands the -load list into model specs. Each entry is
-// "name=model" (or a bare zoo model name serving under its own name),
-// optionally followed by semicolon-separated per-model options:
-// batch=N, window=D (Go duration), cycles=N, slo=class.
-func parseLoads(load, policy string, channels, pimCh int, sloClass string) ([]serve.ModelSpec, error) {
-	var specs []serve.ModelSpec
-	for _, entry := range strings.Split(load, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		parts := strings.Split(entry, ";")
-		name, model := parts[0], parts[0]
-		if eq := strings.IndexByte(parts[0], '='); eq >= 0 {
-			name, model = parts[0][:eq], parts[0][eq+1:]
-		}
-		spec := serve.ModelSpec{
-			Name: name, Model: model, Policy: policy,
-			TotalChannels: channels, PIMChannels: pimCh,
-			SLO: sloClass,
-		}
-		for _, opt := range parts[1:] {
-			opt = strings.TrimSpace(opt)
-			if opt == "" {
-				continue
-			}
-			key, val, ok := strings.Cut(opt, "=")
-			if !ok {
-				return nil, fmt.Errorf("load entry %q: option %q is not key=value", entry, opt)
-			}
-			switch key {
-			case "batch":
-				n, err := strconv.Atoi(val)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: batch: %v", entry, err)
-				}
-				spec.MaxBatch = n
-			case "window":
-				d, err := time.ParseDuration(val)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: window: %v", entry, err)
-				}
-				spec.BatchWindowMillis = d.Milliseconds()
-			case "cycles":
-				n, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("load entry %q: cycles: %v", entry, err)
-				}
-				spec.BatchWindowCycles = n
-			case "slo":
-				spec.SLO = val
-			default:
-				return nil, fmt.Errorf("load entry %q: unknown option %q (batch, window, cycles, slo)", entry, key)
-			}
-		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
 }

@@ -80,9 +80,9 @@ type Config struct {
 	BatchWindowCycles int64
 	SLOClasses        []serve.SLOClass
 	// Metrics receives the router-tier counters; per-machine serving
-	// metrics live in per-machine registries (Fleet.MachineMetrics) so
-	// machines never collide on the serve.* keys. Nil gets a private
-	// registry.
+	// metrics live in per-machine registries (Machine(i).Metrics(), and
+	// GET /v1/machines/{name}/metrics) so machines never collide on the
+	// serve.* keys. Nil gets a private registry.
 	Metrics *obs.Metrics
 	// Trace, when non-nil, is shared by the router (wall-clock routing
 	// lanes) and every machine (simulated-timeline spans).
@@ -234,9 +234,6 @@ func (f *Fleet) MachineNames() []string {
 // Machine returns one machine's serving stack by index (tests and the
 // HTTP layer reach through it read-mostly).
 func (f *Fleet) Machine(i int) *serve.Server { return f.machines[i].srv }
-
-// MachineMetrics returns one machine's private metrics registry.
-func (f *Fleet) MachineMetrics(i int) *obs.Metrics { return f.machines[i].metrics }
 
 // Metrics returns the router-tier metrics registry.
 func (f *Fleet) Metrics() *obs.Metrics { return f.cfg.Metrics }

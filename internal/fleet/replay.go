@@ -237,7 +237,7 @@ func Replay(f *Fleet, sc Scenario, reqs []load.Request) (*load.Report, error) {
 		stats: load.NewCollector(sc.Scenario, len(reqs)),
 	}
 	for mi := 0; mi < f.Size(); mi++ {
-		q, err := serve.NewVirtualQueue(f.Machine(mi), sc.QueueDepth, adm, serve.BatchOptions{Execute: sc.Execute},
+		q, err := serve.NewVirtualQueue(f.Machine(mi), sc.QueueDepth, adm,
 			func(h hop, resp *serve.InferResponse, err error) { x.settle(mi, h, resp, err) })
 		if err != nil {
 			return nil, err

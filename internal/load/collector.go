@@ -43,10 +43,6 @@ func NewCollector(sc Scenario, requests int) *Collector {
 	return &Collector{recs: make([]latRec, 0, requests), classLat: map[string][]int64{}}
 }
 
-// Streaming reports whether the collector holds a bounded-memory sketch
-// instead of exact per-request records.
-func (c *Collector) Streaming() bool { return c.stream != nil }
-
 // Samples returns how many latency values the collector currently holds
 // in memory — bounded in streaming mode, one per served request in exact
 // mode.

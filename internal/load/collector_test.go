@@ -91,3 +91,7 @@ func TestReplayBoundedMemoryAtMillionRequests(t *testing.T) {
 		t.Fatalf("replay retained %d bytes of heap over a 1M-request streamed run (budget %d)", grew, heapBudget)
 	}
 }
+
+// Streaming reports whether the collector holds a bounded-memory sketch
+// instead of exact per-request records.
+func (c *Collector) Streaming() bool { return c.stream != nil }

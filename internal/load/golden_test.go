@@ -1,10 +1,13 @@
 package load
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"testing"
+
+	"pimflow/internal/obs"
 )
 
 // replayDigest is the SHA-256 of a replay's JSON report, wall-clock
@@ -52,4 +55,69 @@ func TestReplayGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tracedReplayDigest is simulatedTraceDigest's value for the replay of
+// TestTracedReplayGolden, computed when a traced replay had to re-execute
+// every batch to draw its GPU/PIM timeline.
+const tracedReplayDigest = "4d50604e9c0763c62bd051bde4b19926c500c90e921e0c65ca6441a61bc04c42"
+
+// TestTracedReplayGolden pins the simulated-time half of a traced replay
+// (builtin bursty, seed 1, 2 000 requests, request log on): every node
+// span and merge-sync instant at its lease offset, every request lane,
+// and the trace meta.
+func TestTracedReplayGolden(t *testing.T) {
+	sc, err := Builtin("bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Seed, sc.Requests = 1, 2_000
+	tr := obs.NewTrace()
+	rep, err := RunWithOptions(sc, RunOptions{Trace: tr, RequestLog: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, e := range tr.Events() {
+		if e.PID == obs.PIDTimeline && e.Phase == "X" {
+			spans++
+		}
+	}
+	if rep.Served == 0 || spans == 0 {
+		t.Fatalf("served %d, %d node spans", rep.Served, spans)
+	}
+	if got := simulatedTraceDigest(t, tr); got != tracedReplayDigest {
+		t.Errorf("trace digest %s, want %s", got, tracedReplayDigest)
+	}
+}
+
+// simulatedTraceDigest digests a trace's simulated-time events (the
+// PIDTimeline and PIDRequests processes, metadata included) in export
+// order, followed by its meta; the wall-clock PIDCompile spans are left
+// out.
+func simulatedTraceDigest(t *testing.T, tr *obs.Trace) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []obs.Event    `json:"traceEvents"`
+		OtherData   map[string]any `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	kept := doc.TraceEvents[:0]
+	for _, e := range doc.TraceEvents {
+		if e.PID == obs.PIDTimeline || e.PID == obs.PIDRequests {
+			kept = append(kept, e)
+		}
+	}
+	b, err := json.Marshal(map[string]any{"events": kept, "meta": doc.OtherData})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
 }

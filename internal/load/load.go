@@ -10,7 +10,6 @@
 package load
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -67,10 +66,6 @@ type Scenario struct {
 	// "shed-oldest" (open-loop replay cannot block).
 	QueueDepth int    `json:"queueDepth,omitempty"`
 	Admission  string `json:"admission,omitempty"`
-	// Execute runs each placed batch's compiled plan (the live path);
-	// off, latency comes from the identical lease arithmetic and replay
-	// scales to millions of requests.
-	Execute bool `json:"execute,omitempty"`
 	// StreamStats swaps the replay's exact latency collection for a
 	// deterministic fixed-size quantile sketch (see QuantileSketch):
 	// memory stays bounded by the sketch instead of growing with the
@@ -245,17 +240,6 @@ func pickModel(rng *rand.Rand, ms []ModelLoad, cum []float64) string {
 		i = len(ms) - 1
 	}
 	return ms[i].Name
-}
-
-// TraceBytes is the canonical text encoding of a trace ("cycle model"
-// per line): the determinism tests digest it, and it round-trips through
-// files for external tooling.
-func TraceBytes(reqs []Request) []byte {
-	var b bytes.Buffer
-	for _, r := range reqs {
-		fmt.Fprintf(&b, "%d %s\n", r.Cycle, r.Model)
-	}
-	return b.Bytes()
 }
 
 // Builtin returns a named preset scenario ("poisson", "diurnal",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -467,7 +468,7 @@ func TestAttributedStageBreakdown(t *testing.T) {
 func TestReplayEmitsRequestLanes(t *testing.T) {
 	sc := toyScenario(3, 300, "poisson")
 	tr := obs.NewTrace()
-	rep, err := RunWithOptions(sc, RunOptions{Trace: tr, RequestLog: 64, Execute: true})
+	rep, err := RunWithOptions(sc, RunOptions{Trace: tr, RequestLog: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,4 +493,14 @@ func TestReplayEmitsRequestLanes(t *testing.T) {
 	if stages == 0 {
 		t.Error("no stage slices on request lanes")
 	}
+}
+
+// TraceBytes is the canonical text encoding of a trace ("cycle model"
+// per line), which the determinism tests digest.
+func TraceBytes(reqs []Request) []byte {
+	var b bytes.Buffer
+	for _, r := range reqs {
+		fmt.Fprintf(&b, "%d %s\n", r.Cycle, r.Model)
+	}
+	return b.Bytes()
 }

@@ -105,7 +105,7 @@ func referenceReplay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, e
 		if len(batch) == 0 {
 			return nil
 		}
-		outs, err := srv.InferBatch(context.Background(), batch, serve.BatchOptions{Execute: sc.Execute})
+		outs, err := srv.InferBatch(context.Background(), batch, serve.BatchOptions{})
 		if err != nil {
 			return err
 		}

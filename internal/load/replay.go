@@ -203,7 +203,7 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	}
 	rep := &Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]ClassStats{}}
 	stats := NewCollector(sc, len(reqs))
-	q, err := serve.NewVirtualQueue(srv, sc.QueueDepth, adm, serve.BatchOptions{Execute: sc.Execute},
+	q, err := serve.NewVirtualQueue(srv, sc.QueueDepth, adm,
 		func(_ struct{}, resp *serve.InferResponse, err error) { rep.Record(stats, resp, err) })
 	if err != nil {
 		return nil, err
@@ -358,17 +358,14 @@ func Run(sc Scenario) (*Report, error) {
 
 // RunOptions extends Run with observability sinks.
 type RunOptions struct {
-	// Trace, when non-nil, collects the replay's simulated-timeline and
-	// request-lane events (request lanes require RequestLog > 0).
+	// Trace, when non-nil, collects the replay's simulated-timeline
+	// events (each batch's node spans at its lease offset) and request
+	// lanes (which require RequestLog > 0).
 	Trace *obs.Trace
 	// RequestLog sizes the server's lifecycle ring: requests get IDs
 	// (threaded into the report's attributed percentiles and the trace's
 	// request lanes). Zero keeps lifecycle tracking off.
 	RequestLog int
-	// Execute forces plan execution during the replay (so the trace
-	// carries the GPU/PIM timeline, not just lease arithmetic); the
-	// scenario's Execute flag turns it on too.
-	Execute bool
 	// Certify turns on schedule-certificate recording: the replay fails
 	// unless the executed schedule passes every SR-* rule, and the report
 	// carries the certification summary (Certified, CertifiedLeases).
@@ -380,9 +377,6 @@ type RunOptions struct {
 // minted sequentially on the single replay goroutine.
 func RunWithOptions(sc Scenario, opts RunOptions) (*Report, error) {
 	sc = sc.withDefaults()
-	if opts.Execute {
-		sc.Execute = true
-	}
 	adm, err := serve.ParseAdmissionPolicy(sc.Admission)
 	if err != nil {
 		return nil, err

@@ -261,6 +261,64 @@ func (h *Histogram) Observe(v float64) {
 	h.m.mu.Unlock()
 }
 
+// ObserveBlock records every sample of b under one lock. Count, sum,
+// min, max and buckets end exactly as Observe once per sample in order
+// would leave them, the float sum included; an empty block records
+// nothing.
+func (h *Histogram) ObserveBlock(b *Samples) {
+	if h == nil || len(b.vals) == 0 {
+		return
+	}
+	if d := h.cell.Load(); d != nil {
+		d.observeBlock(b)
+		return
+	}
+	h.m.mu.Lock()
+	d := h.m.histLocked(h.name)
+	d.observeBlock(b)
+	h.cell.Store(d)
+	h.m.mu.Unlock()
+}
+
+// Samples is an ordered block of histogram samples with its bucket
+// counts, min and max taken once as it is built, for a site that records
+// the same block many times (Histogram.ObserveBlock). The zero value is
+// an empty block.
+type Samples struct {
+	vals     []float64
+	min, max float64
+	buckets  []bucketCount
+}
+
+type bucketCount struct {
+	key int
+	n   int64
+}
+
+// Add appends one sample.
+func (b *Samples) Add(v float64) {
+	if len(b.vals) == 0 {
+		b.min, b.max = math.Inf(1), math.Inf(-1)
+	}
+	b.vals = append(b.vals, v)
+	// Strict comparisons keep the first of equal extremes and skip NaN,
+	// as histData.observe does.
+	if v < b.min {
+		b.min = v
+	}
+	if v > b.max {
+		b.max = v
+	}
+	k := bucketOf(v)
+	for i := range b.buckets {
+		if b.buckets[i].key == k {
+			b.buckets[i].n++
+			return
+		}
+	}
+	b.buckets = append(b.buckets, bucketCount{key: k, n: 1})
+}
+
 // histData accumulates a histogram: summary statistics plus exponential
 // (power-of-two) buckets, which are cheap, deterministic, and enough to
 // see a distribution's shape in a JSON dump.
@@ -294,6 +352,28 @@ func (h *histData) observe(v float64, exemplar string) {
 			h.exemplars = map[int]string{}
 		}
 		h.exemplars[b] = exemplar
+	}
+	h.mu.Unlock()
+}
+
+// observeBlock records a block's samples. The sum adds them one by one
+// in order, since float addition does not reassociate; min and max fold
+// in the block's, which the strict comparisons make the same as folding
+// in each sample.
+func (h *histData) observeBlock(b *Samples) {
+	h.mu.Lock()
+	h.count += int64(len(b.vals))
+	for _, v := range b.vals {
+		h.sum += v
+	}
+	if b.min < h.min {
+		h.min = b.min
+	}
+	if b.max > h.max {
+		h.max = b.max
+	}
+	for _, c := range b.buckets {
+		h.buckets[c.key] += c.n
 	}
 	h.mu.Unlock()
 }

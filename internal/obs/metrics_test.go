@@ -566,3 +566,121 @@ func TestBound(t *testing.T) {
 		t.Error("another registry shares the value")
 	}
 }
+
+// Observing a block leaves a histogram exactly as observing its samples
+// one at a time in order: count, the bits of sum, min, max and the
+// bucket quantiles, and the buckets. The scripts mix blocks with single
+// samples: signed zeros around an equal extreme by hand, and seeded runs
+// over zero, negative, NaN, subnormal and infinite samples.
+func TestObserveBlockMatchesObserve(t *testing.T) {
+	// A step is one block, or a single Observe when single is set.
+	type step struct {
+		single bool
+		vals   []float64
+	}
+	type script struct {
+		name   string
+		finite bool
+		steps  []step
+	}
+	negZero := math.Copysign(0, -1)
+	scripts := []script{
+		{"+0 then block -0", true, []step{{true, []float64{0}}, {false, []float64{negZero}}}},
+		{"-0 then block +0", true, []step{{true, []float64{negZero}}, {false, []float64{0, 0.5}}}},
+		{"blocks -0 +0, +0 -0", true, []step{{false, []float64{negZero, 0}}, {false, []float64{0, negZero}}}},
+	}
+	// Even seeds draw only finite specials, so their sums stay numbers
+	// whose bits must match; odd seeds add NaN and the infinities.
+	finite := []float64{0, negZero, -3, 5e-324, math.SmallestNonzeroFloat64 * 7, 0x1p-1022, 1, 0.75, 1e300}
+	special := append([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}, finite...)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sample := func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				if seed%2 == 0 {
+					return finite[rng.Intn(len(finite))]
+				}
+				return special[rng.Intn(len(special))]
+			case 1:
+				return rng.Float64()
+			default:
+				return rng.ExpFloat64() * 1e3
+			}
+		}
+		sc := script{name: fmt.Sprintf("seed %d", seed), finite: seed%2 == 0}
+		for n := 0; n < 20; n++ {
+			st := step{single: rng.Intn(3) == 0}
+			k := rng.Intn(40)
+			if st.single {
+				k = 1
+			}
+			for ; k > 0; k-- {
+				st.vals = append(st.vals, sample())
+			}
+			sc.steps = append(sc.steps, st)
+		}
+		scripts = append(scripts, sc)
+	}
+	for _, sc := range scripts {
+		name := sc.name
+		one, blocked := NewMetrics(), NewMetrics()
+		h1, hb := one.HistogramOf("h"), blocked.HistogramOf("h")
+		for _, st := range sc.steps {
+			var b Samples
+			for _, v := range st.vals {
+				h1.Observe(v)
+				b.Add(v)
+			}
+			if st.single {
+				hb.Observe(st.vals[0])
+				continue
+			}
+			hb.ObserveBlock(&b)
+			if len(b.vals) == 0 && len(blocked.Snapshot().Histograms) != len(one.Snapshot().Histograms) {
+				t.Fatalf("%s: an empty block changed the series set", name)
+			}
+		}
+		want, got := one.Snapshot().Histograms["h"], blocked.Snapshot().Histograms["h"]
+		if sc.finite && math.IsNaN(want.Sum) {
+			t.Fatalf("%s: a finite run summed to NaN", name)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"sum", got.Sum, want.Sum}, {"min", got.Min, want.Min}, {"max", got.Max, want.Max},
+			{"mean", got.Mean, want.Mean}, {"p50", got.P50, want.P50}, {"p99", got.P99, want.P99}, {"p999", got.P999, want.P999},
+		} {
+			// Go leaves the payload of a NaN result unspecified (it
+			// depends on the operand order the compiler emits), so a NaN
+			// sum matches any NaN.
+			same := math.Float64bits(f.got) == math.Float64bits(f.want) || math.IsNaN(f.got) && math.IsNaN(f.want)
+			if !same {
+				t.Errorf("%s: %s %v (bits %x), want %v (bits %x)", name, f.name, f.got, math.Float64bits(f.got), f.want, math.Float64bits(f.want))
+			}
+		}
+		if got.Count != want.Count || !reflect.DeepEqual(got.Buckets, want.Buckets) {
+			t.Errorf("%s: count %d buckets %v, want %d %v", name, got.Count, got.Buckets, want.Count, want.Buckets)
+		}
+	}
+
+	// A finite block into a fresh series keeps the document serializable,
+	// and nil handles and empty blocks are no-ops.
+	m := NewMetrics()
+	var b Samples
+	m.HistogramOf("empty").ObserveBlock(&b)
+	var nilM *Metrics
+	nilM.HistogramOf("h").ObserveBlock(&b)
+	b.Add(0.5)
+	b.Add(0.25)
+	m.HistogramOf("h").ObserveBlock(&b)
+	m.HistogramOf("h").ObserveBlock(&b)
+	s := m.Snapshot()
+	if _, ok := s.Histograms["empty"]; ok || s.Histograms["h"].Count != 4 || s.Histograms["h"].Sum != 1.5 {
+		t.Fatalf("snapshot %+v", s.Histograms)
+	}
+	if err := m.WriteJSON(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}

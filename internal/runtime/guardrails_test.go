@@ -61,43 +61,3 @@ func TestGuardRailsSeeMaterializedTrace(t *testing.T) {
 			cmdEvents, tr.TotalCommands(), len(events))
 	}
 }
-
-// TraceNodesOnly (the serving stack's mode: one shared trace across
-// thousands of executions) must keep per-node spans and the schedule
-// bit-identical while recording zero per-command channel events.
-func TestTraceNodesOnlySkipsChannelActivity(t *testing.T) {
-	g := pointwiseGraph(t)
-	g.Nodes[0].Exec = graph.ExecHint{Mode: graph.ModeSerial, Device: graph.DevicePIM}
-
-	plain, err := Execute(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultConfig()
-	cfg.Trace = obs.NewTrace()
-	cfg.TraceNodesOnly = true
-	traced, err := Execute(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Nodes, traced.Nodes) || plain.TotalCycles != traced.TotalCycles {
-		t.Fatalf("TraceNodesOnly changed the schedule:\nplain  %+v\ntraced %+v", plain, traced)
-	}
-
-	var nodeSpans, cmdEvents int
-	for _, ev := range cfg.Trace.Events() {
-		switch {
-		case ev.Cat == "pim-cmd" || ev.Cat == "pim-channel":
-			cmdEvents++
-		case ev.Phase == "X" && ev.PID == obs.PIDTimeline:
-			nodeSpans++
-		}
-	}
-	if cmdEvents != 0 {
-		t.Fatalf("TraceNodesOnly recorded %d channel events, want 0", cmdEvents)
-	}
-	if nodeSpans == 0 {
-		t.Fatal("TraceNodesOnly dropped the per-node spans too")
-	}
-}

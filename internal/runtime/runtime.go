@@ -64,21 +64,14 @@ type Config struct {
 	// disables caching. Not part of the configuration fingerprint.
 	Profiles *profcache.Store `json:"-"`
 	// Trace, when non-nil, collects the schedule as span events on the
-	// simulated timeline — per-node GPU/PIM spans plus per-channel PIM
-	// command activity (which re-simulates offloaded nodes with event
-	// recording, so it is reserved for explicitly traced runs). Nil, the
-	// default, costs one pointer compare per node.
+	// simulated timeline — per-node GPU/PIM spans (Report.Draw) plus
+	// per-channel PIM command activity (which re-simulates offloaded nodes
+	// with event recording, so it is reserved for explicitly traced runs).
+	// Nil, the default, costs one pointer compare per node.
 	Trace *obs.Trace `json:"-"`
-	// TraceNodesOnly suppresses the per-channel PIM command activity in
-	// the trace, keeping only the per-node GPU/PIM spans. The serving
-	// stack sets it when attaching one shared trace to thousands of
-	// executions: per-command detail is per-layer debugging, and
-	// re-simulating every offloaded node of every request makes the
-	// event buffer grow without bound.
-	TraceNodesOnly bool `json:"-"`
-	// Metrics, when non-nil, receives execution counters and gauges
-	// (busy cycles, data movement, per-channel utilization, PIM command
-	// mix). Nil disables collection at the same near-zero cost.
+	// Metrics, when non-nil, receives the execution's MetricsRecord:
+	// counters and gauges (busy cycles, data movement, per-channel
+	// utilization, PIM command mix). Nil builds no record.
 	Metrics *obs.Metrics `json:"-"`
 }
 
@@ -139,6 +132,10 @@ type NodeReport struct {
 	// in which case they carry the one-time synchronization latency.
 	Start, End int64
 	Elided     bool
+	// mergeSync marks a zero-cost junction that merged both devices'
+	// results and so carries the synchronization latency (Draw marks it
+	// with a merge-sync instant).
+	mergeSync bool
 	// FLOPs and DRAMBytes describe the work (GPU nodes).
 	FLOPs     int64
 	DRAMBytes int64
@@ -209,26 +206,46 @@ func Execute(g *graph.Graph, cfg Config) (*Report, error) {
 	return ExecuteAt(g, cfg, 0)
 }
 
-// ExecuteAt is the reentrant execution entry point: it schedules an
-// already-compiled graph starting at the given virtual-clock cycle, so a
-// serving layer can multiplex many executions onto one shared simulated
-// timeline (node timestamps, trace spans, and Report.TotalCycles are all
-// offset by startCycle; Report.Seconds stays the execution's duration).
+// ExecuteAt schedules an already-compiled graph starting at the given
+// virtual-clock cycle: node timestamps, trace spans, and
+// Report.TotalCycles are all offset by startCycle, and Report.Seconds
+// stays the execution's duration. The schedule does not depend on the
+// offset otherwise, which is what lets a caller place one report at many
+// offsets (Report.Draw, MetricsRecord.Apply) instead of executing again.
 //
 // ExecuteAt never mutates the graph: concurrent calls over one shared
 // *graph.Graph are safe. A graph whose shapes were not inferred yet is
 // cloned before the one-time inference rather than annotated in place.
 func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
+	rep, _, err := execute(g, cfg, startCycle, cfg.Metrics != nil)
+	return rep, err
+}
+
+// ExecuteRecorded is Execute that also returns the execution's
+// MetricsRecord, for a caller that charges the one schedule many times
+// and publishes each charge with MetricsRecord.Apply.
+func ExecuteRecorded(g *graph.Graph, cfg Config) (*Report, *MetricsRecord, error) {
+	return execute(g, cfg, 0, true)
+}
+
+// execute builds the schedule, and its metrics record when record is
+// set, applies the record to cfg.Metrics and draws the schedule on
+// cfg.Trace.
+func execute(g *graph.Graph, cfg Config, startCycle int64, record bool) (*Report, *MetricsRecord, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if startCycle < 0 {
-		return nil, fmt.Errorf("runtime: negative start cycle %d", startCycle)
+		return nil, nil, fmt.Errorf("runtime: negative start cycle %d", startCycle)
 	}
 	x := g.Index()
 	order, err := x.Order()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var rec *MetricsRecord
+	if record {
+		rec = new(MetricsRecord)
 	}
 	// Ensure shapes are available. Inference annotates tensor records, so
 	// it runs on a private clone: callers (the serving layer in
@@ -238,14 +255,14 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 	for _, i := range order {
 		n := x.At(i)
 		if len(n.Outputs) == 0 {
-			return nil, fmt.Errorf("runtime: node %q (%s) has no outputs", n.Name, n.Op)
+			return nil, nil, fmt.Errorf("runtime: node %q (%s) has no outputs", n.Name, n.Op)
 		}
 		ti := g.Tensors[n.Outputs[0]]
 		if ti == nil || !ti.Shape.Valid() {
 			g = g.Clone()
 			x = g.Index()
 			if _, err := x.InferShapes(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			break
 		}
@@ -259,26 +276,16 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		pimKeys, gpuKeys = profcache.NewPIMKeys(cfg.PIM, cfg.Codegen), profcache.NewGPUKeys(cfg.GPU)
 	}
 
-	var met *execMetrics
-	if cfg.Metrics != nil {
-		met = obs.Bound(cfg.Metrics, execMetricsKey{}, newExecMetrics)
-	}
-
 	done := make([]scheduled, x.Len()) // by node position
 	gpuFree, pimFree := startCycle, startCycle
 	rep := &Report{StartCycle: startCycle, TotalCycles: startCycle, Nodes: make([]NodeReport, 0, len(order))}
-	if cfg.Trace.Enabled() {
-		cfg.Trace.SetProcessName(obs.PIDTimeline, "simulated timeline (1 cycle = 1 ns)")
-		cfg.Trace.SetThreadName(obs.PIDTimeline, obs.TIDGPU, "GPU stream")
-		cfg.Trace.SetThreadName(obs.PIDTimeline, obs.TIDPIM, "PIM command processor")
-	}
 
 	for _, i := range order {
 		n := x.At(i)
 		zero := zeroCost(n)
 		dev := n.Exec.Device
 		if dev == graph.DevicePIM && !g.IsPIMCandidate(n) {
-			return nil, fmt.Errorf("runtime: node %q (%s) annotated for PIM but not offloadable", n.Name, n.Op)
+			return nil, nil, fmt.Errorf("runtime: node %q (%s) annotated for PIM but not offloadable", n.Name, n.Op)
 		}
 		// Ready time: producers plus cross-device movement.
 		ready, moveCycles := startCycle, int64(0)
@@ -337,25 +344,22 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 				end = ready + cfg.SyncOverheadCycles
 				nr.MoveCycles += cfg.SyncOverheadCycles
 				moveCycles += cfg.SyncOverheadCycles
-				if cfg.Trace.Enabled() {
-					cfg.Trace.InstantCycles(obs.TIDGPU, n.Name, "merge-sync", end,
-						map[string]any{"syncCycles": cfg.SyncOverheadCycles})
-				}
+				nr.mergeSync = true
 			}
 		} else if dev == graph.DevicePIM {
 			w, err := codegen.NodeWorkload(g, n)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
+				return nil, nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
 			}
 			if cfg.VerifyTraces {
 				if diags := verify.Workload(w, cfg.PIM, cfg.Codegen); len(diags) > 0 {
 					verify.Record(cfg.Metrics, diags)
-					return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, verify.AsError(diags))
+					return nil, nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, verify.AsError(diags))
 				}
 			}
 			prof, err := timePIM(w, &cfg, pimKeys)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
+				return nil, nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
 			}
 			cycles := cfg.pimCyclesToGPU(prof.Cycles)
 			start = num.Max64(ready, pimFree)
@@ -363,18 +367,18 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 			pimFree = end
 			rep.PIMBusy += cycles
 			nr.PIMCounts = prof.Counts
-			if met != nil {
-				met.recordPIMNode(prof)
+			if rec != nil {
+				rec.addPIMNode(prof)
 			}
-			if cfg.Trace.Enabled() && !cfg.TraceNodesOnly {
+			if cfg.Trace.Enabled() {
 				if err := traceChannelActivity(cfg, w, n.Name, start); err != nil {
-					return nil, fmt.Errorf("runtime: tracing PIM node %q: %w", n.Name, err)
+					return nil, nil, fmt.Errorf("runtime: tracing PIM node %q: %w", n.Name, err)
 				}
 			}
 		} else {
 			cycles, k, err := timeGPU(g, n, &cfg, gpuKeys)
 			if err != nil {
-				return nil, fmt.Errorf("runtime: GPU node %q: %w", n.Name, err)
+				return nil, nil, fmt.Errorf("runtime: GPU node %q: %w", n.Name, err)
 			}
 			start = num.Max64(ready, gpuFree)
 			end = start + cycles
@@ -390,35 +394,131 @@ func ExecuteAt(g *graph.Graph, cfg Config, startCycle int64) (*Report, error) {
 		if end > rep.TotalCycles {
 			rep.TotalCycles = end
 		}
-		if cfg.Trace.Enabled() && !nr.Elided && nr.Duration() > 0 {
-			tid := obs.TIDGPU
-			if dev == graph.DevicePIM {
-				tid = obs.TIDPIM
-			}
-			cfg.Trace.CompleteCycles(tid, n.Name, string(n.Op), start, nr.Duration(), map[string]any{
-				"device": dev.String(), "mode": n.Exec.Mode.String(),
-				"cycles": nr.Duration(), "moveCycles": nr.MoveCycles,
-			})
-		}
 	}
 	// The timeline is in GPU-clock cycles throughout (PIM durations were
 	// scaled by PIMCycleScale), so the GPU clock alone converts to time.
 	rep.Seconds = float64(rep.DurationCycles()) / (cfg.GPU.ClockGHz * 1e9)
-	if met != nil {
-		met.recordReport(rep)
+	if rec != nil {
+		rec.rep = rep
+		rec.Apply(cfg.Metrics, startCycle)
 	}
-	if cfg.Trace.Enabled() {
-		cfg.Trace.SetMeta("totalCycles", rep.TotalCycles)
-		cfg.Trace.SetMeta("gpuBusy", rep.GPUBusy)
-		cfg.Trace.SetMeta("pimBusy", rep.PIMBusy)
-	}
+	rep.Draw(cfg.Trace, startCycle)
 	if obs.Enabled(slog.LevelDebug) {
 		obs.L().Debug("runtime: executed graph",
 			"graph", g.Name, "nodes", len(order),
 			"totalCycles", rep.TotalCycles, "ms", rep.Seconds*1e3,
 			"gpuBusy", rep.GPUBusy, "pimBusy", rep.PIMBusy, "moveCycles", rep.MoveCycles)
 	}
-	return rep, nil
+	return rep, rec, nil
+}
+
+// Draw places the report's schedule on tr's simulated timeline, moved
+// to begin at startCycle: the GPU and PIM tracks, a span per node that
+// took device time, a merge-sync instant per junction that merged both
+// devices, and the totals as trace meta. ExecuteAt draws every traced
+// execution with it, and the serving layer draws a model's solo report
+// at each lease it charges. A nil trace draws nothing.
+func (r *Report) Draw(tr *obs.Trace, startCycle int64) {
+	if !tr.Enabled() {
+		return
+	}
+	shift := startCycle - r.StartCycle
+	tr.SetProcessName(obs.PIDTimeline, "simulated timeline (1 cycle = 1 ns)")
+	tr.SetThreadName(obs.PIDTimeline, obs.TIDGPU, "GPU stream")
+	tr.SetThreadName(obs.PIDTimeline, obs.TIDPIM, "PIM command processor")
+	for i := range r.Nodes {
+		nr := &r.Nodes[i]
+		if nr.mergeSync {
+			tr.InstantCycles(obs.TIDGPU, nr.Name, "merge-sync", nr.End+shift,
+				map[string]any{"syncCycles": nr.Duration()})
+		}
+		if nr.Elided || nr.Duration() == 0 {
+			continue
+		}
+		tid := obs.TIDGPU
+		if nr.Device == graph.DevicePIM {
+			tid = obs.TIDPIM
+		}
+		tr.CompleteCycles(tid, nr.Name, string(nr.Op), nr.Start+shift, nr.Duration(), map[string]any{
+			"device": nr.Device.String(), "mode": nr.Mode.String(),
+			"cycles": nr.Duration(), "moveCycles": nr.MoveCycles,
+		})
+	}
+	tr.SetMeta("totalCycles", r.TotalCycles+shift)
+	tr.SetMeta("gpuBusy", r.GPUBusy)
+	tr.SetMeta("pimBusy", r.PIMBusy)
+}
+
+// MetricsRecord is what one execution adds to a metrics registry: the
+// runtime.* counters and gauges, and the pim.* command mix, per-channel
+// busy cycles and per-channel utilization samples of its offloaded
+// nodes. Only runtime.total_cycles depends on where the schedule was
+// placed, so one record stands for the execution at every offset (Apply).
+type MetricsRecord struct {
+	rep      *Report
+	pimNodes int64
+	counts   pim.Counts
+	// channelBusy sums each channel's busy cycles over the offloaded
+	// nodes; utilization holds their busy fractions in schedule order.
+	channelBusy []int64
+	utilization obs.Samples
+}
+
+// addPIMNode folds one offloaded node's profile in: the command-kind mix
+// and each channel's busy cycles and MAC-pipeline utilization over the
+// kernel makespan.
+func (r *MetricsRecord) addPIMNode(prof profcache.Profile) {
+	r.pimNodes++
+	r.counts.Add(prof.Counts)
+	if n := len(prof.PerChannelBusy); n > len(r.channelBusy) {
+		r.channelBusy = append(r.channelBusy, make([]int64, n-len(r.channelBusy))...)
+	}
+	for ch, busy := range prof.PerChannelBusy {
+		r.channelBusy[ch] += busy
+		if prof.Cycles > 0 {
+			r.utilization.Add(float64(busy) / float64(prof.Cycles))
+		}
+	}
+}
+
+// Apply adds the record to m as one execution placed at startCycle: one
+// atomic add per counter and channel, one lock for the utilization
+// samples, and the gauges set to this execution's totals. Concurrent
+// Applies of one record are safe; a nil record or registry does nothing.
+func (r *MetricsRecord) Apply(m *obs.Metrics, startCycle int64) {
+	if r == nil || m == nil {
+		return
+	}
+	e := obs.Bound(m, execMetricsKey{}, newExecMetrics)
+	// A series appears with its first update, so a plan without
+	// offloaded nodes adds no pim.* series.
+	if r.pimNodes > 0 {
+		e.pimNodes.Add(r.pimNodes)
+		e.gwrite.Add(r.counts.GWrites)
+		e.gact.Add(r.counts.GActs)
+		e.comp.Add(r.counts.Comps)
+		e.readres.Add(r.counts.ReadRes)
+		e.colIOs.Add(r.counts.ColIOs)
+		e.gwBursts.Add(r.counts.GWBursts)
+		e.rrBursts.Add(r.counts.RRBursts)
+	}
+	chans := e.channelCounters(len(r.channelBusy))
+	for ch, busy := range r.channelBusy {
+		chans[ch].Add(busy)
+	}
+	e.utilization.ObserveBlock(&r.utilization)
+	rep, d := r.rep, r.rep.DurationCycles()
+	e.executions.Inc()
+	e.nodes.Add(int64(len(rep.Nodes)))
+	e.total.Set(float64(startCycle + d))
+	e.seconds.Set(rep.Seconds)
+	e.gpuBusy.Set(float64(rep.GPUBusy))
+	e.pimBusy.Set(float64(rep.PIMBusy))
+	e.move.Set(float64(rep.MoveCycles))
+	if d > 0 {
+		e.gpuFrac.Set(float64(rep.GPUBusy) / float64(d))
+		e.pimFrac.Set(float64(rep.PIMBusy) / float64(d))
+	}
 }
 
 // execMetricsKey keys the runtime's handle set in a registry.
@@ -481,43 +581,6 @@ func (e *execMetrics) channelCounters(n int) []*obs.Counter {
 	}
 	e.channels.Store(&cs)
 	return cs
-}
-
-// recordPIMNode folds one offloaded node's profile into the registry:
-// the command-kind mix and each participating channel's MAC-pipeline
-// utilization over the kernel makespan.
-func (e *execMetrics) recordPIMNode(prof profcache.Profile) {
-	e.pimNodes.Inc()
-	c := prof.Counts
-	e.gwrite.Add(c.GWrites)
-	e.gact.Add(c.GActs)
-	e.comp.Add(c.Comps)
-	e.readres.Add(c.ReadRes)
-	e.colIOs.Add(c.ColIOs)
-	e.gwBursts.Add(c.GWBursts)
-	e.rrBursts.Add(c.RRBursts)
-	chans := e.channelCounters(len(prof.PerChannelBusy))
-	for ch, busy := range prof.PerChannelBusy {
-		chans[ch].Add(busy)
-		if prof.Cycles > 0 {
-			e.utilization.Observe(float64(busy) / float64(prof.Cycles))
-		}
-	}
-}
-
-// recordReport publishes the finished schedule's headline numbers.
-func (e *execMetrics) recordReport(rep *Report) {
-	e.executions.Inc()
-	e.nodes.Add(int64(len(rep.Nodes)))
-	e.total.Set(float64(rep.TotalCycles))
-	e.seconds.Set(rep.Seconds)
-	e.gpuBusy.Set(float64(rep.GPUBusy))
-	e.pimBusy.Set(float64(rep.PIMBusy))
-	e.move.Set(float64(rep.MoveCycles))
-	if d := rep.DurationCycles(); d > 0 {
-		e.gpuFrac.Set(float64(rep.GPUBusy) / float64(d))
-		e.pimFrac.Set(float64(rep.PIMBusy) / float64(d))
-	}
 }
 
 // traceChannelActivity re-simulates one offloaded node's command trace

@@ -347,7 +347,7 @@ func TestPipeKeySeparates(t *testing.T) {
 		t.Error("stage count: key unchanged")
 	}
 	// Profiles, the trace and metrics sinks do not change the schedule.
-	skip := map[string]bool{"Profiles": true, "Trace": true, "TraceNodesOnly": true, "Metrics": true}
+	skip := map[string]bool{"Profiles": true, "Trace": true, "Metrics": true}
 	for path, v := range fieldVariants(t, rt, skip) {
 		if newPipeKeys(v.(runtime.Config)).key(c.g, c.chain, 2) == base {
 			t.Errorf("runtime.Config.%s: key unchanged", path)

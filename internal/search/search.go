@@ -258,16 +258,6 @@ type Plan struct {
 	Cache profcache.Stats
 }
 
-// DecisionFor returns the decision for a node name, or nil.
-func (p *Plan) DecisionFor(name string) *LayerDecision {
-	for i := range p.Decisions {
-		if p.Decisions[i].Node == name {
-			return &p.Decisions[i]
-		}
-	}
-	return nil
-}
-
 // RatioHistogram returns the Table 2 distribution: for each GPU split
 // ratio bucket 0,10,...,100, the fraction of PIM-candidate layers that
 // chose it. Pipelined layers are excluded (they have no ratio).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,9 +42,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // TestServeThroughputAllocs bounds BenchmarkServeThroughput's
-// allocations per request: the live path executes every batch, and the
-// runtime's store lookups and metric updates must allocate nothing per
-// node.
+// allocations and allocated bytes per request: a live batch charges its
+// model's solo schedule and applies the load-time metrics record, so
+// nothing it does allocates per node or per channel.
 func TestServeThroughputAllocs(t *testing.T) {
 	s, models := throughputServer(t)
 	defer shutdownNow(s)
@@ -51,6 +52,13 @@ func TestServeThroughputAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() { inferConcurrently(t, s, models, requests) })
 	if per := allocs / requests; per > 100 {
 		t.Errorf("%.0f allocations per request, want at most 100", per)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	inferConcurrently(t, s, models, requests)
+	goruntime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / requests; per > 8<<10 {
+		t.Errorf("%d bytes allocated per request, want at most %d", per, 8<<10)
 	}
 }
 

@@ -56,7 +56,8 @@ type LoadedModel struct {
 	Graph  *graph.Graph
 	Plan   *search.Plan
 	// Solo is the model's warm single-request execution report (virtual
-	// offset 0); its duration is the solo latency the scheduler places.
+	// offset 0); its duration is the solo latency the scheduler places,
+	// and every lease charges it.
 	Solo *runtime.Report
 	// Demand is the channel-group footprint of one execution.
 	Demand Demand
@@ -77,7 +78,9 @@ type LoadedModel struct {
 	SLO       SLOClass
 	SLOTarget int64
 
-	rt runtime.Config
+	// record is what Solo's execution adds to a metrics registry; each
+	// live batch applies it at its lease offset.
+	record *runtime.MetricsRecord
 }
 
 // ModelInfo is the List entry for one loaded model.
@@ -284,9 +287,8 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		return nil, fmt.Errorf("serve: model %q failed verification: %w", spec.Name, verify.AsError(diags))
 	}
 
-	// Shapes were inferred during Apply; executions of the shared graph
-	// from many goroutines must find them present (ExecuteAt's reentrancy
-	// contract), so fail loudly here rather than racing later.
+	// Shapes were inferred during Apply; check them here, so a graph
+	// without them fails the load rather than making ExecuteAt clone it.
 	if err := compiled.InferShapes(); err != nil {
 		return nil, fmt.Errorf("serve: shapes of %q: %w", spec.Name, err)
 	}
@@ -305,10 +307,11 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 			spec.Name, demand.GPU, demand.PIM, r.machine.GPUChannels, r.machine.PIMChannels)
 	}
 
-	// Warm solo execution: the placement duration, the batching
-	// initiation interval, and the first profile-store population all
-	// come from this one run.
-	solo, err := runtime.Execute(compiled, rt)
+	// Warm solo execution, the model's only one: the placement duration,
+	// the batching initiation interval, the schedule and metrics record
+	// every batch charges, and the first profile-store population all
+	// come from this run.
+	solo, record, err := runtime.ExecuteRecorded(compiled, rt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: warmup of %q: %w", spec.Name, err)
 	}
@@ -320,17 +323,17 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		Graph: compiled, Plan: plan, Solo: solo,
 		Demand: demand, InitInterval: ii,
 		Batch: batch, SLO: slo, SLOTarget: slo.Target(solo.DurationCycles()),
-		rt: rt,
+		record: record,
 	}, nil
 }
 
 // Install makes an already-compiled model servable under its spec name
 // without recompiling. The fleet placement layer uses it to fan a
-// compile-once LoadedModel out to replica machines: the graph is
-// read-only after shape inference and the runtime configuration is
-// copied per execution, so sharing one LoadedModel across registries is
-// safe. The model's demand must still fit this registry's machine, and
-// installing over a live name fails with ErrAlreadyLoaded.
+// compile-once LoadedModel out to replica machines: serving only reads a
+// loaded model (its solo report and metrics record), so sharing one
+// LoadedModel across registries is safe. The model's demand must still
+// fit this registry's machine, and installing over a live name fails
+// with ErrAlreadyLoaded.
 func (r *Registry) Install(lm *LoadedModel) error {
 	if lm == nil || lm.Spec.Name == "" {
 		return fmt.Errorf("serve: install of empty model")

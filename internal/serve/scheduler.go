@@ -77,8 +77,8 @@ type step struct {
 // arrival stamp when its channel demand fits alongside every overlapping
 // reservation, and otherwise at the first lease boundary where it does —
 // so requests with disjoint channel groups overlap and contending
-// requests queue. The scheduler only does bookkeeping; the actual
-// simulated execution is launched by the server at the placed offset.
+// requests queue. The scheduler only does bookkeeping; the server
+// charges each lease its model's solo schedule at the placed offset.
 //
 // Arrival stamps need not be nondecreasing across Place calls: per-model
 // batch windows flush batches out of arrival order, so a held batch can

@@ -34,17 +34,19 @@
 //
 // Time has two axes here. Compilation, queueing, and HTTP handling happen
 // in wall-clock time; inference latency is accounted in simulated
-// GPU-clock cycles on one shared virtual timeline, produced by the
-// runtime's reentrant ExecuteAt entry point. A request's virtual arrival
-// stamp is the completion frontier of previously finished work, so
-// latency = completion − arrival measures queueing plus service in
-// virtual cycles, independent of host speed.
+// GPU-clock cycles on one shared virtual timeline, where each lease
+// charges its model's solo schedule, executed once at load. A request's
+// virtual arrival stamp is the completion frontier of previously
+// finished work, so latency = completion − arrival measures queueing
+// plus service in virtual cycles, independent of host speed.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
+	"time"
 
 	"pimflow/internal/search"
 )
@@ -86,4 +88,62 @@ func ParsePolicy(s string) (search.Policy, error) {
 		}
 	}
 	return 0, fmt.Errorf("serve: unknown policy %q", s)
+}
+
+// ParseLoads parses a -load flag into model specs, each starting from
+// base (the command's policy, channel slice and SLO class). Entries are
+// comma-separated, each "name=model" or a bare zoo model name serving
+// under its own name, then semicolon-separated options: batch=N,
+// window=D (a Go duration), cycles=N and slo=class. Any other option
+// goes to extra, if non-nil, with the index of its entry's spec in the
+// result and hasValue false for a bare word; extra reports whether the
+// option is its own, so a command extends the grammar without copying
+// it. Every error names its entry.
+func ParseLoads(list string, base ModelSpec, extra func(i int, key, val string, hasValue bool) (bool, error)) ([]ModelSpec, error) {
+	var specs []ModelSpec
+	for _, entry := range strings.Split(list, ",") {
+		if entry = strings.TrimSpace(entry); entry == "" {
+			continue
+		}
+		parts := strings.Split(entry, ";")
+		spec := base
+		spec.Name, spec.Model = parts[0], parts[0]
+		if name, model, ok := strings.Cut(parts[0], "="); ok {
+			spec.Name, spec.Model = name, model
+		}
+		for _, opt := range parts[1:] {
+			if opt = strings.TrimSpace(opt); opt == "" {
+				continue
+			}
+			key, val, hasValue := strings.Cut(opt, "=")
+			var err error
+			known := true
+			switch {
+			case key == "batch" && hasValue:
+				spec.MaxBatch, err = strconv.Atoi(val)
+			case key == "window" && hasValue:
+				var d time.Duration
+				d, err = time.ParseDuration(val)
+				spec.BatchWindowMillis = d.Milliseconds()
+			case key == "cycles" && hasValue:
+				spec.BatchWindowCycles, err = strconv.ParseInt(val, 10, 64)
+			case key == "slo" && hasValue:
+				spec.SLO = val
+			case extra != nil:
+				known, err = extra(len(specs), key, val, hasValue)
+			default:
+				known = false
+			}
+			switch {
+			case err != nil:
+				return nil, fmt.Errorf("load entry %q: %s: %w", entry, key, err)
+			case !known && !hasValue:
+				return nil, fmt.Errorf("load entry %q: option %q is not key=value", entry, opt)
+			case !known:
+				return nil, fmt.Errorf("load entry %q: unknown option %q", entry, key)
+			}
+		}
+		specs = append(specs, spec)
+	}
+	return specs, nil
 }

@@ -48,10 +48,10 @@ type Config struct {
 	// Metrics receives the serving counters, gauges, and histograms and
 	// backs the /metrics endpoint; nil gets a private registry.
 	Metrics *obs.Metrics
-	// Trace, when non-nil, collects wall-clock serving spans plus every
-	// execution's simulated-timeline spans at its placed virtual offset
-	// (per-node spans only: the per-command channel detail of a solo
-	// traced run would grow one shared trace without bound).
+	// Trace, when non-nil, collects wall-clock serving spans plus, for
+	// every served batch, its model's solo schedule drawn at the lease
+	// offset (per-node spans only: the per-command channel detail of a
+	// solo traced run would grow one shared trace without bound).
 	Trace *obs.Trace
 	// RequestLog, when positive, turns on request-lifecycle tracking:
 	// every request gets an ID, a per-stage span record kept in a ring of
@@ -152,7 +152,7 @@ type InferResponse struct {
 	// past the class target (soft: the request still served).
 	SLOClass string `json:"sloClass,omitempty"`
 	SLOMiss  bool   `json:"sloMiss,omitempty"`
-	// GPUBusy and PIMBusy echo the executed schedule's busy cycles.
+	// GPUBusy and PIMBusy echo the model's solo schedule's busy cycles.
 	GPUBusy int64 `json:"gpuBusyCycles"`
 	PIMBusy int64 `json:"pimBusyCycles"`
 }
@@ -346,17 +346,11 @@ func (s *Server) Infer(ctx context.Context, req InferRequest) (*InferResponse, e
 	return p.Wait(ctx)
 }
 
-// BatchOptions parameterizes InferBatch.
+// BatchOptions parameterizes InferBatch. Callers outside this package
+// pass the zero value.
 type BatchOptions struct {
-	// Execute runs the compiled plan at the placed virtual offset (the
-	// live-path behavior, feeding the shared trace). When false the
-	// response's busy cycles echo the warm solo report instead; latency
-	// numbers are identical either way — they are lease arithmetic — and
-	// replaying millions of requests turns execution off.
-	Execute bool
 	// buffers is per-call storage a VirtualQueue reuses from batch to
-	// batch; nil (every caller outside this package) gives the call its
-	// own.
+	// batch; nil gives the call its own.
 	buffers *batchBuffers
 }
 
@@ -370,7 +364,9 @@ type InferOutcome struct {
 // caller's goroutine, bypassing the admission queue and the dispatcher:
 // the trace-replay harness forms batches deterministically in virtual
 // time and calls this for each one. Placement, virtual-deadline
-// enforcement, SLO accounting, and metrics are exactly the live path's.
+// enforcement, SLO accounting, the trace, and the serving metrics are
+// exactly the live path's; the runtime.*/pim.* series a live batch
+// publishes are not, so a replay's cost stays lease arithmetic.
 // The outcomes come back in request order; no channel is involved, as
 // process completes every member before it returns. Each call from
 // outside this package gets its own storage, so the outcomes and their
@@ -405,7 +401,7 @@ func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts Batch
 	}
 	// process compacts batch in place as members drop out; items keeps
 	// request order for the read-back.
-	buf.resps = s.process(batch, lm, opts.Execute, buf.resps)
+	buf.resps = s.process(batch, lm, nil, buf.resps)
 	out := resize(buf.outs, n)
 	for i := range items {
 		res := items[i].out
@@ -480,7 +476,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// worker executes flushed batches until the dispatcher closes the stream.
+// worker serves flushed batches until the dispatcher closes the stream.
 // Each batch's responses go to submitters that keep them, so every batch
 // gets fresh response storage.
 func (s *Server) worker() {
@@ -493,7 +489,7 @@ func (s *Server) worker() {
 			}
 			continue
 		}
-		s.process(batch, lm, true, nil)
+		s.process(batch, lm, lm.record, nil)
 	}
 }
 
@@ -512,14 +508,16 @@ func dropCanceled(batch []*item) []*item {
 }
 
 // process serves one same-model batch of lm, the model its caller
-// resolved: place a lease on the virtual timeline, execute the compiled
-// plan at the placed offset, and complete every batch member. Each
-// member carries its own virtual arrival stamp (pinned by trace replay,
-// or the completion frontier for live traffic); the lease starts no
-// earlier than the latest member's arrival. The members' responses are
-// written into resps, grown to the batch, and process returns that
-// storage for the caller to reuse (nil: fresh storage).
-func (s *Server) process(batch []*item, lm *LoadedModel, execute bool, resps []InferResponse) []InferResponse {
+// resolved: place a lease on the virtual timeline, charge it lm's solo
+// schedule, and complete every batch member. Each member carries its own
+// virtual arrival stamp (pinned by trace replay, or the completion
+// frontier for live traffic); the lease starts no earlier than the
+// latest member's arrival. A non-nil publish (the live path passes lm's
+// load-time record) is applied to the registry as the execution the
+// lease stands for. The members' responses are written into resps,
+// grown to the batch, and process returns that storage for the caller
+// to reuse (nil: fresh storage).
+func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.MetricsRecord, resps []InferResponse) []InferResponse {
 	batch = dropCanceled(batch)
 	if len(batch) == 0 {
 		return resps
@@ -583,22 +581,11 @@ func (s *Server) process(batch []*item, lm *LoadedModel, execute bool, resps []I
 		}
 	}
 
-	// Execute the precompiled plan at the placed virtual offset. The
-	// report lands on the shared timeline (and the shared trace, when
-	// configured); profile-store hits make warm executions cheap. The
-	// replay harness skips re-execution: the schedule is already
-	// profiled, and latency is lease arithmetic either way.
-	rep := lm.Solo
-	if execute {
-		rep, err = runtime.ExecuteAt(lm.Graph, s.runtimeConfig(lm), lease.Start)
-		if err != nil {
-			s.sched.Cancel(lease)
-			for _, it := range batch {
-				it.finish(nil, fmt.Errorf("serve: execute %q: %w", lm.Spec.Name, err))
-			}
-			return resps
-		}
-	}
+	// The schedule is deterministic and independent of its offset, so
+	// the lease runs exactly lm's solo report moved to lease.Start: draw
+	// that on the shared trace and publish its metrics record.
+	lm.Solo.Draw(s.cfg.Trace, lease.Start)
+	publish.Apply(s.cfg.Metrics, lease.Start)
 
 	// One slice holds the whole batch's responses.
 	resps = resize(resps, len(batch))
@@ -614,7 +601,7 @@ func (s *Server) process(batch []*item, lm *LoadedModel, execute bool, resps []I
 			EndCycle:      endCycle,
 			QueueCycles:   lease.Start - arrival,
 			LatencyCycles: endCycle - arrival,
-			LatencyMillis: float64(endCycle-arrival) / (lm.rt.GPU.ClockGHz * 1e9) * 1e3,
+			LatencyMillis: float64(endCycle-arrival) / (lm.Opts.GPU.ClockGHz * 1e9) * 1e3,
 			// The three stages partition LatencyCycles exactly: the
 			// member waits for its batch to complete (batchArrival is
 			// the max member stamp), the batch waits for its lease, the
@@ -626,8 +613,8 @@ func (s *Server) process(batch []*item, lm *LoadedModel, execute bool, resps []I
 			BatchIndex:      i,
 			SLOClass:        lm.SLO.Name,
 			RequestID:       it.id,
-			GPUBusy:         rep.GPUBusy,
-			PIMBusy:         rep.PIMBusy,
+			GPUBusy:         lm.Solo.GPUBusy,
+			PIMBusy:         lm.Solo.PIMBusy,
 		}
 		if lm.SLOTarget > 0 && resp.LatencyCycles > lm.SLOTarget {
 			resp.SLOMiss = true
@@ -667,19 +654,4 @@ func (s *Server) sloMissOf(class string) *obs.Counter {
 		return c
 	}
 	return s.cfg.Metrics.CounterOf(obs.LabeledKey("serve.slo_miss", "class", class))
-}
-
-// runtimeConfig derives the execution configuration for one request:
-// the model's compiled configuration plus the server's shared profile
-// store and observability sinks.
-func (s *Server) runtimeConfig(lm *LoadedModel) runtime.Config {
-	rt := lm.rt
-	rt.Profiles = s.cfg.Profiles
-	rt.Trace = s.cfg.Trace
-	// Per-node spans land at the lease offset on the shared timeline;
-	// per-command channel detail would re-simulate every offloaded node
-	// of every request and grow the trace without bound.
-	rt.TraceNodesOnly = true
-	rt.Metrics = s.cfg.Metrics
-	return rt
 }

@@ -38,7 +38,6 @@ type VirtualQueue[P any] struct {
 	srv   *Server
 	depth int
 	shed  bool
-	opts  BatchOptions
 	done  func(p P, resp *InferResponse, err error)
 
 	// models are sorted by name, the order every scan over open batches
@@ -53,6 +52,7 @@ type VirtualQueue[P any] struct {
 	order []*virtualItem[P]
 	cands []shedCandidate
 	batch []InferRequest
+	opts  BatchOptions
 }
 
 // virtualModel is one model's batching and shed-prediction policy plus
@@ -83,19 +83,18 @@ type virtualItem[P any] struct {
 // NewVirtualQueue returns an empty queue over srv's loaded models: depth
 // bounds its occupancy, policy is AdmitReject or AdmitShedOldest (an
 // open-loop replay cannot block its arrivals), every batch goes to
-// InferBatch with opts, and done receives each payload's outcome.
-func NewVirtualQueue[P any](srv *Server, depth int, policy AdmissionPolicy, opts BatchOptions, done func(p P, resp *InferResponse, err error)) (*VirtualQueue[P], error) {
+// InferBatch, and done receives each payload's outcome.
+func NewVirtualQueue[P any](srv *Server, depth int, policy AdmissionPolicy, done func(p P, resp *InferResponse, err error)) (*VirtualQueue[P], error) {
 	if policy != AdmitReject && policy != AdmitShedOldest {
 		return nil, fmt.Errorf("serve: virtual queue admission %q (open-loop replay supports reject and shed-oldest)", policy)
 	}
-	opts.buffers = new(batchBuffers)
 	return &VirtualQueue[P]{
 		srv:    srv,
 		depth:  depth,
 		shed:   policy == AdmitShedOldest,
-		opts:   opts,
 		done:   done,
 		byName: map[string]*virtualModel[P]{},
+		opts:   BatchOptions{buffers: new(batchBuffers)},
 	}, nil
 }
 

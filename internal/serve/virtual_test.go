@@ -48,7 +48,7 @@ func TestVirtualQueueConservation(t *testing.T) {
 			depth := 2 + rng.Intn(12)
 			seen := make([]int, n)
 			var served, refused int
-			q, err := NewVirtualQueue(s, depth, policy, BatchOptions{}, func(i int, resp *InferResponse, err error) {
+			q, err := NewVirtualQueue(s, depth, policy, func(i int, resp *InferResponse, err error) {
 				seen[i]++
 				switch {
 				case err == nil && resp != nil:
@@ -98,10 +98,10 @@ func TestVirtualQueueConservation(t *testing.T) {
 // (with no callback).
 func TestVirtualQueueErrors(t *testing.T) {
 	s := newVirtualServer(t, virtualSpec("v-gold", "gold", 4, 30_000))
-	if _, err := NewVirtualQueue(s, 4, AdmitBlock, BatchOptions{}, func(int, *InferResponse, error) {}); err == nil {
+	if _, err := NewVirtualQueue(s, 4, AdmitBlock, func(int, *InferResponse, error) {}); err == nil {
 		t.Fatal("a blocking virtual queue was accepted")
 	}
-	q, err := NewVirtualQueue(s, 4, AdmitReject, BatchOptions{}, func(i int, _ *InferResponse, _ error) {
+	q, err := NewVirtualQueue(s, 4, AdmitReject, func(i int, _ *InferResponse, _ error) {
 		t.Errorf("payload %d reached done", i)
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestVirtualQueueAdmitAllocFree(t *testing.T) {
 		}
 	}
 
-	open, err := NewVirtualQueue(s, 1<<20, AdmitReject, BatchOptions{}, done)
+	open, err := NewVirtualQueue(s, 1<<20, AdmitReject, done)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestVirtualQueueAdmitAllocFree(t *testing.T) {
 	}
 
 	for _, policy := range []AdmissionPolicy{AdmitReject, AdmitShedOldest} {
-		full, err := NewVirtualQueue(s, 2, policy, BatchOptions{}, done)
+		full, err := NewVirtualQueue(s, 2, policy, done)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestVirtualQueueFlushAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		var served, members int
-		q, err := NewVirtualQueue(s, 64, AdmitReject, BatchOptions{}, func(_ vprobe, resp *InferResponse, err error) {
+		q, err := NewVirtualQueue(s, 64, AdmitReject, func(_ vprobe, resp *InferResponse, err error) {
 			if err == nil && resp.BatchSize == 8 {
 				served++
 			}

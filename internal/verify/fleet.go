@@ -106,9 +106,6 @@ type FleetCertificate struct {
 	Schedules  map[string]ScheduleCertificate `json:"schedules,omitempty"`
 }
 
-// GraphNodeTypes lists the valid inference-graph node types.
-func GraphNodeTypes() []string { return []string{"sequence", "ensemble", "splitter", "switch"} }
-
 // fleetDiag builds a fleet-tier diagnostic (machine or graph identity
 // rides in the Node field).
 func fleetDiag(rule, where, msg string) Diagnostic {
