@@ -366,6 +366,36 @@ func BenchmarkCompileZooWarm(b *testing.B) {
 	b.ReportMetric(float64(delta.Saved())/float64(b.N), "cached/op")
 }
 
+// TestCompileZooWarmAllocs bounds BenchmarkCompileZooWarm's allocations
+// per op. Node attributes are typed fields copied by value, and an
+// off-geometry MD-DP grid point formats nothing, so a warm re-load
+// allocates its graphs, rewrites and indexes, not maps and messages.
+func TestCompileZooWarmAllocs(t *testing.T) {
+	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
+	cfg.Profiles = pimflow.NewProfileStore()
+	var graphs []*pimflow.Graph
+	for _, name := range pimflow.EvaluatedCNNs() {
+		g, err := pimflow.BuildModel(name, pimflow.ModelOptions{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pimflow.Compile(g, cfg); err != nil { // warm the store
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, g := range graphs {
+			if _, err := pimflow.Compile(g, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 10000 {
+		t.Errorf("%.0f allocations per warm compile of the five CNNs, want at most 10000", allocs)
+	}
+}
+
 // BenchmarkExecuteZoo schedules the five evaluated Light CNNs, compiled
 // under PIMFlow, once each per op over the profile store their compile
 // warmed — the simulated inference perfbench's compile-zoo workload

@@ -443,12 +443,9 @@ func doRun(model *pimflow.Graph, net, policyName, workdir string, gpuOnly bool, 
 		fmt.Print(rep.RenderGantt(100))
 	}
 	if timeline != "" {
-		f, err := os.Create(timeline)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteChromeTrace(f); err != nil {
+		tr := pimflow.NewTrace()
+		rep.Draw(tr, rep.StartCycle)
+		if err := writeJSONFile(timeline, tr.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Printf("  timeline written to %s (open in chrome://tracing)\n", timeline)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +61,9 @@ func TestPlanReuse(t *testing.T) {
 	}
 }
 
+// TestRunTimeline: the -timeline file is the simulated timeline that
+// Report.Draw puts in a -trace file: both device tracks by name, node
+// spans on each, and a merge-sync instant where MD-DP halves join.
 func TestRunTimeline(t *testing.T) {
 	dir := t.TempDir()
 	tl := filepath.Join(dir, "tl.json")
@@ -70,8 +74,31 @@ func TestRunTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Fatal("empty timeline")
+	var doc struct {
+		TraceEvents []struct {
+			Name, Cat string
+			Phase     string `json:"ph"`
+			TID       int
+			Dur       float64
+			Args      struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	tracks, spans, syncs := map[string]bool{}, map[int]int{}, 0
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Phase == "M" && e.Name == "thread_name":
+			tracks[e.Args.Name] = true
+		case e.Phase == "X" && e.Dur > 0:
+			spans[e.TID]++
+		case e.Phase == "i" && e.Cat == "merge-sync":
+			syncs++
+		}
+	}
+	if !tracks["GPU stream"] || !tracks["PIM command processor"] || spans[0] == 0 || spans[1] == 0 || syncs == 0 {
+		t.Fatalf("timeline has tracks %v, spans per track %v and %d merge-sync instants", tracks, spans, syncs)
 	}
 }
 

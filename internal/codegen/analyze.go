@@ -39,10 +39,7 @@ func AnalyzeLayers(g *graph.Graph) ([]LayerInfo, error) {
 	for _, i := range order {
 		switch n := x.At(i); n.Op {
 		case graph.OpConv:
-			p, err := graph.ConvParamsOf(n)
-			if err != nil {
-				return nil, err
-			}
+			p := n.Conv
 			in := g.Tensors[n.Inputs[0]].Shape
 			w := g.Tensors[n.Inputs[1]].Shape
 			l, err := lower.LowerConv(in, p, w[3])

@@ -20,10 +20,7 @@ func NodeWorkload(g *graph.Graph, n *graph.Node) (Workload, error) {
 		if g.IsDepthwise(n) {
 			return Workload{}, fmt.Errorf("codegen: depthwise conv %q is not PIM-offloadable", n.Name)
 		}
-		p, err := graph.ConvParamsOf(n)
-		if err != nil {
-			return Workload{}, err
-		}
+		p := n.Conv
 		in := g.Tensors[n.Inputs[0]]
 		w := g.Tensors[n.Inputs[1]]
 		if in == nil || !in.Shape.Valid() || w == nil || !w.Shape.Valid() {

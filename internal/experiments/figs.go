@@ -57,10 +57,7 @@ func Fig1() (*Result, error) {
 			if n.Op != graph.OpConv || g.IsDepthwise(n) {
 				continue
 			}
-			p, err := graph.ConvParamsOf(n)
-			if err != nil {
-				continue
-			}
+			p := n.Conv
 			in := g.Tensors[n.Inputs[0]].Shape
 			w := g.Tensors[n.Inputs[1]].Shape
 			l, err := lower.LowerConv(in, p, w[3])
@@ -157,7 +154,7 @@ func Fig8() (*Result, error) {
 	pimCfg.Channels = 24
 	for i, b := range batches {
 		labels[i] = fmt.Sprintf("b%d", b)
-		k := gpuCfg.GemmKernel("fc", b, 4096, 4096)
+		k := gpuCfg.GemmKernel(b, 4096, 4096)
 		gr, err := gpuCfg.Time(k)
 		if err != nil {
 			return nil, err

@@ -104,7 +104,6 @@ func (c Config) BandwidthBytesPerCycle() float64 {
 
 // Kernel describes one GPU kernel for the roofline model.
 type Kernel struct {
-	Name string
 	// FLOPs is the arithmetic work.
 	FLOPs int64
 	// DRAMBytes is memory traffic after cache reuse.
@@ -232,14 +231,13 @@ func (c Config) outputTraffic(outBytes int64) int64 {
 
 // GemmKernel builds the roofline kernel for an [M x K] x [K x N] GEMM
 // (convolution after lowering, or an FC layer).
-func (c Config) GemmKernel(name string, m, k, n int) Kernel {
+func (c Config) GemmKernel(m, k, n int) Kernel {
 	flops := 2 * int64(m) * int64(k) * int64(n)
 	wBytes := int64(k) * int64(n) * 2
 	inBytes := int64(m) * int64(k) * 2
 	outBytes := c.outputTraffic(int64(m) * int64(n) * 2)
 	bytes := inBytes + outBytes + int64(float64(wBytes)*c.weightSpillFactor(wBytes, m))
 	return Kernel{
-		Name:       name,
 		FLOPs:      flops,
 		DRAMBytes:  bytes,
 		ComputeEff: c.gemmComputeEff(m, n, k),
@@ -251,7 +249,7 @@ func (c Config) GemmKernel(name string, m, k, n int) Kernel {
 // convolution. Unlike the lowered-GEMM PIM mapping, the GPU's implicit-GEMM
 // kernels read each unique input element once (cached im2col), so input
 // traffic uses the activation size, not M*K.
-func (c Config) ConvKernel(name string, inH, inW, inC int, l lower.ConvLowering) Kernel {
+func (c Config) ConvKernel(inH, inW, inC int, l lower.ConvLowering) Kernel {
 	d := l.Dims
 	groups := l.Groups
 	flops := int64(groups) * d.FLOPs()
@@ -263,7 +261,7 @@ func (c Config) ConvKernel(name string, inH, inW, inC int, l lower.ConvLowering)
 	// use the GEMM tile machinery, have low arithmetic intensity, and are
 	// bandwidth-limited in practice.
 	if groups > 1 {
-		return Kernel{Name: name, FLOPs: flops, DRAMBytes: bytes, ComputeEff: 0.3, MemEff: 0.8}
+		return Kernel{FLOPs: flops, DRAMBytes: bytes, ComputeEff: 0.3, MemEff: 0.8}
 	}
 	// Optionally model Winograd F(2x2,3x3) minimal filtering for
 	// unit-stride 3x3 convolutions with enough channels (lower.LowerConv
@@ -275,14 +273,14 @@ func (c Config) ConvKernel(name string, inH, inW, inC int, l lower.ConvLowering)
 	}
 	ce := c.gemmComputeEff(d.M, d.N, d.K)
 	me := gemmMemEff(d.M)
-	return Kernel{Name: name, FLOPs: flops, DRAMBytes: bytes, ComputeEff: ce, MemEff: me}
+	return Kernel{FLOPs: flops, DRAMBytes: bytes, ComputeEff: ce, MemEff: me}
 }
 
 // ElementwiseKernel builds the kernel for elementwise/pool/normalization
 // ops: pure streaming traffic.
-func ElementwiseKernel(name string, elems int64, readsPerElem int) Kernel {
+func ElementwiseKernel(elems int64, readsPerElem int) Kernel {
 	bytes := elems * 2 * int64(readsPerElem+1) // reads + one write
-	return Kernel{Name: name, FLOPs: elems * 2, DRAMBytes: bytes, ComputeEff: 0.6, MemEff: 0.85}
+	return Kernel{FLOPs: elems * 2, DRAMBytes: bytes, ComputeEff: 0.6, MemEff: 0.85}
 }
 
 // TimeNode computes the GPU execution time of one graph node.
@@ -302,31 +300,27 @@ func NodeKernel(g *graph.Graph, n *graph.Node, cfg Config) (Kernel, error) {
 	}
 	switch n.Op {
 	case graph.OpConv:
-		p, err := graph.ConvParamsOf(n)
-		if err != nil {
-			return Kernel{}, err
-		}
 		in := g.Tensors[n.Inputs[0]].Shape
 		w := g.Tensors[n.Inputs[1]].Shape
-		l, err := lower.LowerConv(in, p, w[3])
+		l, err := lower.LowerConv(in, n.Conv, w[3])
 		if err != nil {
 			return Kernel{}, err
 		}
-		return cfg.ConvKernel(n.Name, in[1], in[2], in[3], l), nil
+		return cfg.ConvKernel(in[1], in[2], in[3], l), nil
 	case graph.OpGemm:
 		in := g.Tensors[n.Inputs[0]].Shape
 		w := g.Tensors[n.Inputs[1]].Shape
-		return cfg.GemmKernel(n.Name, in[0], in[1], w[1]), nil
+		return cfg.GemmKernel(in[0], in[1], w[1]), nil
 	case graph.OpMatMul:
 		a := g.Tensors[n.Inputs[0]].Shape
 		b := g.Tensors[n.Inputs[1]].Shape
 		if len(a) == 3 {
-			k := cfg.GemmKernel(n.Name, a[1], a[2], b[2])
+			k := cfg.GemmKernel(a[1], a[2], b[2])
 			k.FLOPs *= int64(a[0])
 			k.DRAMBytes *= int64(a[0])
 			return k, nil
 		}
-		return cfg.GemmKernel(n.Name, a[0], a[1], b[1]), nil
+		return cfg.GemmKernel(a[0], a[1], b[1]), nil
 	case graph.OpAdd, graph.OpMul, graph.OpRelu, graph.OpClip, graph.OpSigmoid,
 		graph.OpSiLU, graph.OpGelu, graph.OpSoftmax, graph.OpLayerNorm,
 		graph.OpIdentity, graph.OpTranspose, graph.OpBatchNorm:
@@ -334,24 +328,22 @@ func NodeKernel(g *graph.Graph, n *graph.Node, cfg Config) (Kernel, error) {
 		if n.Op == graph.OpAdd || n.Op == graph.OpMul {
 			reads = 2
 		}
-		return ElementwiseKernel(n.Name, int64(outTI.Shape.Elems()), reads), nil
+		return ElementwiseKernel(int64(outTI.Shape.Elems()), reads), nil
 	case graph.OpMaxPool, graph.OpAvgPool:
-		kk := n.Attrs.IntList("kernel_shape", []int{2, 2})
-		window := kk[0] * kk[1]
-		return ElementwiseKernel(n.Name, int64(outTI.Shape.Elems()), window), nil
+		return ElementwiseKernel(int64(outTI.Shape.Elems()), n.Conv.KernelH*n.Conv.KernelW), nil
 	case graph.OpGlobalAvgPool:
 		in := g.Tensors[n.Inputs[0]].Shape
-		return ElementwiseKernel(n.Name, int64(in.Elems()), 1), nil
+		return ElementwiseKernel(int64(in.Elems()), 1), nil
 	case graph.OpFlatten:
 		// Metadata-only reshape.
-		return Kernel{Name: n.Name, ComputeEff: 1, MemEff: 1}, nil
+		return Kernel{ComputeEff: 1, MemEff: 1}, nil
 	case graph.OpConcat, graph.OpSlice, graph.OpPad:
 		// Data-movement ops; the memory optimizer may elide them (the
 		// transform pass marks elided ops as Identity-cost).
-		if n.Attrs.Int("elided", 0) == 1 {
-			return Kernel{Name: n.Name, ComputeEff: 1, MemEff: 1}, nil
+		if n.Elided {
+			return Kernel{ComputeEff: 1, MemEff: 1}, nil
 		}
-		return ElementwiseKernel(n.Name, int64(outTI.Shape.Elems()), 1), nil
+		return ElementwiseKernel(int64(outTI.Shape.Elems()), 1), nil
 	default:
 		return Kernel{}, fmt.Errorf("gpu: unsupported op %s", n.Op)
 	}

@@ -78,7 +78,7 @@ func TestTimeRejectsNegativeWork(t *testing.T) {
 
 func TestGemvIsMemoryBound(t *testing.T) {
 	c := DefaultConfig()
-	k := c.GemmKernel("fc", 1, 4096, 4096)
+	k := c.GemmKernel(1, 4096, 4096)
 	r, err := c.Time(k)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestBigConvIsComputeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := c.ConvKernel("conv", 56, 56, 256, l)
+	k := c.ConvKernel(56, 56, 256, l)
 	r, err := c.Time(k)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestChannelScalingSensitivity(t *testing.T) {
 	full := DefaultConfig()
 	half := full.WithChannels(16)
 
-	memK := full.GemmKernel("fc", 1, 4096, 4096)
+	memK := full.GemmKernel(1, 4096, 4096)
 	rFull, _ := full.Time(memK)
 	rHalf, _ := half.Time(memK)
 	ratio := float64(rHalf.Cycles) / float64(rFull.Cycles)
@@ -125,7 +125,7 @@ func TestChannelScalingSensitivity(t *testing.T) {
 
 	p := graph.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadT: 1, PadL: 1, PadB: 1, PadR: 1, Group: 1}
 	l, _ := lower.LowerConv(tensor.Shape{1, 56, 56, 256}, p, 256)
-	compK := full.ConvKernel("conv", 56, 56, 256, l)
+	compK := full.ConvKernel(56, 56, 256, l)
 	cFull, _ := full.Time(compK)
 	cHalf, _ := half.Time(compK)
 	cRatio := float64(cHalf.Cycles) / float64(cFull.Cycles)
@@ -141,7 +141,7 @@ func TestDepthwiseConvMemoryBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := c.ConvKernel("dw", 14, 14, 384, l)
+	k := c.ConvKernel(14, 14, 384, l)
 	r, err := c.Time(k)
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +178,7 @@ func TestNodeKernelCoverage(t *testing.T) {
 func TestNodeKernelElided(t *testing.T) {
 	g := graph.New("el")
 	g.AddInput("in", 1, 4, 4, 2)
-	n := &graph.Node{Name: "s", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"out"}}
-	n.Attrs.SetInts("axis", 1)
-	n.Attrs.SetInts("start", 0)
-	n.Attrs.SetInts("end", 2)
+	n := &graph.Node{Name: "s", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"out"}, Axis: 1, End: 2}
 	g.AddNode(n)
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
@@ -194,7 +191,7 @@ func TestNodeKernelElided(t *testing.T) {
 	if k1.DRAMBytes == 0 {
 		t.Fatal("non-elided slice has no traffic")
 	}
-	n.Attrs.SetInts("elided", 1)
+	n.Elided = true
 	k2, err := NodeKernel(g, n, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,14 +208,14 @@ func TestWriteBackMode(t *testing.T) {
 	wt := DefaultConfig() // write-through default
 	wb := DefaultConfig()
 	wb.WriteBack = true
-	k1 := wt.GemmKernel("pw", 196, 576, 160)
-	k2 := wb.GemmKernel("pw", 196, 576, 160)
+	k1 := wt.GemmKernel(196, 576, 160)
+	k2 := wb.GemmKernel(196, 576, 160)
 	if k2.DRAMBytes >= k1.DRAMBytes {
 		t.Fatalf("write-back traffic %d not below write-through %d", k2.DRAMBytes, k1.DRAMBytes)
 	}
 	// Huge outputs spill either way.
-	b1 := wt.GemmKernel("big", 50176, 64, 256)
-	b2 := wb.GemmKernel("big", 50176, 64, 256)
+	b1 := wt.GemmKernel(50176, 64, 256)
+	b2 := wb.GemmKernel(50176, 64, 256)
 	if b1.DRAMBytes != b2.DRAMBytes {
 		t.Fatalf("L2-exceeding output absorbed: %d vs %d", b1.DRAMBytes, b2.DRAMBytes)
 	}
@@ -296,8 +293,8 @@ func TestWinogradConvsKnob(t *testing.T) {
 	if !l3.Winograd {
 		t.Fatal("eligible 3x3 conv not flagged")
 	}
-	r1, _ := base.Time(base.ConvKernel("c", 56, 56, 256, l3))
-	r2, _ := wino.Time(wino.ConvKernel("c", 56, 56, 256, l3))
+	r1, _ := base.Time(base.ConvKernel(56, 56, 256, l3))
+	r2, _ := wino.Time(wino.ConvKernel(56, 56, 256, l3))
 	if r2.Cycles >= r1.Cycles {
 		t.Fatalf("winograd (%d) not faster than direct (%d)", r2.Cycles, r1.Cycles)
 	}

@@ -99,12 +99,9 @@ func (b *Builder) Conv(f, kh, kw, sh, sw int, pads [4]int, group int) *Builder {
 	}
 	w := b.weight(name+"_w", kh, kw, cin/group, f)
 	bias := b.weight(name+"_b", f)
-	n := &Node{Name: name, Op: OpConv, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"}}
-	n.Attrs.SetInts("kernel_shape", kh, kw)
-	n.Attrs.SetInts("strides", sh, sw)
-	n.Attrs.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
-	n.Attrs.SetInts("group", group)
-	b.add(n)
+	b.add(&Node{Name: name, Op: OpConv, Inputs: []string{b.cur, w, bias}, Outputs: []string{name + "_out"},
+		Conv: ConvParams{KernelH: kh, KernelW: kw, StrideH: sh, StrideW: sw,
+			PadT: pads[0], PadL: pads[1], PadB: pads[2], PadR: pads[3], Group: group}})
 	return b
 }
 
@@ -134,11 +131,11 @@ func (b *Builder) Gemm(nOut int) *Builder {
 	return b
 }
 
-func (b *Builder) unary(op OpType, prefix string, attrs func(*Attrs)) *Builder {
+func (b *Builder) unary(op OpType, prefix string, set func(*Node)) *Builder {
 	name := b.nextName(prefix)
 	n := &Node{Name: name, Op: op, Inputs: []string{b.cur}, Outputs: []string{name + "_out"}}
-	if attrs != nil {
-		attrs(&n.Attrs)
+	if set != nil {
+		set(n)
 	}
 	b.add(n)
 	return b
@@ -149,10 +146,7 @@ func (b *Builder) Relu() *Builder { return b.unary(OpRelu, "relu", nil) }
 
 // Relu6 appends a Clip(0, 6).
 func (b *Builder) Relu6() *Builder {
-	return b.unary(OpClip, "relu6", func(a *Attrs) {
-		a.SetFloat("min", 0)
-		a.SetFloat("max", 6)
-	})
+	return b.unary(OpClip, "relu6", func(n *Node) { n.Min, n.Max = 0, 6 })
 }
 
 // SiLU appends a swish activation.
@@ -178,29 +172,24 @@ func (b *Builder) GlobalAvgPool() *Builder { return b.unary(OpGlobalAvgPool, "ga
 
 // MaxPool appends spatial max pooling.
 func (b *Builder) MaxPool(k, s int, pads [4]int) *Builder {
-	return b.unary(OpMaxPool, "maxpool", func(a *Attrs) {
-		a.SetInts("kernel_shape", k, k)
-		a.SetInts("strides", s, s)
-		a.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
-	})
+	return b.unary(OpMaxPool, "maxpool", func(n *Node) { n.Conv = poolWindow(k, s, pads) })
 }
 
 // AvgPool appends spatial average pooling.
 func (b *Builder) AvgPool(k, s int, pads [4]int) *Builder {
-	return b.unary(OpAvgPool, "avgpool", func(a *Attrs) {
-		a.SetInts("kernel_shape", k, k)
-		a.SetInts("strides", s, s)
-		a.SetInts("pads", pads[0], pads[1], pads[2], pads[3])
-	})
+	return b.unary(OpAvgPool, "avgpool", func(n *Node) { n.Conv = poolWindow(k, s, pads) })
+}
+
+func poolWindow(k, s int, pads [4]int) ConvParams {
+	return ConvParams{KernelH: k, KernelW: k, StrideH: s, StrideW: s,
+		PadT: pads[0], PadL: pads[1], PadB: pads[2], PadR: pads[3], Group: 1}
 }
 
 // Concat appends a concatenation of the current tensor with others along
 // the given axis (1 = height, 3 = channels for NHWC).
 func (b *Builder) Concat(axis int, others ...string) *Builder {
 	name := b.nextName("concat")
-	n := &Node{Name: name, Op: OpConcat, Inputs: append([]string{b.cur}, others...), Outputs: []string{name + "_out"}}
-	n.Attrs.SetInts("axis", axis)
-	b.add(n)
+	b.add(&Node{Name: name, Op: OpConcat, Inputs: append([]string{b.cur}, others...), Outputs: []string{name + "_out"}, Axis: axis})
 	return b
 }
 

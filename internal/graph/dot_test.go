@@ -17,7 +17,7 @@ func (g *Graph) DOT() string {
 	for _, n := range g.Nodes {
 		attrs := []string{fmt.Sprintf("label=%q", fmt.Sprintf("%s\\n%s", n.Name, n.Op))}
 		switch {
-		case n.Attrs.Int("elided", 0) == 1:
+		case n.Elided:
 			attrs = append(attrs, "style=dashed")
 		case n.Exec.Device == DevicePIM:
 			attrs = append(attrs, `style=filled`, `fillcolor="#b7e1cd"`)

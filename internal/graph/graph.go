@@ -10,14 +10,25 @@ import (
 )
 
 // Node is one operation in a model graph. Inputs and Outputs name tensors
-// in the owning Graph. Nodes carry an attribute bag plus PIMFlow execution
-// annotations written by the search and transformation phases.
+// in the owning Graph. Nodes carry typed operator attributes, checked
+// where a graph is made (the builder, ReadJSON, Validate), plus PIMFlow
+// execution annotations written by the search and transformation phases.
 type Node struct {
 	Name    string
 	Op      OpType
 	Inputs  []string
 	Outputs []string
-	Attrs   Attrs
+
+	// Conv is the window of a Conv, MaxPool or AvgPool node and the pads
+	// of a Pad node. Axis is a Concat's or Slice's axis; a Slice keeps
+	// [Start, End) of it, a negative End reaching the end. Min and Max
+	// bound a Clip (±Inf when open); Epsilon is a BatchNorm's (see Eps).
+	Conv              ConvParams
+	Axis, Start, End  int
+	Min, Max, Epsilon float64
+	// Elided marks a data-movement node the layout pass made free; MDDP
+	// and Pipelined mark the parts the MD-DP and pipelining rewrites made.
+	Elided, MDDP, Pipelined bool
 
 	// Exec is the execution annotation chosen by the search phase; the
 	// zero value means "GPU, heterogeneous-parallel".
@@ -88,15 +99,10 @@ type PipelineHint struct {
 
 // Clone deep-copies the node.
 func (n *Node) Clone() *Node {
-	c := &Node{
-		Name:    n.Name,
-		Op:      n.Op,
-		Inputs:  append([]string(nil), n.Inputs...),
-		Outputs: append([]string(nil), n.Outputs...),
-		Attrs:   n.Attrs.Clone(),
-		Exec:    n.Exec,
-	}
-	return c
+	c := *n
+	c.Inputs = append([]string(nil), n.Inputs...)
+	c.Outputs = append([]string(nil), n.Outputs...)
+	return &c
 }
 
 // TensorInfo describes a named tensor: its shape and, for weights, the
@@ -215,8 +221,8 @@ func (g *Graph) Clone() *Graph {
 	}
 	c.Nodes = make([]*Node, len(g.Nodes))
 	for i, n := range g.Nodes {
-		nodes[i] = Node{Name: n.Name, Op: n.Op, Inputs: list(n.Inputs), Outputs: list(n.Outputs),
-			Attrs: n.Attrs.Clone(), Exec: n.Exec}
+		nodes[i] = *n
+		nodes[i].Inputs, nodes[i].Outputs = list(n.Inputs), list(n.Outputs)
 		c.Nodes[i] = &nodes[i]
 	}
 	return c
@@ -279,15 +285,14 @@ func (g *Graph) IsDepthwise(n *Node) bool {
 	if n.Op != OpConv {
 		return false
 	}
-	p, err := ConvParamsOf(n)
-	if err != nil || p.Group == 1 {
+	if n.Conv.Group == 1 {
 		return false
 	}
 	in := g.Tensors[n.Inputs[0]]
 	if in == nil || len(in.Shape) != 4 {
 		return false
 	}
-	return p.Group == in.Shape[3]
+	return n.Conv.Group == in.Shape[3]
 }
 
 // IsPIMCandidate reports whether a node can be offloaded to DRAM-PIM:

@@ -30,44 +30,43 @@ func TestBuilderConvShapes(t *testing.T) {
 
 func TestConvParamsOf(t *testing.T) {
 	g := simpleConvGraph(t)
-	conv := g.Nodes[0]
-	p, err := ConvParamsOf(conv)
-	if err != nil {
-		t.Fatal(err)
+	want := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadT: 1, PadL: 1, PadB: 1, PadR: 1, Group: 1}
+	if p := g.Nodes[0].Conv; p != want {
+		t.Fatalf("params %+v, want %+v", p, want)
 	}
-	if p.KernelH != 3 || p.StrideH != 1 || p.PadT != 1 || p.Group != 1 {
-		t.Fatalf("params %+v", p)
-	}
-	if _, err := ConvParamsOf(g.Nodes[1]); err == nil {
-		t.Fatal("ConvParamsOf accepted a Relu node")
+	if (g.Nodes[1].Conv != ConvParams{}) {
+		t.Fatalf("Relu carries a window %+v", g.Nodes[1].Conv)
 	}
 }
 
+// TestConvParamsDefaults: ReadJSON fills the ONNX defaults of the window
+// attributes a document leaves out; a pool's strides default to its
+// kernel.
 func TestConvParamsDefaults(t *testing.T) {
-	n := &Node{Name: "c", Op: OpConv}
-	n.Attrs.SetInts("kernel_shape", 5, 5)
-	p, err := ConvParamsOf(n)
+	doc := `{"name":"g","inputs":["x"],"outputs":["y"],
+	  "tensors":[{"name":"x","shape":[1,8,8,2]},{"name":"w","shape":[5,5,2,4],"param":true}],
+	  "nodes":[{"name":"c","op":"Conv","inputs":["x","w"],"outputs":["c_out"],"ints":{"kernel_shape":[5,5]}},
+	           {"name":"p","op":"MaxPool","inputs":["c_out"],"outputs":["y"],"ints":{"kernel_shape":[2,2]}}]}`
+	g, err := ReadJSON(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.StrideH != 1 || p.StrideW != 1 || p.PadB != 0 || p.Group != 1 {
-		t.Fatalf("defaults %+v", p)
+	if p := g.Nodes[0].Conv; p != (ConvParams{KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1, Group: 1}) {
+		t.Fatalf("conv defaults %+v", p)
+	}
+	if p := g.Nodes[1].Conv; p.StrideH != 2 || p.StrideW != 2 || p.PadB != 0 {
+		t.Fatalf("pool defaults %+v", p)
 	}
 }
 
 func TestAttrsCloneIndependent(t *testing.T) {
-	var a Attrs
-	a.SetInts("k", 1, 2)
-	a.SetFloat("f", 3.5)
-	a.SetStr("s", "x")
-	c := a.Clone()
-	c.Ints["k"][0] = 9
-	c.SetFloat("f", 7)
-	if a.Int("k", 0) != 1 || a.Float("f", 0) != 3.5 || a.Str("s", "") != "x" {
-		t.Fatal("clone aliased original")
-	}
-	if a.Int("missing", 42) != 42 || a.Float("missing", 1.5) != 1.5 || a.Str("missing", "d") != "d" {
-		t.Fatal("defaults broken")
+	g := simpleConvGraph(t)
+	n := g.Nodes[0]
+	c := n.Clone()
+	c.Conv.PadT, c.Elided, c.Inputs[0] = 7, true, "other"
+	g.Clone().Nodes[0].Conv.StrideH = 3
+	if n.Conv.PadT != 1 || n.Elided || n.Inputs[0] == "other" || n.Conv.StrideH != 1 {
+		t.Fatalf("clone aliased original: %+v", n)
 	}
 }
 
@@ -154,22 +153,11 @@ func TestInferPoolAndGAP(t *testing.T) {
 func TestInferConcatSlicePad(t *testing.T) {
 	g := New("csp")
 	g.AddInput("in", 1, 6, 4, 2)
-	n1 := &Node{Name: "s1", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}}
-	n1.Attrs.SetInts("axis", 1)
-	n1.Attrs.SetInts("start", 0)
-	n1.Attrs.SetInts("end", 2)
-	g.AddNode(n1)
-	n2 := &Node{Name: "s2", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}}
-	n2.Attrs.SetInts("axis", 1)
-	n2.Attrs.SetInts("start", 2)
-	n2.Attrs.SetInts("end", 6)
-	g.AddNode(n2)
-	n3 := &Node{Name: "c", Op: OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"cat"}}
-	n3.Attrs.SetInts("axis", 1)
-	g.AddNode(n3)
-	n4 := &Node{Name: "p", Op: OpPad, Inputs: []string{"cat"}, Outputs: []string{"out"}}
-	n4.Attrs.SetInts("pads", 1, 2, 1, 2)
-	g.AddNode(n4)
+	g.AddNode(&Node{Name: "s1", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}, Axis: 1, Start: 0, End: 2})
+	g.AddNode(&Node{Name: "s2", Op: OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}, Axis: 1, Start: 2, End: 6})
+	g.AddNode(&Node{Name: "c", Op: OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"cat"}, Axis: 1})
+	g.AddNode(&Node{Name: "p", Op: OpPad, Inputs: []string{"cat"}, Outputs: []string{"out"},
+		Conv: ConvParams{PadT: 1, PadL: 2, PadB: 1, PadR: 2}})
 	g.MarkOutput("out")
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)
@@ -209,9 +197,8 @@ func TestInferConvErrors(t *testing.T) {
 	g.AddInput("in", 1, 8, 8, 3)
 	w := tensor.New(3, 3, 4, 16) // wrong Cin
 	g.AddWeight("w", w)
-	n := &Node{Name: "c", Op: OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"out"}}
-	n.Attrs.SetInts("kernel_shape", 3, 3)
-	g.AddNode(n)
+	g.AddNode(&Node{Name: "c", Op: OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"out"},
+		Conv: ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, Group: 1}})
 	if err := g.InferShapes(); err == nil {
 		t.Fatal("Cin mismatch accepted")
 	}

@@ -131,9 +131,9 @@ func (g *Graph) inferNode(n *Node) error {
 }
 
 func (g *Graph) inferConv(n *Node) error {
-	p, err := ConvParamsOf(n)
-	if err != nil {
-		return err
+	p := n.Conv
+	if p.StrideH < 1 || p.StrideW < 1 {
+		return fmt.Errorf("non-positive strides %dx%d", p.StrideH, p.StrideW)
 	}
 	in, err := g.shapeOf(n.Inputs[0])
 	if err != nil {
@@ -266,20 +266,12 @@ func (g *Graph) inferPool(n *Node) error {
 	if len(in) != 4 {
 		return fmt.Errorf("want NHWC input, got %v", in)
 	}
-	k := n.Attrs.IntList("kernel_shape", nil)
-	if len(k) != 2 {
-		return fmt.Errorf("missing kernel_shape")
+	p := n.Conv
+	if p.KernelH < 1 || p.KernelW < 1 || p.StrideH < 1 || p.StrideW < 1 {
+		return fmt.Errorf("non-positive kernel %dx%d or strides %dx%d", p.KernelH, p.KernelW, p.StrideH, p.StrideW)
 	}
-	s := n.Attrs.IntList("strides", []int{k[0], k[1]})
-	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
-	if len(s) != 2 || len(p) != 4 {
-		return fmt.Errorf("malformed strides/pads (%d and %d values, want 2 and 4)", len(s), len(p))
-	}
-	if s[0] < 1 || s[1] < 1 {
-		return fmt.Errorf("non-positive strides %dx%d", s[0], s[1])
-	}
-	oh := (in[1]+p[0]+p[2]-k[0])/s[0] + 1
-	ow := (in[2]+p[1]+p[3]-k[1])/s[1] + 1
+	oh := (in[1]+p.PadT+p.PadB-p.KernelH)/p.StrideH + 1
+	ow := (in[2]+p.PadL+p.PadR-p.KernelW)/p.StrideW + 1
 	if oh <= 0 || ow <= 0 {
 		return fmt.Errorf("non-positive output %dx%d", oh, ow)
 	}
@@ -288,7 +280,7 @@ func (g *Graph) inferPool(n *Node) error {
 }
 
 func (g *Graph) inferConcat(n *Node) error {
-	axis := n.Attrs.Int("axis", 1)
+	axis := n.Axis
 	// The output shape is built in a stack buffer; error messages print
 	// copies of it so it never escapes.
 	var buf [4]int
@@ -333,9 +325,7 @@ func (g *Graph) inferSlice(n *Node) error {
 	if err != nil {
 		return err
 	}
-	axis := n.Attrs.Int("axis", 1)
-	start := n.Attrs.Int("start", 0)
-	end := n.Attrs.Int("end", -1)
+	axis, start, end := n.Axis, n.Start, n.End
 	if axis < 0 || axis >= len(in) {
 		return fmt.Errorf("axis %d out of range for %v", axis, in)
 	}
@@ -360,16 +350,11 @@ func (g *Graph) inferPad(n *Node) error {
 	if len(in) != 4 {
 		return fmt.Errorf("want NHWC input, got %v", in)
 	}
-	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
-	if len(p) != 4 {
-		return fmt.Errorf("want pads [t,l,b,r], got %v", p)
+	p := n.Conv
+	if p.PadT < 0 || p.PadL < 0 || p.PadB < 0 || p.PadR < 0 {
+		return fmt.Errorf("negative pad in [%d %d %d %d]", p.PadT, p.PadL, p.PadB, p.PadR)
 	}
-	for _, v := range p {
-		if v < 0 {
-			return fmt.Errorf("negative pad in %v", p)
-		}
-	}
-	out := tensor.Shape{in[0], in[1] + p[0] + p[2], in[2] + p[1] + p[3], in[3]}
+	out := tensor.Shape{in[0], in[1] + p.PadT + p.PadB, in[2] + p.PadL + p.PadR, in[3]}
 	if !out.Valid() {
 		return fmt.Errorf("non-positive padded shape %v", out)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -78,6 +79,33 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsUnreadAttributes: an attribute no pass reads for
+// its operator fails the load with an error naming the node and the
+// attribute; a graph that loaded it would silently ignore it (a dilated
+// Conv would compute an undilated convolution).
+func TestReadJSONRejectsUnreadAttributes(t *testing.T) {
+	conv := `{"name":"g","inputs":["x"],"outputs":["y"],
+	  "tensors":[{"name":"x","shape":[1,8,8,2]},{"name":"w","shape":[3,3,2,4],"param":true}],
+	  "nodes":[{"name":"c","op":"Conv","inputs":["x","w"],"outputs":["y"],"ints":{"kernel_shape":[3,3],%s}}]}`
+	for _, tc := range []struct{ attr, want string }{
+		{`"dilations":[2,2]`, `Conv "c": no pass reads attribute "dilations"`},
+		{`"axis":[1]`, `Conv "c": no pass reads attribute "axis"`},
+		{`"strides":[1]`, `Conv "c": attribute "strides" has 1 values, want 2`},
+		{`"pads":[0,0,0,0]},"floats":{"alpha":0.5`, `Conv "c": no pass reads attribute "alpha"`},
+		{`"pads":[0,0,0,0]},"strs":{"auto_pad":"SAME"`, `Conv "c": no pass reads attribute "auto_pad"`},
+	} {
+		_, err := ReadJSON(strings.NewReader(fmt.Sprintf(conv, tc.attr)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadJSON error %v, want one containing %q", tc.attr, err, tc.want)
+		}
+	}
+	ln := `{"name":"g","inputs":["x"],"outputs":["y"],"tensors":[{"name":"x","shape":[1,4]}],
+	  "nodes":[{"name":"ln","op":"LayerNorm","inputs":["x"],"outputs":["y"],"floats":{"epsilon":1e-6}}]}`
+	if _, err := ReadJSON(strings.NewReader(ln)); err == nil || !strings.Contains(err.Error(), `no pass reads attribute "epsilon"`) {
+		t.Errorf("LayerNorm epsilon: ReadJSON error %v", err)
+	}
+}
+
 func TestDOTOutput(t *testing.T) {
 	b := NewBuilder("dotty", 1, 4, 4, 2)
 	g, err := b.PointwiseConv(4).Relu().Finish()
@@ -85,7 +113,7 @@ func TestDOTOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Nodes[0].Exec.Device = DevicePIM
-	g.Nodes[1].Attrs.SetInts("elided", 1)
+	g.Nodes[1].Elided = true
 	dot := g.DOT()
 	for _, want := range []string{"digraph", "Conv", "Relu", "->", "dashed", "#b7e1cd"} {
 		if !strings.Contains(dot, want) {

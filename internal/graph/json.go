@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"pimflow/internal/tensor"
 )
@@ -26,6 +28,9 @@ type jsonTensor struct {
 	Data  []float32 `json:"data,omitempty"`
 }
 
+// jsonNode spells a node's typed fields as ONNX-style attribute maps
+// (Node.AppendAttrs). No pass reads a string attribute, so Strs exists
+// only for ReadJSON to reject.
 type jsonNode struct {
 	Name    string             `json:"name"`
 	Op      string             `json:"op"`
@@ -34,6 +39,99 @@ type jsonNode struct {
 	Ints    map[string][]int   `json:"ints,omitempty"`
 	Floats  map[string]float64 `json:"floats,omitempty"`
 	Strs    map[string]string  `json:"strs,omitempty"`
+}
+
+// setAttrs fills n's typed fields from the attribute maps, starting from
+// the ONNX defaults: unit strides (a pool's are its kernel), zero pads,
+// group 1, axis 1, a Slice to the end of its axis and an open Clip. An
+// attribute no pass reads for n's operator, or one of the wrong length,
+// fails with an error naming the node and the attribute.
+func (jn *jsonNode) setAttrs(n *Node) error {
+	p := &n.Conv
+	switch n.Op {
+	case OpConv, OpMaxPool, OpAvgPool:
+		*p = ConvParams{StrideH: 1, StrideW: 1, Group: 1}
+	case OpConcat:
+		n.Axis = 1
+	case OpSlice:
+		n.Axis, n.End = 1, -1
+	case OpClip:
+		n.Min, n.Max = math.Inf(-1), math.Inf(1)
+	}
+	conv := n.Op == OpConv
+	window := conv || n.Op == OpMaxPool || n.Op == OpAvgPool
+	unread := func(name string) error {
+		return fmt.Errorf("graph: %s %q: no pass reads attribute %q", n.Op, n.Name, name)
+	}
+	var elided, mddp, pipelined int
+	for _, name := range sortedKeys(jn.Ints) {
+		var dst []*int
+		switch {
+		case name == "kernel_shape" && window:
+			dst = []*int{&p.KernelH, &p.KernelW}
+		case name == "strides" && window:
+			dst = []*int{&p.StrideH, &p.StrideW}
+		case name == "pads" && (window || n.Op == OpPad):
+			dst = []*int{&p.PadT, &p.PadL, &p.PadB, &p.PadR}
+		case name == "group" && conv:
+			dst = []*int{&p.Group}
+		case name == "axis" && (n.Op == OpConcat || n.Op == OpSlice):
+			dst = []*int{&n.Axis}
+		case name == "start" && n.Op == OpSlice:
+			dst = []*int{&n.Start}
+		case name == "end" && n.Op == OpSlice:
+			dst = []*int{&n.End}
+		case name == "elided":
+			dst = []*int{&elided}
+		case name == "mddp":
+			dst = []*int{&mddp}
+		case name == "pipeline":
+			dst = []*int{&pipelined}
+		default:
+			return unread(name)
+		}
+		v := jn.Ints[name]
+		if len(v) != len(dst) {
+			return fmt.Errorf("graph: %s %q: attribute %q has %d values, want %d", n.Op, n.Name, name, len(v), len(dst))
+		}
+		for i, d := range dst {
+			*d = v[i]
+		}
+	}
+	if window && jn.Ints["kernel_shape"] == nil {
+		return fmt.Errorf("graph: %s %q: missing kernel_shape", n.Op, n.Name)
+	}
+	if !conv && window && jn.Ints["strides"] == nil {
+		p.StrideH, p.StrideW = p.KernelH, p.KernelW
+	}
+	n.Elided, n.MDDP, n.Pipelined = elided == 1, mddp == 1, pipelined == 1
+	for _, name := range sortedKeys(jn.Floats) {
+		switch v := jn.Floats[name]; {
+		case name == "min" && n.Op == OpClip:
+			n.Min = v
+		case name == "max" && n.Op == OpClip:
+			n.Max = v
+		case name == "epsilon" && n.Op == OpBatchNorm && v > 0:
+			n.Epsilon = v
+		case name == "epsilon" && n.Op == OpBatchNorm:
+			return fmt.Errorf("graph: %s %q: epsilon %v is not positive", n.Op, n.Name, v)
+		default:
+			return unread(name)
+		}
+	}
+	if names := sortedKeys(jn.Strs); len(names) > 0 {
+		return unread(names[0])
+	}
+	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WriteJSON serializes the graph (execution annotations are not
@@ -49,18 +147,31 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		}
 		jg.Tensors = append(jg.Tensors, jt)
 	}
+	var attrs []Attr
 	for _, n := range g.Nodes {
-		jg.Nodes = append(jg.Nodes, jsonNode{
-			Name: n.Name, Op: string(n.Op),
-			Inputs: n.Inputs, Outputs: n.Outputs,
-			Ints: n.Attrs.Ints, Floats: n.Attrs.Floats, Strs: n.Attrs.Strs,
-		})
+		jn := jsonNode{Name: n.Name, Op: string(n.Op), Inputs: n.Inputs, Outputs: n.Outputs}
+		attrs = n.AppendAttrs(attrs[:0])
+		for _, a := range attrs {
+			if a.Len == 0 {
+				if jn.Floats == nil {
+					jn.Floats = map[string]float64{}
+				}
+				jn.Floats[a.Name] = a.Float
+				continue
+			}
+			if jn.Ints == nil {
+				jn.Ints = map[string][]int{}
+			}
+			jn.Ints[a.Name] = append([]int(nil), a.Ints[:a.Len]...)
+		}
+		jg.Nodes = append(jg.Nodes, jn)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(jg)
 }
 
-// ReadJSON deserializes a graph written by WriteJSON, validates it
+// ReadJSON deserializes a graph written by WriteJSON, decodes each node's
+// attributes into its typed fields (jsonNode.setAttrs), validates it
 // structurally (Validate), and re-infers shapes. Any graph it accepts
 // satisfies the verify package's default graph invariants; the fuzz test
 // in json_fuzz_test.go holds it to that contract.
@@ -93,10 +204,9 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		g.Tensors[jt.Name] = ti
 	}
 	for _, jn := range jg.Nodes {
-		n := &Node{
-			Name: jn.Name, Op: OpType(jn.Op),
-			Inputs: jn.Inputs, Outputs: jn.Outputs,
-			Attrs: Attrs{Ints: jn.Ints, Floats: jn.Floats, Strs: jn.Strs},
+		n := &Node{Name: jn.Name, Op: OpType(jn.Op), Inputs: jn.Inputs, Outputs: jn.Outputs}
+		if err := jn.setAttrs(n); err != nil {
+			return nil, err
 		}
 		// Mirror AddNode: declare output tensors the document omitted.
 		for _, out := range n.Outputs {

@@ -1,15 +1,12 @@
 // Package graph implements the ONNX-like model graph intermediate
 // representation that PIMFlow's transformation passes operate on. Graphs
 // hold named tensors (activations and weight initializers), nodes in
-// insertion order, and per-node attributes mirroring ONNX opset 13
-// conventions, restricted to the operators present in the paper's model
-// suite (CNN backbones plus a BERT-style encoder).
+// insertion order, and typed per-operator attributes that files spell as
+// ONNX opset 13 attributes, restricted to the operators present in the
+// paper's model suite (CNN backbones plus a BERT-style encoder).
 package graph
 
-import (
-	"fmt"
-	"maps"
-)
+import "math"
 
 // OpType identifies a node's operator.
 type OpType string
@@ -41,98 +38,6 @@ const (
 	OpBatchNorm     OpType = "BatchNorm"     // inference-mode batch norm (folded by the compiler)
 )
 
-// Attrs is the node attribute bag. Values are int slices, floats, or
-// strings, matching the subset of ONNX attribute kinds the IR needs. The
-// zero value is an empty bag, and each kind's map stays nil until its
-// first Set, so nodes pay only for the kinds they hold.
-type Attrs struct {
-	Ints   map[string][]int
-	Floats map[string]float64
-	Strs   map[string]string
-}
-
-// Clone deep-copies the attribute bag, presizing each map it allocates
-// and packing the integer lists into one block.
-func (a Attrs) Clone() Attrs {
-	var c Attrs
-	if len(a.Ints) > 0 {
-		total := 0
-		for _, v := range a.Ints {
-			total += len(v)
-		}
-		vals := make([]int, 0, total)
-		c.Ints = make(map[string][]int, len(a.Ints))
-		for k, v := range a.Ints {
-			n := len(vals)
-			vals = append(vals, v...)
-			c.Ints[k] = vals[n:len(vals):len(vals)]
-		}
-	}
-	if len(a.Floats) > 0 {
-		c.Floats = maps.Clone(a.Floats)
-	}
-	if len(a.Strs) > 0 {
-		c.Strs = maps.Clone(a.Strs)
-	}
-	return c
-}
-
-// Int returns the first element of integer attribute k, or def.
-func (a Attrs) Int(k string, def int) int {
-	if v, ok := a.Ints[k]; ok && len(v) > 0 {
-		return v[0]
-	}
-	return def
-}
-
-// IntList returns integer attribute k, or def.
-func (a Attrs) IntList(k string, def []int) []int {
-	if v, ok := a.Ints[k]; ok {
-		return v
-	}
-	return def
-}
-
-// Float returns float attribute k, or def.
-func (a Attrs) Float(k string, def float64) float64 {
-	if v, ok := a.Floats[k]; ok {
-		return v
-	}
-	return def
-}
-
-// Str returns string attribute k, or def.
-func (a Attrs) Str(k, def string) string {
-	if v, ok := a.Strs[k]; ok {
-		return v
-	}
-	return def
-}
-
-// SetInts stores an integer-list attribute.
-func (a *Attrs) SetInts(k string, v ...int) {
-	if a.Ints == nil {
-		a.Ints = map[string][]int{}
-	}
-	a.Ints[k] = v
-}
-
-// SetFloat stores a float attribute.
-func (a *Attrs) SetFloat(k string, v float64) {
-	if a.Floats == nil {
-		a.Floats = map[string]float64{}
-	}
-	a.Floats[k] = v
-}
-
-// SetStr stores a string attribute.
-func (a *Attrs) SetStr(k, v string) {
-	if a.Strs == nil {
-		a.Strs = map[string]string{}
-	}
-	a.Strs[k] = v
-}
-
 // MinInputs returns the minimum input count of an operator and whether
 // the operator is known. Shape inference (and the interpreter) index
 // node inputs up to this arity unconditionally, so Validate and the
@@ -152,7 +57,8 @@ func MinInputs(op OpType) (int, bool) {
 	}
 }
 
-// ConvParams is the decoded attribute set of a Conv node.
+// ConvParams is the window of a Conv, MaxPool or AvgPool node (a pool's
+// Group is 1) and, in its pads, the padding of a Pad node.
 type ConvParams struct {
 	KernelH, KernelW int
 	StrideH, StrideW int
@@ -161,31 +67,56 @@ type ConvParams struct {
 	Group                  int
 }
 
-// ConvParamsOf decodes a Conv node's attributes, applying ONNX defaults.
-func ConvParamsOf(n *Node) (ConvParams, error) {
-	if n.Op != OpConv {
-		return ConvParams{}, fmt.Errorf("graph: node %q is %s, not Conv", n.Name, n.Op)
+// Eps returns a BatchNorm's epsilon: Epsilon, or the ONNX default 1e-5
+// when that is 0.
+func (n *Node) Eps() float64 {
+	if n.Epsilon == 0 {
+		return 1e-5
 	}
-	k := n.Attrs.IntList("kernel_shape", nil)
-	if len(k) != 2 {
-		return ConvParams{}, fmt.Errorf("graph: Conv %q missing kernel_shape", n.Name)
+	return n.Epsilon
+}
+
+// Attr is one node attribute as graph files and pipe/ profile-store keys
+// spell it: the integer list Ints[:Len] or, when Len is 0, Float.
+type Attr struct {
+	Name  string
+	Ints  [4]int
+	Len   int
+	Float float64
+}
+
+// AppendAttrs appends the attributes of n's typed fields to dst, integer
+// lists before floats and each kind sorted by name. A field is written
+// where its operator reads it, a marker when set, a Clip bound when
+// finite and a BatchNorm epsilon when set.
+func (n *Node) AppendAttrs(dst []Attr) []Attr {
+	p := n.Conv
+	conv := n.Op == OpConv
+	window := conv || n.Op == OpMaxPool || n.Op == OpAvgPool
+	ints := func(on bool, name string, v ...int) {
+		if on {
+			a := Attr{Name: name, Len: len(v)}
+			copy(a.Ints[:], v)
+			dst = append(dst, a)
+		}
 	}
-	s := n.Attrs.IntList("strides", []int{1, 1})
-	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
-	if len(s) != 2 || len(p) != 4 {
-		return ConvParams{}, fmt.Errorf("graph: Conv %q malformed strides/pads", n.Name)
+	ints(n.Op == OpConcat || n.Op == OpSlice, "axis", n.Axis)
+	ints(n.Elided, "elided", 1)
+	ints(n.Op == OpSlice, "end", n.End)
+	ints(conv, "group", p.Group)
+	ints(window, "kernel_shape", p.KernelH, p.KernelW)
+	ints(n.MDDP, "mddp", 1)
+	ints(window || n.Op == OpPad, "pads", p.PadT, p.PadL, p.PadB, p.PadR)
+	ints(n.Pipelined, "pipeline", 1)
+	ints(n.Op == OpSlice, "start", n.Start)
+	ints(window, "strides", p.StrideH, p.StrideW)
+	floats := func(on bool, name string, v float64) {
+		if on {
+			dst = append(dst, Attr{Name: name, Float: v})
+		}
 	}
-	if s[0] < 1 || s[1] < 1 {
-		return ConvParams{}, fmt.Errorf("graph: Conv %q non-positive strides %dx%d", n.Name, s[0], s[1])
-	}
-	g := n.Attrs.Int("group", 1)
-	if g < 1 {
-		return ConvParams{}, fmt.Errorf("graph: Conv %q group %d < 1", n.Name, g)
-	}
-	return ConvParams{
-		KernelH: k[0], KernelW: k[1],
-		StrideH: s[0], StrideW: s[1],
-		PadT: p[0], PadL: p[1], PadB: p[2], PadR: p[3],
-		Group: g,
-	}, nil
+	floats(n.Op == OpBatchNorm && n.Epsilon != 0, "epsilon", n.Epsilon)
+	floats(n.Op == OpClip && !math.IsInf(n.Max, 0), "max", n.Max)
+	floats(n.Op == OpClip && !math.IsInf(n.Min, 0), "min", n.Min)
+	return dst
 }

@@ -72,19 +72,9 @@ func TestRunSingleRejectsMultiInput(t *testing.T) {
 func TestSlice2DAndConcat2D(t *testing.T) {
 	g := graph.New("s2")
 	g.AddInput("in", 1, 6)
-	s1 := &graph.Node{Name: "s1", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}}
-	s1.Attrs.SetInts("axis", 1)
-	s1.Attrs.SetInts("start", 0)
-	s1.Attrs.SetInts("end", 2)
-	g.AddNode(s1)
-	s2 := &graph.Node{Name: "s2", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}}
-	s2.Attrs.SetInts("axis", 1)
-	s2.Attrs.SetInts("start", 2)
-	s2.Attrs.SetInts("end", 6)
-	g.AddNode(s2)
-	c := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"o"}}
-	c.Attrs.SetInts("axis", 1)
-	g.AddNode(c)
+	g.AddNode(&graph.Node{Name: "s1", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"lo"}, Axis: 1, End: 2})
+	g.AddNode(&graph.Node{Name: "s2", Op: graph.OpSlice, Inputs: []string{"in"}, Outputs: []string{"hi"}, Axis: 1, Start: 2, End: 6})
+	g.AddNode(&graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"lo", "hi"}, Outputs: []string{"o"}, Axis: 1})
 	g.MarkOutput("o")
 	in := tensor.New(1, 6)
 	in.FillRandom(1)

@@ -91,8 +91,7 @@ func evalNode(g *graph.Graph, n *graph.Node, env map[string]*tensor.Tensor) erro
 			return x
 		})
 	case graph.OpClip:
-		lo := float32(n.Attrs.Float("min", math.Inf(-1)))
-		hi := float32(n.Attrs.Float("max", math.Inf(1)))
+		lo, hi := float32(n.Min), float32(n.Max)
 		out = unary(in[0], func(x float32) float32 {
 			if x < lo {
 				return lo
@@ -113,8 +112,7 @@ func evalNode(g *graph.Graph, n *graph.Node, env map[string]*tensor.Tensor) erro
 	case graph.OpTranspose:
 		out, err = transpose2D(in[0])
 	case graph.OpBatchNorm:
-		eps := float32(n.Attrs.Float("epsilon", 1e-5))
-		out, err = batchNorm(in, eps)
+		out, err = batchNorm(in, float32(n.Eps()))
 	case graph.OpAdd:
 		out, err = broadcast(in[0], in[1], func(a, b float32) float32 { return a + b })
 	case graph.OpMul:
@@ -128,12 +126,12 @@ func evalNode(g *graph.Graph, n *graph.Node, env map[string]*tensor.Tensor) erro
 	case graph.OpFlatten:
 		out, err = flatten(in[0])
 	case graph.OpConcat:
-		out, err = concat(n.Attrs.Int("axis", 1), in)
+		out, err = concat(n.Axis, in)
 	case graph.OpSlice:
 		out, err = slice(n, in[0])
 	case graph.OpPad:
-		p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
-		out, err = tensor.PadHW(in[0], p[0], p[1], p[2], p[3])
+		p := n.Conv
+		out, err = tensor.PadHW(in[0], p.PadT, p.PadL, p.PadB, p.PadR)
 	case graph.OpSoftmax:
 		out, err = softmax(in[0])
 	case graph.OpLayerNorm:
@@ -254,11 +252,7 @@ func MatMul(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 func evalConv(n *graph.Node, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	p, err := graph.ConvParamsOf(n)
-	if err != nil {
-		return nil, err
-	}
-	return Conv(in[0], in[1], bias(in), p)
+	return Conv(in[0], in[1], bias(in), n.Conv)
 }
 
 // Conv computes a grouped NHWC convolution directly (no lowering):
@@ -375,15 +369,10 @@ func pool(n *graph.Node, in *tensor.Tensor, isMax bool) (*tensor.Tensor, error) 
 	if len(in.Shape) != 4 || in.Shape[0] != 1 {
 		return nil, fmt.Errorf("pool wants batch-1 NHWC, got %v", in.Shape)
 	}
-	k := n.Attrs.IntList("kernel_shape", nil)
-	if len(k) != 2 {
-		return nil, fmt.Errorf("pool missing kernel_shape")
-	}
-	s := n.Attrs.IntList("strides", []int{k[0], k[1]})
-	p := n.Attrs.IntList("pads", []int{0, 0, 0, 0})
+	p := n.Conv
 	h, w, c := in.Shape[1], in.Shape[2], in.Shape[3]
-	oh := (h+p[0]+p[2]-k[0])/s[0] + 1
-	ow := (w+p[1]+p[3]-k[1])/s[1] + 1
+	oh := (h+p.PadT+p.PadB-p.KernelH)/p.StrideH + 1
+	ow := (w+p.PadL+p.PadR-p.KernelW)/p.StrideW + 1
 	out := tensor.New(1, oh, ow, c)
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
@@ -393,13 +382,13 @@ func pool(n *graph.Node, in *tensor.Tensor, isMax bool) (*tensor.Tensor, error) 
 				if isMax {
 					acc = float32(math.Inf(-1))
 				}
-				for ky := 0; ky < k[0]; ky++ {
-					iy := oy*s[0] + ky - p[0]
+				for ky := 0; ky < p.KernelH; ky++ {
+					iy := oy*p.StrideH + ky - p.PadT
 					if iy < 0 || iy >= h {
 						continue
 					}
-					for kx := 0; kx < k[1]; kx++ {
-						ix := ox*s[1] + kx - p[1]
+					for kx := 0; kx < p.KernelW; kx++ {
+						ix := ox*p.StrideW + kx - p.PadL
 						if ix < 0 || ix >= w {
 							continue
 						}
@@ -475,9 +464,7 @@ func concat(axis int, parts []*tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 func slice(n *graph.Node, in *tensor.Tensor) (*tensor.Tensor, error) {
-	axis := n.Attrs.Int("axis", 1)
-	start := n.Attrs.Int("start", 0)
-	end := n.Attrs.Int("end", -1)
+	axis, start, end := n.Axis, n.Start, n.End
 	if len(in.Shape) == 4 && axis == 1 {
 		if end < 0 || end > in.Shape[1] {
 			end = in.Shape[1]

@@ -82,7 +82,8 @@ func LowerConv(inShape tensor.Shape, p graph.ConvParams, f int) (ConvLowering, e
 // Im2col rearranges a batch-1 NHWC input into the lowered [M x K] matrix
 // for a group-1 convolution: row m corresponds to output position
 // (m/OW, m%OW) and contains the KH*KW*C patch in (ky, kx, c) order, with
-// zeros where the patch extends into padding.
+// zeros where the patch extends into padding. Only tests call it:
+// codegen/execute_test.go runs a lowered convolution through Execute.
 func Im2col(in *tensor.Tensor, p graph.ConvParams) (*tensor.Tensor, error) {
 	if len(in.Shape) != 4 || in.Shape[0] != 1 {
 		return nil, fmt.Errorf("lower: im2col wants batch-1 NHWC, got %v", in.Shape)
@@ -119,7 +120,8 @@ func Im2col(in *tensor.Tensor, p graph.ConvParams) (*tensor.Tensor, error) {
 }
 
 // FilterMatrix flattens a group-1 convolution weight [KH,KW,C,F] into the
-// [K x N] filter matrix matching Im2col's column order.
+// [K x N] filter matrix matching Im2col's column order. Only tests call
+// it: codegen/execute_test.go runs a lowered convolution through Execute.
 func FilterMatrix(w *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(w.Shape) != 4 {
 		return nil, fmt.Errorf("lower: want [KH,KW,C,F] weight, got %v", w.Shape)
@@ -128,40 +130,5 @@ func FilterMatrix(w *tensor.Tensor) (*tensor.Tensor, error) {
 	f := w.Shape[3]
 	out := w.Clone()
 	out.Shape = tensor.Shape{k, f}
-	return out, nil
-}
-
-// ConvViaLowering computes a group-1 convolution via im2col + GEMM,
-// producing an NHWC output identical (up to float rounding) to direct
-// convolution. Used to validate the lowering the PIM back-end relies on.
-func ConvViaLowering(in, w, bias *tensor.Tensor, p graph.ConvParams) (*tensor.Tensor, error) {
-	lowered, err := Im2col(in, p)
-	if err != nil {
-		return nil, err
-	}
-	filt, err := FilterMatrix(w)
-	if err != nil {
-		return nil, err
-	}
-	if lowered.Shape[1] != filt.Shape[0] {
-		return nil, fmt.Errorf("lower: K mismatch %d vs %d", lowered.Shape[1], filt.Shape[0])
-	}
-	m, k, n := lowered.Shape[0], lowered.Shape[1], filt.Shape[1]
-	out := tensor.New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float32
-			for kk := 0; kk < k; kk++ {
-				acc += lowered.Data[i*k+kk] * filt.Data[kk*n+j]
-			}
-			if bias != nil {
-				acc += bias.Data[j]
-			}
-			out.Data[i*n+j] = acc
-		}
-	}
-	h := in.Shape[1]
-	oh := (h+p.PadT+p.PadB-p.KernelH)/p.StrideH + 1
-	out.Shape = tensor.Shape{1, oh, m / oh, n}
 	return out, nil
 }

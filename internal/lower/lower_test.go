@@ -1,6 +1,7 @@
 package lower
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -186,4 +187,39 @@ func TestPropertyIm2colMatchesDims(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ConvViaLowering computes a group-1 convolution via im2col + GEMM,
+// producing an NHWC output identical (up to float rounding) to direct
+// convolution. Used to validate the lowering the PIM back-end relies on.
+func ConvViaLowering(in, w, bias *tensor.Tensor, p graph.ConvParams) (*tensor.Tensor, error) {
+	lowered, err := Im2col(in, p)
+	if err != nil {
+		return nil, err
+	}
+	filt, err := FilterMatrix(w)
+	if err != nil {
+		return nil, err
+	}
+	if lowered.Shape[1] != filt.Shape[0] {
+		return nil, fmt.Errorf("lower: K mismatch %d vs %d", lowered.Shape[1], filt.Shape[0])
+	}
+	m, k, n := lowered.Shape[0], lowered.Shape[1], filt.Shape[1]
+	out := tensor.New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float32
+			for kk := 0; kk < k; kk++ {
+				acc += lowered.Data[i*k+kk] * filt.Data[kk*n+j]
+			}
+			if bias != nil {
+				acc += bias.Data[j]
+			}
+			out.Data[i*n+j] = acc
+		}
+	}
+	h := in.Shape[1]
+	oh := (h+p.PadT+p.PadB-p.KernelH)/p.StrideH + 1
+	out.Shape = tensor.Shape{1, oh, m / oh, n}
+	return out, nil
 }

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"pimflow/internal/graph"
@@ -404,5 +406,33 @@ func TestSqueezeNetRunsFunctionallySmall(t *testing.T) {
 	}
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("softmax sum %v", sum)
+	}
+}
+
+// modelDigests pins the SHA-256 of WriteJSON for each raw (uncompiled)
+// Light paper CNN, computed when node attributes were string-keyed maps.
+// Typed attributes must render the same attribute objects, so a moved
+// digest means a graph file reads differently.
+var modelDigests = map[string]string{
+	"efficientnet-v1-b0": "a55ab5ead79a0ba9a2dbd6164ef8f1d82bd906a67afe269bb4074240e72304e4",
+	"mnasnet-1.0":        "9f760da3f98c810128c55415afa4fca595069b1c45a6f220d19b9a3c874f7db6",
+	"mobilenet-v2":       "7b860f01fd6966c4d303ff6444a48674d2e8212a2ec0acddd73c315f786f5ddd",
+	"resnet-50":          "a83ebc0a1c26a4e9de600f483c18d43a76edd99340189eb92482d65a422216c7",
+	"vgg-16":             "945abb80232096bcb2962863d2c4589f745ee04e2d5995ffe69a14900ef6e29d",
+}
+
+func TestModelGraphsGolden(t *testing.T) {
+	for _, name := range EvaluatedCNNs() {
+		g, err := Build(name, Options{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := g.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != modelDigests[name] {
+			t.Errorf("%s: graph digest %s, want %s", name, got, modelDigests[name])
+		}
 	}
 }

@@ -34,10 +34,9 @@ import (
 // "%t" and "%g" match strconv's base-10 integers, booleans and shortest
 // 'g' floats), so logs saved by them stay valid.
 //
-// Deliberately excluded:
-//   - gpu.Kernel.Name: the roofline result depends only on the kernel's
-//     work terms, so identically-shaped layers at different graph
-//     positions share one entry.
+// A gpu/ key holds only a kernel's work terms (gpu.Kernel names no
+// layer), so identically-shaped layers at different graph positions
+// share one entry.
 
 // PipePrefix is the namespace of pipelining-candidate entries. A pipe/
 // entry caches the cycles runtime.Execute scheduled for one transformed

@@ -98,7 +98,7 @@ func TestKeysMatchFmtReference(t *testing.T) {
 	}
 
 	kernels := []gpu.Kernel{
-		{Name: "a", FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.75},
+		{FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.75},
 		{FLOPs: math.MaxInt64, DRAMBytes: math.MinInt64},
 	}
 	for _, f := range edgeFloats {
@@ -152,7 +152,7 @@ func TestEveryConfigFieldChangesKey(t *testing.T) {
 		}
 	}
 
-	k := gpu.Kernel{Name: "a", FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.5}
+	k := gpu.Kernel{FLOPs: 1000, DRAMBytes: 500, ComputeEff: 0.5, MemEff: 0.5}
 	gcfg := gpu.DefaultConfig()
 	gbase := NewGPUKeys(gcfg).Key(k)
 	for path, v := range fieldVariants(t, gcfg, nil) {
@@ -160,7 +160,7 @@ func TestEveryConfigFieldChangesKey(t *testing.T) {
 			t.Errorf("gpu.Config.%s does not change the gpu/ key", path)
 		}
 	}
-	for path, v := range fieldVariants(t, k, map[string]bool{"Name": true}) {
+	for path, v := range fieldVariants(t, k, nil) {
 		if NewGPUKeys(gcfg).Key(v.(gpu.Kernel)) == gbase {
 			t.Errorf("gpu.Kernel.%s does not change the gpu/ key", path)
 		}

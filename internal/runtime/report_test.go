@@ -1,17 +1,10 @@
 package runtime
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"pimflow/internal/graph"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport fabricates a small deterministic schedule: a GPU conv, an
 // overlapping PIM conv (an MD-DP pair), an elided concat, and a fused
@@ -63,81 +56,5 @@ func TestNodeReportDuration(t *testing.T) {
 		if got := (NodeReport{Start: tc.start, End: tc.end}).Duration(); got != tc.want {
 			t.Errorf("Duration(%d,%d) = %d, want %d", tc.start, tc.end, got, tc.want)
 		}
-	}
-}
-
-// TestWriteChromeTraceGolden pins the exported trace JSON byte for byte
-// and checks it is structurally valid trace-event format.
-func TestWriteChromeTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenReport().WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "chrome_trace.golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with go test -run Golden -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("trace JSON differs from golden file\ngot:  %s\nwant: %s", buf.Bytes(), want)
-	}
-
-	// Serialization must be deterministic across calls.
-	var again bytes.Buffer
-	if err := goldenReport().WriteChromeTrace(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("WriteChromeTrace is not deterministic")
-	}
-
-	// Structural validity: the trace-event envelope and complete events.
-	var doc struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    *float64       `json:"ts"`
-			Dur   float64        `json:"dur"`
-			PID   int            `json:"pid"`
-			TID   int            `json:"tid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		OtherData       map[string]any `json:"otherData"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	// Elided and zero-duration nodes are dropped: conv pair + fc remain.
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d events, want 3", len(doc.TraceEvents))
-	}
-	tids := map[int]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase != "X" {
-			t.Errorf("event %q phase %q, want X", ev.Name, ev.Phase)
-		}
-		if ev.TS == nil || ev.Dur <= 0 {
-			t.Errorf("event %q missing ts/dur", ev.Name)
-		}
-		if ev.Args["device"] == nil || ev.Args["cycles"] == nil {
-			t.Errorf("event %q missing args: %v", ev.Name, ev.Args)
-		}
-		tids[ev.TID] = true
-	}
-	if !tids[0] || !tids[1] {
-		t.Errorf("want both GPU (0) and PIM (1) tracks, got %v", tids)
-	}
-	if doc.OtherData["totalCycles"] == nil {
-		t.Error("otherData.totalCycles missing")
 	}
 }

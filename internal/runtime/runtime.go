@@ -179,15 +179,10 @@ func (r *Report) NodeByName(name string) *NodeReport {
 	return nil
 }
 
-// zeroCostOps complete instantly: reshapes and pass-throughs that real
-// frameworks fold away, and nodes marked elided=1. Most nodes carry no
-// integer attribute at all, so the lookup is skipped for them.
+// zeroCost nodes complete instantly: reshapes and pass-throughs that real
+// frameworks fold away, and nodes the layout pass elided.
 func zeroCost(n *graph.Node) bool {
-	switch n.Op {
-	case graph.OpFlatten, graph.OpIdentity:
-		return true
-	}
-	return len(n.Attrs.Ints) > 0 && n.Attrs.Int("elided", 0) == 1
+	return n.Op == graph.OpFlatten || n.Op == graph.OpIdentity || n.Elided
 }
 
 // fusableActivation reports whether the op is a unary activation that the
@@ -416,8 +411,9 @@ func execute(g *graph.Graph, cfg Config, startCycle int64, record bool) (*Report
 // to begin at startCycle: the GPU and PIM tracks, a span per node that
 // took device time, a merge-sync instant per junction that merged both
 // devices, and the totals as trace meta. ExecuteAt draws every traced
-// execution with it, and the serving layer draws a model's solo report
-// at each lease it charges. A nil trace draws nothing.
+// execution with it, the serving layer draws a model's solo report at
+// each lease it charges, and pimflow -timeline draws a run's report
+// into a file of its own. A nil trace draws nothing.
 func (r *Report) Draw(tr *obs.Trace, startCycle int64) {
 	if !tr.Enabled() {
 		return

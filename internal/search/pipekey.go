@@ -1,7 +1,6 @@
 package search
 
 import (
-	"slices"
 	"strconv"
 
 	"pimflow/internal/graph"
@@ -35,11 +34,11 @@ func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) profcache
 	b := append(buf[:0], "stages="...)
 	b = strconv.AppendInt(b, int64(stages), 10)
 	chainIn := chain[0].Inputs[0]
-	var names [8]string // attribute names of one node, sorted
+	var attrs [8]graph.Attr // one node's attributes
 	for _, n := range chain {
 		b = append(b, '|')
 		b = append(b, n.Op...)
-		b = appendAttrs(b, n.Attrs, names[:0])
+		b = appendAttrs(b, n.AppendAttrs(attrs[:0]))
 		e := n.Exec
 		b = append(b, "e="...)
 		b = strconv.AppendInt(b, int64(e.Mode), 10)
@@ -61,44 +60,33 @@ func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) profcache
 	return k.keys.Key(b)
 }
 
-// appendAttrs writes every attribute of a, each kind in sorted name
-// order. Names and string values are quoted, so no value can imitate a
-// separator.
-func appendAttrs(b []byte, a graph.Attrs, names []string) []byte {
-	names = sortedKeys(a.Ints, names)
+// appendAttrs writes a node's attributes (graph.Node.AppendAttrs) as
+// "{i" name values... "}{f" name value... "}{s}": the integer lists, the
+// floats and the always-empty string kind. Names are quoted, so no value
+// can imitate a separator.
+func appendAttrs(b []byte, attrs []graph.Attr) []byte {
 	b = append(b, "{i"...)
-	for _, name := range names {
-		b = strconv.AppendQuote(b, name)
-		for i, v := range a.Ints[name] {
+	floats := false
+	for _, a := range attrs {
+		if a.Len == 0 && !floats {
+			b, floats = append(b, "}{f"...), true
+		}
+		b = strconv.AppendQuote(b, a.Name)
+		for i, v := range a.Ints[:a.Len] {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
+		if a.Len == 0 {
+			b = strconv.AppendFloat(b, a.Float, 'g', -1, 64)
+		}
 		b = append(b, ';')
 	}
-	names = sortedKeys(a.Floats, names[:0])
-	b = append(b, "}{f"...)
-	for _, name := range names {
-		b = strconv.AppendQuote(b, name)
-		b = strconv.AppendFloat(b, a.Floats[name], 'g', -1, 64)
-		b = append(b, ';')
+	if !floats {
+		b = append(b, "}{f"...)
 	}
-	names = sortedKeys(a.Strs, names[:0])
-	b = append(b, "}{s"...)
-	for _, name := range names {
-		b = strconv.AppendQuote(b, name)
-		b = strconv.AppendQuote(b, a.Strs[name])
-	}
-	return append(b, '}')
-}
-
-func sortedKeys[V any](m map[string]V, dst []string) []string {
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
+	return append(b, "}{s}"...)
 }
 
 // appendRef writes one chain-node input as a chain-local reference plus

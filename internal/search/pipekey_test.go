@@ -283,9 +283,10 @@ func TestPipeKeyIgnoresNames(t *testing.T) {
 	}
 }
 
-// TestPipeKeySeparates checks that the key changes with one attribute,
-// one weight dimension, the stage count, any exec-hint field, and any
-// runtime configuration field the schedule depends on.
+// TestPipeKeySeparates checks that the key changes with any conv window
+// field, a marker, a Clip bound, one weight dimension, the stage count,
+// any exec-hint field, and any runtime configuration field the schedule
+// depends on.
 func TestPipeKeySeparates(t *testing.T) {
 	g, err := models.Build("mobilenet-v2", models.Options{Light: true})
 	if err != nil {
@@ -314,12 +315,11 @@ func TestPipeKeySeparates(t *testing.T) {
 		return keys.key(cg, chain, 2)
 	}
 	edits := map[string]func(*graph.Graph, []*graph.Node){
-		"int attribute": func(_ *graph.Graph, ch []*graph.Node) { ch[0].Attrs.SetInts("strides", 2, 2) },
-		"new int attribute": func(_ *graph.Graph, ch []*graph.Node) {
-			ch[0].Attrs.SetInts("dilations", 1, 1)
-		},
-		"float attribute":  func(_ *graph.Graph, ch []*graph.Node) { ch[1].Attrs.SetFloat("alpha", 0.5) },
-		"string attribute": func(_ *graph.Graph, ch []*graph.Node) { ch[1].Attrs.SetStr("auto_pad", "SAME") },
+		"elided marker":    func(_ *graph.Graph, ch []*graph.Node) { ch[0].Elided = true },
+		"mddp marker":      func(_ *graph.Graph, ch []*graph.Node) { ch[0].MDDP = true },
+		"pipeline marker":  func(_ *graph.Graph, ch []*graph.Node) { ch[0].Pipelined = true },
+		"clip upper bound": func(_ *graph.Graph, ch []*graph.Node) { ch[1].Max = 5 },
+		"clip lower bound": func(_ *graph.Graph, ch []*graph.Node) { ch[1].Min = -1 },
 		"weight dimension": func(g *graph.Graph, ch []*graph.Node) {
 			g.Tensors[ch[0].Inputs[1]].Shape[3]++
 		},
@@ -335,6 +335,15 @@ func TestPipeKeySeparates(t *testing.T) {
 	for name, edit := range edits {
 		if mutated(edit) == base {
 			t.Errorf("%s: key unchanged", name)
+		}
+	}
+	if c.chain[0].Op != graph.OpConv || c.chain[1].Op != graph.OpClip {
+		t.Fatalf("chain %v does not start with a Conv and a Clip", c.cand.Nodes)
+	}
+	for path, v := range fieldVariants(t, c.chain[0].Conv, nil) {
+		p := v.(graph.ConvParams)
+		if mutated(func(_ *graph.Graph, ch []*graph.Node) { ch[0].Conv = p }) == base {
+			t.Errorf("ConvParams.%s: key unchanged", path)
 		}
 	}
 	for path, v := range fieldVariants(t, graph.ExecHint{}, nil) {

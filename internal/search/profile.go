@@ -203,12 +203,12 @@ func (p *profiler) pimNode(g *graph.Graph, n *graph.Node) (int64, error) {
 	return p.pimWorkload(w, n.Name, "pim", -1)
 }
 
-// errUnsplittable is the sentinel wrapped by mddpSplitOf when a ratio
-// grid point cannot split the layer's geometry (a skipped point, not a
-// failure). Callers classify with errors.Is: sentinel errors skip the
-// grid point, anything else is a real profiling/simulation error and
-// aborts the sweep. The pre-PR-9 sweep swallowed every mddp error as
-// "unsplittable", which masked genuine simulator failures.
+// errUnsplittable is what mddpSplitOf returns, bare, when a ratio grid
+// point cannot split the layer's geometry (a skipped point, not a
+// failure). Callers classify with errors.Is: the sentinel skips the grid
+// point, anything else is a real profiling/simulation error and aborts
+// the sweep. No caller reads its text, so a skipped point formats
+// nothing.
 var errUnsplittable = errors.New("unsplittable at this ratio")
 
 // mddpSplit is the resolved MD-DP geometry of one (layer, ratio) grid
@@ -221,7 +221,7 @@ type mddpSplit struct {
 }
 
 // mddpSplitOf resolves the candidate's split geometry at the given GPU
-// ratio without probing anything. Off-geometry ratios wrap
+// ratio without probing anything. Off-geometry ratios return
 // errUnsplittable.
 func (p *profiler) mddpSplitOf(g *graph.Graph, n *graph.Node, ratio float64) (mddpSplit, error) {
 	switch n.Op {
@@ -230,22 +230,19 @@ func (p *profiler) mddpSplitOf(g *graph.Graph, n *graph.Node, ratio float64) (md
 	case graph.OpGemm:
 		return p.mddpGemmSplit(g, n, ratio)
 	default:
-		return mddpSplit{}, fmt.Errorf("search: cannot split %s: %w", n.Op, errUnsplittable)
+		return mddpSplit{}, errUnsplittable
 	}
 }
 
 func (p *profiler) mddpConvSplit(g *graph.Graph, n *graph.Node, ratio float64) (mddpSplit, error) {
-	cp, err := graph.ConvParamsOf(n)
-	if err != nil {
-		return mddpSplit{}, err
-	}
+	cp := n.Conv
 	in := g.Tensors[n.Inputs[0]].Shape
 	w := g.Tensors[n.Inputs[1]].Shape
 	out := g.Tensors[n.Outputs[0]].Shape
 	oh, ow := out[1], out[2]
 	oCut := int(math.Round(float64(oh) * ratio))
 	if oCut < 1 || oCut >= oh {
-		return mddpSplit{}, fmt.Errorf("search: conv %q cannot split %d rows at %v: %w", n.Name, oh, ratio, errUnsplittable)
+		return mddpSplit{}, errUnsplittable
 	}
 	// GPU half: top oCut output rows; its input slice height follows the
 	// receptive field.
@@ -262,7 +259,7 @@ func (p *profiler) mddpConvSplit(g *graph.Graph, n *graph.Node, ratio float64) (
 	// GPU half (N is the per-group output-channel count; the Groups
 	// multiplicity scales the simulated trace).
 	return mddpSplit{
-		gk:      p.rt.GPU.ConvKernel(n.Name+"_gpu", inRows, in[2], in[3], gl),
+		gk:      p.rt.GPU.ConvKernel(inRows, in[2], in[3], gl),
 		pw:      codegen.Workload{M: (oh - oCut) * ow, K: gl.Dims.K, N: w[3] / cp.Group, Segments: cp.KernelH, Groups: cp.Group},
 		pimKind: "mddp-pim",
 	}, nil
@@ -274,10 +271,10 @@ func (p *profiler) mddpGemmSplit(g *graph.Graph, n *graph.Node, ratio float64) (
 	m, k, nOut := in[0], in[1], w[1]
 	cut := int(math.Round(float64(nOut) * ratio))
 	if cut < 1 || cut >= nOut {
-		return mddpSplit{}, fmt.Errorf("search: gemm %q cannot split %d features at %v: %w", n.Name, nOut, ratio, errUnsplittable)
+		return mddpSplit{}, errUnsplittable
 	}
 	return mddpSplit{
-		gk:      p.rt.GPU.GemmKernel(n.Name+"_gpu", m, k, cut),
+		gk:      p.rt.GPU.GemmKernel(m, k, cut),
 		pw:      codegen.Workload{M: m, K: k, N: nOut - cut, Segments: 1},
 		pimKind: "mddp-gemm",
 	}, nil

@@ -18,7 +18,7 @@ func TestParseLoads(t *testing.T) {
 		}
 		return s
 	}
-	specs, err := ParseLoads(" mobilenet-v2 , ,gold=resnet-50;slo=gold;batch=8;cycles=200000; window=5ms ,=toy", base, nil)
+	specs, err := ParseLoads(" mobilenet-v2 , ,gold=resnet-50;slo=gold;batch=8;cycles=200000; window=5ms ", base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,6 @@ func TestParseLoads(t *testing.T) {
 		with("gold", "resnet-50", func(s *ModelSpec) {
 			s.SLO, s.MaxBatch, s.BatchWindowCycles, s.BatchWindowMillis = "gold", 8, 200_000, 5
 		}),
-		with("", "toy", nil),
 	}
 	if !reflect.DeepEqual(specs, want) {
 		t.Fatalf("specs %+v\nwant  %+v", specs, want)
@@ -49,6 +48,33 @@ func TestParseLoads(t *testing.T) {
 			!strings.Contains(err.Error(), tc.msg) {
 			t.Errorf("ParseLoads(%q) = %v, want an error naming %q with %q", tc.list, err, tc.entry, tc.msg)
 		}
+	}
+}
+
+// TestParseLoadsRejectsIgnoredValues: an entry the registry would serve
+// under an empty name or model, or a batch, window or cycles value it
+// would ignore and replace by the server default, fails the parse.
+func TestParseLoadsRejectsIgnoredValues(t *testing.T) {
+	for _, tc := range []struct{ entry, msg string }{
+		{"=toy", "empty name or model"},
+		{"a=", "empty name or model"},
+		{";batch=2", "empty name or model"},
+		{"a=toy;batch=0", "batch: 0 is not positive"},
+		{"a=toy;batch=-1", "batch: -1 is not positive"},
+		{"a=toy;cycles=0", "cycles: 0 is not positive"},
+		{"a=toy;cycles=-200", "cycles: -200 is not positive"},
+		{"a=toy;window=500us", "window: 500µs is under 1ms"},
+		{"a=toy;window=-5ms", "window: -5ms is under 1ms"},
+		{"a=toy;window=0s", "window: 0s is under 1ms"},
+	} {
+		_, err := ParseLoads("b=toy,"+tc.entry, ModelSpec{}, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("load entry %q: %s", tc.entry, tc.msg)) {
+			t.Errorf("ParseLoads(%q) = %v, want an error naming the entry with %q", tc.entry, err, tc.msg)
+		}
+	}
+	specs, err := ParseLoads("a=toy;batch=1;window=1ms;cycles=1", ModelSpec{}, nil)
+	if err != nil || specs[0].MaxBatch != 1 || specs[0].BatchWindowMillis != 1 || specs[0].BatchWindowCycles != 1 {
+		t.Fatalf("smallest accepted values: %+v, %v", specs, err)
 	}
 }
 

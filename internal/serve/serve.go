@@ -94,11 +94,12 @@ func ParsePolicy(s string) (search.Policy, error) {
 // base (the command's policy, channel slice and SLO class). Entries are
 // comma-separated, each "name=model" or a bare zoo model name serving
 // under its own name, then semicolon-separated options: batch=N,
-// window=D (a Go duration), cycles=N and slo=class. Any other option
-// goes to extra, if non-nil, with the index of its entry's spec in the
-// result and hasValue false for a bare word; extra reports whether the
-// option is its own, so a command extends the grammar without copying
-// it. Every error names its entry.
+// window=D (a Go duration of at least 1ms), cycles=N and slo=class.
+// Names, models and numbers the registry would ignore (empty, or not
+// positive) are errors. Any other option goes to extra, if non-nil, with
+// the index of its entry's spec in the result and hasValue false for a
+// bare word; extra reports whether the option is its own, so a command
+// extends the grammar without copying it. Every error names its entry.
 func ParseLoads(list string, base ModelSpec, extra func(i int, key, val string, hasValue bool) (bool, error)) ([]ModelSpec, error) {
 	var specs []ModelSpec
 	for _, entry := range strings.Split(list, ",") {
@@ -111,6 +112,9 @@ func ParseLoads(list string, base ModelSpec, extra func(i int, key, val string, 
 		if name, model, ok := strings.Cut(parts[0], "="); ok {
 			spec.Name, spec.Model = name, model
 		}
+		if spec.Name == "" || spec.Model == "" {
+			return nil, fmt.Errorf("load entry %q: empty name or model", entry)
+		}
 		for _, opt := range parts[1:] {
 			if opt = strings.TrimSpace(opt); opt == "" {
 				continue
@@ -120,13 +124,15 @@ func ParseLoads(list string, base ModelSpec, extra func(i int, key, val string, 
 			known := true
 			switch {
 			case key == "batch" && hasValue:
-				spec.MaxBatch, err = strconv.Atoi(val)
+				spec.MaxBatch, err = positive(strconv.Atoi(val))
 			case key == "window" && hasValue:
 				var d time.Duration
-				d, err = time.ParseDuration(val)
+				if d, err = time.ParseDuration(val); err == nil && d < time.Millisecond {
+					err = fmt.Errorf("%v is under 1ms", d)
+				}
 				spec.BatchWindowMillis = d.Milliseconds()
 			case key == "cycles" && hasValue:
-				spec.BatchWindowCycles, err = strconv.ParseInt(val, 10, 64)
+				spec.BatchWindowCycles, err = positive(strconv.ParseInt(val, 10, 64))
 			case key == "slo" && hasValue:
 				spec.SLO = val
 			case extra != nil:
@@ -146,4 +152,12 @@ func ParseLoads(list string, base ModelSpec, extra func(i int, key, val string, 
 		specs = append(specs, spec)
 	}
 	return specs, nil
+}
+
+// positive passes a parsed number through, refusing one below 1.
+func positive[T int | int64](v T, err error) (T, error) {
+	if err == nil && v < 1 {
+		err = fmt.Errorf("%d is not positive", v)
+	}
+	return v, err
 }

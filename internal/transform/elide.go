@@ -7,8 +7,8 @@ import (
 // ElideDataMovement implements the memory-layout optimization of §4.3.2:
 // with batch-1 NHWC tensors and contiguous pre-padded allocations, the
 // Slice / Concat / Pad nodes introduced by splitting and pipelining move
-// no data. The pass marks eligible nodes with the attribute elided=1,
-// which the GPU cost model and runtime treat as zero-cost. It returns the
+// no data. The pass marks eligible nodes Elided, which the GPU cost model
+// and runtime treat as zero-cost. It returns the
 // number of nodes elided.
 //
 // Eligibility:
@@ -25,8 +25,8 @@ func ElideDataMovement(g *graph.Graph) int {
 		switch n.Op {
 		case graph.OpSlice:
 			in := g.Tensors[n.Inputs[0]]
-			if in != nil && len(in.Shape) == 4 && in.Shape[0] == 1 && n.Attrs.Int("axis", -1) == 1 {
-				n.Attrs.SetInts("elided", 1)
+			if in != nil && len(in.Shape) == 4 && in.Shape[0] == 1 && n.Axis == 1 {
+				n.Elided = true
 				elided++
 			}
 		case graph.OpConcat:
@@ -34,19 +34,14 @@ func ElideDataMovement(g *graph.Graph) int {
 			if out == nil || !out.Shape.Valid() {
 				continue
 			}
-			axis := n.Attrs.Int("axis", -1)
-			switch {
-			case len(out.Shape) == 4 && out.Shape[0] == 1 && axis == 1:
-				n.Attrs.SetInts("elided", 1)
-				elided++
-			case len(out.Shape) == 2 && out.Shape[0] == 1 && axis == 1:
-				n.Attrs.SetInts("elided", 1)
+			if (len(out.Shape) == 4 || len(out.Shape) == 2) && out.Shape[0] == 1 && n.Axis == 1 {
+				n.Elided = true
 				elided++
 			}
 		case graph.OpPad:
 			in := g.Tensors[n.Inputs[0]]
 			if in != nil && len(in.Shape) == 4 && in.Shape[0] == 1 {
-				n.Attrs.SetInts("elided", 1)
+				n.Elided = true
 				elided++
 			}
 		}

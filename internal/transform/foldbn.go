@@ -82,7 +82,7 @@ func foldOne(g *graph.Graph, conv, bn *graph.Node) error {
 	}
 
 	if allData {
-		eps := bn.Attrs.Float("epsilon", 1e-5)
+		eps := bn.Eps()
 		scale, bias, mean, variance := params[0].Init, params[1].Init, params[2].Init, params[3].Init
 		inv := make([]float32, f)
 		for ch := 0; ch < f; ch++ {

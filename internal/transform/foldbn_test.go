@@ -25,12 +25,8 @@ func bnGraph(t *testing.T, withConvBias bool) *graph.Graph {
 		g.AddWeight("cb", b)
 		convInputs = append(convInputs, "cb")
 	}
-	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: convInputs, Outputs: []string{"c"}}
-	conv.Attrs.SetInts("kernel_shape", 3, 3)
-	conv.Attrs.SetInts("strides", 1, 1)
-	conv.Attrs.SetInts("pads", 1, 1, 1, 1)
-	conv.Attrs.SetInts("group", 1)
-	g.AddNode(conv)
+	g.AddNode(&graph.Node{Name: "conv", Op: graph.OpConv, Inputs: convInputs, Outputs: []string{"c"},
+		Conv: graph.ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadT: 1, PadL: 1, PadB: 1, PadR: 1, Group: 1}})
 
 	mk := func(name string, seed int64, offset float32) {
 		p := tensor.New(6)
@@ -44,9 +40,8 @@ func bnGraph(t *testing.T, withConvBias bool) *graph.Graph {
 	mk("bias", 4, 0)  // ~0
 	mk("mean", 5, 0)  // ~0
 	mk("var", 6, 1.5) // positive
-	bn := &graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "scale", "bias", "mean", "var"}, Outputs: []string{"n"}}
-	bn.Attrs.SetFloat("epsilon", 1e-5)
-	g.AddNode(bn)
+	g.AddNode(&graph.Node{Name: "bn", Op: graph.OpBatchNorm, Inputs: []string{"c", "scale", "bias", "mean", "var"}, Outputs: []string{"n"},
+		Epsilon: 1e-5})
 	g.AddNode(&graph.Node{Name: "relu", Op: graph.OpRelu, Inputs: []string{"n"}, Outputs: []string{"out"}})
 	g.MarkOutput("out")
 	if err := g.InferShapes(); err != nil {
@@ -109,9 +104,7 @@ func TestFoldBatchNormLightGraph(t *testing.T) {
 	g := graph.New("light")
 	g.AddInput("in", 1, 4, 4, 2)
 	g.AddParam("w", 1, 1, 2, 4)
-	conv := &graph.Node{Name: "conv", Op: graph.OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"c"}}
-	conv.Attrs.SetInts("kernel_shape", 1, 1)
-	g.AddNode(conv)
+	g.AddNode(&graph.Node{Name: "conv", Op: graph.OpConv, Inputs: []string{"in", "w"}, Outputs: []string{"c"}, Conv: pointwise})
 	for _, p := range []string{"s", "b", "m", "v"} {
 		g.AddParam(p, 4)
 	}
@@ -146,9 +139,8 @@ func TestFoldBatchNormChain(t *testing.T) {
 		w.FillRandom(int64(idx))
 		wName := namef("w%d", idx)
 		g.AddWeight(wName, w)
-		conv := &graph.Node{Name: namef("conv%d", idx), Op: graph.OpConv, Inputs: []string{input, wName}, Outputs: []string{namef("c%d", idx)}}
-		conv.Attrs.SetInts("kernel_shape", 1, 1)
-		g.AddNode(conv)
+		g.AddNode(&graph.Node{Name: namef("conv%d", idx), Op: graph.OpConv, Inputs: []string{input, wName}, Outputs: []string{namef("c%d", idx)},
+			Conv: pointwise})
 		for _, p := range []string{"s", "b", "m", "v"} {
 			pt := tensor.New(cout)
 			pt.Fill(1)
@@ -179,6 +171,9 @@ func TestFoldBatchNormChain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// pointwise is the window of an unpadded unit-stride 1x1 convolution.
+var pointwise = graph.ConvParams{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, Group: 1}
 
 func namef(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)

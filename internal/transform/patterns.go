@@ -51,11 +51,7 @@ func kindOf(g *graph.Graph, n *graph.Node) convKind {
 	if g.IsDepthwise(n) {
 		return kindDepthwise
 	}
-	p, err := graph.ConvParamsOf(n)
-	if err != nil {
-		return kindOther
-	}
-	if p.KernelH == 1 && p.KernelW == 1 && p.Group == 1 {
+	if p := n.Conv; p.KernelH == 1 && p.KernelW == 1 && p.Group == 1 {
 		return kindPointwise
 	}
 	return kindOther

@@ -135,11 +135,7 @@ func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, erro
 		oh := g.Tensors[n.Outputs[0]].Shape[1]
 		bounds[i] = make([]int, stages)
 		for j := 0; j < stages-1; j++ {
-			if n.Op == graph.OpConv {
-				p, err := graph.ConvParamsOf(n)
-				if err != nil {
-					return nil, err
-				}
+			if p := n.Conv; n.Op == graph.OpConv {
 				bounds[i][j] = outputRowsFromPrefix(bounds[i-1][j], p.StrideH, p.KernelH, p.PadT, oh)
 			} else {
 				bounds[i][j] = bounds[i-1][j]
@@ -181,11 +177,7 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 			o1 := bounds[i][j]
 			partName := fmt.Sprintf("%s_p%d", n.Name, j)
 			var part *graph.Node
-			if n.Op == graph.OpConv {
-				p, err := graph.ConvParamsOf(n)
-				if err != nil {
-					return err
-				}
+			if p := n.Conv; n.Op == graph.OpConv {
 				var srcH int
 				var src string
 				if i == 0 {
@@ -200,7 +192,7 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 				slice := heightSlice(partName+"_slice", src, in0, in1)
 				repl = append(repl, slice)
 				part = derive(n, partName, append([]string{slice.Outputs[0]}, n.Inputs[1:]...))
-				part.Attrs.SetInts("pads", pt, p.PadL, pb, p.PadR)
+				part.Conv.PadT, part.Conv.PadB = pt, pb
 			} else {
 				// Elementwise: boundaries align with the producer chunk.
 				part = derive(n, partName, []string{chunkOut[i-1][j]})
@@ -216,7 +208,7 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 					GroupID: groupID, Stage: i, Part: j, Parts: stages,
 				},
 			}
-			part.Attrs.SetInts("pipeline", 1)
+			part.Pipelined = true
 			repl = append(repl, part)
 			chunkOut[i][j] = part.Outputs[0]
 		}

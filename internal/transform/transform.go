@@ -57,27 +57,25 @@ func outputRowsFromPrefix(r, s, k, padT, oh int) int {
 	return n
 }
 
-// derive returns a copy of n, with deep-copied attributes, named name,
-// reading inputs and writing the one output name+"_out": a part of n
-// that a rewrite splices in.
+// derive returns a copy of n named name, reading inputs and writing the
+// one output name+"_out": a part of n that a rewrite splices in.
 func derive(n *graph.Node, name string, inputs []string) *graph.Node {
-	return &graph.Node{Name: name, Op: n.Op, Inputs: inputs, Outputs: []string{name + "_out"},
-		Attrs: n.Attrs.Clone(), Exec: n.Exec}
+	d := *n
+	d.Name, d.Inputs, d.Outputs = name, inputs, []string{name + "_out"}
+	return &d
 }
 
 // heightSlice returns a Slice node named name that takes rows
 // [start, end) of src (axis 1) into name+"_out".
 func heightSlice(name, src string, start, end int) *graph.Node {
-	v := []int{1, start, end} // one block for the three attributes
 	return &graph.Node{Name: name, Op: graph.OpSlice, Inputs: []string{src}, Outputs: []string{name + "_out"},
-		Attrs: graph.Attrs{Ints: map[string][]int{"axis": v[0:1:1], "start": v[1:2:2], "end": v[2:3:3]}}}
+		Axis: 1, Start: start, End: end}
 }
 
 // axis1Concat returns a Concat node named name that joins inputs along
 // axis 1 (rows of NHWC tensors, features of [N, F] ones) into out.
 func axis1Concat(name string, inputs []string, out string) *graph.Node {
-	return &graph.Node{Name: name, Op: graph.OpConcat, Inputs: inputs, Outputs: []string{out},
-		Attrs: graph.Attrs{Ints: map[string][]int{"axis": {1}}}}
+	return &graph.Node{Name: name, Op: graph.OpConcat, Inputs: inputs, Outputs: []string{out}, Axis: 1}
 }
 
 // SplitMDDP rewrites the named PIM-candidate node into GPU and PIM halves
@@ -118,10 +116,7 @@ func SplitMDDPNode(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 }
 
 func splitConv(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
-	p, err := graph.ConvParamsOf(n)
-	if err != nil {
-		return err
-	}
+	p := n.Conv
 	in := g.Tensors[n.Inputs[0]]
 	out := g.Tensors[n.Outputs[0]]
 	if in == nil || !in.Shape.Valid() || out == nil || !out.Shape.Valid() {
@@ -138,8 +133,7 @@ func splitConv(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 		in0, in1, pt, pb := rowRange(o0, o1, p.StrideH, p.KernelH, p.PadT, h)
 		slice := heightSlice(n.Name+"_slice_"+tag, n.Inputs[0], in0, in1)
 		part := derive(n, n.Name+"_"+tag, append([]string{slice.Outputs[0]}, n.Inputs[1:]...))
-		part.Attrs.SetInts("pads", pt, p.PadL, pb, p.PadR)
-		part.Attrs.SetInts("mddp", 1)
+		part.Conv.PadT, part.Conv.PadB, part.MDDP = pt, pb, true
 		part.Exec = graph.ExecHint{Mode: graph.ModeMDDP, Device: dev, GPURatio: gpuRatio}
 		return []*graph.Node{slice, part}
 	}
@@ -187,7 +181,7 @@ func splitGemm(g *graph.Graph, n *graph.Node, gpuRatio float64) error {
 			}
 			part.Inputs = append(part.Inputs, bName)
 		}
-		part.Attrs.SetInts("mddp", 1)
+		part.MDDP = true
 		part.Exec = graph.ExecHint{Mode: graph.ModeMDDP, Device: dev, GPURatio: gpuRatio}
 		return part
 	}

@@ -383,7 +383,7 @@ func TestElideDataMovement(t *testing.T) {
 	}
 	for _, nd := range g.Nodes {
 		if nd.Op == graph.OpSlice || nd.Op == graph.OpConcat {
-			if nd.Attrs.Int("elided", 0) != 1 {
+			if !nd.Elided {
 				t.Errorf("node %q not elided", nd.Name)
 			}
 		}
@@ -414,9 +414,7 @@ func TestElideDoesNotTouchChannelConcat(t *testing.T) {
 	g := graph.New("cc")
 	g.AddInput("a", 1, 4, 4, 2)
 	g.AddInput("b", 1, 4, 4, 3)
-	n := &graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"a", "b"}, Outputs: []string{"out"}}
-	n.Attrs.SetInts("axis", 3)
-	g.AddNode(n)
+	g.AddNode(&graph.Node{Name: "c", Op: graph.OpConcat, Inputs: []string{"a", "b"}, Outputs: []string{"out"}, Axis: 3})
 	g.MarkOutput("out")
 	if err := g.InferShapes(); err != nil {
 		t.Fatal(err)

@@ -192,8 +192,8 @@ func checkMDDP(g *graph.Graph, x *graph.Index) []Diagnostic {
 			pair(RuleGraphMDDPPair, c.Name, fmt.Sprintf("MD-DP merge Concat has %d inputs, want 2", len(c.Inputs)))
 			continue
 		}
-		if axis := c.Attrs.Int("axis", 1); axis != 1 {
-			pair(RuleGraphMDDPPair, c.Name, fmt.Sprintf("MD-DP merge Concat axis %d, want 1", axis))
+		if c.Axis != 1 {
+			pair(RuleGraphMDDPPair, c.Name, fmt.Sprintf("MD-DP merge Concat axis %d, want 1", c.Axis))
 			continue
 		}
 		var gpu, pim *graph.Node
@@ -248,14 +248,7 @@ func checkMDDPConvCover(g *graph.Graph, x *graph.Index, c, gpu, pim *graph.Node)
 	cover := func(node, msg string) []Diagnostic {
 		return []Diagnostic{graphDiag(RuleGraphMDDPCover, node, "", msg)}
 	}
-	gp, err := graph.ConvParamsOf(gpu)
-	if err != nil {
-		return cover(gpu.Name, err.Error())
-	}
-	pp, err := graph.ConvParamsOf(pim)
-	if err != nil {
-		return cover(pim.Name, err.Error())
-	}
+	gp, pp := gpu.Conv, pim.Conv
 	if gp.KernelH != pp.KernelH || gp.StrideH != pp.StrideH {
 		return cover(c.Name, fmt.Sprintf("halves disagree on kernel/stride: %dx%d vs %dx%d",
 			gp.KernelH, gp.StrideH, pp.KernelH, pp.StrideH))
@@ -265,7 +258,7 @@ func checkMDDPConvCover(g *graph.Graph, x *graph.Index, c, gpu, pim *graph.Node)
 	if gSlice == nil || gSlice.Op != graph.OpSlice || pSlice == nil || pSlice.Op != graph.OpSlice {
 		return cover(c.Name, "MD-DP conv halves must read height Slices of the source")
 	}
-	if gSlice.Attrs.Int("axis", 1) != 1 || pSlice.Attrs.Int("axis", 1) != 1 {
+	if gSlice.Axis != 1 || pSlice.Axis != 1 {
 		return cover(c.Name, "MD-DP conv slices must split the height axis")
 	}
 	src := gSlice.Inputs[0]

@@ -134,8 +134,7 @@ func TestPipelineDiagnosticsSorted(t *testing.T) {
 			Outputs: []string{name + "_out"}, Exec: hint(9, 0, part, 3)})
 	}
 	g.AddNode(&graph.Node{Name: "merge", Op: graph.OpConcat,
-		Inputs: []string{"g9p2_out", "g9p0_out", "g9p1_out"}, Outputs: []string{"merged"}})
-	g.Nodes[len(g.Nodes)-1].Attrs.SetInts("axis", 1)
+		Inputs: []string{"g9p2_out", "g9p0_out", "g9p1_out"}, Outputs: []string{"merged"}, Axis: 1})
 	g.AddNode(&graph.Node{Name: "late", Op: graph.OpRelu, Inputs: []string{"merged"},
 		Outputs: []string{"y"}, Exec: hint(9, 0, 0, 3)})
 	g.MarkOutput("y")

@@ -152,10 +152,8 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		// The bad-concat-axis malformation: axis 9 on rank-4 inputs.
 		g := graph.New("badconcat")
 		g.AddInput("x", 1, 4, 4, 2)
-		n := &graph.Node{Name: "c", Op: graph.OpConcat,
-			Inputs: []string{"x", "x"}, Outputs: []string{"y"}}
-		n.Attrs.SetInts("axis", 9)
-		g.AddNode(n)
+		g.AddNode(&graph.Node{Name: "c", Op: graph.OpConcat,
+			Inputs: []string{"x", "x"}, Outputs: []string{"y"}, Axis: 9})
 		g.MarkOutput("y")
 		return verify.Graph(g)
 	},
@@ -187,11 +185,10 @@ var ruleCases = map[string]func(t *testing.T) []verify.Diagnostic{
 		if slice == nil {
 			t.Fatal("no PIM-side slice in the split graph")
 		}
-		start := slice.Attrs.Int("start", 0)
-		if start < 1 {
-			t.Fatalf("slice start %d leaves no room to overlap", start)
+		if slice.Start < 1 {
+			t.Fatalf("slice start %d leaves no room to overlap", slice.Start)
 		}
-		slice.Attrs.SetInts("start", start-1)
+		slice.Start--
 		if err := g.InferShapes(); err != nil {
 			t.Fatal(err)
 		}
