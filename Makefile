@@ -28,14 +28,15 @@ lint:
 verify-models:
 	$(GO) run ./cmd/pimflow -m=verify -n=all
 
-# Short local fuzz passes over the graph JSON loader and the -load
-# grammar (the CI gate runs the seed corpora via go test; this explores
-# further).
+# Short local fuzz passes over the graph JSON loader, the -load grammar
+# and the fleet's graph-registration endpoint (the CI gate runs the seed
+# corpora via go test; this explores further).
 FUZZ_TIME ?= 20s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZ_TIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzParseLoads -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRegisterGraph -fuzztime $(FUZZ_TIME) ./internal/fleet
 
 # Full benchmark sweep: harness figures plus the in-package engine
 # benchmarks. Results are merged into $(BENCH_JSON) under $(BENCH_LABEL)

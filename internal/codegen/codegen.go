@@ -13,11 +13,12 @@
 // and strided GWRITE — are applied according to the PIM configuration.
 //
 // Commands are produced through the pim.Sink interface: Stream fuses
-// generation into whatever consumes the commands, so timing probes
-// (TimeWorkload) simulate the stream and the verify linter lints it
-// without it ever being materialized, while Generate materializes a
-// pim.Trace for the consumers that genuinely need one (dump listings,
-// event recording).
+// generation into whatever consumes the commands, so the verify linter
+// lints the stream without it ever being materialized, while Generate
+// materializes a pim.Trace for the consumers that genuinely need one
+// (dump listings, event recording). Timing probes (TimeWorkload) walk
+// the same unit schedule straight into a pim.ChannelSim per channel,
+// fast-forwarding its periodic steady state (ffsim.go).
 package codegen
 
 import (
@@ -275,9 +276,9 @@ func (p *plan) channelUnits(ch int) int {
 
 // Stream emits the workload's per-channel command streams into sink in
 // channel order, fusing generation with consumption: nothing is buffered,
-// so a timing sink (pim.StreamSim) simulates the kernel without the trace
-// ever existing. Channels with no assigned units are skipped, matching
-// the materialized trace layout exactly.
+// so a consumer such as the verify linter sees every command without
+// the trace ever existing. Channels with no assigned units are skipped,
+// matching the materialized trace layout exactly.
 func Stream(w Workload, cfg pim.Config, opts Opts, sink pim.Sink) error {
 	p, err := newPlan(w, cfg, opts)
 	if err != nil {

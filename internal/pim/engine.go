@@ -1,10 +1,6 @@
 package pim
 
-import (
-	"fmt"
-
-	"pimflow/internal/num"
-)
+import "fmt"
 
 // Stats is the result of simulating a PIM kernel trace.
 type Stats struct {
@@ -65,10 +61,10 @@ type CommandEvent struct {
 // ChannelSim is the incremental timing stepper for one PIM channel: feed
 // it the channel's command stream in order and read the drain time, busy
 // cycles, and command counts at the end. It is the allocation-free core
-// that both Simulate (materialized traces) and StreamSim (streaming
-// command generation) are built on. The zero value is unusable; call
-// Reset first. Within a channel, commands issue in order with the
-// following semantics (paper §2.1, §4.1):
+// that both Simulate (materialized traces) and codegen.TimeWorkload
+// (generation fused with timing) are built on. The zero value is
+// unusable; call Reset first. Within a channel, commands issue in order
+// with the following semantics (paper §2.1, §4.1):
 //
 //   - GWRITE occupies the channel data path for Bursts×tBL cycles and makes
 //     the global buffer ready when the transfer completes. Without GWRITE
@@ -125,14 +121,14 @@ func (c *ChannelSim) Feed(cmd Command) (evStart, evEnd int64, err error) {
 			// transfer with one-deep prefetch — it streams in from
 			// GPU channels once computation on the previous buffer
 			// set has begun, overlapping transfer with COMP/G_ACT.
-			start = num.Max64(c.busInFreeAt, c.lastCompAt)
+			start = max(c.busInFreeAt, c.lastCompAt)
 		} else {
-			start = num.Max64(c.t, num.Max64(c.busInFreeAt, c.busOutFreeAt))
+			start = max(c.t, c.busInFreeAt, c.busOutFreeAt)
 		}
 		if c.cfg.GlobalBufs == 1 {
 			// A single buffer cannot be refilled while COMPs are
 			// still consuming it; multiple buffers double-buffer.
-			start = num.Max64(start, c.compFreeAt)
+			start = max(start, c.compFreeAt)
 		}
 		done := start + int64(cmd.Bursts)*int64(tm.TBL)
 		c.busInFreeAt = done
@@ -140,7 +136,7 @@ func (c *ChannelSim) Feed(cmd Command) (evStart, evEnd int64, err error) {
 		if c.cfg.GWriteLatencyHiding {
 			// The queue moves on so the following G_ACT overlaps
 			// the in-flight transfer.
-			c.t = num.Max64(c.t, start) + 1
+			c.t = max(c.t, start) + 1
 		} else {
 			c.t = done
 		}
@@ -152,13 +148,13 @@ func (c *ChannelSim) Feed(cmd Command) (evStart, evEnd int64, err error) {
 		// streams column I/Os from the open one — unless bank
 		// ping-pong is enabled, in which case the activation lands
 		// in the other bank group and overlaps the COMP stream.
-		start := num.Max64(c.t, c.compFreeAt)
+		start := max(c.t, c.compFreeAt)
 		if c.cfg.BankPingPong {
 			start = c.t
 		}
 		if cmd.NewRow && c.rowOpen {
 			// Precharge the open row first, honoring tRAS.
-			pre := num.Max64(start, c.rowOpenAt+int64(tm.TRAS))
+			pre := max(start, c.rowOpenAt+int64(tm.TRAS))
 			c.rowReadyAt = pre + int64(tm.TRP) + int64(tm.TRCD)
 			start = pre
 		} else {
@@ -176,7 +172,7 @@ func (c *ChannelSim) Feed(cmd Command) (evStart, evEnd int64, err error) {
 		if cmd.Cols <= 0 {
 			return 0, 0, fmt.Errorf("pim: COMP with %d cols on channel %d", cmd.Cols, c.channel)
 		}
-		start := num.Max64(num.Max64(c.t, c.rowReadyAt), num.Max64(c.bufReadyAt, c.compFreeAt))
+		start := max(c.t, c.rowReadyAt, c.bufReadyAt, c.compFreeAt)
 		dur := int64(cmd.Cols) * int64(tm.TCCDL)
 		c.lastCompAt = start
 		c.compFreeAt = start + dur
@@ -191,7 +187,7 @@ func (c *ChannelSim) Feed(cmd Command) (evStart, evEnd int64, err error) {
 		// Result latches must be stable: drain after the pipeline,
 		// and block the queue (no latch double-buffering). Results
 		// leave on the outbound path toward GPU channels.
-		start := num.Max64(num.Max64(c.t, c.compFreeAt), c.busOutFreeAt)
+		start := max(c.t, c.compFreeAt, c.busOutFreeAt)
 		done := start + int64(tm.TCL) + int64(cmd.Bursts)*int64(tm.TBL)
 		c.busOutFreeAt = done
 		c.t = done
@@ -345,7 +341,7 @@ func (c *ChannelSim) AdvanceInterior(k int64, prev, cur Phase) {
 // queue, both data paths, and the MAC pipeline have all gone idle,
 // stretched by the refresh duty cycle when refresh modeling is on.
 func (c *ChannelSim) Drain() int64 {
-	drain := num.Max64(num.Max64(c.t, num.Max64(c.busInFreeAt, c.busOutFreeAt)), c.compFreeAt)
+	drain := max(c.t, c.busInFreeAt, c.busOutFreeAt, c.compFreeAt)
 	if c.cfg.ModelRefresh && c.cfg.Timing.TREFI > 0 {
 		// All-bank refresh steals tRFC every tREFI: stretch the drain
 		// time by the refresh duty cycle (kernels are short relative

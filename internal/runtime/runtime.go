@@ -27,7 +27,6 @@ import (
 	"pimflow/internal/codegen"
 	"pimflow/internal/gpu"
 	"pimflow/internal/graph"
-	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/pim"
 	"pimflow/internal/profcache"
@@ -357,7 +356,7 @@ func execute(g *graph.Graph, cfg Config, startCycle int64, record bool) (*Report
 				return nil, nil, fmt.Errorf("runtime: PIM node %q: %w", n.Name, err)
 			}
 			cycles := cfg.pimCyclesToGPU(prof.Cycles)
-			start = num.Max64(ready, pimFree)
+			start = max(ready, pimFree)
 			end = start + cycles
 			pimFree = end
 			rep.PIMBusy += cycles
@@ -375,7 +374,7 @@ func execute(g *graph.Graph, cfg Config, startCycle int64, record bool) (*Report
 			if err != nil {
 				return nil, nil, fmt.Errorf("runtime: GPU node %q: %w", n.Name, err)
 			}
-			start = num.Max64(ready, gpuFree)
+			start = max(ready, gpuFree)
 			end = start + cycles
 			gpuFree = end
 			rep.GPUBusy += cycles
@@ -599,7 +598,7 @@ func traceChannelActivity(cfg Config, w codegen.Workload, node string, startGPU 
 		}
 		cfg.Trace.CompleteCycles(tid, ev.Kind.String(), "pim-cmd",
 			startGPU+cfg.pimCyclesToGPU(ev.Start),
-			num.Max64(cfg.pimCyclesToGPU(ev.End-ev.Start), 1), args)
+			max(cfg.pimCyclesToGPU(ev.End-ev.Start), 1), args)
 	}
 	// One summary span per channel covering its whole drain, so the track
 	// stays readable when zoomed out.

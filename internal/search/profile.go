@@ -12,7 +12,6 @@ import (
 	"pimflow/internal/gpu"
 	"pimflow/internal/graph"
 	"pimflow/internal/lower"
-	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/profcache"
 	"pimflow/internal/runtime"
@@ -292,7 +291,7 @@ func (p *profiler) mddpProbe(layer string, sp mddpSplit, ratio float64) (int64, 
 	if err != nil {
 		return 0, err
 	}
-	return num.Max64(gt, pt) + p.rt.SyncOverheadCycles, nil
+	return max(gt, pt) + p.rt.SyncOverheadCycles, nil
 }
 
 // mddp times the MD-DP execution of a candidate node at the given GPU
@@ -320,7 +319,7 @@ func (p *profiler) mddpBound(sp mddpSplit) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return num.Max64(res.Cycles, p.scalePIM(lb)) + p.rt.SyncOverheadCycles, nil
+	return max(res.Cycles, p.scalePIM(lb)) + p.rt.SyncOverheadCycles, nil
 }
 
 // prunedProbe records one grid point discarded by the bound.

@@ -1,12 +1,9 @@
 package search
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/graph"
@@ -219,45 +216,6 @@ func TestProfilerRuntimeMDDPConsistency(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no splittable conv found")
-	}
-}
-
-// TestForEachParallelStopsOnError verifies prompt cancellation: after one
-// call errors, workers stop dispatching new indices instead of draining
-// the whole range (the seed behavior). The worker count is pinned so the
-// parallel path runs even on single-CPU machines.
-func TestForEachParallelStopsOnError(t *testing.T) {
-	const n = 10000
-	var processed atomic.Int64
-	boom := errors.New("boom")
-	err := forEachParallelN(n, 8, func(i int) error {
-		if i == 0 {
-			return boom
-		}
-		time.Sleep(200 * time.Microsecond)
-		processed.Add(1)
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if p := processed.Load(); p > n/10 {
-		t.Errorf("%d of %d indices still processed after the error", p, n)
-	}
-}
-
-func TestForEachParallelCompletesAndErrorsSerial(t *testing.T) {
-	var count atomic.Int64
-	if err := forEachParallel(500, func(i int) error { count.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 500 {
-		t.Errorf("processed %d, want 500", count.Load())
-	}
-	// Serial path (n == 1) must propagate the error too.
-	boom := errors.New("boom")
-	if err := forEachParallel(1, func(i int) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("serial err = %v", err)
 	}
 }
 

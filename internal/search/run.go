@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	goruntime "runtime"
-	"sync"
-	"sync/atomic"
 
 	"pimflow/internal/graph"
 	"pimflow/internal/obs"
+	"pimflow/internal/par"
 	"pimflow/internal/transform"
 	"pimflow/internal/verify"
 )
@@ -96,7 +94,7 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 	states := make([]layerState, len(order))
 
 	// Wave 1: serial endpoints (full GPU, full PIM) seed the incumbents.
-	if err := forEachParallel(len(order), func(i int) error {
+	if err := par.ForEach(len(order), func(i int) error {
 		st := &states[i]
 		st.n = order[i]
 		n := st.n
@@ -149,7 +147,7 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 			tasks = append(tasks, gridTask{layer: i, idx: gi})
 		}
 	}
-	if err := forEachParallel(len(tasks), func(ti int) error {
+	if err := par.ForEach(len(tasks), func(ti int) error {
 		t := tasks[ti]
 		st := &states[t.layer]
 		return prof.probeRatio(g, st, &st.grid[t.idx], coarse[t.idx], prune)
@@ -185,7 +183,7 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 				}
 			}
 		}
-		if err := forEachParallel(len(tasks), func(ti int) error {
+		if err := par.ForEach(len(tasks), func(ti int) error {
 			t := tasks[ti]
 			st := &states[t.layer]
 			r := st.base + float64(t.idx-st.span)*st.step
@@ -211,7 +209,7 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 		results := make([]*PipelineDecision, len(cands))
 		endPhase2 := opts.Trace.Span("search", "profile-pipelines", "search.phase",
 			map[string]any{"model": g.Name, "candidates": len(cands)})
-		if err := forEachParallel(len(cands), func(ci int) error {
+		if err := par.ForEach(len(cands), func(ci int) error {
 			cand := cands[ci]
 			start, length, ok := chainSpan(cand.Nodes, x, rank)
 			if !ok {
@@ -315,59 +313,6 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 			"cache", plan.Cache.String())
 	}
 	return plan, nil
-}
-
-// forEachParallel runs f(0..n-1) on a bounded worker pool and returns the
-// first error. Once any call errors, no worker dispatches another index:
-// in-flight calls finish, the rest of the range is abandoned.
-func forEachParallel(n int, f func(i int) error) error {
-	return forEachParallelN(n, goruntime.NumCPU(), f)
-}
-
-// forEachParallelN is forEachParallel with an explicit worker count, so
-// tests can exercise the parallel path on any machine.
-func forEachParallelN(n, workers int, f func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int64 = -1
-		stop     atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := f(i); err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // isFusableActivation mirrors the runtime's fusion rule.

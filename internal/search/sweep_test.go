@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"pimflow/internal/graph"
@@ -67,66 +66,6 @@ func TestMDDPUnsplittableSentinel(t *testing.T) {
 	// And through the full probe path.
 	if _, err := p.mddp(g, relu, 0.5); !errors.Is(err, errUnsplittable) {
 		t.Fatalf("mddp(Relu) = %v, want the unsplittable sentinel", err)
-	}
-}
-
-// TestForEachParallelNClamping exercises the worker-pool edge cases on
-// any machine, including the 1-CPU fallback.
-func TestForEachParallelNClamping(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{3, 64}, // more workers than work
-		{5, 0},  // non-positive workers degrade to sequential
-		{5, -2},
-		{0, 4}, // nothing to do
-		{100, 4},
-	} {
-		var hits [200]atomic.Int32
-		if err := forEachParallelN(tc.n, tc.workers, func(i int) error {
-			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("n=%d workers=%d: %v", tc.n, tc.workers, err)
-		}
-		for i := 0; i < tc.n; i++ {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, got)
-			}
-		}
-	}
-}
-
-// TestForEachParallelNFirstError checks error propagation and
-// cancellation: once a call fails, the pool stops dispatching and the
-// caller sees an error that failed (not nil, not a fabricated one).
-func TestForEachParallelNFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	const n = 100000
-	var calls atomic.Int64
-	err := forEachParallelN(n, 4, func(i int) error {
-		calls.Add(1)
-		if i == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if c := calls.Load(); c >= n {
-		t.Fatalf("pool ran the entire range (%d calls) despite an early error", c)
-	}
-
-	// Sequential fallback stops immediately after the failing index.
-	calls.Store(0)
-	err = forEachParallelN(n, 1, func(i int) error {
-		calls.Add(1)
-		if i == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || calls.Load() != 4 {
-		t.Fatalf("sequential: err=%v calls=%d, want boom after 4 calls", err, calls.Load())
 	}
 }
 

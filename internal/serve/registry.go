@@ -9,7 +9,6 @@ import (
 
 	"pimflow/internal/graph"
 	"pimflow/internal/models"
-	"pimflow/internal/num"
 	"pimflow/internal/obs"
 	"pimflow/internal/profcache"
 	"pimflow/internal/runtime"
@@ -315,8 +314,8 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: warmup of %q: %w", spec.Name, err)
 	}
-	ii := num.Max64(num.Max64(solo.GPUBusy, solo.PIMBusy), 1)
-	ii = num.Min64(ii, num.Max64(solo.DurationCycles(), 1))
+	ii := max(solo.GPUBusy, solo.PIMBusy, 1)
+	ii = min(ii, max(solo.DurationCycles(), 1))
 
 	return &LoadedModel{
 		Spec: spec, Policy: policy, Opts: opts,

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 
-	"pimflow/internal/num"
 	"pimflow/internal/obs"
 )
 
@@ -201,7 +200,7 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.watermark = num.Max64(s.watermark, arrival)
+	s.watermark = max(s.watermark, arrival)
 	s.pruneLocked()
 	start := s.earliestFitLocked(arrival, d, dur)
 	s.nextID++
@@ -226,7 +225,7 @@ func (s *Scheduler) pruneLocked() {
 	for _, r := range s.active {
 		if r.released && r.End <= s.watermark {
 			s.pruned++
-			s.horizon = num.Max64(s.horizon, r.End)
+			s.horizon = max(s.horizon, r.End)
 			continue
 		}
 		kept = append(kept, r)
@@ -288,7 +287,7 @@ func (s *Scheduler) addUsageLocked(start, end int64, gpu, pim int) {
 // has zero usage and Fits was checked, so the sweep always ends there
 // at the latest.
 func (s *Scheduler) earliestFitLocked(arrival int64, d Demand, dur int64) int64 {
-	cand := num.Max64(arrival, s.horizon)
+	cand := max(arrival, s.horizon)
 	gpuCap, pimCap := s.machine.GPUChannels-d.GPU, s.machine.PIMChannels-d.PIM
 	for i := s.stepAtLocked(cand); i < len(s.profile); i++ {
 		st := &s.profile[i]
@@ -317,7 +316,7 @@ func (s *Scheduler) Release(l Lease) {
 			break
 		}
 	}
-	s.vfront = num.Max64(s.vfront, l.End)
+	s.vfront = max(s.vfront, l.End)
 	if s.onRelease != nil {
 		s.onRelease(l.id, s.vfront)
 	}

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"pimflow/internal/num"
 )
 
 // Property: K requests whose channel demands all fit the machine
@@ -22,7 +20,7 @@ func TestSchedulerDisjointMakespanIsMax(t *testing.T) {
 		var maxDur int64
 		for i := 0; i < k; i++ {
 			dur := int64(1 + rng.Intn(1_000_000))
-			maxDur = num.Max64(maxDur, dur)
+			maxDur = max(maxDur, dur)
 			l, err := s.Place(0, Demand{GPU: 1 + rng.Intn(4), PIM: 1 + rng.Intn(4)}, dur)
 			if err != nil {
 				t.Fatal(err)
@@ -34,7 +32,7 @@ func TestSchedulerDisjointMakespanIsMax(t *testing.T) {
 			if l.Start != 0 {
 				t.Fatalf("trial %d: disjoint lease delayed to %d", trial, l.Start)
 			}
-			makespan = num.Max64(makespan, l.End)
+			makespan = max(makespan, l.End)
 		}
 		if makespan != maxDur {
 			t.Fatalf("trial %d: makespan %d, want max solo %d", trial, makespan, maxDur)
@@ -251,7 +249,7 @@ func (s *refScheduler) place(arrival int64, d Demand, dur int64) Lease {
 	if dur < 1 {
 		dur = 1
 	}
-	s.watermark = num.Max64(s.watermark, arrival)
+	s.watermark = max(s.watermark, arrival)
 	s.prune()
 	start := s.earliestFit(arrival, d, dur)
 	s.nextID++
@@ -265,7 +263,7 @@ func (s *refScheduler) prune() {
 	for _, r := range s.active {
 		if r.released && r.End <= s.watermark {
 			s.pruned++
-			s.horizon = num.Max64(s.horizon, r.End)
+			s.horizon = max(s.horizon, r.End)
 			continue
 		}
 		kept = append(kept, r)
@@ -296,7 +294,7 @@ func (s *refScheduler) cancel(l Lease) {
 // later lease boundary in order, returning the first whose whole window
 // keeps both channel groups within capacity.
 func (s *refScheduler) earliestFit(arrival int64, d Demand, dur int64) int64 {
-	arrival = num.Max64(arrival, s.horizon)
+	arrival = max(arrival, s.horizon)
 	cands := []int64{arrival}
 	for i := range s.active {
 		l := &s.active[i]

@@ -133,15 +133,22 @@ func Fleet(c FleetCertificate) []Diagnostic {
 		}
 		machines[m.Name] = m
 	}
-	diags = append(diags, checkPlacements(c, machines)...)
-	graphs := map[string]FleetGraph{}
-	for _, g := range c.Graphs {
-		graphs[g.Name] = g
-		diags = append(diags, checkGraph(g)...)
-	}
-	diags = append(diags, checkHops(c, machines, graphs)...)
-	for _, name := range sortedKeys(c.Schedules) {
-		diags = append(diags, Schedule(c.Schedules[name])...)
+	// The FL-* rules are one task on the worker pool and each machine's
+	// schedule is another, assembled in sorted machine-name order.
+	names := sortedKeys(c.Schedules)
+	for _, part := range runTasks(1+len(names), func(i int) []Diagnostic {
+		if i > 0 {
+			return Schedule(c.Schedules[names[i-1]])
+		}
+		d := checkPlacements(c, machines)
+		graphs := map[string]FleetGraph{}
+		for _, g := range c.Graphs {
+			graphs[g.Name] = g
+			d = append(d, checkGraph(g)...)
+		}
+		return append(d, checkHops(c, machines, graphs)...)
+	}) {
+		diags = append(diags, part...)
 	}
 	return diags
 }

@@ -127,11 +127,20 @@ func Schedule(c ScheduleCertificate) []Diagnostic {
 				fmt.Sprintf("lease %d served an empty batch", l.ID)))
 		}
 	}
-	members := make([]memberSpan, len(c.Leases))
-	diags = append(diags, checkOverlap(c)...)
-	diags = append(diags, checkFrontier(c, idx)...)
-	diags = append(diags, checkRequests(c, idx, members)...)
-	diags = append(diags, checkWindows(c, idx, members)...)
+	// SR-OVERLAP's sort and sweep is one task on the worker pool; the
+	// frontier, request and window sweeps are the other, since
+	// checkWindows reads the member spans checkRequests fills.
+	for _, part := range runTasks(2, func(i int) []Diagnostic {
+		if i == 0 {
+			return checkOverlap(c)
+		}
+		members := make([]memberSpan, len(c.Leases))
+		d := checkFrontier(c, idx)
+		d = append(d, checkRequests(c, idx, members)...)
+		return append(d, checkWindows(c, idx, members)...)
+	}) {
+		diags = append(diags, part...)
+	}
 	return diags
 }
 

@@ -31,6 +31,7 @@ import (
 	"strings"
 
 	"pimflow/internal/obs"
+	"pimflow/internal/par"
 )
 
 // Graph-IR rule IDs (Tier A).
@@ -175,6 +176,18 @@ func (d Diagnostic) String() string {
 // graphDiag builds a graph-tier diagnostic (no channel/index context).
 func graphDiag(rule, node, tensor, msg string) Diagnostic {
 	return Diagnostic{Rule: rule, Node: node, Tensor: tensor, Channel: -1, Index: -1, Msg: msg}
+}
+
+// runTasks runs task(0..n-1), independent checks that never fail, on
+// the worker pool and returns their diagnostics by task index, so a
+// caller assembles them in the order a serial run appends them.
+func runTasks(n int, task func(i int) []Diagnostic) [][]Diagnostic {
+	parts := make([][]Diagnostic, n)
+	_ = par.ForEach(n, func(i int) error {
+		parts[i] = task(i)
+		return nil
+	})
+	return parts
 }
 
 // AsError folds diagnostics into a single error, or nil when the list is
