@@ -28,15 +28,16 @@ lint:
 verify-models:
 	$(GO) run ./cmd/pimflow -m=verify -n=all
 
-# Short local fuzz passes over the graph JSON loader, the -load grammar
-# and the fleet's graph-registration endpoint (the CI gate runs the seed
-# corpora via go test; this explores further).
+# Short local fuzz passes over the graph JSON loader, the -load grammar,
+# the fleet's graph-registration endpoint and the block TR-* linter (the
+# CI gate runs the seed corpora via go test; this explores further).
 FUZZ_TIME ?= 20s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZ_TIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzParseLoads -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRegisterGraph -fuzztime $(FUZZ_TIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzLintBlocks -fuzztime $(FUZZ_TIME) ./internal/verify
 
 # Full benchmark sweep: harness figures plus the in-package engine
 # benchmarks. Results are merged into $(BENCH_JSON) under $(BENCH_LABEL)

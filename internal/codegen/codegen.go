@@ -12,13 +12,16 @@
 // of §4.1 — multiple global buffers (GWRITE_2/GWRITE_4 with G_ACT reuse)
 // and strided GWRITE — are applied according to the PIM configuration.
 //
-// Commands are produced through the pim.Sink interface: Stream fuses
-// generation into whatever consumes the commands, so the verify linter
-// lints the stream without it ever being materialized, while Generate
-// materializes a pim.Trace for the consumers that genuinely need one
-// (dump listings, event recording). Timing probes (TimeWorkload) walk
-// the same unit schedule straight into a pim.ChannelSim per channel,
-// fast-forwarding its periodic steady state (ffsim.go).
+// A unit (one vector group against one output group over one K-chunk)
+// is what the generator emits: blocks builds each unit's commands into
+// one reused buffer, rebuilding a part only when its shape changes, and
+// hands the whole block to its consumer at once. Stream passes the
+// blocks to a pim.Sink, so the verify linter lints the stream without it
+// ever being materialized, while Generate materializes a pim.Trace for
+// the consumers that genuinely need one (dump listings, event
+// recording). Timing probes (TimeWorkload) feed the same blocks straight
+// into a pim.ChannelSim per channel, fast-forwarding its periodic steady
+// state (ffsim.go).
 package codegen
 
 import (
@@ -132,6 +135,7 @@ type plan struct {
 	cfg  pim.Config
 	opts Opts
 
+	lanes      int // outputs per output group, cfg.LanesPerChannel()
 	kChunkLen  int
 	nVecGroups int
 	nKChunks   int
@@ -172,6 +176,7 @@ func newPlan(w Workload, cfg pim.Config, opts Opts) (plan, error) {
 
 	p := plan{
 		w: w, cfg: cfg, opts: opts,
+		lanes:      lanes,
 		kChunkLen:  kChunkLen,
 		nVecGroups: ceilDiv(w.M, nb),
 		nKChunks:   ceilDiv(w.K, kChunkLen),
@@ -195,22 +200,22 @@ func newPlan(w Workload, cfg pim.Config, opts Opts) (plan, error) {
 
 // makeUnit builds the unit at coordinates (vg, ksIdx, og).
 func (p *plan) makeUnit(vg, ksIdx, og int) unit {
+	nv, kl := p.rowShape(vg, ksIdx)
+	return unit{vecGroup: vg, nVecs: nv, ogIndex: og, outLanes: p.outLanes(og),
+		kStart: ksIdx * p.kChunkLen, kLen: kl}
+}
+
+// rowShape returns the vector count and K-chunk length shared by every
+// unit of row (vg, ks), the units of vector group vg over K-chunk ks.
+func (p *plan) rowShape(vg, ks int) (nVecs, kLen int) {
 	nb := p.cfg.GlobalBufs
-	lanes := p.cfg.LanesPerChannel()
-	nv := nb
-	if (vg+1)*nb > p.w.M {
-		nv = p.w.M - vg*nb
-	}
-	ks := ksIdx * p.kChunkLen
-	kl := p.kChunkLen
-	if ks+kl > p.w.K {
-		kl = p.w.K - ks
-	}
-	ol := lanes
-	if (og+1)*lanes > p.w.N {
-		ol = p.w.N - og*lanes
-	}
-	return unit{vecGroup: vg, nVecs: nv, ogIndex: og, outLanes: ol, kStart: ks, kLen: kl}
+	return min(nb, p.w.M-vg*nb), min(p.kChunkLen, p.w.K-ks*p.kChunkLen)
+}
+
+// outLanes returns the outputs of output group og: a full lane per bank,
+// fewer in a partial last group.
+func (p *plan) outLanes(og int) int {
+	return min(p.lanes, p.w.N-og*p.lanes)
 }
 
 // forEachUnit walks channel ch's units in schedule order. The iteration
@@ -275,69 +280,166 @@ func (p *plan) channelUnits(ch int) int {
 }
 
 // Stream emits the workload's per-channel command streams into sink in
-// channel order, fusing generation with consumption: nothing is buffered,
-// so a consumer such as the verify linter sees every command without
-// the trace ever existing. Channels with no assigned units are skipped,
-// matching the materialized trace layout exactly.
+// channel order, one Emit per unit, fusing generation with consumption:
+// the sink sees every command without the trace ever existing. Each
+// (vector group, K-chunk) row of a channel's schedule is emitted in
+// turn; its first unit leads with the GWRITE that loads the chunk, the
+// others reuse the buffered vectors. Channels with no assigned units are
+// skipped, matching the materialized trace layout exactly.
 func Stream(w Workload, cfg pim.Config, opts Opts, sink pim.Sink) error {
 	p, err := newPlan(w, cfg, opts)
 	if err != nil {
 		return err
 	}
+	b := newBlocks(&p, nil)
 	for ch := 0; ch < cfg.Channels; ch++ {
 		if p.channelUnits(ch) == 0 {
 			continue
 		}
 		sink.BeginChannel(ch)
-		streamChannel(&p, ch, sink)
+		if p.per == 0 {
+			// GranGAct: every row, over the output groups og ≡ ch
+			// (mod Channels).
+			for vg := 0; vg < p.nVecGroups; vg++ {
+				for ks := 0; ks < p.nKChunks; ks++ {
+					b.emitRow(sink, &p, vg, ks, ch, p.nOutGroups, cfg.Channels)
+				}
+			}
+			continue
+		}
+		// A contiguous run of units, cut where each row ends.
+		hi := min((ch+1)*p.per, p.nUnits)
+		for i := ch * p.per; i < hi; {
+			og, row := i%p.nOutGroups, i/p.nOutGroups
+			n := min(p.nOutGroups-og, hi-i)
+			b.emitRow(sink, &p, row/p.nKChunks, row%p.nKChunks, og, og+n, 1)
+			i += n
+		}
 	}
 	return nil
 }
 
-// streamChannel emits one channel's commands for its assigned units.
-func streamChannel(p *plan, ch int, sink pim.Sink) {
-	lastVecGroup, lastKStart := -1, -1
-	p.forEachUnit(ch, func(u unit) {
-		// GWRITE the vector group's K-chunk unless this channel just
-		// loaded the same chunk (consecutive output groups reuse it).
-		gw := u.vecGroup != lastVecGroup || u.kStart != lastKStart
-		if gw {
-			lastVecGroup, lastKStart = u.vecGroup, u.kStart
-		}
-		emitUnit(sink, p, u, gw)
-	})
+// blocks builds unit command blocks in one buffer reused across a plan's
+// units. A block is an optional GWRITE part, right-aligned in the first
+// segs slots, followed by the body: G_ACT/COMP rows over the unit's
+// K-chunk, then one READRES drain per vector. The GWRITE part depends on
+// the vector count and chunk length (Segments and the options are fixed
+// per plan), the body on those and the drains' burst count, which only a
+// partial last output group changes. Each part is rebuilt only when its
+// shape changes, so the interior units of a row reuse one block as is.
+type blocks struct {
+	buf  []pim.Command
+	segs int      // GWRITE commands per chunk at most: Segments, or 1 strided
+	kind pim.Kind // the GWRITE variant
+
+	// Copied from the configuration: a pointer to it would let the plan
+	// escape through the blocks Stream hands to its sink.
+	elemsPerColIO, perRow, burstBytes int
+
+	gw, gwVecs, gwKLen        int // GWRITE part buf[gw:segs] and its shape
+	end, vecs, kLen, outLanes int // body buf[segs:end] and its shape
 }
 
-// emitUnit emits one unit's command subsequence: the buffer load (when
-// gw), the G_ACT/COMP rows over its K-chunk, and the READRES drains.
-func emitUnit(sink pim.Sink, p *plan, u unit, gw bool) {
+// newBlocks sizes the buffer for the plan's largest unit, taking it from
+// buf when it is large enough.
+func newBlocks(p *plan, buf []pim.Command) blocks {
 	cfg := &p.cfg
-	if gw {
-		emitGWrite(sink, p.w, p.cfg, p.opts, u)
+	b := blocks{segs: p.w.Segments, kind: pim.KindGWrite, gwVecs: -1, vecs: -1,
+		elemsPerColIO: cfg.ColumnIOBytes / 2, perRow: cfg.ColumnIOsPerRow, burstBytes: cfg.BurstBytes}
+	switch cfg.GlobalBufs {
+	case 2:
+		b.kind = pim.KindGWrite2
+	case 4:
+		b.kind = pim.KindGWrite4
 	}
-	// Activate rows and stream COMPs over this K-chunk.
-	colIOs := ceilDiv(u.kLen, cfg.ColumnIOBytes/2)
-	for done := 0; done < colIOs; {
-		cols := cfg.ColumnIOsPerRow
-		if done+cols > colIOs {
-			cols = colIOs - done
+	if p.opts.StridedGWrite {
+		if b.segs > 1 {
+			b.kind = pim.KindGWriteStrided
 		}
-		sink.Emit(pim.Command{Kind: pim.KindGAct, NewRow: true})
-		for v := 0; v < u.nVecs; v++ {
-			sink.Emit(pim.Command{Kind: pim.KindComp, Cols: cols})
+		b.segs = 1
+	}
+	rows := ceilDiv(ceilDiv(p.kChunkLen, b.elemsPerColIO), b.perRow)
+	n := b.segs + rows*(1+cfg.GlobalBufs) + cfg.GlobalBufs
+	if cap(buf) < n {
+		buf = make([]pim.Command, n)
+	}
+	b.buf = buf[:n]
+	return b
+}
+
+// unit returns the block of a unit with nVecs vectors over a K-chunk of
+// kLen elements and outLanes outputs, led by the chunk's GWRITE when gw.
+// The block is valid until the next call.
+func (b *blocks) unit(nVecs, kLen, outLanes int, gw bool) []pim.Command {
+	if nVecs != b.vecs || kLen != b.kLen {
+		b.body(nVecs, kLen, outLanes)
+	} else if outLanes != b.outLanes {
+		rr := resBursts(outLanes, b.burstBytes)
+		for i := b.end - nVecs; i < b.end; i++ {
+			b.buf[i].Bursts = rr
 		}
-		done += cols
+		b.outLanes = outLanes
 	}
-	// Drain results: one READRES per vector. Partial K-chunks
-	// (GranComp splits) also drain so the GPU can merge partial
-	// sums — the merge cost is the extra READRES traffic.
-	resBursts := ceilDiv(u.outLanes*4, cfg.BurstBytes)
-	if resBursts < 1 {
-		resBursts = 1
+	if !gw {
+		return b.buf[b.segs:b.end]
 	}
-	for v := 0; v < u.nVecs; v++ {
-		sink.Emit(pim.Command{Kind: pim.KindReadRes, Bursts: resBursts})
+	if nVecs != b.gwVecs || kLen != b.gwKLen {
+		b.gwrite(nVecs, kLen)
 	}
+	return b.buf[b.gw:b.end]
+}
+
+// body builds the G_ACT/COMP rows over the K-chunk and the READRES
+// drains: one per vector, also after a partial K-chunk (GranComp splits),
+// so the GPU can merge partial sums — the merge cost is the extra
+// READRES traffic.
+func (b *blocks) body(nVecs, kLen, outLanes int) {
+	i := b.segs
+	colIOs := ceilDiv(kLen, b.elemsPerColIO)
+	for done := 0; done < colIOs; done += b.perRow {
+		b.buf[i] = pim.Command{Kind: pim.KindGAct, NewRow: true}
+		i++
+		cols := min(b.perRow, colIOs-done)
+		for v := 0; v < nVecs; v++ {
+			b.buf[i] = pim.Command{Kind: pim.KindComp, Cols: cols}
+			i++
+		}
+	}
+	rr := resBursts(outLanes, b.burstBytes)
+	for v := 0; v < nVecs; v++ {
+		b.buf[i] = pim.Command{Kind: pim.KindReadRes, Bursts: rr}
+		i++
+	}
+	b.end, b.vecs, b.kLen, b.outLanes = i, nVecs, kLen, outLanes
+}
+
+// gwrite builds the GWRITE command(s) that load the vectors' K-chunk
+// into the channel's global buffers. Without strided GWRITE each
+// contiguous segment needs its own command, and each segment's transfer
+// rounds up to whole bursts.
+func (b *blocks) gwrite(nVecs, kLen int) {
+	segLen := ceilDiv(kLen, b.segs)
+	b.gw = b.segs - ceilDiv(kLen, segLen)
+	for i, rest := b.gw, kLen; rest > 0; i++ {
+		l := min(segLen, rest)
+		b.buf[i] = pim.Command{Kind: b.kind, Bursts: nVecs * ceilDiv(l*2, b.burstBytes)}
+		rest -= l
+	}
+	b.gwVecs, b.gwKLen = nVecs, kLen
+}
+
+// emitRow emits the units of row (vg, ks) at output groups ogLo,
+// ogLo+step, ... below ogHi, one Emit each; the first loads the chunk.
+func (b *blocks) emitRow(sink pim.Sink, p *plan, vg, ks, ogLo, ogHi, step int) {
+	nv, kl := p.rowShape(vg, ks)
+	for og := ogLo; og < ogHi; og += step {
+		sink.Emit(b.unit(nv, kl, p.outLanes(og), og == ogLo))
+	}
+}
+
+// resBursts is the READRES burst count that drains outLanes results.
+func resBursts(outLanes, burstBytes int) int {
+	return max(ceilDiv(outLanes*4, burstBytes), 1)
 }
 
 // Generate builds the per-channel command trace for the workload — the
@@ -371,52 +473,23 @@ func scheduleUnits(w Workload, cfg pim.Config, opts Opts) ([][]unit, error) {
 	return assign, nil
 }
 
-// emitGWrite emits the GWRITE command(s) that load one vector group's
-// K-chunk into the channel's global buffers.
-func emitGWrite(sink pim.Sink, w Workload, cfg pim.Config, opts Opts, u unit) {
-	kind := pim.KindGWrite
-	switch cfg.GlobalBufs {
-	case 2:
-		kind = pim.KindGWrite2
-	case 4:
-		kind = pim.KindGWrite4
-	}
-	segments := w.Segments
-	if opts.StridedGWrite || segments < 1 {
-		segments = 1
-		if w.Segments > 1 {
-			kind = pim.KindGWriteStrided
-		}
-	}
-	if segments == 1 {
-		bursts := u.nVecs * ceilDiv(u.kLen*2, cfg.BurstBytes)
-		sink.Emit(pim.Command{Kind: kind, Bursts: bursts})
-		return
-	}
-	// Without strided GWRITE each contiguous segment needs its own
-	// command, and each segment's transfer rounds up to whole bursts.
-	segLen := ceilDiv(u.kLen, segments)
-	remaining := u.kLen
-	for s := 0; s < segments && remaining > 0; s++ {
-		l := segLen
-		if l > remaining {
-			l = remaining
-		}
-		bursts := u.nVecs * ceilDiv(l*2, cfg.BurstBytes)
-		sink.Emit(pim.Command{Kind: kind, Bursts: bursts})
-		remaining -= l
-	}
-}
+// blockStack is the block buffer TimeWorkload keeps on its stack, in
+// commands. A plan of the built-in PIM geometries needs at most
+// Segments + 24, so a timing probe allocates no buffer; a larger plan
+// takes one from the heap.
+const blockStack = 64
 
-// TimeWorkload times the workload on the PIM configuration by streaming
-// its command sequence straight through the timing engine — generation
-// fused with simulation, no trace materialized — and fast-forwarding the
-// periodic steady state of each channel's stream (see ffsim.go), so cost
-// scales with the schedule's distinct command blocks, not its size. This
+// TimeWorkload times the workload on the PIM configuration by feeding
+// the unit blocks Stream emits straight through the timing engine —
+// generation fused with simulation, no trace materialized — and
+// fast-forwarding the periodic steady state of each channel's stream
+// (see ffsim.go), so cost scales with the schedule's distinct command
+// blocks, not its size. This
 // is the back-end's layer-time primitive used by the execution-mode
-// search; it returns exactly the Stats that Generate + Simulate would. A
-// grouped workload (Groups > 1) simulates one group's GEMM and scales
-// the result: the groups are identical traces executed back to back.
+// search; it returns exactly the Stats that Generate + Simulate would,
+// and its only allocations are the returned Stats' slices. A grouped
+// workload (Groups > 1) simulates one group's GEMM and scales the
+// result: the groups are identical traces executed back to back.
 func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	groups := w.GroupCount()
 	w.Groups = 0
@@ -438,15 +511,19 @@ func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 		PerChannelBusy:   make([]int64, 0, nCh),
 		PerChannelCounts: make([]pim.Counts, 0, nCh),
 	}
-	var busySum float64
-	var f ffFeeder
+	var (
+		busySum float64
+		stack   [blockStack]pim.Command
+		f       ffFeeder
+	)
+	b := newBlocks(&p, stack[:0])
+	cw := channelWalker{p: &p, f: &f, b: &b}
 	for ch := 0; ch < cfg.Channels; ch++ {
 		if p.channelUnits(ch) == 0 {
 			continue
 		}
 		f.cs.Reset(cfg, ch)
 		f.err = nil
-		cw := newChannelWalker(&p, &f)
 		cw.walk(ch)
 		if f.err != nil {
 			return pim.Stats{}, f.err

@@ -26,22 +26,22 @@ import (
 // the walker simply feeds everything; correctness never depends on the
 // detection firing.
 
-// ffFeeder drives one pim.ChannelSim as a pim.Sink, latching the first
-// Feed error (matching the Sink error conventions).
+// ffFeeder drives one pim.ChannelSim with unit blocks, latching the
+// first Feed error (matching the Sink error conventions).
 type ffFeeder struct {
 	cs  pim.ChannelSim
 	err error
 }
 
-func (f *ffFeeder) BeginChannel(int) {}
-
-// Emit feeds one command through the channel stepper.
-func (f *ffFeeder) Emit(cmd pim.Command) {
+// Emit feeds a block of commands through the channel stepper.
+func (f *ffFeeder) Emit(cmds []pim.Command) {
 	if f.err != nil {
 		return
 	}
-	if _, _, err := f.cs.Feed(cmd); err != nil {
-		f.err = err
+	for _, cmd := range cmds {
+		if _, _, f.err = f.cs.Feed(cmd); f.err != nil {
+			return
+		}
 	}
 }
 
@@ -72,77 +72,54 @@ func (f *ffFeeder) feedRun(count int, gen func()) (skipped int) {
 	return 0
 }
 
-// channelWalker feeds one channel's unit schedule through an ffFeeder,
-// emitting exactly streamChannel's command sequence while compressing
-// its two periodic structures.
-type channelWalker struct {
-	p *plan
-	f *ffFeeder
-	// GWRITE-reuse state, mirroring streamChannel's.
-	lastVG int
-	lastKS int
-}
-
-func newChannelWalker(p *plan, f *ffFeeder) channelWalker {
-	return channelWalker{p: p, f: f, lastVG: -1, lastKS: -1}
-}
-
-// feedUnit feeds the unit at (vg, ks, og) with streamChannel's GWRITE
-// reuse rule.
-func (cw *channelWalker) feedUnit(vg, ks, og int) {
-	u := cw.p.makeUnit(vg, ks, og)
-	gw := u.vecGroup != cw.lastVG || u.kStart != cw.lastKS
-	if gw {
-		cw.lastVG, cw.lastKS = u.vecGroup, u.kStart
-	}
-	emitUnit(cw.f, cw.p, u, gw)
-}
-
-// feedUnitRun feeds count repetitions of the identical unit (vg, ks, og)
-// — feedRun specialized to the row-interior case, avoiding a per-row
-// closure allocation on the probe hot path. Interior units emit no
+// feedInterior feeds count repetitions of one row-interior unit block —
+// feedRun specialized to it, without a closure. Interior units emit no
 // GWRITE (the buffered vectors are reused), so the GWRITE-free
 // steady-state test applies — the plain uniform-shift test can never
 // fire here, because the bus-in and buffer-ready times stay frozen.
-func (cw *channelWalker) feedUnitRun(count, vg, ks, og int) {
-	f := cw.f
+func (f *ffFeeder) feedInterior(count int, cmds []pim.Command) {
 	var prev pim.Phase
-	have := false
-	for r := 0; r < count; r++ {
-		if f.err != nil {
-			return
-		}
-		cw.feedUnit(vg, ks, og)
+	for r := 0; r < count && f.err == nil; r++ {
+		f.Emit(cmds)
 		cur := f.cs.Phase()
-		if have {
+		if r > 0 {
 			if _, ok := pim.ShiftOfInterior(prev, cur); ok {
 				f.cs.AdvanceInterior(int64(count-r-1), prev, cur)
 				return
 			}
 		}
-		prev, have = cur, true
+		prev = cur
 	}
 }
 
-// feedRow feeds output groups [ogLo, ogHi) of one (vg, ks), compressing
-// the interior run: after the first unit, every unit except a partial
-// final output group emits an identical subsequence.
-func (cw *channelWalker) feedRow(vg, ks, ogLo, ogHi int) {
-	if ogLo >= ogHi {
-		return
-	}
-	p := cw.p
-	cw.feedUnit(vg, ks, ogLo)
-	partial := ogHi == p.nOutGroups && p.w.N%p.cfg.LanesPerChannel() != 0
-	mid := ogHi - ogLo - 1
+// channelWalker feeds one channel's unit schedule through an ffFeeder,
+// row by row as Stream emits it, while compressing its two periodic
+// structures.
+type channelWalker struct {
+	p *plan
+	f *ffFeeder
+	b *blocks
+}
+
+// feedRow feeds the units of row (vg, ks) at output groups ogLo,
+// ogLo+step, ... below ogHi: the first with the chunk's GWRITE, then the
+// interior run of identical full-lane units compressed, then a partial
+// last output group.
+func (cw *channelWalker) feedRow(vg, ks, ogLo, ogHi, step int) {
+	p, b, f := cw.p, cw.b, cw.f
+	nv, kl := p.rowShape(vg, ks)
+	f.Emit(b.unit(nv, kl, p.outLanes(ogLo), true))
+	mid := (ogHi-ogLo+step-1)/step - 1
+	last := ogLo + mid*step
+	partial := mid > 0 && p.outLanes(last) < p.lanes
 	if partial {
 		mid--
 	}
 	if mid > 0 {
-		cw.feedUnitRun(mid, vg, ks, ogLo+1)
+		f.feedInterior(mid, b.unit(nv, kl, p.lanes, false))
 	}
-	if partial && ogHi-1 > ogLo {
-		cw.feedUnit(vg, ks, ogHi-1)
+	if partial {
+		f.Emit(b.unit(nv, kl, p.outLanes(last), false))
 	}
 }
 
@@ -151,16 +128,10 @@ func (cw *channelWalker) feedRow(vg, ks, ogLo, ogHi int) {
 func (cw *channelWalker) feedSpan(iLo, iHi int) {
 	p := cw.p
 	for i := iLo; i < iHi && cw.f.err == nil; {
-		og := i % p.nOutGroups
-		rest := i / p.nOutGroups
-		ks := rest % p.nKChunks
-		vg := rest / p.nKChunks
-		rowEnd := i - og + p.nOutGroups
-		if rowEnd > iHi {
-			rowEnd = iHi
-		}
-		cw.feedRow(vg, ks, og, og+(rowEnd-i))
-		i = rowEnd
+		og, row := i%p.nOutGroups, i/p.nOutGroups
+		n := min(p.nOutGroups-og, iHi-i)
+		cw.feedRow(row/p.nKChunks, row%p.nKChunks, og, og+n, 1)
+		i += n
 	}
 }
 
@@ -170,10 +141,7 @@ func (cw *channelWalker) feedSpan(iLo, iHi int) {
 func (cw *channelWalker) walkContig(ch int) {
 	p := cw.p
 	lo := ch * p.per
-	hi := lo + p.per
-	if hi > p.nUnits {
-		hi = p.nUnits
-	}
+	hi := min(lo+p.per, p.nUnits)
 	if lo >= hi {
 		return
 	}
@@ -184,15 +152,8 @@ func (cw *channelWalker) walkContig(ch int) {
 	if p.w.M%p.cfg.GlobalBufs != 0 {
 		fullEnd = (p.nVecGroups - 1) * B
 	}
-	blockEnd := hi
-	if blockEnd > fullEnd {
-		blockEnd = fullEnd
-	}
 	bLo := (lo + B - 1) / B * B
-	nBlocks := 0
-	if blockEnd > bLo {
-		nBlocks = (blockEnd - bLo) / B
-	}
+	nBlocks := max(min(hi, fullEnd)-bLo, 0) / B
 	if nBlocks < 2 {
 		// Too few whole blocks for block-level detection; row-level
 		// compression still applies.
@@ -205,14 +166,7 @@ func (cw *channelWalker) walkContig(ch int) {
 		cw.feedSpan(i, i+B)
 		i += B
 	})
-	if skipped > 0 {
-		i += skipped * B
-		// The skipped region ends with the last unit of vector group
-		// i/B-1; resync the GWRITE-reuse state to it.
-		cw.lastVG = i/B - 1
-		cw.lastKS = (p.nKChunks - 1) * p.kChunkLen
-	}
-	cw.feedSpan(i, hi)
+	cw.feedSpan(i+skipped*B, hi)
 }
 
 // walkGAct feeds channel ch of a GranGAct schedule (output groups
@@ -223,26 +177,9 @@ func (cw *channelWalker) walkGAct(ch int) {
 	if ch >= p.nOutGroups {
 		return
 	}
-	c := p.cfg.Channels
-	count := (p.nOutGroups - ch + c - 1) / c
-	last := ch + (count-1)*c
-	partial := last == p.nOutGroups-1 && p.w.N%p.cfg.LanesPerChannel() != 0
 	feedBlock := func(vg int) {
 		for ks := 0; ks < p.nKChunks; ks++ {
-			cw.feedUnit(vg, ks, ch)
-			if count < 2 {
-				continue
-			}
-			mid := count - 1
-			if partial {
-				mid--
-			}
-			if mid > 0 {
-				cw.feedUnitRun(mid, vg, ks, ch+c)
-			}
-			if partial {
-				cw.feedUnit(vg, ks, last)
-			}
+			cw.feedRow(vg, ks, ch, p.nOutGroups, p.cfg.Channels)
 		}
 	}
 	nFull := p.nVecGroups
@@ -252,11 +189,7 @@ func (cw *channelWalker) walkGAct(ch int) {
 	vg := 0
 	if nFull >= 2 {
 		skipped := cw.f.feedRun(nFull, func() { feedBlock(vg); vg++ })
-		if skipped > 0 {
-			vg += skipped
-			cw.lastVG = vg - 1
-			cw.lastKS = (p.nKChunks - 1) * p.kChunkLen
-		}
+		vg += skipped
 	}
 	for ; vg < p.nVecGroups; vg++ {
 		feedBlock(vg)

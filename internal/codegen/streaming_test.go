@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pimflow/internal/codegen"
@@ -181,6 +182,165 @@ func TestStreamMaterializesIdenticalTrace(t *testing.T) {
 						t.Fatalf("generated trace fails lint: %v", verify.AsError(dGen))
 					}
 				})
+			}
+		}
+	}
+}
+
+// refChecker is a pim.Sink that checks a stream against the per-command
+// reference emitters channel by channel: each block must start where the
+// reference starts a unit and hold that unit's commands.
+type refChecker struct {
+	ref      *codegen.ReferenceEmitter
+	channels []int
+	cmds     []pim.Command // the open channel's reference commands
+	starts   []int         // where its units start in cmds
+	at, unit int           // commands and blocks checked in the open channel
+	err      error
+}
+
+func (c *refChecker) BeginChannel(ch int) {
+	c.endChannel()
+	c.channels = append(c.channels, ch)
+	c.cmds, c.starts = c.ref.Channel(ch, c.cmds[:0], c.starts[:0])
+	c.at, c.unit = 0, 0
+}
+
+func (c *refChecker) Emit(cmds []pim.Command) {
+	switch {
+	case c.err != nil:
+	case c.unit >= len(c.starts) || c.starts[c.unit] != c.at:
+		c.err = fmt.Errorf("channel %d: block %d starts at command %d, off a unit start", c.channels[len(c.channels)-1], c.unit, c.at)
+	case c.unit+1 < len(c.starts) && c.at+len(cmds) != c.starts[c.unit+1],
+		c.unit+1 == len(c.starts) && c.at+len(cmds) != len(c.cmds):
+		c.err = fmt.Errorf("channel %d: block %d holds %d commands, its unit another count", c.channels[len(c.channels)-1], c.unit, len(cmds))
+	case !slices.Equal(cmds, c.cmds[c.at:c.at+len(cmds)]):
+		c.err = fmt.Errorf("channel %d: block %d differs from its unit's commands", c.channels[len(c.channels)-1], c.unit)
+	}
+	c.at += len(cmds)
+	c.unit++
+}
+
+// endChannel requires the open channel to have received every unit.
+func (c *refChecker) endChannel() {
+	if c.err == nil && len(c.channels) > 0 && c.unit != len(c.starts) {
+		c.err = fmt.Errorf("channel %d: %d blocks, %d units", c.channels[len(c.channels)-1], c.unit, len(c.starts))
+	}
+}
+
+// paperWorkloads returns the distinct workloads of every PIM-candidate
+// layer of the five paper models.
+func paperWorkloads(t *testing.T) []codegen.Workload {
+	t.Helper()
+	var ws []codegen.Workload
+	seen := map[codegen.Workload]bool{}
+	for _, name := range models.EvaluatedCNNs() {
+		g, err := models.Build(name, models.Options{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range g.Nodes {
+			if !g.IsPIMCandidate(n) {
+				continue
+			}
+			w, err := codegen.NodeWorkload(g, n)
+			if err != nil {
+				t.Fatalf("%s: %v", n.Name, err)
+			}
+			w.Groups = 0
+			if !seen[w] {
+				seen[w] = true
+				ws = append(ws, w)
+			}
+		}
+	}
+	return ws
+}
+
+// TestStreamMatchesReferenceEmitters holds Stream's unit blocks to the
+// per-command emitters they replaced: the same channels, one Emit per
+// unit, and each block the commands the reference emits for that unit.
+// It covers the sweep and the paper models' workloads under both
+// configurations and every granularity and GWRITE option.
+func TestStreamMatchesReferenceEmitters(t *testing.T) {
+	workloads := append(paperWorkloads(t), sweepWorkloads...)
+	// Chunks shorter than the segment count, whose GWRITE part fills
+	// fewer slots than a plan reserves: a ragged last K-chunk of one
+	// element (GranComp splits K at 512) and a whole K of two.
+	workloads = append(workloads,
+		codegen.Workload{M: 2, K: 1025, N: 4, Segments: 3},
+		codegen.Workload{M: 5, K: 2, N: 20, Segments: 3})
+	for cfgName, cfg := range sweepConfigs {
+		for optName, o := range sweepOpts {
+			for _, w := range workloads {
+				ref, err := codegen.NewReferenceEmitter(w, cfg, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := refChecker{ref: ref}
+				if err := codegen.Stream(w, cfg, o, &c); err != nil {
+					t.Fatal(err)
+				}
+				c.endChannel()
+				if c.err == nil && !slices.Equal(c.channels, ref.Channels()) {
+					c.err = fmt.Errorf("stream opens channels %v, reference %v", c.channels, ref.Channels())
+				}
+				if c.err != nil {
+					t.Fatalf("%s/%s/%+v: %v", cfgName, optName, w, c.err)
+				}
+			}
+		}
+	}
+}
+
+// TestTimeWorkloadAllocs pins the timing path's allocations: the three
+// slices of the returned Stats, and three more for a grouped workload's
+// scaled copy. The block buffer lives on TimeWorkload's stack and the
+// plan and feeder do not escape, so a probe allocates nothing per call
+// beyond its result.
+func TestTimeWorkloadAllocs(t *testing.T) {
+	for cfgName, cfg := range sweepConfigs {
+		for optName, o := range sweepOpts {
+			for _, tc := range []struct {
+				w    codegen.Workload
+				want float64
+			}{
+				{codegen.Workload{M: 784, K: 1152, N: 128, Segments: 3}, 3},
+				{codegen.Workload{M: 49, K: 72, N: 24, Segments: 3, Groups: 4}, 6},
+			} {
+				allocs := testing.AllocsPerRun(20, func() {
+					if _, err := codegen.TimeWorkload(tc.w, cfg, o); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != tc.want {
+					t.Errorf("%s/%s/%+v: %.0f allocations per call, want %.0f", cfgName, optName, tc.w, allocs, tc.want)
+				}
+			}
+		}
+	}
+}
+
+// countSink counts the commands it is handed.
+type countSink struct{ n int }
+
+func (s *countSink) BeginChannel(int)        {}
+func (s *countSink) Emit(cmds []pim.Command) { s.n += len(cmds) }
+
+// TestStreamAllocsOneBuffer pins Stream's allocations to its block
+// buffer: the plan stays on its stack, however many commands it emits.
+func TestStreamAllocsOneBuffer(t *testing.T) {
+	cfg := pim.DefaultConfig()
+	for _, w := range sweepWorkloads {
+		for optName, o := range sweepOpts {
+			var sink countSink
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := codegen.Stream(w, cfg, o, &sink); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Errorf("%s/%+v: %.0f allocations per Stream, want 1", optName, w, allocs)
 			}
 		}
 	}

@@ -57,6 +57,10 @@ var (
 	ErrUnknownModel    = errors.New("fleet: model not deployed")
 	ErrUnknownGraph    = errors.New("fleet: graph not registered")
 	ErrAlreadyDeployed = errors.New("fleet: model already deployed")
+	// ErrNameTaken rejects a graph or model named like a registered
+	// graph or a deployed model: models and graphs share one namespace,
+	// because a request names either.
+	ErrNameTaken       = errors.New("fleet: name already taken")
 	ErrNoCapacity      = errors.New("fleet: no machine can hold the model")
 	ErrNoSwitchMatch   = errors.New("fleet: no switch step matches the request condition")
 	ErrTooManyReplicas = errors.New("fleet: replica count exceeds the machine count (replicas sit on distinct machines)")

@@ -24,10 +24,10 @@ func (f *Fleet) RegisterGraph(g Graph) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.graphs[g.Name]; ok {
-		return fmt.Errorf("fleet: graph %q already registered", g.Name)
+		return fmt.Errorf("%w: graph %q already registered", ErrNameTaken, g.Name)
 	}
 	if _, ok := f.deployments[g.Name]; ok {
-		return fmt.Errorf("fleet: graph %q collides with a deployed model", g.Name)
+		return fmt.Errorf("%w: graph %q collides with a deployed model", ErrNameTaken, g.Name)
 	}
 	for _, n := range g.Nodes {
 		for _, s := range n.Steps {

@@ -95,7 +95,7 @@ func statusOf(err error) int {
 	case errors.Is(err, ErrUnknownModel), errors.Is(err, ErrUnknownGraph),
 		errors.Is(err, serve.ErrNotLoaded):
 		return http.StatusNotFound
-	case errors.Is(err, ErrAlreadyDeployed), errors.Is(err, serve.ErrAlreadyLoaded):
+	case errors.Is(err, ErrAlreadyDeployed), errors.Is(err, ErrNameTaken), errors.Is(err, serve.ErrAlreadyLoaded):
 		return http.StatusConflict
 	case errors.Is(err, ErrNoCapacity):
 		return http.StatusInsufficientStorage
@@ -300,11 +300,11 @@ func (f *Fleet) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	g.Name = r.PathValue("name")
 	if err := f.RegisterGraph(g); err != nil {
-		if errors.Is(err, ErrUnknownModel) {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: err.Error()})
-			return
+		code := http.StatusBadRequest // a graph that fails verification
+		if errors.Is(err, ErrUnknownModel) || errors.Is(err, ErrNameTaken) {
+			code = statusOf(err)
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusCreated, g)

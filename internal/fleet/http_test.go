@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"pimflow/internal/fleet"
+	"pimflow/internal/serve"
 )
 
 // doJSON issues one request with a JSON body and decodes the JSON reply
@@ -166,5 +169,50 @@ func TestHTTPLazyDeploy(t *testing.T) {
 	}
 	if n := f.Metrics().Counter("fleet.on_demand_loads"); n < 1 {
 		t.Fatalf("on_demand_loads = %d, want >= 1", n)
+	}
+}
+
+// TestNamesShareOneNamespace: a request names a model or a graph, so a
+// name registered as one is taken for the other, and every clash answers
+// 409 Conflict like a redeployed model.
+func TestNamesShareOneNamespace(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	h := f.Handler()
+	post := func(path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	model := `{"model":"toy","totalChannels":16,"pimChannels":8,"lazy":true}`
+	graph := `{"root":"r","nodes":[{"name":"r","type":"sequence","steps":[{"model":"toy"}]}]}`
+	for _, step := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/models/toy", model, http.StatusCreated},
+		{"/v1/graphs/g", graph, http.StatusCreated},
+		{"/v1/graphs/g", graph, http.StatusConflict},   // the graph again
+		{"/v1/graphs/toy", graph, http.StatusConflict}, // a graph named like the model
+		{"/v1/models/g", model, http.StatusConflict},   // a model named like the graph
+		{"/v1/models/toy", model, http.StatusConflict}, // the model again
+	} {
+		if code := post(step.path, step.body); code != step.want {
+			t.Errorf("POST %s: %d, want %d", step.path, code, step.want)
+		}
+	}
+	spec := serve.ModelSpec{Name: "g", Model: "toy", TotalChannels: 16, PIMChannels: 8}
+	if err := f.Deploy(spec, 1); !errors.Is(err, fleet.ErrNameTaken) {
+		t.Errorf("Deploy of a model named like a graph: %v, want ErrNameTaken", err)
+	}
+	if err := f.RegisterGraph(fleet.Graph{Name: "toy", Root: "r", Nodes: []fleet.GraphNode{{Name: "r", Type: "sequence",
+		Steps: []fleet.GraphStep{{Model: "toy"}}}}}); !errors.Is(err, fleet.ErrNameTaken) {
+		t.Errorf("RegisterGraph named like a model: %v, want ErrNameTaken", err)
+	}
+	if ds := f.Deployments(); len(ds) != 1 || ds[0].Name != "toy" {
+		t.Errorf("deployments %+v, want only toy", ds)
 	}
 }

@@ -55,6 +55,9 @@ func (f *Fleet) Register(spec serve.ModelSpec, replicas int) error {
 	if _, ok := f.deployments[spec.Name]; ok {
 		return fmt.Errorf("%w: %q", ErrAlreadyDeployed, spec.Name)
 	}
+	if _, ok := f.graphs[spec.Name]; ok {
+		return fmt.Errorf("%w: model %q collides with a registered graph", ErrNameTaken, spec.Name)
+	}
 	f.deployments[spec.Name] = &deployment{spec: spec, want: replicas}
 	f.cfg.Metrics.Set("fleet.models_registered", float64(len(f.deployments)))
 	return nil

@@ -142,13 +142,6 @@ func (c Config) BufElems() int { return c.GlobalBufBytes / 2 }
 // channel: one output per bank.
 func (c Config) LanesPerChannel() int { return c.BanksPerChannel }
 
-// WeightsPerRowActivation returns the number of fp16 weight elements one
-// G_ACT exposes per channel: every bank opens one row of
-// ColumnIOsPerRow × (ColumnIOBytes/2) elements.
-func (c Config) WeightsPerRowActivation() int {
-	return c.BanksPerChannel * c.ColumnIOsPerRow * (c.ColumnIOBytes / 2)
-}
-
 // CyclesToSeconds converts a cycle count to seconds.
 func (c Config) CyclesToSeconds(cycles int64) float64 {
 	return float64(cycles) / (c.ClockGHz * 1e9)

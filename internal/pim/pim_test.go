@@ -29,6 +29,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// WeightsPerRowActivation returns the number of fp16 weight elements one
+// G_ACT exposes per channel: every bank opens one row of
+// ColumnIOsPerRow × (ColumnIOBytes/2) elements.
+func (c Config) WeightsPerRowActivation() int {
+	return c.BanksPerChannel * c.ColumnIOsPerRow * (c.ColumnIOBytes / 2)
+}
+
 func TestConfigDerived(t *testing.T) {
 	c := DefaultConfig()
 	if c.BufElems() != 2048 {

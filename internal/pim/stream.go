@@ -1,15 +1,18 @@
 package pim
 
 // Sink consumes a PIM command stream as it is generated, one channel at a
-// time: BeginChannel opens channel ch's stream, Emit appends to it. The
-// producer (codegen.Stream) emits channels in ascending order and never
-// interleaves them, so implementations need no buffering. Sinks latch
-// errors internally (an Emit after a failure is a no-op) and report them
-// from their terminal call, keeping the per-command hot path free of
-// error-return plumbing.
+// time: BeginChannel opens channel ch's stream, and each Emit appends a
+// block of consecutive commands to it. The producer (codegen.Stream)
+// emits channels in ascending order and never interleaves them, so
+// implementations need no buffering. The producer reuses the array
+// behind cmds for its next block, so a sink must neither keep nor modify
+// cmds after Emit returns; one that needs the commands later copies
+// them. Sinks latch errors internally (an Emit after a failure is a
+// no-op) and report them from their terminal call, keeping the hot path
+// free of error-return plumbing.
 type Sink interface {
 	BeginChannel(ch int)
-	Emit(cmd Command)
+	Emit(cmds []Command)
 }
 
 // TraceSink materializes the stream into a Trace — the adapter used
@@ -24,8 +27,8 @@ func (s *TraceSink) BeginChannel(ch int) {
 	s.Trace.Channels = append(s.Trace.Channels, ChannelTrace{Channel: ch})
 }
 
-// Emit appends one command to the channel opened last.
-func (s *TraceSink) Emit(cmd Command) {
+// Emit appends a copy of the block to the channel opened last.
+func (s *TraceSink) Emit(cmds []Command) {
 	ct := &s.Trace.Channels[len(s.Trace.Channels)-1]
-	ct.Commands = append(ct.Commands, cmd)
+	ct.Commands = append(ct.Commands, cmds...)
 }

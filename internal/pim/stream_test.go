@@ -67,17 +67,19 @@ func (s *StreamSim) BeginChannel(ch int) {
 	s.open = true
 }
 
-// Emit feeds one command through the current channel's stepper.
-func (s *StreamSim) Emit(cmd Command) {
-	if s.err != nil {
-		return
-	}
-	if !s.open {
-		s.err = fmt.Errorf("pim: Emit before BeginChannel")
-		return
-	}
-	if _, _, err := s.cs.Feed(cmd); err != nil {
-		s.err = err
+// Emit feeds a block of commands through the current channel's stepper.
+func (s *StreamSim) Emit(cmds []Command) {
+	for _, cmd := range cmds {
+		if s.err != nil {
+			return
+		}
+		if !s.open {
+			s.err = fmt.Errorf("pim: Emit before BeginChannel")
+			return
+		}
+		if _, _, err := s.cs.Feed(cmd); err != nil {
+			s.err = err
+		}
 	}
 }
 
@@ -158,12 +160,13 @@ func randomTrace(seed []byte) *Trace {
 	return tr
 }
 
-// feedTrace drives a StreamSim with a materialized trace.
+// feedTrace drives a StreamSim with a materialized trace, each channel
+// cut into blocks of one, two and three commands in turn.
 func feedTrace(s *StreamSim, tr *Trace) {
 	for _, ct := range tr.Channels {
 		s.BeginChannel(ct.Channel)
-		for _, cmd := range ct.Commands {
-			s.Emit(cmd)
+		for i, n := 0, 1; i < len(ct.Commands); i, n = i+n, n%3+1 {
+			s.Emit(ct.Commands[i:min(i+n, len(ct.Commands))])
 		}
 	}
 }
@@ -216,7 +219,7 @@ func TestStreamSimResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Poison: emit without a channel, latching an error.
-	sim.Emit(Command{Kind: KindComp, Cols: 1})
+	sim.Emit([]Command{{Kind: KindComp, Cols: 1}})
 	if _, err := sim.Finish(); err == nil {
 		t.Fatal("Emit before BeginChannel accepted")
 	}
@@ -258,8 +261,7 @@ func TestStreamSimErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.BeginChannel(0)
-	sim.Emit(Command{Kind: KindComp, Cols: 0})
-	sim.Emit(Command{Kind: KindComp, Cols: 5}) // ignored after the latch
+	sim.Emit([]Command{{Kind: KindComp, Cols: 0}, {Kind: KindComp, Cols: 5}}) // the second is ignored after the latch
 	if _, err := sim.Finish(); err == nil {
 		t.Error("invalid COMP accepted")
 	}
@@ -270,20 +272,26 @@ func TestStreamSimErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.BeginChannel(0)
-	sim.Emit(Command{Kind: KindComp, Cols: 1})
+	sim.Emit([]Command{{Kind: KindComp, Cols: 1}})
 	sim.BeginChannel(1)
 	if _, err := sim.Finish(); err == nil {
 		t.Error("channel overflow accepted")
 	}
 }
 
+// TraceSink appends every block to the open channel and keeps a copy, so
+// a producer may overwrite its block once Emit returns.
 func TestTraceSinkMaterializes(t *testing.T) {
 	var ts TraceSink
+	block := []Command{{Kind: KindGWrite, Bursts: 2}}
 	ts.BeginChannel(3)
-	ts.Emit(Command{Kind: KindGWrite, Bursts: 2})
+	ts.Emit(block)
+	block[0] = Command{Kind: KindGAct, NewRow: true}
 	ts.BeginChannel(5)
-	ts.Emit(Command{Kind: KindGAct, NewRow: true})
-	ts.Emit(Command{Kind: KindComp, Cols: 4})
+	ts.Emit(block)
+	block[0] = Command{Kind: KindComp, Cols: 4}
+	ts.Emit(block)
+	block[0] = Command{Kind: KindReadRes, Bursts: 9}
 	want := Trace{Channels: []ChannelTrace{
 		{Channel: 3, Commands: []Command{{Kind: KindGWrite, Bursts: 2}}},
 		{Channel: 5, Commands: []Command{

@@ -22,14 +22,16 @@ import (
 //     drained before the channel ends.
 //
 // Each violation carries the channel, command index, and command kind.
+// Each stored channel reaches the linter as one block.
+//
+// Only tests call Trace: verify's rule tests lint forged traces with it,
+// and codegen's streaming tests lint the traces Generate materializes.
 func Trace(tr *pim.Trace, cfg pim.Config) []Diagnostic {
 	l := newLinter(cfg)
 	if tr != nil {
 		for _, ct := range tr.Channels {
 			l.BeginChannel(ct.Channel)
-			for _, cmd := range ct.Commands {
-				l.Emit(cmd)
-			}
+			l.Emit(ct.Commands)
 		}
 	}
 	return l.finish()
@@ -79,13 +81,93 @@ func (l *linter) BeginChannel(ch int) {
 	l.next, l.bufFilled, l.rowOpen, l.compsSinceGW = 0, false, false, 0
 }
 
-// Emit advances the open channel's state machine by one command.
-func (l *linter) Emit(cmd pim.Command) {
+// Emit lints a block of the open channel's commands. lintClean walks the
+// block with the state machine in local variables until a command breaks
+// a rule; that command goes to lintOne, which reports it, and the walk
+// resumes after it from the state lintOne leaves.
+func (l *linter) Emit(cmds []pim.Command) {
+	for len(cmds) > 0 {
+		n := l.lintClean(cmds)
+		if n == len(cmds) {
+			return
+		}
+		l.lintOne(cmds[n])
+		cmds = cmds[n+1:]
+	}
+}
+
+// lintClean advances the open channel's state machine over the longest
+// prefix of cmds that breaks no rule and returns its length. The loop
+// calls nothing: each command costs one switch on its kind, the
+// comparisons of its rules and the updates lintOne would make, so the
+// state and the TR-COVER tallies end exactly as lintOne leaves them.
+func (l *linter) lintClean(cmds []pim.Command) int {
+	var (
+		maxCols            = l.cfg.ColumnIOsPerRow
+		bufFilled, rowOpen = l.bufFilled, l.rowOpen
+		sinceGW, undrained = l.compsSinceGW, l.undrainedComps
+		gwBursts, colIOs   int64
+		readRes, rrBursts  int64
+	)
+	n := 0
+walk:
+	for ; n < len(cmds); n++ {
+		c := &cmds[n]
+		switch c.Kind {
+		case pim.KindComp:
+			if !bufFilled || !rowOpen || c.Cols < 1 || c.Cols > maxCols {
+				break walk
+			}
+			sinceGW++
+			undrained++
+			colIOs += int64(c.Cols)
+		case pim.KindGAct:
+			rowOpen = true
+		case pim.KindReadRes:
+			if sinceGW == 0 || c.Bursts < 1 {
+				break walk
+			}
+			undrained = 0
+			readRes++
+			rrBursts += int64(c.Bursts)
+		case pim.KindGWrite, pim.KindGWrite2, pim.KindGWrite4, pim.KindGWriteStrided:
+			if c.Bursts < 1 || c.Bursts > l.bufCapBursts ||
+				c.Kind == pim.KindGWrite2 && l.cfg.GlobalBufs < 2 || c.Kind == pim.KindGWrite4 && l.cfg.GlobalBufs < 4 {
+				break walk
+			}
+			bufFilled = true
+			sinceGW = 0
+			gwBursts += int64(c.Bursts)
+		default:
+			break walk
+		}
+	}
+	if undrained > 0 {
+		// The newest COMP of the prefix, if any, is the newest undrained
+		// one: no READRES follows it.
+		for i := n - 1; i >= 0; i-- {
+			if cmds[i].Kind == pim.KindComp {
+				l.lastUndrained = l.next + i
+				break
+			}
+		}
+	}
+	l.next += n
+	l.bufFilled, l.rowOpen = bufFilled, rowOpen
+	l.compsSinceGW, l.undrainedComps = sinceGW, undrained
+	l.got.GWBursts += gwBursts
+	l.got.ColIOs += colIOs
+	l.got.ReadRes += readRes
+	l.got.RRBursts += rrBursts
+	return n
+}
+
+// lintOne advances the open channel's state machine by one command and
+// reports every rule it breaks.
+func (l *linter) lintOne(cmd pim.Command) {
 	i := l.next
 	l.next++
 	cfg := &l.cfg
-	// One switch on the kind, every GWRITE variant listed, as in
-	// pim.ChannelSim.Feed: this runs once per generated command.
 	switch cmd.Kind {
 	case pim.KindGWrite, pim.KindGWrite2, pim.KindGWrite4, pim.KindGWriteStrided:
 		if cmd.Kind == pim.KindGWrite2 && cfg.GlobalBufs < 2 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pimflow/internal/codegen"
+	"pimflow/internal/graph"
 	"pimflow/internal/models"
 	"pimflow/internal/pim"
 	"pimflow/internal/search"
@@ -180,5 +181,55 @@ func TestWorkloadAllocsFlat(t *testing.T) {
 			t.Errorf("%+v: %.0f allocs at %d commands, %.0f at the smallest workload",
 				w, allocs, cmds, base)
 		}
+	}
+}
+
+// TestLinterConsumesEveryCommand sums the commands the linter consumes
+// while it checks the distinct workloads of each of the five compiled
+// CNNs, as Compiled does. Every command those workloads generate must
+// reach it: 1 001 286, the count the per-command emitters generated for
+// them.
+func TestLinterConsumesEveryCommand(t *testing.T) {
+	opts := search.DefaultOptions(search.PolicyPIMFlow)
+	rc := opts.RuntimeConfig()
+	workloads, linted, generated := 0, 0, 0
+	for _, name := range models.EvaluatedCNNs() {
+		seen := map[codegen.Workload]bool{}
+		g, err := models.Build(name, models.Options{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := search.Compile(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range out.Nodes {
+			if n.Exec.Device != graph.DevicePIM {
+				continue
+			}
+			w, err := codegen.NodeWorkload(out, n)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, n.Name, err)
+			}
+			if seen[w] {
+				continue
+			}
+			seen[w] = true
+			workloads++
+			cmds, diags, err := verify.LintedCommands(w, rc.PIM, rc.Codegen)
+			if err != nil || len(diags) != 0 {
+				t.Fatalf("%s/%s: %v %v", name, n.Name, err, diags)
+			}
+			tr, err := codegen.Generate(w, rc.PIM, rc.Codegen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			linted += cmds
+			generated += tr.TotalCommands()
+		}
+	}
+	t.Logf("%d workloads, %d commands linted", workloads, linted)
+	if linted != generated || generated != 1_001_286 {
+		t.Fatalf("linter consumed %d commands, the workloads generate %d, want 1001286", linted, generated)
 	}
 }
