@@ -29,13 +29,16 @@ verify-models:
 	$(GO) run ./cmd/pimflow -m=verify -n=all
 
 # Short local fuzz passes over the graph JSON loader, the -load grammar,
-# the fleet's graph-registration endpoint and the block TR-* linter (the
-# CI gate runs the seed corpora via go test; this explores further).
+# the server's load and infer bodies, the fleet's graph-registration
+# endpoint and the block TR-* linter (the CI gate runs the seed corpora
+# via go test; this explores further).
 FUZZ_TIME ?= 20s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZ_TIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzParseLoads -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadBody -fuzztime $(FUZZ_TIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRegisterGraph -fuzztime $(FUZZ_TIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzLintBlocks -fuzztime $(FUZZ_TIME) ./internal/verify
 

@@ -20,8 +20,11 @@
 // ever being materialized, while Generate materializes a pim.Trace for
 // the consumers that genuinely need one (dump listings, event
 // recording). Timing probes (TimeWorkload) feed the same blocks straight
-// into a pim.ChannelSim per channel, fast-forwarding its periodic steady
-// state (ffsim.go).
+// into a pim.ChannelSim, fast-forwarding its periodic steady state
+// (ffsim.go), and walk one channel per channel class: channels whose
+// unit windows have the same shape emit the same stream, so they share
+// one walk's drain, busy cycles and counts. Stream shares nothing between
+// channels: the verify gate still checks every command.
 package codegen
 
 import (
@@ -279,6 +282,40 @@ func (p *plan) channelUnits(ch int) int {
 	return hi - lo
 }
 
+// classOf returns the first channel of channel ch's class, ch owning
+// units: channels whose unit windows have the same shape emit the same
+// stream, and so time identically (pim.ChannelSim reads the channel id
+// only to format errors).
+func (p *plan) classOf(ch int) int {
+	if p.per == 0 {
+		// GranGAct: the shape is how many output groups the channel owns
+		// and whether it owns the partial last one.
+		C := p.cfg.Channels
+		switch r := p.nOutGroups % C; {
+		case p.w.N%p.lanes != 0 && ch == (p.nOutGroups-1)%C:
+			return ch
+		case ch >= r:
+			return r
+		}
+		return 0
+	}
+	// A contiguous window [lo, hi): the shape is lo mod B (the units of
+	// one vector group), hi-lo, and the partial last vector group's start
+	// relative to lo. So only full windows below that group share classes,
+	// and their lo mod B repeats with period B/gcd(per, B).
+	B := p.nKChunks * p.nOutGroups
+	lo := ch * p.per
+	hi := min(lo+p.per, p.nUnits)
+	if hi-lo < p.per || p.w.M%p.cfg.GlobalBufs != 0 && hi > (p.nVecGroups-1)*B {
+		return ch
+	}
+	a, b := p.per, B
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return ch % (B / a)
+}
+
 // Stream emits the workload's per-channel command streams into sink in
 // channel order, one Emit per unit, fusing generation with consumption:
 // the sink sees every command without the trace ever existing. Each
@@ -484,12 +521,14 @@ const blockStack = 64
 // generation fused with simulation, no trace materialized — and
 // fast-forwarding the periodic steady state of each channel's stream
 // (see ffsim.go), so cost scales with the schedule's distinct command
-// blocks, not its size. This
-// is the back-end's layer-time primitive used by the execution-mode
-// search; it returns exactly the Stats that Generate + Simulate would,
-// and its only allocations are the returned Stats' slices. A grouped
-// workload (Groups > 1) simulates one group's GEMM and scales the
-// result: the groups are identical traces executed back to back.
+// blocks, not its size. It walks one channel per class (plan.classOf)
+// and copies that channel's drain, busy cycles and counts to the rest of
+// the class. This is the back-end's layer-time primitive used by the
+// execution-mode search; it returns exactly the Stats that Generate +
+// Simulate would, and its only allocations are the returned Stats'
+// slices. A grouped workload (Groups > 1) simulates one group's GEMM and
+// scales the result: the groups are identical traces executed back to
+// back.
 func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	groups := w.GroupCount()
 	w.Groups = 0
@@ -497,11 +536,9 @@ func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	if err != nil {
 		return pim.Stats{}, err
 	}
-	nCh := 0
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if p.channelUnits(ch) > 0 {
-			nCh++
-		}
+	nCh := 0 // the channels owning units are 0..nCh-1
+	for nCh < cfg.Channels && p.channelUnits(nCh) > 0 {
+		nCh++
 	}
 	if nCh == 0 {
 		return pim.Stats{}, fmt.Errorf("pim: empty trace")
@@ -513,31 +550,32 @@ func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	}
 	var (
 		busySum float64
+		walks   int
 		stack   [blockStack]pim.Command
 		f       ffFeeder
 	)
 	b := newBlocks(&p, stack[:0])
 	cw := channelWalker{p: &p, f: &f, b: &b}
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if p.channelUnits(ch) == 0 {
-			continue
+	for ch := 0; ch < nCh; ch++ {
+		drain, busy, counts := int64(0), int64(0), pim.Counts{}
+		if c := p.classOf(ch); c < ch {
+			drain, busy, counts = st.PerChannel[c], st.PerChannelBusy[c], st.PerChannelCounts[c]
+		} else {
+			f.cs.Reset(cfg, ch)
+			f.err = nil
+			if cw.walk(ch); f.err != nil {
+				return pim.Stats{}, f.err
+			}
+			walks++
+			drain, busy, counts = f.cs.Drain(), f.cs.Busy(), f.cs.Counts()
 		}
-		f.cs.Reset(cfg, ch)
-		f.err = nil
-		cw.walk(ch)
-		if f.err != nil {
-			return pim.Stats{}, f.err
-		}
-		drain := f.cs.Drain()
 		st.PerChannel = append(st.PerChannel, drain)
-		st.PerChannelBusy = append(st.PerChannelBusy, f.cs.Busy())
-		st.PerChannelCounts = append(st.PerChannelCounts, f.cs.Counts())
-		st.Counts.Add(f.cs.Counts())
-		if drain > st.Cycles {
-			st.Cycles = drain
-		}
+		st.PerChannelBusy = append(st.PerChannelBusy, busy)
+		st.PerChannelCounts = append(st.PerChannelCounts, counts)
+		st.Counts.Add(counts)
+		st.Cycles = max(st.Cycles, drain)
 		if drain > 0 {
-			busySum += float64(f.cs.Busy()) / float64(drain)
+			busySum += float64(busy) / float64(drain)
 		}
 	}
 	st.BusyFraction = busySum / float64(nCh)
@@ -549,7 +587,7 @@ func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	if obs.Enabled(slog.LevelDebug) {
 		obs.L().Debug("codegen: simulated PIM workload",
 			"m", w.M, "k", w.K, "n", w.N, "segments", w.Segments, "groups", groups,
-			"channels", len(st.PerChannel), "commands", commands,
+			"channels", len(st.PerChannel), "walks", walks, "commands", commands,
 			"cycles", st.Cycles, "busy", st.BusyFraction)
 	}
 	return st, nil

@@ -31,6 +31,10 @@ func (r *ReferenceEmitter) Channels() []int {
 	return chs
 }
 
+// Class returns the first channel of channel ch's class: the channel
+// whose timing TimeWorkload copies to ch.
+func (r *ReferenceEmitter) Class(ch int) int { return r.p.classOf(ch) }
+
 // Channel appends channel ch's commands to cmds and the index in them
 // where each unit starts to starts.
 func (r *ReferenceEmitter) Channel(ch int, cmds []pim.Command, starts []int) ([]pim.Command, []int) {

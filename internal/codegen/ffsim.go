@@ -25,6 +25,12 @@ import (
 // bit-identical to feeding every command. When no steady state appears,
 // the walker simply feeds everything; correctness never depends on the
 // detection firing.
+//
+// Across channels the stream repeats too: it depends only on the
+// channel's unit window (plan.classOf), so TimeWorkload walks the first
+// channel of each class and copies its results to the rest. A walk is
+// translation-invariant in the window's start, which is what lets any
+// channel of a class stand for all of them.
 
 // ffFeeder drives one pim.ChannelSim with unit blocks, latching the
 // first Feed error (matching the Sink error conventions).

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -99,7 +97,7 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrNoCapacity):
 		return http.StatusInsufficientStorage
-	case errors.Is(err, ErrNoSwitchMatch), errors.Is(err, ErrTooManyReplicas):
+	case errors.Is(err, ErrNoSwitchMatch), errors.Is(err, ErrTooManyReplicas), errors.Is(err, serve.ErrBadSpec):
 		return http.StatusBadRequest
 	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrShed):
 		return http.StatusTooManyRequests
@@ -116,15 +114,6 @@ func statusOf(err error) int {
 
 func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorBody{Error: err.Error()})
-}
-
-func decodeBody(r *http.Request, v any) error {
-	defer r.Body.Close()
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("fleet: bad request body: %w", err)
-	}
-	return nil
 }
 
 func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -208,7 +197,7 @@ func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	var body deployBody
-	if err := decodeBody(r, &body); err != nil {
+	if err := serve.DecodeBody(w, r, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -245,7 +234,7 @@ func (f *Fleet) handleScale(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Replicas int `json:"replicas"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := serve.DecodeBody(w, r, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -264,18 +253,18 @@ func (f *Fleet) handleScale(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) infer(w http.ResponseWriter, r *http.Request, req Request) {
 	var body inferBody
-	if err := decodeBody(r, &body); err != nil {
+	err := serve.DecodeBody(w, r, &body)
+	ctx, cancel := r.Context(), context.CancelFunc(nil)
+	if err == nil {
+		ctx, cancel, err = serve.WithTimeoutMillis(ctx, body.TimeoutMillis)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
+	defer cancel()
 	req.Cond = body.Cond
 	req.DeadlineCycles = body.DeadlineCycles
-	ctx := r.Context()
-	if body.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
 	resp, err := f.Infer(ctx, req)
 	if err != nil {
 		writeError(w, err)
@@ -294,7 +283,7 @@ func (f *Fleet) handleGraphs(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	var g Graph
-	if err := decodeBody(r, &g); err != nil {
+	if err := serve.DecodeBody(w, r, &g); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}

@@ -216,3 +216,48 @@ func TestNamesShareOneNamespace(t *testing.T) {
 		t.Errorf("deployments %+v, want only toy", ds)
 	}
 }
+
+// TestHTTPBadRequestsAre400: a deploy whose spec names an unknown model,
+// policy or SLO class or an invalid channel split, a body with data after
+// its JSON value, and an infer timeout no duration holds all answer 400,
+// not 500, and deploy nothing.
+func TestHTTPBadRequestsAre400(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	h := f.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, body := range []string{
+		`{"model":"nope"}`,
+		`{"model":"toy","pimChannels":99}`,
+		`{"model":"toy","policy":"bogus"}`,
+		`{"model":"toy","slo":"nope"}`,
+		`{"model":"toy"} junk`,
+		`{"model":"toy","lazy":true} {}`,
+	} {
+		if rec := post("/v1/models/x", body); rec.Code != http.StatusBadRequest {
+			t.Errorf("deploy %s: status %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if ds := f.Deployments(); len(ds) != 0 {
+		t.Fatalf("bad deploys left %v", ds)
+	}
+	if rec := post("/v1/models/toy", `{"model":"toy","totalChannels":16,"pimChannels":8}`); rec.Code != http.StatusCreated {
+		t.Fatalf("valid deploy: status %d: %s", rec.Code, rec.Body)
+	}
+	for body, want := range map[string]int{
+		`{"timeoutMillis":9223372036854775807}`: http.StatusBadRequest,
+		`{} junk`:                               http.StatusBadRequest,
+		`{"timeoutMillis":60000}`:               http.StatusOK,
+	} {
+		if rec := post("/v1/models/toy/infer", body); rec.Code != want {
+			t.Errorf("infer %s: status %d, want %d: %s", body, rec.Code, want, rec.Body)
+		}
+	}
+}

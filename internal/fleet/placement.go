@@ -63,7 +63,8 @@ func (f *Fleet) Register(spec serve.ModelSpec, replicas int) error {
 	return nil
 }
 
-// Deploy registers a model and places its replicas eagerly.
+// Deploy registers a model and places its replicas eagerly. A spec that
+// can never load (serve.ErrBadSpec) leaves no registration behind.
 func (f *Fleet) Deploy(spec serve.ModelSpec, replicas int) error {
 	if err := f.Register(spec, replicas); err != nil {
 		return err
@@ -73,7 +74,12 @@ func (f *Fleet) Deploy(spec serve.ModelSpec, replicas int) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ensureLocked(f.deployments[spec.Name], false)
+	err := f.ensureLocked(f.deployments[spec.Name], false)
+	if errors.Is(err, serve.ErrBadSpec) {
+		delete(f.deployments, spec.Name)
+		f.cfg.Metrics.Set("fleet.models_registered", float64(len(f.deployments)))
+	}
+	return err
 }
 
 // Undeploy removes a model everywhere: registry entries unload, active

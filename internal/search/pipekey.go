@@ -93,9 +93,9 @@ func appendAttrs(b []byte, attrs []graph.Attr) []byte {
 // its shape: "n" j "." k for output k of chain node j, "i" for the chain
 // input, "w" for a weight, and "x" for anything else (a tensor the
 // extracted chain cannot see, so its probe fails; errors are not cached).
-// The references mirror what extractChain builds: the chain input is the
-// first node's activation, and only inputs after an activation carry
-// weights over.
+// The references mirror the graph simulatePipeline builds: the chain
+// input is the first node's activation, and only inputs after an
+// activation carry weights over.
 func appendRef(b []byte, g *graph.Graph, chain []*graph.Node, chainIn string, pos int, name string) []byte {
 	ti := g.Tensors[name]
 	if j, k, ok := chainOutput(chain, name); ok {

@@ -328,36 +328,6 @@ func (p *profiler) prunedProbe() {
 	p.metrics.Inc("search.pruned_probes")
 }
 
-// extractChain builds a standalone graph containing the chain nodes (the
-// first node's activation input becomes the graph input; weights carry
-// over), used to profile pipelining candidates in isolation.
-func extractChain(g *graph.Graph, chain []*graph.Node) (*graph.Graph, error) {
-	sub := graph.New("chain")
-	first := chain[0]
-	inTI := g.Tensors[first.Inputs[0]]
-	if inTI == nil || !inTI.Shape.Valid() {
-		return nil, fmt.Errorf("search: chain input shape unknown")
-	}
-	sub.AddInput(first.Inputs[0], inTI.Shape...)
-	for _, n := range chain {
-		for _, in := range n.Inputs[1:] {
-			ti := g.Tensors[in]
-			if ti == nil {
-				return nil, fmt.Errorf("search: tensor %q unknown", in)
-			}
-			if ti.IsWeight() {
-				sub.Tensors[in] = &graph.TensorInfo{Name: in, Shape: ti.Shape.Clone(), Init: ti.Init, Param: true}
-			}
-		}
-		sub.AddNode(n.Clone())
-	}
-	sub.MarkOutput(chain[len(chain)-1].Outputs[0])
-	if err := sub.InferShapes(); err != nil {
-		return nil, err
-	}
-	return sub, nil
-}
-
 // pipeline profiles a pipelining candidate: the cycles the runtime
 // schedules for the chain (nodes of the graph x indexes, in chain order)
 // pipelined at the given stage count. A chain the pipelining pass rejects
@@ -388,16 +358,43 @@ func (p *profiler) pipeline(x *graph.Index, chain []*graph.Node, cand transform.
 	return prof.Cycles, nil
 }
 
-// simulatePipeline is the uncached pipeline probe: the chain (named
-// names) is extracted, transformed at the stage count, memory-optimized,
-// and scheduled by the runtime. The probe Execute runs with tracing and
+// simulatePipeline is the uncached pipeline probe. It builds one graph:
+// the chain input (the first node's activation), the weights of the chain
+// nodes (in chain order; named names), and the stage nodes the pipelining
+// pass generates for them at the stage count. It infers that graph's
+// shapes once, elides data movement, and schedules it on the runtime; the
+// model graph is only read. The probe Execute runs with tracing and
 // metrics detached (see newProfiler); only the store is shared.
 func (p *profiler) simulatePipeline(g *graph.Graph, chain []*graph.Node, names []string, stages int) (int64, error) {
-	sub, err := extractChain(g, chain)
+	sub := graph.New("chain")
+	in := chain[0].Inputs[0]
+	inTI := g.Tensors[in]
+	if inTI == nil || !inTI.Shape.Valid() {
+		return 0, fmt.Errorf("search: chain input shape unknown")
+	}
+	sub.AddInput(in, inTI.Shape...)
+	for _, n := range chain {
+		for _, w := range n.Inputs[1:] {
+			ti := g.Tensors[w]
+			if ti == nil {
+				return 0, fmt.Errorf("search: tensor %q unknown", w)
+			}
+			if ti.IsWeight() {
+				sub.Tensors[w] = &graph.TensorInfo{Name: w, Shape: ti.Shape, Init: ti.Init, Param: true}
+			}
+		}
+	}
+	// The pass sees the chain alone, as if extracted: an index of its
+	// nodes over the model's tensor records.
+	parts, err := transform.PipelineStages((&graph.Graph{Nodes: chain, Tensors: g.Tensors}).Index(), names, stages, 0)
 	if err != nil {
 		return 0, err
 	}
-	if err := transform.PipelineChain(sub, names, stages, 0); err != nil {
+	for _, n := range parts {
+		sub.AddNode(n)
+	}
+	sub.MarkOutput(chain[len(chain)-1].Outputs[0])
+	if err := sub.InferShapes(); err != nil {
 		return 0, err
 	}
 	transform.ElideDataMovement(sub)

@@ -17,13 +17,8 @@ import (
 // modes, profile every pipelining candidate, and solve for the optimal
 // combination with dynamic programming over the topological node order.
 func Run(g *graph.Graph, opts Options) (*Plan, error) {
-	if opts.RatioStep <= 0 || opts.RatioStep >= 1 {
-		return nil, fmt.Errorf("search: RatioStep %v outside (0,1)", opts.RatioStep)
-	}
-	if opts.PIMChannels < 1 || opts.PIMChannels >= opts.TotalChannels {
-		if opts.Policy != PolicyBaseline {
-			return nil, fmt.Errorf("search: PIMChannels %d invalid for %d total", opts.PIMChannels, opts.TotalChannels)
-		}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	// One adjacency index serves the whole search. Inference leaves an
 	// already-shaped graph (every models.Build output) unwritten, so

@@ -147,6 +147,18 @@ func (o Options) WithResources(totalChannels, pimChannels int) Options {
 	return o
 }
 
+// Validate checks the split granularity and the channel split: an
+// offloading policy needs PIM channels and at least one GPU channel.
+func (o Options) Validate() error {
+	if o.RatioStep <= 0 || o.RatioStep >= 1 {
+		return fmt.Errorf("search: RatioStep %v outside (0,1)", o.RatioStep)
+	}
+	if (o.PIMChannels < 1 || o.PIMChannels >= o.TotalChannels) && o.allowOffload() {
+		return fmt.Errorf("search: PIMChannels %d invalid for %d total", o.PIMChannels, o.TotalChannels)
+	}
+	return nil
+}
+
 // GPUChannels returns the channels visible to the GPU under this policy.
 func (o Options) GPUChannels() int {
 	if o.Policy == PolicyBaseline {

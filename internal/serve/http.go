@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -65,6 +67,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // statusOf maps request-path errors onto HTTP status codes.
 func statusOf(err error) int {
 	switch {
+	case errors.Is(err, ErrBadSpec):
+		return http.StatusBadRequest
 	case errors.Is(err, ErrNotLoaded):
 		return http.StatusNotFound
 	case errors.Is(err, ErrAlreadyLoaded):
@@ -160,7 +164,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var spec ModelSpec
-	if err := decodeBody(r.Body, &spec); err != nil {
+	if err := DecodeBody(w, r, &spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -195,16 +199,16 @@ func (s *Server) handleUnload(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var body inferBody
-	if err := decodeBody(r.Body, &body); err != nil {
+	err := DecodeBody(w, r, &body)
+	ctx, cancel := r.Context(), context.CancelFunc(nil)
+	if err == nil {
+		ctx, cancel, err = WithTimeoutMillis(ctx, body.TimeoutMillis)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	ctx := r.Context()
-	if body.TimeoutMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMillis)*time.Millisecond)
-		defer cancel()
-	}
+	defer cancel()
 	resp, err := s.Infer(ctx, InferRequest{
 		Model:          r.PathValue("name"),
 		DeadlineCycles: body.DeadlineCycles,
@@ -217,15 +221,33 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeBody parses an optional JSON body: empty bodies decode to the
-// zero value, trailing garbage is an error.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		return err
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
+
+// DecodeBody parses the request's optional JSON body into v, for the
+// server's and the fleet's handlers alike: an empty body leaves v zero,
+// and a body over 1 MiB, or with anything but whitespace after its value,
+// is an error.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("serve: bad request body: data after its JSON value")
 	}
 	return nil
+}
+
+// WithTimeoutMillis bounds ctx by a body's timeoutMillis: no bound when it
+// is zero or less, an error when it does not fit a time.Duration.
+func WithTimeoutMillis(ctx context.Context, ms int64) (context.Context, context.CancelFunc, error) {
+	switch {
+	case ms <= 0:
+		return ctx, func() {}, nil
+	case ms > math.MaxInt64/int64(time.Millisecond):
+		return nil, nil, fmt.Errorf("serve: timeoutMillis %d overflows a duration", ms)
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
 }

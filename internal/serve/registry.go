@@ -233,15 +233,16 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	if policyName == "" {
 		policyName = search.PolicyPIMFlow.String()
 	}
+	// The spec is checked whole before the expensive compile, so a typo
+	// fails the load immediately, as ErrBadSpec.
+	badSpec := func(err error) error { return fmt.Errorf("%w %q: %w", ErrBadSpec, spec.Name, err) }
 	policy, err := ParsePolicy(policyName)
 	if err != nil {
-		return nil, err
+		return nil, badSpec(err)
 	}
-	// Resolve the serving policy before the expensive compile so a typo'd
-	// SLO class fails the load immediately.
 	slo, err := findSLO(r.defaults.SLOClasses, spec.SLO)
 	if err != nil {
-		return nil, fmt.Errorf("serve: load %q: %w", spec.Name, err)
+		return nil, badSpec(err)
 	}
 	batch := BatchPolicy{
 		MaxBatch:     r.defaults.MaxBatch,
@@ -259,18 +260,31 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	}
 	g, err := models.Build(spec.Model, models.Options{Light: true})
 	if err != nil {
-		return nil, fmt.Errorf("serve: load %q: %w", spec.Name, err)
+		return nil, badSpec(err)
 	}
 	opts := search.DefaultOptions(policy)
 	if spec.TotalChannels > 0 || spec.PIMChannels > 0 {
 		total, pimCh := spec.TotalChannels, spec.PIMChannels
-		if total == 0 {
+		if total <= 0 {
 			total = opts.TotalChannels
 		}
-		if pimCh == 0 && policy != search.PolicyBaseline {
+		if pimCh <= 0 {
 			pimCh = opts.PIMChannels
 		}
 		opts = opts.WithResources(total, pimCh)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, badSpec(err)
+	}
+	// The slice must fit the machine, or no placement will ever succeed:
+	// its GPU part, and its PIM part when the policy may offload.
+	demand := Demand{GPU: opts.GPUChannels()}
+	if policy != search.PolicyBaseline {
+		demand.PIM = opts.PIMChannels
+	}
+	if demand.GPU > r.machine.GPUChannels || demand.PIM > r.machine.PIMChannels {
+		return nil, badSpec(fmt.Errorf("slice of %d GPU + %d PIM channels, machine has %d + %d",
+			demand.GPU, demand.PIM, r.machine.GPUChannels, r.machine.PIMChannels))
 	}
 	opts.Profiles = r.profiles
 	compiled, plan, err := search.Compile(g, opts)
@@ -292,18 +306,13 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		return nil, fmt.Errorf("serve: shapes of %q: %w", spec.Name, err)
 	}
 
-	// The lease footprint must fit the machine at all, or no placement
-	// will ever succeed.
-	demand := Demand{GPU: opts.GPUChannels()}
+	// A plan that offloads nothing leases no PIM channels.
+	demand.PIM = 0
 	for _, n := range compiled.Nodes {
 		if n.Exec.Device == graph.DevicePIM {
 			demand.PIM = opts.PIMChannels
 			break
 		}
-	}
-	if demand.GPU > r.machine.GPUChannels || demand.PIM > r.machine.PIMChannels {
-		return nil, fmt.Errorf("serve: model %q demands %d GPU + %d PIM channels, machine has %d + %d",
-			spec.Name, demand.GPU, demand.PIM, r.machine.GPUChannels, r.machine.PIMChannels)
 	}
 
 	// Warm solo execution, the model's only one: the placement duration,

@@ -52,8 +52,12 @@ import (
 )
 
 // Sentinel errors of the request path. The HTTP layer maps them onto
-// status codes (404, 429, 503, 504).
+// status codes (400, 404, 429, 503, 504).
 var (
+	// ErrBadSpec reports a Load whose spec can never compile or fit:
+	// an unknown model, policy or SLO class, an invalid channel split, or
+	// a slice larger than the machine.
+	ErrBadSpec = errors.New("serve: bad model spec")
 	// ErrNotLoaded reports an inference against a model name the registry
 	// does not hold.
 	ErrNotLoaded = errors.New("serve: model not loaded")

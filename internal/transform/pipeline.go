@@ -37,6 +37,9 @@ var elementwiseOps = map[graph.OpType]bool{
 //
 // groupID tags the created nodes' Exec.Pipeline hints so the runtime and
 // reports can identify the subgraph.
+//
+// Only tests call it: transform's, runtime's, verify's, and search's
+// reference pipeline probe.
 func PipelineChain(g *graph.Graph, names []string, stages, groupID int) error {
 	if err := PipelineChainIn(g.Index(), names, stages, groupID); err != nil {
 		return err
@@ -52,15 +55,34 @@ func PipelineChain(g *graph.Graph, names []string, stages, groupID int) error {
 // is unchanged: one index serves a sequence of rewrites of disjoint
 // chains.
 func PipelineChainIn(x *graph.Index, names []string, stages, groupID int) error {
-	chain, err := chainNodes(x, names)
+	repl, err := PipelineStages(x, names, stages, groupID)
 	if err != nil {
 		return err
+	}
+	g := x.Graph()
+	if err := g.ReplaceNode(names[0], repl...); err != nil {
+		return err
+	}
+	for _, name := range names[1:] {
+		g.RemoveNode(name)
+	}
+	return nil
+}
+
+// PipelineStages validates the chain (nodes named names, in the graph x
+// indexes) and returns, without changing the graph, the nodes that
+// replace it in chunk-major order: they read only the chain's input, its
+// weights and each other, and the last writes the chain's output.
+func PipelineStages(x *graph.Index, names []string, stages, groupID int) ([]*graph.Node, error) {
+	chain, err := chainNodes(x, names)
+	if err != nil {
+		return nil, err
 	}
 	bounds, err := chunkBounds(x, chain, stages)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return rewriteChain(x.Graph(), chain, bounds, stages, groupID)
+	return stageNodes(x.Graph(), chain, bounds, stages, groupID), nil
 }
 
 // CheckPipeline reports whether PipelineChain would accept the chain at
@@ -154,9 +176,9 @@ func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, erro
 	return bounds, nil
 }
 
-// rewriteChain replaces the validated chain with its pipeline stage
-// nodes, chunk-major so dependencies appear in order.
-func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, groupID int) error {
+// stageNodes generates the validated chain's replacement nodes (see
+// PipelineStages).
+func stageNodes(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, groupID int) []*graph.Node {
 	var repl []*graph.Node
 	// chunkOut[i][j] is the tensor holding chunk j of chain node i.
 	chunkOut := make([][]string, len(chain))
@@ -185,7 +207,7 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 					srcH = g.Tensors[src].Shape[1]
 				} else {
 					// Rows available: prefix of node i-1 up to chunk j.
-					src = prefixFor(g, chain[i-1], chunkOut[i-1], prefixOut[i-1], j, &repl)
+					src = prefixFor(chain[i-1], chunkOut[i-1], prefixOut[i-1], j, &repl)
 					srcH = bounds[i-1][j]
 				}
 				in0, in1, pt, pb := rowRange(o0, o1, p.StrideH, p.KernelH, p.PadT, srcH)
@@ -215,21 +237,13 @@ func rewriteChain(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, g
 	}
 	// Reassemble the chain's final output under its original name.
 	last := len(chain) - 1
-	repl = append(repl, axis1Concat(chain[last].Name+"_concat", chunkOut[last], chain[last].Outputs[0]))
-
-	if err := g.ReplaceNode(chain[0].Name, repl...); err != nil {
-		return err
-	}
-	for _, n := range chain[1:] {
-		g.RemoveNode(n.Name)
-	}
-	return nil
+	return append(repl, axis1Concat(chain[last].Name+"_concat", chunkOut[last], chain[last].Outputs[0]))
 }
 
 // prefixFor returns (creating if needed) the tensor that holds rows
 // [0, bounds[j]) of the given chain node's output: chunk 0 alone for j==0,
 // otherwise a concat of the previous prefix and chunk j.
-func prefixFor(g *graph.Graph, n *graph.Node, chunks, prefixes []string, j int, repl *[]*graph.Node) string {
+func prefixFor(n *graph.Node, chunks, prefixes []string, j int, repl *[]*graph.Node) string {
 	if j == 0 {
 		prefixes[0] = chunks[0]
 		return chunks[0]
@@ -237,7 +251,7 @@ func prefixFor(g *graph.Graph, n *graph.Node, chunks, prefixes []string, j int, 
 	if prefixes[j] != "" {
 		return prefixes[j]
 	}
-	prev := prefixFor(g, n, chunks, prefixes, j-1, repl)
+	prev := prefixFor(n, chunks, prefixes, j-1, repl)
 	name := fmt.Sprintf("%s_prefix%d", n.Name, j)
 	c := axis1Concat(name, []string{prev, chunks[j]}, name+"_out")
 	*repl = append(*repl, c)
