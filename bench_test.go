@@ -367,9 +367,11 @@ func BenchmarkCompileZooWarm(b *testing.B) {
 }
 
 // TestCompileZooWarmAllocs bounds BenchmarkCompileZooWarm's allocations
-// per op. Node attributes are typed fields copied by value, and an
-// off-geometry MD-DP grid point formats nothing, so a warm re-load
-// allocates its graphs, rewrites and indexes, not maps and messages.
+// per op (3 446 when the bound was set, plus 5%). Node attributes are
+// typed fields copied by value, an off-geometry MD-DP grid point formats
+// nothing, and Apply builds the compiled graph in one pass, each rewrite's
+// nodes, name lists and names in one block, so a warm re-load allocates
+// its graphs, rewrites and indexes, not maps and messages.
 func TestCompileZooWarmAllocs(t *testing.T) {
 	cfg := pimflow.DefaultConfig(pimflow.PolicyPIMFlow)
 	cfg.Profiles = pimflow.NewProfileStore()
@@ -391,8 +393,8 @@ func TestCompileZooWarmAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 10000 {
-		t.Errorf("%.0f allocations per warm compile of the five CNNs, want at most 10000", allocs)
+	if allocs > 3618 {
+		t.Errorf("%.0f allocations per warm compile of the five CNNs, want at most 3618", allocs)
 	}
 }
 

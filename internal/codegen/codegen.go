@@ -115,17 +115,6 @@ func DefaultOpts() Opts {
 	return Opts{Granularity: GranComp, StridedGWrite: true}
 }
 
-// unit is one schedulable chunk of work: a (vector group, output group,
-// K-chunk) triple. K-chunks are only split at GranComp.
-type unit struct {
-	vecGroup int // index of the nb-vector group
-	nVecs    int // vectors in this group (<= nb)
-	ogIndex  int // output-group index
-	outLanes int // outputs in this group (<= banks)
-	kStart   int // start of the K range
-	kLen     int // length of the K range
-}
-
 // plan is the workload's unit decomposition and channel assignment in
 // closed form: every quantity a unit needs is computable from its
 // (vector group, K-chunk, output group) coordinates, so the schedule can
@@ -201,13 +190,6 @@ func newPlan(w Workload, cfg pim.Config, opts Opts) (plan, error) {
 	return p, nil
 }
 
-// makeUnit builds the unit at coordinates (vg, ksIdx, og).
-func (p *plan) makeUnit(vg, ksIdx, og int) unit {
-	nv, kl := p.rowShape(vg, ksIdx)
-	return unit{vecGroup: vg, nVecs: nv, ogIndex: og, outLanes: p.outLanes(og),
-		kStart: ksIdx * p.kChunkLen, kLen: kl}
-}
-
 // rowShape returns the vector count and K-chunk length shared by every
 // unit of row (vg, ks), the units of vector group vg over K-chunk ks.
 func (p *plan) rowShape(vg, ks int) (nVecs, kLen int) {
@@ -219,47 +201,6 @@ func (p *plan) rowShape(vg, ks int) (nVecs, kLen int) {
 // fewer in a partial last group.
 func (p *plan) outLanes(og int) int {
 	return min(p.lanes, p.w.N-og*p.lanes)
-}
-
-// forEachUnit walks channel ch's units in schedule order. The iteration
-// is closed-form — no unit slice exists — so a streaming caller touches
-// O(1) memory per unit.
-func (p *plan) forEachUnit(ch int, fn func(unit)) {
-	if p.per == 0 {
-		// GranGAct: partition along output groups only (ogIndex mod
-		// channels); every channel owning an output group processes all
-		// vector groups for it, in global unit order.
-		for vg := 0; vg < p.nVecGroups; vg++ {
-			for ks := 0; ks < p.nKChunks; ks++ {
-				for og := ch; og < p.nOutGroups; og += p.cfg.Channels {
-					fn(p.makeUnit(vg, ks, og))
-				}
-			}
-		}
-		return
-	}
-	lo := ch * p.per
-	hi := lo + p.per
-	if hi > p.nUnits {
-		hi = p.nUnits
-	}
-	if lo >= hi {
-		return
-	}
-	og := lo % p.nOutGroups
-	rest := lo / p.nOutGroups
-	ks := rest % p.nKChunks
-	vg := rest / p.nKChunks
-	for i := lo; i < hi; i++ {
-		fn(p.makeUnit(vg, ks, og))
-		if og++; og == p.nOutGroups {
-			og = 0
-			if ks++; ks == p.nKChunks {
-				ks = 0
-				vg++
-			}
-		}
-	}
 }
 
 // channelUnits reports how many units channel ch owns.
@@ -488,26 +429,6 @@ func Generate(w Workload, cfg pim.Config, opts Opts) (*pim.Trace, error) {
 		return nil, err
 	}
 	return &ts.Trace, nil
-}
-
-// scheduleUnits materializes the per-channel unit assignment. The
-// functional executor consumes the same plan the command stream walks, so
-// the timing model and the numerics are guaranteed to agree on coverage.
-func scheduleUnits(w Workload, cfg pim.Config, opts Opts) ([][]unit, error) {
-	p, err := newPlan(w, cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	assign := make([][]unit, cfg.Channels)
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if n := p.channelUnits(ch); n > 0 {
-			assign[ch] = make([]unit, 0, n)
-			p.forEachUnit(ch, func(u unit) {
-				assign[ch] = append(assign[ch], u)
-			})
-		}
-	}
-	return assign, nil
 }
 
 // blockStack is the block buffer TimeWorkload keeps on its stack, in

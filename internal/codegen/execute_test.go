@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,91 @@ import (
 	"pimflow/internal/pim"
 	"pimflow/internal/tensor"
 )
+
+// Execute runs the workload *functionally* through its plan's unit
+// schedule (forEachUnit), the one Stream emits as command blocks: global
+// buffers are loaded with K-chunks of the input vectors (GWRITE), per-bank
+// MAC lanes multiply weight columns against buffer contents and
+// accumulate into result latches (G_ACT + COMP), and latches drain into
+// the output matrix (READRES). The result
+// must equal the plain matrix product — the numerical proof that the PIM
+// command mapping covers every multiply-accumulate exactly once, with no
+// double counting across channels, K-chunks, or output groups.
+//
+// inputs is the [M x K] activation matrix; weights is [K x N]. Returns
+// the [M x N] product. Grouped workloads execute one group per call: pass
+// the per-group matrices and Groups unset.
+func Execute(w Workload, inputs, weights *tensor.Tensor, cfg pim.Config, opts Opts) (*tensor.Tensor, error) {
+	if w.GroupCount() > 1 {
+		return nil, fmt.Errorf("codegen: Execute takes per-group matrices; set Groups to 0/1 and call once per group")
+	}
+	if !inputs.Shape.Equal(tensor.Shape{w.M, w.K}) {
+		return nil, fmt.Errorf("codegen: inputs shape %v, want [%d %d]", inputs.Shape, w.M, w.K)
+	}
+	if !weights.Shape.Equal(tensor.Shape{w.K, w.N}) {
+		return nil, fmt.Errorf("codegen: weights shape %v, want [%d %d]", weights.Shape, w.K, w.N)
+	}
+	assign, err := scheduleUnits(w, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	lanes := cfg.LanesPerChannel()
+	out := tensor.New(w.M, w.N)
+	// Per-channel state: the global buffers (one per buffered vector of
+	// the current group) and the per-lane result latches.
+	for ch := range assign {
+		buffers := make([][]float32, cfg.GlobalBufs)
+		loadedVG, loadedKS := -1, -1
+		for _, u := range assign[ch] {
+			// GWRITE: load the K-chunk of each vector in the group into
+			// its global buffer, mirroring the trace generator's reuse of
+			// a loaded chunk across consecutive output groups.
+			if u.vecGroup != loadedVG || u.kStart != loadedKS {
+				for v := 0; v < u.nVecs; v++ {
+					row := u.vecGroup*cfg.GlobalBufs + v
+					buffers[v] = inputs.Data[row*w.K+u.kStart : row*w.K+u.kStart+u.kLen]
+				}
+				loadedVG, loadedKS = u.vecGroup, u.kStart
+			}
+			// G_ACT + COMP: each bank lane holds one output column of the
+			// group; the MAC tree reduces the buffer against the weight
+			// column segment. READRES accumulates into the output (partial
+			// K-chunks merge by addition, as the GPU-side reducer does).
+			for v := 0; v < u.nVecs; v++ {
+				row := u.vecGroup*cfg.GlobalBufs + v
+				buf := buffers[v]
+				for lane := 0; lane < u.outLanes; lane++ {
+					col := u.ogIndex*lanes + lane
+					var latch float32
+					for k := 0; k < u.kLen; k++ {
+						latch += buf[k] * weights.Data[(u.kStart+k)*w.N+col]
+					}
+					out.Data[row*w.N+col] += latch
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// scheduleUnits materializes the per-channel unit assignment that
+// Execute runs.
+func scheduleUnits(w Workload, cfg pim.Config, opts Opts) ([][]unit, error) {
+	p, err := newPlan(w, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	assign := make([][]unit, cfg.Channels)
+	for ch := 0; ch < cfg.Channels; ch++ {
+		if n := p.channelUnits(ch); n > 0 {
+			assign[ch] = make([]unit, 0, n)
+			p.forEachUnit(ch, func(u unit) {
+				assign[ch] = append(assign[ch], u)
+			})
+		}
+	}
+	return assign, nil
+}
 
 func matmulRef(a, b *tensor.Tensor) *tensor.Tensor {
 	out, err := interp.Gemm(a, b, nil)

@@ -1,11 +1,73 @@
 package codegen
 
-import "pimflow/internal/pim"
+import (
+	"pimflow/internal/graph"
+	"pimflow/internal/pim"
+)
 
 // The per-command emitters Stream's unit blocks replaced, kept as the
 // reference they are checked against: walk each channel's units with
 // forEachUnit, GWRITE a unit's K-chunk unless the channel's previous unit
 // loaded the same one, and emit every command on its own.
+
+// unit is one schedulable chunk of work: a (vector group, output group,
+// K-chunk) triple. K-chunks are only split at GranComp.
+type unit struct {
+	vecGroup int // index of the nb-vector group
+	nVecs    int // vectors in this group (<= nb)
+	ogIndex  int // output-group index
+	outLanes int // outputs in this group (<= banks)
+	kStart   int // start of the K range
+	kLen     int // length of the K range
+}
+
+// makeUnit builds the unit at coordinates (vg, ksIdx, og).
+func (p *plan) makeUnit(vg, ksIdx, og int) unit {
+	nv, kl := p.rowShape(vg, ksIdx)
+	return unit{vecGroup: vg, nVecs: nv, ogIndex: og, outLanes: p.outLanes(og),
+		kStart: ksIdx * p.kChunkLen, kLen: kl}
+}
+
+// forEachUnit walks channel ch's units in schedule order. The iteration
+// is closed-form — no unit slice exists — so a streaming caller touches
+// O(1) memory per unit.
+func (p *plan) forEachUnit(ch int, fn func(unit)) {
+	if p.per == 0 {
+		// GranGAct: partition along output groups only (ogIndex mod
+		// channels); every channel owning an output group processes all
+		// vector groups for it, in global unit order.
+		for vg := 0; vg < p.nVecGroups; vg++ {
+			for ks := 0; ks < p.nKChunks; ks++ {
+				for og := ch; og < p.nOutGroups; og += p.cfg.Channels {
+					fn(p.makeUnit(vg, ks, og))
+				}
+			}
+		}
+		return
+	}
+	lo := ch * p.per
+	hi := lo + p.per
+	if hi > p.nUnits {
+		hi = p.nUnits
+	}
+	if lo >= hi {
+		return
+	}
+	og := lo % p.nOutGroups
+	rest := lo / p.nOutGroups
+	ks := rest % p.nKChunks
+	vg := rest / p.nKChunks
+	for i := lo; i < hi; i++ {
+		fn(p.makeUnit(vg, ks, og))
+		if og++; og == p.nOutGroups {
+			og = 0
+			if ks++; ks == p.nKChunks {
+				ks = 0
+				vg++
+			}
+		}
+	}
+}
 
 // ReferenceEmitter generates a workload's channel streams with the
 // per-command emitters, one channel at a time.
@@ -123,4 +185,14 @@ func emitGWrite(sink *cmdList, w Workload, cfg pim.Config, opts Opts, u unit) {
 		sink.Emit(pim.Command{Kind: kind, Bursts: bursts})
 		remaining -= l
 	}
+}
+
+// TimeNode generates and simulates the PIM trace for a whole node; only
+// the tests time a node through its workload in one call.
+func TimeNode(g *graph.Graph, n *graph.Node, cfg pim.Config, opts Opts) (pim.Stats, error) {
+	w, err := NodeWorkload(g, n)
+	if err != nil {
+		return pim.Stats{}, err
+	}
+	return TimeWorkload(w, cfg, opts)
 }

@@ -5,7 +5,6 @@ import (
 
 	"pimflow/internal/graph"
 	"pimflow/internal/lower"
-	"pimflow/internal/pim"
 )
 
 // NodeWorkload derives the PIM GEMM workload of a PIM-candidate node
@@ -41,13 +40,4 @@ func NodeWorkload(g *graph.Graph, n *graph.Node) (Workload, error) {
 	default:
 		return Workload{}, fmt.Errorf("codegen: op %s is not PIM-offloadable", n.Op)
 	}
-}
-
-// TimeNode generates and simulates the PIM trace for a whole node.
-func TimeNode(g *graph.Graph, n *graph.Node, cfg pim.Config, opts Opts) (pim.Stats, error) {
-	w, err := NodeWorkload(g, n)
-	if err != nil {
-		return pim.Stats{}, err
-	}
-	return TimeWorkload(w, cfg, opts)
 }

@@ -261,3 +261,122 @@ func TestHTTPBadRequestsAre400(t *testing.T) {
 		}
 	}
 }
+
+// TestRedeployServesItsSpec: a name undeployed and deployed again with
+// another model serves the new model, not the compile the fleet cached
+// under the name; the same spec again re-deploys from that cache.
+func TestRedeployServesItsSpec(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	h := f.Handler()
+	do := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	served := func() string {
+		lm, err := f.Machine(0).Registry().Get("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lm.Spec.Model
+	}
+	mobilenet := `{"model":"mobilenet-v2","totalChannels":16,"pimChannels":8}`
+	resnet := `{"model":"resnet-50","totalChannels":16,"pimChannels":8}`
+	for _, step := range []struct {
+		method, body string
+		want         int
+	}{
+		{http.MethodPost, mobilenet, http.StatusCreated},
+		{http.MethodDelete, "", http.StatusNoContent},
+		{http.MethodPost, resnet, http.StatusCreated},
+	} {
+		if code := do(step.method, "/v1/models/a", step.body); code != step.want {
+			t.Fatalf("%s /v1/models/a %s: %d, want %d", step.method, step.body, code, step.want)
+		}
+	}
+	if ds := f.Deployments(); len(ds) != 1 || ds[0].Model != "resnet-50" {
+		t.Fatalf("deployments %+v, want a = resnet-50", ds)
+	}
+	if got := served(); got != "resnet-50" {
+		t.Fatalf("a serves %s, want resnet-50", got)
+	}
+	loads := f.Metrics().Counter("serve.model_loads")
+	if code := do(http.MethodDelete, "/v1/models/a", ""); code != http.StatusNoContent {
+		t.Fatalf("undeploy: %d", code)
+	}
+	if code := do(http.MethodPost, "/v1/models/a", resnet); code != http.StatusCreated {
+		t.Fatalf("redeploy of the same spec: %d", code)
+	}
+	if got := f.Metrics().Counter("serve.model_loads"); got != loads {
+		t.Errorf("redeploying the same spec compiled again (%v loads, want %v)", got, loads)
+	}
+	if got := served(); got != "resnet-50" {
+		t.Errorf("a serves %s after the warm redeploy, want resnet-50", got)
+	}
+}
+
+// TestFailedDeployLeavesNothing: a deploy that fails for want of
+// capacity, after placing none or some of its replicas, leaves neither a
+// registration nor an installed replica, so a corrected deploy of the
+// name succeeds.
+func TestFailedDeployLeavesNothing(t *testing.T) {
+	post := func(h http.Handler, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code
+	}
+
+	one, err := fleet.New(fleet.Config{Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Shutdown(context.Background())
+	h := one.Handler()
+	for _, step := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/models/a", `{"model":"resnet-50","totalChannels":16,"pimChannels":8}`, http.StatusCreated},
+		{"/v1/models/big", `{"model":"mobilenet-v2","totalChannels":32,"pimChannels":16}`, http.StatusInsufficientStorage},
+		{"/v1/models/big", `{"model":"mobilenet-v2","totalChannels":8,"pimChannels":4}`, http.StatusCreated},
+	} {
+		if code := post(h, step.path, step.body); code != step.want {
+			t.Fatalf("POST %s %s: %d, want %d", step.path, step.body, code, step.want)
+		}
+		if step.want != http.StatusCreated {
+			for _, d := range one.Deployments() {
+				if d.Name == "big" {
+					t.Errorf("the failed deploy left %+v", d)
+				}
+			}
+		}
+	}
+
+	two, err := fleet.New(fleet.Config{Machines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Shutdown(context.Background())
+	h = two.Handler()
+	if code := post(h, "/v1/models/filler", `{"model":"toy","totalChannels":32,"pimChannels":16}`); code != http.StatusCreated {
+		t.Fatalf("filler deploy: %d", code)
+	}
+	if code := post(h, "/v1/models/pair", `{"model":"toy","totalChannels":16,"pimChannels":8,"replicas":2}`); code != http.StatusInsufficientStorage {
+		t.Fatalf("two replicas where one fits: %d, want 507", code)
+	}
+	if ds := two.Deployments(); len(ds) != 1 || ds[0].Name != "filler" {
+		t.Errorf("deployments %+v, want only filler", ds)
+	}
+	for i := 0; i < two.Size(); i++ {
+		if _, err := two.Machine(i).Registry().Get("pair"); !errors.Is(err, serve.ErrNotLoaded) {
+			t.Errorf("machine %d still holds a replica of pair (%v)", i, err)
+		}
+	}
+	if diags := two.Verify(); len(diags) > 0 {
+		t.Errorf("fleet certificate: %v", diags)
+	}
+}

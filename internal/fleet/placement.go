@@ -63,8 +63,10 @@ func (f *Fleet) Register(spec serve.ModelSpec, replicas int) error {
 	return nil
 }
 
-// Deploy registers a model and places its replicas eagerly. A spec that
-// can never load (serve.ErrBadSpec) leaves no registration behind.
+// Deploy registers a model and places its replicas eagerly. A deploy
+// that fails (a bad spec, a failed compile, no capacity for every
+// replica) leaves nothing behind: it evicts the replicas it placed and
+// drops the registration, so the name can be deployed again.
 func (f *Fleet) Deploy(spec serve.ModelSpec, replicas int) error {
 	if err := f.Register(spec, replicas); err != nil {
 		return err
@@ -74,8 +76,12 @@ func (f *Fleet) Deploy(spec serve.ModelSpec, replicas int) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	err := f.ensureLocked(f.deployments[spec.Name], false)
-	if errors.Is(err, serve.ErrBadSpec) {
+	d := f.deployments[spec.Name]
+	err := f.ensureLocked(d, false)
+	if err != nil {
+		for len(d.replicas) > 0 {
+			f.evictLocked(d, d.replicas[len(d.replicas)-1])
+		}
 		delete(f.deployments, spec.Name)
 		f.cfg.Metrics.Set("fleet.models_registered", float64(len(f.deployments)))
 	}
@@ -154,9 +160,15 @@ func (f *Fleet) ensureLocked(d *deployment, evict bool) error {
 	if d.lm == nil {
 		lm, err := f.compiler.Load(d.spec)
 		if errors.Is(err, serve.ErrAlreadyLoaded) {
-			// A previous deployment of this name already compiled it; the
-			// compile cache keeps it warm across undeploy/redeploy.
+			// A previous deployment of this name compiled it. The compile
+			// cache keeps that compile warm across undeploy and redeploy
+			// of the same spec; another spec under the name compiles anew.
 			lm, err = f.compiler.Get(d.spec.Name)
+			if err == nil && lm.Spec != d.spec {
+				if err = f.compiler.Unload(d.spec.Name); err == nil {
+					lm, err = f.compiler.Load(d.spec)
+				}
+			}
 		}
 		if err != nil {
 			return err

@@ -283,15 +283,6 @@ func ElementwiseKernel(elems int64, readsPerElem int) Kernel {
 	return Kernel{FLOPs: elems * 2, DRAMBytes: bytes, ComputeEff: 0.6, MemEff: 0.85}
 }
 
-// TimeNode computes the GPU execution time of one graph node.
-func TimeNode(g *graph.Graph, n *graph.Node, cfg Config) (Result, error) {
-	k, err := NodeKernel(g, n, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return cfg.Time(k)
-}
-
 // NodeKernel maps a graph node to its roofline kernel description.
 func NodeKernel(g *graph.Graph, n *graph.Node, cfg Config) (Kernel, error) {
 	outTI := g.Tensors[n.Outputs[0]]

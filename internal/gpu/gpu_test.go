@@ -317,3 +317,12 @@ func TestWinogradConvsKnob(t *testing.T) {
 		t.Fatal("strided conv flagged Winograd-eligible")
 	}
 }
+
+// TimeNode computes the GPU execution time of one graph node.
+func TimeNode(g *graph.Graph, n *graph.Node, cfg Config) (Result, error) {
+	k, err := NodeKernel(g, n, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return cfg.Time(k)
+}

@@ -146,12 +146,6 @@ func (g *Graph) MarkOutput(name string) {
 	g.Outputs = append(g.Outputs, name)
 }
 
-// AddTensor declares an intermediate activation tensor. The shape may be
-// nil and filled in later by InferShapes.
-func (g *Graph) AddTensor(name string, shape tensor.Shape) {
-	g.Tensors[name] = &TensorInfo{Name: name, Shape: shape.Clone()}
-}
-
 // AddWeight declares a weight tensor with initializer data.
 func (g *Graph) AddWeight(name string, t *tensor.Tensor) {
 	g.Tensors[name] = &TensorInfo{Name: name, Shape: t.Shape.Clone(), Init: t, Param: true}
@@ -262,6 +256,9 @@ func (g *Graph) RemoveNode(name string) bool {
 
 // ReplaceNode substitutes the node named old with the given nodes, splicing
 // them in at the same position.
+//
+// Only tests call it, graph's and, through transform.SplitMDDP and
+// transform.PipelineChain, those of transform, runtime, search and verify.
 func (g *Graph) ReplaceNode(old string, repl ...*Node) error {
 	for i, n := range g.Nodes {
 		if n.Name == old {

@@ -285,9 +285,8 @@ func (x *Index) InferShapes() ([]int, error) {
 		return nil, err
 	}
 	for _, i := range ord {
-		n := x.nodes[i]
-		if err := x.g.inferNode(n); err != nil {
-			return nil, fmt.Errorf("graph: %s %q: %w", n.Op, n.Name, err)
+		if err := x.g.infer(x.nodes[i]); err != nil {
+			return nil, err
 		}
 	}
 	return ord, nil

@@ -16,6 +16,29 @@ func (g *Graph) InferShapes() error {
 	return err
 }
 
+// InferNodes computes the output shapes of the given nodes, walking them
+// in the given order: each must read only tensors that are already
+// shaped or that an earlier node of the list writes. The rest of the
+// graph is neither walked nor indexed, so a pass that adds nodes to a
+// shaped graph infers what it added at the cost of what it added. Errors
+// read as InferShapes reports them.
+func (g *Graph) InferNodes(nodes []*Node) error {
+	for _, n := range nodes {
+		if err := g.infer(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// infer computes the node's output shapes, naming the node in an error.
+func (g *Graph) infer(n *Node) error {
+	if err := g.inferNode(n); err != nil {
+		return fmt.Errorf("graph: %s %q: %w", n.Op, n.Name, err)
+	}
+	return nil
+}
+
 func (g *Graph) shapeOf(name string) (tensor.Shape, error) {
 	ti, ok := g.Tensors[name]
 	if !ok {

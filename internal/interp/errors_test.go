@@ -22,7 +22,7 @@ func buildOne(t *testing.T, n *graph.Node, inputs map[string]tensor.Shape) *grap
 func TestEvalNodeMissingInput(t *testing.T) {
 	n := &graph.Node{Name: "r", Op: graph.OpRelu, Inputs: []string{"ghost"}, Outputs: []string{"o"}}
 	g := graph.New("g")
-	g.AddTensor("ghost", tensor.Shape{1, 1, 1, 1})
+	g.Tensors["ghost"] = &graph.TensorInfo{Name: "ghost", Shape: tensor.Shape{1, 1, 1, 1}}
 	g.AddNode(n)
 	g.MarkOutput("o")
 	if _, err := Run(g, map[string]*tensor.Tensor{}); err == nil {

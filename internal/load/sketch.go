@@ -90,14 +90,6 @@ func (s *QuantileSketch) Count() int64 { return s.n }
 // Sum returns the exact sum of observed values.
 func (s *QuantileSketch) Sum() int64 { return s.sum }
 
-// Min returns the exact minimum (0 on an empty sketch).
-func (s *QuantileSketch) Min() int64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
 // Max returns the exact maximum (0 on an empty sketch).
 func (s *QuantileSketch) Max() int64 {
 	if s.n == 0 {

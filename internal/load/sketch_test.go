@@ -166,3 +166,11 @@ func TestReplayStreamStats(t *testing.T) {
 		}
 	}
 }
+
+// Min returns the exact minimum (0 on an empty sketch).
+func (s *QuantileSketch) Min() int64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.min
+}

@@ -105,3 +105,38 @@ func TestRuntimeReportsGolden(t *testing.T) {
 		}
 	}
 }
+
+// plannedExecuted pins each paper CNN's PIMFlow plan objective
+// (Plan.TotalProfiled) beside the cycles runtime.Execute gives its
+// compiled graph. The gap has both signs: the runtime charges
+// synchronization and PIM-to-GPU movement the objective does not price,
+// and it overlaps nodes the objective sums, so the objective bounds the
+// schedule neither from below nor from above.
+var plannedExecuted = map[string][2]int64{
+	"efficientnet-v1-b0": {421752, 434417},   // +12 665
+	"mnasnet-1.0":        {262267, 262068},   // -199
+	"mobilenet-v2":       {268818, 268619},   // -199
+	"resnet-50":          {1539311, 1538225}, // -1 086
+	"vgg-16":             {2666169, 2666840}, // +671
+}
+
+func TestPlannedVsExecutedGolden(t *testing.T) {
+	for _, name := range models.EvaluatedCNNs() {
+		g, err := models.Build(name, models.Options{Light: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions(PolicyPIMFlow)
+		out, plan, err := Compile(g, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := runtime.Execute(out, opts.RuntimeConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := [2]int64{plan.TotalProfiled, rep.TotalCycles}; got != plannedExecuted[name] {
+			t.Errorf("%s: (planned, executed) = %v, want %v", name, got, plannedExecuted[name])
+		}
+	}
+}

@@ -294,16 +294,6 @@ func (p *profiler) mddpProbe(layer string, sp mddpSplit, ratio float64) (int64, 
 	return max(gt, pt) + p.rt.SyncOverheadCycles, nil
 }
 
-// mddp times the MD-DP execution of a candidate node at the given GPU
-// ratio — split resolution plus probe.
-func (p *profiler) mddp(g *graph.Graph, n *graph.Node, ratio float64) (int64, error) {
-	sp, err := p.mddpSplitOf(g, n, ratio)
-	if err != nil {
-		return 0, err
-	}
-	return p.mddpProbe(n.Name, sp, ratio)
-}
-
 // mddpBound returns an analytic lower bound on mddpProbe's result for a
 // resolved split, without simulating: the GPU half is the exact roofline
 // time (pure arithmetic — identical to the value the probe would cache),

@@ -10,7 +10,6 @@ import (
 	"pimflow/internal/obs"
 	"pimflow/internal/par"
 	"pimflow/internal/transform"
-	"pimflow/internal/verify"
 )
 
 // Run executes Algorithm 1 on the graph: profile every node's execution
@@ -337,99 +336,6 @@ func chainSpan(names []string, x *graph.Index, rank []int) (start, length int, o
 		}
 	}
 	return start, len(names), true
-}
-
-// Apply transforms a clone of the graph according to the plan: chosen
-// pipeline candidates are rewritten by the pipelining pass, MD-DP nodes
-// are split, full-offload nodes are annotated for PIM, and the memory
-// optimizer elides the introduced data-movement nodes. With
-// plan.Options.Verify set, the graph-IR invariant checker runs after
-// every pass and aborts on the first violation, naming the pass that
-// introduced it.
-func Apply(g *graph.Graph, plan *Plan) (*graph.Graph, error) {
-	verifyStep := func(out *graph.Graph, step string, args ...any) error {
-		if !plan.Options.Verify {
-			return nil
-		}
-		diags := verify.Graph(out)
-		verify.Record(plan.Options.Metrics, diags)
-		if err := verify.AsError(diags); err != nil {
-			return fmt.Errorf("search: graph invariants violated %s: %w", fmt.Sprintf(step, args...), err)
-		}
-		return nil
-	}
-	out := g.Clone()
-	if err := verifyStep(out, "before transformation"); err != nil {
-		return nil, err
-	}
-	// Each rewrite defers shape inference to the single InferShapes at
-	// the end (per-pass inference re-walks the whole graph, quadratic in
-	// model size) — except under Verify, where the per-pass invariant
-	// check wants every intermediate graph fully shaped.
-	//
-	// Chains and decision nodes are resolved through one index of the
-	// clone. Chosen pipelines are disjoint, a pipeline rewrite replaces
-	// only its chain, and an MD-DP split only the node it splits, so every
-	// later lookup still finds the node and adjacency the index recorded.
-	x := out.Index()
-	pipelined := map[string]bool{}
-	groupID := 0
-	for _, pd := range plan.Pipelines {
-		if !pd.Chosen {
-			continue
-		}
-		for _, n := range pd.Candidate.Nodes {
-			if pipelined[n] {
-				return nil, fmt.Errorf("search: apply pipeline %v: node %q is in an earlier pipeline", pd.Candidate.Nodes, n)
-			}
-			pipelined[n] = true
-		}
-		err := transform.PipelineChainIn(x, pd.Candidate.Nodes, pd.Stages, groupID)
-		if err == nil && plan.Options.Verify {
-			err = out.InferShapes()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("search: apply pipeline %v: %w", pd.Candidate.Nodes, err)
-		}
-		if err := verifyStep(out, "after pipelining %v", pd.Candidate.Nodes); err != nil {
-			return nil, err
-		}
-		groupID++
-	}
-	for _, d := range plan.Decisions {
-		if !d.PIMCandidate || pipelined[d.Node] || d.GPURatio >= 1 {
-			continue // full GPU keeps the default annotation
-		}
-		n := x.Node(d.Node)
-		if n == nil {
-			return nil, fmt.Errorf("search: node %q vanished", d.Node)
-		}
-		if d.GPURatio <= 0 {
-			n.Exec = graph.ExecHint{Mode: graph.ModeSerial, Device: graph.DevicePIM}
-			continue
-		}
-		err := transform.SplitMDDPNode(out, n, d.GPURatio)
-		if err == nil && plan.Options.Verify {
-			err = out.InferShapes()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("search: apply split %q: %w", d.Node, err)
-		}
-		if err := verifyStep(out, "after MD-DP split of %q", d.Node); err != nil {
-			return nil, err
-		}
-	}
-	// Shapes must be fresh before elision: the memory optimizer elides
-	// Slice/Concat/Pad nodes only when it can see their batch-1 NHWC
-	// shapes, including tensors introduced by the deferred rewrites.
-	if err := out.InferShapes(); err != nil {
-		return nil, err
-	}
-	transform.ElideDataMovement(out)
-	if err := verifyStep(out, "after data-movement elision"); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Compile runs the search and applies the plan, returning the transformed

@@ -261,8 +261,10 @@ type Plan struct {
 	Decisions []LayerDecision
 	Pipelines []PipelineDecision
 	// TotalProfiled is the DP objective: the summed profiled time of the
-	// chosen partition (a lower bound on the scheduled time; the runtime
-	// overlap can beat it).
+	// chosen partition. It is neither a lower nor an upper bound on the
+	// executed schedule: the runtime charges synchronization and PIM-to-GPU
+	// movement that the objective does not price, and it overlaps nodes
+	// that the objective sums (TestPlannedVsExecutedGolden pins both).
 	TotalProfiled int64
 	// Cache reports this Run's profile-store activity (hits, misses,
 	// singleflight-shared lookups) as a delta over the Run, so a shared

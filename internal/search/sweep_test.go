@@ -123,3 +123,13 @@ func TestPruningPreservesPlanBytes(t *testing.T) {
 		t.Error("two identical compilations disagree")
 	}
 }
+
+// mddp times the MD-DP execution of a candidate node at the given GPU
+// ratio — split resolution plus probe.
+func (p *profiler) mddp(g *graph.Graph, n *graph.Node, ratio float64) (int64, error) {
+	sp, err := p.mddpSplitOf(g, n, ratio)
+	if err != nil {
+		return 0, err
+	}
+	return p.mddpProbe(n.Name, sp, ratio)
+}

@@ -287,10 +287,6 @@ func (l *Lifecycle) Recent(f SpanFilter) []RequestSpan {
 	return out
 }
 
-// Lifecycle exposes the server's request-lifecycle tracker (nil when
-// Config.RequestLog is zero).
-func (s *Server) Lifecycle() *Lifecycle { return s.lifecycle }
-
 // StageBreakdown is one model's attributed latency summary for /healthz:
 // per-stage quantile estimates from the labeled stage histograms.
 type StageBreakdown struct {

@@ -390,3 +390,7 @@ func BenchmarkFinishRequestLogOff(b *testing.B) {
 		<-it.reply
 	}
 }
+
+// Lifecycle exposes the server's request-lifecycle tracker (nil when
+// Config.RequestLog is zero).
+func (s *Server) Lifecycle() *Lifecycle { return s.lifecycle }

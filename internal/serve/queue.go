@@ -228,13 +228,6 @@ func (q *queue) push(it *item) error {
 	}
 }
 
-// pop removes the queue head, blocking until an item arrives. It returns
-// ok == false only once the queue is closed and fully drained.
-func (q *queue) pop() (*item, bool) {
-	it, ok, _ := q.popUntil(nil)
-	return it, ok
-}
-
 // popUntil removes the next live queue item, blocking until one arrives,
 // the timeout channel fires (timedOut true), or the queue is closed and
 // fully drained (ok false). Requests whose context already ended are

@@ -294,3 +294,10 @@ func TestQueueSentinelBypassesCapacity(t *testing.T) {
 		t.Fatal("sentinel accepted on a closed queue")
 	}
 }
+
+// pop removes the queue head, blocking until an item arrives. It returns
+// ok == false only once the queue is closed and fully drained.
+func (q *queue) pop() (*item, bool) {
+	it, ok, _ := q.popUntil(nil)
+	return it, ok
+}

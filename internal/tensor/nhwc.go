@@ -25,19 +25,6 @@ func SliceH(t *Tensor, h0, h1 int) (*Tensor, error) {
 	return out, nil
 }
 
-// SliceHView returns rows [h0, h1) of an NHWC tensor sharing storage with t.
-// This models the zero-copy slice produced by the memory optimizer.
-func SliceHView(t *Tensor, h0, h1 int) (*Tensor, error) {
-	if len(t.Shape) != 4 || t.Shape[0] != 1 {
-		return nil, fmt.Errorf("tensor: SliceHView wants batch-1 NHWC, got shape %v", t.Shape)
-	}
-	h, w, c := t.Shape[1], t.Shape[2], t.Shape[3]
-	if h0 < 0 || h1 > h || h0 >= h1 {
-		return nil, fmt.Errorf("tensor: SliceHView range [%d,%d) outside H=%d", h0, h1, h)
-	}
-	return &Tensor{Shape: Shape{1, h1 - h0, w, c}, Data: t.Data[h0*w*c : h1*w*c]}, nil
-}
-
 // ConcatH concatenates batch-1 NHWC tensors along the height dimension.
 func ConcatH(parts ...*Tensor) (*Tensor, error) {
 	if len(parts) == 0 {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -290,4 +291,17 @@ func TestPropertyPadPreservesInterior(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// SliceHView returns rows [h0, h1) of an NHWC tensor sharing storage with t.
+// This models the zero-copy slice produced by the memory optimizer.
+func SliceHView(t *Tensor, h0, h1 int) (*Tensor, error) {
+	if len(t.Shape) != 4 || t.Shape[0] != 1 {
+		return nil, fmt.Errorf("tensor: SliceHView wants batch-1 NHWC, got shape %v", t.Shape)
+	}
+	h, w, c := t.Shape[1], t.Shape[2], t.Shape[3]
+	if h0 < 0 || h1 > h || h0 >= h1 {
+		return nil, fmt.Errorf("tensor: SliceHView range [%d,%d) outside H=%d", h0, h1, h)
+	}
+	return &Tensor{Shape: Shape{1, h1 - h0, w, c}, Data: t.Data[h0*w*c : h1*w*c]}, nil
 }

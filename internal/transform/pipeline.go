@@ -3,6 +3,8 @@ package transform
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"pimflow/internal/graph"
 )
@@ -34,45 +36,35 @@ var elementwiseOps = map[graph.OpType]bool{
 // graph is scheduled on two device queues, the middle stages overlap:
 // while the PIM device computes chunk B of the first conv, the GPU already
 // processes chunk A through the depthwise conv (Fig 5, nodes 3(A)..4(B)).
+// It splices PipelineStages into g where the chain's first node stood,
+// drops the chain's other nodes, and re-infers g's shapes.
 //
 // groupID tags the created nodes' Exec.Pipeline hints so the runtime and
 // reports can identify the subgraph.
 //
 // Only tests call it: transform's, runtime's, verify's, and search's
-// reference pipeline probe.
+// references for its pipeline probe and Apply.
 func PipelineChain(g *graph.Graph, names []string, stages, groupID int) error {
-	if err := PipelineChainIn(g.Index(), names, stages, groupID); err != nil {
-		return err
-	}
-	return g.InferShapes()
-}
-
-// PipelineChainIn is PipelineChain of the graph x indexes, without the
-// trailing whole-graph shape inference, for callers that batch several
-// rewrites and infer once (see SplitMDDPNode). A rewrite replaces only
-// its chain's nodes, and the nodes it adds read only the chain's input,
-// its weights and each other, so the adjacency of nodes outside the chain
-// is unchanged: one index serves a sequence of rewrites of disjoint
-// chains.
-func PipelineChainIn(x *graph.Index, names []string, stages, groupID int) error {
-	repl, err := PipelineStages(x, names, stages, groupID)
+	repl, err := PipelineStages(g.Index(), names, stages, groupID)
 	if err != nil {
 		return err
 	}
-	g := x.Graph()
 	if err := g.ReplaceNode(names[0], repl...); err != nil {
 		return err
 	}
 	for _, name := range names[1:] {
 		g.RemoveNode(name)
 	}
-	return nil
+	return g.InferShapes()
 }
 
 // PipelineStages validates the chain (nodes named names, in the graph x
 // indexes) and returns, without changing the graph, the nodes that
 // replace it in chunk-major order: they read only the chain's input, its
-// weights and each other, and the last writes the chain's output.
+// weights and each other, and the last, a Concat, re-creates the chain's
+// output under its name at its shape. search.Apply puts them where the
+// chain's first node stood, and the search's pipeline probe schedules
+// them alone.
 func PipelineStages(x *graph.Index, names []string, stages, groupID int) ([]*graph.Node, error) {
 	chain, err := chainNodes(x, names)
 	if err != nil {
@@ -179,7 +171,28 @@ func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, erro
 // stageNodes generates the validated chain's replacement nodes (see
 // PipelineStages).
 func stageNodes(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, groupID int) []*graph.Node {
-	var repl []*graph.Node
+	// Per chunk, a convolution makes a Slice and a part, and an
+	// elementwise node a part; the node before a convolution makes a
+	// prefix Concat per chunk after the first. The final Concat joins
+	// the last node's chunks.
+	nodes, names, text := 1, stages+1, len(chain[len(chain)-1].Name)+7
+	for i, n := range chain {
+		text += stages * (3*len(n.Name) + 40)
+		if n.Op != graph.OpConv {
+			nodes += stages
+			names += 2 * stages
+			continue
+		}
+		nodes += 2 * stages
+		names += stages * (len(n.Inputs) + 3)
+		if i > 0 {
+			nodes += stages - 1
+			names += 3 * (stages - 1)
+		}
+	}
+	var b block
+	b.grow(nodes, names, text)
+	repl := make([]*graph.Node, 0, nodes)
 	// chunkOut[i][j] is the tensor holding chunk j of chain node i.
 	chunkOut := make([][]string, len(chain))
 	// prefixOut[i][j] is the tensor holding rows [0, bounds[i][j]) of node
@@ -197,8 +210,9 @@ func stageNodes(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, gro
 				o0 = bounds[i][j-1]
 			}
 			o1 := bounds[i][j]
-			partName := fmt.Sprintf("%s_p%d", n.Name, j)
-			var part *graph.Node
+			partOut := b.name(n.Name, "_p", strconv.Itoa(j), outSuffix)
+			partName := strings.TrimSuffix(partOut, outSuffix)
+			part := b.node()
 			if p := n.Conv; n.Op == graph.OpConv {
 				var srcH int
 				var src string
@@ -207,17 +221,19 @@ func stageNodes(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, gro
 					srcH = g.Tensors[src].Shape[1]
 				} else {
 					// Rows available: prefix of node i-1 up to chunk j.
-					src = prefixFor(chain[i-1], chunkOut[i-1], prefixOut[i-1], j, &repl)
+					src = prefixFor(&b, chain[i-1], chunkOut[i-1], prefixOut[i-1], j, &repl)
 					srcH = bounds[i-1][j]
 				}
 				in0, in1, pt, pb := rowRange(o0, o1, p.StrideH, p.KernelH, p.PadT, srcH)
-				slice := heightSlice(partName+"_slice", src, in0, in1)
+				sliceOut := b.name(partName, "_slice", outSuffix)
+				slice := b.node()
+				heightSlice(slice, strings.TrimSuffix(sliceOut, outSuffix), b.list(src), b.list(sliceOut), in0, in1)
 				repl = append(repl, slice)
-				part = derive(n, partName, append([]string{slice.Outputs[0]}, n.Inputs[1:]...))
+				derive(part, n, partName, b.list(sliceOut, n.Inputs[1:]...), b.list(partOut))
 				part.Conv.PadT, part.Conv.PadB = pt, pb
 			} else {
 				// Elementwise: boundaries align with the producer chunk.
-				part = derive(n, partName, []string{chunkOut[i-1][j]})
+				derive(part, n, partName, b.list(chunkOut[i-1][j]), b.list(partOut))
 			}
 			dev := graph.DeviceGPU
 			if g.IsPIMCandidate(n) {
@@ -232,18 +248,20 @@ func stageNodes(g *graph.Graph, chain []*graph.Node, bounds [][]int, stages, gro
 			}
 			part.Pipelined = true
 			repl = append(repl, part)
-			chunkOut[i][j] = part.Outputs[0]
+			chunkOut[i][j] = partOut
 		}
 	}
 	// Reassemble the chain's final output under its original name.
 	last := len(chain) - 1
-	return append(repl, axis1Concat(chain[last].Name+"_concat", chunkOut[last], chain[last].Outputs[0]))
+	concat := b.node()
+	axis1Concat(concat, b.name(chain[last].Name, "_concat"), b.list(chunkOut[last][0], chunkOut[last][1:]...), b.list(chain[last].Outputs[0]))
+	return append(repl, concat)
 }
 
 // prefixFor returns (creating if needed) the tensor that holds rows
 // [0, bounds[j]) of the given chain node's output: chunk 0 alone for j==0,
 // otherwise a concat of the previous prefix and chunk j.
-func prefixFor(n *graph.Node, chunks, prefixes []string, j int, repl *[]*graph.Node) string {
+func prefixFor(b *block, n *graph.Node, chunks, prefixes []string, j int, repl *[]*graph.Node) string {
 	if j == 0 {
 		prefixes[0] = chunks[0]
 		return chunks[0]
@@ -251,10 +269,11 @@ func prefixFor(n *graph.Node, chunks, prefixes []string, j int, repl *[]*graph.N
 	if prefixes[j] != "" {
 		return prefixes[j]
 	}
-	prev := prefixFor(n, chunks, prefixes, j-1, repl)
-	name := fmt.Sprintf("%s_prefix%d", n.Name, j)
-	c := axis1Concat(name, []string{prev, chunks[j]}, name+"_out")
+	prev := prefixFor(b, n, chunks, prefixes, j-1, repl)
+	out := b.name(n.Name, "_prefix", strconv.Itoa(j), outSuffix)
+	c := b.node()
+	axis1Concat(c, strings.TrimSuffix(out, outSuffix), b.list(prev, chunks[j]), b.list(out))
 	*repl = append(*repl, c)
-	prefixes[j] = c.Outputs[0]
-	return prefixes[j]
+	prefixes[j] = out
+	return out
 }
