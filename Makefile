@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint verify-models fuzz bench bench-scenarios bench-compare report cover ci
+.PHONY: build test race vet fmt lint verify-models fuzz bench bench-scenarios report cover ci
 
 build:
 	$(GO) build ./...
@@ -42,34 +42,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRegisterGraph -fuzztime $(FUZZ_TIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzLintBlocks -fuzztime $(FUZZ_TIME) ./internal/verify
 
-# Full benchmark sweep: harness figures plus the in-package engine
-# benchmarks. Results are merged into $(BENCH_JSON) under $(BENCH_LABEL)
-# (machine-readable ns/op, B/op, allocs/op) by cmd/pimflow-bench; the
-# raw go test output still streams through to the terminal.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_LABEL ?= after
-
+# One sample of each Go benchmark: the harness figures plus the engine
+# packages' benchmarks. Timed performance is measured by perfbench/ (see
+# BENCHMARK.json), with repeats and a noise band.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/verify ./internal/serve ./internal/load ./internal/fleet | \
-		$(GO) run ./cmd/pimflow-bench -label $(BENCH_LABEL) -out $(BENCH_JSON)
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/pim ./internal/codegen ./internal/verify ./internal/serve ./internal/load ./internal/fleet
 
-# Trace-driven serving scenarios (Poisson / diurnal / bursty) replayed
-# deterministically; results (including attributed per-stage percentile
-# splits) merge into the same snapshot file. The fleet sweep replays the
-# same workload through 1-, 2-, and 4-machine fleets (fleet1/2/4).
+# Trace-driven serving scenarios (Poisson / diurnal / bursty) and the
+# fleet sweep (the Poisson workload on 1-, 2- and 4-machine fleets),
+# replayed deterministically with every schedule certified. Their
+# virtual metrics are pinned exactly by TestScenarioGolden.
 bench-scenarios:
-	$(GO) run ./cmd/pimflow-bench -label $(BENCH_LABEL) -out $(BENCH_JSON) -scenario poisson,diurnal,bursty,fleet -certify
-
-# Regression gate: replay the Poisson scenario now and compare its
-# deterministic virtual-time metrics against the committed baseline
-# (exactly what CI runs). Exits nonzero on >10% regressions.
-BENCH_BASELINE ?= BENCH_PR10.json
-
-bench-compare:
-	$(GO) run ./cmd/pimflow-bench -label compare-run -out /tmp/pimflow_bench_compare.json -scenario poisson
-	$(GO) run ./cmd/pimflow-bench -compare -baseline-label $(BENCH_LABEL) -label compare-run \
-		-metrics p50_simcycles,p99_simcycles,p999_simcycles,served,shed,makespan_cycles,p99_batch_window_cycles,p99_lease_wait_cycles,p99_execute_cycles \
-		$(BENCH_BASELINE) /tmp/pimflow_bench_compare.json
+	$(GO) run ./cmd/pimflow-bench -scenario all,fleet -certify
 
 # Regenerate the paper-evaluation report (must stay byte-identical to the
 # committed experiments_report.txt regardless of profile-cache warmth).

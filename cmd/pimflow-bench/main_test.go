@@ -1,134 +1,68 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"pimflow/internal/load"
 )
 
-func TestParseLine(t *testing.T) {
-	name, r, ok := parseLine("BenchmarkFig13_ChannelRatio-8  \t1\t1815530219 ns/op\t5086341584 B/op\t 1075671 allocs/op")
-	if !ok {
-		t.Fatal("line not parsed")
-	}
-	if name != "BenchmarkFig13_ChannelRatio" {
-		t.Errorf("name %q, want CPU suffix stripped", name)
-	}
-	if r.NsPerOp != 1815530219 || r.BytesPerOp != 5086341584 || r.AllocsPerOp != 1075671 {
-		t.Errorf("parsed %+v", r)
-	}
+// scenarioMetrics is what TestScenarioGolden pins of one replay: its
+// counts, latency percentiles, makespan, mean batch, certified leases,
+// and the stage splits (queue, batch window, lease wait, execute) of the
+// requests at the p50, p99 and p999 ranks.
+type scenarioMetrics struct {
+	served, shed, sloMiss int
+	p50, p99, p999        int64
+	makespan              int64
+	meanBatch             float64
+	leases                int
+	splits                [3][4]int64
+}
 
-	// Without -benchmem only ns/op appears.
-	name, r, ok = parseLine("BenchmarkModelBuildVGG16 \t 10000\t105869 ns/op")
-	if !ok || name != "BenchmarkModelBuildVGG16" || r.NsPerOp != 105869 || r.BytesPerOp != 0 {
-		t.Errorf("parsed %q %+v ok=%v", name, r, ok)
+func metricsOf(rep *load.Report) scenarioMetrics {
+	m := scenarioMetrics{
+		served: rep.Served, shed: rep.Shed, sloMiss: rep.SLOMiss,
+		p50: rep.P50, p99: rep.P99, p999: rep.P999,
+		makespan: rep.MakespanCycles, meanBatch: rep.MeanBatch, leases: rep.CertifiedLeases,
 	}
-
-	// Custom b.ReportMetric units land in Extra.
-	name, r, ok = parseLine("BenchmarkServeThroughput-8\t5\t210545574 ns/op\t123.4 req/s\t1798466 p50_simcycles\t2515295 p99_simcycles")
-	if !ok || name != "BenchmarkServeThroughput" {
-		t.Fatalf("serve line parsed %q ok=%v", name, ok)
-	}
-	if r.Extra["req/s"] != 123.4 || r.Extra["p50_simcycles"] != 1798466 || r.Extra["p99_simcycles"] != 2515295 {
-		t.Errorf("extra metrics %+v", r.Extra)
-	}
-
-	for _, line := range []string{
-		"goos: linux",
-		"pkg: pimflow/internal/pim",
-		"PASS",
-		"ok  \tpimflow\t1.2s",
-		"BenchmarkBroken x y",
-		"",
-	} {
-		if _, _, ok := parseLine(line); ok {
-			t.Errorf("non-benchmark line parsed: %q", line)
+	if at := rep.Attributed; at != nil {
+		for i, a := range []load.AttributedRequest{at.P50, at.P99, at.P999} {
+			m.splits[i] = [4]int64{a.Stages.Queue, a.Stages.BatchWait, a.Stages.LeaseWait, a.Stages.Execute}
 		}
 	}
+	return m
 }
 
-func TestHigherBetter(t *testing.T) {
-	for unit, want := range map[string]bool{
-		"req/s": true, "served": true, "requests": true,
-		"ns/op": false, "p99_simcycles": false, "allocs/op": false, "shed": false,
-	} {
-		if got := higherBetter(unit); got != want {
-			t.Errorf("higherBetter(%q) = %v, want %v", unit, got, want)
+// TestScenarioGolden replays every builtin scenario under the options
+// the command uses with -certify and compares its virtual metrics
+// exactly. The replays are deterministic, so a moved value is a change
+// in behaviour, not noise.
+func TestScenarioGolden(t *testing.T) {
+	golden := map[string]scenarioMetrics{
+		"poisson": {10000, 0, 3460, 847098, 3161503, 5099043, 2466031216, 1.7504, 6934,
+			[3][4]int64{{0, 0, 31877, 815221}, {0, 0, 2346282, 815221}, {0, 146427, 4137395, 815221}}},
+		"diurnal": {10000, 0, 4335, 1097164, 3304754, 4179123, 2499892516, 1.9544, 6462,
+			[3][4]int64{{0, 0, 674127, 423037}, {0, 0, 2881717, 423037}, {0, 109212, 3646874, 423037}}},
+		"bursty": {3832, 6168, 3804, 12859253, 13557129, 13944416, 789126165, 2.075678496868476, 2415,
+			[3][4]int64{{0, 0, 12044032, 815221}, {0, 0, 11957540, 1599589}, {0, 0, 11952643, 1991773}}},
+		"fleet1": {6018, 3982, 5988, 13037404, 13577431, 13703065, 1245638640, 1.691924227318046, 4222,
+			[3][4]int64{{0, 0, 12614367, 423037}, {0, 0, 12762210, 815221}, {0, 0, 12887844, 815221}}},
+		"fleet2": {10000, 0, 2381, 783156, 1961684, 2906677, 1233278447, 1.6454, 7190,
+			[3][4]int64{{0, 110592, 249527, 423037}, {0, 0, 754279, 1207405}, {0, 116788, 1974668, 815221}}},
+		"fleet4": {10000, 0, 765, 560304, 1207405, 1599589, 1233025499, 1.6072, 7307,
+			[3][4]int64{{0, 137267, 0, 423037}, {0, 0, 0, 1207405}, {0, 0, 0, 1599589}}},
+	}
+	names := scenarioNames("all,fleet")
+	if len(names) != len(golden) {
+		t.Fatalf("\"all,fleet\" expands to %v, want the %d pinned scenarios", names, len(golden))
+	}
+	for _, name := range names {
+		rep, err := replay(name, load.RunOptions{RequestLog: 512, Certify: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestMetricFilter(t *testing.T) {
-	f := parseMetricFilter("p99_simcycles, Scenario/poisson:served")
-	if !f.match("Scenario/bursty", "p99_simcycles") {
-		t.Error("bare unit should match every benchmark")
-	}
-	if !f.match("Scenario/poisson", "served") || f.match("Scenario/bursty", "served") {
-		t.Error("qualified entry should match only its benchmark")
-	}
-	var all metricFilter
-	if !all.match("x", "y") {
-		t.Error("nil filter should match everything")
-	}
-}
-
-func writeSnapshot(t *testing.T, path string, doc map[string]map[string]Result) {
-	t.Helper()
-	data, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompare(t *testing.T) {
-	dir := t.TempDir()
-	before, after := filepath.Join(dir, "before.json"), filepath.Join(dir, "after.json")
-	writeSnapshot(t, before, map[string]map[string]Result{"after": {
-		"Scenario/poisson": {NsPerOp: 100, Extra: map[string]float64{"p99_simcycles": 1000, "req/s": 50}},
-		"OnlyBefore":       {NsPerOp: 1},
-	}})
-
-	// Within tolerance: ok (ns/op noise excluded by the filter).
-	writeSnapshot(t, after, map[string]map[string]Result{"after": {
-		"Scenario/poisson": {NsPerOp: 500, Extra: map[string]float64{"p99_simcycles": 1050, "req/s": 48}},
-	}})
-	filter := parseMetricFilter("p99_simcycles,req/s")
-	if err := compare(before, after, "after", "after", filter, 0.10); err != nil {
-		t.Fatalf("within-tolerance compare failed: %v", err)
-	}
-
-	// Lower-better regression: p99 +20%.
-	writeSnapshot(t, after, map[string]map[string]Result{"after": {
-		"Scenario/poisson": {NsPerOp: 100, Extra: map[string]float64{"p99_simcycles": 1200, "req/s": 50}},
-	}})
-	if err := compare(before, after, "after", "after", filter, 0.10); err == nil {
-		t.Fatal("p99 regression not detected")
-	}
-
-	// Higher-better regression: throughput -20%.
-	writeSnapshot(t, after, map[string]map[string]Result{"after": {
-		"Scenario/poisson": {NsPerOp: 100, Extra: map[string]float64{"p99_simcycles": 1000, "req/s": 40}},
-	}})
-	if err := compare(before, after, "after", "after", filter, 0.10); err == nil {
-		t.Fatal("throughput regression not detected")
-	}
-	// A throughput *gain* of the same magnitude is fine.
-	writeSnapshot(t, after, map[string]map[string]Result{"after": {
-		"Scenario/poisson": {NsPerOp: 100, Extra: map[string]float64{"p99_simcycles": 1000, "req/s": 60}},
-	}})
-	if err := compare(before, after, "after", "after", filter, 0.10); err != nil {
-		t.Fatalf("throughput gain flagged: %v", err)
-	}
-
-	// Missing section and empty filter matches are errors.
-	if err := compare(before, after, "no-such-label", "after", nil, 0.10); err == nil {
-		t.Fatal("missing section not an error")
-	}
-	if err := compare(before, after, "after", "after", parseMetricFilter("no_such_metric"), 0.10); err == nil {
-		t.Fatal("empty metric match not an error")
+		if got, want := metricsOf(rep), golden[name]; got != want {
+			t.Errorf("%s:\n got %#v\nwant %#v", name, got, want)
+		}
 	}
 }

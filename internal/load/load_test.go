@@ -319,8 +319,8 @@ func TestSLOTighterClassNeverHurtsLooser(t *testing.T) {
 // The soak test of the concurrent serving stack, run under -race in CI:
 // eight submitters push a seeded trace through Server.Submit/Wait (the
 // admission queue, the dispatcher's continuous batcher and the worker
-// pool), FlushBatches closes the batches still held open, and every
-// request must end in exactly one outcome.
+// pool), Shutdown flushes the batches still held open before it drains,
+// and every request must end in exactly one outcome.
 func TestReplayLiveSoak(t *testing.T) {
 	sc := toyScenario(5, 400, "poisson")
 	srv := newScenarioServer(t, sc)
@@ -363,7 +363,9 @@ func TestReplayLiveSoak(t *testing.T) {
 		}()
 	}
 	submitters.Wait()
-	srv.FlushBatches()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	pending.Wait()
 	stats.Finish(rep)
 	if rep.Served+rep.Shed+rep.Rejected+rep.Violated+rep.Errors != rep.Requests {

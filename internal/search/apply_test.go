@@ -2,6 +2,8 @@ package search
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -488,6 +490,50 @@ func TestApplyChecksRewriteOutputs(t *testing.T) {
 	want := fmt.Sprintf("search: apply split %q: output %q re-created at shape", split.Node, ti.Name)
 	if _, err := Apply(forged, plan); err == nil || !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("Apply = %v, want an error starting %q", err, want)
+	}
+}
+
+// TestApplyRejectsActivationFirstChain gives Apply a persisted plan
+// edited so that a chosen pipeline starts with an activation, as a plan
+// file read back by pimflow -m=run can be: Apply must return an error
+// naming the node, not panic.
+func TestApplyRejectsActivationFirstChain(t *testing.T) {
+	g, err := models.Build("mobilenet-v2", models.Options{Light: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched, err := Run(g, DefaultOptions(PolicyPIMFlow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(searched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan Plan
+	if err := json.Unmarshal(data, &plan); err != nil {
+		t.Fatal(err)
+	}
+	var edited *PipelineDecision
+	for i := range plan.Pipelines {
+		if pd := &plan.Pipelines[i]; pd.Chosen && len(pd.Candidate.Nodes) > 2 {
+			edited = pd
+			break
+		}
+	}
+	if edited == nil {
+		t.Fatal("mobilenet-v2's plan chose no pipeline of three or more nodes")
+	}
+	// Drop the leading conv: the chain now starts with its activation.
+	edited.Candidate.Nodes = edited.Candidate.Nodes[1:]
+	edited.StartIdx, edited.Len = edited.StartIdx+1, edited.Len-1
+	first := edited.Candidate.Nodes[0]
+	if op := g.Node(first).Op; op != graph.OpClip {
+		t.Fatalf("edited chain starts with %s, want an activation", op)
+	}
+	_, err = Apply(g, &plan)
+	if !errors.Is(err, transform.ErrNotPipelineable) || !strings.Contains(err.Error(), fmt.Sprintf("%q", first)) {
+		t.Errorf("Apply = %v, want ErrNotPipelineable naming %q", err, first)
 	}
 }
 

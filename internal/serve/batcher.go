@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"log/slog"
 	"sort"
 	"time"
@@ -38,8 +37,7 @@ type pendingBatch struct {
 //   - its wall-clock window expires (timer),
 //   - a pinned-arrival request's stamp passes its virtual window
 //     (flushCycle), which keeps batch formation deterministic under
-//     trace replay,
-//   - a flush sentinel arrives (Server.FlushBatches), or
+//     trace replay, or
 //   - the queue closes: every pending batch flushes immediately, so
 //     Shutdown is never delayed by an open window.
 //
@@ -94,11 +92,6 @@ func (s *Server) dispatcher() {
 // route folds one popped item into the pending batches, flushing whatever
 // its arrival makes due.
 func (s *Server) route(pend map[string]*pendingBatch, it *item) {
-	if it.flush {
-		s.flushAll(pend)
-		it.finish(nil, nil)
-		return
-	}
 	if it.lc != nil {
 		it.popped = time.Now()
 	}
@@ -182,7 +175,7 @@ func (s *Server) flushWindowless(pend map[string]*pendingBatch) {
 	}
 }
 
-// flushAll flushes every pending batch (drain or explicit flush).
+// flushAll flushes every pending batch (drain).
 //
 //pimflow:deterministic
 func (s *Server) flushAll(pend map[string]*pendingBatch) {
@@ -234,15 +227,4 @@ func earliestWallDeadline(pend map[string]*pendingBatch) (time.Time, bool) {
 		}
 	}
 	return best, !best.IsZero()
-}
-
-// FlushBatches asks the dispatcher to flush every open batch and waits
-// until it has. Trace replay calls it after the last submission so
-// trailing virtual-window batches complete without waiting for Shutdown.
-func (s *Server) FlushBatches() {
-	it := &item{flush: true, ctx: context.Background(), reply: make(chan result, 1)}
-	if !s.queue.pushSentinel(it) {
-		return // draining: the dispatcher flushes everything on its way out
-	}
-	<-it.reply
 }

@@ -97,8 +97,8 @@ func TestProcessSkipsCanceledItems(t *testing.T) {
 	}
 }
 
-// FlushBatches closes out a batch held open by a virtual window without
-// shutting the server down.
+// A batch held open by a virtual window flushes when the server drains,
+// without waiting for the window to close.
 func TestServerFlushBatches(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxBatch: 8, BatchWindowCycles: 1 << 40})
 	p, err := s.Submit(context.Background(), InferRequest{Model: "toy-a", ArrivalCycle: 1})
@@ -106,11 +106,16 @@ func TestServerFlushBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The request is pinned and its virtual window is astronomically wide:
-	// nothing will flush it until an explicit flush (or drain).
+	// nothing but the drain flushes it.
 	time.Sleep(50 * time.Millisecond)
-	s.FlushBatches()
+	if len(p.it.reply) != 0 {
+		t.Fatal("batch flushed before its virtual window closed")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 	resp, err := p.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +127,8 @@ func TestServerFlushBatches(t *testing.T) {
 
 // A batch whose virtual window a newer pinned arrival passes flushes
 // before that arrival is routed, keeping batch composition a pure
-// function of the trace.
+// function of the trace. Shutdown flushes the batch the second arrival
+// opened, whose window no later arrival closes.
 func TestBatcherVirtualWindowFlush(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, MaxBatch: 8, BatchWindowCycles: 100})
 	p1, err := s.Submit(context.Background(), InferRequest{Model: "toy-a", ArrivalCycle: 10})
@@ -143,9 +149,15 @@ func TestBatcherVirtualWindowFlush(t *testing.T) {
 	if r1.BatchSize != 1 {
 		t.Fatalf("first batch size %d, want 1 (virtual window passed)", r1.BatchSize)
 	}
-	s.FlushBatches()
-	if _, err := p2.Wait(ctx); err != nil {
+	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
+	}
+	r2, err := p2.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.ArrivalCycle != 500 {
+		t.Fatalf("pinned arrival not honored: %+v", r2)
 	}
 }
 

@@ -84,9 +84,6 @@ type item struct {
 	// arrival is the pinned virtual arrival stamp (req.ArrivalCycle); 0
 	// stamps the request from the completion frontier at placement.
 	arrival int64
-	// flush marks the batcher's flush sentinel (see Server.FlushBatches);
-	// it never carries a request.
-	flush bool
 
 	// Lifecycle tracking (all zero when Config.RequestLog is off): the
 	// request ID, the model's SLO class name, the dispatcher-pop and
@@ -241,13 +238,11 @@ func (q *queue) popUntil(timeout <-chan time.Time) (it *item, ok bool, timedOut 
 			head := q.items[0]
 			q.items = append(q.items[:0], q.items[1:]...)
 			popped++
-			if !head.flush {
-				if err := head.ctx.Err(); err != nil {
-					// Dead at pop time: complete it now and keep scanning.
-					head.finish(nil, err)
-					q.metrics.Inc("serve.queue_expired")
-					continue
-				}
+			if err := head.ctx.Err(); err != nil {
+				// Dead at pop time: complete it now and keep scanning.
+				head.finish(nil, err)
+				q.metrics.Inc("serve.queue_expired")
+				continue
 			}
 			q.setDepthLocked()
 			depth := len(q.items)
@@ -286,12 +281,10 @@ func (q *queue) tryPop() (*item, bool) {
 	for len(q.items) > 0 {
 		head := q.items[0]
 		q.items = append(q.items[:0], q.items[1:]...)
-		if !head.flush {
-			if err := head.ctx.Err(); err != nil {
-				head.finish(nil, err)
-				q.metrics.Inc("serve.queue_expired")
-				continue
-			}
+		if err := head.ctx.Err(); err != nil {
+			head.finish(nil, err)
+			q.metrics.Inc("serve.queue_expired")
+			continue
 		}
 		q.setDepthLocked()
 		depth := len(q.items)
@@ -306,21 +299,6 @@ func (q *queue) tryPop() (*item, bool) {
 	q.mu.Unlock()
 	signal(q.space)
 	return nil, false
-}
-
-// pushSentinel enqueues a control item (batcher flush) regardless of the
-// admission policy and capacity; it reports false when the queue is
-// already closed (the dispatcher then flushes everything on drain anyway).
-func (q *queue) pushSentinel(it *item) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.items = append(q.items, it)
-	q.mu.Unlock()
-	signal(q.notEmpty)
-	return true
 }
 
 // depth returns the number of queued items.

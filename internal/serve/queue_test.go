@@ -276,25 +276,6 @@ func TestQueueShedRefusesHopelessArrival(t *testing.T) {
 	}
 }
 
-// The flush sentinel bypasses capacity and admission policy.
-func TestQueueSentinelBypassesCapacity(t *testing.T) {
-	q := newQueue(1, AdmitReject, nil)
-	if err := q.push(newItem("a")); err != nil {
-		t.Fatal(err)
-	}
-	s := &item{flush: true, ctx: context.Background(), reply: make(chan result, 1)}
-	if !q.pushSentinel(s) {
-		t.Fatal("sentinel rejected on an open queue")
-	}
-	if q.depth() != 2 {
-		t.Fatalf("depth %d", q.depth())
-	}
-	q.close()
-	if q.pushSentinel(&item{flush: true, ctx: context.Background(), reply: make(chan result, 1)}) {
-		t.Fatal("sentinel accepted on a closed queue")
-	}
-}
-
 // pop removes the queue head, blocking until an item arrives. It returns
 // ok == false only once the queue is closed and fully drained.
 func (q *queue) pop() (*item, bool) {

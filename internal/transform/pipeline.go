@@ -10,10 +10,11 @@ import (
 )
 
 // ErrNotPipelineable is wrapped by every structural rejection of a chain:
-// it is not a two-or-more-node chain of convolutions and activations,
-// each feeding only the next, or it has too few output rows to cut into
-// the requested stages. Callers classify with errors.Is; any other error
-// from the pipelining pass is a real failure.
+// it is not a two-or-more-node chain of convolutions and activations
+// that starts with a convolution, each node feeding only the next, or it
+// has too few output rows to cut into the requested stages. Callers
+// classify with errors.Is; any other error from the pipelining pass is a
+// real failure.
 var ErrNotPipelineable = errors.New("not pipelineable")
 
 // notPipelineable formats a structural rejection wrapping
@@ -106,10 +107,10 @@ func chainNodes(x *graph.Index, names []string) ([]*graph.Node, error) {
 	return chain, nil
 }
 
-// chunkBounds validates the chain's structure (consecutive,
-// single-consumer interior) and computes the cumulative chunk boundaries
-// per node: bounds[i][j] is the number of output rows of chain node i
-// finished after chunk j.
+// chunkBounds validates the chain's structure (a convolution first,
+// consecutive, single-consumer interior) and computes the cumulative
+// chunk boundaries per node: bounds[i][j] is the number of output rows of
+// chain node i finished after chunk j.
 func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, error) {
 	g := x.Graph()
 	if stages < 2 {
@@ -118,6 +119,11 @@ func chunkBounds(x *graph.Index, chain []*graph.Node, stages int) ([][]int, erro
 	for i, n := range chain {
 		if n.Op != graph.OpConv && !elementwiseOps[n.Op] {
 			return nil, notPipelineable("node %q (%s) cannot pipeline", n.Name, n.Op)
+		}
+		if i == 0 && n.Op != graph.OpConv {
+			// An elementwise part reads its producer's chunk, and the
+			// first node has no producer in the chain.
+			return nil, notPipelineable("chain starts with %q (%s), not a convolution", n.Name, n.Op)
 		}
 		out := g.Tensors[n.Outputs[0]]
 		if out == nil || !out.Shape.Valid() || len(out.Shape) != 4 {

@@ -1,6 +1,9 @@
 package transform
 
 import (
+	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -315,6 +318,26 @@ func TestPipelineErrors(t *testing.T) {
 	if err := PipelineChain(gt, chainNames(gt), 8, 0); err == nil {
 		t.Error("8 stages over 3 rows accepted")
 	}
+}
+
+// A chain that starts with an activation is rejected as not
+// pipelineable, naming the node: an elementwise part reads its
+// producer's chunk, and the first node has none in the chain.
+func TestPipelineRejectsElementwiseFirst(t *testing.T) {
+	g := mobileBlockGraph(t)
+	names := chainNames(g)[1:3] // ReLU6, then the depthwise conv
+	if g.Node(names[0]).Op != graph.OpClip {
+		t.Fatalf("chain starts with %s, want the ReLU6 Clip", g.Node(names[0]).Op)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNotPipelineable) || !strings.Contains(err.Error(), strconv.Quote(names[0])) {
+			t.Errorf("%s(%v) = %v, want ErrNotPipelineable naming %q", what, names, err, names[0])
+		}
+	}
+	check("CheckPipeline", CheckPipeline(g.Index(), names, 2))
+	_, err := PipelineStages(g.Index(), names, 2, 0)
+	check("PipelineStages", err)
 }
 
 func TestFindPipelineCandidates(t *testing.T) {
