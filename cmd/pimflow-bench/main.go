@@ -10,8 +10,9 @@
 // three and "fleet" for the last three. -certify records each
 // single-server replay's schedule certificate and fails unless it passes
 // every SR-* rule (fleet replays are always certified, FL-* and SR-*).
-// -trace writes the single-server replays into one Chrome trace, with a
-// lane per in-flight request.
+// -trace writes every replay into one Chrome trace: each machine's GPU
+// and PIM timeline, and for the single-server replays a lane per
+// in-flight request.
 //
 // The replays are deterministic, so every virtual metric printed here is
 // pinned exactly by TestScenarioGolden. Wall-time performance is measured
@@ -19,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +34,7 @@ import (
 
 func main() {
 	scenario := flag.String("scenario", "all", "builtin scenarios to replay, comma-separated: poisson, diurnal, bursty, fleet1, fleet2, fleet4, \"all\" (the first three) or \"fleet\" (the last three)")
-	tracePath := flag.String("trace", "", "write a Chrome trace (request lanes + GPU/PIM timeline) of the single-server replays to this file")
+	tracePath := flag.String("trace", "", "write a Chrome trace of the replays (GPU/PIM timeline, plus request lanes of the single-server replays) to this file")
 	certify := flag.Bool("certify", false, "record each replay's schedule certificate and fail unless it passes every SR-* rule")
 	flag.Parse()
 	if err := run(*scenario, *tracePath, *certify); err != nil {
@@ -108,24 +110,34 @@ func scenarioNames(list string) []string {
 }
 
 // replay runs one builtin scenario: a fleet scaling point through
-// fleetBuiltin, anything else through one server under opts.
+// fleetBuiltin on a fleet that draws into opts.Trace, anything else
+// through one server under opts.
 func replay(name string, opts load.RunOptions) (*load.Report, error) {
 	machines, err := fleetMachines(name)
 	if err != nil {
 		return nil, err
 	}
-	if machines > 0 {
-		sc, err := fleetBuiltin(machines)
+	if machines == 0 {
+		sc, err := load.Builtin(name)
 		if err != nil {
 			return nil, err
 		}
-		return fleet.Run(sc)
+		return load.RunWithOptions(sc, opts)
 	}
-	sc, err := load.Builtin(name)
+	sc, err := fleetBuiltin(machines)
 	if err != nil {
 		return nil, err
 	}
-	return load.RunWithOptions(sc, opts)
+	f, err := fleet.NewScenarioFleet(sc, nil, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Shutdown(context.Background())
+	reqs, err := load.Generate(sc.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	return fleet.Replay(f, sc, reqs)
 }
 
 // fleetMachines returns a fleet scaling point's machine count ("fleet2"

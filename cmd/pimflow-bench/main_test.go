@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimflow/internal/load"
+	"pimflow/internal/obs"
 )
 
 // scenarioMetrics is what TestScenarioGolden pins of one replay: its
@@ -64,5 +65,33 @@ func TestScenarioGolden(t *testing.T) {
 		if got, want := metricsOf(rep), golden[name]; got != want {
 			t.Errorf("%s:\n got %#v\nwant %#v", name, got, want)
 		}
+	}
+}
+
+// TestFleetReplayDrawsTrace replays a fleet scaling point with -trace:
+// the fleet draws every batch's GPU and PIM spans into the shared
+// trace, and tracing changes none of the replay's virtual metrics.
+func TestFleetReplayDrawsTrace(t *testing.T) {
+	tr := obs.NewTrace()
+	traced, err := replay("fleet1", load.RunOptions{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := replay("fleet1", load.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := metricsOf(traced), metricsOf(plain); got != want {
+		t.Errorf("traced fleet1 replay:\n got %#v\nwant %#v", got, want)
+	}
+	spans := map[int]int{}
+	for _, e := range tr.Events() {
+		if e.Phase == "X" && e.PID == obs.PIDTimeline {
+			spans[e.TID]++
+		}
+	}
+	if spans[obs.TIDGPU] == 0 || spans[obs.TIDPIM] == 0 {
+		t.Fatalf("trace of %d events holds %d GPU and %d PIM spans, want both",
+			tr.Len(), spans[obs.TIDGPU], spans[obs.TIDPIM])
 	}
 }

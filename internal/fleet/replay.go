@@ -287,22 +287,6 @@ loop:
 	return x.rep, nil
 }
 
-// Run is the one-call fleet harness: build the fleet, generate the
-// trace, replay it, shut the fleet down.
-func Run(sc Scenario) (*load.Report, error) {
-	sc = sc.withDefaults()
-	f, err := NewScenarioFleet(sc, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Shutdown(context.Background())
-	reqs, err := load.Generate(sc.Scenario)
-	if err != nil {
-		return nil, err
-	}
-	return Replay(f, sc, reqs)
-}
-
 // admitTrace routes one trace entry: a graph name starts a traversal,
 // a model name is a single pinned hop.
 func (x *replayer) admitTrace(r load.Request) error {

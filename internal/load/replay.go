@@ -130,14 +130,6 @@ func recOf(resp *serve.InferResponse) latRec {
 	}
 }
 
-// percentile returns the q-quantile of sorted latencies (nearest-rank).
-func percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[rankOf(len(sorted), q)]
-}
-
 // LoadModels loads every scenario model into the server's registry.
 func LoadModels(srv *serve.Server, sc Scenario) error {
 	for _, m := range sc.Models {
@@ -255,24 +247,84 @@ func rankOf(n int, q float64) int {
 	return min(max(int(math.Ceil(q*float64(n)))-1, 0), n-1)
 }
 
-// attributedAt returns the stage split of the request at the q-quantile
-// rank (same nearest-rank convention as percentile, so its LatencyCycles
-// equals the reported percentile and its stages sum to it exactly).
-// Requests rank by (latency, request ID, arrival order): the rank's
-// latency comes from the sorted latencies, and only the requests tied
-// at that latency are ordered to pick the one the rank lands on.
-func attributedAt(recs []latRec, sorted []int64, q float64) AttributedRequest {
-	i := rankOf(len(sorted), q)
-	v := sorted[i]
-	first, _ := slices.BinarySearch(sorted, v)
+// ranks returns the nearest-rank p50, p99 and p999 of vals and their
+// max, or zeros when vals is empty. It reorders vals in place instead of
+// sorting them: it selects the p99 rank over all values, then the p999
+// rank and the max within the tail from it, then the p50 rank within
+// the head below it.
+func ranks(vals []int64) (p50, p99, p999, top int64) {
+	n := len(vals)
+	if n == 0 {
+		return 0, 0, 0, 0
+	}
+	i50, i99, i999 := rankOf(n, 0.50), rankOf(n, 0.99), rankOf(n, 0.999)
+	p99 = selectRank(vals, i99)
+	p999 = selectRank(vals[i99:], i999-i99)
+	top = slices.Max(vals[i999:])
+	p50 = p99
+	if i50 < i99 {
+		p50 = selectRank(vals[:i99], i50)
+	}
+	return p50, p99, p999, top
+}
+
+// selectRank reorders vals so that vals[k] holds the value of rank k in
+// ascending order, with no greater value before it and no smaller one
+// after it, and returns that value. It is quickselect with a three-way
+// partition, so a column of few distinct values takes a pass or two, and
+// with pseudo-random pivots from a fixed seed, so a ramp of latencies (a
+// burst building and draining) stays linear too.
+func selectRank(vals []int64, k int) int64 {
+	lo, hi := 0, len(vals)
+	x := uint64(1)
+	for hi-lo > 1 {
+		x = x*6364136223846793005 + 1442695040888963407
+		p := vals[lo+int((x>>33)%uint64(hi-lo))]
+		// vals[lo:lt] < p, vals[lt:i] == p, vals[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := vals[i]; {
+			case v < p:
+				vals[lt], vals[i] = v, vals[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				vals[gt], vals[i] = v, vals[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return vals[k]
+}
+
+// attributedAt returns the stage split of the request at rank i, whose
+// latency is v (same nearest-rank convention as the report's
+// percentiles, so its LatencyCycles equals the reported percentile and
+// its stages sum to it exactly). Requests rank by (latency, request ID,
+// arrival order): the requests below v are counted, and only the
+// requests tied at v are ordered to pick the one the rank lands on.
+func attributedAt(recs []latRec, v int64, i int) AttributedRequest {
+	below := 0
 	var ties []int // positions in recs, in arrival order
 	for j := range recs {
-		if recs[j].lat == v {
+		if recs[j].lat < v {
+			below++
+		} else if recs[j].lat == v {
 			ties = append(ties, j)
 		}
 	}
 	slices.SortStableFunc(ties, func(a, b int) int { return strings.Compare(recs[a].id, recs[b].id) })
-	r := recs[ties[i-first]]
+	r := recs[ties[i-below]]
 	return AttributedRequest{RequestID: r.id, Model: r.model, LatencyCycles: r.lat, Stages: r.stages}
 }
 
@@ -289,26 +341,23 @@ func stageStats(recs []latRec) map[string]StageStats {
 	out := make(map[string]StageStats, len(names))
 	for c, name := range names {
 		vals := buf[c*n : (c+1)*n]
-		slices.Sort(vals)
 		var sum int64
 		for _, v := range vals {
 			sum += v
 		}
-		out[name] = StageStats{
-			P50:  percentile(vals, 0.50),
-			P99:  percentile(vals, 0.99),
-			P999: percentile(vals, 0.999),
-			Max:  vals[n-1],
-			Mean: float64(sum) / float64(n),
-		}
+		var st StageStats
+		st.P50, st.P99, st.P999, st.Max = ranks(vals)
+		st.Mean = float64(sum) / float64(n)
+		out[name] = st
 	}
 	return out
 }
 
 // finishReport folds the collected latencies into percentiles, the
-// per-stage distributions, and the attributed percentile splits. It sorts
-// the latencies, not the records: only the three attributed ranks need a
-// record, and attributedAt finds each one among its latency's ties.
+// per-stage distributions, and the attributed percentile splits. It
+// selects ranks among the latencies, not the records: only the three
+// attributed ranks need a record, and attributedAt finds each one among
+// its latency's ties.
 //
 //pimflow:deterministic
 func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batchSum, makespan int64) {
@@ -318,30 +367,21 @@ func finishReport(rep *Report, recs []latRec, classLat map[string][]int64, batch
 		lat[i] = recs[i].lat
 		sum += lat[i]
 	}
-	slices.Sort(lat)
-	rep.P50 = percentile(lat, 0.50)
-	rep.P99 = percentile(lat, 0.99)
-	rep.P999 = percentile(lat, 0.999)
+	rep.P50, rep.P99, rep.P999, rep.MaxLatency = ranks(lat)
 	if n := len(recs); n > 0 {
-		rep.MaxLatency = lat[n-1]
 		rep.MeanLatency = float64(sum) / float64(n)
 		rep.MeanBatch = float64(batchSum) / float64(n)
 		rep.Stages = stageStats(recs)
 		rep.Attributed = &Attributed{
-			P50:  attributedAt(recs, lat, 0.50),
-			P99:  attributedAt(recs, lat, 0.99),
-			P999: attributedAt(recs, lat, 0.999),
+			P50:  attributedAt(recs, rep.P50, rankOf(n, 0.50)),
+			P99:  attributedAt(recs, rep.P99, rankOf(n, 0.99)),
+			P999: attributedAt(recs, rep.P999, rankOf(n, 0.999)),
 		}
 	}
 	rep.MakespanCycles = makespan
 	for _, cls := range sortedModels(classLat) {
-		ls := classLat[cls]
-		slices.Sort(ls)
 		cs := rep.Classes[cls]
-		cs.P50 = percentile(ls, 0.50)
-		cs.P99 = percentile(ls, 0.99)
-		cs.P999 = percentile(ls, 0.999)
-		cs.MaxCycle = ls[len(ls)-1]
+		cs.P50, cs.P99, cs.P999, cs.MaxCycle = ranks(classLat[cls])
 		rep.Classes[cls] = cs
 	}
 	if rep.WallSeconds > 0 {

@@ -13,6 +13,15 @@ import (
 	"pimflow/internal/serve"
 )
 
+// percentile returns the q-quantile of sorted latencies (nearest-rank):
+// the sorting reference for the report's selected ranks.
+func percentile(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[rankOf(len(sorted), q)]
+}
+
 // refFinishReport is the record-sorting report builder, kept as the
 // oracle of TestFinishReportMatchesReference: it stable-sorts the whole
 // record set by (latency, request ID) and reads the attributed requests
@@ -112,12 +121,16 @@ func refStageStats(recs []latRec) map[string]StageStats {
 // record-sorting reference on seeded record sets: latencies drawn from a
 // handful of values so ties are heavy, IDs on some sets and absent on
 // others (replays without request logging carry none), shuffled arrival
-// order, and several SLO classes.
+// order, and several SLO classes. The last seeds draw over 1 000
+// records, where the p999 rank falls below the max.
 func TestFinishReportMatchesReference(t *testing.T) {
 	classes := []string{"gold", "silver", "bronze", ""}
-	for seed := int64(1); seed <= 300; seed++ {
+	for seed := int64(1); seed <= 312; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(400)
+		if seed > 300 {
+			n = 1001 + rng.Intn(4000)
+		}
 		distinct := 1 + rng.Intn(12)
 		withIDs := seed%2 == 0
 		recs := make([]latRec, n)
@@ -158,6 +171,66 @@ func TestFinishReportMatchesReference(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("empty report differs:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// FuzzRanks checks the selected ranks against the sorted values'
+// percentiles and max, and that the values come back reordered, never
+// changed. Every two input bytes are one value, so inputs can hold ties
+// and distinct values alike; the seeds add sizes 0 to 3, all-equal
+// values, ascending and descending runs, a rise and fall, and random
+// draws, each over 1 000 values long, where the p999 rank falls below
+// the max.
+func FuzzRanks(f *testing.F) {
+	enc := func(vals ...int) []byte {
+		b := make([]byte, 0, 2*len(vals))
+		for _, v := range vals {
+			b = append(b, byte(v), byte(v>>8))
+		}
+		return b
+	}
+	same, up, down := make([]int, 1500), make([]int, 3000), make([]int, 3000)
+	for i := range up {
+		up[i], down[i] = i, len(up)-i
+	}
+	for i := range same {
+		same[i] = 7
+	}
+	f.Add([]byte{})
+	f.Add(enc(5))
+	f.Add(enc(9, 2))
+	f.Add(enc(3, 1, 2))
+	f.Add(enc(same...))
+	f.Add(enc(up...))
+	f.Add(enc(down...))
+	f.Add(enc(append(slices.Clone(up[:1500]), down[1500:]...)...))
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shuffled := make([]int, 1001+rng.Intn(4000))
+		for i := range shuffled {
+			shuffled[i] = rng.Intn(1 << 15)
+		}
+		f.Add(enc(shuffled...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := make([]int64, len(data)/2)
+		for i := range vals {
+			vals[i] = int64(int16(uint16(data[2*i]) | uint16(data[2*i+1])<<8))
+		}
+		sorted := slices.Clone(vals)
+		slices.Sort(sorted)
+		var want [4]int64
+		if n := len(sorted); n > 0 {
+			want = [4]int64{percentile(sorted, 0.50), percentile(sorted, 0.99), percentile(sorted, 0.999), sorted[n-1]}
+		}
+		p50, p99, p999, top := ranks(vals)
+		if got := [4]int64{p50, p99, p999, top}; got != want {
+			t.Fatalf("ranks of %d values = %v, sorted reference %v", len(vals), got, want)
+		}
+		slices.Sort(vals)
+		if !slices.Equal(vals, sorted) {
+			t.Fatal("ranks changed the values it reordered")
+		}
+	})
 }
 
 func cloneClassLat(m map[string][]int64) map[string][]int64 {

@@ -383,13 +383,21 @@ func (h *histData) observeBlock(b *Samples) {
 const nonPositive = math.MinInt
 
 // bucketOf returns the exponential bucket key for a sample: the
-// smallest k with v <= 2^k for a positive sample, so (2^(k-1), 2^k] is
-// its bucket and a fraction's key is negative; nonPositive otherwise.
+// smallest k with v <= 2^k for a positive finite sample, so
+// (2^(k-1), 2^k] is its bucket and a fraction's key is negative;
+// nonPositive otherwise (NaN and +Inf included: no k bounds them). It
+// reads k off the binary exponent, v = frac × 2^exp with frac in
+// [0.5, 1), which is exact; rounding math.Log2 up files some values
+// just above a power of two, such as the integer 2^49+1, one too low.
 func bucketOf(v float64) int {
-	if !(v > 0) {
+	if !(v > 0 && v <= math.MaxFloat64) {
 		return nonPositive
 	}
-	return int(math.Ceil(math.Log2(v)))
+	frac, exp := math.Frexp(v)
+	if frac == 0.5 {
+		return exp - 1
+	}
+	return exp
 }
 
 // bucketLabel renders a bucket key as its exported upper-bound label.

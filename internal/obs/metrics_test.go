@@ -65,12 +65,37 @@ func TestBucketOf(t *testing.T) {
 		{0, nonPositive}, {-3, nonPositive}, {math.NaN(), nonPositive},
 		{math.SmallestNonzeroFloat64, -1074}, {0.02, -5}, {0.3, -1}, {0.5, -1}, {0.7, 0},
 		{1, 0}, {2, 1}, {3, 2}, {1024, 10}, {1025, 11},
-		{math.MaxFloat64, 1024},
+		{math.MaxFloat64, 1024}, {math.Inf(1), nonPositive},
 	}
 	for _, c := range cases {
 		if got := bucketOf(c.v); got != c.want {
 			t.Errorf("bucketOf(%v) = %d, want %d", c.v, got, c.want)
 		}
+	}
+}
+
+// Every power of two 2^k is the top of bucket k, and the floats on
+// either side of it fall in buckets k and k+1. A key rounded up from
+// math.Log2 files the float just above 16, and the integer 2^49+1, one
+// bucket too low.
+func TestBucketOfPowerOfTwoEdges(t *testing.T) {
+	for k := -1074; k <= 1023; k++ {
+		p := math.Ldexp(1, k)
+		below, above := math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1))
+		if got := bucketOf(p); got != k {
+			t.Fatalf("bucketOf(2^%d) = %d, want %d", k, got, k)
+		}
+		if got := bucketOf(above); got != k+1 {
+			t.Fatalf("bucketOf(%v), just above 2^%d, = %d, want %d", above, k, got, k+1)
+		}
+		if below > math.Ldexp(1, k-1) { // not itself 2^(k-1), as at 2^-1073
+			if got := bucketOf(below); got != k {
+				t.Fatalf("bucketOf(%v), just below 2^%d, = %d, want %d", below, k, got, k)
+			}
+		}
+	}
+	if got := bucketOf(1<<49 + 1); got != 50 {
+		t.Fatalf("bucketOf(2^49+1) = %d, want 50", got)
 	}
 }
 

@@ -52,16 +52,6 @@ type Lease struct {
 	Demand Demand
 }
 
-// leaseRec is the scheduler's bookkeeping for one lease. Released leases
-// are retained (still blocking their historical window) until the arrival
-// watermark passes their end: requests with pinned virtual arrivals can
-// arrive earlier than already-completed work, and their placement must
-// still see the busy windows of that work.
-type leaseRec struct {
-	Lease
-	released bool
-}
-
 // step is one breakpoint of the scheduler's capacity profile: the channel
 // usage of every profiled lease on [t, next.t). Usage after the last
 // breakpoint is zero.
@@ -88,18 +78,24 @@ type step struct {
 type Scheduler struct {
 	mu      sync.Mutex
 	machine Machine
-	active  []leaseRec // guarded by mu
+	// active holds the unreleased leases. retained[gone:] holds the
+	// released leases not yet pruned, in ascending End order: they still
+	// block their historical windows, because requests with pinned
+	// virtual arrivals can arrive earlier than already-completed work,
+	// and their placement must still see the busy windows of that work.
+	// retained[:gone] are pruned leases not yet moved out (pruneLocked).
+	active   []Lease // guarded by mu
+	retained []Lease // guarded by mu
+	gone     int     // guarded by mu
 	// profile is the channel usage of the active leases as a step
 	// function, with breakpoints sorted by t at lease boundaries. Place
 	// adds a lease's demand over its window and Cancel subtracts it (its
 	// breakpoints stay, carrying the usage of the step before them);
-	// pruning drops the steps that end at or before the horizon. Usage is
-	// exact from the horizon on; earlier steps may still count pruned
-	// leases, but no placement looks there.
+	// pruning drops the steps that end at or before the horizon, in bulk.
+	// Usage is exact from the horizon on; earlier steps may still count
+	// pruned leases, but no placement looks there.
 	profile []step // guarded by mu
 	nextID  uint64 // guarded by mu
-	// live counts the unreleased leases in active.
-	live int // guarded by mu
 	// vfront is the completion frontier: the max end of released leases.
 	// It stamps the virtual arrival of subsequent requests.
 	vfront int64 // guarded by mu
@@ -155,7 +151,7 @@ func (s *Scheduler) Arrival() int64 {
 func (s *Scheduler) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.live
+	return len(s.active)
 }
 
 // SchedulerStats is a read-only snapshot of the scheduler's bookkeeping.
@@ -178,8 +174,8 @@ func (s *Scheduler) Stats() SchedulerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return SchedulerStats{
-		InFlight:        s.live,
-		Retained:        len(s.active) - s.live,
+		InFlight:        len(s.active),
+		Retained:        len(s.retained) - s.gone,
 		FrontierCycles:  s.vfront,
 		WatermarkCycles: s.watermark,
 		Placed:          s.placed,
@@ -205,11 +201,10 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 	start := s.earliestFitLocked(arrival, d, dur)
 	s.nextID++
 	s.placed++
-	s.live++
 	l := Lease{id: s.nextID, Start: start, End: start + dur, Demand: d}
-	s.active = append(s.active, leaseRec{Lease: l})
+	s.active = append(s.active, l)
 	s.addUsageLocked(l.Start, l.End, d.GPU, d.PIM)
-	s.leasesActive.Set(float64(s.live))
+	s.leasesActive.Set(float64(len(s.active)))
 	return l, nil
 }
 
@@ -218,22 +213,33 @@ func (s *Scheduler) Place(arrival int64, d Demand, dur int64) (Lease, error) {
 // placement with an older arrival (batch windows flush out of arrival
 // order) can no longer be told how busy that history was, so
 // earliestFitLocked refuses to open a window before the horizon. The
-// pruned leases all end at or before the horizon, so the profile needs
-// no subtraction — only the steps wholly before the horizon are dropped.
+// retained leases are in end order, so the pruned ones are a prefix and
+// the scan stops at the first lease that stays. The pruned leases all
+// end at or before the horizon, so the profile needs no subtraction —
+// only the steps wholly before the horizon are dropped.
+//
+// Dropping moves nothing until the dropped prefix of a slice is as long
+// as the rest; then the rest moves down to the front. So each lease and
+// step moves once on average, and the slices keep their capacity:
+// steady-state placement does not allocate.
 func (s *Scheduler) pruneLocked() {
-	kept := s.active[:0]
-	for _, r := range s.active {
-		if r.released && r.End <= s.watermark {
-			s.pruned++
-			s.horizon = max(s.horizon, r.End)
-			continue
-		}
-		kept = append(kept, r)
+	n := s.gone
+	for n < len(s.retained) && s.retained[n].End <= s.watermark {
+		n++
 	}
-	s.active = kept
-	// Keep the step containing the horizon; copy down so the slice keeps
-	// its capacity and steady-state placement does not allocate.
-	if i := s.stepAtLocked(s.horizon); i > 0 {
+	if n == s.gone {
+		return
+	}
+	s.pruned += int64(n - s.gone)
+	s.horizon = max(s.horizon, s.retained[n-1].End)
+	s.gone = n
+	if n >= len(s.retained)-n {
+		s.retained = s.retained[:copy(s.retained, s.retained[n:])]
+		s.gone = 0
+	}
+	// Keep the step containing the horizon; no placement reads the steps
+	// before it, so they may wait.
+	if i := s.stepAtLocked(s.horizon); i >= len(s.profile)-i {
 		s.profile = s.profile[:copy(s.profile, s.profile[i:])]
 	}
 }
@@ -265,7 +271,7 @@ func (s *Scheduler) splitLocked(t int64) int {
 // addUsageLocked adds (gpu, pim) channels to the profile over
 // [start, end). A Cancel may reach back before the horizon, where the
 // steps are already dropped or inexact; what it writes there is never
-// read and goes at the next prune.
+// read and goes when the horizon next advances.
 func (s *Scheduler) addUsageLocked(start, end int64, gpu, pim int) {
 	i := s.splitLocked(start)
 	j := s.splitLocked(end)
@@ -307,39 +313,49 @@ func (s *Scheduler) earliestFitLocked(arrival int64, d Demand, dur int64) int64 
 func (s *Scheduler) Release(l Lease) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.active {
-		if r := &s.active[i]; r.id == l.id {
-			if !r.released {
-				r.released = true
-				s.live--
-			}
-			break
+	if r, ok := takeLease(&s.active, 0, l.id); ok {
+		// Leases mostly release in end order, so the scan from the back
+		// stops at or near the end.
+		i := len(s.retained)
+		for i > s.gone && s.retained[i-1].End > r.End {
+			i--
 		}
+		s.retained = slices.Insert(s.retained, i, r)
 	}
 	s.vfront = max(s.vfront, l.End)
 	if s.onRelease != nil {
 		s.onRelease(l.id, s.vfront)
 	}
 	s.pruneLocked()
-	s.leasesActive.Set(float64(s.live))
+	s.leasesActive.Set(float64(len(s.active)))
 	s.frontier.Set(float64(s.vfront))
 }
 
 // Cancel retires a lease without advancing the frontier or retaining its
 // window (a placement that was abandoned, e.g. a virtual-deadline
-// violation, never occupied the machine).
+// violation, never occupied the machine). A released lease that is still
+// retained is dropped from the history too.
 func (s *Scheduler) Cancel(l Lease) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := range s.active {
-		if r := s.active[i]; r.id == l.id {
-			if !r.released {
-				s.live--
-			}
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			s.addUsageLocked(r.Start, r.End, -r.Demand.GPU, -r.Demand.PIM)
-			break
+	r, ok := takeLease(&s.active, 0, l.id)
+	if !ok {
+		r, ok = takeLease(&s.retained, s.gone, l.id)
+	}
+	if ok {
+		s.addUsageLocked(r.Start, r.End, -r.Demand.GPU, -r.Demand.PIM)
+	}
+	s.leasesActive.Set(float64(len(s.active)))
+}
+
+// takeLease removes the lease with the id from (*ls)[from:], keeping the
+// order of the rest, and returns it.
+func takeLease(ls *[]Lease, from int, id uint64) (Lease, bool) {
+	for i := from; i < len(*ls); i++ {
+		if l := (*ls)[i]; l.id == id {
+			*ls = slices.Delete(*ls, i, i+1)
+			return l, true
 		}
 	}
-	s.leasesActive.Set(float64(s.live))
+	return Lease{}, false
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -236,6 +237,8 @@ func TestSchedulerRejectsOversizedDemand(t *testing.T) {
 // bookkeeping (retention, watermark pruning, horizon clamp), but every
 // placement sorts every lease boundary after the arrival and rescans
 // every lease for each candidate window — O(L³), and obviously right.
+// It keeps released leases in one list with the unreleased ones and
+// prunes by scanning all of them, as the scheduler once did.
 type refScheduler struct {
 	machine   Machine
 	active    []leaseRec
@@ -243,6 +246,13 @@ type refScheduler struct {
 	watermark int64
 	horizon   int64
 	pruned    int64
+}
+
+// leaseRec is refScheduler's record of one lease: released leases stay
+// in its list, marked, until the arrival watermark passes their end.
+type leaseRec struct {
+	Lease
+	released bool
 }
 
 func (s *refScheduler) place(arrival int64, d Demand, dur int64) Lease {
@@ -339,6 +349,75 @@ func (s *refScheduler) windowFits(t0, t1 int64, d Demand) bool {
 	return true
 }
 
+// lockstep drives the scheduler and the candidate scan with the same
+// calls, failing at the first placement or count they disagree on. live
+// and retained are the caller's view of the unreleased and released
+// leases.
+type lockstep struct {
+	t              *testing.T
+	s              *Scheduler
+	ref            *refScheduler
+	live, retained []Lease
+	mostRetained   int
+}
+
+func newLockstep(t *testing.T, m Machine) *lockstep {
+	return &lockstep{t: t, s: NewScheduler(m, nil), ref: &refScheduler{machine: m}}
+}
+
+func (p *lockstep) place(what string, at int64, d Demand, dur int64) Lease {
+	want := p.ref.place(at, d, dur)
+	got, err := p.s.Place(at, d, dur)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if got != want {
+		p.t.Fatalf("%s: Place(%d, %+v, %d) = [%d,%d), candidate scan [%d,%d)",
+			what, at, d, dur, got.Start, got.End, want.Start, want.End)
+	}
+	p.live = append(p.live, got)
+	p.check(what)
+	return got
+}
+
+// release releases live lease i; cancel cancels live lease i, or
+// retained lease i when fromRetained is set (a Cancel after Release
+// drops the retained window).
+func (p *lockstep) release(what string, i int) {
+	l := p.live[i]
+	p.live = append(p.live[:i], p.live[i+1:]...)
+	p.ref.release(l)
+	p.s.Release(l)
+	p.retained = append(p.retained, l)
+	p.check(what)
+}
+
+func (p *lockstep) cancel(what string, i int, fromRetained bool) {
+	ls := &p.live
+	if fromRetained {
+		ls = &p.retained
+	}
+	l := (*ls)[i]
+	*ls = append((*ls)[:i], (*ls)[i+1:]...)
+	p.ref.cancel(l)
+	p.s.Cancel(l)
+	p.check(what)
+}
+
+func (p *lockstep) check(what string) {
+	st := p.s.Stats()
+	if st.Pruned != p.ref.pruned || st.InFlight != len(p.live) || st.InFlight+st.Retained != len(p.ref.active) {
+		p.t.Fatalf("%s: stats %+v, candidate scan pruned %d, %d live of %d active",
+			what, st, p.ref.pruned, len(p.live), len(p.ref.active))
+	}
+	// Pruned leases wait in the history only while they are no more than
+	// the retained ones, so the history stays within twice its size.
+	if p.s.gone > st.Retained {
+		p.t.Fatalf("%s: %d pruned leases still held beside %d retained", what, p.s.gone, st.Retained)
+	}
+	p.mostRetained = max(p.mostRetained, st.Retained)
+}
+
 // Differential property: the step-profile sweep places every lease at
 // exactly the start the candidate scan picks, through seeded random
 // interleavings of Place, Release and Cancel — including stale arrivals
@@ -348,59 +427,64 @@ func TestSchedulerMatchesCandidateScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := Machine{GPUChannels: 4 + rng.Intn(13), PIMChannels: rng.Intn(17)}
-		s := NewScheduler(m, nil)
-		ref := &refScheduler{machine: m}
-		var live, retained []Lease
+		p := newLockstep(t, m)
 		var arrival int64
-		pick := func(ls []Lease) (Lease, []Lease) {
-			i := rng.Intn(len(ls))
-			l := ls[i]
-			return l, append(ls[:i], ls[i+1:]...)
-		}
 		for op := 0; op < 1000; op++ {
+			what := fmt.Sprintf("seed %d op %d", seed, op)
 			switch r := rng.Intn(20); {
-			case r < 10 || len(live) == 0:
+			case r < 10 || len(p.live) == 0:
 				arrival += int64(rng.Intn(400))
 				at := arrival
 				if rng.Intn(4) == 0 {
 					at -= int64(rng.Intn(3000)) // a stale batch flushed late
 				}
 				d := Demand{GPU: rng.Intn(m.GPUChannels + 1), PIM: rng.Intn(m.PIMChannels + 1)}
-				dur := int64(rng.Intn(1500))
-				want := ref.place(at, d, dur)
-				got, err := s.Place(at, d, dur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("seed %d op %d: Place(%d, %+v, %d) = [%d,%d), candidate scan [%d,%d)",
-						seed, op, at, d, dur, got.Start, got.End, want.Start, want.End)
-				}
-				live = append(live, got)
+				p.place(what, at, d, int64(rng.Intn(1500)))
 			case r < 17:
-				var l Lease
-				l, live = pick(live)
-				ref.release(l)
-				s.Release(l)
-				retained = append(retained, l)
-			case r < 19 || len(retained) == 0:
-				var l Lease
-				l, live = pick(live)
-				ref.cancel(l)
-				s.Cancel(l)
+				p.release(what, rng.Intn(len(p.live)))
+			case r < 19 || len(p.retained) == 0:
+				p.cancel(what, rng.Intn(len(p.live)), false)
 			default:
-				// Cancel after Release: the retained window is dropped.
-				var l Lease
-				l, retained = pick(retained)
-				ref.cancel(l)
-				s.Cancel(l)
-			}
-			st := s.Stats()
-			if st.Pruned != ref.pruned || st.InFlight != len(live) || st.InFlight+st.Retained != len(ref.active) {
-				t.Fatalf("seed %d op %d: stats %+v, candidate scan pruned %d, %d live of %d active",
-					seed, op, st, ref.pruned, len(live), len(ref.active))
+				p.cancel(what, rng.Intn(len(p.retained)), true)
 			}
 		}
+	}
+
+	// The serve-bursty pattern: arrivals come faster than the machine
+	// drains them, and each batch's lease is released right after it is
+	// placed, so leases queue far past the arrival watermark and the
+	// history holds dozens of released leases. Arrivals whose wait would
+	// pass a bound are shed, which keeps the history from growing
+	// without end. Some leases are released a few placements late, out
+	// of end order, and a few retained ones are canceled.
+	p := newLockstep(t, Machine{GPUChannels: 16, PIMChannels: 16})
+	rng := rand.New(rand.NewSource(28))
+	var arrival, lastEnd int64
+	for op := 0; op < 600; op++ {
+		what := fmt.Sprintf("bursty op %d", op)
+		arrival += int64(rng.Intn(600))
+		at := arrival
+		if rng.Intn(8) == 0 {
+			at -= int64(rng.Intn(4000)) // a stale batch flushed late
+		}
+		if lastEnd-at > 40_000 {
+			continue // shed
+		}
+		d := [...]Demand{{GPU: 16, PIM: 16}, {GPU: 8, PIM: 8}, {GPU: 8}}[rng.Intn(3)]
+		l := p.place(what, at, d, 500+int64(rng.Intn(1000)))
+		lastEnd = max(lastEnd, l.End)
+		if rng.Intn(6) > 0 {
+			p.release(what, len(p.live)-1)
+		}
+		if len(p.live) > 3 {
+			p.release(what, 0)
+		}
+		if len(p.retained) > 0 && rng.Intn(40) == 0 {
+			p.cancel(what, len(p.retained)-1, true)
+		}
+	}
+	if p.mostRetained < 30 {
+		t.Fatalf("bursty pattern kept at most %d leases retained, want 30 or more", p.mostRetained)
 	}
 }
 
@@ -444,15 +528,16 @@ func (q *deepQueue) step() {
 	q.next = (q.next + 1) % len(q.ring)
 }
 
-// Steady-state placement on a deep queue allocates nothing: the profile
-// and the lease list are edited in place within their capacity.
+// Steady-state placement and release on a deep queue allocate nothing:
+// the profile, the live leases and the retained history are edited in
+// place within their capacity.
 func TestSchedulerPlaceDoesNotAllocate(t *testing.T) {
 	q := newDeepQueue(64)
 	for i := 0; i < 1000; i++ {
 		q.step()
 	}
-	if st := q.s.Stats(); st.InFlight != 64 || st.Pruned == 0 {
-		t.Fatalf("stats %+v: want 64 leases in flight and some pruned", st)
+	if st := q.s.Stats(); st.InFlight != 64 || st.Retained == 0 || st.Pruned == 0 {
+		t.Fatalf("stats %+v: want 64 leases in flight, some retained and some pruned", st)
 	}
 	if a := testing.AllocsPerRun(1000, q.step); a != 0 {
 		t.Fatalf("Place+Release allocates %.1f times per step, want 0", a)
