@@ -259,42 +259,103 @@ func (p *plan) classOf(ch int) int {
 
 // Stream emits the workload's per-channel command streams into sink in
 // channel order, one Emit per unit, fusing generation with consumption:
-// the sink sees every command without the trace ever existing. Each
-// (vector group, K-chunk) row of a channel's schedule is emitted in
-// turn; its first unit leads with the GWRITE that loads the chunk, the
-// others reuse the buffered vectors. Channels with no assigned units are
-// skipped, matching the materialized trace layout exactly.
+// the sink sees every command without the trace ever existing. Its unit
+// blocks come from Units, and channels with no assigned units are
+// skipped, matching the materialized trace layout exactly. The blocks
+// escape through the sink, so Stream allocates their buffer; a consumer
+// of a concrete type drains Units itself over a buffer on its stack.
 func Stream(w Workload, cfg pim.Config, opts Opts, sink pim.Sink) error {
-	p, err := newPlan(w, cfg, opts)
+	u, err := NewUnits(w, cfg, opts, nil)
 	if err != nil {
 		return err
 	}
-	b := newBlocks(&p, nil)
-	for ch := 0; ch < cfg.Channels; ch++ {
-		if p.channelUnits(ch) == 0 {
-			continue
-		}
+	for ch, ok := u.NextChannel(); ok; ch, ok = u.NextChannel() {
 		sink.BeginChannel(ch)
-		if p.per == 0 {
-			// GranGAct: every row, over the output groups og ≡ ch
-			// (mod Channels).
-			for vg := 0; vg < p.nVecGroups; vg++ {
-				for ks := 0; ks < p.nKChunks; ks++ {
-					b.emitRow(sink, &p, vg, ks, ch, p.nOutGroups, cfg.Channels)
-				}
-			}
-			continue
-		}
-		// A contiguous run of units, cut where each row ends.
-		hi := min((ch+1)*p.per, p.nUnits)
-		for i := ch * p.per; i < hi; {
-			og, row := i%p.nOutGroups, i/p.nOutGroups
-			n := min(p.nOutGroups-og, hi-i)
-			b.emitRow(sink, &p, row/p.nKChunks, row%p.nKChunks, og, og+n, 1)
-			i += n
+		for cmds, ok := u.Next(); ok; cmds, ok = u.Next() {
+			sink.Emit(cmds)
 		}
 	}
 	return nil
+}
+
+// Units walks a workload's unit command blocks in stream order: channel
+// by channel, each (vector group, K-chunk) row of a channel's schedule in
+// turn, the row's first unit leading with the GWRITE that loads the
+// chunk and the others reusing the buffered vectors.
+type Units struct {
+	p plan
+	b blocks
+
+	ch      int // the open channel, -1 before the first
+	at, end int // the channel's next row: (vg, ks) index, or unit index when p.per > 0
+
+	// The open row: its shape, its next output group, its first and end
+	// groups and the stride between them.
+	nv, kl, og, ogLo, ogHi, step int
+}
+
+// NewUnits plans the workload and builds its blocks in buf when buf is
+// large enough (BlockStack commands suffice for the built-in PIM
+// geometries), else in a buffer of its own.
+func NewUnits(w Workload, cfg pim.Config, opts Opts, buf []pim.Command) (Units, error) {
+	p, err := newPlan(w, cfg, opts)
+	if err != nil {
+		return Units{}, err
+	}
+	return Units{p: p, b: newBlocks(&p, buf), ch: -1}, nil
+}
+
+// NextChannel opens the next channel with units, or returns false after
+// the last.
+func (u *Units) NextChannel() (int, bool) {
+	p := &u.p
+	for u.ch++; u.ch < p.cfg.Channels; u.ch++ {
+		if p.channelUnits(u.ch) == 0 {
+			continue
+		}
+		if p.per == 0 {
+			u.at, u.end = 0, p.nVecGroups*p.nKChunks
+		} else {
+			u.at, u.end = u.ch*p.per, min((u.ch+1)*p.per, p.nUnits)
+		}
+		u.og, u.ogHi = 0, 0
+		return u.ch, true
+	}
+	return 0, false
+}
+
+// Next returns the open channel's next unit block, or false after its
+// last. The block is valid until the next call.
+func (u *Units) Next() ([]pim.Command, bool) {
+	if u.og >= u.ogHi {
+		if u.at >= u.end {
+			return nil, false
+		}
+		u.openRow()
+	}
+	og := u.og
+	u.og += u.step
+	return u.b.unit(u.nv, u.kl, u.p.outLanes(og), og == u.ogLo), true
+}
+
+// openRow opens the channel's next row, which holds at least one unit.
+func (u *Units) openRow() {
+	p := &u.p
+	if p.per == 0 {
+		// GranGAct: every row, over the output groups og ≡ ch (mod
+		// Channels).
+		u.nv, u.kl = p.rowShape(u.at/p.nKChunks, u.at%p.nKChunks)
+		u.ogLo, u.ogHi, u.step = u.ch, p.nOutGroups, p.cfg.Channels
+		u.at++
+	} else {
+		// A contiguous run of units, cut where each row ends.
+		og, row := u.at%p.nOutGroups, u.at/p.nOutGroups
+		n := min(p.nOutGroups-og, u.end-u.at)
+		u.nv, u.kl = p.rowShape(row/p.nKChunks, row%p.nKChunks)
+		u.ogLo, u.ogHi, u.step = og, og+n, 1
+		u.at += n
+	}
+	u.og = u.ogLo
 }
 
 // blocks builds unit command blocks in one buffer reused across a plan's
@@ -406,15 +467,6 @@ func (b *blocks) gwrite(nVecs, kLen int) {
 	b.gwVecs, b.gwKLen = nVecs, kLen
 }
 
-// emitRow emits the units of row (vg, ks) at output groups ogLo,
-// ogLo+step, ... below ogHi, one Emit each; the first loads the chunk.
-func (b *blocks) emitRow(sink pim.Sink, p *plan, vg, ks, ogLo, ogHi, step int) {
-	nv, kl := p.rowShape(vg, ks)
-	for og := ogLo; og < ogHi; og += step {
-		sink.Emit(b.unit(nv, kl, p.outLanes(og), og == ogLo))
-	}
-}
-
 // resBursts is the READRES burst count that drains outLanes results.
 func resBursts(outLanes, burstBytes int) int {
 	return max(ceilDiv(outLanes*4, burstBytes), 1)
@@ -431,11 +483,11 @@ func Generate(w Workload, cfg pim.Config, opts Opts) (*pim.Trace, error) {
 	return &ts.Trace, nil
 }
 
-// blockStack is the block buffer TimeWorkload keeps on its stack, in
-// commands. A plan of the built-in PIM geometries needs at most
-// Segments + 24, so a timing probe allocates no buffer; a larger plan
-// takes one from the heap.
-const blockStack = 64
+// BlockStack is the block buffer, in commands, that TimeWorkload and
+// verify.Workload keep on their stacks. A plan of the built-in PIM
+// geometries needs at most Segments + 24, so a timing probe or a lint
+// allocates no buffer; a larger plan takes one from the heap.
+const BlockStack = 64
 
 // TimeWorkload times the workload on the PIM configuration by feeding
 // the unit blocks Stream emits straight through the timing engine —
@@ -472,7 +524,7 @@ func TimeWorkload(w Workload, cfg pim.Config, opts Opts) (pim.Stats, error) {
 	var (
 		busySum float64
 		walks   int
-		stack   [blockStack]pim.Command
+		stack   [BlockStack]pim.Command
 		f       ffFeeder
 	)
 	b := newBlocks(&p, stack[:0])

@@ -328,19 +328,40 @@ func (s *countSink) BeginChannel(int)        {}
 func (s *countSink) Emit(cmds []pim.Command) { s.n += len(cmds) }
 
 // TestStreamAllocsOneBuffer pins Stream's allocations to its block
-// buffer: the plan stays on its stack, however many commands it emits.
+// buffer, which escapes through the sink: the plan stays on its stack,
+// however many commands it emits. A consumer of a concrete type that
+// drains Units over a stack buffer allocates nothing and takes the same
+// commands.
 func TestStreamAllocsOneBuffer(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	for _, w := range sweepWorkloads {
 		for optName, o := range sweepOpts {
 			var sink countSink
 			allocs := testing.AllocsPerRun(5, func() {
+				sink.n = 0
 				if err := codegen.Stream(w, cfg, o, &sink); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 1 {
 				t.Errorf("%s/%+v: %.0f allocations per Stream, want 1", optName, w, allocs)
+			}
+			n := 0
+			allocs = testing.AllocsPerRun(5, func() {
+				var stack [codegen.BlockStack]pim.Command
+				u, err := codegen.NewUnits(w, cfg, o, stack[:0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				n = 0
+				for _, ok := u.NextChannel(); ok; _, ok = u.NextChannel() {
+					for cmds, ok := u.Next(); ok; cmds, ok = u.Next() {
+						n += len(cmds)
+					}
+				}
+			})
+			if allocs != 0 || n != sink.n {
+				t.Errorf("%s/%+v: Units gave %d commands in %.0f allocations, Stream %d in one", optName, w, n, allocs, sink.n)
 			}
 		}
 	}

@@ -195,6 +195,20 @@ func (s *Store) DoObserved(key Key, compute func() (Profile, error)) (Profile, O
 	return f.val, OutcomeMiss, f.err
 }
 
+// Lookup returns the completed entry for key and never computes: a hit
+// counts as DoObserved's does, while an absent key, or one another caller
+// is still computing, returns false and counts nothing, so a caller that
+// then asks DoObserved counts that lookup once.
+func (s *Store) Lookup(key Key) (Profile, bool) {
+	s.mu.Lock()
+	p, ok := s.entries[key]
+	if ok {
+		s.hits++
+	}
+	s.mu.Unlock()
+	return p, ok
+}
+
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	s.mu.Lock()

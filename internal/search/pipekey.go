@@ -27,29 +27,16 @@ func newPipeKeys(rt runtime.Config) pipeKeys {
 		profcache.NewPIMKeys(rt.PIM, rt.Codegen), profcache.NewGPUKeys(rt.GPU))}
 }
 
-// key returns the pipe/ key of the chain (nodes of g, in chain order) at
-// the given stage count.
-func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) profcache.Key {
-	var buf [512]byte
+// chainKey returns the pipe/ key of the chain (nodes of g, in chain
+// order) at the given stage count; frags holds the chain's fragments,
+// chain node j's at index j.
+func (k pipeKeys) chainKey(g *graph.Graph, chain []*graph.Node, frags nodeFrags, stages int) profcache.Key {
+	var buf [768]byte // the five CNNs' chains take up to 535 bytes
 	b := append(buf[:0], "stages="...)
 	b = strconv.AppendInt(b, int64(stages), 10)
 	chainIn := chain[0].Inputs[0]
-	var attrs [8]graph.Attr // one node's attributes
-	for _, n := range chain {
-		b = append(b, '|')
-		b = append(b, n.Op...)
-		b = appendAttrs(b, n.AppendAttrs(attrs[:0]))
-		e := n.Exec
-		b = append(b, "e="...)
-		b = strconv.AppendInt(b, int64(e.Mode), 10)
-		b = append(b, ',')
-		b = strconv.AppendInt(b, int64(e.Device), 10)
-		b = append(b, ',')
-		b = strconv.AppendFloat(b, e.GPURatio, 'g', -1, 64)
-		for _, v := range [...]int{e.Pipeline.GroupID, e.Pipeline.Stage, e.Pipeline.Part, e.Pipeline.Parts} {
-			b = append(b, ',')
-			b = strconv.AppendInt(b, int64(v), 10)
-		}
+	for j, n := range chain {
+		b = append(b, frags.of(j)...)
 		b = append(b, ";in="...)
 		for pos, in := range n.Inputs {
 			b = appendRef(b, g, chain, chainIn, pos, in)
@@ -58,6 +45,69 @@ func (k pipeKeys) key(g *graph.Graph, chain []*graph.Node, stages int) profcache
 		b = strconv.AppendInt(b, int64(len(n.Outputs)), 10)
 	}
 	return k.keys.Key(b)
+}
+
+// nodeFrags holds node fragments (appendFragment) in one buffer: node i's
+// is buf[at[i]:at[i+1]], empty for a node no chain covers.
+type nodeFrags struct {
+	buf []byte
+	at  []int32
+}
+
+// fragments formats, once per Run, the fragment of each node of order
+// that a candidate's chain covers. A candidate with Len 0 covers nothing.
+func fragments(order []*graph.Node, pds []PipelineDecision) nodeFrags {
+	at := make([]int32, len(order)+1) // first 1 for a covered node, then offsets
+	covered := 0
+	for _, pd := range pds {
+		for i := pd.StartIdx; i < pd.StartIdx+pd.Len; i++ {
+			if at[i] == 0 {
+				at[i] = 1
+				covered++
+			}
+		}
+	}
+	buf := make([]byte, 0, fragmentBytes*covered)
+	for i, n := range order {
+		cover := at[i] != 0
+		at[i] = int32(len(buf))
+		if cover {
+			buf = appendFragment(buf, n)
+		}
+	}
+	at[len(order)] = int32(len(buf))
+	return nodeFrags{buf: buf, at: at}
+}
+
+// fragmentBytes sizes fragments' buffer per covered node: the five CNNs'
+// fragments average 66 to 68 bytes.
+const fragmentBytes = 80
+
+// of returns node i's fragment.
+func (f nodeFrags) of(i int) []byte { return f.buf[f.at[i]:f.at[i+1]] }
+
+// span returns the fragments of nodes [lo, hi), renumbered from 0.
+func (f nodeFrags) span(lo, hi int) nodeFrags { return nodeFrags{buf: f.buf, at: f.at[lo : hi+1]} }
+
+// appendFragment writes the part of a chain node's key that no chain
+// changes: '|', its op, its attributes in sorted order and its exec hint.
+func appendFragment(b []byte, n *graph.Node) []byte {
+	var attrs [8]graph.Attr // one node's attributes
+	b = append(b, '|')
+	b = append(b, n.Op...)
+	b = appendAttrs(b, n.AppendAttrs(attrs[:0]))
+	e := n.Exec
+	b = append(b, "e="...)
+	b = strconv.AppendInt(b, int64(e.Mode), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(e.Device), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, e.GPURatio, 'g', -1, 64)
+	for _, v := range [...]int{e.Pipeline.GroupID, e.Pipeline.Stage, e.Pipeline.Part, e.Pipeline.Parts} {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 // appendAttrs writes a node's attributes (graph.Node.AppendAttrs) as

@@ -139,7 +139,9 @@ func TestPipeKeysGolden(t *testing.T) {
 // TestConcurrentRunsShareStore runs the five CNNs' searches from several
 // goroutines at once over one cold store, so pipe/ computes wait on
 // pim/ and gpu/ keys other goroutines have in flight: every plan must
-// match the one a private store gives, and nothing may deadlock.
+// match the one a private store gives, and nothing may deadlock. Then
+// warm Runs, answered inline, share a store with cold ones on the pool,
+// which may hold a key in flight when an inline probe looks it up.
 func TestConcurrentRunsShareStore(t *testing.T) {
 	var graphs []*graph.Graph
 	var want []*verify.PlanCertificate
@@ -174,6 +176,31 @@ func TestConcurrentRunsShareStore(t *testing.T) {
 				}
 			}
 		}(w)
+	}
+	wg.Wait()
+
+	mixed := DefaultOptions(PolicyPIMFlow)
+	mixed.Profiles = profcache.New()
+	for _, g := range graphs[:2] {
+		if _, err := Run(g, mixed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < 2; w++ {
+		for i := range graphs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				plan, err := Run(graphs[i], mixed)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := plan.Certificate(); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s plan differs over a store warm for %s and %s", got.Model, graphs[0].Name, graphs[1].Name)
+				}
+			}(i)
+		}
 	}
 	wg.Wait()
 }

@@ -146,27 +146,54 @@ func (p *profiler) scalePIM(cycles int64) int64 {
 	return int64(math.Round(float64(cycles) * p.rt.PIMCycleScale()))
 }
 
+// errNeedsSim is what a probe asked to answer inline returns when its
+// key is absent or still being computed elsewhere: answering it takes a
+// simulation, which the pool runs (see walk).
+var errNeedsSim = errors.New("search: probe needs a simulation")
+
+// recall is an inline probe's store lookup: a completed entry, counted
+// as a hit, or errNeedsSim, counted nowhere. A probe that is not inline
+// recalls nothing here and asks DoObserved instead.
+func (p *profiler) recall(key profcache.Key, inline bool) (profcache.Profile, error) {
+	if !inline {
+		return profcache.Profile{}, nil
+	}
+	if prof, ok := p.store.Lookup(key); ok {
+		return prof, nil
+	}
+	return profcache.Profile{}, errNeedsSim
+}
+
 // pimWorkload times a PIM GEMM workload through the store, returning
 // GPU-domain cycles. layer/kind/ratio label the probe for observability.
-func (p *profiler) pimWorkload(w codegen.Workload, layer, kind string, ratio float64) (int64, error) {
-	done := p.beginProbe(layer, kind, ratio)
-	prof, out, err := p.store.DoObserved(p.pimKeys.Key(w), func() (profcache.Profile, error) {
-		st, err := codegen.TimeWorkload(w, p.rt.PIM, p.rt.Codegen)
-		if err != nil {
-			return profcache.Profile{}, err
-		}
-		return profcache.Profile{Cycles: st.Cycles, Counts: st.Counts, PerChannelBusy: st.PerChannelBusy}, nil
-	})
+func (p *profiler) pimWorkload(w codegen.Workload, layer, kind string, ratio float64, inline bool) (int64, error) {
+	key := p.pimKeys.Key(w)
+	prof, err := p.recall(key, inline)
 	if err != nil {
-		done(out.String(), 0, err)
 		return 0, err
+	}
+	done := p.beginProbe(layer, kind, ratio)
+	out := profcache.OutcomeHit
+	if !inline {
+		prof, out, err = p.store.DoObserved(key, func() (profcache.Profile, error) {
+			st, err := codegen.TimeWorkload(w, p.rt.PIM, p.rt.Codegen)
+			if err != nil {
+				return profcache.Profile{}, err
+			}
+			return profcache.Profile{Cycles: st.Cycles, Counts: st.Counts, PerChannelBusy: st.PerChannelBusy}, nil
+		})
+		if err != nil {
+			done(out.String(), 0, err)
+			return 0, err
+		}
 	}
 	t := p.scalePIM(prof.Cycles)
 	done(out.String(), t, nil)
 	return t, nil
 }
 
-// gpuKernel times one roofline kernel through the store.
+// gpuKernel times one roofline kernel through the store. A roofline is
+// arithmetic, not a simulation, so even an inline probe computes a miss.
 func (p *profiler) gpuKernel(k gpu.Kernel, layer, kind string, ratio float64) (int64, error) {
 	done := p.beginProbe(layer, kind, ratio)
 	prof, out, err := p.store.DoObserved(p.gpuKeys.Key(k), func() (profcache.Profile, error) {
@@ -194,12 +221,12 @@ func (p *profiler) gpuNode(g *graph.Graph, n *graph.Node) (int64, error) {
 }
 
 // pimNode times a whole node offloaded to PIM.
-func (p *profiler) pimNode(g *graph.Graph, n *graph.Node) (int64, error) {
+func (p *profiler) pimNode(g *graph.Graph, n *graph.Node, inline bool) (int64, error) {
 	w, err := codegen.NodeWorkload(g, n)
 	if err != nil {
 		return 0, err
 	}
-	return p.pimWorkload(w, n.Name, "pim", -1)
+	return p.pimWorkload(w, n.Name, "pim", -1, inline)
 }
 
 // errUnsplittable is what mddpSplitOf returns, bare, when a ratio grid
@@ -281,35 +308,38 @@ func (p *profiler) mddpGemmSplit(g *graph.Graph, n *graph.Node, ratio float64) (
 
 // mddpProbe measures one resolved split through the store: the two
 // halves run in parallel and synchronize at the concat (which the
-// memory optimizer elides).
-func (p *profiler) mddpProbe(layer string, sp mddpSplit, ratio float64) (int64, error) {
-	gt, err := p.gpuKernel(sp.gk, layer, "mddp-gpu", ratio)
+// memory optimizer elides). The PIM half goes first, so an inline probe
+// that needs a simulation has counted nothing when it hands over.
+func (p *profiler) mddpProbe(layer string, sp mddpSplit, ratio float64, inline bool) (int64, error) {
+	pt, err := p.pimWorkload(sp.pw, layer, sp.pimKind, ratio, inline)
 	if err != nil {
 		return 0, err
 	}
-	pt, err := p.pimWorkload(sp.pw, layer, sp.pimKind, ratio)
+	gt, err := p.gpuKernel(sp.gk, layer, "mddp-gpu", ratio)
 	if err != nil {
 		return 0, err
 	}
 	return max(gt, pt) + p.rt.SyncOverheadCycles, nil
 }
 
-// mddpBound returns an analytic lower bound on mddpProbe's result for a
-// resolved split, without simulating: the GPU half is the exact roofline
-// time (pure arithmetic — identical to the value the probe would cache),
-// the PIM half is codegen's closed-form serialization bound, and both
-// halves run concurrently, so their max plus the merge sync bounds the
-// probe from below.
-func (p *profiler) mddpBound(sp mddpSplit) (int64, error) {
+// exceeds reports whether a resolved split provably takes longer than
+// inc, without simulating: the halves run concurrently, so the probe
+// takes at least the GPU half's exact roofline time (the value the probe
+// would cache) and at least codegen's closed-form serialization bound on
+// the PIM half, each plus the merge sync. The GPU half is checked first:
+// alone it decides most points, without building the PIM bound's plan.
+// An error on either side proves nothing, so the point is probed.
+func (p *profiler) exceeds(sp mddpSplit, inc int64) bool {
 	res, err := p.rt.GPU.Time(sp.gk)
 	if err != nil {
-		return 0, err
+		return false
+	}
+	sync := p.rt.SyncOverheadCycles
+	if res.Cycles+sync > inc {
+		return true
 	}
 	lb, err := codegen.BoundWorkload(sp.pw, p.rt.PIM, p.rt.Codegen)
-	if err != nil {
-		return 0, err
-	}
-	return max(res.Cycles, p.scalePIM(lb)) + p.rt.SyncOverheadCycles, nil
+	return err == nil && p.scalePIM(lb)+sync > inc
 }
 
 // prunedProbe records one grid point discarded by the bound.
@@ -318,31 +348,43 @@ func (p *profiler) prunedProbe() {
 	p.metrics.Inc("search.pruned_probes")
 }
 
-// pipeline profiles a pipelining candidate: the cycles the runtime
-// schedules for the chain (nodes of the graph x indexes, in chain order)
-// pipelined at the given stage count. A chain the pipelining pass rejects
-// returns an error wrapping transform.ErrNotPipelineable, before the
-// store is consulted. Otherwise the store answers under the candidate's
-// name-free pipe/ key, and only a miss extracts, rewrites and schedules
-// it (simulatePipeline). The compute waits on pim/ and gpu/ keys at most,
-// and no leaf compute ever waits on a pipe/ key, so the singleflight
-// cannot deadlock.
-func (p *profiler) pipeline(x *graph.Index, chain []*graph.Node, cand transform.Candidate, stages int) (int64, error) {
+// pipelineProbe profiles a pipelining candidate: the cycles the runtime
+// schedules for the chain (nodes of the graph x indexes, in chain order,
+// with their key fragments) pipelined at the given stage count. A chain
+// the pipelining pass rejects returns an error wrapping
+// transform.ErrNotPipelineable, before the store is consulted. Otherwise
+// the store answers under the candidate's name-free pipe/ key, and only a
+// miss extracts, rewrites and schedules it (simulatePipeline). The
+// compute waits on pim/ and gpu/ keys at most, and no leaf compute ever
+// waits on a pipe/ key, so the singleflight cannot deadlock.
+func (p *profiler) pipelineProbe(x *graph.Index, chain []*graph.Node, frags nodeFrags, cand transform.Candidate, stages int, inline bool) (int64, error) {
+	var key profcache.Key
+	var prof profcache.Profile
+	err := transform.CheckPipeline(x, cand.Nodes, stages)
+	if err == nil {
+		key = p.pipeKeys.chainKey(x.Graph(), chain, frags, stages)
+		if prof, err = p.recall(key, inline); err != nil {
+			return 0, err
+		}
+	}
 	done := noopProbeDone
 	if p.trace != nil || p.metrics != nil {
 		done = p.beginProbe(strings.Join(cand.Nodes, "+"), "pipeline", -1)
 	}
-	if err := transform.CheckPipeline(x, cand.Nodes, stages); err != nil {
+	if err != nil { // the rejection
 		done("", 0, err)
 		return 0, err
 	}
-	prof, out, err := p.store.DoObserved(p.pipeKeys.key(x.Graph(), chain, stages), func() (profcache.Profile, error) {
-		cycles, err := p.simulatePipeline(x.Graph(), chain, cand.Nodes, stages)
-		return profcache.Profile{Cycles: cycles}, err
-	})
-	if err != nil {
-		done(out.String(), 0, err)
-		return 0, err
+	out := profcache.OutcomeHit
+	if !inline {
+		prof, out, err = p.store.DoObserved(key, func() (profcache.Profile, error) {
+			cycles, err := p.simulatePipeline(x.Graph(), chain, cand.Nodes, stages)
+			return profcache.Profile{Cycles: cycles}, err
+		})
+		if err != nil {
+			done(out.String(), 0, err)
+			return 0, err
+		}
 	}
 	done(out.String(), prof.Cycles, nil)
 	return prof.Cycles, nil

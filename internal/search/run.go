@@ -8,7 +8,6 @@ import (
 
 	"pimflow/internal/graph"
 	"pimflow/internal/obs"
-	"pimflow/internal/par"
 	"pimflow/internal/transform"
 )
 
@@ -60,13 +59,15 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 
 	// Phase 1: per-node execution mode and task size (optimal_split). The
 	// full probe set is flattened wave by wave — serial endpoints, coarse
-	// ratio grid, refine grid — into bounded worker pools over the shared
-	// singleflight profcache. Results land in per-layer index slots and a
-	// sequential pass reduces them in the classic sweep order afterwards,
-	// so the Plan bytes are identical regardless of completion order.
+	// ratio grid, refine grid — and each wave is walked (see walk): inline
+	// while the shared singleflight profcache answers, on the bounded
+	// worker pool from the first probe that must simulate. Results land in
+	// per-layer index slots and a sequential pass reduces them in the
+	// classic sweep order afterwards, so the Plan bytes are identical
+	// regardless of completion order.
 	//
 	// The coarse and refine waves prune: each layer tracks its incumbent
-	// best time, and a grid point whose analytic lower bound (mddpBound)
+	// best time, and a grid point whose analytic lower bound (exceeds)
 	// strictly exceeds the incumbent is skipped without probing. Pruning
 	// never changes the Plan: the incumbent only shrinks toward the
 	// layer's final best F, so a pruned point's true time t satisfies
@@ -86,41 +87,46 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 	prune := !opts.KeepSamples && !opts.NoPrune
 	coarse := coarseRatios(opts.RatioStep)
 	states := make([]layerState, len(order))
+	tasksInline, tasksPooled := 0, 0
+	wave := func(n int, task func(i int, inline bool) error) error {
+		k, err := walk(n, task)
+		tasksInline, tasksPooled = tasksInline+k, tasksPooled+n-k
+		return err
+	}
 
-	// Wave 1: serial endpoints (full GPU, full PIM) seed the incumbents.
-	if err := par.ForEach(len(order), func(i int) error {
-		st := &states[i]
-		st.n = order[i]
-		n := st.n
-		st.d = LayerDecision{Node: n.Name, Op: n.Op, GPURatio: 1}
-		d := &st.d
-		var tGPU int64
+	// Wave 1: serial endpoints (full PIM, full GPU) seed the incumbents.
+	// The PIM probe goes first, so a task that must simulate hands over
+	// before the GPU probe counts.
+	if err := wave(len(order), func(i int, inline bool) error {
+		st, n, d := &states[i], order[i], &plan.Decisions[i]
+		st.n, st.d = n, d
+		*d = LayerDecision{Node: n.Name, Op: n.Op, GPURatio: 1}
+		if opts.allowOffload() && g.IsPIMCandidate(n) {
+			tPIM, err := prof.pimNode(g, n, inline)
+			if err != nil {
+				return fmt.Errorf("search: PIM profile %q: %w", n.Name, err)
+			}
+			d.PIMCandidate, d.PIMTime = true, tPIM
+		}
 		if !fused[i] {
 			t, err := prof.gpuNode(g, n)
 			if err != nil {
 				return fmt.Errorf("search: GPU profile %q: %w", n.Name, err)
 			}
-			tGPU = t
+			d.GPUTime = t
 		}
-		d.GPUTime = tGPU
-		d.BestTime = tGPU
-		if opts.allowOffload() && g.IsPIMCandidate(n) {
-			d.PIMCandidate = true
-			tPIM, err := prof.pimNode(g, n)
-			if err != nil {
-				return fmt.Errorf("search: PIM profile %q: %w", n.Name, err)
-			}
-			d.PIMTime = tPIM
-			if tPIM < d.BestTime {
-				d.BestTime = tPIM
+		d.BestTime = d.GPUTime
+		if d.PIMCandidate {
+			if d.PIMTime < d.BestTime {
+				d.BestTime = d.PIMTime
 				d.GPURatio = 0
 			}
 			if opts.allowMDDP() {
 				st.sweep = true
 				if opts.KeepSamples {
 					d.Samples = append(d.Samples,
-						RatioSample{GPURatio: 0, Cycles: tPIM},
-						RatioSample{GPURatio: 1, Cycles: tGPU})
+						RatioSample{GPURatio: 0, Cycles: d.PIMTime},
+						RatioSample{GPURatio: 1, Cycles: d.GPUTime})
 				}
 			}
 		}
@@ -130,21 +136,29 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 		return phase1Err(err)
 	}
 
-	// Wave 2: the flattened (layer × ratio) coarse grid.
-	var tasks []gridTask
+	// Wave 2: the flattened (layer × ratio) coarse grid, its slots in one
+	// block.
+	sweeps := 0
+	for i := range states {
+		if states[i].sweep {
+			sweeps++
+		}
+	}
+	slots := make([]probeResult, sweeps*len(coarse))
+	tasks := make([]gridTask, 0, len(slots))
 	for i := range states {
 		if !states[i].sweep {
 			continue
 		}
-		states[i].grid = make([]probeResult, len(coarse))
+		states[i].grid, slots = slots[:len(coarse):len(coarse)], slots[len(coarse):]
 		for gi := range coarse {
 			tasks = append(tasks, gridTask{layer: i, idx: gi})
 		}
 	}
-	if err := par.ForEach(len(tasks), func(ti int) error {
+	if err := wave(len(tasks), func(ti int, inline bool) error {
 		t := tasks[ti]
 		st := &states[t.layer]
-		return prof.probeRatio(g, st, &st.grid[t.idx], coarse[t.idx], prune)
+		return prof.probeRatio(g, st, &st.grid[t.idx], coarse[t.idx], prune, inline)
 	}); err != nil {
 		return phase1Err(err)
 	}
@@ -177,11 +191,11 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 				}
 			}
 		}
-		if err := par.ForEach(len(tasks), func(ti int) error {
+		if err := wave(len(tasks), func(ti int, inline bool) error {
 			t := tasks[ti]
 			st := &states[t.layer]
 			r := st.base + float64(t.idx-st.span)*st.step
-			return prof.probeRatio(g, st, &st.refine[t.idx], r, prune)
+			return prof.probeRatio(g, st, &st.refine[t.idx], r, prune, inline)
 		}); err != nil {
 			return phase1Err(err)
 		}
@@ -192,50 +206,58 @@ func Run(g *graph.Graph, opts Options) (*Plan, error) {
 			reduceGrid(st, st.refine, refineRatiosOf(st), opts.KeepSamples)
 		}
 		cost[i] = st.d.BestTime
-		plan.Decisions[i] = st.d
 	}
-	endPhase1(map[string]any{"prunedProbes": prof.pruned.Load()})
+	endPhase1(map[string]any{"prunedProbes": prof.pruned.Load(), "inline": tasksInline, "pooled": tasksPooled})
 
-	// Phase 2: pipelining candidates (also independent; profiled
-	// concurrently, order preserved).
+	// Phase 2: pipelining candidates, walked like the waves. A candidate
+	// whose chain is not consecutive in topological order, or that the
+	// pipelining pass rejects (e.g. too few rows), keeps Len 0 and is
+	// dropped; the rest stay in candidate order.
 	if opts.allowPipeline() {
 		cands := transform.FindPipelineCandidates(x)
-		results := make([]*PipelineDecision, len(cands))
+		pds := make([]PipelineDecision, len(cands))
+		for ci, cand := range cands {
+			if start, length, ok := chainSpan(cand.Nodes, x, rank); ok {
+				pds[ci] = PipelineDecision{Candidate: cand, Stages: opts.PipelineStages, StartIdx: start, Len: length}
+			}
+		}
+		frags := fragments(order, pds)
 		endPhase2 := opts.Trace.Span("search", "profile-pipelines", "search.phase",
 			map[string]any{"model": g.Name, "candidates": len(cands)})
-		if err := par.ForEach(len(cands), func(ci int) error {
-			cand := cands[ci]
-			start, length, ok := chainSpan(cand.Nodes, x, rank)
-			if !ok {
-				return nil // not consecutive in topological order
+		k, err := walk(len(pds), func(ci int, inline bool) error {
+			pd := &pds[ci]
+			start, end := pd.StartIdx, pd.StartIdx+pd.Len
+			if start == end {
+				return nil
 			}
-			t, err := prof.pipeline(x, order[start:start+length], cand, opts.PipelineStages)
+			t, err := prof.pipelineProbe(x, order[start:end], frags.span(start, end), pd.Candidate, pd.Stages, inline)
 			if errors.Is(err, transform.ErrNotPipelineable) {
-				return nil // rejected candidate (e.g. too few rows)
+				pd.Len = 0
+				return nil
 			}
 			if err != nil {
-				return fmt.Errorf("search: pipeline profile %v: %w", cand.Nodes, err)
+				return fmt.Errorf("search: pipeline profile %v: %w", pd.Candidate.Nodes, err)
 			}
-			var serial int64
-			for i := start; i < start+length; i++ {
-				serial += cost[i]
-			}
-			results[ci] = &PipelineDecision{
-				Candidate: cand, Stages: opts.PipelineStages,
-				StartIdx: start, Len: length,
-				Time: t, SerialBest: serial,
+			pd.Time = t
+			for i := start; i < end; i++ {
+				pd.SerialBest += cost[i]
 			}
 			return nil
-		}); err != nil {
+		})
+		if err != nil {
 			endPhase2(map[string]any{"error": err.Error()})
 			return nil, err
 		}
-		for _, pd := range results {
-			if pd != nil {
-				plan.Pipelines = append(plan.Pipelines, *pd)
+		kept := pds[:0]
+		for _, pd := range pds {
+			if pd.Len > 0 {
+				kept = append(kept, pd)
 			}
 		}
-		endPhase2(map[string]any{"profiled": len(plan.Pipelines)})
+		if len(kept) > 0 {
+			plan.Pipelines = kept
+		}
+		endPhase2(map[string]any{"profiled": len(plan.Pipelines), "inline": k, "pooled": len(pds) - k})
 	}
 
 	// Phase 3: dynamic program over the node sequence (Algorithm 1 lines

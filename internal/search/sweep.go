@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"pimflow/internal/graph"
+	"pimflow/internal/par"
 )
 
 // This file holds the flattened probe-pool machinery behind Run's
@@ -13,6 +14,25 @@ import (
 // single sequential pass in the classic sweep order — so the selected
 // ratios, sample lists, and ultimately the Plan bytes are independent
 // of scheduling.
+
+// walk runs task(0..n-1), answering from the store on the calling
+// goroutine while it can: tasks run inline, in order, until one needs a
+// simulation (its probe returns errNeedsSim, having counted nothing).
+// That task and every later one then go to par.ForEach, which computes
+// misses. A fully recalled phase starts no goroutine; a cold one forks
+// at its first simulating task. It returns how many tasks ran inline.
+func walk(n int, task func(i int, inline bool) error) (int, error) {
+	for i := 0; i < n; i++ {
+		err := task(i, true)
+		if errors.Is(err, errNeedsSim) {
+			return i, par.ForEach(n-i, func(j int) error { return task(i+j, false) })
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return n, nil
+}
 
 // probeState classifies one grid-point slot after its wave completes.
 type probeState uint8
@@ -39,7 +59,7 @@ type gridTask struct {
 // layerState carries one layer's decision through the probe waves.
 type layerState struct {
 	n *graph.Node
-	d LayerDecision
+	d *LayerDecision // the layer's slot in Plan.Decisions
 
 	// sweep marks MD-DP candidates (the only layers with grid waves).
 	sweep bool
@@ -120,7 +140,7 @@ func probeGridPoint(res *probeResult, probe func() (int64, error)) error {
 // probeRatio executes one flattened grid task: resolve the split
 // geometry, optionally prune against the layer incumbent, probe, and
 // feed the incumbent.
-func (p *profiler) probeRatio(g *graph.Graph, st *layerState, res *probeResult, ratio float64, prune bool) error {
+func (p *profiler) probeRatio(g *graph.Graph, st *layerState, res *probeResult, ratio float64, prune, inline bool) error {
 	sp, err := p.mddpSplitOf(g, st.n, ratio)
 	if err != nil {
 		if errors.Is(err, errUnsplittable) {
@@ -129,19 +149,16 @@ func (p *profiler) probeRatio(g *graph.Graph, st *layerState, res *probeResult, 
 		}
 		return err
 	}
-	if prune {
-		// Strictly-greater comparison: a bound equal to the incumbent
-		// could still tie the final best, and ties are resolved by grid
-		// order in the reduction — only provably-worse points may be
-		// dropped. Bound errors fall through to a real probe.
-		if lb, err := p.mddpBound(sp); err == nil && lb > st.inc.Load() {
-			res.state = probePruned
-			p.prunedProbe()
-			return nil
-		}
+	// Strictly-greater comparison: a bound equal to the incumbent could
+	// still tie the final best, and ties are resolved by grid order in the
+	// reduction — only provably-worse points may be dropped.
+	if prune && p.exceeds(sp, st.inc.Load()) {
+		res.state = probePruned
+		p.prunedProbe()
+		return nil
 	}
 	if err := probeGridPoint(res, func() (int64, error) {
-		return p.mddpProbe(st.n.Name, sp, ratio)
+		return p.mddpProbe(st.n.Name, sp, ratio, inline)
 	}); err != nil {
 		return err
 	}
@@ -157,7 +174,7 @@ func (p *profiler) probeRatio(g *graph.Graph, st *layerState, res *probeResult, 
 //
 //pimflow:deterministic
 func reduceGrid(st *layerState, results []probeResult, ratios []float64, keep bool) {
-	d := &st.d
+	d := st.d
 	for i := range results {
 		res := &results[i]
 		if res.state != probeOK {

@@ -131,5 +131,5 @@ func (p *profiler) mddp(g *graph.Graph, n *graph.Node, ratio float64) (int64, er
 	if err != nil {
 		return 0, err
 	}
-	return p.mddpProbe(n.Name, sp, ratio)
+	return p.mddpProbe(n.Name, sp, ratio, false)
 }

@@ -80,6 +80,7 @@ func New(shape ...int) *Tensor {
 }
 
 // FromSlice wraps data in a tensor after validating the element count.
+// Only tests call it: tensor's own, graph's and interp's.
 func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	s := Shape(shape).Clone()
 	if s.Elems() != len(data) {
@@ -128,7 +129,8 @@ func (t *Tensor) FillRandom(seed int64) {
 	}
 }
 
-// Fill sets every element to v.
+// Fill sets every element to v. Only tests call it: tensor's own,
+// interp's and transform's.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
 		t.Data[i] = v
@@ -136,7 +138,8 @@ func (t *Tensor) Fill(v float32) {
 }
 
 // AllClose reports whether two tensors have identical shape and elementwise
-// values within tol (absolute + relative).
+// values within tol (absolute + relative). Only tests call it: tensor's
+// own, and those of codegen, graph, interp, lower, search and transform.
 func AllClose(a, b *Tensor, tol float64) bool {
 	if !a.Shape.Equal(b.Shape) {
 		return false
@@ -151,7 +154,8 @@ func AllClose(a, b *Tensor, tol float64) bool {
 }
 
 // MaxAbsDiff returns the maximum elementwise absolute difference between
-// two same-shaped tensors.
+// two same-shaped tensors. Only tests call it: tensor's own, and those of
+// codegen, lower, search and transform.
 func MaxAbsDiff(a, b *Tensor) float64 {
 	if !a.Shape.Equal(b.Shape) {
 		return math.Inf(1)

@@ -3,10 +3,9 @@ package transform
 import "pimflow/internal/graph"
 
 // EliminateDeadNodes removes nodes whose outputs are neither graph outputs
-// nor consumed by any other node, iterating to a fixpoint. Transformation
-// pipelines that prune branches (or hand-built graphs with vestigial
-// heads) use it to keep the runtime from scheduling dead kernels.
-// Returns the number of removed nodes.
+// nor consumed by any other node, iterating to a fixpoint, and returns the
+// number of removed nodes. Only tests call it: transform's own, and
+// verify's, which check GR-DEAD on the graph it leaves.
 func EliminateDeadNodes(g *graph.Graph) int {
 	removed := 0
 	for {

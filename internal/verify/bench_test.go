@@ -53,6 +53,21 @@ func BenchmarkVerifyCompiledZoo(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyGraphZoo times the verify gate's graph tier alone: the
+// GR-* invariants of the five paper CNNs' compiled graphs.
+func BenchmarkVerifyGraphZoo(b *testing.B) {
+	z := compileZoo(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range z.graphs {
+			if diags := verify.Graph(g); len(diags) != 0 {
+				b.Fatal(verify.AsError(diags))
+			}
+		}
+	}
+}
+
 // BenchmarkPlanSearchZoo times the OP-* plan-optimality check (the exact
 // solver's cross-check of the DP) across the five paper CNNs' plans.
 func BenchmarkPlanSearchZoo(b *testing.B) {

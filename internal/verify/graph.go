@@ -8,23 +8,18 @@ import (
 	"pimflow/internal/graph"
 )
 
-// Checks selects optional graph invariants beyond the always-on set.
-type Checks struct {
-	// RequireLive enforces GR-DEAD: every node's output is a graph output
-	// or consumed by another node. This is the post-DCE invariant; graphs
-	// mid-transformation legitimately carry dead branches, so it is off by
-	// default.
-	RequireLive bool
-}
-
 // Graph checks the default invariant set: structural well-formedness,
 // topology, shape consistency against re-inference, and — where execution
 // annotations mark transformed regions — MD-DP and pipeline soundness.
 // It returns all violations found, or nil for a clean graph.
-func Graph(g *graph.Graph) []Diagnostic { return GraphWith(g, Checks{}) }
+func Graph(g *graph.Graph) []Diagnostic {
+	diags, _ := checkInvariants(g)
+	return diags
+}
 
-// GraphWith is Graph with optional checks enabled.
-func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
+// checkInvariants runs Graph's checks. It also returns the index they
+// shared, or nil when a structural or inference failure stopped them.
+func checkInvariants(g *graph.Graph) ([]Diagnostic, *graph.Index) {
 	var diags []Diagnostic
 
 	// Every check takes its adjacency from one index. It indexes a scratch
@@ -37,7 +32,7 @@ func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 	diags = append(diags, checkStructure(g)...)
 	diags = append(diags, checkTopology(x)...)
 	if len(diags) > 0 {
-		return diags
+		return diags, nil
 	}
 
 	// Phase 2: re-infer shapes on the scratch table and compare. An
@@ -45,7 +40,7 @@ func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 	shapeDiags, inferOK := checkShapes(g, x)
 	diags = append(diags, shapeDiags...)
 	if !inferOK {
-		return diags
+		return diags, nil
 	}
 
 	// Phase 3: transform soundness, gated on execution annotations so
@@ -53,16 +48,12 @@ func GraphWith(g *graph.Graph, c Checks) []Diagnostic {
 	// annotations are never serialized) are exempt by construction.
 	diags = append(diags, checkMDDP(g, x)...)
 	diags = append(diags, checkPipeline(x)...)
-
-	if c.RequireLive {
-		diags = append(diags, checkLiveness(g, x)...)
-	}
-	return diags
+	return diags, x
 }
 
 func checkStructure(g *graph.Graph) []Diagnostic {
 	var diags []Diagnostic
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n.Name == "" {
 			diags = append(diags, graphDiag(RuleGraphName, "", "", fmt.Sprintf("unnamed %s node", n.Op)))
@@ -173,7 +164,13 @@ func checkMDDP(g *graph.Graph, x *graph.Index) []Diagnostic {
 	pair := func(rule, node, msg string) {
 		diags = append(diags, graphDiag(rule, node, "", msg))
 	}
-	seenConcat := map[string]bool{}
+	halves := 0
+	for _, n := range g.Nodes {
+		if n.Exec.Mode == graph.ModeMDDP {
+			halves++
+		}
+	}
+	seenConcat := make(map[string]bool, halves/2)
 	for _, n := range g.Nodes {
 		if n.Exec.Mode != graph.ModeMDDP {
 			continue
@@ -420,28 +417,4 @@ func unionChunks(a, b []chunk) []chunk {
 func missingChunk(group, stage, part, parts int) Diagnostic {
 	return graphDiag(RuleGraphPipeParts, "", "",
 		fmt.Sprintf("group %d stage %d is missing chunk %d of %d", group, stage, part, parts))
-}
-
-// checkLiveness reports nodes DCE should have removed: no output is a
-// graph output or consumed by another node.
-func checkLiveness(g *graph.Graph, x *graph.Index) []Diagnostic {
-	outputs := map[string]bool{}
-	for _, o := range g.Outputs {
-		outputs[o] = true
-	}
-	var diags []Diagnostic
-	for _, n := range g.Nodes {
-		live := false
-		for _, out := range n.Outputs {
-			if outputs[out] || len(x.Consumers(out)) > 0 {
-				live = true
-				break
-			}
-		}
-		if !live {
-			diags = append(diags, graphDiag(RuleGraphDead, n.Name, "",
-				"no output is a graph output or consumed by another node"))
-		}
-	}
-	return diags
 }

@@ -330,19 +330,28 @@ func expectedTotals(w codegen.Workload, cfg pim.Config, opts codegen.Opts) total
 }
 
 // Workload verifies one PIM workload's command stream end to end as
-// codegen.Stream generates it: the per-channel protocol rules (the linter
-// Trace replays stored traces through) plus workload coverage (TR-COVER) —
-// the distributed command volumes must add up to what the workload
-// requires, computed by an independent oracle. No trace is stored, so the
-// cost is one pass over the commands and the memory does not grow with
-// them. Grouped workloads verify one group's stream; the groups are
-// identical.
+// codegen.Units generates it (Stream's blocks): the per-channel protocol
+// rules (the linter Trace replays stored traces through) plus workload
+// coverage (TR-COVER) — the distributed command volumes must add up to
+// what the workload requires, computed by an independent oracle. No trace
+// is stored, so the cost is one pass over the commands and the memory
+// does not grow with them. Grouped workloads verify one group's stream;
+// the groups are identical.
 func Workload(w codegen.Workload, cfg pim.Config, opts codegen.Opts) []Diagnostic {
 	w.Groups = 0
-	l := newLinter(cfg)
-	if err := codegen.Stream(w, cfg, opts, l); err != nil {
+	// The linter is concrete, so the blocks stay in this stack buffer.
+	var stack [codegen.BlockStack]pim.Command
+	u, err := codegen.NewUnits(w, cfg, opts, stack[:0])
+	if err != nil {
 		return []Diagnostic{{Rule: RuleTraceCover, Channel: -1, Index: -1,
 			Msg: fmt.Sprintf("trace generation failed: %v", err)}}
+	}
+	l := newLinter(cfg)
+	for ch, ok := u.NextChannel(); ok; ch, ok = u.NextChannel() {
+		l.BeginChannel(ch)
+		for cmds, ok := u.Next(); ok; cmds, ok = u.Next() {
+			l.Emit(cmds)
+		}
 	}
 	diags := l.finish()
 
