@@ -9,6 +9,7 @@ import (
 
 	"pimflow/internal/fleet"
 	"pimflow/internal/load"
+	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
 )
@@ -584,5 +585,46 @@ func TestRegistrationValidation(t *testing.T) {
 		{Name: "r", Type: "ensemble", Steps: []fleet.GraphStep{{Node: "x"}}},
 	}}); err == nil {
 		t.Fatal("ensemble over a nested node accepted (FL-NODE restricts branches to models)")
+	}
+}
+
+// The builtin scenarios' gold/bronze pair (mobilenet-v2, PIMFlow, 16/8)
+// is one compile input, so deploying it compiles mobilenet-v2 once:
+// every replica of both names serves one graph, plan and solo report.
+func TestDeployBuiltinPairCompilesOnce(t *testing.T) {
+	sc, err := load.Builtin("bursty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	names := []string{"mobilenet-gold", "mobilenet-bronze"}
+	f, err := fleet.NewScenarioFleet(fleet.Scenario{Scenario: sc, Machines: 2,
+		Replicas: map[string]int{names[0]: 2, names[1]: 2}}, nil, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	var first *serve.LoadedModel
+	for i := 0; i < f.Size(); i++ {
+		for _, name := range names {
+			lm, err := f.Machine(i).Registry().Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = lm
+			} else if lm.Graph != first.Graph || lm.Plan != first.Plan || lm.Solo != first.Solo {
+				t.Fatalf("%s on machine %d serves another compile than %s", name, i, first.Spec.Name)
+			}
+		}
+	}
+	compiles := 0
+	for _, e := range tr.Events() {
+		if e.Cat == "serve.load" && e.Args["sharedWith"] == "" {
+			compiles++
+		}
+	}
+	if compiles != 1 {
+		t.Fatalf("%d compiles for the gold/bronze pair, want 1", compiles)
 	}
 }

@@ -119,10 +119,11 @@ func (d ServingDefaults) withDefaults() ServingDefaults {
 // Registry compiles and caches serving models. Loads are verify-gated
 // (a model whose transformed graph or PIM command streams violate the
 // static invariants never becomes servable) and deduplicated with
-// singleflight semantics: concurrent Loads of one name compile once. All
-// compilations share one profile store, so a model reload or a sibling
-// model with common layer shapes recalls profiles instead of
-// re-simulating.
+// singleflight semantics keyed by the compile input: serving names that
+// share a zoo model, policy and channel slice share one compile, loaded
+// or in flight. All compilations share one profile store, so a model
+// reload or a sibling model with common layer shapes recalls profiles
+// instead of re-simulating.
 type Registry struct {
 	machine  Machine
 	profiles *profcache.Store
@@ -135,10 +136,19 @@ type Registry struct {
 	inflight map[string]*loadFlight  // guarded by mu
 }
 
+// loadFlight is one serving name's load in progress.
 type loadFlight struct {
-	done chan struct{}
-	lm   *LoadedModel
-	err  error
+	spec  ModelSpec
+	input ModelSpec // guarded by mu; the compile input, once the spec checks pass
+	done  chan struct{}
+	lm    *LoadedModel
+	err   error
+}
+
+// compileInput is everything of a load that reaches models.Build and
+// search.Compile: the zoo model, the resolved policy and channel slice.
+func compileInput(model string, opts search.Options) ModelSpec {
+	return ModelSpec{Model: model, Policy: opts.Policy.String(), TotalChannels: opts.TotalChannels, PIMChannels: opts.PIMChannels}
 }
 
 // NewRegistry returns an empty registry over the machine. A nil profile
@@ -165,7 +175,10 @@ func (r *Registry) Profiles() *profcache.Store { return r.profiles }
 
 // Load compiles, verifies, and warms the model described by spec and
 // makes it servable under spec.Name. Loading a name twice fails with
-// ErrAlreadyLoaded; concurrent loads of one name share a single compile.
+// ErrAlreadyLoaded, also while a load of the name with another spec is
+// in flight; concurrent loads of one spec share a single load. A spec
+// whose compile input is loaded, or compiling, under another name takes
+// that compile and resolves only its own serving fields.
 func (r *Registry) Load(spec ModelSpec) (*LoadedModel, error) {
 	if spec.Name == "" {
 		spec.Name = spec.Model
@@ -181,17 +194,20 @@ func (r *Registry) Load(spec ModelSpec) (*LoadedModel, error) {
 	}
 	if f, ok := r.inflight[spec.Name]; ok {
 		r.mu.Unlock()
+		if f.spec != spec {
+			return nil, fmt.Errorf("%w: %q", ErrAlreadyLoaded, spec.Name)
+		}
 		<-f.done
 		if f.err != nil {
 			return nil, f.err
 		}
 		return f.lm, nil
 	}
-	f := &loadFlight{done: make(chan struct{})}
+	f := &loadFlight{spec: spec, done: make(chan struct{})}
 	r.inflight[spec.Name] = f
 	r.mu.Unlock()
 
-	f.lm, f.err = r.compile(spec)
+	f.lm, f.err = r.load(f)
 
 	r.mu.Lock()
 	delete(r.inflight, spec.Name)
@@ -204,12 +220,14 @@ func (r *Registry) Load(spec ModelSpec) (*LoadedModel, error) {
 	return f.lm, f.err
 }
 
-// compile runs the load pipeline: build, search, verify, warm.
-func (r *Registry) compile(spec ModelSpec) (*LoadedModel, error) {
+// load runs f's load pipeline: check the spec, then take another name's
+// compile of the same input, or build, search, verify and warm.
+func (r *Registry) load(f *loadFlight) (*LoadedModel, error) {
+	spec := f.spec
 	end := r.trace.Span("serve-load", spec.Name, "serve.load",
 		map[string]any{"model": spec.Model, "policy": spec.Policy})
 	started := time.Now()
-	lm, err := r.compileInner(spec)
+	lm, source, err := r.loadInner(f)
 	if err != nil {
 		r.metrics.Inc("serve.model_load_errors")
 		end(map[string]any{"error": err.Error()})
@@ -218,17 +236,20 @@ func (r *Registry) compile(spec ModelSpec) (*LoadedModel, error) {
 	lm.CompileSeconds = time.Since(started).Seconds()
 	r.metrics.Inc("serve.model_loads")
 	r.metrics.Observe("serve.model_load_seconds", lm.CompileSeconds)
-	end(map[string]any{"soloCycles": lm.Solo.DurationCycles(), "demandGPU": lm.Demand.GPU, "demandPIM": lm.Demand.PIM})
+	end(map[string]any{"soloCycles": lm.Solo.DurationCycles(), "demandGPU": lm.Demand.GPU, "demandPIM": lm.Demand.PIM,
+		"sharedWith": source})
 	if obs.Enabled(slog.LevelInfo) {
 		obs.L().Info("serve: model loaded",
 			"name", lm.Spec.Name, "model", lm.Spec.Model, "policy", lm.Policy.String(),
 			"soloCycles", lm.Solo.DurationCycles(), "gpuChannels", lm.Demand.GPU,
-			"pimChannels", lm.Demand.PIM, "compileSeconds", lm.CompileSeconds)
+			"pimChannels", lm.Demand.PIM, "compileSeconds", lm.CompileSeconds, "sharedWith", source)
 	}
 	return lm, nil
 }
 
-func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
+// loadInner returns f's model and the name whose compile it took, if any.
+func (r *Registry) loadInner(f *loadFlight) (*LoadedModel, string, error) {
+	spec := f.spec
 	policyName := spec.Policy
 	if policyName == "" {
 		policyName = search.PolicyPIMFlow.String()
@@ -238,11 +259,11 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	badSpec := func(err error) error { return fmt.Errorf("%w %q: %w", ErrBadSpec, spec.Name, err) }
 	policy, err := ParsePolicy(policyName)
 	if err != nil {
-		return nil, badSpec(err)
+		return nil, "", badSpec(err)
 	}
 	slo, err := findSLO(r.defaults.SLOClasses, spec.SLO)
 	if err != nil {
-		return nil, badSpec(err)
+		return nil, "", badSpec(err)
 	}
 	batch := BatchPolicy{
 		MaxBatch:     r.defaults.MaxBatch,
@@ -258,10 +279,6 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	if spec.BatchWindowCycles > 0 {
 		batch.WindowCycles = spec.BatchWindowCycles
 	}
-	g, err := models.Build(spec.Model, models.Options{Light: true})
-	if err != nil {
-		return nil, badSpec(err)
-	}
 	opts := search.DefaultOptions(policy)
 	if spec.TotalChannels > 0 || spec.PIMChannels > 0 {
 		total, pimCh := spec.TotalChannels, spec.PIMChannels
@@ -274,7 +291,7 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		opts = opts.WithResources(total, pimCh)
 	}
 	if err := opts.Validate(); err != nil {
-		return nil, badSpec(err)
+		return nil, "", badSpec(err)
 	}
 	// The slice must fit the machine, or no placement will ever succeed:
 	// its GPU part, and its PIM part when the policy may offload.
@@ -283,13 +300,47 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		demand.PIM = opts.PIMChannels
 	}
 	if demand.GPU > r.machine.GPUChannels || demand.PIM > r.machine.PIMChannels {
-		return nil, badSpec(fmt.Errorf("slice of %d GPU + %d PIM channels, machine has %d + %d",
+		return nil, "", badSpec(fmt.Errorf("slice of %d GPU + %d PIM channels, machine has %d + %d",
 			demand.GPU, demand.PIM, r.machine.GPUChannels, r.machine.PIMChannels))
+	}
+
+	// Another name's compile of the same input is this load's: the first
+	// loaded one by name, or else a concurrent load that got this far (if
+	// that one fails, this load compiles).
+	in := compileInput(spec.Model, opts)
+	var src *LoadedModel
+	var flight *loadFlight
+	r.mu.Lock()
+	for name, lm := range r.models {
+		if compileInput(lm.Spec.Model, lm.Opts) == in && (src == nil || name < src.Spec.Name) {
+			src = lm
+		}
+	}
+	for _, o := range r.inflight {
+		if src == nil && o.input == in {
+			flight = o
+		}
+	}
+	f.input = in
+	r.mu.Unlock()
+	if flight != nil {
+		<-flight.done
+		src = flight.lm
+	}
+	if src != nil {
+		lm := *src
+		lm.Spec, lm.Batch, lm.SLO, lm.SLOTarget = spec, batch, slo, slo.Target(src.Solo.DurationCycles())
+		return &lm, src.Spec.Name, nil
+	}
+
+	g, err := models.Build(spec.Model, models.Options{Light: true})
+	if err != nil {
+		return nil, "", badSpec(err)
 	}
 	opts.Profiles = r.profiles
 	compiled, plan, err := search.Compile(g, opts)
 	if err != nil {
-		return nil, fmt.Errorf("serve: compile %q: %w", spec.Name, err)
+		return nil, "", fmt.Errorf("serve: compile %q: %w", spec.Name, err)
 	}
 
 	// Verify gate: a model that fails the static graph invariants or the
@@ -297,13 +348,13 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	rt := opts.RuntimeConfig()
 	if diags := verify.Compiled(compiled, rt.PIM, rt.Codegen); len(diags) > 0 {
 		verify.Record(r.metrics, diags)
-		return nil, fmt.Errorf("serve: model %q failed verification: %w", spec.Name, verify.AsError(diags))
+		return nil, "", fmt.Errorf("serve: model %q failed verification: %w", spec.Name, verify.AsError(diags))
 	}
 
 	// Shapes were inferred during Apply; check them here, so a graph
 	// without them fails the load rather than making ExecuteAt clone it.
 	if err := compiled.InferShapes(); err != nil {
-		return nil, fmt.Errorf("serve: shapes of %q: %w", spec.Name, err)
+		return nil, "", fmt.Errorf("serve: shapes of %q: %w", spec.Name, err)
 	}
 
 	// A plan that offloads nothing leases no PIM channels.
@@ -321,7 +372,7 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 	// come from this run.
 	solo, record, err := runtime.ExecuteRecorded(compiled, rt)
 	if err != nil {
-		return nil, fmt.Errorf("serve: warmup of %q: %w", spec.Name, err)
+		return nil, "", fmt.Errorf("serve: warmup of %q: %w", spec.Name, err)
 	}
 	ii := max(solo.GPUBusy, solo.PIMBusy, 1)
 	ii = min(ii, max(solo.DurationCycles(), 1))
@@ -332,7 +383,7 @@ func (r *Registry) compileInner(spec ModelSpec) (*LoadedModel, error) {
 		Demand: demand, InitInterval: ii,
 		Batch: batch, SLO: slo, SLOTarget: slo.Target(solo.DurationCycles()),
 		record: record,
-	}, nil
+	}, "", nil
 }
 
 // Install makes an already-compiled model servable under its spec name

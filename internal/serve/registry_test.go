@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
+	"pimflow/internal/graph"
 	"pimflow/internal/obs"
 )
 
@@ -82,6 +85,204 @@ func TestRegistrySingleflightLoad(t *testing.T) {
 	}
 	if got := m.Counter("serve.model_loads"); got != 1 {
 		t.Fatalf("%d compiles for %d concurrent loads", got, n)
+	}
+}
+
+// loadSources returns each serve.load span's sharedWith argument by
+// serving name: "" for a load that compiled.
+func loadSources(t *testing.T, tr *obs.Trace) map[string]string {
+	t.Helper()
+	sources := map[string]string{}
+	for _, e := range tr.Events() {
+		if e.Cat == "serve.load" {
+			src, ok := e.Args["sharedWith"].(string)
+			if !ok {
+				t.Fatalf("serve.load span of %s has no sharedWith: %v", e.Name, e.Args)
+			}
+			sources[e.Name] = src
+		}
+	}
+	return sources
+}
+
+// Serving names with one compile input (zoo model, policy, channel
+// slice) share one compile: the second name builds, searches, verifies
+// and executes nothing, so the profile store sees no lookup, and it
+// resolves only its own serving fields.
+func TestRegistrySharesCompileAcrossNames(t *testing.T) {
+	tr := obs.NewTrace()
+	r := NewRegistry(DefaultMachine(), nil, nil, tr, ServingDefaults{})
+	goldSpec := toySpec("gold")
+	goldSpec.SLO, goldSpec.MaxBatch = "gold", 8
+	gold, err := r.Load(goldSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.Profiles().Stats()
+	bronzeSpec := toySpec("bronze")
+	bronzeSpec.SLO, bronzeSpec.BatchWindowCycles = "bronze", 200_000
+	bronze, err := r.Load(bronzeSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := r.Profiles().Stats(); after != before {
+		t.Errorf("the shared load touched the profile store: %+v, then %+v", before, after)
+	}
+	if bronze == gold || bronze.Graph != gold.Graph || bronze.Plan != gold.Plan ||
+		bronze.Solo != gold.Solo || bronze.record != gold.record {
+		t.Fatal("bronze does not share gold's graph, plan, solo report and metrics record")
+	}
+	if bronze.Demand != gold.Demand || bronze.InitInterval != gold.InitInterval || bronze.Policy != gold.Policy ||
+		bronze.Opts.TotalChannels != 16 || bronze.Opts.PIMChannels != 8 {
+		t.Errorf("bronze's compile fields differ from gold's: %+v vs %+v", bronze, gold)
+	}
+	bronzeClass, err := findSLO(DefaultSLOClasses(), "bronze")
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo := gold.Solo.DurationCycles()
+	if bronze.Spec != bronzeSpec || bronze.SLO != bronzeClass || bronze.SLOTarget != bronzeClass.Target(solo) ||
+		bronze.Batch.MaxBatch != 1 || bronze.Batch.WindowCycles != 200_000 {
+		t.Errorf("bronze's serving fields: spec %+v, SLO %+v (target %d), batch %+v", bronze.Spec, bronze.SLO, bronze.SLOTarget, bronze.Batch)
+	}
+	if gold.Spec != goldSpec || gold.SLO.Name != "gold" || gold.SLOTarget >= bronze.SLOTarget ||
+		gold.Batch.MaxBatch != 8 || gold.Batch.WindowCycles != 0 {
+		t.Errorf("gold's serving fields changed: spec %+v, SLO %+v (target %d), batch %+v", gold.Spec, gold.SLO, gold.SLOTarget, gold.Batch)
+	}
+	if got := loadSources(t, tr); got["gold"] != "" || got["bronze"] != "gold" {
+		t.Errorf("serve.load sources %v, want gold compiled and bronze shared with gold", got)
+	}
+}
+
+// Another policy or another channel slice is another compile input. The
+// resolved input counts: a spec that leaves policy and slice empty shares
+// the compile of PIMFlow on the whole 32/16 machine.
+func TestRegistryCompilesEachInput(t *testing.T) {
+	r := NewRegistry(DefaultMachine(), nil, nil, nil, ServingDefaults{})
+	base, err := r.Load(toySpec("base"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[*graph.Graph]bool{}
+	for _, spec := range []ModelSpec{
+		{Name: "policy", Model: "toy", Policy: "Newton+", TotalChannels: 16, PIMChannels: 8},
+		{Name: "total", Model: "toy", Policy: "PIMFlow", TotalChannels: 12, PIMChannels: 8},
+		{Name: "pim", Model: "toy", Policy: "PIMFlow", TotalChannels: 16, PIMChannels: 4},
+		{Name: "whole", Model: "toy", Policy: "PIMFlow", TotalChannels: 32, PIMChannels: 16},
+	} {
+		lm, err := r.Load(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if lm.Graph == base.Graph || lm.Solo == base.Solo || graphs[lm.Graph] {
+			t.Errorf("%s (%+v) took an earlier compile", spec.Name, spec)
+		}
+		graphs[lm.Graph] = true
+	}
+	whole, err := r.Get("whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := r.Load(ModelSpec{Name: "defaults", Model: "toy"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm.Graph != whole.Graph || lm.Solo != whole.Solo {
+		t.Error("a spec resolving to PIMFlow 32/16 did not share that input's compile")
+	}
+}
+
+// A shared compile outlives the name it came from: unloading gold leaves
+// bronze serving, and a third name then shares bronze's compile.
+func TestSharedCompileOutlivesItsSource(t *testing.T) {
+	tr := obs.NewTrace()
+	s, err := NewServer(Config{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownNow(s)
+	gold, err := s.Registry().Load(toySpec("gold"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().Load(toySpec("bronze")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Registry().Unload("gold"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.Infer(context.Background(), InferRequest{Model: "bronze"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.LatencyCycles < gold.Solo.DurationCycles() {
+		t.Errorf("bronze served in %d cycles, under the solo %d", resp.LatencyCycles, gold.Solo.DurationCycles())
+	}
+	silver, err := s.Registry().Load(toySpec("silver"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if silver.Graph != gold.Graph || silver.Solo != gold.Solo {
+		t.Error("silver compiled again although bronze holds its compile input")
+	}
+	if got := loadSources(t, tr); got["bronze"] != "gold" || got["silver"] != "bronze" {
+		t.Errorf("serve.load sources %v, want bronze from gold and silver from bronze", got)
+	}
+}
+
+// Concurrent loads of distinct names with one compile input compile once:
+// the first to pass its spec checks compiles, the others wait for it.
+func TestRegistryConcurrentNamesCompileOnce(t *testing.T) {
+	tr := obs.NewTrace()
+	r := NewRegistry(DefaultMachine(), nil, nil, tr, ServingDefaults{})
+	const n = 8
+	var wg sync.WaitGroup
+	lms := make([]*LoadedModel, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lms[i], errs[i] = r.Load(toySpec(fmt.Sprintf("toy-%d", i)))
+		}(i)
+	}
+	wg.Wait()
+	for i, lm := range lms {
+		if errs[i] != nil {
+			t.Fatalf("load %d: %v", i, errs[i])
+		}
+		if lm.Spec.Name != fmt.Sprintf("toy-%d", i) || lm.Graph != lms[0].Graph || lm.Plan != lms[0].Plan ||
+			lm.Solo != lms[0].Solo || lm.record != lms[0].record {
+			t.Fatalf("load %d (%s) does not share load 0's compile", i, lm.Spec.Name)
+		}
+	}
+	compiles := 0
+	for _, src := range loadSources(t, tr) {
+		if src == "" {
+			compiles++
+		}
+	}
+	if compiles != 1 || r.Len() != n {
+		t.Fatalf("%d compiles and %d models for %d loads of one input", compiles, r.Len(), n)
+	}
+}
+
+// A load that finds its name in flight with another spec must not take
+// that load's model: it fails with ErrAlreadyLoaded, as it would once the
+// other load finished. A load of the same spec shares the flight.
+func TestRegistryInflightNameWithAnotherSpec(t *testing.T) {
+	r := NewRegistry(DefaultMachine(), nil, nil, nil, ServingDefaults{})
+	resnet := ModelSpec{Name: "m", Model: "resnet-50"}
+	f := &loadFlight{spec: resnet, done: make(chan struct{}), lm: &LoadedModel{Spec: resnet}}
+	close(f.done)
+	r.mu.Lock()
+	r.inflight["m"] = f
+	r.mu.Unlock()
+	if lm, err := r.Load(ModelSpec{Name: "m", Model: "toy"}); !errors.Is(err, ErrAlreadyLoaded) || lm != nil {
+		t.Fatalf("toy load while resnet-50 is in flight under its name: %v, %v", lm, err)
+	}
+	if lm, err := r.Load(resnet); err != nil || lm != f.lm {
+		t.Fatalf("same-spec load while in flight: %v, %v", lm, err)
 	}
 }
 

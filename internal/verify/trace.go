@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"pimflow/internal/codegen"
 	"pimflow/internal/pim"
@@ -42,10 +43,12 @@ func Trace(tr *pim.Trace, cfg pim.Config) []Diagnostic {
 // records a violation, so a stream is linted as it is generated. It also
 // tallies the command volumes TR-COVER checks.
 type linter struct {
-	cfg   pim.Config
-	diags []Diagnostic
-	got   pim.Counts   // only GWBursts, ColIOs, ReadRes and RRBursts
-	seen  map[int]bool // channel ids already begun
+	cfg     pim.Config
+	diags   []Diagnostic
+	got     pim.Counts // only GWBursts, ColIOs, ReadRes and RRBursts
+	began   int        // channel streams begun
+	seen    []bool     // configured channel ids already begun
+	outside []int      // ids outside the configuration already begun
 
 	// The open channel's state.
 	ch             int
@@ -59,23 +62,27 @@ type linter struct {
 }
 
 func newLinter(cfg pim.Config) *linter {
-	// Sized for every configured channel, so a real stream never grows it.
-	return &linter{cfg: cfg, seen: make(map[int]bool, max(cfg.Channels, 0))}
+	return &linter{cfg: cfg, seen: make([]bool, max(cfg.Channels, 0))}
 }
 
 // BeginChannel closes the channel in flight and opens channel ch.
 func (l *linter) BeginChannel(ch int) {
 	l.endChannel()
+	l.began++
 	cfg := &l.cfg
+	var dup bool
 	if ch < 0 || ch >= cfg.Channels {
 		l.diags = append(l.diags, Diagnostic{Rule: RuleTraceChannel, Channel: ch, Index: -1,
 			Msg: fmt.Sprintf("channel id outside configured 0..%d", cfg.Channels-1)})
+		dup = slices.Contains(l.outside, ch)
+		l.outside = append(l.outside, ch)
+	} else {
+		dup, l.seen[ch] = l.seen[ch], true
 	}
-	if l.seen[ch] {
+	if dup {
 		l.diags = append(l.diags, Diagnostic{Rule: RuleTraceChannelDup, Channel: ch, Index: -1,
 			Msg: "channel appears more than once in the trace"})
 	}
-	l.seen[ch] = true
 	l.ch = ch
 	l.bufCapBursts = cfg.GlobalBufs * ceilDiv(cfg.GlobalBufBytes, cfg.BurstBytes)
 	l.next, l.bufFilled, l.rowOpen, l.compsSinceGW = 0, false, false, 0
@@ -240,7 +247,7 @@ func (l *linter) endChannel() {
 
 // finish closes the stream and returns every violation in stream order.
 func (l *linter) finish() []Diagnostic {
-	if len(l.seen) == 0 { // no channel stream was begun
+	if l.began == 0 {
 		return []Diagnostic{{Rule: RuleTraceEmpty, Channel: -1, Index: -1,
 			Msg: "trace has no channel streams"}}
 	}

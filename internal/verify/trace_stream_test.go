@@ -151,7 +151,7 @@ func TestTraceMatchesReferenceForged(t *testing.T) {
 // TestWorkloadAllocsFlat pins the point of streaming: linting a workload
 // allocates the same handful of objects however many commands it
 // generates, because no trace is stored. The blocks and the linter stay
-// on the stack, so the handful is the linter's channel set: 4.
+// on the stack, so the handful is the linter's channel set: 1.
 func TestWorkloadAllocsFlat(t *testing.T) {
 	cfg, opts := pim.DefaultConfig(), codegen.DefaultOpts()
 	workloads := []codegen.Workload{
@@ -176,8 +176,8 @@ func TestWorkloadAllocsFlat(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, func() { verify.Workload(w, cfg, opts) })
 		t.Logf("%d commands: %.0f allocs", cmds, allocs)
-		if allocs > 4 {
-			t.Errorf("%+v: %.0f allocs, want at most 4", w, allocs)
+		if allocs > 1 {
+			t.Errorf("%+v: %.0f allocs, want at most 1", w, allocs)
 		}
 		if i == 0 {
 			base = allocs
