@@ -30,10 +30,12 @@ verify-models:
 
 # Short local fuzz passes over the graph JSON loader, the -load grammar,
 # the server's load and infer bodies, the fleet's graph-registration
-# endpoint, the block TR-* linter and the replay report's rank selection
-# (the CI gate runs the seed corpora via go test; this explores further).
-# FuzzRanks's seeds run to thousands of values, and minimizing a new
-# input that long takes up to the default minute, so it gets one second.
+# endpoint, the block TR-* linter, the SR-* schedule checker against its
+# reference and the replay report's rank selection (the CI gate runs the
+# seed corpora via go test; this explores further).
+# FuzzRanks's seeds run to thousands of values and FuzzSchedule's to
+# thousands of certificate rows, and minimizing a new input that long
+# takes up to the default minute, so each gets one second.
 FUZZ_TIME ?= 20s
 
 fuzz:
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzInferBody -fuzztime $(FUZZ_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRegisterGraph -fuzztime $(FUZZ_TIME) ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzLintBlocks -fuzztime $(FUZZ_TIME) ./internal/verify
+	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/verify
 	$(GO) test -run '^$$' -fuzz FuzzRanks -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1s ./internal/load
 
 # One sample of each Go benchmark: the harness figures plus the engine

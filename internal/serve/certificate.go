@@ -11,6 +11,7 @@
 package serve
 
 import (
+	"maps"
 	"sync"
 
 	"pimflow/internal/verify"
@@ -27,11 +28,13 @@ type certRecorder struct {
 	leases    CertLog[verify.ScheduleLease]    // guarded by mu
 	requests  CertLog[verify.ScheduleRequest]  // guarded by mu
 	frontiers CertLog[verify.ScheduleFrontier] // guarded by mu
-	policies  map[string]verify.SchedulePolicy // guarded by mu
+	policies  map[string]verify.SchedulePolicy // guarded by mu; each name's first policy
+	// by lease ID, each lease batched under another policy than its name's first
+	leasePolicies map[uint64]verify.SchedulePolicy // guarded by mu
 }
 
 func newCertRecorder() *certRecorder {
-	return &certRecorder{policies: map[string]verify.SchedulePolicy{}}
+	return &certRecorder{policies: map[string]verify.SchedulePolicy{}, leasePolicies: map[uint64]verify.SchedulePolicy{}}
 }
 
 // frontier records one release's frontier stamp; it is the scheduler's
@@ -52,6 +55,14 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 		ID: l.id, Model: lm.Spec.Name, Start: l.Start, End: l.End,
 		GPU: l.Demand.GPU, PIM: l.Demand.PIM, Batch: len(resps),
 	})
+	// A name's first policy goes to the model table; a lease batched
+	// under another one (the name was reloaded) is listed by its ID.
+	pol := verify.SchedulePolicy{MaxBatch: lm.Batch.MaxBatch, WindowCycles: lm.Batch.WindowCycles}
+	if first, ok := c.policies[lm.Spec.Name]; !ok {
+		c.policies[lm.Spec.Name] = pol
+	} else if first != pol {
+		c.leasePolicies[l.id] = pol
+	}
 	for i := range resps {
 		r := &resps[i]
 		c.requests.Append(verify.ScheduleRequest{
@@ -68,10 +79,6 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 			Latency:      r.LatencyCycles,
 		})
 	}
-	c.policies[lm.Spec.Name] = verify.SchedulePolicy{
-		MaxBatch:     lm.Batch.MaxBatch,
-		WindowCycles: lm.Batch.WindowCycles,
-	}
 }
 
 // snapshot copies the accumulated certificate.
@@ -84,10 +91,10 @@ func (c *certRecorder) snapshot(m Machine) verify.ScheduleCertificate {
 		Leases:      c.leases.Rows(),
 		Requests:    c.requests.Rows(),
 		Frontiers:   c.frontiers.Rows(),
-		Policies:    make(map[string]verify.SchedulePolicy, len(c.policies)),
+		Policies:    maps.Clone(c.policies),
 	}
-	for name, p := range c.policies {
-		cert.Policies[name] = p
+	if len(c.leasePolicies) > 0 {
+		cert.LeasePolicies = maps.Clone(c.leasePolicies)
 	}
 	return cert
 }

@@ -70,6 +70,55 @@ func TestCertificateRecordsServedSchedule(t *testing.T) {
 	}
 }
 
+// A name reloaded with a smaller batch policy keeps its earlier leases
+// checked against the policy they were batched under: the certificate
+// holds the name's first policy by model, and the policy of a lease
+// batched under another one by lease ID, which SR-WINDOW then enforces.
+func TestCertificateChecksEachLeaseAgainstItsOwnPolicy(t *testing.T) {
+	s := newTestServer(t, Config{Certify: true})
+	ctx := context.Background()
+	serve := func(maxBatch, n int) {
+		t.Helper()
+		spec := toySpec("m")
+		spec.MaxBatch = maxBatch
+		if _, err := s.Registry().Load(spec); err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]InferRequest, n)
+		for i := range reqs {
+			reqs[i] = InferRequest{Model: "m", ArrivalCycle: 1_000}
+		}
+		outs, err := s.InferBatch(ctx, reqs, BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		}
+	}
+	serve(8, 4)
+	if err := s.Registry().Unload("m"); err != nil {
+		t.Fatal(err)
+	}
+	serve(2, 2)
+
+	cert := s.Certificate()
+	if diags := verify.Schedule(cert); len(diags) != 0 {
+		t.Fatalf("a reloaded name failed its own certificate: %v", diags)
+	}
+	if len(cert.Leases) != 2 || cert.Policies["m"].MaxBatch != 8 || len(cert.LeasePolicies) != 1 ||
+		cert.LeasePolicies[cert.Leases[1].ID].MaxBatch != 2 {
+		t.Fatalf("policies %+v, lease policies %+v: want the first policy by model and the second by lease",
+			cert.Policies, cert.LeasePolicies)
+	}
+	cert.LeasePolicies[cert.Leases[1].ID] = verify.SchedulePolicy{MaxBatch: 1}
+	if diags := verify.Schedule(cert); len(diags) != 1 || diags[0].Rule != verify.RuleSchedWindow {
+		t.Fatalf("lease over its own policy: got %v, want one %s", diags, verify.RuleSchedWindow)
+	}
+}
+
 // TestCertificateRejectsForgery is the end-to-end acceptance check: take
 // a genuinely served certificate, inject an overlapping lease the
 // scheduler would never have granted, and watch verify.Schedule reject

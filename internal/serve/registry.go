@@ -391,8 +391,8 @@ func (r *Registry) loadInner(f *loadFlight) (*LoadedModel, string, error) {
 // compile-once LoadedModel out to replica machines: serving only reads a
 // loaded model (its solo report and metrics record), so sharing one
 // LoadedModel across registries is safe. The model's demand must still
-// fit this registry's machine, and installing over a live name fails
-// with ErrAlreadyLoaded.
+// fit this registry's machine, and installing over a live name, or one
+// whose load is in flight, fails with ErrAlreadyLoaded.
 func (r *Registry) Install(lm *LoadedModel) error {
 	if lm == nil || lm.Spec.Name == "" {
 		return fmt.Errorf("serve: install of empty model")
@@ -403,7 +403,7 @@ func (r *Registry) Install(lm *LoadedModel) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.models[lm.Spec.Name]; ok {
+	if _, ok := r.models[lm.Spec.Name]; ok || r.inflight[lm.Spec.Name] != nil {
 		return fmt.Errorf("%w: %q", ErrAlreadyLoaded, lm.Spec.Name)
 	}
 	r.models[lm.Spec.Name] = lm

@@ -286,6 +286,24 @@ func TestRegistryInflightNameWithAnotherSpec(t *testing.T) {
 	}
 }
 
+// Install must see in-flight loads: a model installed under a name whose
+// load is still compiling would be overwritten when that load lands, and
+// both callers would get a nil error.
+func TestRegistryInstallSeesInflightLoad(t *testing.T) {
+	r := NewRegistry(DefaultMachine(), nil, nil, nil, ServingDefaults{})
+	resnet := ModelSpec{Name: "m", Model: "resnet-50"}
+	r.mu.Lock()
+	r.inflight["m"] = &loadFlight{spec: resnet, done: make(chan struct{})}
+	r.mu.Unlock()
+	lm := &LoadedModel{Spec: ModelSpec{Name: "m", Model: "mobilenet-v2"}}
+	if err := r.Install(lm); !errors.Is(err, ErrAlreadyLoaded) {
+		t.Fatalf("install while a load of the name is in flight: %v, want %v", err, ErrAlreadyLoaded)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d models after a refused install", r.Len())
+	}
+}
+
 func TestRegistryRejectsUnknownModelAndPolicy(t *testing.T) {
 	r := NewRegistry(DefaultMachine(), nil, nil, nil, ServingDefaults{})
 	if _, err := r.Load(ModelSpec{Name: "x", Model: "no-such-net"}); err == nil {

@@ -351,31 +351,44 @@ func checkGraphCycles(g FleetGraph, nodes map[string]FleetGraphNode) []Diagnosti
 // and a defined graph node where it claims one, has a non-inverted
 // window, and — when gated — starts no earlier than the completion of
 // the hop it waited on, within the same route (FL-ROUTE). The walk
-// formats a hop's label only when a rule fires.
+// formats a hop's label only when a rule fires, and looks a hop's names
+// up through recent memos.
 func checkHops(c FleetCertificate, machines map[string]FleetMachine, graphs map[string]FleetGraph) []Diagnostic {
 	type placement struct{ model, machine string }
-	placed := make(map[placement]bool, len(c.Placements)) // any log entry
+	set := make(map[placement]bool, len(c.Placements)) // any log entry
 	for _, p := range c.Placements {
-		placed[placement{p.Model, p.Machine}] = true
+		set[placement{p.Model, p.Machine}] = true
 	}
+	known := recent[string, bool]{miss: func(m string) bool { _, ok := machines[m]; return ok }}
+	placed := recent[placement, bool]{miss: func(k placement) bool { return set[k] }}
+	// graphNode answers a (graph, node) claim: 0 holds, 1 names an
+	// unregistered graph, 2 an undefined node of a registered one.
+	graphNode := recent[[2]string, int]{miss: func(k [2]string) int {
+		if g, ok := graphs[k[0]]; !ok {
+			return 1
+		} else if k[1] != "" && !slices.ContainsFunc(g.Nodes, func(n FleetGraphNode) bool { return n.Name == k[1] }) {
+			return 2
+		}
+		return 0
+	}}
 	var diags []Diagnostic
 	for i := range c.Hops {
 		h := &c.Hops[i]
-		if _, ok := machines[h.Machine]; !ok {
+		if !known.get(h.Machine) {
 			diags = append(diags, fleetDiag(RuleFleetMachine, h.Machine,
 				fmt.Sprintf("%s ran on unknown machine %q", hopLabel(i, h), h.Machine)))
 			continue
 		}
-		if !placed[placement{h.Model, h.Machine}] {
+		if !placed.get(placement{h.Model, h.Machine}) {
 			diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
 				fmt.Sprintf("%s ran on %q where the model was never placed", hopLabel(i, h), h.Machine)))
 		}
 		if h.Graph != "" {
-			g, ok := graphs[h.Graph]
-			if !ok {
+			switch graphNode.get([2]string{h.Graph, h.Node}) {
+			case 1:
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
 					fmt.Sprintf("%s claims unregistered graph %q", hopLabel(i, h), h.Graph)))
-			} else if h.Node != "" && !slices.ContainsFunc(g.Nodes, func(n FleetGraphNode) bool { return n.Name == h.Node }) {
+			case 2:
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
 					fmt.Sprintf("%s claims undefined node %q of graph %q", hopLabel(i, h), h.Node, h.Graph)))
 			}

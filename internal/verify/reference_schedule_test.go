@@ -48,9 +48,9 @@ func ReferenceSchedule(c ScheduleCertificate) []Diagnostic {
 // refCheckOverlap sweeps the lease windows and verifies both channel groups
 // stay within capacity at every point in virtual time. Usage changes
 // only at lease boundaries; windows are half-open, so a lease ending at
-// t composes with one starting at t. It sorts with sort.Slice: the order
-// of equal-key events decides the breach a finding reports, and
-// checkOverlap's slices.SortFunc must leave them in the same order.
+// t composes with one starting at t. It sorts every grant and release
+// at once in the sweep's total order (cycle, demand sum, GPU demand):
+// the order of equal-sum events decides the breach a finding reports.
 func refCheckOverlap(c ScheduleCertificate) []Diagnostic {
 	type event struct {
 		at       int64
@@ -65,10 +65,14 @@ func refCheckOverlap(c ScheduleCertificate) []Diagnostic {
 	}
 	// Releases sort before grants at the same instant (half-open windows).
 	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+		a, b := events[i], events[j]
+		if a.at != b.at {
+			return a.at < b.at
 		}
-		return events[i].gpu+events[i].pim < events[j].gpu+events[j].pim
+		if a.gpu+a.pim != b.gpu+b.pim {
+			return a.gpu+a.pim < b.gpu+b.pim
+		}
+		return a.gpu < b.gpu
 	})
 	var diags []Diagnostic
 	gpu, pim := 0, 0
@@ -159,13 +163,14 @@ func refCheckRequests(c ScheduleCertificate, leases map[uint64]ScheduleLease) []
 	return diags
 }
 
-// refCheckWindows verifies each lease's batch against its model's policy:
-// the member count matches the recorded batch size and stays within
-// MaxBatch, and — when the virtual window is armed — the members'
-// arrival stamps span at most WindowCycles. The spread bound assumes a
-// uniform arrival mode per batch, which both served modes satisfy:
-// frontier-stamped live traffic shares one stamp (spread 0) and trace
-// replay pins every arrival under the window discipline.
+// refCheckWindows verifies each lease's batch against the policy it was
+// formed under (its lease's, or else its model's): the member count matches
+// the recorded batch size and stays within MaxBatch, and — when the
+// virtual window is armed — the members' arrival stamps span at most
+// WindowCycles. The spread bound assumes a uniform arrival mode per
+// batch, which both served modes satisfy: frontier-stamped live traffic
+// shares one stamp (spread 0) and trace replay pins every arrival under
+// the window discipline.
 func refCheckWindows(c ScheduleCertificate, leases map[uint64]ScheduleLease) []Diagnostic {
 	members := map[uint64][]ScheduleRequest{}
 	for _, r := range c.Requests {
@@ -182,6 +187,9 @@ func refCheckWindows(c ScheduleCertificate, leases map[uint64]ScheduleLease) []D
 			continue
 		}
 		pol, ok := c.Policies[l.Model]
+		if own, found := c.LeasePolicies[l.ID]; found {
+			pol, ok = own, true
+		}
 		if !ok {
 			continue
 		}

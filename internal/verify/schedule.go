@@ -17,6 +17,7 @@ package verify
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -76,16 +77,19 @@ type SchedulePolicy struct {
 
 // ScheduleCertificate is the serving stack's self-reported schedule:
 // the machine's channel groups, every successful lease with its member
-// requests, the frontier stamp of every release, and the per-model
-// batching policies in force. Canceled placements (deadline violations,
-// execution failures) never occupied the machine and do not appear.
+// requests, the frontier stamp of every release, and the batching
+// policies: each model's first one, and by lease ID the policy of every
+// lease batched under another (its name was reloaded with a different
+// one). Canceled placements (deadline violations, execution failures)
+// never occupied the machine and do not appear.
 type ScheduleCertificate struct {
-	GPUChannels int                       `json:"gpuChannels"`
-	PIMChannels int                       `json:"pimChannels"`
-	Leases      []ScheduleLease           `json:"leases"`
-	Requests    []ScheduleRequest         `json:"requests"`
-	Frontiers   []ScheduleFrontier        `json:"frontiers"`
-	Policies    map[string]SchedulePolicy `json:"policies,omitempty"`
+	GPUChannels   int                       `json:"gpuChannels"`
+	PIMChannels   int                       `json:"pimChannels"`
+	Leases        []ScheduleLease           `json:"leases"`
+	Requests      []ScheduleRequest         `json:"requests"`
+	Frontiers     []ScheduleFrontier        `json:"frontiers"`
+	Policies      map[string]SchedulePolicy `json:"policies,omitempty"`
+	LeasePolicies map[uint64]SchedulePolicy `json:"leasePolicies,omitempty"`
 }
 
 // schedDiag builds a schedule-tier diagnostic (model name rides in the
@@ -97,11 +101,11 @@ func schedDiag(rule, model, msg string) Diagnostic {
 // Schedule checks a certificate against the SR-* rules and returns every
 // violation. An empty certificate is trivially valid.
 //
-// Every check is a linear walk over the certificate plus two tables
-// indexed by lease position: the sorted lease-ID index and the members'
-// count and arrival span per lease. A request or lease label is
-// formatted only when a rule fires, so a clean certificate costs a
-// constant number of allocations at any size.
+// Every check but SR-OVERLAP's sweep is a linear walk over the
+// certificate plus two tables indexed by lease position: the sorted
+// lease-ID index and the members' count and arrival span per lease. A
+// request or lease label is formatted only when a rule fires, so a clean
+// certificate costs a constant number of allocations at any size.
 func Schedule(c ScheduleCertificate) []Diagnostic {
 	var diags []Diagnostic
 	idx := indexLeases(c.Leases)
@@ -127,16 +131,15 @@ func Schedule(c ScheduleCertificate) []Diagnostic {
 				fmt.Sprintf("lease %d served an empty batch", l.ID)))
 		}
 	}
-	// SR-OVERLAP's sort and sweep is one task on the worker pool; the
-	// frontier, request and window sweeps are the other, since
+	// SR-OVERLAP's sweep and the frontier log are one task on the worker
+	// pool; the request and window sweeps are the other, since
 	// checkWindows reads the member spans checkRequests fills.
 	for _, part := range runTasks(2, func(i int) []Diagnostic {
 		if i == 0 {
-			return checkOverlap(c)
+			return append(checkOverlap(c), checkFrontier(c, idx)...)
 		}
 		members := make([]memberSpan, len(c.Leases))
-		d := checkFrontier(c, idx)
-		d = append(d, checkRequests(c, idx, members)...)
+		d := checkRequests(c, idx, members)
 		return append(d, checkWindows(c, idx, members)...)
 	}) {
 		diags = append(diags, part...)
@@ -192,6 +195,27 @@ func (x leaseIndex) find(id uint64, at *int) int {
 	return x[i].pos
 }
 
+// recent answers a per-row lookup from the last four keys it missed on,
+// so rows that cycle among a few names (a certificate's models, machines
+// and graph nodes) compare keys instead of hashing one per row.
+type recent[K comparable, V any] struct {
+	keys [4]K
+	vals [4]V
+	n    int
+	miss func(K) V
+}
+
+func (r *recent[K, V]) get(k K) V {
+	for i := range min(r.n, 4) {
+		if r.keys[i] == k {
+			return r.vals[i]
+		}
+	}
+	v := r.miss(k)
+	r.keys[r.n%4], r.vals[r.n%4], r.n = k, v, r.n+1
+	return v
+}
+
 // memberSpan is what SR-WINDOW needs of one lease's member requests:
 // how many there are and the range of their arrival stamps.
 type memberSpan struct {
@@ -209,42 +233,120 @@ func (m *memberSpan) add(arrival int64) {
 	m.n++
 }
 
-// checkOverlap sweeps the lease windows and verifies both channel groups
-// stay within capacity at every point in virtual time. Usage changes
-// only at lease boundaries; windows are half-open, so a lease ending at
-// t composes with one starting at t.
+// checkOverlap sweeps the lease windows in virtual time and verifies
+// both channel groups stay within capacity at every instant. Usage
+// changes only at lease boundaries, applied in one total order
+// (event.cmp). Leases are recorded almost in start order, so grants come
+// from recording order, bar the leases that start below an earlier one
+// (back-steps): those go to a side list sorted on its own. Releases come
+// from a min-heap of the active leases' ends. With d back-steps and k
+// leases active at once, n leases cost O(n + d log d + n log k).
 func checkOverlap(c ScheduleCertificate) []Diagnostic {
-	type event struct {
-		at       int64
-		gpu, pim int
-	}
-	events := make([]event, 0, 2*len(c.Leases))
-	for _, l := range c.Leases {
-		if l.Start >= l.End {
-			continue // already an SR-DEMAND finding
+	ls := c.Leases
+	var top int64 // the latest start granted in recording order
+	backSteps := func(visit func(l *ScheduleLease)) {
+		top = math.MinInt64
+		for i := range ls {
+			if l := &ls[i]; l.Start < l.End && l.Start < top { // an empty window is an SR-DEMAND finding
+				visit(l)
+			} else if l.Start < l.End {
+				top = l.Start
+			}
 		}
-		events = append(events, event{l.Start, l.GPU, l.PIM}, event{l.End, -l.GPU, -l.PIM})
 	}
-	// Releases sort before grants at the same instant (half-open windows).
-	slices.SortFunc(events, func(a, b event) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
+	d := 0
+	backSteps(func(*ScheduleLease) { d++ })
+	buf := make([]event, 0, d+80) // one allocation: the side list, the heap, one instant's events
+	side, ends, group := buf[:0:d], eventHeap(buf[d:d:d+64]), buf[d+64:d+64]
+	backSteps(func(l *ScheduleLease) { side = append(side, event{l.Start, l.End, l.GPU, l.PIM}) })
+	slices.SortFunc(side, event.cmp)
+	top = math.MinInt64
+	inOrder := func(i int) int { // the next lease recording order grants, from i on
+		for i < len(ls) && (ls[i].Start >= ls[i].End || ls[i].Start < top) {
+			i++
 		}
-		return cmp.Compare(a.gpu+a.pim, b.gpu+b.pim)
-	})
-	var diags []Diagnostic
+		return i
+	}
 	gpu, pim := 0, 0
-	for _, e := range events {
-		gpu += e.gpu
-		pim += e.pim
-		if gpu > c.GPUChannels || pim > c.PIMChannels {
-			diags = append(diags, schedDiag(RuleSchedOverlap, "",
-				fmt.Sprintf("overlapping leases hold %d GPU + %d PIM channels at cycle %d, machine has %d + %d",
-					gpu, pim, e.at, c.GPUChannels, c.PIMChannels)))
-			return diags // later sums are corrupted by the first breach; one finding suffices
+	for i, s := inOrder(0), 0; i < len(ls) || s < len(side) || len(ends) > 0; {
+		t := int64(math.MaxInt64)
+		if i < len(ls) {
+			t = ls[i].Start
+		}
+		if s < len(side) {
+			t = min(t, side[s].at)
+		}
+		if len(ends) > 0 {
+			t = min(t, ends[0].at)
+		}
+		for group = group[:0]; len(ends) > 0 && ends[0].at == t; {
+			group = append(group, ends.pop())
+		}
+		for ; i < len(ls) && ls[i].Start == t; i = inOrder(i + 1) {
+			group, top = append(group, event{t, ls[i].End, ls[i].GPU, ls[i].PIM}), t
+		}
+		for ; s < len(side) && side[s].at == t; s++ {
+			group = append(group, side[s])
+		}
+		if len(group) > 1 {
+			slices.SortFunc(group, event.cmp)
+		}
+		for _, e := range group {
+			if e.end > t { // a grant: its release joins the heap
+				ends.push(event{e.end, e.end, -e.gpu, -e.pim})
+			}
+			gpu += e.gpu
+			pim += e.pim
+			if gpu > c.GPUChannels || pim > c.PIMChannels { // later sums are corrupted; one finding suffices
+				return []Diagnostic{schedDiag(RuleSchedOverlap, "",
+					fmt.Sprintf("overlapping leases hold %d GPU + %d PIM channels at cycle %d, machine has %d + %d",
+						gpu, pim, t, c.GPUChannels, c.PIMChannels))}
+			}
 		}
 	}
-	return diags
+	return nil
+}
+
+// event is a lease boundary: a grant at the lease's start carrying its
+// end, or a release at its end (end == at) giving the demand back.
+type event struct {
+	at, end  int64
+	gpu, pim int
+}
+
+// cmp orders events by cycle, then demand sum, so releases precede grants
+// at an instant (windows are half-open), then GPU demand, so events with
+// equal keys move the sums alike and a breach never rests on a sort's
+// tie order.
+func (a event) cmp(b event) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.gpu+a.pim, b.gpu+b.pim), cmp.Compare(a.gpu, b.gpu))
+}
+
+// eventHeap is a min-heap of release events by cycle.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	for i := len(s) - 1; i > 0 && s[i].at < s[(i-1)/2].at; i = (i - 1) / 2 {
+		s[i], s[(i-1)/2] = s[(i-1)/2], s[i]
+	}
+	*h = s
+}
+
+func (h *eventHeap) pop() event {
+	s, n := *h, len(*h)-1
+	top := s[0]
+	s[0], *h = s[n], s[:n]
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && s[c+1].at < s[c].at {
+			c++
+		}
+		if s[i].at <= s[c].at {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+	}
+	return top
 }
 
 // checkFrontier verifies the release log: stamps are recorded in release
@@ -335,17 +437,19 @@ func checkRequests(c ScheduleCertificate, idx leaseIndex, members []memberSpan) 
 	return diags
 }
 
-// checkWindows verifies each lease's batch against its model's policy:
-// the member count matches the recorded batch size and stays within
-// MaxBatch, and — when the virtual window is armed — the members'
-// arrival stamps span at most WindowCycles. The spread bound assumes a
-// uniform arrival mode per batch, which both served modes satisfy:
-// frontier-stamped live traffic shares one stamp (spread 0) and trace
-// replay pins every arrival under the window discipline. Requests name
+// checkWindows verifies each lease's batch against the policy it was
+// formed under (its lease's, or else its model's): the member count matches
+// the recorded batch size and stays within MaxBatch, and — when the
+// virtual window is armed — the members' arrival stamps span at most
+// WindowCycles. The spread bound assumes a uniform arrival mode per
+// batch, which both served modes satisfy: frontier-stamped live traffic
+// shares one stamp (spread 0) and trace replay pins every arrival under
+// the window discipline. Requests name
 // a lease by ID, so a duplicate ID's leases share the first one's
 // members.
 func checkWindows(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
+	policies := recent[string, SchedulePolicy]{miss: func(m string) SchedulePolicy { return c.Policies[m] }}
 	at := 0
 	for i := range c.Leases {
 		l := &c.Leases[i]
@@ -355,9 +459,10 @@ func checkWindows(c ScheduleCertificate, idx leaseIndex, members []memberSpan) [
 				fmt.Sprintf("lease %d records batch %d but %d member requests", l.ID, l.Batch, ms.n)))
 			continue
 		}
-		pol, ok := c.Policies[l.Model]
-		if !ok {
-			continue
+		// A model without a policy has the zero one, which bounds nothing.
+		pol := policies.get(l.Model)
+		if own, ok := c.LeasePolicies[l.ID]; ok {
+			pol = own
 		}
 		if pol.MaxBatch > 0 && l.Batch > pol.MaxBatch {
 			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,

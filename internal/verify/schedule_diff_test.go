@@ -3,8 +3,11 @@ package verify_test
 import (
 	"context"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -24,7 +27,14 @@ import (
 // certifying server and returns its schedule certificate.
 func burstyCert(tb testing.TB, n int) verify.ScheduleCertificate {
 	tb.Helper()
-	sc, err := load.Builtin("bursty")
+	return scenarioCert(tb, "bursty", n)
+}
+
+// scenarioCert replays a builtin single-server scenario for n requests
+// on a certifying server and returns its schedule certificate.
+func scenarioCert(tb testing.TB, name string, n int) verify.ScheduleCertificate {
+	tb.Helper()
+	sc, err := load.Builtin(name)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -100,17 +110,106 @@ func sameDiags(t *testing.T, what string, got, want []verify.Diagnostic) {
 	}
 }
 
-func TestScheduleMatchesReferenceOnReplay(t *testing.T) {
-	c := burstyCert(t, 4000)
-	if len(c.Requests) == 0 {
-		t.Fatal("replay certified no requests")
+// fleetScaleCert replays n Poisson requests at 8/Mcycle through a fleet
+// of the given size with both mobilenet instances on every machine (the
+// fleet1/fleet2/fleet4 builtin scaling points) and returns its
+// certificate.
+func fleetScaleCert(tb testing.TB, machines, n int) verify.FleetCertificate {
+	tb.Helper()
+	base, err := load.Builtin("poisson")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	sameDiags(t, "bursty replay", verify.Schedule(c), verify.ReferenceSchedule(c))
+	base.Requests, base.RatePerMCycle = n, 8
+	sc := fleet.Scenario{Scenario: base, Machines: machines, Replicas: map[string]int{}, Certify: true}
+	for _, m := range base.Models {
+		sc.Replicas[m.Name] = machines
+	}
+	f, err := fleet.NewScenarioFleet(sc, nil, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	reqs, err := load.Generate(sc.Scenario)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := fleet.Replay(f, sc, reqs); err != nil {
+		tb.Fatal(err)
+	}
+	return f.Certificate()
+}
+
+// The replay certificates of every builtin scenario (poisson, diurnal,
+// bursty, and the fleet1/fleet2/fleet4 scaling points) and of the
+// fleet-graph workload check clean, exactly as the references check them.
+func TestScheduleMatchesReferenceOnReplay(t *testing.T) {
+	for _, name := range []string{"poisson", "diurnal", "bursty"} {
+		c := scenarioCert(t, name, 3000)
+		if len(c.Requests) == 0 {
+			t.Fatalf("%s replay certified no requests", name)
+		}
+		sameDiags(t, name+" replay", verify.Schedule(c), verify.ReferenceSchedule(c))
+	}
+	for _, machines := range []int{1, 2, 4} {
+		fc := fleetScaleCert(t, machines, 3000)
+		sameDiags(t, fmt.Sprintf("fleet%d replay", machines), verify.Fleet(fc), verify.ReferenceFleet(fc))
+	}
 	fc := graphFleetCert(t, 3000)
 	if len(fc.Hops) == 0 {
 		t.Fatal("fleet replay recorded no hops")
 	}
-	sameDiags(t, "fleet replay", verify.Fleet(fc), verify.ReferenceFleet(fc))
+	sameDiags(t, "fleet-graph replay", verify.Fleet(fc), verify.ReferenceFleet(fc))
+}
+
+// backSteps counts the leases with a nonempty window that start below
+// an earlier such lease's start: the ones SR-OVERLAP's sweep cannot take
+// in recording order.
+func backSteps(ls []verify.ScheduleLease) int {
+	n, top := 0, int64(math.MinInt64)
+	for _, l := range ls {
+		switch {
+		case l.Start >= l.End:
+		case l.Start < top:
+			n++
+		default:
+			top = l.Start
+		}
+	}
+	return n
+}
+
+// TestScheduleMatchesReferenceOnBackSteps holds the sweep's side list to
+// the reference: fleet-graph machine schedules, whose leases step back
+// in start order, clean and forged.
+func TestScheduleMatchesReferenceOnBackSteps(t *testing.T) {
+	fc := graphFleetCert(t, 3000)
+	names := make([]string, 0, len(fc.Schedules))
+	for name := range fc.Schedules {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	rng := rand.New(rand.NewSource(1))
+	steps, forged := 0, 0
+	for _, name := range names {
+		s := fc.Schedules[name]
+		steps += backSteps(s.Leases)
+		sameDiags(t, name, verify.Schedule(s), verify.ReferenceSchedule(s))
+		if len(s.Leases) < 4 || len(s.Frontiers) < 2 {
+			continue
+		}
+		for i := 0; i < 400; i++ {
+			c := forgeSchedule(rng, s)
+			if backSteps(c.Leases) > 0 {
+				forged++
+			}
+			sameDiags(t, fmt.Sprintf("%s forgery %d", name, i), verify.Schedule(c), verify.ReferenceSchedule(c))
+		}
+	}
+	t.Logf("back-steps in the clean schedules: %d; forgeries with back-steps: %d", steps, forged)
+	if steps == 0 || forged == 0 {
+		t.Fatal("no schedule steps back in start order: the sweep's side list never ran")
+	}
 }
 
 // cloneSchedule deep-copies the parts of a certificate a forgery edits.
@@ -123,6 +222,7 @@ func cloneSchedule(c verify.ScheduleCertificate) verify.ScheduleCertificate {
 		pol[k] = v
 	}
 	c.Policies = pol
+	c.LeasePolicies = maps.Clone(c.LeasePolicies)
 	return c
 }
 
@@ -139,7 +239,7 @@ func forgeSchedule(rng *rand.Rand, c verify.ScheduleCertificate) verify.Schedule
 	lease := func() *verify.ScheduleLease { return &c.Leases[rng.Intn(len(c.Leases))] }
 	req := func() *verify.ScheduleRequest { return &c.Requests[rng.Intn(len(c.Requests))] }
 	for k := 1 + rng.Intn(4); k > 0; k-- {
-		switch rng.Intn(15) {
+		switch rng.Intn(16) {
 		case 0: // duplicate lease ID
 			lease().ID = lease().ID
 		case 1: // overlapping leases: one lease grows over its successors
@@ -190,6 +290,11 @@ func forgeSchedule(rng *rand.Rand, c verify.ScheduleCertificate) verify.Schedule
 			pol.MaxBatch = 1
 			c.Policies[l.Model] = pol
 			lease().Batch++
+		case 14: // a lease batched under another policy than its model's (its name was reloaded)
+			if c.LeasePolicies == nil {
+				c.LeasePolicies = map[uint64]verify.SchedulePolicy{}
+			}
+			c.LeasePolicies[lease().ID] = verify.SchedulePolicy{MaxBatch: rng.Intn(4), WindowCycles: int64(rng.Intn(3)) * 100_000}
 		default: // window spread: one member arrives far from its batch
 			r := req()
 			r.Arrival -= int64(1 + rng.Intn(1_000_000))
@@ -334,23 +439,44 @@ func TestFleetHopPlacementKeyKeepsNamesApart(t *testing.T) {
 	}
 }
 
+// bytesPerCall returns the bytes one call of f allocates on one P, where
+// the worker pool runs inline (as under testing.AllocsPerRun).
+func bytesPerCall(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// leaseBytes bounds what a clean certificate may cost per lease: the
+// sorted lease-ID index (16 bytes) and the member spans (24), with room
+// to spare but none for an event per lease boundary (48 more).
+const leaseBytes = 48
+
 // A clean certificate costs the checkers a constant number of
 // allocations, whatever its size: labels are formatted only when a rule
-// fires, and the lease tables are one slice each.
+// fires, the lease tables are one slice each, and SR-OVERLAP's sweep
+// holds its side list and heap in one more. Its bytes grow by at most
+// leaseBytes per lease.
 func TestScheduleAllocsFlat(t *testing.T) {
 	small, large := burstyCert(t, 1000), burstyCert(t, 4000)
 	if len(large.Requests) < 2*len(small.Requests) {
 		t.Fatalf("certificates too close in size: %d vs %d requests", len(small.Requests), len(large.Requests))
 	}
-	allocs := func(c verify.ScheduleCertificate) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if diags := verify.Schedule(c); len(diags) != 0 {
-				t.Fatal(verify.AsError(diags))
-			}
-		})
+	check := func(c verify.ScheduleCertificate) {
+		if diags := verify.Schedule(c); len(diags) != 0 {
+			t.Fatal(verify.AsError(diags))
+		}
 	}
+	allocs := func(c verify.ScheduleCertificate) float64 { return testing.AllocsPerRun(5, func() { check(c) }) }
 	if a, b := allocs(small), allocs(large); a != b {
 		t.Fatalf("Schedule allocates %v objects on %d requests but %v on %d", a, len(small.Requests), b, len(large.Requests))
+	}
+	if got, limit := bytesPerCall(func() { check(large) }), uint64(leaseBytes*len(large.Leases)+8<<10); got > limit {
+		t.Fatalf("Schedule allocates %d bytes on %d leases, want at most %d", got, len(large.Leases), limit)
 	}
 }
 
@@ -359,14 +485,20 @@ func TestFleetAllocsFlat(t *testing.T) {
 	if len(large.Hops) < 2*len(small.Hops) {
 		t.Fatalf("certificates too close in size: %d vs %d hops", len(small.Hops), len(large.Hops))
 	}
-	allocs := func(c verify.FleetCertificate) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if diags := verify.Fleet(c); len(diags) != 0 {
-				t.Fatal(verify.AsError(diags))
-			}
-		})
+	check := func(c verify.FleetCertificate) {
+		if diags := verify.Fleet(c); len(diags) != 0 {
+			t.Fatal(verify.AsError(diags))
+		}
 	}
+	allocs := func(c verify.FleetCertificate) float64 { return testing.AllocsPerRun(5, func() { check(c) }) }
 	if a, b := allocs(small), allocs(large); a != b {
 		t.Fatalf("Fleet allocates %v objects on %d hops but %v on %d", a, len(small.Hops), b, len(large.Hops))
+	}
+	leases := 0
+	for _, s := range large.Schedules {
+		leases += len(s.Leases)
+	}
+	if got, limit := bytesPerCall(func() { check(large) }), uint64(leaseBytes*leases+32<<10); got > limit {
+		t.Fatalf("Fleet allocates %d bytes on %d leases, want at most %d", got, leases, limit)
 	}
 }
