@@ -29,10 +29,12 @@ verify-models:
 	$(GO) run ./cmd/pimflow -m=verify -n=all
 
 # Short local fuzz passes over the graph JSON loader, the -load grammar,
-# the server's load and infer bodies, the fleet's graph-registration
-# endpoint, the block TR-* linter, the SR-* schedule checker against its
-# reference and the replay report's rank selection (the CI gate runs the
-# seed corpora via go test; this explores further).
+# the deploy and infer bodies of a one-machine fleet (the single-machine
+# server; these two targets sit in internal/serve's external tests), the
+# fleet's graph-registration endpoint, the block TR-* linter, the SR-*
+# schedule checker against its reference and the replay report's rank
+# selection (the CI gate runs the seed corpora via go test; this
+# explores further).
 # FuzzRanks's seeds run to thousands of values and FuzzSchedule's to
 # thousands of certificate rows, and minimizing a new input that long
 # takes up to the default minute, so each gets one second.

@@ -7,7 +7,7 @@
 //	pimflow-trace -m 196 -k 576 -n 160 -newton    Newton+ feature set
 //
 // With -summary it instead reads back a Chrome trace file written by
-// this repo's tooling (pimflow-bench -trace, pimflow-serve -trace) and
+// this repo's tooling (pimflow-bench -trace, pimflow-fleet -trace) and
 // prints per-stage/per-model cycle totals from the request lanes plus
 // device busy totals, so attributed traces are inspectable without a
 // browser:

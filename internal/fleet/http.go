@@ -4,10 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
+	"pimflow/internal/obs"
 	"pimflow/internal/serve"
 	"pimflow/internal/verify"
 )
@@ -33,34 +38,45 @@ type inferBody struct {
 	TimeoutMillis int64 `json:"timeoutMillis,omitempty"`
 }
 
+// errorBody is the JSON error envelope; DeadlineViolation flags a
+// request refused for its virtual deadline (serve.ErrDeadlineViolation).
 type errorBody struct {
-	Error string `json:"error"`
+	Error             string `json:"error"`
+	DeadlineViolation bool   `json:"deadlineViolation,omitempty"`
 }
 
-// MachineInfo is one machine's listing in GET /v1/machines.
+// MachineInfo is one machine's listing in GET /v1/machines: its shape,
+// its active placements, and its serving state — the admission queue's
+// depth, the scheduler's leases and frontier, and, when request logging
+// is on, each model's per-stage latency quantiles.
 type MachineInfo struct {
-	Name        string                  `json:"name"`
-	GPUChannels int                     `json:"gpuChannels"`
-	PIMChannels int                     `json:"pimChannels"`
-	Draining    bool                    `json:"draining"`
-	Placements  []verify.FleetPlacement `json:"placements,omitempty"`
+	Name             string                          `json:"name"`
+	GPUChannels      int                             `json:"gpuChannels"`
+	PIMChannels      int                             `json:"pimChannels"`
+	Draining         bool                            `json:"draining"`
+	Placements       []verify.FleetPlacement         `json:"placements,omitempty"`
+	QueueDepth       int                             `json:"queueDepth"`
+	Scheduler        serve.SchedulerStats            `json:"scheduler"`
+	LatencyBreakdown map[string]serve.StageBreakdown `json:"latencyBreakdown,omitempty"`
 }
 
-// Handler returns the fleet's HTTP API:
+// Handler returns the fleet's HTTP API; a one-machine fleet is the
+// single-machine server:
 //
-//	GET    /healthz                   fleet liveness + per-machine drain state
-//	GET    /metrics                   router-tier metrics (text; JSON via Accept)
-//	GET    /metrics.json              the same registry as JSON
-//	GET    /v1/machines               machine list with active placements
-//	GET    /v1/machines/{name}/metrics  one machine's serving metrics
-//	GET    /v1/models                 fleet deployments
-//	POST   /v1/models/{name}          deploy (deployBody; lazy registers only)
-//	DELETE /v1/models/{name}          undeploy everywhere
-//	POST   /v1/models/{name}/scale    set the replica count ({"replicas": N})
-//	POST   /v1/models/{name}/infer    route one inference (inferBody)
-//	GET    /v1/graphs                 registered inference graphs
-//	POST   /v1/graphs/{name}          register a graph (verify.FleetGraph body)
-//	POST   /v1/graphs/{name}/infer    route one request through the graph
+//	GET    /healthz                            fleet liveness + per-machine drain state
+//	GET    /metrics                            router-tier metrics (text; JSON via Accept)
+//	GET    /metrics.json                       the same registry as JSON
+//	GET    /v1/machines                        machines: placements, queue, scheduler, latency breakdown
+//	GET    /v1/machines/{name}/metrics         one machine's serving metrics (text; JSON via Accept)
+//	GET    /v1/machines/{name}/debug/requests  one machine's request-lifecycle ring (model/slo/outcome/n filters)
+//	GET    /v1/models                          fleet deployments, each loaded model's info
+//	POST   /v1/models/{name}                   deploy (deployBody; lazy registers only)
+//	DELETE /v1/models/{name}                   undeploy everywhere
+//	POST   /v1/models/{name}/scale             set the replica count ({"replicas": N})
+//	POST   /v1/models/{name}/infer             route one inference (inferBody)
+//	GET    /v1/graphs                          registered inference graphs
+//	POST   /v1/graphs/{name}                   register a graph (verify.FleetGraph body)
+//	POST   /v1/graphs/{name}/infer             route one request through the graph
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", f.handleHealth)
@@ -68,6 +84,7 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics.json", f.handleMetricsJSON)
 	mux.HandleFunc("GET /v1/machines", f.handleMachines)
 	mux.HandleFunc("GET /v1/machines/{name}/metrics", f.handleMachineMetrics)
+	mux.HandleFunc("GET /v1/machines/{name}/debug/requests", f.handleDebugRequests)
 	mux.HandleFunc("GET /v1/models", f.handleModels)
 	mux.HandleFunc("POST /v1/models/{name}", f.handleDeploy)
 	mux.HandleFunc("DELETE /v1/models/{name}", f.handleUndeploy)
@@ -113,7 +130,10 @@ func statusOf(err error) int {
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusOf(err), errorBody{Error: err.Error()})
+	writeJSON(w, statusOf(err), errorBody{
+		Error:             err.Error(),
+		DeadlineViolation: errors.Is(err, serve.ErrDeadlineViolation),
+	})
 }
 
 func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -141,17 +161,24 @@ func (f *Fleet) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		f.handleMetricsJSON(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = f.cfg.Metrics.WriteText(w)
+	writeMetrics(w, r, f.cfg.Metrics)
 }
 
 func (f *Fleet) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = f.cfg.Metrics.WriteJSON(w)
+}
+
+// writeMetrics writes a registry as Prometheus-style text, or as JSON
+// when the request accepts application/json.
+func writeMetrics(w http.ResponseWriter, r *http.Request, m *obs.Metrics) {
+	if strings.Contains(r.Header.Get("Accept"), "application/json") {
+		w.Header().Set("Content-Type", "application/json")
+		_ = m.WriteJSON(w)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = m.WriteText(w)
 }
 
 func (f *Fleet) handleMachines(w http.ResponseWriter, r *http.Request) {
@@ -166,29 +193,67 @@ func (f *Fleet) handleMachines(w http.ResponseWriter, r *http.Request) {
 	var infos []MachineInfo
 	for _, m := range f.machines {
 		infos = append(infos, MachineInfo{
-			Name:        m.name,
-			GPUChannels: m.srv.Machine().GPUChannels,
-			PIMChannels: m.srv.Machine().PIMChannels,
-			Draining:    m.srv.Draining(),
-			Placements:  byMachine[m.name],
+			Name:             m.name,
+			GPUChannels:      m.srv.Machine().GPUChannels,
+			PIMChannels:      m.srv.Machine().PIMChannels,
+			Draining:         m.srv.Draining(),
+			Placements:       byMachine[m.name],
+			QueueDepth:       m.srv.QueueDepth(),
+			Scheduler:        m.srv.Scheduler().Stats(),
+			LatencyBreakdown: m.srv.LatencyBreakdown(),
 		})
 	}
 	writeJSON(w, http.StatusOK, infos)
 }
 
+// machineOf resolves the path's machine, answering 404 when it names
+// none.
+func (f *Fleet) machineOf(w http.ResponseWriter, r *http.Request) *machine {
+	for _, m := range f.machines {
+		if m.name == r.PathValue("name") {
+			return m
+		}
+	}
+	writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown machine " + r.PathValue("name")})
+	return nil
+}
+
 func (f *Fleet) handleMachineMetrics(w http.ResponseWriter, r *http.Request) {
-	mi := f.machineIndex(r.PathValue("name"))
-	if mi < 0 {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown machine " + r.PathValue("name")})
+	if m := f.machineOf(w, r); m != nil {
+		writeMetrics(w, r, m.metrics)
+	}
+}
+
+// handleDebugRequests serves one machine's lifecycle ring, newest first.
+// Filters: ?model=, ?slo=, ?outcome= (exact match), ?n= (cap). 404 when
+// request logging is off (Config.RequestLog == 0), so probes can tell
+// "off" from "no traffic yet".
+func (f *Fleet) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
+	m := f.machineOf(w, r)
+	if m == nil {
 		return
 	}
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		w.Header().Set("Content-Type", "application/json")
-		_ = f.machines[mi].metrics.WriteJSON(w)
+	lc := m.srv.Lifecycle()
+	if lc == nil {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "fleet: request logging disabled (Config.RequestLog)"})
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = f.machines[mi].metrics.WriteText(w)
+	q := r.URL.Query()
+	filter := serve.SpanFilter{Model: q.Get("model"), SLO: q.Get("slo"), Outcome: q.Get("outcome")}
+	if v := q.Get("n"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "fleet: bad n parameter"})
+			return
+		}
+		filter.N = n
+	}
+	spans := lc.Recent(filter)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"total":    lc.Total(),
+		"returned": len(spans),
+		"requests": spans,
+	})
 }
 
 func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -197,7 +262,7 @@ func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	var body deployBody
-	if err := serve.DecodeBody(w, r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -234,7 +299,7 @@ func (f *Fleet) handleScale(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Replicas int `json:"replicas"`
 	}
-	if err := serve.DecodeBody(w, r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -253,10 +318,10 @@ func (f *Fleet) handleScale(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) infer(w http.ResponseWriter, r *http.Request, req Request) {
 	var body inferBody
-	err := serve.DecodeBody(w, r, &body)
+	err := decodeBody(w, r, &body)
 	ctx, cancel := r.Context(), context.CancelFunc(nil)
 	if err == nil {
-		ctx, cancel, err = serve.WithTimeoutMillis(ctx, body.TimeoutMillis)
+		ctx, cancel, err = withTimeoutMillis(ctx, body.TimeoutMillis)
 	}
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -283,7 +348,7 @@ func (f *Fleet) handleGraphs(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	var g Graph
-	if err := serve.DecodeBody(w, r, &g); err != nil {
+	if err := decodeBody(w, r, &g); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
@@ -301,4 +366,34 @@ func (f *Fleet) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleInferGraph(w http.ResponseWriter, r *http.Request) {
 	f.infer(w, r, Request{Graph: r.PathValue("name")})
+}
+
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody parses the request's optional JSON body into v: an empty
+// body leaves v zero, and a body over 1 MiB, or with anything but
+// whitespace after its value, is an error.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
+		return fmt.Errorf("fleet: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("fleet: bad request body: data after its JSON value")
+	}
+	return nil
+}
+
+// withTimeoutMillis bounds ctx by a body's timeoutMillis: no bound when it
+// is zero or less, an error when it does not fit a time.Duration.
+func withTimeoutMillis(ctx context.Context, ms int64) (context.Context, context.CancelFunc, error) {
+	switch {
+	case ms <= 0:
+		return ctx, func() {}, nil
+	case ms > math.MaxInt64/int64(time.Millisecond):
+		return nil, nil, fmt.Errorf("fleet: timeoutMillis %d overflows a duration", ms)
+	}
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	return ctx, cancel, nil
 }

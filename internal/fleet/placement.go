@@ -24,14 +24,15 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// DeploymentInfo is one model's fleet-level listing.
+// DeploymentInfo is one model's fleet-level listing. Info is the
+// compiled model's listing, nil until its first placement.
 type DeploymentInfo struct {
-	Name     string       `json:"name"`
-	Model    string       `json:"model"`
-	Want     int          `json:"replicasWanted"`
-	Replicas []string     `json:"replicas"`
-	Demand   serve.Demand `json:"demand"`
-	Loaded   bool         `json:"loaded"`
+	Name     string           `json:"name"`
+	Model    string           `json:"model"`
+	Want     int              `json:"replicasWanted"`
+	Replicas []string         `json:"replicas"`
+	Loaded   bool             `json:"loaded"`
+	Info     *serve.ModelInfo `json:"info,omitempty"`
 }
 
 // Register records a model deployment without compiling or placing it:
@@ -140,7 +141,8 @@ func (f *Fleet) Deployments() []DeploymentInfo {
 		d := f.deployments[name]
 		info := DeploymentInfo{Name: name, Model: d.spec.Model, Want: d.want, Loaded: d.lm != nil}
 		if d.lm != nil {
-			info.Demand = d.lm.Demand
+			mi := d.lm.Info()
+			info.Info = &mi
 		}
 		for _, mi := range d.replicas {
 			info.Replicas = append(info.Replicas, f.machines[mi].name)

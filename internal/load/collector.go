@@ -36,7 +36,7 @@ type Collector struct {
 // the trace is at least AutoStreamRequests long, exact otherwise.
 func NewCollector(sc Scenario, requests int) *Collector {
 	if sc.StreamStats || requests >= AutoStreamRequests {
-		return &Collector{stream: newStreamStats(sc.SketchK)}
+		return &Collector{stream: newStreamStats(defaultSketchK)}
 	}
 	// A replay serves at most one response per trace request, so the
 	// record log never regrows.

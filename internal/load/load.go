@@ -73,9 +73,6 @@ type Scenario struct {
 	// report sections (Stages, Attributed) are dropped — they need full
 	// records. Exact collection stays the default.
 	StreamStats bool `json:"streamStats,omitempty"`
-	// SketchK is the sketch compactor width under StreamStats (default
-	// 256); larger sketches are more accurate and use more memory.
-	SketchK int `json:"sketchK,omitempty"`
 }
 
 func (s Scenario) withDefaults() Scenario {

@@ -317,10 +317,11 @@ func TestSLOTighterClassNeverHurtsLooser(t *testing.T) {
 }
 
 // The soak test of the concurrent serving stack, run under -race in CI:
-// eight submitters push a seeded trace through Server.Submit/Wait (the
-// admission queue, the dispatcher's continuous batcher and the worker
-// pool), Shutdown flushes the batches still held open before it drains,
-// and every request must end in exactly one outcome.
+// eight submitters push a seeded trace's models through Server.Submit/Wait
+// (the admission queue and the dispatcher's continuous batcher; the live
+// path stamps each arrival from the frontier), Shutdown flushes the
+// batches still held open before it drains, and every request must end in
+// exactly one outcome.
 func TestReplayLiveSoak(t *testing.T) {
 	sc := toyScenario(5, 400, "poisson")
 	srv := newScenarioServer(t, sc)
@@ -349,7 +350,7 @@ func TestReplayLiveSoak(t *testing.T) {
 				if i >= len(reqs) {
 					return
 				}
-				p, err := srv.Submit(context.Background(), serve.InferRequest{Model: reqs[i].Model, ArrivalCycle: reqs[i].Cycle})
+				p, err := srv.Submit(context.Background(), serve.InferRequest{Model: reqs[i].Model})
 				if err != nil {
 					record(nil, err)
 					continue

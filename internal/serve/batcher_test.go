@@ -13,7 +13,7 @@ import (
 // flushes immediately when the drain begins. With a 30s window and one
 // queued request, drain has to complete in a fraction of that.
 func TestServerDrainNotExtendedByBatchWindow(t *testing.T) {
-	s, err := NewServer(Config{Workers: 1, MaxBatch: 8, BatchWindow: 30 * time.Second})
+	s, err := NewServer(Config{MaxBatch: 8, BatchWindow: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,70 +94,6 @@ func TestProcessSkipsCanceledItems(t *testing.T) {
 		if res.resp.BatchSize != 2 {
 			t.Fatalf("live item %d sees batch size %d, want 2 (dead member excluded)", i, res.resp.BatchSize)
 		}
-	}
-}
-
-// A batch held open by a virtual window flushes when the server drains,
-// without waiting for the window to close.
-func TestServerFlushBatches(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxBatch: 8, BatchWindowCycles: 1 << 40})
-	p, err := s.Submit(context.Background(), InferRequest{Model: "toy-a", ArrivalCycle: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The request is pinned and its virtual window is astronomically wide:
-	// nothing but the drain flushes it.
-	time.Sleep(50 * time.Millisecond)
-	if len(p.it.reply) != 0 {
-		t.Fatal("batch flushed before its virtual window closed")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := p.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ArrivalCycle != 1 {
-		t.Fatalf("pinned arrival not honored: %+v", resp)
-	}
-}
-
-// A batch whose virtual window a newer pinned arrival passes flushes
-// before that arrival is routed, keeping batch composition a pure
-// function of the trace. Shutdown flushes the batch the second arrival
-// opened, whose window no later arrival closes.
-func TestBatcherVirtualWindowFlush(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, MaxBatch: 8, BatchWindowCycles: 100})
-	p1, err := s.Submit(context.Background(), InferRequest{Model: "toy-a", ArrivalCycle: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Arrival 500 passes 10+100: the first batch must flush with size 1.
-	p2, err := s.Submit(context.Background(), InferRequest{Model: "toy-a", ArrivalCycle: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	r1, err := p1.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.BatchSize != 1 {
-		t.Fatalf("first batch size %d, want 1 (virtual window passed)", r1.BatchSize)
-	}
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := p2.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.ArrivalCycle != 500 {
-		t.Fatalf("pinned arrival not honored: %+v", r2)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestServeThroughputAllocs(t *testing.T) {
 // compiled onto disjoint halves of the machine and returns their names.
 func throughputServer(tb testing.TB) (*Server, []string) {
 	tb.Helper()
-	s, err := NewServer(Config{Workers: 8, QueueDepth: 256, MaxBatch: 4})
+	s, err := NewServer(Config{QueueDepth: 256, MaxBatch: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}

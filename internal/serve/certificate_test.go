@@ -164,7 +164,7 @@ func TestCertificateRejectsForgery(t *testing.T) {
 // stamps are appended under the scheduler lock in release order, so the
 // recorded sequence is nondecreasing even with concurrent workers.
 func TestCertificateFrontierOrder(t *testing.T) {
-	s := newTestServer(t, Config{Certify: true, Workers: 4})
+	s := newTestServer(t, Config{Certify: true})
 	ctx := context.Background()
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {

@@ -7,8 +7,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -97,15 +95,20 @@ func TestLiveIdentityGolden(t *testing.T) {
 	}
 }
 
-// scrape returns the body the server's handler writes for a GET of path.
+// scrape returns the server's metrics registry as a /metrics scrape
+// carries it: Prometheus-style text for "/metrics", JSON for
+// "/metrics.json".
 func scrape(t *testing.T, s *Server, path string) []byte {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET %s: %d", path, rec.Code)
+	var buf bytes.Buffer
+	write := s.Metrics().WriteText
+	if path == "/metrics.json" {
+		write = s.Metrics().WriteJSON
 	}
-	return rec.Body.Bytes()
+	if err := write(&buf); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return buf.Bytes()
 }
 
 func digest(b []byte) string {

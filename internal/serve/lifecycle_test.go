@@ -2,9 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -131,115 +128,9 @@ func TestLifecycleRingWraps(t *testing.T) {
 	}
 }
 
-// debugRequestsDoc mirrors the /debug/requests JSON envelope; RequestSpan
-// round-trips through its own JSON tags, so decoding into it is the
-// shape contract.
-type debugRequestsDoc struct {
-	Total    uint64        `json:"total"`
-	Returned int           `json:"returned"`
-	Requests []RequestSpan `json:"requests"`
-}
-
-// TestDebugRequestsGoldenShape locks the /debug/requests JSON shape:
-// envelope keys, per-span keys, and the stage object layout.
-func TestDebugRequestsGoldenShape(t *testing.T) {
-	s := newTestServer(t, Config{RequestLog: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, err := s.InferBatch(context.Background(), []InferRequest{{Model: "toy-a", ArrivalCycle: 50}}, BatchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := ts.Client().Get(ts.URL + "/debug/requests?model=toy-a&outcome=served")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var raw map[string]json.RawMessage
-	var doc debugRequestsDoc
-	body := json.NewDecoder(resp.Body)
-	if err := body.Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	whole, _ := json.Marshal(raw)
-	if err := json.Unmarshal(whole, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"total", "returned", "requests"} {
-		if _, ok := raw[key]; !ok {
-			t.Errorf("envelope missing %q", key)
-		}
-	}
-	if doc.Returned != 1 || len(doc.Requests) != 1 {
-		t.Fatalf("returned %d spans: %+v", doc.Returned, doc)
-	}
-
-	// Golden key shape of one span, wall stamps zeroed (they are the only
-	// nondeterministic fields).
-	sp := doc.Requests[0]
-	sp.Wall = StageWall{}
-	spJSON, err := json.Marshal(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]any
-	if err := json.Unmarshal(spJSON, &keys); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"id", "model", "slo", "outcome", "arrivalCycle", "startCycle", "endCycle", "latencyCycles", "batchSize", "stages", "wall"} {
-		if _, ok := keys[want]; !ok {
-			t.Errorf("span missing key %q: %s", want, spJSON)
-		}
-	}
-	stages, ok := keys["stages"].(map[string]any)
-	if !ok {
-		t.Fatalf("stages not an object: %s", spJSON)
-	}
-	for _, want := range []string{"queueCycles", "batchWaitCycles", "leaseWaitCycles", "executeCycles"} {
-		if _, ok := stages[want]; !ok {
-			t.Errorf("stages missing %q: %s", want, spJSON)
-		}
-	}
-
-	// Bad n parameter and disabled-tracking behavior.
-	if resp, err := ts.Client().Get(ts.URL + "/debug/requests?n=x"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("bad n: status %d", resp.StatusCode)
-		}
-	}
-}
-
-// TestDebugRequestsDisabled pins the off state: /debug/requests is 404
-// and responses carry no request ID.
-func TestDebugRequestsDisabled(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/debug/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("status %d, want 404 when request logging is off", resp.StatusCode)
-	}
-	outs, err := s.InferBatch(context.Background(), []InferRequest{{Model: "toy-a"}}, BatchOptions{})
-	if err != nil || outs[0].Err != nil {
-		t.Fatal(err, outs[0].Err)
-	}
-	if outs[0].Resp.RequestID != "" {
-		t.Errorf("request ID %q minted with logging off", outs[0].Resp.RequestID)
-	}
-}
-
 // TestStageHistogramsAndBreakdown checks the labeled stage histograms,
-// their exemplars, and the /healthz latency-breakdown projection.
+// their exemplars, and the latency-breakdown projection GET /v1/machines
+// serves.
 func TestStageHistogramsAndBreakdown(t *testing.T) {
 	s := newTestServer(t, Config{RequestLog: 8})
 	if _, err := s.InferBatch(context.Background(), []InferRequest{{Model: "toy-a", ArrivalCycle: 10}}, BatchOptions{}); err != nil {
@@ -317,53 +208,6 @@ func TestRequestLaneInTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONNegotiation checks /metrics.json and the Accept header
-// route to the JSON registry dump while plain /metrics stays text.
-func TestMetricsJSONNegotiation(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := ts.Client()
-
-	get := func(url, accept string) (string, string) {
-		req, err := http.NewRequest(http.MethodGet, url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		resp, err := c.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf [1 << 16]byte
-		n, _ := resp.Body.Read(buf[:])
-		return resp.Header.Get("Content-Type"), string(buf[:n])
-	}
-
-	if ct, body := get(ts.URL+"/metrics", ""); ct != "text/plain; version=0.0.4; charset=utf-8" || json.Valid([]byte(body)) {
-		t.Errorf("plain /metrics: content type %q, json=%v", ct, json.Valid([]byte(body)))
-	}
-	for _, variant := range []struct{ url, accept string }{
-		{ts.URL + "/metrics.json", ""},
-		{ts.URL + "/metrics", "application/json"},
-	} {
-		ct, body := get(variant.url, variant.accept)
-		if ct != "application/json" {
-			t.Errorf("%s (Accept=%q): content type %q", variant.url, variant.accept, ct)
-		}
-		var snap obs.Snapshot
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Errorf("%s: not a metrics snapshot: %v", variant.url, err)
-		}
-		if snap.Counters["serve.requests"] != 0 && snap.Counters == nil {
-			t.Errorf("unexpected snapshot %+v", snap)
-		}
-	}
-}
-
 // TestFinishOffPathAllocFree proves item completion allocates nothing
 // when request logging is off — the lifecycle hook must cost a nil check
 // and nothing else.
@@ -390,7 +234,3 @@ func BenchmarkFinishRequestLogOff(b *testing.B) {
 		<-it.reply
 	}
 }
-
-// Lifecycle exposes the server's request-lifecycle tracker (nil when
-// Config.RequestLog is zero).
-func (s *Server) Lifecycle() *Lifecycle { return s.lifecycle }

@@ -18,14 +18,14 @@ func TestParseLoads(t *testing.T) {
 		}
 		return s
 	}
-	specs, err := ParseLoads(" mobilenet-v2 , ,gold=resnet-50;slo=gold;batch=8;cycles=200000; window=5ms ", base, nil)
+	specs, err := ParseLoads(" mobilenet-v2 , ,gold=resnet-50;slo=gold;batch=8; window=5ms ", base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []ModelSpec{
 		with("mobilenet-v2", "mobilenet-v2", nil),
 		with("gold", "resnet-50", func(s *ModelSpec) {
-			s.SLO, s.MaxBatch, s.BatchWindowCycles, s.BatchWindowMillis = "gold", 8, 200_000, 5
+			s.SLO, s.MaxBatch, s.BatchWindowMillis = "gold", 8, 5
 		}),
 	}
 	if !reflect.DeepEqual(specs, want) {
@@ -38,7 +38,7 @@ func TestParseLoads(t *testing.T) {
 	for _, tc := range []struct{ list, entry, msg string }{
 		{"a=toy,b=toy;batch=x", "b=toy;batch=x", "batch: "},
 		{"a=toy;window=5", "a=toy;window=5", "window: "},
-		{"a=toy;cycles=1e3", "a=toy;cycles=1e3", "cycles: "},
+		{"a=toy;cycles=200000", "a=toy;cycles=200000", `unknown option "cycles"`},
 		{"a=toy;lazy", "a=toy;lazy", `option "lazy" is not key=value`},
 		{"a=toy;replicas=2", "a=toy;replicas=2", `unknown option "replicas"`},
 		{"a=toy;batch", "a=toy;batch", `option "batch" is not key=value`},
@@ -52,8 +52,8 @@ func TestParseLoads(t *testing.T) {
 }
 
 // TestParseLoadsRejectsIgnoredValues: an entry the registry would serve
-// under an empty name or model, or a batch, window or cycles value it
-// would ignore and replace by the server default, fails the parse.
+// under an empty name or model, or a batch or window value it would
+// ignore and replace by the server default, fails the parse.
 func TestParseLoadsRejectsIgnoredValues(t *testing.T) {
 	for _, tc := range []struct{ entry, msg string }{
 		{"=toy", "empty name or model"},
@@ -61,8 +61,6 @@ func TestParseLoadsRejectsIgnoredValues(t *testing.T) {
 		{";batch=2", "empty name or model"},
 		{"a=toy;batch=0", "batch: 0 is not positive"},
 		{"a=toy;batch=-1", "batch: -1 is not positive"},
-		{"a=toy;cycles=0", "cycles: 0 is not positive"},
-		{"a=toy;cycles=-200", "cycles: -200 is not positive"},
 		{"a=toy;window=500us", "window: 500µs is under 1ms"},
 		{"a=toy;window=-5ms", "window: -5ms is under 1ms"},
 		{"a=toy;window=0s", "window: 0s is under 1ms"},
@@ -72,8 +70,8 @@ func TestParseLoadsRejectsIgnoredValues(t *testing.T) {
 			t.Errorf("ParseLoads(%q) = %v, want an error naming the entry with %q", tc.entry, err, tc.msg)
 		}
 	}
-	specs, err := ParseLoads("a=toy;batch=1;window=1ms;cycles=1", ModelSpec{}, nil)
-	if err != nil || specs[0].MaxBatch != 1 || specs[0].BatchWindowMillis != 1 || specs[0].BatchWindowCycles != 1 {
+	specs, err := ParseLoads("a=toy;batch=1;window=1ms", ModelSpec{}, nil)
+	if err != nil || specs[0].MaxBatch != 1 || specs[0].BatchWindowMillis != 1 {
 		t.Fatalf("smallest accepted values: %+v, %v", specs, err)
 	}
 }

@@ -36,8 +36,8 @@ type ModelSpec struct {
 	// model (0: inherit).
 	MaxBatch int `json:"maxBatch,omitempty"`
 	// BatchWindowMillis overrides the server's wall-clock batching window
-	// (0: inherit); BatchWindowCycles overrides the virtual-time window
-	// applied to pinned-arrival traffic (0: inherit).
+	// (0: inherit); BatchWindowCycles sets the virtual-time window a
+	// VirtualQueue applies to pinned-arrival traffic (0: none).
 	BatchWindowMillis int64 `json:"batchWindowMillis,omitempty"`
 	BatchWindowCycles int64 `json:"batchWindowCycles,omitempty"`
 	// SLO names the model's latency class in the server's configured
@@ -97,13 +97,29 @@ type ModelInfo struct {
 	SLOTarget      int64   `json:"sloTargetCycles,omitempty"`
 }
 
+// Info returns the model's listing under its serving name.
+func (lm *LoadedModel) Info() ModelInfo {
+	return ModelInfo{
+		Name:           lm.Spec.Name,
+		Model:          lm.Spec.Model,
+		Policy:         lm.Policy.String(),
+		Demand:         lm.Demand,
+		SoloCycles:     lm.Solo.DurationCycles(),
+		SoloMillis:     lm.Solo.Seconds * 1e3,
+		InitInterval:   lm.InitInterval,
+		CompileSeconds: lm.CompileSeconds,
+		MaxBatch:       lm.Batch.MaxBatch,
+		SLO:            lm.SLO.Name,
+		SLOTarget:      lm.SLOTarget,
+	}
+}
+
 // ServingDefaults are the server-level batching and SLO defaults a model
 // spec's per-model overrides fold over at load time.
 type ServingDefaults struct {
-	MaxBatch          int
-	BatchWindow       time.Duration
-	BatchWindowCycles int64
-	SLOClasses        []SLOClass
+	MaxBatch    int
+	BatchWindow time.Duration
+	SLOClasses  []SLOClass
 }
 
 func (d ServingDefaults) withDefaults() ServingDefaults {
@@ -268,16 +284,13 @@ func (r *Registry) loadInner(f *loadFlight) (*LoadedModel, string, error) {
 	batch := BatchPolicy{
 		MaxBatch:     r.defaults.MaxBatch,
 		Window:       r.defaults.BatchWindow,
-		WindowCycles: r.defaults.BatchWindowCycles,
+		WindowCycles: max(spec.BatchWindowCycles, 0),
 	}
 	if spec.MaxBatch > 0 {
 		batch.MaxBatch = spec.MaxBatch
 	}
 	if spec.BatchWindowMillis > 0 {
 		batch.Window = time.Duration(spec.BatchWindowMillis) * time.Millisecond
-	}
-	if spec.BatchWindowCycles > 0 {
-		batch.WindowCycles = spec.BatchWindowCycles
 	}
 	opts := search.DefaultOptions(policy)
 	if spec.TotalChannels > 0 || spec.PIMChannels > 0 {
@@ -440,29 +453,10 @@ func (r *Registry) Unload(name string) error {
 func (r *Registry) List() []ModelInfo {
 	r.mu.Lock()
 	infos := make([]ModelInfo, 0, len(r.models))
-	for name, lm := range r.models {
-		infos = append(infos, ModelInfo{
-			Name:           name,
-			Model:          lm.Spec.Model,
-			Policy:         lm.Policy.String(),
-			Demand:         lm.Demand,
-			SoloCycles:     lm.Solo.DurationCycles(),
-			SoloMillis:     lm.Solo.Seconds * 1e3,
-			InitInterval:   lm.InitInterval,
-			CompileSeconds: lm.CompileSeconds,
-			MaxBatch:       lm.Batch.MaxBatch,
-			SLO:            lm.SLO.Name,
-			SLOTarget:      lm.SLOTarget,
-		})
+	for _, lm := range r.models {
+		infos = append(infos, lm.Info())
 	}
 	r.mu.Unlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
-}
-
-// Len returns the number of loaded models.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.models)
 }

@@ -262,8 +262,8 @@ func TestRegistryConcurrentNamesCompileOnce(t *testing.T) {
 			compiles++
 		}
 	}
-	if compiles != 1 || r.Len() != n {
-		t.Fatalf("%d compiles and %d models for %d loads of one input", compiles, r.Len(), n)
+	if compiles != 1 || len(r.List()) != n {
+		t.Fatalf("%d compiles and %d models for %d loads of one input", compiles, len(r.List()), n)
 	}
 }
 
@@ -299,8 +299,8 @@ func TestRegistryInstallSeesInflightLoad(t *testing.T) {
 	if err := r.Install(lm); !errors.Is(err, ErrAlreadyLoaded) {
 		t.Fatalf("install while a load of the name is in flight: %v, want %v", err, ErrAlreadyLoaded)
 	}
-	if r.Len() != 0 {
-		t.Fatalf("%d models after a refused install", r.Len())
+	if len(r.List()) != 0 {
+		t.Fatalf("%d models after a refused install", len(r.List()))
 	}
 }
 
@@ -312,8 +312,8 @@ func TestRegistryRejectsUnknownModelAndPolicy(t *testing.T) {
 	if _, err := r.Load(ModelSpec{Name: "y", Model: "toy", Policy: "warp-drive"}); err == nil {
 		t.Fatal("unknown policy must fail")
 	}
-	if r.Len() != 0 {
-		t.Fatalf("%d models after failed loads", r.Len())
+	if len(r.List()) != 0 {
+		t.Fatalf("%d models after failed loads", len(r.List()))
 	}
 }
 

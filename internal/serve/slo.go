@@ -74,10 +74,12 @@ type BatchPolicy struct {
 	// arrivals (kserve-style max-latency window). Zero coalesces only
 	// requests already queued.
 	Window time.Duration `json:"window"`
-	// WindowCycles is the virtual-time coalescing window applied to
-	// requests with pinned arrival stamps (trace replay): a batch flushes
-	// when a newer arrival's stamp passes headArrival + WindowCycles, so
-	// batch formation is deterministic in simulated time.
+	// WindowCycles is the virtual-time coalescing window a VirtualQueue
+	// applies to pinned-arrival traffic (trace replay): a batch flushes
+	// when a newer arrival's stamp passes its head arrival plus
+	// WindowCycles, so batch formation is deterministic in simulated time.
+	// The live dispatcher stamps arrivals from the frontier and never
+	// reads it.
 	WindowCycles int64 `json:"windowCycles"`
 }
 
