@@ -80,9 +80,10 @@ type Scheduler struct {
 	machine Machine
 	// active holds the unreleased leases. retained[gone:] holds the
 	// released leases not yet pruned, in ascending End order: they still
-	// block their historical windows, because requests with pinned
-	// virtual arrivals can arrive earlier than already-completed work,
-	// and their placement must still see the busy windows of that work.
+	// block their historical windows, because a request can arrive
+	// earlier than already-completed work (a pinned arrival, or a live
+	// request admitted before that work was served), and its placement
+	// must still see the busy windows of that work.
 	// retained[:gone] are pruned leases not yet moved out (pruneLocked).
 	active   []Lease // guarded by mu
 	retained []Lease // guarded by mu
