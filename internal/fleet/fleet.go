@@ -16,14 +16,16 @@
 //     machines with per-hop lifecycle spans.
 //
 // All latency lives on the shared virtual timeline: every machine's
-// cycles are in one global clock domain, a Sequence hop's arrival is
-// pinned to its predecessor's completion, and the deterministic replay
-// (Replay) reports identical percentiles for identical seeded scenarios
-// — the property that makes placement policies testable (adding a
-// replica never increases p99). When Config.Certify is on, every
-// machine records its SR-* schedule certificate and the router records
-// the FL-* fleet certificate (placements, graphs, hops) for
-// verify.Fleet.
+// cycles are in one global clock domain, a live request arrives at the
+// fleet's completion frontier, and one route engine pins graph hops for
+// the live path (Infer) and the replay (Replay) alike, a Sequence hop at
+// its predecessor's completion and every Ensemble branch at one cycle.
+// The replay reports identical percentiles for identical seeded
+// scenarios — the property that makes placement policies testable
+// (adding a replica never increases p99). When Config.Certify
+// is on, every machine records its SR-* schedule certificate and the
+// router records the FL-* fleet certificate (placements, graphs, hops
+// with the hops that gated them) for verify.Fleet.
 package fleet
 
 import (
@@ -80,11 +82,10 @@ type Config struct {
 	QueueDepth int
 	Admission  serve.AdmissionPolicy
 	RequestLog int
-	// MaxBatch, BatchWindow, and SLOClasses are the per-machine serving
-	// defaults model specs fold over.
+	// MaxBatch and BatchWindow are the per-machine serving defaults
+	// model specs fold over.
 	MaxBatch    int
 	BatchWindow time.Duration
-	SLOClasses  []serve.SLOClass
 	// Metrics receives the router-tier counters; per-machine serving
 	// metrics live in per-machine registries (Machine(i).Metrics(), and
 	// GET /v1/machines/{name}/metrics) so machines never collide on the
@@ -169,8 +170,8 @@ type Fleet struct {
 	graphs      map[string]Graph               // guarded by mu
 	placements  []verify.FleetPlacement        // guarded by mu; append-only log
 	hopLog      serve.CertLog[verify.FleetHop] // guarded by mu; Certify only
-	routeSeq    int64                          // guarded by mu
 	started     time.Time
+	routeSeq    atomic.Int64 // the last route id minted
 }
 
 // New builds and starts a fleet: cfg.Machines serving stacks plus the
@@ -193,7 +194,6 @@ func New(cfg Config) (*Fleet, error) {
 	f.compiler = serve.NewRegistry(cfg.Machine, f.profiles, cfg.Metrics, cfg.Trace, serve.ServingDefaults{
 		MaxBatch:    cfg.MaxBatch,
 		BatchWindow: cfg.BatchWindow,
-		SLOClasses:  cfg.SLOClasses,
 	})
 	for i := 0; i < cfg.Machines; i++ {
 		metrics := obs.NewMetrics()
@@ -203,7 +203,6 @@ func New(cfg Config) (*Fleet, error) {
 			Admission:   cfg.Admission,
 			MaxBatch:    cfg.MaxBatch,
 			BatchWindow: cfg.BatchWindow,
-			SLOClasses:  cfg.SLOClasses,
 			Profiles:    f.profiles,
 			Metrics:     metrics,
 			Trace:       cfg.Trace,

@@ -634,6 +634,222 @@ func TestLiveHopsCarryNode(t *testing.T) {
 	}
 }
 
+// Live graph hops are pinned and gated like replayed ones. On two
+// machines, each holding one whole-machine model, a chain's second hop
+// arrives on m1 at the cycle its first hop ends on m0, its certificate
+// row names that hop as its gate, and FL-ROUTE checks the gating; the
+// second route arrives at the latest frontier, after the first route's
+// end. A hop stamped from its own machine's frontier and recorded
+// ungated would run the first route's second hop over the same cycles
+// as its first, reading an output that does not exist yet.
+func TestLiveSequenceHopsArePinned(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 2, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	for _, name := range []string{"toy-a", "toy-b"} {
+		spec := serve.ModelSpec{Name: name, Model: "toy", Policy: "PIMFlow", TotalChannels: 32, PIMChannels: 16}
+		if err := f.Deploy(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.RegisterGraph(fleet.Graph{Name: "chain", Root: "steps", Nodes: []fleet.GraphNode{
+		{Name: "steps", Type: "sequence", Steps: []fleet.GraphStep{{Model: "toy-a"}, {Model: "toy-b"}}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		resp, err := f.Infer(context.Background(), fleet.Request{Graph: "chain"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Hops[0].Machine == resp.Hops[1].Machine {
+			t.Fatalf("both hops on %s; whole-machine models must split", resp.Hops[0].Machine)
+		}
+		if want := resp.Hops[0].Resp.LatencyCycles + resp.Hops[1].Resp.LatencyCycles; resp.LatencyCycles != want {
+			t.Fatalf("route latency %d, want the hop sum %d", resp.LatencyCycles, want)
+		}
+	}
+	cert := f.Certificate()
+	if len(cert.Hops) != 4 {
+		t.Fatalf("certificate holds %d hops, want 4", len(cert.Hops))
+	}
+	for first := 0; first < 4; first += 2 {
+		a, b := cert.Hops[first], cert.Hops[first+1]
+		if b.After != first || b.Arrival < a.End {
+			t.Errorf("route %d: second hop arrives at %d gated on row %d; want at or after %d, gated on row %d",
+				b.Route, b.Arrival, b.After, a.End, first)
+		}
+	}
+	if cert.Hops[2].Arrival < cert.Hops[1].End {
+		t.Errorf("second route arrives at %d, before the first one ended at %d", cert.Hops[2].Arrival, cert.Hops[1].End)
+	}
+	if diags := verify.Fleet(cert); len(diags) != 0 {
+		t.Fatalf("live certificate dirty: %v", diags)
+	}
+}
+
+// Concurrent clients mixing plain requests with a Sequence around a
+// nested Ensemble keep every live graph route pinned: each branch
+// arrives at its predecessor's end, the last step at the slowest
+// branch's end, the route's latency is the hop sum with the branches
+// joined on the maximum, and the certificate verifies clean although
+// the dispatcher coalesces pinned hops with frontier-stamped requests
+// (toy-a's virtual window of one cycle never applies to them).
+func TestLiveRoutesStayPinnedUnderConcurrency(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 2, QueueDepth: 256, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	for _, d := range []struct {
+		name     string
+		replicas int
+	}{{"toy-a", 2}, {"toy-b", 1}} {
+		spec := serve.ModelSpec{Name: d.name, Model: "toy", Policy: "PIMFlow", TotalChannels: 16, PIMChannels: 8,
+			MaxBatch: 4, BatchWindowCycles: 1}
+		if err := f.Deploy(spec, d.replicas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.RegisterGraph(fleet.Graph{Name: "fan", Root: "steps", Nodes: []fleet.GraphNode{
+		{Name: "steps", Type: "sequence", Steps: []fleet.GraphStep{{Model: "toy-a"}, {Node: "panel"}, {Model: "toy-b"}}},
+		{Name: "panel", Type: "ensemble", Steps: []fleet.GraphStep{{Model: "toy-a"}, {Model: "toy-b"}, {Model: "toy-b"}}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	reqs := []fleet.Request{{Model: "toy-a"}, {Model: "toy-b"}, {Graph: "fan"}}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				resp, err := f.Infer(context.Background(), reqs[(c+i)%len(reqs)])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.Graph == "" {
+					continue
+				}
+				h := resp.Hops
+				if len(h) != 5 {
+					t.Errorf("route %d has %d hops, want 5", resp.Route, len(h))
+					return
+				}
+				join := max(h[1].Resp.EndCycle, h[2].Resp.EndCycle, h[3].Resp.EndCycle)
+				branch := max(h[1].Resp.LatencyCycles, h[2].Resp.LatencyCycles, h[3].Resp.LatencyCycles)
+				for _, b := range h[1:4] {
+					if b.Resp.ArrivalCycle != h[0].Resp.EndCycle {
+						t.Errorf("route %d: branch arrives at %d, first hop ends at %d", resp.Route, b.Resp.ArrivalCycle, h[0].Resp.EndCycle)
+					}
+				}
+				if h[4].Resp.ArrivalCycle != join ||
+					resp.LatencyCycles != h[0].Resp.LatencyCycles+branch+h[4].Resp.LatencyCycles {
+					t.Errorf("route %d: last hop arrives at %d after a join at %d; latency %d, hops %d + %d + %d",
+						resp.Route, h[4].Resp.ArrivalCycle, join, resp.LatencyCycles,
+						h[0].Resp.LatencyCycles, branch, h[4].Resp.LatencyCycles)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if diags := verify.Fleet(f.Certificate()); len(diags) != 0 {
+		t.Fatalf("live certificate dirty: %v", diags)
+	}
+}
+
+// A plain request arrives at the fleet's frontier, as a graph route
+// does, so the two share one timeline. With one machine far ahead after
+// heavy plain traffic, two plain requests that the other machine
+// batches with a chain's second hop wait only for the chain's first hop,
+// not for the first machine's backlog, and the one with a virtual
+// deadline is served. Stamped from their own idle machine's frontier,
+// they would wait out the whole gap between the machines and the
+// deadline would fail.
+func TestLivePlainRequestsShareTheFleetTimeline(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 2, Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Shutdown(context.Background()) })
+	// Whole-machine models land on different machines; light holds its
+	// wall window until a batch of three is full.
+	for _, spec := range []serve.ModelSpec{
+		{Name: "heavy", Model: "toy", Policy: "PIMFlow", TotalChannels: 32, PIMChannels: 16},
+		{Name: "light", Model: "toy", Policy: "PIMFlow", TotalChannels: 32, PIMChannels: 16,
+			MaxBatch: 3, BatchWindowMillis: 10_000},
+	} {
+		if err := f.Deploy(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.RegisterGraph(fleet.Graph{Name: "chain", Root: "steps", Nodes: []fleet.GraphNode{
+		{Name: "steps", Type: "sequence", Steps: []fleet.GraphStep{{Model: "heavy"}, {Model: "light"}}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const backlog = 12
+	var solo int64
+	for range backlog {
+		resp, err := f.Infer(ctx, fleet.Request{Model: "heavy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo = resp.LatencyCycles
+	}
+	requests := func() int64 {
+		return f.Machine(0).Metrics().Counter("serve.requests") + f.Machine(1).Metrics().Counter("serve.requests")
+	}
+
+	plain := []fleet.Request{{Model: "light"}, {Model: "light", DeadlineCycles: 4 * solo}}
+	resps := make([]*fleet.Response, len(plain))
+	errs := make([]error, len(plain))
+	var wg sync.WaitGroup
+	for i, req := range plain {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = f.Infer(ctx, req)
+		}()
+	}
+	// Both plain requests wait in light's open batch; the chain's second
+	// hop fills it.
+	for start := time.Now(); requests() < backlog+int64(len(plain)); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the plain requests never reached a machine")
+		}
+	}
+	chain, err := f.Infer(ctx, fleet.Request{Graph: "chain"})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := chain.Hops[0], chain.Hops[1]
+	if first.Machine == second.Machine {
+		t.Fatalf("both chain hops on %s; whole-machine models must split", first.Machine)
+	}
+	if gap := first.Resp.ArrivalCycle; gap <= 4*solo {
+		t.Fatalf("the chain arrives at %d, within 4 solo runs (%d) of the idle machine", gap, 4*solo)
+	}
+	for i, req := range plain {
+		if errs[i] != nil {
+			t.Errorf("plain request %+v: %v", req, errs[i])
+			continue
+		}
+		if r := resps[i].Hops[0].Resp; r.BatchSize != 3 || r.BatchWaitCycles > first.Resp.LatencyCycles {
+			t.Errorf("plain request %+v waited %d cycles in a batch of %d; want a batch of 3 and at most the chain's first hop (%d)",
+				req, r.BatchWaitCycles, r.BatchSize, first.Resp.LatencyCycles)
+		}
+	}
+	if diags := verify.Fleet(f.Certificate()); len(diags) != 0 {
+		t.Fatalf("live certificate dirty: %v", diags)
+	}
+}
+
 // Registration guardrails: bad graphs and bad deployments fail loudly.
 func TestRegistrationValidation(t *testing.T) {
 	f, err := fleet.New(fleet.Config{Machines: 2})

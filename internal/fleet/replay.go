@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -106,47 +107,6 @@ func NewScenarioFleet(sc Scenario, metrics *obs.Metrics, trace *obs.Trace) (*Fle
 	return f, nil
 }
 
-// hop is one model invocation a machine's queue admits: a plain trace
-// request (exec nil) or one hop of a graph route.
-type hop struct {
-	// exec is the hop's route; ens points at the joining ensemble frame
-	// when the hop is one of its branches.
-	exec    *routeExec
-	ens     *execFrame
-	node    string
-	arrival int64
-	after   int // certificate index of the gating hop, -1 when ungated
-}
-
-// routeExec is one in-flight graph traversal in the replay.
-type routeExec struct {
-	route   int64
-	graph   Graph
-	cond    string
-	arrival int64
-	frames  []*execFrame
-	// lastCert is the certificate index of the hop gating the next one
-	// (-1 at the root: the first hop starts at the trace arrival).
-	lastCert  int
-	hopCount  int
-	lastBatch int
-	lastClass string
-	sloMiss   bool
-	stages    serve.StageCycles
-	failed    bool
-}
-
-// execFrame is one graph-node activation on a route's stack.
-type execFrame struct {
-	node GraphNode
-	idx  int // sequence: next step
-	// Ensemble join state: branches outstanding, the join cycle (max
-	// branch end), and the certificate index of the branch that set it.
-	remaining int
-	maxEnd    int64
-	maxCert   int
-}
-
 // hopEvent resumes a route at a hop-completion (or ensemble-join)
 // cycle. seq breaks cycle ties in creation order, so the event schedule
 // is a pure function of the trace.
@@ -209,6 +169,11 @@ type replayer struct {
 	events   eventHeap
 	eventSeq int64
 	replicas []int // resolve's replica set, reused per hop
+	// hops holds the hops advance issues, reused per step; its first
+	// backing array is part of the replayer, so no step of a route
+	// issuing up to four hops allocates.
+	hops   []hop
+	hopBuf [4]hop
 }
 
 // Replay drives the trace through the fleet deterministically on one
@@ -236,6 +201,7 @@ func Replay(f *Fleet, sc Scenario, reqs []load.Request) (*load.Report, error) {
 		rep:   &load.Report{Scenario: sc.Name, Requests: len(reqs), Classes: map[string]load.ClassStats{}},
 		stats: load.NewCollector(sc.Scenario, len(reqs)),
 	}
+	x.hops = x.hopBuf[:0]
 	for mi := 0; mi < f.Size(); mi++ {
 		q, err := serve.NewVirtualQueue(f.Machine(mi), sc.QueueDepth, adm,
 			func(h hop, resp *serve.InferResponse, err error) { x.settle(mi, h, resp, err) })
@@ -293,86 +259,47 @@ func (x *replayer) admitTrace(r load.Request) error {
 	x.f.mu.Lock()
 	g, isGraph := x.f.graphs[r.Model]
 	x.f.mu.Unlock()
-	route := x.f.nextRoute()
+	route := x.f.routeSeq.Add(1)
 	if !isGraph {
-		return x.issueHop(nil, nil, route, "", r.Model, r.Cycle, -1)
+		return x.issue(route, hop{model: r.Model, arrival: r.Cycle, after: -1})
 	}
-	root, err := graphNode(g, g.Root)
+	exec, err := newRouteExec(route, g, "", r.Cycle)
 	if err != nil {
 		return err
 	}
-	exec := &routeExec{route: route, graph: g, arrival: r.Cycle, lastCert: -1,
-		frames: []*execFrame{{node: root}}}
 	return x.advance(exec, r.Cycle)
 }
 
-// advance runs a route's interpreter at virtual cycle t until it issues
-// hop(s) or completes. Sequence frames issue their next step; entering
-// an Ensemble issues every branch at once (branches run concurrently in
-// virtual time and join at the slowest end); Splitter and Switch
-// resolve to their one chosen step and vanish from the stack.
+// advance runs route exec's interpreter at cycle t and admits the hops
+// it issues. A route that issues none has finished at t, or failed at a
+// Switch that matches no step.
 func (x *replayer) advance(exec *routeExec, t int64) error {
-	for !exec.failed {
-		if len(exec.frames) == 0 {
-			x.finishExec(exec, t)
-			return nil
-		}
-		fr := exec.frames[len(exec.frames)-1]
-		var s GraphStep
-		switch fr.node.Type {
-		case "sequence":
-			if fr.idx >= len(fr.node.Steps) {
-				exec.frames = exec.frames[:len(exec.frames)-1]
-				continue
-			}
-			s = fr.node.Steps[fr.idx]
-			fr.idx++
-		case "ensemble":
-			// FL-NODE restricts ensemble steps to models, so every branch
-			// is one hop and the join state fits in the frame.
-			fr.remaining = len(fr.node.Steps)
-			fr.maxEnd = -1
-			fr.maxCert = -1
-			gate := exec.lastCert
-			for _, s := range fr.node.Steps {
-				if err := x.issueHop(exec, fr, exec.route, fr.node.Name, s.Model, t, gate); err != nil {
-					return err
-				}
-			}
-			return nil
-		case "splitter":
-			s = pickSplit(x.f.cfg.Seed, exec.route, fr.node.Steps)
-			exec.frames = exec.frames[:len(exec.frames)-1]
-		case "switch":
-			var err error
-			if s, err = pickSwitch(exec.cond, fr.node.Steps); err != nil {
-				x.fail(exec, err)
-				return nil
-			}
-			exec.frames = exec.frames[:len(exec.frames)-1]
-		default:
-			return fmt.Errorf("fleet: graph %q node %q has unknown type %q", exec.graph.Name, fr.node.Name, fr.node.Type)
-		}
-		if s.Node == "" {
-			return x.issueHop(exec, nil, exec.route, fr.node.Name, s.Model, t, exec.lastCert)
-		}
-		n, err := graphNode(exec.graph, s.Node)
-		if err != nil {
+	hops, err := x.f.advance(exec, t, x.hops[:0])
+	x.hops = hops
+	switch {
+	case errors.Is(err, ErrNoSwitchMatch):
+		x.fail(exec, err)
+	case err != nil:
+		return err
+	case len(hops) == 0:
+		x.finish(exec, t)
+	}
+	for _, h := range hops {
+		if err := x.issue(exec.route, h); err != nil {
 			return err
 		}
-		exec.frames = append(exec.frames, &execFrame{node: n})
 	}
 	return nil
 }
 
-// issueHop admits one hop at cycle t on the machine resolve picks; the
-// hop's outcome comes back through settle.
-func (x *replayer) issueHop(exec *routeExec, ens *execFrame, route int64, node, model string, t int64, after int) error {
-	q, err := x.resolve(route, model, t)
+// issue admits hop h of route at its arrival cycle on the machine
+// resolve picks; its outcome comes back through settle.
+func (x *replayer) issue(route int64, h hop) error {
+	q, err := x.resolve(route, h.model, h.arrival)
 	if err != nil {
 		return err
 	}
-	return q.Admit(t, model, hop{exec: exec, ens: ens, node: node, arrival: t, after: after})
+	return q.Admit(h.arrival, h.model, h)
 }
 
 // resolve picks the machine queue for a hop: ensure the model is placed
@@ -418,55 +345,20 @@ func (x *replayer) earliestHead() *serve.VirtualQueue[hop] {
 }
 
 // settle takes one hop's outcome from machine mi's queue. A plain
-// request's outcome goes to the report. A route's served hop records its
-// certificate entry and schedules the route's continuation on the event
-// heap (never recursively — the heap's (cycle, seq) order is the one
-// source of interleaving); a failed hop fails its route.
+// request's outcome goes to the report. A route's served hop goes to
+// settleHop, and the route's continuation goes on the event heap (never
+// recursively — the heap's (cycle, seq) order is the one source of
+// interleaving); a failed hop fails its route.
 func (x *replayer) settle(mi int, h hop, resp *serve.InferResponse, err error) {
-	exec := h.exec
-	if exec == nil {
+	switch {
+	case h.exec == nil:
 		x.rep.Record(x.stats, resp, err)
-		return
-	}
-	if err != nil {
-		x.fail(exec, err)
-		return
-	}
-	m := x.f.machines[mi]
-	idx := x.f.recordHop(verify.FleetHop{
-		Route: exec.route, Index: exec.hopCount, Graph: exec.graph.Name, Node: h.node,
-		Model: resp.Model, Machine: m.name, Arrival: h.arrival, End: resp.EndCycle, After: h.after,
-	})
-	exec.hopCount++
-	exec.lastBatch = resp.BatchSize
-	exec.lastClass = resp.SLOClass
-	if resp.SLOMiss {
-		exec.sloMiss = true
-	}
-	exec.stages.BatchWait += resp.BatchWaitCycles
-	exec.stages.LeaseWait += resp.LeaseWaitCycles
-	exec.stages.Execute += resp.ExecuteCycles
-	x.f.hops.Inc()
-	m.hops.Inc()
-	if fr := h.ens; fr != nil {
-		fr.remaining--
-		if resp.EndCycle > fr.maxEnd {
-			fr.maxEnd = resp.EndCycle
-			fr.maxCert = idx
+	case err != nil:
+		x.fail(h.exec, err)
+	default:
+		if t, ok := x.f.settleHop(x.f.machines[mi], h, resp); ok {
+			x.pushEvent(h.exec, t)
 		}
-		if fr.remaining == 0 && !exec.failed {
-			// All branches joined: pop the ensemble frame (it is the top —
-			// nothing advances a route while a join is outstanding) and
-			// resume the parent at the slowest branch's completion.
-			exec.frames = exec.frames[:len(exec.frames)-1]
-			exec.lastCert = fr.maxCert
-			x.pushEvent(exec, fr.maxEnd)
-		}
-		return
-	}
-	if !exec.failed {
-		exec.lastCert = idx
-		x.pushEvent(exec, resp.EndCycle)
 	}
 }
 
@@ -484,14 +376,14 @@ func (x *replayer) pushEvent(exec *routeExec, cycle int64) {
 	x.events.push(hopEvent{cycle: cycle, seq: x.eventSeq, exec: exec})
 }
 
-// finishExec completes a route: its end-to-end latency is the last
+// finish completes a route: its end-to-end latency is the last
 // completion minus the trace arrival (Sequence hops pin each arrival to
 // the predecessor's end, so the pinning is exact; Ensemble branches
 // join at the slowest end). The synthesized response's stage cycles sum
 // the hop stages — for a pure Sequence they partition the latency
 // exactly; an Ensemble's concurrent branches make the sum an
 // upper bound.
-func (x *replayer) finishExec(exec *routeExec, t int64) {
+func (x *replayer) finish(exec *routeExec, t int64) {
 	x.rep.Record(x.stats, &serve.InferResponse{
 		Model:           exec.graph.Name,
 		ArrivalCycle:    exec.arrival,

@@ -45,27 +45,167 @@ type Response struct {
 	Hops          []Hop  `json:"hops"`
 }
 
-// nextRoute mints a route id.
-func (f *Fleet) nextRoute() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.routeSeq++
-	return f.routeSeq
+// hop is one model invocation: a plain replay request (exec nil) or one
+// hop of a graph route that the route engine (advance, then settleHop
+// once the hop is served) issued for Replay or the live path alike.
+type hop struct {
+	// exec is the hop's route; ens points at the joining ensemble frame
+	// when the hop is one of its branches.
+	exec    *routeExec
+	ens     *execFrame
+	node    string
+	model   string
+	arrival int64
+	after   int // certificate index of the gating hop, -1 when ungated
 }
 
-// resolveHop picks the deployment and replica machine for one hop:
+// routeExec is one in-flight graph traversal.
+type routeExec struct {
+	route   int64
+	graph   Graph
+	cond    string
+	arrival int64
+	frames  []*execFrame
+	// lastCert is the certificate index of the hop gating the next one
+	// (-1 at the root: the first hop starts at the route's arrival).
+	lastCert  int
+	hopCount  int
+	lastBatch int
+	lastClass string
+	sloMiss   bool
+	stages    serve.StageCycles
+	failed    bool
+}
+
+// execFrame is one graph-node activation on a route's stack.
+type execFrame struct {
+	node GraphNode
+	idx  int // sequence: next step
+	// Ensemble join state: branches outstanding, the join cycle (max
+	// branch end), and the certificate index of the branch that set it.
+	remaining int
+	maxEnd    int64
+	maxCert   int
+}
+
+// newRouteExec starts a traversal of g at its root node.
+func newRouteExec(route int64, g Graph, cond string, arrival int64) (*routeExec, error) {
+	root, err := graphNode(g, g.Root)
+	if err != nil {
+		return nil, err
+	}
+	return &routeExec{route: route, graph: g, cond: cond, arrival: arrival, lastCert: -1,
+		frames: []*execFrame{{node: root}}}, nil
+}
+
+// advance runs a route's interpreter at virtual cycle t until it issues
+// hops or completes, and returns hops with the hops it issued appended.
+// Sequence frames issue their next step, pinned at t; entering an
+// Ensemble issues every branch at t (branches run concurrently in
+// virtual time and join at the slowest end); Splitter and Switch
+// resolve to their one chosen step and vanish from the stack. A route
+// that issues no hop has finished at t, or failed with ErrNoSwitchMatch
+// at a Switch that matches no step.
+func (f *Fleet) advance(exec *routeExec, t int64, hops []hop) ([]hop, error) {
+	for len(exec.frames) > 0 {
+		fr := exec.frames[len(exec.frames)-1]
+		var s GraphStep
+		switch fr.node.Type {
+		case "sequence":
+			if fr.idx >= len(fr.node.Steps) {
+				exec.frames = exec.frames[:len(exec.frames)-1]
+				continue
+			}
+			s = fr.node.Steps[fr.idx]
+			fr.idx++
+		case "ensemble":
+			// FL-NODE restricts ensemble steps to models, so every branch
+			// is one hop and the join state fits in the frame.
+			fr.remaining = len(fr.node.Steps)
+			fr.maxEnd = -1
+			fr.maxCert = -1
+			for _, s := range fr.node.Steps {
+				hops = append(hops, hop{exec: exec, ens: fr, node: fr.node.Name, model: s.Model, arrival: t, after: exec.lastCert})
+			}
+			return hops, nil
+		case "splitter":
+			s = pickSplit(f.cfg.Seed, exec.route, fr.node.Steps)
+			exec.frames = exec.frames[:len(exec.frames)-1]
+		case "switch":
+			var err error
+			if s, err = pickSwitch(exec.cond, fr.node.Steps); err != nil {
+				return hops, err
+			}
+			exec.frames = exec.frames[:len(exec.frames)-1]
+		default:
+			return hops, fmt.Errorf("fleet: graph %q node %q has unknown type %q", exec.graph.Name, fr.node.Name, fr.node.Type)
+		}
+		if s.Node == "" {
+			return append(hops, hop{exec: exec, node: fr.node.Name, model: s.Model, arrival: t, after: exec.lastCert}), nil
+		}
+		n, err := graphNode(exec.graph, s.Node)
+		if err != nil {
+			return hops, err
+		}
+		exec.frames = append(exec.frames, &execFrame{node: n})
+	}
+	return hops, nil
+}
+
+// settleHop does the bookkeeping of a route's hop that machine m served:
+// its certificate row, the hop counters, the route's stage sums and, for
+// an Ensemble branch, the join. It returns the cycle the route resumes
+// at, and false while the hop's Ensemble waits on another branch or the
+// route has failed.
+func (f *Fleet) settleHop(m *machine, h hop, resp *serve.InferResponse) (int64, bool) {
+	exec := h.exec
+	idx := f.recordHop(m, verify.FleetHop{
+		Route: exec.route, Index: exec.hopCount, Graph: exec.graph.Name, Node: h.node,
+		Model: resp.Model, Machine: m.name, Arrival: resp.ArrivalCycle, End: resp.EndCycle, After: h.after,
+	})
+	exec.hopCount++
+	exec.lastBatch = resp.BatchSize
+	exec.lastClass = resp.SLOClass
+	if resp.SLOMiss {
+		exec.sloMiss = true
+	}
+	exec.stages.BatchWait += resp.BatchWaitCycles
+	exec.stages.LeaseWait += resp.LeaseWaitCycles
+	exec.stages.Execute += resp.ExecuteCycles
+	fr := h.ens
+	if fr == nil {
+		exec.lastCert = idx
+		return resp.EndCycle, !exec.failed
+	}
+	fr.remaining--
+	if resp.EndCycle > fr.maxEnd {
+		fr.maxEnd = resp.EndCycle
+		fr.maxCert = idx
+	}
+	if fr.remaining > 0 || exec.failed {
+		return 0, false
+	}
+	// All branches joined: pop the ensemble frame (it is the top — nothing
+	// advances a route while a join is outstanding) and resume the parent
+	// at the slowest branch's completion.
+	exec.frames = exec.frames[:len(exec.frames)-1]
+	exec.lastCert = fr.maxCert
+	return fr.maxEnd, true
+}
+
+// resolveHop picks the replica machine for one live hop:
 // on-demand placement when the model is registered but not loaded
 // (modelmesh-style), then the live replica whose machine has the fewest
 // outstanding hops, which the pick counts in before it returns. Ties
 // rotate: the scan starts one replica further on each hop, so an idle
 // or evenly loaded model spreads its traffic over every replica, one
 // added later included.
-func (f *Fleet) resolveHop(route int64, model string) (*deployment, int, error) {
+func (f *Fleet) resolveHop(route int64, model string) (*machine, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	d, err := f.placedLocked(route, model)
 	if err != nil {
-		return nil, -1, err
+		return nil, err
 	}
 	n := len(d.replicas)
 	best, bestLoad := -1, int64(0)
@@ -76,14 +216,17 @@ func (f *Fleet) resolveHop(route int64, model string) (*deployment, int, error) 
 		}
 	}
 	d.turn = (d.turn + 1) % n
-	f.machines[best].outstanding.Add(1)
-	return d, best, nil
+	m := f.machines[best]
+	m.outstanding.Add(1)
+	return m, nil
 }
 
-// recordHop appends one completed hop to the fleet certificate
-// (Certify only). after is the certificate index of the gating hop, -1
-// when the hop started at the request's own arrival.
-func (f *Fleet) recordHop(h verify.FleetHop) int {
+// recordHop counts one hop machine m served and, under Certify, appends
+// its row to the fleet certificate, returning the row's index (-1 when
+// not certifying).
+func (f *Fleet) recordHop(m *machine, h verify.FleetHop) int {
+	f.hops.Inc()
+	m.hops.Inc()
 	if !f.cfg.Certify {
 		return -1
 	}
@@ -93,105 +236,88 @@ func (f *Fleet) recordHop(h verify.FleetHop) int {
 	return f.hopLog.Len() - 1
 }
 
-// hopLive runs one live-path hop: resolve the replica, invoke the
-// machine synchronously, and record the hop. Live-path hops use
-// frontier-stamped arrivals (each machine stamps its own virtual
-// frontier), so cross-machine gating is not pinned and recorded hops
-// carry After -1 — the deterministic pinned-arrival story is Replay's.
-func (f *Fleet) hopLive(ctx context.Context, route int64, graphName, nodeName, model string, deadline int64, resp *Response) (*serve.InferResponse, error) {
-	d, mi, err := f.resolveHop(route, model)
+// serveHop serves hop h of route on the replica resolveHop picks, at
+// once: its arrival pinned at h.arrival, or stamped from the machine's
+// frontier when that is 0.
+func (f *Fleet) serveHop(ctx context.Context, route int64, graphName string, h hop, deadline int64) (*machine, *serve.InferResponse, error) {
+	m, err := f.resolveHop(route, h.model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := f.machines[mi]
 	defer m.outstanding.Add(-1)
-	endSpan := f.cfg.Trace.Span("fleet-router", model+"@"+m.name, "fleet.hop",
-		map[string]any{"route": route, "graph": graphName, "node": nodeName, "machine": m.name})
-	r, err := m.srv.Infer(ctx, serve.InferRequest{Model: d.spec.Name, DeadlineCycles: deadline})
+	endSpan := f.cfg.Trace.Span("fleet-router", h.model+"@"+m.name, "fleet.hop",
+		map[string]any{"route": route, "graph": graphName, "node": h.node, "machine": m.name})
+	r, err := m.srv.Infer(ctx, serve.InferRequest{Model: h.model, DeadlineCycles: deadline, ArrivalCycle: h.arrival})
 	if err != nil {
 		f.cfg.Metrics.Inc("fleet.hop_errors")
 		endSpan(map[string]any{"error": err.Error()})
-		return nil, err
+		return nil, nil, err
 	}
 	endSpan(map[string]any{"latencyCycles": r.LatencyCycles, "batch": r.BatchSize})
-	f.hops.Inc()
-	m.hops.Inc()
 	f.cfg.Metrics.Observe("fleet.hop_latency_cycles", float64(r.LatencyCycles))
-	f.recordHop(verify.FleetHop{
-		Route: route, Index: len(resp.Hops), Graph: graphName, Node: nodeName,
-		Model: model, Machine: m.name, Arrival: r.ArrivalCycle, End: r.EndCycle, After: -1,
-	})
-	resp.Hops = append(resp.Hops, Hop{Graph: graphName, Node: nodeName, Model: model, Machine: m.name, Resp: r})
-	return r, nil
+	return m, r, nil
 }
 
-// evalStepLive runs one step of the graph node named node: a nested node
-// or a model hop that node issues, returning the step's virtual latency.
-func (f *Fleet) evalStepLive(ctx context.Context, route int64, g Graph, node string, s GraphStep, cond string, deadline int64, resp *Response) (int64, error) {
-	if s.Node != "" {
-		n, err := graphNode(g, s.Node)
-		if err != nil {
-			return 0, err
-		}
-		return f.evalNodeLive(ctx, route, g, n, cond, deadline, resp)
+// frontier is the fleet's completion frontier, the latest completion
+// across its machines. Every live request arrives there, so live traffic
+// shares one timeline: a plain request and a graph hop that one machine
+// batches together arrive apart only by the work the fleet served in
+// between, never by another machine's backlog.
+func (f *Fleet) frontier() int64 {
+	var t int64
+	for _, m := range f.machines {
+		t = max(t, m.srv.Scheduler().Arrival())
 	}
-	r, err := f.hopLive(ctx, route, g.Name, node, s.Model, deadline, resp)
+	return t
+}
+
+// inferGraph runs one live route through graph g. The route arrives at
+// the fleet's frontier, at least cycle 1 so that every hop is pinned (an
+// ArrivalCycle of 0 asks a machine for its own frontier), and the route
+// engine pins its hops as Replay does: a Sequence step at its
+// predecessor's end, every Ensemble branch at one cycle. The route's
+// latency is its last completion minus its arrival, so Sequence hop
+// latencies add and Ensemble branches join on the maximum.
+func (f *Fleet) inferGraph(ctx context.Context, g Graph, req Request, resp *Response) error {
+	arrival := max(1, f.frontier())
+	exec, err := newRouteExec(resp.Route, g, req.Cond, arrival)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return r.LatencyCycles, nil
-}
-
-// evalNodeLive interprets one graph node on the live path. Sequence
-// latencies add (each hop consumes its predecessor's output), Ensemble
-// latencies join on the maximum (branches run concurrently in virtual
-// time), Splitter and Switch take their one chosen branch.
-func (f *Fleet) evalNodeLive(ctx context.Context, route int64, g Graph, n GraphNode, cond string, deadline int64, resp *Response) (int64, error) {
-	switch n.Type {
-	case "sequence":
-		var total int64
-		for _, s := range n.Steps {
-			lat, err := f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
+	var hops []hop
+	for t := arrival; ; {
+		if hops, err = f.advance(exec, t, hops[:0]); err != nil {
+			return err
+		}
+		if len(hops) == 0 {
+			resp.LatencyCycles = t - arrival
+			return nil
+		}
+		for _, h := range hops {
+			m, r, err := f.serveHop(ctx, resp.Route, g.Name, h, req.DeadlineCycles)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			total += lat
-		}
-		return total, nil
-	case "ensemble":
-		var join int64
-		for _, s := range n.Steps {
-			lat, err := f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
-			if err != nil {
-				return 0, err
-			}
-			if lat > join {
-				join = lat
+			resp.Hops = append(resp.Hops, Hop{Graph: g.Name, Node: h.node, Model: h.model, Machine: m.name, Resp: r})
+			if next, ok := f.settleHop(m, h, r); ok {
+				t = next
 			}
 		}
-		return join, nil
-	case "splitter":
-		return f.evalStepLive(ctx, route, g, n.Name, pickSplit(f.cfg.Seed, route, n.Steps), cond, deadline, resp)
-	case "switch":
-		s, err := pickSwitch(cond, n.Steps)
-		if err != nil {
-			return 0, err
-		}
-		return f.evalStepLive(ctx, route, g, n.Name, s, cond, deadline, resp)
 	}
-	return 0, fmt.Errorf("fleet: graph %q node %q has unknown type %q", g.Name, n.Name, n.Type)
 }
 
 // Infer routes one request through the fleet synchronously: a plain
-// model request becomes one hop on the replica resolveHop picks; a graph
-// request traverses its nodes hop by hop. This is the concurrent live
-// path (HTTP); the deterministic virtual-time story is Replay.
+// model request becomes one hop on the replica resolveHop picks,
+// arriving at the fleet's frontier (stamped from its machine's frontier
+// while the fleet is idle); a graph request runs the route engine hop by
+// hop. This is the concurrent live path (HTTP); the deterministic
+// virtual-time story is Replay.
 func (f *Fleet) Infer(ctx context.Context, req Request) (*Response, error) {
 	name := req.Graph
 	if name == "" {
 		name = req.Model
 	}
-	route := f.nextRoute()
+	route := f.routeSeq.Add(1)
 	f.cfg.Metrics.Inc("fleet.requests")
 	endSpan := f.cfg.Trace.Span("fleet-router", name, "fleet.route", map[string]any{"route": route})
 
@@ -209,13 +335,14 @@ func (f *Fleet) Infer(ctx context.Context, req Request) (*Response, error) {
 	if isGraph {
 		resp.Graph = name
 		resp.Model = ""
-		var root GraphNode
-		if root, err = graphNode(g, g.Root); err == nil {
-			resp.LatencyCycles, err = f.evalNodeLive(ctx, route, g, root, req.Cond, req.DeadlineCycles, resp)
-		}
+		err = f.inferGraph(ctx, g, req, resp)
 	} else {
+		var m *machine
 		var r *serve.InferResponse
-		if r, err = f.hopLive(ctx, route, "", "", name, req.DeadlineCycles, resp); err == nil {
+		if m, r, err = f.serveHop(ctx, route, "", hop{model: name, arrival: f.frontier()}, req.DeadlineCycles); err == nil {
+			f.recordHop(m, verify.FleetHop{Route: route, Model: name, Machine: m.name,
+				Arrival: r.ArrivalCycle, End: r.EndCycle, After: -1})
+			resp.Hops = []Hop{{Model: name, Machine: m.name, Resp: r}}
 			resp.LatencyCycles = r.LatencyCycles
 		}
 	}

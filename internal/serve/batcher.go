@@ -35,11 +35,13 @@ type pendingBatch struct {
 // flushing; requests admitted while a batch is being served wait in the
 // queue and coalesce on the next pass.
 //
-// Each request arrives in virtual time at the completion frontier as
-// Submit found it, so requests that wait together arrive together:
-// their batches are placed side by side, models on disjoint channel
-// slices overlap and contending ones queue, although the dispatcher
-// serves one batch at a time.
+// Each request arrives in virtual time at the stamp it was admitted
+// with: the completion frontier as Submit found it, or the cycle it pins
+// (a fleet pins the requests it routes on one fleet-wide timeline). So
+// requests that wait together arrive apart only by the work served
+// between their stamps: their batches are placed side by side, models
+// on disjoint channel slices overlap and contending ones queue, although
+// the dispatcher serves one batch at a time.
 func (s *Server) dispatcher() {
 	defer s.wg.Done()
 	pend := map[string]*pendingBatch{}
@@ -137,7 +139,7 @@ func (s *Server) flush(pend map[string]*pendingBatch, p *pendingBatch, why strin
 		}
 		return
 	}
-	s.process(p.items, lm, lm.record, nil)
+	s.process(p.items, lm, true, nil)
 }
 
 // flushDueWall flushes every batch whose wall-clock window has expired.

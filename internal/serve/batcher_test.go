@@ -79,7 +79,7 @@ func TestProcessSkipsCanceledItems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.process([]*item{live1, dead, live2}, lm, nil, nil)
+	s.process([]*item{live1, dead, live2}, lm, false, nil)
 	for i, it := range []*item{live1, dead, live2} {
 		res := <-it.reply
 		if i == 1 {

@@ -45,10 +45,11 @@ func (c *certRecorder) frontier(leaseID uint64, frontier int64) {
 	c.frontiers.Append(verify.ScheduleFrontier{LeaseID: leaseID, Frontier: frontier})
 }
 
-// batch records one served batch: the lease that held the machine and
-// every member's reported timeline. Called by process before the lease
-// is released, so the frontier record never precedes its lease record.
-func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
+// batch records one served batch: the lease that held the machine, the
+// policy the batch was formed under and every member's reported
+// timeline. Called by process before the lease is released, so the
+// frontier record never precedes its lease record.
+func (c *certRecorder) batch(l Lease, lm *LoadedModel, live bool, resps []InferResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.leases.Append(verify.ScheduleLease{
@@ -56,8 +57,15 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, resps []InferResponse) {
 		GPU: l.Demand.GPU, PIM: l.Demand.PIM, Batch: len(resps),
 	})
 	// A name's first policy goes to the model table; a lease batched
-	// under another one (the name was reloaded) is listed by its ID.
-	pol := verify.SchedulePolicy{MaxBatch: lm.Batch.MaxBatch, WindowCycles: lm.Batch.WindowCycles}
+	// under another one (the name was reloaded, or a live batch beside
+	// replayed ones) is listed by its ID. The live dispatcher holds wall
+	// windows only, so a live batch records no virtual window: its
+	// members carry whatever stamps they were admitted with, pinned graph
+	// hops beside frontier-stamped requests.
+	pol := verify.SchedulePolicy{MaxBatch: lm.Batch.MaxBatch}
+	if !live {
+		pol.WindowCycles = lm.Batch.WindowCycles
+	}
 	if first, ok := c.policies[lm.Spec.Name]; !ok {
 		c.policies[lm.Spec.Name] = pol
 	} else if first != pol {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"testing"
+	"time"
 
 	"pimflow/internal/verify"
 )
@@ -116,6 +117,63 @@ func TestCertificateChecksEachLeaseAgainstItsOwnPolicy(t *testing.T) {
 	cert.LeasePolicies[cert.Leases[1].ID] = verify.SchedulePolicy{MaxBatch: 1}
 	if diags := verify.Schedule(cert); len(diags) != 1 || diags[0].Rule != verify.RuleSchedWindow {
 		t.Fatalf("lease over its own policy: got %v, want one %s", diags, verify.RuleSchedWindow)
+	}
+}
+
+// A live batch is formed under its model's MaxBatch and wall window; the
+// dispatcher never applies the virtual window, and each member keeps the
+// stamp it was admitted with. Here a toy-a request opens a windowed
+// batch at frontier 0, a toy-b request is served meanwhile, and a second
+// toy-a request joins the batch stamped at toy-b's end. The certificate
+// records the live batch without the virtual window, so SR-WINDOW holds
+// it to the policy it was formed under; recording the model's
+// WindowCycles would fail this correct schedule with SR-WINDOW.
+func TestLiveBatchRecordsNoVirtualWindow(t *testing.T) {
+	s, err := NewServer(Config{Certify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdownNow(s) })
+	windowed := toySpec("toy-a")
+	windowed.MaxBatch, windowed.BatchWindowMillis, windowed.BatchWindowCycles = 2, 60_000, 1
+	for _, spec := range []ModelSpec{windowed, toySpec("toy-b")} {
+		if _, err := s.Registry().Load(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	first := make(chan *InferResponse, 1)
+	go func() {
+		resp, err := s.Infer(ctx, InferRequest{Model: "toy-a"})
+		if err != nil {
+			t.Error(err)
+		}
+		first <- resp
+	}()
+	for s.Metrics().Gauge("serve.batch_pending") != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.Infer(ctx, InferRequest{Model: "toy-b"}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Infer(ctx, InferRequest{Model: "toy-a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := <-first
+	if a == nil {
+		t.FailNow()
+	}
+	if second.BatchSize != 2 || second.ArrivalCycle-a.ArrivalCycle <= windowed.BatchWindowCycles {
+		t.Fatalf("batch of %d with arrivals %d and %d; want two members stamped over the virtual window apart",
+			second.BatchSize, a.ArrivalCycle, second.ArrivalCycle)
+	}
+	cert := s.Certificate()
+	if diags := verify.Schedule(cert); len(diags) != 0 {
+		t.Fatalf("a live batch failed its certificate: %v", diags)
+	}
+	if pol := cert.Policies["toy-a"]; pol != (verify.SchedulePolicy{MaxBatch: 2}) {
+		t.Fatalf("toy-a recorded policy %+v, want MaxBatch 2 and no virtual window", pol)
 	}
 }
 

@@ -81,9 +81,9 @@ type item struct {
 	// request's explicit DeadlineCycles and the model's SLO target; 0
 	// means best-effort.
 	slo int64
-	// arrival is the request's virtual arrival stamp: an InferBatch
-	// member's pinned req.ArrivalCycle, else the completion frontier at
-	// admission.
+	// arrival is the request's virtual arrival stamp: its pinned
+	// req.ArrivalCycle (an InferBatch member, or a fleet's live graph
+	// hop), else the completion frontier at admission.
 	arrival int64
 
 	// Lifecycle tracking (all zero when Config.RequestLog is off): the

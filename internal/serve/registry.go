@@ -37,11 +37,11 @@ type ModelSpec struct {
 	MaxBatch int `json:"maxBatch,omitempty"`
 	// BatchWindowMillis overrides the server's wall-clock batching window
 	// (0: inherit); BatchWindowCycles sets the virtual-time window a
-	// VirtualQueue applies to pinned-arrival traffic (0: none).
+	// VirtualQueue applies to trace replay (0: none).
 	BatchWindowMillis int64 `json:"batchWindowMillis,omitempty"`
 	BatchWindowCycles int64 `json:"batchWindowCycles,omitempty"`
-	// SLO names the model's latency class in the server's configured
-	// ladder ("" is best-effort).
+	// SLO names the model's latency class: gold, silver, bronze or
+	// best-effort ("" is best-effort).
 	SLO string `json:"slo,omitempty"`
 }
 
@@ -114,20 +114,16 @@ func (lm *LoadedModel) Info() ModelInfo {
 	}
 }
 
-// ServingDefaults are the server-level batching and SLO defaults a model
-// spec's per-model overrides fold over at load time.
+// ServingDefaults are the server-level batching defaults a model spec's
+// per-model overrides fold over at load time.
 type ServingDefaults struct {
 	MaxBatch    int
 	BatchWindow time.Duration
-	SLOClasses  []SLOClass
 }
 
 func (d ServingDefaults) withDefaults() ServingDefaults {
 	if d.MaxBatch <= 0 {
 		d.MaxBatch = 1
-	}
-	if d.SLOClasses == nil {
-		d.SLOClasses = DefaultSLOClasses()
 	}
 	return d
 }
@@ -277,7 +273,7 @@ func (r *Registry) loadInner(f *loadFlight) (*LoadedModel, string, error) {
 	if err != nil {
 		return nil, "", badSpec(err)
 	}
-	slo, err := findSLO(r.defaults.SLOClasses, spec.SLO)
+	slo, err := findSLO(spec.SLO)
 	if err != nil {
 		return nil, "", badSpec(err)
 	}

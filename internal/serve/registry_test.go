@@ -136,7 +136,7 @@ func TestRegistrySharesCompileAcrossNames(t *testing.T) {
 		bronze.Opts.TotalChannels != 16 || bronze.Opts.PIMChannels != 8 {
 		t.Errorf("bronze's compile fields differ from gold's: %+v vs %+v", bronze, gold)
 	}
-	bronzeClass, err := findSLO(DefaultSLOClasses(), "bronze")
+	bronzeClass, err := findSLO("bronze")
 	if err != nil {
 		t.Fatal(err)
 	}

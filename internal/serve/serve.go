@@ -42,8 +42,9 @@
 // charges its model's solo schedule, executed once at load. A live
 // request's virtual arrival stamp is the completion frontier of
 // previously finished work as it stood when the request was admitted,
-// so requests that wait together arrive together, and latency =
-// completion − arrival measures queueing plus service in virtual
+// so requests that wait together arrive together, unless the request
+// pins its arrival (the fleet pins each hop of a graph route). Latency
+// = completion − arrival measures queueing plus service in virtual
 // cycles, independent of host speed.
 package serve
 

@@ -11,7 +11,6 @@ import (
 
 	"pimflow/internal/obs"
 	"pimflow/internal/profcache"
-	"pimflow/internal/runtime"
 )
 
 // Config parameterizes a Server.
@@ -31,9 +30,6 @@ type Config struct {
 	// for same-model arrivals (default 0: coalesce only requests already
 	// queued). ModelSpec.BatchWindowMillis overrides per model.
 	BatchWindow time.Duration
-	// SLOClasses is the latency-SLO ladder model specs name into
-	// (default DefaultSLOClasses).
-	SLOClasses []SLOClass
 	// Profiles optionally shares a profile store with other components;
 	// nil gets a private one.
 	Profiles *profcache.Store
@@ -72,9 +68,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1
 	}
-	if c.SLOClasses == nil {
-		c.SLOClasses = DefaultSLOClasses()
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
 	}
@@ -87,7 +80,6 @@ func (c Config) servingDefaults() ServingDefaults {
 	return ServingDefaults{
 		MaxBatch:    c.MaxBatch,
 		BatchWindow: c.BatchWindow,
-		SLOClasses:  c.SLOClasses,
 	}
 }
 
@@ -103,8 +95,12 @@ type InferRequest struct {
 	DeadlineCycles int64 `json:"deadlineCycles,omitempty"`
 	// ArrivalCycle, when positive, pins the request's virtual arrival
 	// stamp; zero stamps it from the completion frontier when the request
-	// is admitted. Only InferBatch takes a pinned arrival (trace replay,
-	// driven by a VirtualQueue); Submit and Infer refuse one.
+	// is admitted. Trace replay pins every arrival (InferBatch, driven by
+	// a VirtualQueue). The fleet pins the live requests it routes (Infer)
+	// on one fleet-wide timeline: a plain request at the fleet's
+	// completion frontier, and a graph hop at the cycle its route
+	// reached, so a hop arrives no earlier than the hop whose output it
+	// reads.
 	ArrivalCycle int64 `json:"arrivalCycle,omitempty"`
 }
 
@@ -160,7 +156,7 @@ type Server struct {
 	draining  atomic.Bool
 
 	// The request path's metric series, resolved once, with
-	// serve.slo_miss{class=…} for each configured SLO class.
+	// serve.slo_miss{class=…} for each SLO class.
 	requests, responses, sloMiss *obs.Counter
 	batchSize, latency, queueing *obs.Histogram
 	sloMissByClass               map[string]*obs.Counter
@@ -191,8 +187,8 @@ func NewServer(cfg Config) (*Server, error) {
 		latency:   cfg.Metrics.HistogramOf("serve.latency_cycles"),
 		queueing:  cfg.Metrics.HistogramOf("serve.queue_cycles"),
 	}
-	s.sloMissByClass = make(map[string]*obs.Counter, len(cfg.SLOClasses))
-	for _, c := range cfg.SLOClasses {
+	s.sloMissByClass = make(map[string]*obs.Counter, len(sloClasses))
+	for _, c := range sloClasses {
 		s.sloMissByClass[c.Name] = cfg.Metrics.CounterOf(obs.LabeledKey("serve.slo_miss", "class", c.Name))
 	}
 	if cfg.Certify {
@@ -237,14 +233,8 @@ type Pending struct {
 
 // Submit admits one request into the serving pipeline and returns a
 // handle to wait on. Admission errors (unknown model, full queue, shed,
-// draining) are returned immediately. The live path stamps every
-// arrival from the completion frontier at admission, so a request with
-// a pinned ArrivalCycle is refused before it counts as one: pinned
-// traffic goes through InferBatch.
+// draining) are returned immediately.
 func (s *Server) Submit(ctx context.Context, req InferRequest) (*Pending, error) {
-	if req.ArrivalCycle > 0 {
-		return nil, fmt.Errorf("serve: Submit of %q pins arrival cycle %d; pinned arrivals go through InferBatch", req.Model, req.ArrivalCycle)
-	}
 	s.requests.Inc()
 	if s.Draining() {
 		s.cfg.Metrics.Inc("serve.errors.draining")
@@ -401,7 +391,7 @@ func (s *Server) InferBatch(ctx context.Context, reqs []InferRequest, opts Batch
 	}
 	// process compacts batch in place as members drop out; items keeps
 	// request order for the read-back.
-	buf.resps = s.process(batch, lm, nil, buf.resps)
+	buf.resps = s.process(batch, lm, false, buf.resps)
 	out := resize(buf.outs, n)
 	for i := range items {
 		res := items[i].out
@@ -493,14 +483,14 @@ func dropCanceled(batch []*item) []*item {
 // process serves one same-model batch of lm, the model its caller
 // resolved: place a lease on the virtual timeline, charge it lm's solo
 // schedule, and complete every batch member. Each member carries its own
-// virtual arrival stamp (pinned by InferBatch's caller, else the
-// completion frontier at admission); the lease starts no earlier than
-// the latest member's arrival. A non-nil publish (the live path passes
-// lm's load-time record) is applied to the registry as the execution
-// the lease stands for. The members' responses are written into resps,
-// grown to the batch, and process returns that storage for the caller
-// to reuse (nil: fresh storage).
-func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.MetricsRecord, resps []InferResponse) []InferResponse {
+// virtual arrival stamp (pinned by the request, else the completion
+// frontier at admission); the lease starts no earlier than the latest
+// member's arrival. A live batch, one the dispatcher formed, also
+// applies lm's load-time metrics record to the registry as the
+// execution the lease stands for. The members' responses are written
+// into resps, grown to the batch, and process returns that storage for
+// the caller to reuse (nil: fresh storage).
+func (s *Server) process(batch []*item, lm *LoadedModel, live bool, resps []InferResponse) []InferResponse {
 	batch = dropCanceled(batch)
 	if len(batch) == 0 {
 		return resps
@@ -556,9 +546,12 @@ func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.Metric
 
 	// The schedule is deterministic and independent of its offset, so
 	// the lease runs exactly lm's solo report moved to lease.Start: draw
-	// that on the shared trace and publish its metrics record.
+	// that on the shared trace and, for a live batch, publish its metrics
+	// record.
 	lm.Solo.Draw(s.cfg.Trace, lease.Start)
-	publish.Apply(s.cfg.Metrics, lease.Start)
+	if live {
+		lm.record.Apply(s.cfg.Metrics, lease.Start)
+	}
 
 	// One slice holds the whole batch's responses.
 	resps = resize(resps, len(batch))
@@ -592,7 +585,7 @@ func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.Metric
 		if lm.SLOTarget > 0 && resp.LatencyCycles > lm.SLOTarget {
 			resp.SLOMiss = true
 			if classMiss == nil {
-				classMiss = s.sloMissOf(lm.SLO.Name)
+				classMiss = s.sloMissByClass[lm.SLO.Name]
 			}
 			s.sloMiss.Inc()
 			classMiss.Inc()
@@ -603,7 +596,7 @@ func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.Metric
 	if s.cert != nil {
 		// Record before Release so the lease's frontier stamp never
 		// precedes the lease itself in the certificate.
-		s.cert.batch(lease, lm, resps)
+		s.cert.batch(lease, lm, live, resps)
 	}
 	s.sched.Release(lease)
 	// Complete the members only after the release, so a caller holding
@@ -617,14 +610,4 @@ func (s *Server) process(batch []*item, lm *LoadedModel, publish *runtime.Metric
 			"start", lease.Start, "end", lease.End)
 	}
 	return resps
-}
-
-// sloMissOf returns the serve.slo_miss{class=…} handle for an SLO class:
-// the one resolved at construction for a configured class, else (a model
-// installed from a registry with another ladder) a fresh one.
-func (s *Server) sloMissOf(class string) *obs.Counter {
-	if c, ok := s.sloMissByClass[class]; ok {
-		return c
-	}
-	return s.cfg.Metrics.CounterOf(obs.LabeledKey("serve.slo_miss", "class", class))
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -254,30 +253,5 @@ func TestInferReturnsAfterRelease(t *testing.T) {
 		if f := s.Scheduler().Arrival(); f < resp.EndCycle {
 			t.Fatalf("request %d: response ends at %d but the frontier is still %d", i, resp.EndCycle, f)
 		}
-	}
-}
-
-// The live path stamps every arrival from the completion frontier:
-// Submit refuses a pinned arrival before it counts as a request or
-// reaches the queue, and the same request served through InferBatch
-// keeps its stamp.
-func TestSubmitRefusesPinnedArrival(t *testing.T) {
-	s := newTestServer(t, Config{})
-	req := InferRequest{Model: "toy-a", ArrivalCycle: 1_000}
-	if p, err := s.Submit(context.Background(), req); err == nil || !strings.Contains(err.Error(), "InferBatch") {
-		t.Fatalf("Submit of a pinned arrival: %v, %v; want a refusal naming InferBatch", p, err)
-	}
-	if _, err := s.Infer(context.Background(), req); err == nil {
-		t.Fatal("Infer of a pinned arrival served it")
-	}
-	if got := s.Metrics().Counter("serve.requests"); got != 0 {
-		t.Errorf("serve.requests = %d after refusals, want 0", got)
-	}
-	outs, err := s.InferBatch(context.Background(), []InferRequest{req}, BatchOptions{})
-	if err != nil || outs[0].Err != nil {
-		t.Fatal(err, outs[0].Err)
-	}
-	if outs[0].Resp.ArrivalCycle != 1_000 {
-		t.Errorf("InferBatch arrival %d, want the pinned 1000", outs[0].Resp.ArrivalCycle)
 	}
 }

@@ -19,9 +19,6 @@ import (
 // counted, not failed; hard failures stay on InferRequest.DeadlineCycles.
 type SLOClass struct {
 	Name string `json:"name"`
-	// TargetCycles is an absolute completion target in virtual cycles.
-	// When zero, the target is derived from TargetFactor.
-	TargetCycles int64 `json:"targetCycles,omitempty"`
 	// TargetFactor derives the target as factor x the model's warm solo
 	// latency, so one class scales across models of different sizes.
 	TargetFactor float64 `json:"targetFactor,omitempty"`
@@ -30,34 +27,26 @@ type SLOClass struct {
 // Target resolves the class's completion target for a model with the
 // given warm solo latency. Zero means best-effort: no target.
 func (c SLOClass) Target(soloCycles int64) int64 {
-	if c.TargetCycles > 0 {
-		return c.TargetCycles
-	}
-	if c.TargetFactor > 0 {
-		return int64(c.TargetFactor * float64(soloCycles))
-	}
-	return 0
+	return int64(c.TargetFactor * float64(soloCycles))
 }
 
-// DefaultSLOClasses is the built-in tier ladder: targets are multiples of
-// a model's solo latency, so "gold" means "finish within 2x solo even
-// under load". The empty name resolves to best-effort.
-func DefaultSLOClasses() []SLOClass {
-	return []SLOClass{
-		{Name: "gold", TargetFactor: 2},
-		{Name: "silver", TargetFactor: 6},
-		{Name: "bronze", TargetFactor: 20},
-		{Name: "best-effort"},
-	}
+// sloClasses is the tier ladder every model's class comes from: targets
+// are multiples of a model's solo latency, so "gold" means "finish
+// within 2x solo even under load".
+var sloClasses = [...]SLOClass{
+	{Name: "gold", TargetFactor: 2},
+	{Name: "silver", TargetFactor: 6},
+	{Name: "bronze", TargetFactor: 20},
+	{Name: "best-effort"},
 }
 
-// findSLO resolves a class name against the configured ladder. The empty
-// name is best-effort (zero class).
-func findSLO(classes []SLOClass, name string) (SLOClass, error) {
+// findSLO resolves a class name against the ladder. The empty name is
+// best-effort (zero class).
+func findSLO(name string) (SLOClass, error) {
 	if name == "" {
 		return SLOClass{Name: "best-effort"}, nil
 	}
-	for _, c := range classes {
+	for _, c := range sloClasses {
 		if c.Name == name {
 			return c, nil
 		}
@@ -75,11 +64,10 @@ type BatchPolicy struct {
 	// requests already queued.
 	Window time.Duration `json:"window"`
 	// WindowCycles is the virtual-time coalescing window a VirtualQueue
-	// applies to pinned-arrival traffic (trace replay): a batch flushes
-	// when a newer arrival's stamp passes its head arrival plus
-	// WindowCycles, so batch formation is deterministic in simulated time.
-	// The live dispatcher stamps arrivals from the frontier and never
-	// reads it.
+	// applies to trace replay: a batch flushes when a newer arrival's
+	// stamp passes its head arrival plus WindowCycles, so batch formation
+	// is deterministic in simulated time. The live dispatcher holds wall
+	// windows only and never reads it.
 	WindowCycles int64 `json:"windowCycles"`
 }
 

@@ -441,12 +441,12 @@ func checkRequests(c ScheduleCertificate, idx leaseIndex, members []memberSpan) 
 // formed under (its lease's, or else its model's): the member count matches
 // the recorded batch size and stays within MaxBatch, and — when the
 // virtual window is armed — the members' arrival stamps span at most
-// WindowCycles. The spread bound assumes a uniform arrival mode per
-// batch, which both served modes satisfy: frontier-stamped live traffic
-// shares one stamp (spread 0) and trace replay pins every arrival under
-// the window discipline. Requests name
-// a lease by ID, so a duplicate ID's leases share the first one's
-// members.
+// WindowCycles. Only trace replay forms batches under a virtual window,
+// pinning every arrival under its discipline; a live batch is formed
+// under a wall window, its members carry the stamps they were admitted
+// with (frontier stamps and pinned graph hops alike), and the server
+// records its policy without a virtual window. Requests name a lease by
+// ID, so a duplicate ID's leases share the first one's members.
 func checkWindows(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
 	policies := recent[string, SchedulePolicy]{miss: func(m string) SchedulePolicy { return c.Policies[m] }}
