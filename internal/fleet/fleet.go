@@ -265,41 +265,36 @@ func (f *Fleet) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// Certificate assembles the fleet certificate: machine set, placement
-// log, registered graphs, recorded hops, and each machine's schedule
-// certificate (when the machines are certifying).
-func (f *Fleet) Certificate() verify.FleetCertificate {
+// Certificate copies the fleet certificate CertificateView views out of
+// the logs, sharing no row with them.
+func (f *Fleet) Certificate() verify.FleetCertificate { return f.CertificateView().Certificate() }
+
+// CertificateView views the fleet certificate in place for its Check:
+// the hop log and every machine's schedule through their page headers.
+func (f *Fleet) CertificateView() verify.FleetView {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	c := verify.FleetCertificate{
-		Placements: append([]verify.FleetPlacement(nil), f.placements...),
-		Hops:       f.hopLog.Rows(),
-	}
+	v := verify.FleetView{Placements: append([]verify.FleetPlacement(nil), f.placements...), Hops: f.hopLog.View()}
 	for _, m := range f.machines {
-		c.Machines = append(c.Machines, verify.FleetMachine{
-			Name:        m.name,
-			GPUChannels: m.srv.Machine().GPUChannels,
-			PIMChannels: m.srv.Machine().PIMChannels,
-		})
+		mc := m.srv.Machine()
+		v.Machines = append(v.Machines, verify.FleetMachine{Name: m.name, GPUChannels: mc.GPUChannels, PIMChannels: mc.PIMChannels})
 	}
 	for _, name := range sortedKeys(f.graphs) {
-		c.Graphs = append(c.Graphs, f.graphs[name])
+		v.Graphs = append(v.Graphs, f.graphs[name])
 	}
 	if f.cfg.Certify {
-		c.Schedules = map[string]verify.ScheduleCertificate{}
-		for _, m := range f.machines {
-			if m.srv.Certifying() {
-				c.Schedules[m.name] = m.srv.Certificate()
-			}
+		v.Schedules = map[string]verify.ScheduleView{}
+		for _, m := range f.machines { // each certifies, as the fleet does
+			v.Schedules[m.name] = m.srv.CertificateView()
 		}
 	}
-	return c
+	return v
 }
 
-// Verify checks the fleet certificate — FL-* rules plus every machine's
-// SR-* schedule — and returns the violations.
+// Verify checks the fleet certificate in place — FL-* rules plus every
+// machine's SR-* schedule — and returns the violations.
 func (f *Fleet) Verify() []verify.Diagnostic {
-	diags := verify.Fleet(f.Certificate())
+	diags := f.CertificateView().Check()
 	verify.Record(f.cfg.Metrics, diags)
 	return diags
 }

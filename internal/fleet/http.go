@@ -262,13 +262,16 @@ func (f *Fleet) handleModels(w http.ResponseWriter, r *http.Request) {
 
 func (f *Fleet) handleDeploy(w http.ResponseWriter, r *http.Request) {
 	var body deployBody
-	if err := decodeBody(w, r, &body); err != nil {
+	err := decodeBody(w, r, &body)
+	if err == nil && body.BatchWindowCycles != 0 { // a replay setting: live batches form under wall windows only
+		err = errors.New("fleet: batchWindowCycles applies to trace replay only; a live deploy sets batchWindowMillis")
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	spec := body.ModelSpec
 	spec.Name = r.PathValue("name")
-	var err error
 	if body.Lazy {
 		err = f.Register(spec, body.Replicas)
 	} else {

@@ -263,6 +263,26 @@ func TestHTTPBadRequestsAre400(t *testing.T) {
 	}
 }
 
+// A live deploy or lazy registration that asks for a virtual batch
+// window is refused with 400: live batches form under wall windows only.
+func TestDeployRefusesVirtualWindow(t *testing.T) {
+	f, err := fleet.New(fleet.Config{Machines: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown(context.Background())
+	for _, body := range []string{`{"model":"toy","batchWindowCycles":1}`, `{"model":"toy","batchWindowCycles":1,"lazy":true}`} {
+		rec := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/models/x", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "batchWindowCycles") {
+			t.Errorf("deploy %s: status %d, want 400 naming the field: %s", body, rec.Code, rec.Body)
+		}
+	}
+	if ds := f.Deployments(); len(ds) != 0 {
+		t.Fatalf("refused deploys left %v", ds)
+	}
+}
+
 func TestStatusOf(t *testing.T) {
 	for err, want := range map[error]int{
 		fleet.ErrUnknownModel:                      http.StatusNotFound,

@@ -80,12 +80,7 @@ func NewScenarioFleet(sc Scenario, metrics *obs.Metrics, trace *obs.Trace) (*Fle
 			if graphNames[m.Name] {
 				continue // a traffic entry routing to a graph, not a model
 			}
-			spec := serve.ModelSpec{
-				Name: m.Name, Model: m.Model, Policy: m.Policy,
-				TotalChannels: m.TotalChannels, PIMChannels: m.PIMChannels,
-				MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO,
-			}
-			if err := f.Deploy(spec, sc.Replicas[m.Name]); err != nil {
+			if err := f.Deploy(m.Spec(), sc.Replicas[m.Name]); err != nil {
 				return err
 			}
 		}
@@ -240,14 +235,14 @@ loop:
 	x.rep.WallSeconds = time.Since(started).Seconds()
 	x.stats.Finish(x.rep)
 	if f.Certifying() {
-		cert := f.Certificate()
-		if diags := verify.Fleet(cert); len(diags) > 0 {
+		cert := f.CertificateView()
+		if diags := cert.Check(); len(diags) > 0 {
 			return nil, fmt.Errorf("fleet: certificate (%d machines, %d hops): %w",
-				len(cert.Machines), len(cert.Hops), verify.AsError(diags))
+				len(cert.Machines), cert.Hops.Len(), verify.AsError(diags))
 		}
 		x.rep.Certified = true
 		for _, name := range sortedKeys(cert.Schedules) {
-			x.rep.CertifiedLeases += len(cert.Schedules[name].Leases)
+			x.rep.CertifiedLeases += cert.Schedules[name].Leases.Len()
 		}
 	}
 	return x.rep, nil

@@ -130,15 +130,16 @@ func recOf(resp *serve.InferResponse) latRec {
 	}
 }
 
+// Spec is the serving spec of the model instance.
+func (m ModelLoad) Spec() serve.ModelSpec {
+	return serve.ModelSpec{Name: m.Name, Model: m.Model, Policy: m.Policy, TotalChannels: m.TotalChannels,
+		PIMChannels: m.PIMChannels, MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO}
+}
+
 // LoadModels loads every scenario model into the server's registry.
 func LoadModels(srv *serve.Server, sc Scenario) error {
 	for _, m := range sc.Models {
-		spec := serve.ModelSpec{
-			Name: m.Name, Model: m.Model, Policy: m.Policy,
-			TotalChannels: m.TotalChannels, PIMChannels: m.PIMChannels,
-			MaxBatch: m.MaxBatch, BatchWindowCycles: m.WindowCycles, SLO: m.SLO,
-		}
-		if _, err := srv.Registry().Load(spec); err != nil {
+		if _, err := srv.Registry().Load(m.Spec()); err != nil {
 			return fmt.Errorf("load: model %q: %w", m.Name, err)
 		}
 	}
@@ -223,21 +224,21 @@ func Replay(srv *serve.Server, sc Scenario, reqs []Request) (*Report, error) {
 	return rep, nil
 }
 
-// certify checks the server's schedule certificate against the SR-*
-// rules when the server is recording one (serve.Config.Certify). A
+// certify checks the server's schedule certificate in place against the
+// SR-* rules when the server is recording one (serve.Config.Certify). A
 // replay whose schedule fails verification is not a result — it is a
 // scheduler bug — so the whole run errors.
 func certify(srv *serve.Server, rep *Report) error {
 	if !srv.Certifying() {
 		return nil
 	}
-	cert := srv.Certificate()
-	if diags := verify.Schedule(cert); len(diags) > 0 {
+	cert := srv.CertificateView()
+	if diags := cert.Check(); len(diags) > 0 {
 		return fmt.Errorf("load: schedule certificate (%d leases, %d requests): %w",
-			len(cert.Leases), len(cert.Requests), verify.AsError(diags))
+			cert.Leases.Len(), cert.Requests.Len(), verify.AsError(diags))
 	}
 	rep.Certified = true
-	rep.CertifiedLeases = len(cert.Leases)
+	rep.CertifiedLeases = cert.Leases.Len()
 	return nil
 }
 

@@ -22,7 +22,7 @@ import (
 // under the recorder's own; the two never nest the other way, so the
 // sched.mu -> rec.mu order is acyclic. Its logs hold a row per lease,
 // request and release for the whole run in fixed-size pages (CertLog),
-// so recording never moves a row; a snapshot copies each log once.
+// so recording never moves a row; a view copies only the page headers.
 type certRecorder struct {
 	mu        sync.Mutex
 	leases    CertLog[verify.ScheduleLease]    // guarded by mu
@@ -89,38 +89,33 @@ func (c *certRecorder) batch(l Lease, lm *LoadedModel, live bool, resps []InferR
 	}
 }
 
-// snapshot copies the accumulated certificate.
-func (c *certRecorder) snapshot(m Machine) verify.ScheduleCertificate {
+// view views the accumulated certificate: under the lock it copies the
+// logs' page headers and the policy tables, and no row.
+func (c *certRecorder) view(m Machine) verify.ScheduleView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cert := verify.ScheduleCertificate{
-		GPUChannels: m.GPUChannels,
-		PIMChannels: m.PIMChannels,
-		Leases:      c.leases.Rows(),
-		Requests:    c.requests.Rows(),
-		Frontiers:   c.frontiers.Rows(),
-		Policies:    maps.Clone(c.policies),
-	}
+	v := verify.ScheduleView{GPUChannels: m.GPUChannels, PIMChannels: m.PIMChannels, Policies: maps.Clone(c.policies),
+		Leases: c.leases.View(), Requests: c.requests.View(), Frontiers: c.frontiers.View()}
 	if len(c.leasePolicies) > 0 {
-		cert.LeasePolicies = maps.Clone(c.leasePolicies)
+		v.LeasePolicies = maps.Clone(c.leasePolicies)
 	}
-	return cert
+	return v
 }
 
 // Certifying reports whether the server is recording a schedule
 // certificate (Config.Certify).
 func (s *Server) Certifying() bool { return s.cert != nil }
 
-// Certificate snapshots the schedule certificate recorded so far; pass
-// it to verify.Schedule to check the SR-* invariants. Without
-// Config.Certify the certificate is empty (and trivially valid) — check
-// Certifying first when emptiness must mean "nothing served".
-func (s *Server) Certificate() verify.ScheduleCertificate {
+// Certificate copies the certificate recorded so far out of the logs.
+// Without Config.Certify it is empty (and trivially valid): check
+// Certifying when emptiness must mean "nothing served".
+func (s *Server) Certificate() verify.ScheduleCertificate { return s.CertificateView().Certificate() }
+
+// CertificateView views the schedule certificate recorded so far in
+// place: its Check method reads every row where the recorder put it.
+func (s *Server) CertificateView() verify.ScheduleView {
 	if s.cert == nil {
-		return verify.ScheduleCertificate{
-			GPUChannels: s.cfg.Machine.GPUChannels,
-			PIMChannels: s.cfg.Machine.PIMChannels,
-		}
+		return verify.ScheduleView{GPUChannels: s.cfg.Machine.GPUChannels, PIMChannels: s.cfg.Machine.PIMChannels}
 	}
-	return s.cert.snapshot(s.cfg.Machine)
+	return s.cert.view(s.cfg.Machine)
 }

@@ -1,6 +1,10 @@
 package serve
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"pimflow/internal/verify"
+)
 
 // logPageBytes is the size of one CertLog page: the largest
 // small-object size class, so a page of rows wastes less than one row to
@@ -39,16 +43,9 @@ func (l *CertLog[T]) Append(row T) {
 // Len returns the number of recorded rows.
 func (l *CertLog[T]) Len() int { return len(l.full)*cap(l.tail) + len(l.tail) }
 
-// Rows returns the recorded rows in order as an exact-length copy, nil
-// when the log is empty. A certificate is pure data a test may forge, so
-// the copy shares no row with the log.
-func (l *CertLog[T]) Rows() []T {
-	if l.tail == nil {
-		return nil
-	}
-	out := make([]T, 0, l.Len())
-	for _, p := range l.full {
-		out = append(out, p...)
-	}
-	return append(out, l.tail...)
+// View views the recorded rows in place: it copies the page headers, not
+// the rows. A filled page is never written again and the tail grows past
+// the view, so it may be read outside the recorder's lock.
+func (l *CertLog[T]) View() verify.Rows[T] {
+	return verify.RowsOf(append(l.full[:len(l.full):len(l.full)], l.tail)...)
 }

@@ -436,14 +436,16 @@ func TestMetricsJSONNegotiation(t *testing.T) {
 
 // badLoadBodies are POST /v1/models/{name} bodies a one-machine server
 // must answer with 400 before compiling anything: specs naming an
-// unknown model, policy or SLO class, an invalid channel split or a
-// slice larger than the machine, and bodies that are not one JSON value.
+// unknown model, policy or SLO class, an invalid channel split, a slice
+// larger than the machine or a virtual batch window (live batches form
+// under wall windows only), and bodies that are not one JSON value.
 var badLoadBodies = []string{
 	`{"model":"nope"}`,
 	`{"model":"mobilenet-v2","pimChannels":99}`,
 	`{"model":"mobilenet-v2","policy":"bogus"}`,
 	`{"model":"toy","slo":"nope"}`,
 	`{"model":"toy","totalChannels":100}`,
+	`{"model":"toy","batchWindowCycles":1}`,
 	`{"model":"mobilenet-v2"} junk`,
 	`{"model":"toy"} junk`,
 	`{"model":"toy"}{"model":"toy"}`,

@@ -34,7 +34,9 @@
 //     (max batch plus a virtual window) and shedding for trace replay.
 //
 // A request-lifecycle ring (Config.RequestLog) and the obs metrics and
-// trace record what each request went through.
+// trace record what each request went through; with Config.Certify,
+// paged logs (CertLog) record the schedule certificate, which the SR-*
+// check reads in place (CertificateView) and Certificate copies out.
 //
 // Time has two axes here. Compilation, queueing, and HTTP handling happen
 // in wall-clock time; inference latency is accounted in simulated

@@ -106,6 +106,37 @@ type FleetCertificate struct {
 	Schedules  map[string]ScheduleCertificate `json:"schedules,omitempty"`
 }
 
+// FleetView is a fleet certificate as the FL-* checks read it, its hop
+// table a row view and each machine's schedule a ScheduleView.
+type FleetView struct {
+	Machines   []FleetMachine
+	Placements []FleetPlacement
+	Graphs     []FleetGraph
+	Hops       Rows[FleetHop]
+	Schedules  map[string]ScheduleView
+}
+
+// View views c's tables in place, each as one page.
+func (c FleetCertificate) View() FleetView {
+	v := FleetView{c.Machines, c.Placements, c.Graphs, RowsOf(c.Hops), make(map[string]ScheduleView, len(c.Schedules))}
+	for name, s := range c.Schedules {
+		v.Schedules[name] = s.View()
+	}
+	return v
+}
+
+// Certificate copies the viewed rows out, as ScheduleView.Certificate does.
+func (v FleetView) Certificate() FleetCertificate {
+	c := FleetCertificate{v.Machines, v.Placements, v.Graphs, v.Hops.Copy(), nil}
+	if v.Schedules != nil {
+		c.Schedules = make(map[string]ScheduleCertificate, len(v.Schedules))
+		for name, s := range v.Schedules {
+			c.Schedules[name] = s.Certificate()
+		}
+	}
+	return c
+}
+
 // fleetDiag builds a fleet-tier diagnostic (machine or graph identity
 // rides in the Node field).
 func fleetDiag(rule, where, msg string) Diagnostic {
@@ -115,7 +146,10 @@ func fleetDiag(rule, where, msg string) Diagnostic {
 // Fleet checks a fleet certificate against the FL-* rules, then checks
 // each machine's embedded schedule certificate against the SR-* rules.
 // An empty certificate is trivially valid.
-func Fleet(c FleetCertificate) []Diagnostic {
+func Fleet(c FleetCertificate) []Diagnostic { return c.View().Check() }
+
+// Check checks the viewed certificate as Fleet does.
+func (c FleetView) Check() []Diagnostic {
 	var diags []Diagnostic
 	machines := map[string]FleetMachine{}
 	for _, m := range c.Machines {
@@ -138,15 +172,15 @@ func Fleet(c FleetCertificate) []Diagnostic {
 	names := sortedKeys(c.Schedules)
 	for _, part := range runTasks(1+len(names), func(i int) []Diagnostic {
 		if i > 0 {
-			return Schedule(c.Schedules[names[i-1]])
+			return c.Schedules[names[i-1]].Check()
 		}
-		d := checkPlacements(c, machines)
+		d := checkPlacements(c.Placements, machines)
 		graphs := map[string]FleetGraph{}
 		for _, g := range c.Graphs {
 			graphs[g.Name] = g
 			d = append(d, checkGraph(g)...)
 		}
-		return append(d, checkHops(c, machines, graphs)...)
+		return append(d, checkHops(&c, machines, graphs)...)
 	}) {
 		diags = append(diags, part...)
 	}
@@ -167,7 +201,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // non-time-shared placements never sum past a machine's channel groups
 // (FL-CAPACITY), and a model's active replicas sit on distinct machines
 // with one common demand (FL-REPLICA).
-func checkPlacements(c FleetCertificate, machines map[string]FleetMachine) []Diagnostic {
+func checkPlacements(placements []FleetPlacement, machines map[string]FleetMachine) []Diagnostic {
 	var diags []Diagnostic
 	type usage struct{ gpu, pim int }
 	used := map[string]usage{}
@@ -177,7 +211,7 @@ func checkPlacements(c FleetCertificate, machines map[string]FleetMachine) []Dia
 		first    bool
 	}
 	replicas := map[string]*replica{}
-	for _, p := range c.Placements {
+	for _, p := range placements {
 		m, ok := machines[p.Machine]
 		if !ok {
 			diags = append(diags, fleetDiag(RuleFleetMachine, p.Machine,
@@ -335,12 +369,7 @@ func checkGraphCycles(g FleetGraph, nodes map[string]FleetGraphNode) []Diagnosti
 		}
 		state[name] = done
 	}
-	names := make([]string, 0, len(nodes))
-	for name := range nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(nodes) {
 		visit(name)
 	}
 	return diags
@@ -353,7 +382,7 @@ func checkGraphCycles(g FleetGraph, nodes map[string]FleetGraphNode) []Diagnosti
 // the hop it waited on, within the same route (FL-ROUTE). The walk
 // formats a hop's label only when a rule fires, and looks a hop's names
 // up through recent memos.
-func checkHops(c FleetCertificate, machines map[string]FleetMachine, graphs map[string]FleetGraph) []Diagnostic {
+func checkHops(c *FleetView, machines map[string]FleetMachine, graphs map[string]FleetGraph) []Diagnostic {
 	type placement struct{ model, machine string }
 	set := make(map[placement]bool, len(c.Placements)) // any log entry
 	for _, p := range c.Placements {
@@ -371,44 +400,55 @@ func checkHops(c FleetCertificate, machines map[string]FleetMachine, graphs map[
 		}
 		return 0
 	}}
+	pages := c.Hops.pages
+	starts := make([]int, len(pages)+1) // each page's first hop, then the hop count
+	for p, page := range pages {
+		starts[p+1] = starts[p] + len(page)
+	}
 	var diags []Diagnostic
-	for i := range c.Hops {
-		h := &c.Hops[i]
-		if !known.get(h.Machine) {
-			diags = append(diags, fleetDiag(RuleFleetMachine, h.Machine,
-				fmt.Sprintf("%s ran on unknown machine %q", hopLabel(i, h), h.Machine)))
-			continue
-		}
-		if !placed.get(placement{h.Model, h.Machine}) {
-			diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-				fmt.Sprintf("%s ran on %q where the model was never placed", hopLabel(i, h), h.Machine)))
-		}
-		if h.Graph != "" {
-			switch graphNode.get([2]string{h.Graph, h.Node}) {
-			case 1:
-				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
-					fmt.Sprintf("%s claims unregistered graph %q", hopLabel(i, h), h.Graph)))
-			case 2:
-				diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
-					fmt.Sprintf("%s claims undefined node %q of graph %q", hopLabel(i, h), h.Node, h.Graph)))
+	for p, page := range pages {
+		for j := range page {
+			i, h := starts[p]+j, &page[j]
+			if !known.get(h.Machine) {
+				diags = append(diags, fleetDiag(RuleFleetMachine, h.Machine,
+					fmt.Sprintf("%s ran on unknown machine %q", hopLabel(i, h), h.Machine)))
+				continue
 			}
-		}
-		if h.End < h.Arrival {
-			diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-				fmt.Sprintf("%s window [%d, %d] is inverted", hopLabel(i, h), h.Arrival, h.End)))
-		}
-		if h.After >= 0 {
-			switch {
-			case h.After >= len(c.Hops):
+			if !placed.get(placement{h.Model, h.Machine}) {
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-					fmt.Sprintf("%s gated on out-of-range hop %d", hopLabel(i, h), h.After)))
-			case c.Hops[h.After].Route != h.Route:
+					fmt.Sprintf("%s ran on %q where the model was never placed", hopLabel(i, h), h.Machine)))
+			}
+			if h.Graph != "" {
+				switch graphNode.get([2]string{h.Graph, h.Node}) {
+				case 1:
+					diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
+						fmt.Sprintf("%s claims unregistered graph %q", hopLabel(i, h), h.Graph)))
+				case 2:
+					diags = append(diags, fleetDiag(RuleFleetRoute, h.Graph,
+						fmt.Sprintf("%s claims undefined node %q of graph %q", hopLabel(i, h), h.Node, h.Graph)))
+				}
+			}
+			if h.End < h.Arrival {
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-					fmt.Sprintf("%s gated on hop %d of a different route %d", hopLabel(i, h), h.After, c.Hops[h.After].Route)))
-			case h.Arrival < c.Hops[h.After].End:
+					fmt.Sprintf("%s window [%d, %d] is inverted", hopLabel(i, h), h.Arrival, h.End)))
+			}
+			if a := h.After; a >= starts[len(pages)] {
 				diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
-					fmt.Sprintf("%s arrived at %d before its gating hop %d completed at %d",
-						hopLabel(i, h), h.Arrival, h.After, c.Hops[h.After].End)))
+					fmt.Sprintf("%s gated on out-of-range hop %d", hopLabel(i, h), a)))
+			} else if a >= 0 {
+				q := p // the gate's page: the gated hop's, or else searched for
+				if a < starts[q] || a >= starts[q+1] {
+					q = sort.SearchInts(starts, a+1) - 1
+				}
+				switch g := &pages[q][a-starts[q]]; {
+				case g.Route != h.Route:
+					diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
+						fmt.Sprintf("%s gated on hop %d of a different route %d", hopLabel(i, h), a, g.Route)))
+				case h.Arrival < g.End:
+					diags = append(diags, fleetDiag(RuleFleetRoute, h.Model,
+						fmt.Sprintf("%s arrived at %d before its gating hop %d completed at %d",
+							hopLabel(i, h), h.Arrival, a, g.End)))
+				}
 			}
 		}
 	}

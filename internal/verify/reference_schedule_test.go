@@ -236,7 +236,7 @@ func ReferenceFleet(c FleetCertificate) []Diagnostic {
 		}
 		machines[m.Name] = m
 	}
-	diags = append(diags, checkPlacements(c, machines)...)
+	diags = append(diags, checkPlacements(c.Placements, machines)...)
 	graphs := map[string]FleetGraph{}
 	for _, g := range c.Graphs {
 		graphs[g.Name] = g

@@ -92,6 +92,49 @@ type ScheduleCertificate struct {
 	LeasePolicies map[uint64]SchedulePolicy `json:"leasePolicies,omitempty"`
 }
 
+// Rows is a read-only view of one certificate table: its rows in order,
+// in pages. An exported slice is one page; a recorder's log is viewed in
+// place through copies of its page headers. The checks walk the pages in
+// plain loops and never divide a position.
+type Rows[T any] struct{ pages [][]T }
+
+// RowsOf views the rows of pages in order, sharing them.
+func RowsOf[T any](pages ...[]T) Rows[T] { return Rows[T]{pages} }
+
+// Len returns the number of rows.
+func (r Rows[T]) Len() (n int) {
+	for _, p := range r.pages {
+		n += len(p)
+	}
+	return n
+}
+
+// Copy returns the rows as an exact-length copy, nil when there is none.
+func (r Rows[T]) Copy() []T { return slices.Clip(slices.Concat(r.pages...)) }
+
+// ScheduleView is a schedule certificate as the SR-* checks read it,
+// each table a row view.
+type ScheduleView struct {
+	GPUChannels, PIMChannels int
+	Leases                   Rows[ScheduleLease]
+	Requests                 Rows[ScheduleRequest]
+	Frontiers                Rows[ScheduleFrontier]
+	Policies                 map[string]SchedulePolicy
+	LeasePolicies            map[uint64]SchedulePolicy
+}
+
+// View views c's tables in place, each as one page.
+func (c ScheduleCertificate) View() ScheduleView {
+	return ScheduleView{c.GPUChannels, c.PIMChannels, RowsOf(c.Leases), RowsOf(c.Requests), RowsOf(c.Frontiers),
+		c.Policies, c.LeasePolicies}
+}
+
+// Certificate copies the viewed rows out; the policy tables are the view's.
+func (v ScheduleView) Certificate() ScheduleCertificate {
+	return ScheduleCertificate{v.GPUChannels, v.PIMChannels, v.Leases.Copy(), v.Requests.Copy(), v.Frontiers.Copy(),
+		v.Policies, v.LeasePolicies}
+}
+
 // schedDiag builds a schedule-tier diagnostic (model name rides in the
 // Node field; lease and request identity go into the message).
 func schedDiag(rule, model, msg string) Diagnostic {
@@ -100,35 +143,38 @@ func schedDiag(rule, model, msg string) Diagnostic {
 
 // Schedule checks a certificate against the SR-* rules and returns every
 // violation. An empty certificate is trivially valid.
-//
-// Every check but SR-OVERLAP's sweep is a linear walk over the
-// certificate plus two tables indexed by lease position: the sorted
-// lease-ID index and the members' count and arrival span per lease. A
-// request or lease label is formatted only when a rule fires, so a clean
-// certificate costs a constant number of allocations at any size.
-func Schedule(c ScheduleCertificate) []Diagnostic {
+func Schedule(c ScheduleCertificate) []Diagnostic { return c.View().Check() }
+
+// Check is Schedule on a view. Every check but SR-OVERLAP's sweep is a
+// linear walk plus two tables indexed by lease: the sorted lease-ID index
+// and the members' count and arrival span per lease. A request or lease
+// label is formatted only when a rule fires, so a clean certificate
+// costs a constant number of allocations at any size.
+func (c ScheduleView) Check() []Diagnostic {
 	var diags []Diagnostic
 	idx := indexLeases(c.Leases)
 	at := 0
-	for i := range c.Leases {
-		l := &c.Leases[i]
-		if idx.find(l.ID, &at) != i {
-			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
-				fmt.Sprintf("duplicate lease id %d", l.ID)))
-			continue
-		}
-		if l.Start >= l.End {
-			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
-				fmt.Sprintf("lease %d window [%d, %d) is empty or inverted", l.ID, l.Start, l.End)))
-		}
-		if l.GPU < 0 || l.PIM < 0 || l.GPU > c.GPUChannels || l.PIM > c.PIMChannels {
-			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
-				fmt.Sprintf("lease %d demands %d GPU + %d PIM channels, machine has %d + %d",
-					l.ID, l.GPU, l.PIM, c.GPUChannels, c.PIMChannels)))
-		}
-		if l.Batch < 1 {
-			diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
-				fmt.Sprintf("lease %d served an empty batch", l.ID)))
+	for p, page := range c.Leases.pages {
+		for j := range page {
+			l := &page[j]
+			if idx[idx.find(l.ID, &at)].at != uint64(p)<<32|uint64(j) {
+				diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
+					fmt.Sprintf("duplicate lease id %d", l.ID)))
+				continue
+			}
+			if l.Start >= l.End {
+				diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
+					fmt.Sprintf("lease %d window [%d, %d) is empty or inverted", l.ID, l.Start, l.End)))
+			}
+			if l.GPU < 0 || l.PIM < 0 || l.GPU > c.GPUChannels || l.PIM > c.PIMChannels {
+				diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
+					fmt.Sprintf("lease %d demands %d GPU + %d PIM channels, machine has %d + %d",
+						l.ID, l.GPU, l.PIM, c.GPUChannels, c.PIMChannels)))
+			}
+			if l.Batch < 1 {
+				diags = append(diags, schedDiag(RuleSchedDemand, l.Model,
+					fmt.Sprintf("lease %d served an empty batch", l.ID)))
+			}
 		}
 	}
 	// SR-OVERLAP's sweep and the frontier log are one task on the worker
@@ -136,49 +182,48 @@ func Schedule(c ScheduleCertificate) []Diagnostic {
 	// checkWindows reads the member spans checkRequests fills.
 	for _, part := range runTasks(2, func(i int) []Diagnostic {
 		if i == 0 {
-			return append(checkOverlap(c), checkFrontier(c, idx)...)
+			return append(checkOverlap(&c), checkFrontier(&c, idx)...)
 		}
-		members := make([]memberSpan, len(c.Leases))
-		d := checkRequests(c, idx, members)
-		return append(d, checkWindows(c, idx, members)...)
+		members := make([]memberSpan, len(idx))
+		d := checkRequests(&c, idx, members)
+		return append(d, checkWindows(&c, idx, members)...)
 	}) {
 		diags = append(diags, part...)
 	}
 	return diags
 }
 
-// leaseIndex maps lease IDs to lease positions: one (ID, position) pair
-// per recorded lease, sorted by ID then position, so a binary search
-// lands on the first lease recorded with an ID. Scheduler IDs increase
-// in recording order, so the sort meets presorted input.
+// leaseIndex resolves lease IDs to lease rows: one (ID, place) pair per
+// recorded lease, sorted by ID then place, so a binary search lands on
+// the first lease recorded with an ID. A place, the row's page<<32 | its
+// index in the page, resolves with a shift and rises in recording order,
+// as scheduler IDs do, so the index is built sorted unless an ID steps
+// back. The per-lease tables are indexed by an ID's first slot.
 type leaseIndex []leaseRef
 
-type leaseRef struct {
-	id  uint64
-	pos int
-}
+type leaseRef struct{ id, at uint64 }
 
-func indexLeases(ls []ScheduleLease) leaseIndex {
-	idx := make(leaseIndex, len(ls))
-	for i := range ls {
-		idx[i] = leaseRef{ls[i].ID, i}
-	}
-	slices.SortFunc(idx, func(a, b leaseRef) int {
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
+func indexLeases(ls Rows[ScheduleLease]) leaseIndex {
+	idx, sorted := make(leaseIndex, 0, ls.Len()), true
+	for p, page := range ls.pages {
+		for j := range page {
+			sorted = sorted && (len(idx) == 0 || idx[len(idx)-1].id <= page[j].ID)
+			idx = append(idx, leaseRef{page[j].ID, uint64(p)<<32 | uint64(j)})
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	}
+	if !sorted {
+		slices.SortFunc(idx, func(a, b leaseRef) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.at, b.at)) })
+	}
 	return idx
 }
 
-// find returns the position of the first lease recorded with the ID
-// (later ones are SR-DEMAND duplicates), or -1 when none is. *at is the
-// index slot of the walk's previous find: a walk in recording order
-// looks up the same lease or the next one, so those two slots are tried
-// before a binary search. Every slot find stores is the first of its ID
-// (slot 0, a binary search's lower bound, or the slot after a different
-// ID), so a hit on either is the first lease with the ID too.
+// find returns the slot of the first lease recorded with the ID (later
+// ones are SR-DEMAND duplicates), or -1 when none is. *at is the slot
+// of the walk's previous find: a walk in recording order looks up the
+// same lease or the next one, so those two slots are tried before a
+// binary search. Every slot find stores is the first of its ID (slot 0,
+// a binary search's lower bound, or the slot after a different ID), so
+// a hit on either is the first lease with the ID too.
 func (x leaseIndex) find(id uint64, at *int) int {
 	i := *at
 	if i < len(x) && x[i].id != id {
@@ -192,7 +237,7 @@ func (x leaseIndex) find(id uint64, at *int) int {
 		}
 	}
 	*at = i
-	return x[i].pos
+	return i
 }
 
 // recent answers a per-row lookup from the last four keys it missed on,
@@ -241,16 +286,18 @@ func (m *memberSpan) add(arrival int64) {
 // (back-steps): those go to a side list sorted on its own. Releases come
 // from a min-heap of the active leases' ends. With d back-steps and k
 // leases active at once, n leases cost O(n + d log d + n log k).
-func checkOverlap(c ScheduleCertificate) []Diagnostic {
-	ls := c.Leases
+func checkOverlap(c *ScheduleView) []Diagnostic {
+	pages := c.Leases.pages
 	var top int64 // the latest start granted in recording order
 	backSteps := func(visit func(l *ScheduleLease)) {
 		top = math.MinInt64
-		for i := range ls {
-			if l := &ls[i]; l.Start < l.End && l.Start < top { // an empty window is an SR-DEMAND finding
-				visit(l)
-			} else if l.Start < l.End {
-				top = l.Start
+		for _, page := range pages {
+			for j := range page {
+				if l := &page[j]; l.Start < l.End && l.Start < top { // an empty window is an SR-DEMAND finding
+					visit(l)
+				} else if l.Start < l.End {
+					top = l.Start
+				}
 			}
 		}
 	}
@@ -261,17 +308,23 @@ func checkOverlap(c ScheduleCertificate) []Diagnostic {
 	backSteps(func(l *ScheduleLease) { side = append(side, event{l.Start, l.End, l.GPU, l.PIM}) })
 	slices.SortFunc(side, event.cmp)
 	top = math.MinInt64
-	inOrder := func(i int) int { // the next lease recording order grants, from i on
-		for i < len(ls) && (ls[i].Start >= ls[i].End || ls[i].Start < top) {
-			i++
+	p, j := 0, 0
+	next := func() *ScheduleLease { // the next lease recording order grants, nil after the last
+		for ; p < len(pages); p, j = p+1, 0 {
+			for j < len(pages[p]) {
+				l := &pages[p][j]
+				if j++; l.Start < l.End && l.Start >= top {
+					return l
+				}
+			}
 		}
-		return i
+		return nil
 	}
 	gpu, pim := 0, 0
-	for i, s := inOrder(0), 0; i < len(ls) || s < len(side) || len(ends) > 0; {
+	for l, s := next(), 0; l != nil || s < len(side) || len(ends) > 0; {
 		t := int64(math.MaxInt64)
-		if i < len(ls) {
-			t = ls[i].Start
+		if l != nil {
+			t = l.Start
 		}
 		if s < len(side) {
 			t = min(t, side[s].at)
@@ -282,8 +335,8 @@ func checkOverlap(c ScheduleCertificate) []Diagnostic {
 		for group = group[:0]; len(ends) > 0 && ends[0].at == t; {
 			group = append(group, ends.pop())
 		}
-		for ; i < len(ls) && ls[i].Start == t; i = inOrder(i + 1) {
-			group, top = append(group, event{t, ls[i].End, ls[i].GPU, ls[i].PIM}), t
+		for ; l != nil && l.Start == t; l = next() {
+			group, top = append(group, event{t, l.End, l.GPU, l.PIM}), t
 		}
 		for ; s < len(side) && side[s].at == t; s++ {
 			group = append(group, side[s])
@@ -353,27 +406,30 @@ func (h *eventHeap) pop() event {
 // order, so they must be nondecreasing, each must name a recorded lease,
 // and each must cover the released lease's end (the frontier is the max
 // completion seen so far).
-func checkFrontier(c ScheduleCertificate, idx leaseIndex) []Diagnostic {
+func checkFrontier(c *ScheduleView, idx leaseIndex) []Diagnostic {
 	var diags []Diagnostic
 	var prev int64
-	at := 0
-	for i, f := range c.Frontiers {
-		if f.Frontier < prev {
-			diags = append(diags, schedDiag(RuleSchedFrontier, "",
-				fmt.Sprintf("frontier rewound from %d to %d at release %d (lease %d)",
-					prev, f.Frontier, i, f.LeaseID)))
-		}
-		prev = f.Frontier
-		p := idx.find(f.LeaseID, &at)
-		if p < 0 {
-			diags = append(diags, schedDiag(RuleSchedFrontier, "",
-				fmt.Sprintf("release %d stamps unknown lease %d", i, f.LeaseID)))
-			continue
-		}
-		if l := &c.Leases[p]; f.Frontier < l.End {
-			diags = append(diags, schedDiag(RuleSchedFrontier, l.Model,
-				fmt.Sprintf("release %d of lease %d stamps frontier %d before the lease end %d",
-					i, f.LeaseID, f.Frontier, l.End)))
+	at, i := 0, -1
+	for _, page := range c.Frontiers.pages {
+		for _, f := range page {
+			i++
+			if f.Frontier < prev {
+				diags = append(diags, schedDiag(RuleSchedFrontier, "",
+					fmt.Sprintf("frontier rewound from %d to %d at release %d (lease %d)",
+						prev, f.Frontier, i, f.LeaseID)))
+			}
+			prev = f.Frontier
+			s := idx.find(f.LeaseID, &at)
+			if s < 0 {
+				diags = append(diags, schedDiag(RuleSchedFrontier, "",
+					fmt.Sprintf("release %d stamps unknown lease %d", i, f.LeaseID)))
+				continue
+			}
+			if l := &c.Leases.pages[idx[s].at>>32][uint32(idx[s].at)]; f.Frontier < l.End {
+				diags = append(diags, schedDiag(RuleSchedFrontier, l.Model,
+					fmt.Sprintf("release %d of lease %d stamps frontier %d before the lease end %d",
+						i, f.LeaseID, f.Frontier, l.End)))
+			}
 		}
 	}
 	return diags
@@ -391,47 +447,47 @@ func requestLabel(r *ScheduleRequest) string {
 // checkRequests verifies each request against its lease (SR-LEASE) and
 // its own stage arithmetic (SR-PARTITION), and folds the request into its
 // lease's member span for checkWindows.
-func checkRequests(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
+func checkRequests(c *ScheduleView, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
 	at := 0
-	for i := range c.Requests {
-		r := &c.Requests[i]
-		p := idx.find(r.LeaseID, &at)
-		if p >= 0 {
-			members[p].add(r.Arrival)
-		}
-		switch {
-		case p < 0:
-			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s bound to unknown lease %d", requestLabel(r), r.LeaseID)))
-		case r.Model != c.Leases[p].Model:
-			l := &c.Leases[p]
-			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s rode lease %d of model %q", requestLabel(r), l.ID, l.Model)))
-		case r.Start != c.Leases[p].Start || r.End <= r.Start || r.End > c.Leases[p].End:
-			l := &c.Leases[p]
-			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s window [%d, %d] outside its lease [%d, %d)", requestLabel(r), r.Start, r.End, l.Start, l.End)))
-		case r.Arrival > r.Start:
-			diags = append(diags, schedDiag(RuleSchedLease, r.Model,
-				fmt.Sprintf("%s placed at %d before its arrival %d", requestLabel(r), r.Start, r.Arrival)))
-		}
-		// Stage identities: BatchWait spans arrival → batch formation,
-		// LeaseWait spans batch → lease start, Execute spans the lease, and
-		// the three partition Latency == End - Arrival exactly.
-		switch {
-		case r.BatchWait < 0 || r.LeaseWait < 0 || r.Execute < 0:
-			diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
-				fmt.Sprintf("%s has a negative stage (batchWait %d, leaseWait %d, execute %d)",
-					requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute)))
-		case r.BatchWait != r.BatchArrival-r.Arrival,
-			r.LeaseWait != r.Start-r.BatchArrival,
-			r.Execute != r.End-r.Start,
-			r.Latency != r.End-r.Arrival,
-			r.BatchWait+r.LeaseWait+r.Execute != r.Latency:
-			diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
-				fmt.Sprintf("%s stages %d+%d+%d do not partition latency %d (arrival %d, batch %d, start %d, end %d)",
-					requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute, r.Latency, r.Arrival, r.BatchArrival, r.Start, r.End)))
+	for _, page := range c.Requests.pages {
+		for j := range page {
+			r, l := &page[j], (*ScheduleLease)(nil)
+			if s := idx.find(r.LeaseID, &at); s >= 0 {
+				l = &c.Leases.pages[idx[s].at>>32][uint32(idx[s].at)]
+				members[s].add(r.Arrival)
+			}
+			switch {
+			case l == nil:
+				diags = append(diags, schedDiag(RuleSchedLease, r.Model,
+					fmt.Sprintf("%s bound to unknown lease %d", requestLabel(r), r.LeaseID)))
+			case r.Model != l.Model:
+				diags = append(diags, schedDiag(RuleSchedLease, r.Model,
+					fmt.Sprintf("%s rode lease %d of model %q", requestLabel(r), l.ID, l.Model)))
+			case r.Start != l.Start || r.End <= r.Start || r.End > l.End:
+				diags = append(diags, schedDiag(RuleSchedLease, r.Model,
+					fmt.Sprintf("%s window [%d, %d] outside its lease [%d, %d)", requestLabel(r), r.Start, r.End, l.Start, l.End)))
+			case r.Arrival > r.Start:
+				diags = append(diags, schedDiag(RuleSchedLease, r.Model,
+					fmt.Sprintf("%s placed at %d before its arrival %d", requestLabel(r), r.Start, r.Arrival)))
+			}
+			// Stage identities: BatchWait spans arrival → batch formation,
+			// LeaseWait spans batch → lease start, Execute spans the lease, and
+			// the three partition Latency == End - Arrival exactly.
+			switch {
+			case r.BatchWait < 0 || r.LeaseWait < 0 || r.Execute < 0:
+				diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
+					fmt.Sprintf("%s has a negative stage (batchWait %d, leaseWait %d, execute %d)",
+						requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute)))
+			case r.BatchWait != r.BatchArrival-r.Arrival,
+				r.LeaseWait != r.Start-r.BatchArrival,
+				r.Execute != r.End-r.Start,
+				r.Latency != r.End-r.Arrival,
+				r.BatchWait+r.LeaseWait+r.Execute != r.Latency:
+				diags = append(diags, schedDiag(RuleSchedPartition, r.Model,
+					fmt.Sprintf("%s stages %d+%d+%d do not partition latency %d (arrival %d, batch %d, start %d, end %d)",
+						requestLabel(r), r.BatchWait, r.LeaseWait, r.Execute, r.Latency, r.Arrival, r.BatchArrival, r.Start, r.End)))
+			}
 		}
 	}
 	return diags
@@ -447,30 +503,32 @@ func checkRequests(c ScheduleCertificate, idx leaseIndex, members []memberSpan) 
 // with (frontier stamps and pinned graph hops alike), and the server
 // records its policy without a virtual window. Requests name a lease by
 // ID, so a duplicate ID's leases share the first one's members.
-func checkWindows(c ScheduleCertificate, idx leaseIndex, members []memberSpan) []Diagnostic {
+func checkWindows(c *ScheduleView, idx leaseIndex, members []memberSpan) []Diagnostic {
 	var diags []Diagnostic
 	policies := recent[string, SchedulePolicy]{miss: func(m string) SchedulePolicy { return c.Policies[m] }}
 	at := 0
-	for i := range c.Leases {
-		l := &c.Leases[i]
-		ms := members[idx.find(l.ID, &at)]
-		if ms.n != l.Batch {
-			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
-				fmt.Sprintf("lease %d records batch %d but %d member requests", l.ID, l.Batch, ms.n)))
-			continue
-		}
-		// A model without a policy has the zero one, which bounds nothing.
-		pol := policies.get(l.Model)
-		if own, ok := c.LeasePolicies[l.ID]; ok {
-			pol = own
-		}
-		if pol.MaxBatch > 0 && l.Batch > pol.MaxBatch {
-			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
-				fmt.Sprintf("lease %d batched %d requests, policy allows %d", l.ID, l.Batch, pol.MaxBatch)))
-		}
-		if pol.WindowCycles > 0 && ms.n > 1 && ms.hi-ms.lo > pol.WindowCycles {
-			diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
-				fmt.Sprintf("lease %d coalesced arrivals %d cycles apart, window is %d", l.ID, ms.hi-ms.lo, pol.WindowCycles)))
+	for _, page := range c.Leases.pages {
+		for j := range page {
+			l := &page[j]
+			ms := members[idx.find(l.ID, &at)]
+			if ms.n != l.Batch {
+				diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
+					fmt.Sprintf("lease %d records batch %d but %d member requests", l.ID, l.Batch, ms.n)))
+				continue
+			}
+			// A model without a policy has the zero one, which bounds nothing.
+			pol := policies.get(l.Model)
+			if own, ok := c.LeasePolicies[l.ID]; ok {
+				pol = own
+			}
+			if pol.MaxBatch > 0 && l.Batch > pol.MaxBatch {
+				diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
+					fmt.Sprintf("lease %d batched %d requests, policy allows %d", l.ID, l.Batch, pol.MaxBatch)))
+			}
+			if pol.WindowCycles > 0 && ms.n > 1 && ms.hi-ms.lo > pol.WindowCycles {
+				diags = append(diags, schedDiag(RuleSchedWindow, l.Model,
+					fmt.Sprintf("lease %d coalesced arrivals %d cycles apart, window is %d", l.ID, ms.hi-ms.lo, pol.WindowCycles)))
+			}
 		}
 	}
 	return diags

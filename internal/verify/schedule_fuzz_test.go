@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -13,10 +14,11 @@ import (
 // FuzzSchedule is the SR-* checkers' differential target: every input
 // decodes to a schedule certificate (out-of-order starts, equal cycles,
 // zero and negative demands, duplicate and unknown IDs all come out of
-// small numbers), and Schedule must return exactly ReferenceSchedule's
+// small numbers), and Schedule, and the check of the certificate viewed
+// in pages of one to seven rows, must return exactly ReferenceSchedule's
 // diagnostics, in order and text. The seeds are encoded forgeries of a
 // bursty replay and of fleet-graph machine schedules, whose leases step
-// back in start order.
+// back in start order, and a forgery whose references straddle pages.
 func FuzzSchedule(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	bursty := burstyCert(f, 120)
@@ -43,9 +45,13 @@ func FuzzSchedule(f *testing.F) {
 		{ID: 4, Model: "b", Start: 10, End: 15, GPU: 0, PIM: 0, Batch: 1},
 		{ID: 4, Model: "b", Start: 12, End: 14, GPU: -1, PIM: 3, Batch: 1},
 	}}))
+	f.Add(encodeSchedule(straddleSchedule()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeSchedule(data)
-		sameDiags(t, "decoded certificate", verify.Schedule(c), verify.ReferenceSchedule(c))
+		want := verify.ReferenceSchedule(c)
+		sameDiags(t, "decoded certificate", verify.Schedule(c), want)
+		k := 1 + len(data)%7
+		sameDiags(t, fmt.Sprintf("decoded certificate in pages of %d", k), pagedSchedule(c, k).Check(), want)
 	})
 }
 

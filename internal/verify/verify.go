@@ -17,7 +17,8 @@
 //   - Every certified serving schedule must be physically realizable:
 //     concurrent leases fit the machine's channel groups, the completion
 //     frontier only advances, batches obey their model's policy, and
-//     request stage splits sum exactly (see schedule.go).
+//     request stage splits sum exactly (see schedule.go); the checks read
+//     each table as a paged row view (Rows), a recorder's logs in place.
 //
 // Checkers return structured Diagnostics carrying stable rule IDs (the
 // catalogue is in Rules and documented in DESIGN.md), so tests can assert
@@ -27,7 +28,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pimflow/internal/obs"
@@ -222,12 +222,7 @@ func Record(m *obs.Metrics, diags []Diagnostic) {
 	for _, d := range diags {
 		byRule[d.Rule]++
 	}
-	ids := make([]string, 0, len(byRule))
-	for id := range byRule {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range sortedKeys(byRule) {
 		m.Add(obs.LabeledKey("verify.violations", "rule", id), byRule[id])
 	}
 }
